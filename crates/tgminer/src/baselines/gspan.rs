@@ -77,14 +77,10 @@ pub struct StaticPattern {
 
 impl StaticPattern {
     /// A one-edge pattern.
+    ///
+    /// Equal labels still give two distinct nodes; self-loop patterns are built
+    /// explicitly.
     pub fn single_edge(src_label: Label, dst_label: Label) -> Self {
-        if src_label == dst_label {
-            // Distinct nodes are still created; self-loop patterns are built explicitly.
-            return Self {
-                labels: vec![src_label, dst_label],
-                edges: vec![(0, 1)],
-            };
-        }
         Self {
             labels: vec![src_label, dst_label],
             edges: vec![(0, 1)],
@@ -111,19 +107,16 @@ impl StaticPattern {
     pub fn canonical_key(&self) -> Vec<u64> {
         const MAX_PERMUTATIONS: usize = 5_040;
         let n = self.labels.len();
+        let class: Vec<(Label, (usize, usize))> = (0..n)
+            .map(|v| (self.labels[v], self.degree_signature(v)))
+            .collect();
         let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&v| (self.labels[v], self.degree_signature(v)));
+        order.sort_by_key(|&v| class[v]);
         // Bucket boundaries: consecutive nodes with identical (label, degree signature).
         let mut buckets: Vec<(usize, usize)> = Vec::new();
         let mut start = 0usize;
         for i in 1..=n {
-            if i == n
-                || (self.labels[order[i]], self.degree_signature(order[i]))
-                    != (
-                        self.labels[order[start]],
-                        self.degree_signature(order[start]),
-                    )
-            {
+            if i == n || class[order[i]] != class[order[start]] {
                 buckets.push((start, i));
                 start = i;
             }
@@ -389,10 +382,13 @@ impl NonTemporalResult {
     }
 }
 
-/// Per-graph embeddings of the pattern currently being grown.
+/// Where the pattern currently being grown occurs. Children are derived from the
+/// positive embeddings; of the negatives only the graphs matter.
 struct StaticOccurrences {
+    /// Per positive graph with a match: its id and (capped) embeddings.
     pos: Vec<(usize, Vec<Vec<usize>>)>,
-    neg: Vec<(usize, Vec<Vec<usize>>)>,
+    /// Ids of the negative graphs with a match.
+    neg: Vec<usize>,
 }
 
 /// Mines discriminative non-temporal patterns (the `Ntemp` baseline).
@@ -429,7 +425,7 @@ pub fn mine_nontemporal(
     for (src_label, dst_label) in seeds {
         let pattern = StaticPattern::single_edge(src_label, dst_label);
         let occ = miner.compute_occurrences(&pattern);
-        miner.dfs(&pattern, &occ);
+        miner.dfs(&pattern, pattern.canonical_key(), &occ);
     }
 
     let mut patterns = miner.top;
@@ -487,55 +483,97 @@ impl StaticMiner<'_> {
         self.top.truncate(self.top_k);
     }
 
+    /// Occurrences of a seed pattern, searched from scratch over both graph sets.
     fn compute_occurrences(&self, pattern: &StaticPattern) -> StaticOccurrences {
-        let collect = |graphs: &[StaticGraph]| {
-            graphs
-                .iter()
-                .enumerate()
-                .filter_map(|(i, g)| {
-                    let embeddings = pattern.find_embeddings(g, self.cap_per_graph);
-                    if embeddings.is_empty() {
-                        None
-                    } else {
-                        Some((i, embeddings))
-                    }
-                })
-                .collect()
-        };
+        self.occurrences_among(pattern, 0..self.positives.len(), 0..self.negatives.len())
+    }
+
+    /// Occurrences of `pattern` within the given graphs of each set.
+    fn occurrences_among(
+        &self,
+        pattern: &StaticPattern,
+        pos_ids: impl Iterator<Item = usize>,
+        neg_ids: impl Iterator<Item = usize>,
+    ) -> StaticOccurrences {
         StaticOccurrences {
-            pos: collect(self.positives),
-            neg: collect(self.negatives),
+            pos: pos_ids
+                .filter_map(|i| {
+                    let embeddings =
+                        pattern.find_embeddings(&self.positives[i], self.cap_per_graph);
+                    (!embeddings.is_empty()).then_some((i, embeddings))
+                })
+                .collect(),
+            neg: neg_ids
+                .filter(|&i| pattern.matches_static(&self.negatives[i]))
+                .collect(),
         }
     }
 
-    fn dfs(&mut self, pattern: &StaticPattern, occ: &StaticOccurrences) {
-        let key = pattern.canonical_key();
+    /// Processes a pattern supported by `pos_graphs` positive and `neg_graphs`
+    /// negative graphs: scores it and offers it to the top-k. Returns its positive
+    /// frequency, or `None` if an isomorphic pattern (same `key`) was processed before.
+    fn visit(
+        &mut self,
+        pattern: &StaticPattern,
+        key: Vec<u64>,
+        pos_graphs: usize,
+        neg_graphs: usize,
+    ) -> Option<f64> {
         if !self.visited.insert(key) {
-            return;
+            return None;
         }
         self.patterns_processed += 1;
-        let pos_freq = occ.pos.len() as f64 / self.positives.len().max(1) as f64;
-        let neg_freq = occ.neg.len() as f64 / self.negatives.len().max(1) as f64;
+        let pos_freq = pos_graphs as f64 / self.positives.len().max(1) as f64;
+        let neg_freq = neg_graphs as f64 / self.negatives.len().max(1) as f64;
         let score = self.score.score(pos_freq, neg_freq);
         self.offer(pattern, score, pos_freq, neg_freq);
+        Some(pos_freq)
+    }
+
+    /// `key` is `pattern.canonical_key()`, computed by the caller to look it up first.
+    fn dfs(&mut self, pattern: &StaticPattern, key: Vec<u64>, occ: &StaticOccurrences) {
+        let Some(pos_freq) = self.visit(pattern, key, occ.pos.len(), occ.neg.len()) else {
+            return;
+        };
         if pattern.edge_count() >= self.max_edges {
             return;
         }
         if self.score.upper_bound(pos_freq) < self.f_star() {
             return;
         }
-        for (child, child_occ) in self.extensions(pattern, occ) {
-            self.dfs(&child, &child_occ);
+        let children_at_cap = pattern.edge_count() + 1 == self.max_edges;
+        for child in self.children(pattern, occ) {
+            // A child seen before costs its key and nothing else. A child can only
+            // occur where its parent does, so only those graphs are searched.
+            let key = child.canonical_key();
+            if self.visited.contains(&key) {
+                continue;
+            }
+            let pos_ids = occ.pos.iter().map(|(graph_id, _)| *graph_id);
+            let neg_ids = occ.neg.iter().copied();
+            if children_at_cap {
+                // Never grown again: existence per graph is all that is read of it.
+                let pos_graphs = pos_ids
+                    .filter(|&i| child.matches_static(&self.positives[i]))
+                    .count();
+                if pos_graphs > 0 {
+                    let neg_graphs = neg_ids
+                        .filter(|&i| child.matches_static(&self.negatives[i]))
+                        .count();
+                    self.visit(&child, key, pos_graphs, neg_graphs);
+                }
+            } else {
+                let child_occ = self.occurrences_among(&child, pos_ids, neg_ids);
+                if !child_occ.pos.is_empty() {
+                    self.dfs(&child, key, &child_occ);
+                }
+            }
         }
     }
 
-    /// Enumerates the children of `pattern`: every way of adding one more edge that is
-    /// adjacent to an existing embedding.
-    fn extensions(
-        &self,
-        pattern: &StaticPattern,
-        occ: &StaticOccurrences,
-    ) -> Vec<(StaticPattern, StaticOccurrences)> {
+    /// The children of `pattern`: every way of adding one more edge that is adjacent
+    /// to an existing positive embedding, in a fixed order.
+    fn children(&self, pattern: &StaticPattern, occ: &StaticOccurrences) -> Vec<StaticPattern> {
         #[derive(PartialEq, Eq, PartialOrd, Ord)]
         enum Ext {
             Forward(usize, Label),
@@ -582,10 +620,8 @@ impl StaticMiner<'_> {
                     }
                     Ext::Inward(s, d) => child.edges.push((s, d)),
                 }
-                let child_occ = self.compute_occurrences(&child);
-                (child, child_occ)
+                child
             })
-            .filter(|(_, occ)| !occ.pos.is_empty())
             .collect()
     }
 }

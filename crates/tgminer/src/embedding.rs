@@ -29,23 +29,25 @@ pub struct Occurrences {
     pub neg: Vec<GraphOccurrences>,
 }
 
+/// Fraction of a set of `total` graphs that `supporting` of them make up (0 for an
+/// empty set).
+pub fn frequency(supporting: usize, total: usize) -> f64 {
+    if total == 0 {
+        0.0
+    } else {
+        supporting as f64 / total as f64
+    }
+}
+
 impl Occurrences {
     /// Fraction of positive graphs containing the pattern.
     pub fn freq_pos(&self, n_pos: usize) -> f64 {
-        if n_pos == 0 {
-            0.0
-        } else {
-            self.pos.len() as f64 / n_pos as f64
-        }
+        frequency(self.pos.len(), n_pos)
     }
 
     /// Fraction of negative graphs containing the pattern.
     pub fn freq_neg(&self, n_neg: usize) -> f64 {
-        if n_neg == 0 {
-            0.0
-        } else {
-            self.neg.len() as f64 / n_neg as f64
-        }
+        frequency(self.neg.len(), n_neg)
     }
 
     /// Total number of stored embeddings (positive + negative), for statistics.

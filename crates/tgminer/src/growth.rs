@@ -10,6 +10,11 @@
 //! Candidate keys are taken from the *positive* graphs only (a pattern absent from the
 //! positives has zero positive frequency and can never be discriminative); the negative
 //! occurrences are then extended for exactly those keys.
+//!
+//! Children at the miner's size cap are never grown again, so all the search reads of
+//! them is how many graphs support them. [`count_extensions`] answers that from the
+//! same scan without building a single child embedding; [`enumerate_extensions`] is
+//! for the interior levels, whose children are parents in turn.
 
 use crate::embedding::{GraphOccurrences, Occurrences};
 use std::collections::BTreeMap;
@@ -125,6 +130,165 @@ pub fn enumerate_extensions(
             },
         })
         .collect()
+}
+
+/// Support of one child pattern: the growth step and how many graphs of each set
+/// contain the child (what [`Extension::occurrences`] would hold as `pos.len()` and
+/// `neg.len()`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ExtensionSupport {
+    /// The growth step relative to the parent pattern.
+    pub key: ExtensionKey,
+    /// Positive graphs containing the child (at least one).
+    pub pos_graphs: usize,
+    /// Negative graphs containing the child.
+    pub neg_graphs: usize,
+}
+
+/// Counts, without materialising them, the extensions [`enumerate_extensions`] would
+/// return for the same parent occurrences: the same keys in the same order, each with
+/// the number of positive and negative graphs that support the child.
+///
+/// A graph supports a child iff some stored parent embedding in it has a residual edge
+/// inducing the child's key, so the per-graph embedding cap plays no part here.
+pub fn count_extensions(
+    occ: &Occurrences,
+    positives: &[TemporalGraph],
+    negatives: &[TemporalGraph],
+) -> Vec<ExtensionSupport> {
+    let mut scan = SupportScan::default();
+    let pos = scan.graphs_per_key(&occ.pos, positives);
+    if pos.is_empty() {
+        return Vec::new();
+    }
+    let mut neg = scan
+        .graphs_per_key(&occ.neg, negatives)
+        .into_iter()
+        .peekable();
+    pos.into_iter()
+        .map(|(packed, pos_graphs)| {
+            while neg.next_if(|&(other, _)| other < packed).is_some() {}
+            let neg_graphs = neg
+                .next_if(|&(other, _)| other == packed)
+                .map_or(0, |(_, count)| count);
+            ExtensionSupport {
+                key: unpack_key(packed),
+                pos_graphs,
+                neg_graphs,
+            }
+        })
+        .collect()
+}
+
+// An `ExtensionKey` as one integer whose order is the key's derived `Ord`: the
+// variant in the top two bits, then the fields in declaration order. Pattern
+// positions get 30 bits, labels their full 32.
+const KIND_SHIFT: u32 = 62;
+const POSITION_BITS: u32 = 30;
+const MAX_POSITIONS: usize = 1 << POSITION_BITS;
+
+fn pack_key(key: ExtensionKey) -> u64 {
+    match key {
+        ExtensionKey::Forward { src, dst_label } => (src as u64) << 32 | dst_label.id() as u64,
+        ExtensionKey::Backward { src_label, dst } => {
+            1 << KIND_SHIFT | (src_label.id() as u64) << POSITION_BITS | dst as u64
+        }
+        ExtensionKey::Inward { src, dst } => 2 << KIND_SHIFT | (src as u64) << 32 | dst as u64,
+    }
+}
+
+fn unpack_key(packed: u64) -> ExtensionKey {
+    let body = packed & ((1 << KIND_SHIFT) - 1);
+    match packed >> KIND_SHIFT {
+        0 => ExtensionKey::Forward {
+            src: (body >> 32) as usize,
+            dst_label: Label(body as u32),
+        },
+        1 => ExtensionKey::Backward {
+            src_label: Label((body >> POSITION_BITS) as u32),
+            dst: (body & ((1 << POSITION_BITS) - 1)) as usize,
+        },
+        _ => ExtensionKey::Inward {
+            src: (body >> 32) as usize,
+            dst: body as u32 as usize,
+        },
+    }
+}
+
+/// Marks a data node no pattern node maps to in [`SupportScan::position`].
+const UNMAPPED: u32 = u32::MAX;
+
+/// Scratch buffers of [`count_extensions`], reused across graphs.
+#[derive(Default)]
+struct SupportScan {
+    /// Data node -> pattern position under the embedding being scanned.
+    position: Vec<u32>,
+    /// Packed keys induced inside the graph being scanned.
+    hits: Vec<u64>,
+}
+
+impl SupportScan {
+    /// For every key induced in at least one of `graph_occs`, the number of graphs
+    /// inducing it, in ascending packed-key order.
+    fn graphs_per_key(
+        &mut self,
+        graph_occs: &[GraphOccurrences],
+        graphs: &[TemporalGraph],
+    ) -> Vec<(u64, usize)> {
+        // One entry per (graph, distinct key): a key's run length is its graph count.
+        let mut per_graph: Vec<u64> = Vec::new();
+        for graph_occ in graph_occs {
+            self.scan_graph(graph_occ, &graphs[graph_occ.graph_id]);
+            per_graph.extend_from_slice(&self.hits);
+        }
+        per_graph.sort_unstable();
+        let mut counts: Vec<(u64, usize)> = Vec::new();
+        for packed in per_graph {
+            match counts.last_mut() {
+                Some((last, count)) if *last == packed => *count += 1,
+                _ => counts.push((packed, 1)),
+            }
+        }
+        counts
+    }
+
+    /// Leaves in `self.hits` the distinct keys induced by the residual edges of the
+    /// graph's embeddings, sorted.
+    fn scan_graph(&mut self, graph_occ: &GraphOccurrences, graph: &TemporalGraph) {
+        self.hits.clear();
+        if self.position.len() < graph.node_count() {
+            self.position.resize(graph.node_count(), UNMAPPED);
+        }
+        let position = &mut self.position[..graph.node_count()];
+        let labels = graph.labels();
+        for embedding in &graph_occ.embeddings {
+            assert!(embedding.node_map.len() <= MAX_POSITIONS);
+            for (p, &node) in embedding.node_map.iter().enumerate() {
+                position[node] = p as u32;
+            }
+            for edge in &graph.edges()[embedding.last_edge_idx + 1..] {
+                let (src, dst) = (position[edge.src] as usize, position[edge.dst] as usize);
+                let key = match (src != UNMAPPED as usize, dst != UNMAPPED as usize) {
+                    (false, false) => continue,
+                    (true, true) => ExtensionKey::Inward { src, dst },
+                    (true, false) => ExtensionKey::Forward {
+                        src,
+                        dst_label: labels[edge.dst],
+                    },
+                    (false, true) => ExtensionKey::Backward {
+                        src_label: labels[edge.src],
+                        dst,
+                    },
+                };
+                self.hits.push(pack_key(key));
+            }
+            for &node in &embedding.node_map {
+                position[node] = UNMAPPED;
+            }
+        }
+        self.hits.sort_unstable();
+        self.hits.dedup();
+    }
 }
 
 /// Extends every embedding of one graph, bucketing child embeddings by extension key.
@@ -337,6 +501,57 @@ mod tests {
             .find(|e| e.key == ExtensionKey::Inward { src: 0, dst: 1 })
             .unwrap();
         assert_eq!(inward.occurrences.pos[0].embeddings.len(), 3);
+    }
+
+    #[test]
+    fn counting_agrees_with_enumeration() {
+        let positives = vec![positive(), negative()];
+        let negatives = vec![negative(), positive()];
+        let p = TemporalPattern::single_edge(l(0), l(1));
+        let occ = Occurrences::compute(&p, &positives, &negatives, 100);
+        let counted = count_extensions(&occ, &positives, &negatives);
+        let enumerated = enumerate_extensions(&occ, &positives, &negatives, 1);
+        assert_eq!(counted.len(), 3);
+        assert_eq!(counted.len(), enumerated.len());
+        for (count, extension) in counted.iter().zip(&enumerated) {
+            assert_eq!(count.key, extension.key);
+            assert_eq!(count.pos_graphs, extension.occurrences.pos.len());
+            assert_eq!(count.neg_graphs, extension.occurrences.neg.len());
+        }
+        // B -> C follows A -> B in every graph; D -> A only in the `positive()` shape.
+        assert_eq!((counted[0].pos_graphs, counted[0].neg_graphs), (2, 2));
+        assert_eq!((counted[1].pos_graphs, counted[1].neg_graphs), (1, 1));
+        // Nothing to count without a positive occurrence.
+        let absent = TemporalPattern::single_edge(l(7), l(8));
+        let occ = Occurrences::compute(&absent, &positives, &negatives, 100);
+        assert!(count_extensions(&occ, &positives, &negatives).is_empty());
+    }
+
+    #[test]
+    fn packed_keys_round_trip_and_sort_like_the_keys() {
+        let far = MAX_POSITIONS - 1;
+        let mut keys = Vec::new();
+        for (node, label) in [(0, l(0)), (1, l(u32::MAX)), (far, l(7)), (far, l(u32::MAX))] {
+            keys.push(ExtensionKey::Forward {
+                src: node,
+                dst_label: label,
+            });
+            keys.push(ExtensionKey::Backward {
+                src_label: label,
+                dst: node,
+            });
+            keys.push(ExtensionKey::Inward {
+                src: node,
+                dst: far - node,
+            });
+        }
+        for &key in &keys {
+            assert_eq!(unpack_key(pack_key(key)), key);
+        }
+        let mut by_key = keys.clone();
+        by_key.sort();
+        keys.sort_by_key(|&key| pack_key(key));
+        assert_eq!(keys, by_key);
     }
 
     #[test]

@@ -7,9 +7,14 @@
 //! pruning conditions are active and which algorithms implement the temporal subgraph
 //! test and the residual-set equivalence test are all configurable — the paper's five
 //! efficiency baselines are exactly such configurations (see [`crate::baselines`]).
+//!
+//! Embeddings are stored for patterns that will be grown. Patterns at
+//! [`MinerConfig::max_edges`] never are, so their parent only counts the graphs that
+//! support them ([`crate::growth::count_extensions`]): they are candidates like any
+//! other, but store nothing and are never registered for pruning.
 
-use crate::embedding::{GraphOccurrences, Occurrences};
-use crate::growth::enumerate_extensions;
+use crate::embedding::{frequency, GraphOccurrences, Occurrences};
+use crate::growth::{count_extensions, enumerate_extensions};
 use crate::pruning::{
     PatternFacts, PruneReason, PruningRegistry, ResidualTestAlgo, SubgraphTestAlgo,
 };
@@ -217,8 +222,7 @@ fn seed_patterns(
     cap_per_graph: usize,
 ) -> Vec<(TemporalPattern, Occurrences)> {
     let pos_map = collect_seed_occurrences(positives, cap_per_graph, None);
-    let allowed: Vec<SeedKey> = pos_map.keys().copied().collect();
-    let mut neg_map = collect_seed_occurrences(negatives, cap_per_graph, Some(&allowed));
+    let mut neg_map = collect_seed_occurrences(negatives, cap_per_graph, Some(&pos_map));
     pos_map
         .into_iter()
         .map(|(key, pos)| {
@@ -235,7 +239,7 @@ fn seed_patterns(
 fn collect_seed_occurrences(
     graphs: &[TemporalGraph],
     cap_per_graph: usize,
-    allowed: Option<&[SeedKey]>,
+    allowed: Option<&BTreeMap<SeedKey, Vec<GraphOccurrences>>>,
 ) -> BTreeMap<SeedKey, Vec<GraphOccurrences>> {
     let mut out: BTreeMap<SeedKey, Vec<GraphOccurrences>> = BTreeMap::new();
     for (graph_id, graph) in graphs.iter().enumerate() {
@@ -250,7 +254,7 @@ fn collect_seed_occurrences(
                 )
             };
             if let Some(allowed) = allowed {
-                if !allowed.contains(&key) {
+                if !allowed.contains_key(&key) {
                     continue;
                 }
             }
@@ -297,13 +301,19 @@ impl Miner<'_> {
         }
     }
 
-    /// Offers a pattern to the top-k collection.
-    fn offer(&mut self, pattern: &TemporalPattern, score: f64, pos_freq: f64, neg_freq: f64) {
+    /// Offers a pattern to the top-k collection; `pattern` is only called on admission.
+    fn offer(
+        &mut self,
+        pattern: impl FnOnce() -> TemporalPattern,
+        score: f64,
+        pos_freq: f64,
+        neg_freq: f64,
+    ) {
         if self.top.len() >= self.config.top_k && score <= self.f_star() {
             return;
         }
         self.top.push(MinedPattern {
-            pattern: pattern.clone(),
+            pattern: pattern(),
             score,
             pos_freq,
             neg_freq,
@@ -316,17 +326,23 @@ impl Miner<'_> {
         self.top.truncate(self.config.top_k);
     }
 
-    /// Depth-first exploration of `pattern`'s branch. Returns the best score seen in the
-    /// branch and whether the branch was truncated by the size cap.
-    fn dfs(&mut self, pattern: &TemporalPattern, occ: &Occurrences) -> (f64, bool) {
-        // Frontier budget: once the candidate count trips it, the whole remaining
-        // search is abandoned (every ancestor sees `truncated`, so no aborted branch
-        // can ever be registered as a dominating pruning entry). The best patterns
-        // found before the trip are still returned.
+    /// Frontier budget: once the candidate count trips it, the whole remaining search
+    /// is abandoned (every ancestor sees `truncated`, so no aborted branch can ever be
+    /// registered as a dominating pruning entry). The best patterns found before the
+    /// trip are still returned.
+    fn budget_spent(&mut self) -> bool {
         if self.config.frontier_budget > 0
             && self.stats.patterns_processed >= self.config.frontier_budget as u64
         {
             self.stats.budget_exhausted = true;
+        }
+        self.stats.budget_exhausted
+    }
+
+    /// Depth-first exploration of `pattern`'s branch. Returns the best score seen in the
+    /// branch and whether the branch was truncated by the size cap.
+    fn dfs(&mut self, pattern: &TemporalPattern, occ: &Occurrences) -> (f64, bool) {
+        if self.budget_spent() {
             return (f64::NEG_INFINITY, true);
         }
         let embeddings = occ.total_embeddings();
@@ -342,18 +358,17 @@ impl Miner<'_> {
         let pos_freq = occ.freq_pos(self.positives.len());
         let neg_freq = occ.freq_neg(self.negatives.len());
         let score = self.score.score(pos_freq, neg_freq);
-        self.offer(pattern, score, pos_freq, neg_freq);
+        self.offer(|| pattern.clone(), score, pos_freq, neg_freq);
         let mut branch_best = score;
 
         let pruning_enabled =
             self.config.use_subgraph_pruning || self.config.use_supergraph_pruning;
 
-        // Size cap: the pattern itself is kept but its branch is not explored.
-        if pattern.edge_count() >= self.config.max_edges {
-            if pruning_enabled {
-                let facts = self.gather_facts(pattern, occ);
-                self.registry.register(facts, branch_best, true);
-            }
+        // Size cap: the pattern itself is kept but its branch is not explored. Only
+        // seeds get here (`max_edges <= 1`); larger patterns at the cap are counted by
+        // their parent in `count_leaves`. Neither is registered: a truncated entry
+        // cannot prune a smaller pattern, and nothing larger is ever checked.
+        if level >= self.config.max_edges {
             return (branch_best, true);
         }
 
@@ -404,29 +419,67 @@ impl Miner<'_> {
         }
 
         self.stats.patterns_expanded += 1;
-        let extensions = enumerate_extensions(
-            occ,
-            self.positives,
-            self.negatives,
-            self.config.cap_per_graph,
-        );
-        self.stats.extensions_evaluated += extensions.len() as u64;
         let mut truncated = false;
-        for extension in extensions {
-            if self.config.min_pos_freq > 0.0
-                && extension.occurrences.freq_pos(self.positives.len()) < self.config.min_pos_freq
-            {
-                continue;
+        if level + 1 == self.config.max_edges {
+            let (leaves_best, any_leaf) = self.count_leaves(pattern, occ);
+            branch_best = branch_best.max(leaves_best);
+            truncated = any_leaf;
+        } else {
+            let extensions = enumerate_extensions(
+                occ,
+                self.positives,
+                self.negatives,
+                self.config.cap_per_graph,
+            );
+            self.stats.extensions_evaluated += extensions.len() as u64;
+            for extension in extensions {
+                if self.config.min_pos_freq > 0.0
+                    && extension.occurrences.freq_pos(self.positives.len())
+                        < self.config.min_pos_freq
+                {
+                    continue;
+                }
+                let child = extension.key.apply(pattern);
+                let (child_best, child_truncated) = self.dfs(&child, &extension.occurrences);
+                branch_best = branch_best.max(child_best);
+                truncated |= child_truncated;
             }
-            let child = extension.key.apply(pattern);
-            let (child_best, child_truncated) = self.dfs(&child, &extension.occurrences);
-            branch_best = branch_best.max(child_best);
-            truncated |= child_truncated;
         }
         if let Some(facts) = facts {
             self.registry.register(facts, branch_best, truncated);
         }
         (branch_best, truncated)
+    }
+
+    /// Evaluates the children of `pattern` that sit at the size cap. They are never
+    /// grown, so only their support is counted: each is a candidate like any other
+    /// (budget, counters, score, top-k offer, in extension order), but no embedding is
+    /// stored and the child pattern is built only if it enters the top-k. Returns the
+    /// best child score and whether any child was cut by the cap or the budget.
+    fn count_leaves(&mut self, pattern: &TemporalPattern, occ: &Occurrences) -> (f64, bool) {
+        let leaves = count_extensions(occ, self.positives, self.negatives);
+        self.stats.extensions_evaluated += leaves.len() as u64;
+        let mut best = f64::NEG_INFINITY;
+        let mut candidates = 0u64;
+        for leaf in leaves {
+            let pos_freq = frequency(leaf.pos_graphs, self.positives.len());
+            if self.config.min_pos_freq > 0.0 && pos_freq < self.config.min_pos_freq {
+                continue;
+            }
+            if self.budget_spent() {
+                break;
+            }
+            self.stats.patterns_processed += 1;
+            candidates += 1;
+            let neg_freq = frequency(leaf.neg_graphs, self.negatives.len());
+            let score = self.score.score(pos_freq, neg_freq);
+            self.offer(|| leaf.key.apply(pattern), score, pos_freq, neg_freq);
+            best = best.max(score);
+        }
+        if candidates > 0 {
+            self.stats.level_mut(pattern.edge_count() + 1).candidates += candidates;
+        }
+        (best, candidates > 0 || self.stats.budget_exhausted)
     }
 
     fn gather_facts(&self, pattern: &TemporalPattern, occ: &Occurrences) -> PatternFacts {
@@ -644,6 +697,24 @@ mod tests {
             budgeted.stats.patterns_processed,
             unbounded.stats.patterns_processed
         );
+    }
+
+    #[test]
+    fn the_size_cap_level_is_counted_not_stored() {
+        let (positives, negatives) = datasets();
+        let config = MinerConfig::default().with_max_edges(2);
+        let result = mine(&positives, &negatives, &LogRatio::default(), &config);
+        let [seeds, leaves] = result.stats.levels[..] else {
+            panic!("two levels, got {:?}", result.stats.levels);
+        };
+        assert!(leaves.candidates > 0);
+        assert_eq!((leaves.embeddings, leaves.pruned), (0, 0));
+        assert_eq!(result.stats.embeddings_materialized, seeds.embeddings);
+        assert_eq!(result.stats.extensions_evaluated, leaves.candidates);
+        // The leaves are still scored and kept: A->B->C is the best pattern.
+        let best = result.best().expect("patterns found");
+        assert_eq!(best.pattern.edge_count(), 2);
+        assert_eq!((best.pos_freq, best.neg_freq), (1.0, 0.0));
     }
 
     #[test]

@@ -433,6 +433,52 @@ mod tests {
         assert_eq!(reg.len(), 1);
     }
 
+    /// The invariant that lets the miner skip registering patterns at the size cap:
+    /// an entry that is truncated and strictly larger than the checked pattern is
+    /// rejected by both conditions before any test runs, however well the rest of
+    /// its facts would fit. (Nothing larger than the cap is ever checked, so against
+    /// a pattern at the cap every checked pattern is strictly smaller.)
+    #[test]
+    fn a_truncated_strictly_larger_entry_never_prunes() {
+        use tgraph::GraphBuilder;
+        // One positive graph holding only A -> B: label C never follows the match.
+        let mut b = GraphBuilder::new();
+        let (a, bb) = (b.add_node(l(0)), b.add_node(l(1)));
+        b.add_edge(a, bb, 1).unwrap();
+        let positives = vec![b.build()];
+        let postings: Vec<LabelPostings> = positives.iter().map(LabelPostings::build).collect();
+
+        let small = TemporalPattern::single_edge(l(0), l(1));
+        let occ = Occurrences::compute(&small, &positives, &[], 10);
+        let facts =
+            PatternFacts::gather(&small, &occ, &positives, &[], ResidualTestAlgo::Signature);
+        // A dominated entry for A -> B -> C whose residual facts equal the small
+        // pattern's: everything Lemma 4 asks for.
+        let big = small.grow_forward(1, l(2)).unwrap();
+        let entry = PatternFacts {
+            label_multiset: big.sorted_label_multiset(),
+            pattern: big,
+            ..facts.clone()
+        };
+        for truncated in [false, true] {
+            let mut reg = PruningRegistry::new(
+                SubgraphTestAlgo::Sequence,
+                ResidualTestAlgo::Signature,
+                true,
+                true,
+            );
+            reg.register(entry.clone(), 0.5, truncated);
+            let mut stats = MiningStats::default();
+            let verdict = reg.check(&facts, &occ, &postings, &positives, &[], 1.0, &mut stats);
+            if truncated {
+                assert_eq!(verdict, None);
+                assert_eq!((stats.subgraph_tests, stats.residual_equiv_tests), (0, 0));
+            } else {
+                assert_eq!(verdict, Some(PruneReason::Subgraph), "the control prunes");
+            }
+        }
+    }
+
     #[test]
     fn subgraph_algo_variants_agree() {
         let small = TemporalPattern::single_edge(l(0), l(1));

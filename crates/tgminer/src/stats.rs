@@ -20,7 +20,8 @@ pub struct LevelStats {
     pub candidates: u64,
     /// Candidates of this size whose branch was cut by any pruning condition.
     pub pruned: u64,
-    /// Embeddings materialised for candidates of this size.
+    /// Embeddings stored for candidates of this size: 0 at the miner's size cap
+    /// (above one edge), whose candidates are support-counted, never materialised.
     pub embeddings: u64,
 }
 
@@ -31,7 +32,8 @@ pub struct MiningStats {
     pub patterns_processed: u64,
     /// Patterns whose branch was fully explored (not pruned away).
     pub patterns_expanded: u64,
-    /// Candidate extensions that were evaluated (child patterns materialised).
+    /// Candidate extensions that were evaluated: child patterns materialised with
+    /// their embeddings below the size cap, support-counted at it.
     pub extensions_evaluated: u64,
     /// Temporal subgraph tests executed by the pruning framework.
     pub subgraph_tests: u64,
@@ -43,7 +45,8 @@ pub struct MiningStats {
     pub subgraph_prunes: u64,
     /// Branches cut by supergraph pruning (Proposition 2).
     pub supergraph_prunes: u64,
-    /// Total number of embeddings materialised across all patterns.
+    /// Total number of embeddings stored across all patterns (the sum of
+    /// [`LevelStats::embeddings`]; candidates at the size cap store none).
     pub embeddings_materialized: u64,
     /// Per-growth-level frontier breakdown, indexed sparsely by edge count (levels
     /// that processed no candidate are absent).

@@ -3,10 +3,13 @@
 
 use proptest::prelude::*;
 use tgminer::baselines::MinerVariant;
+use tgminer::embedding::Occurrences;
+use tgminer::growth::{count_extensions, enumerate_extensions};
 use tgminer::score::{GTest, InfoGain, LogRatio, ScoreFunction};
 use tgminer::{mine, MinerConfig};
 use tgraph::generator::{random_t_connected_graph, RandomGraphSpec};
 use tgraph::matching::contains_pattern;
+use tgraph::pattern::TemporalPattern;
 use tgraph::TemporalGraph;
 
 /// Builds a small random mining task: positives share structure by construction (same
@@ -110,6 +113,43 @@ proptest! {
             prop_assert!((mined.neg_freq - neg as f64 / negatives.len() as f64).abs() < 1e-9);
             prop_assert!(mined.pattern.edge_count() <= 3);
             prop_assert!(mined.pattern.is_canonical());
+        }
+    }
+
+    /// Counting a parent's extensions agrees with materialising them: the same keys in
+    /// the same order, each supported by as many graphs as hold child embeddings —
+    /// whatever the per-graph embedding cap, down a random growth path.
+    #[test]
+    fn counted_extensions_match_the_materialised_ones(seed in 0u64..300, path in 0usize..10_000) {
+        let (positives, negatives) = random_task(seed, 4);
+        for cap in [1, 3, usize::MAX] {
+            // A random parent: some positive edge as the seed, then up to two growth
+            // steps picked by `path`.
+            let graph = &positives[path % positives.len()];
+            let edge = graph.edge(path % graph.edge_count());
+            let mut pattern = if edge.src == edge.dst {
+                TemporalPattern::single_self_loop(graph.label(edge.src))
+            } else {
+                TemporalPattern::single_edge(graph.label(edge.src), graph.label(edge.dst))
+            };
+            let mut occ = Occurrences::compute(&pattern, &positives, &negatives, cap);
+            for depth in 0..3 {
+                let mut materialised = enumerate_extensions(&occ, &positives, &negatives, cap);
+                let counted = count_extensions(&occ, &positives, &negatives);
+                prop_assert_eq!(counted.len(), materialised.len(), "cap {} depth {}", cap, depth);
+                for (count, extension) in counted.iter().zip(&materialised) {
+                    prop_assert_eq!(count.key, extension.key);
+                    prop_assert_eq!(count.pos_graphs, extension.occurrences.pos.len());
+                    prop_assert_eq!(count.neg_graphs, extension.occurrences.neg.len());
+                }
+                if materialised.is_empty() {
+                    break;
+                }
+                let pick = (path / (depth + 7)) % materialised.len();
+                let next = materialised.swap_remove(pick);
+                pattern = next.key.apply(&pattern);
+                occ = next.occurrences;
+            }
         }
     }
 }

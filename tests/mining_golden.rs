@@ -1,0 +1,297 @@
+//! Golden pin of both miners behind `query::formulate_queries`.
+//!
+//! `tests/golden/mining_pin.txt` records, for every class of the checked-in fixture
+//! corpus (`tests/fixtures/training.corpus`) and of `DatasetConfig::tiny()` at query
+//! sizes 1..=4, what `tgminer::mine` and `mine_nontemporal` return when configured as
+//! `formulate_queries` configures them: the top patterns in order (pattern, score,
+//! frequencies — as a count and an FNV-1a digest of their exact rendering), every work
+//! and prune counter, and the per-level candidate/pruned rows. A handful of
+//! `frontier_budget` runs pin where a tripped budget stops and what it has found by
+//! then, including trips in the middle of the size-cap level.
+//!
+//! The file was captured **before** the size cap became a counting level, so it holds
+//! the materialising miners' answers: any evaluation shortcut must reproduce it line
+//! for line. Stored-embedding counts are pinned for the interior levels only; at the
+//! cap (from size 2 up) nothing is stored, which the test asserts instead.
+//!
+//! To regenerate after an *intentional* change of search order or admission policy:
+//! `cargo test --test mining_golden -- --ignored regenerate_mining_pin`.
+
+use behavior_query::syscall::{Behavior, DatasetConfig, TrainingData};
+use behavior_query::tgminer::baselines::gspan::mine_nontemporal;
+use behavior_query::tgminer::score::LogRatio;
+use behavior_query::tgminer::{mine, MinerConfig, MiningResult};
+use behavior_query::tgraph::{GraphBuilder, Label, TemporalGraph};
+use std::collections::HashMap;
+use std::fmt::{Debug, Write as _};
+use std::path::PathBuf;
+
+/// `QueryOptions::default()`'s `miner_top_k` and `cap_per_graph`.
+const TOP_K: usize = 24;
+const CAP_PER_GRAPH: usize = 64;
+const SIZES: std::ops::RangeInclusive<usize> = 1..=4;
+/// Budgets for the tripped runs: from "a few leaves into the first branch" to
+/// "deep inside the search" — at size 3 most candidates sit at the cap, so these
+/// land inside a terminal level.
+const BUDGETS: [usize; 4] = [5, 50, 500, 5_000];
+
+fn pin_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/mining_pin.txt")
+}
+
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// One line of a pattern list's digest input: the exact pattern and the bits of its
+/// score and frequencies.
+fn render_pattern(out: &mut String, pattern: &dyn Debug, score: f64, pos_freq: f64, neg_freq: f64) {
+    writeln!(
+        out,
+        "{pattern:?}|{:016x}|{:016x}|{:016x}",
+        score.to_bits(),
+        pos_freq.to_bits(),
+        neg_freq.to_bits()
+    )
+    .unwrap();
+}
+
+/// One mining task: a named class, its positive graphs and the shared negatives.
+struct Task {
+    name: String,
+    positives: Vec<TemporalGraph>,
+}
+
+/// The fixture corpus's traces as graphs: node ids remapped densely in
+/// first-appearance order, as the discovery pipeline ingests them.
+fn fixture_tasks() -> (Vec<Task>, Vec<TemporalGraph>) {
+    let text = std::fs::read_to_string(
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/training.corpus"),
+    )
+    .expect("the fixture corpus is checked in");
+    let mut traces: Vec<(String, GraphBuilder, HashMap<usize, usize>)> = Vec::new();
+    for line in text.lines().map(str::trim) {
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        if let Some(name) = line.strip_prefix("trace ") {
+            traces.push((name.trim().to_string(), GraphBuilder::new(), HashMap::new()));
+            continue;
+        }
+        let fields: Vec<u64> = line
+            .split_whitespace()
+            .map(|f| f.parse().expect("fixture fields are integers"))
+            .collect();
+        let (_, builder, ids) = traces.last_mut().expect("events belong to a trace");
+        let mut node = |id: u64, label: u64| {
+            *ids.entry(id as usize)
+                .or_insert_with(|| builder.add_node(Label(label as u32)))
+        };
+        let (src, dst) = (node(fields[1], fields[3]), node(fields[2], fields[4]));
+        builder
+            .add_edge(src, dst, fields[0])
+            .expect("fixture traces are valid");
+    }
+    let mut tasks: Vec<Task> = Vec::new();
+    let mut negatives = Vec::new();
+    for (name, builder, _) in traces {
+        let graph = builder.build();
+        if name == "background" {
+            negatives.push(graph);
+        } else if let Some(task) = tasks.iter_mut().find(|t| t.name == name) {
+            task.positives.push(graph);
+        } else {
+            tasks.push(Task {
+                name,
+                positives: vec![graph],
+            });
+        }
+    }
+    (tasks, negatives)
+}
+
+fn tiny_tasks() -> (Vec<Task>, Vec<TemporalGraph>) {
+    let training = TrainingData::generate(&DatasetConfig::tiny());
+    let tasks = Behavior::all()
+        .iter()
+        .map(|&behavior| Task {
+            name: behavior.name().to_string(),
+            positives: training.positives(behavior).to_vec(),
+        })
+        .collect();
+    (tasks, training.negatives().to_vec())
+}
+
+fn config(size: usize, frontier_budget: usize) -> MinerConfig {
+    MinerConfig {
+        max_edges: size,
+        top_k: TOP_K,
+        cap_per_graph: CAP_PER_GRAPH,
+        frontier_budget,
+        ..MinerConfig::default()
+    }
+}
+
+/// The pinned rendering of one TGMiner run. `size` is the cap: embeddings of levels
+/// below it are pinned, the cap level's are asserted by the caller.
+fn tgminer_line(result: &MiningResult, size: usize) -> String {
+    let stats = &result.stats;
+    let mut rendered = String::new();
+    for p in &result.patterns {
+        render_pattern(&mut rendered, &p.pattern, p.score, p.pos_freq, p.neg_freq);
+    }
+    let levels: Vec<String> = stats
+        .levels
+        .iter()
+        .map(|l| {
+            if l.level < size {
+                format!("{}:{}/{}/{}", l.level, l.candidates, l.pruned, l.embeddings)
+            } else {
+                format!("{}:{}/{}/-", l.level, l.candidates, l.pruned)
+            }
+        })
+        .collect();
+    format!(
+        "processed={} expanded={} extensions={} ub={} sub={} super={} subgraph_tests={} \
+         residual_tests={} exhausted={} levels={} patterns={} best={:?} fnv={:016x}",
+        stats.patterns_processed,
+        stats.patterns_expanded,
+        stats.extensions_evaluated,
+        stats.upper_bound_prunes,
+        stats.subgraph_prunes,
+        stats.supergraph_prunes,
+        stats.subgraph_tests,
+        stats.residual_equiv_tests,
+        stats.budget_exhausted,
+        levels.join(","),
+        result.patterns.len(),
+        result.best_score(),
+        fnv1a(&rendered)
+    )
+}
+
+/// What the size-cap level stores: nothing from size 2 up (the seeds of a size-1 run
+/// are materialised like any other seed).
+fn assert_cap_level_stores_nothing(result: &MiningResult, size: usize, what: &str) {
+    let stats = &result.stats;
+    let by_level: u64 = stats.levels.iter().map(|l| l.embeddings).sum();
+    assert_eq!(by_level, stats.embeddings_materialized, "{what}");
+    if size >= 2 {
+        for row in stats.levels.iter().filter(|l| l.level >= size) {
+            assert_eq!(row.embeddings, 0, "{what}: level {} stores", row.level);
+            assert_eq!(row.pruned, 0, "{what}: level {} prunes", row.level);
+        }
+    }
+}
+
+/// The pinned rendering of one Ntemp run.
+fn ntemp_line(task: &Task, negatives: &[TemporalGraph], size: usize) -> String {
+    let ntemp = mine_nontemporal(
+        &task.positives,
+        negatives,
+        &LogRatio::default(),
+        size,
+        TOP_K,
+    );
+    let mut rendered = String::new();
+    for p in &ntemp.patterns {
+        render_pattern(&mut rendered, &p.pattern, p.score, p.pos_freq, p.neg_freq);
+    }
+    format!(
+        "processed={} patterns={} fnv={:016x}",
+        ntemp.patterns_processed,
+        ntemp.patterns.len(),
+        fnv1a(&rendered)
+    )
+}
+
+/// Both miners on every class at every size. The runs are independent, so each gets
+/// its own thread (the large tiny classes at size 4 are most of the test's time);
+/// lines keep (class, size, miner) order.
+fn pin_of(corpus: &str, tasks: &[Task], negatives: &[TemporalGraph], out: &mut String) {
+    std::thread::scope(|scope| {
+        let mut handles = Vec::new();
+        for task in tasks {
+            for size in SIZES {
+                let what = move || format!("{corpus}/{} size={size}", task.name);
+                handles.push(scope.spawn(move || {
+                    let score = LogRatio::default();
+                    let mined = mine(&task.positives, negatives, &score, &config(size, 0));
+                    assert_cap_level_stores_nothing(&mined, size, &what());
+                    format!("{} tgminer {}\n", what(), tgminer_line(&mined, size))
+                }));
+                handles.push(scope.spawn(move || {
+                    format!("{} ntemp {}\n", what(), ntemp_line(task, negatives, size))
+                }));
+            }
+        }
+        for handle in handles {
+            out.push_str(&handle.join().expect("a mining thread panicked"));
+        }
+    });
+}
+
+/// Budgeted runs at size 3 on one class.
+fn budget_pin(corpus: &str, task: &Task, negatives: &[TemporalGraph], out: &mut String) {
+    let score = LogRatio::default();
+    let unbounded = mine(&task.positives, negatives, &score, &config(3, 0));
+    for budget in BUDGETS {
+        let what = format!("{corpus}/{} size=3 budget={budget}", task.name);
+        let mined = mine(&task.positives, negatives, &score, &config(3, budget));
+        let tripped = (budget as u64) < unbounded.stats.patterns_processed;
+        assert_eq!(mined.stats.budget_exhausted, tripped, "{what}");
+        if tripped {
+            assert_eq!(mined.stats.patterns_processed, budget as u64, "{what}");
+        }
+        assert_cap_level_stores_nothing(&mined, 3, &what);
+        writeln!(out, "{what} tgminer {}", tgminer_line(&mined, 3)).unwrap();
+    }
+}
+
+fn current_pin() -> String {
+    let mut out = String::from(
+        "# mining golden pin — captured by tests/mining_golden.rs (regenerate_mining_pin) \
+         from the materialising miners; do not edit\n",
+    );
+    let (fixture, fixture_negatives) = fixture_tasks();
+    pin_of("fixture", &fixture, &fixture_negatives, &mut out);
+    let (tiny, tiny_negatives) = tiny_tasks();
+    pin_of("tiny", &tiny, &tiny_negatives, &mut out);
+    // Budgeted runs: the fixture classes and one dense tiny class.
+    for task in &fixture {
+        budget_pin("fixture", task, &fixture_negatives, &mut out);
+    }
+    let sshd = tiny
+        .iter()
+        .find(|t| t.name == Behavior::SshdLogin.name())
+        .expect("tiny data has sshd-login");
+    budget_pin("tiny", sshd, &tiny_negatives, &mut out);
+    out
+}
+
+#[test]
+fn both_miners_reproduce_the_pinned_results() {
+    let expected = std::fs::read_to_string(pin_path())
+        .unwrap_or_else(|e| panic!("missing mining pin ({e}); run regenerate_mining_pin"));
+    let actual = current_pin();
+    for (line, (want, got)) in expected.lines().zip(actual.lines()).enumerate() {
+        assert_eq!(got, want, "mining pin line {}", line + 1);
+    }
+    assert_eq!(actual.lines().count(), expected.lines().count());
+    // The budget cases are only worth their lines if some trip inside the cap level.
+    assert!(
+        expected
+            .lines()
+            .any(|l| l.contains("budget=") && l.contains("exhausted=true")),
+        "no pinned budget run trips"
+    );
+}
+
+#[test]
+#[ignore = "rewrites tests/golden/mining_pin.txt"]
+fn regenerate_mining_pin() {
+    std::fs::create_dir_all(pin_path().parent().unwrap()).unwrap();
+    std::fs::write(pin_path(), current_pin()).unwrap();
+}
