@@ -20,12 +20,13 @@
 //! * `extra.overhead_pct` — the fresh value must stay under
 //!   `BQ_DIFF_MAX_OVERHEAD_PCT` (default 10: the <5% inertness contract plus CI
 //!   noise headroom);
-//! * `extra.durability_overhead_pct` — fresh value under
-//!   `BQ_DIFF_MAX_DURABILITY_OVERHEAD_PCT` (default 150; tiny-scale durability
-//!   runs measure ~60%). The ceiling only applies when baseline and fresh carry
-//!   the same `extra.sync_policy` — overhead measured under `always` prices a
-//!   real fsync per record and is not comparable to a `never` baseline, so a
-//!   policy mismatch downgrades this check to a note.
+//! * `extra.wal_ns_per_event` — what logging adds to a pass, per event; fresh value
+//!   under `BQ_DIFF_MAX_WAL_NS_PER_EVENT` (default 300; tiny-scale durability runs
+//!   measure 110–150). Absolute, not the ratio `extra.durability_overhead_pct`,
+//!   which moves with the speed of the matching it is divided by. The ceiling only
+//!   applies when baseline and fresh carry the same `extra.sync_policy` — a cost
+//!   measured under `always` prices a real fsync per record and is not comparable
+//!   to a `never` baseline, so a policy mismatch downgrades this check to a note.
 //!
 //! Latency percentiles and memory high-water changes are reported as notes, never
 //! failures (log-scale histograms and allocator behavior are too machine-dependent
@@ -86,9 +87,9 @@ fn main() {
             "BQ_DIFF_MAX_OVERHEAD_PCT",
             DiffThresholds::default().max_overhead_pct,
         ),
-        max_durability_overhead_pct: env_threshold(
-            "BQ_DIFF_MAX_DURABILITY_OVERHEAD_PCT",
-            DiffThresholds::default().max_durability_overhead_pct,
+        max_wal_ns_per_event: env_threshold(
+            "BQ_DIFF_MAX_WAL_NS_PER_EVENT",
+            DiffThresholds::default().max_wal_ns_per_event,
         ),
     };
 

@@ -12,7 +12,9 @@
 //!
 //! A final logged run (instrumented, with a mid-stream snapshot) feeds the
 //! `bench-report/v1` artifact `BENCH_durability_overhead_<scale>.json`:
-//! `extra.durability_overhead_pct` carries the headline number, `extra.wal` the
+//! `extra.durability_overhead_pct` carries the headline number,
+//! `extra.wal_ns_per_event` the same difference per event (what `bench_diff` gates:
+//! it does not move when the bare pass gets faster), `extra.wal` the
 //! `durable.*` counter values, and `extra.recovery` the measured cost of rebuilding
 //! the detector from the log (`recover_sharded`), which doubles as an end-to-end
 //! recovery smoke check.
@@ -20,7 +22,7 @@
 //! `BQ_SCALE` selects the dataset size, `BQ_BENCH_DIR` the artifact directory.
 //! `BQ_SYNC` picks the fsync policy every logged run prices in (`never`, the
 //! default; `every_n` = every 8th record; `always`) and is stamped into the
-//! artifact as `extra.sync_policy` — `bench_diff` skips the durability ceiling
+//! artifact as `extra.sync_policy` — `bench_diff` skips the log-cost ceiling
 //! when baseline and fresh were measured under different policies.
 //!
 //! `BQ_FAULTS` switches the bin into its chaos smoke mode: the spec (see
@@ -226,6 +228,7 @@ fn run_measurement(
     pairs.sort_by(|a, b| (a.1 / a.0).total_cmp(&(b.1 / b.0)));
     let (bare_secs, logged_secs) = pairs[pairs.len() / 2];
     let overhead_pct = (logged_secs / bare_secs - 1.0).max(0.0) * 100.0;
+    let wal_ns_per_event = (logged_secs - bare_secs).max(0.0) * 1e9 / events as f64;
 
     let widths = [12usize, 12, 12, 14];
     print_header(
@@ -327,6 +330,7 @@ fn run_measurement(
     report.shards = shard_stats;
     report.extra = vec![
         ("durability_overhead_pct".into(), Json::Num(overhead_pct)),
+        ("wal_ns_per_event".into(), Json::Num(wal_ns_per_event)),
         ("sync_policy".into(), Json::Str(sync_policy().name().into())),
         (
             "paired_passes".into(),

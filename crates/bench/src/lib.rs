@@ -30,16 +30,32 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads the scale from `BQ_SCALE` (`tiny` / `small` / `paper`), defaulting to small.
+    /// Reads the scale from `BQ_SCALE` (`tiny` / `small` / `paper`); unset means small.
+    /// Any other value ends the process with exit code 2: a typo must not silently
+    /// turn a seconds-long smoke run into minutes of `small` mining.
     pub fn from_env() -> Self {
-        match std::env::var("BQ_SCALE")
-            .unwrap_or_default()
-            .to_lowercase()
-            .as_str()
-        {
-            "tiny" => Scale::Tiny,
-            "paper" => Scale::Paper,
-            _ => Scale::Small,
+        match std::env::var("BQ_SCALE") {
+            Err(std::env::VarError::NotPresent) => Scale::Small,
+            Ok(value) => Self::parse(&value).unwrap_or_else(|message| {
+                eprintln!("{message}");
+                std::process::exit(2)
+            }),
+            Err(error) => {
+                eprintln!("BQ_SCALE: {error} (valid values: tiny, small, paper)");
+                std::process::exit(2)
+            }
+        }
+    }
+
+    /// Parses a `BQ_SCALE` value (case-insensitive); the error names the valid ones.
+    pub fn parse(value: &str) -> Result<Self, String> {
+        match value.to_lowercase().as_str() {
+            "tiny" => Ok(Scale::Tiny),
+            "small" => Ok(Scale::Small),
+            "paper" => Ok(Scale::Paper),
+            _ => Err(format!(
+                "BQ_SCALE: unknown scale {value:?} (valid values: tiny, small, paper)"
+            )),
         }
     }
 
@@ -175,6 +191,20 @@ mod tests {
         assert_eq!(Scale::from_env(), Scale::Small);
         assert_eq!(Scale::Tiny.dataset_config().graphs_per_behavior, 6);
         assert_eq!(Scale::Paper.dataset_config().graphs_per_behavior, 100);
+    }
+
+    #[test]
+    fn unknown_scales_are_rejected_by_name() {
+        assert_eq!(Scale::parse("tiny"), Ok(Scale::Tiny));
+        assert_eq!(Scale::parse("Small"), Ok(Scale::Small));
+        assert_eq!(Scale::parse("PAPER"), Ok(Scale::Paper));
+        for typo in ["tiney", "", "tiny ", "sustained"] {
+            let message = Scale::parse(typo).unwrap_err();
+            for valid in ["tiny", "small", "paper"] {
+                assert!(message.contains(valid), "{message}");
+            }
+            assert!(message.contains(&format!("{typo:?}")), "{message}");
+        }
     }
 
     #[test]

@@ -270,7 +270,10 @@ impl ProfileSnapshot {
 pub struct QueryCost {
     /// Runs / anchors / keyword windows spawned for this query.
     pub spawned: u64,
-    /// Partial-match advances and anchor resolutions executed.
+    /// Partial-match advances and anchor resolutions executed: one per live run or
+    /// keyword window actually *offered* an event (the engine offers an event only to
+    /// the runs of queries whose advance index names its labels — a run it is routed
+    /// past, or one that merely expires, is not an advance), one per anchor resolved.
     pub advanced: u64,
     /// Runs dropped without completing (window expiry or stream end).
     pub dropped: u64,
@@ -285,7 +288,8 @@ pub struct QueryCost {
 impl QueryCost {
     /// Deterministic work units: seed spawns plus run advances. This is the
     /// measured analogue of the label-pair cost estimate — proportional to how
-    /// often the engine actually touched the query, independent of clock noise.
+    /// often the engine actually touched the query (runs it skipped cost nothing and
+    /// count nothing), independent of clock noise.
     pub fn cost_units(&self) -> u64 {
         self.spawned.saturating_add(self.advanced)
     }

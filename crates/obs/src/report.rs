@@ -290,6 +290,7 @@ pub fn validate(doc: &Json) -> Vec<String> {
     for field in [
         "overhead_pct",
         "durability_overhead_pct",
+        "wal_ns_per_event",
         "profiling_overhead_pct",
     ] {
         if let Some(value) = doc.get("extra").and_then(|e| e.get(field)) {
@@ -347,9 +348,11 @@ pub struct DiffThresholds {
     /// Ceiling on the fresh run's `extra.overhead_pct` (the <5% instrumentation
     /// contract plus CI noise headroom).
     pub max_overhead_pct: f64,
-    /// Ceiling on the fresh run's `extra.durability_overhead_pct` (WAL appends are
-    /// expensive relative to tiny in-memory batches; see the durability bench).
-    pub max_durability_overhead_pct: f64,
+    /// Ceiling on the fresh run's `extra.wal_ns_per_event` — what logging adds to a
+    /// pass, per event. Absolute on purpose: the ratio `extra.durability_overhead_pct`
+    /// moves whenever the matching it is divided by gets faster or slower, the log's
+    /// own cost does not (see the durability bench).
+    pub max_wal_ns_per_event: f64,
 }
 
 impl Default for DiffThresholds {
@@ -357,7 +360,7 @@ impl Default for DiffThresholds {
         Self {
             max_events_per_sec_drop_pct: 60.0,
             max_overhead_pct: 10.0,
-            max_durability_overhead_pct: 150.0,
+            max_wal_ns_per_event: 300.0,
         }
     }
 }
@@ -379,8 +382,8 @@ impl ReportDiff {
 }
 
 /// Compares a fresh `bench-report/v1` document against a committed baseline
-/// field-by-field. Throughput may drop up to the threshold (CI noise); overhead
-/// ratios are gated absolutely on the fresh run; `events`/`detections` must match
+/// field-by-field. Throughput may drop up to the threshold (CI noise); the overhead
+/// extras are gated absolutely on the fresh run; `events`/`detections` must match
 /// exactly — the harness is seeded and the engine deterministic, so a count change
 /// is a behavior change, and an intentional one must regenerate the baseline.
 pub fn diff_reports(baseline: &Json, fresh: &Json, thresholds: &DiffThresholds) -> ReportDiff {
@@ -427,9 +430,9 @@ pub fn diff_reports(baseline: &Json, fresh: &Json, thresholds: &DiffThresholds) 
         }
     }
 
-    // Durability overhead is only comparable within one fsync policy: `always`
-    // prices a real fsync per record and can legitimately sit far above the
-    // `never` ceiling. A policy mismatch downgrades that one ceiling to a note.
+    // The log's cost is only comparable within one fsync policy: `always` prices a
+    // real fsync per record and can legitimately sit far above the `never`
+    // ceiling. A policy mismatch downgrades that one ceiling to a note.
     fn sync_policy(doc: &Json) -> &str {
         doc.get("extra")
             .and_then(|e| e.get("sync_policy"))
@@ -440,18 +443,14 @@ pub fn diff_reports(baseline: &Json, fresh: &Json, thresholds: &DiffThresholds) 
 
     for (field, ceiling) in [
         ("overhead_pct", thresholds.max_overhead_pct),
-        (
-            "durability_overhead_pct",
-            thresholds.max_durability_overhead_pct,
-        ),
+        ("wal_ns_per_event", thresholds.max_wal_ns_per_event),
     ] {
-        let fresh_pct = num(fresh, &["extra", field]);
-        if let Some(new) = fresh_pct {
+        if let Some(new) = num(fresh, &["extra", field]) {
             if let Some(base) = num(baseline, &["extra", field]) {
                 diff.notes
                     .push(format!("extra.{field}: baseline {base:.2}, fresh {new:.2}"));
             }
-            if field == "durability_overhead_pct" && policy_mismatch {
+            if field == "wal_ns_per_event" && policy_mismatch {
                 diff.notes.push(format!(
                     "extra.{field}: ceiling skipped — sync policy differs (baseline \
                      {}, fresh {})",
@@ -471,6 +470,10 @@ pub fn diff_reports(baseline: &Json, fresh: &Json, thresholds: &DiffThresholds) 
     for (name, path) in [
         ("latency.p50", &["latency", "p50"] as &[&str]),
         ("latency.p99", &["latency", "p99"]),
+        (
+            "extra.durability_overhead_pct",
+            &["extra", "durability_overhead_pct"],
+        ),
         (
             "memory.high_water_bytes",
             &["memory", "high_water_bytes"] as &[&str],
@@ -660,7 +663,7 @@ mod tests {
         fresh.extra.push(("overhead_pct".into(), Json::Num(25.0)));
         fresh
             .extra
-            .push(("durability_overhead_pct".into(), Json::Num(80.0)));
+            .push(("wal_ns_per_event".into(), Json::Num(150.0)));
         let diff = diff_reports(
             &baseline,
             &Json::parse(&fresh.render()).unwrap(),
@@ -675,8 +678,8 @@ mod tests {
             .iter()
             .any(|r| r.contains("overhead_pct: fresh 25.00 exceeds ceiling 10.00")));
         assert!(
-            !diff.regressions.iter().any(|r| r.contains("durability")),
-            "80% durability overhead is under its 150% ceiling: {:?}",
+            !diff.regressions.iter().any(|r| r.contains("wal_ns")),
+            "150 ns of logging per event is under its 300 ns ceiling: {:?}",
             diff.regressions
         );
     }
@@ -703,17 +706,17 @@ mod tests {
 
     #[test]
     fn diff_skips_the_durability_ceiling_across_sync_policies() {
-        // Baseline measured under `never`, fresh under `always`: the 500% fresh
-        // overhead is real fsync pricing, not a regression — the ceiling is
+        // Baseline measured under `never`, fresh under `always`: the fresh 5 µs per
+        // event is real fsync pricing, not a regression — the ceiling is
         // downgraded to a note. The same value under a matching policy gates.
         let mut base = sample();
         base.extra
-            .push(("durability_overhead_pct".into(), Json::Num(60.0)));
+            .push(("wal_ns_per_event".into(), Json::Num(120.0)));
         let baseline = Json::parse(&base.render()).unwrap();
         let mut fresh = sample();
         fresh
             .extra
-            .push(("durability_overhead_pct".into(), Json::Num(500.0)));
+            .push(("wal_ns_per_event".into(), Json::Num(5000.0)));
         fresh
             .extra
             .push(("sync_policy".into(), Json::Str("always".into())));
@@ -721,7 +724,7 @@ mod tests {
         let diff = diff_reports(&baseline, &fresh, &DiffThresholds::default());
         assert!(
             diff.is_ok(),
-            "policy mismatch must not gate durability overhead: {:?}",
+            "policy mismatch must not gate the log's cost: {:?}",
             diff.regressions
         );
         assert!(diff
@@ -733,7 +736,7 @@ mod tests {
         assert!(
             diff.regressions
                 .iter()
-                .any(|r| r.contains("durability_overhead_pct: fresh 500.00 exceeds")),
+                .any(|r| r.contains("wal_ns_per_event: fresh 5000.00 exceeds")),
             "matching policies keep the ceiling: {:?}",
             diff.regressions
         );

@@ -80,6 +80,27 @@ impl CompiledQuery {
         }
     }
 
+    /// The label pairs that can *advance* an in-flight match of a temporal query: the
+    /// `(source, destination)` labels of every pattern edge after the first (distinct,
+    /// sorted). An event carrying any other pair leaves every run of the query
+    /// untouched, so the streaming registry indexes runs by these the way it indexes
+    /// seeds by [`SeedKey`]. Empty for the other query types: keyword windows advance on
+    /// their seed labels, and static anchors are resolved, not advanced.
+    pub fn advance_pairs(&self) -> Vec<(Label, Label)> {
+        let CompiledQuery::Temporal(pattern) = self else {
+            return Vec::new();
+        };
+        let mut pairs: Vec<(Label, Label)> = pattern
+            .edges()
+            .iter()
+            .skip(1)
+            .map(|edge| (pattern.label(edge.src), pattern.label(edge.dst)))
+            .collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        pairs
+    }
+
     /// Runs the query offline over a materialised graph — the batch twin of streaming
     /// detection, dispatching to the matching [`crate::search`] function.
     pub fn search(&self, graph: &TemporalGraph, window: u64) -> Vec<Interval> {
@@ -162,6 +183,23 @@ mod tests {
             "member labels are deduplicated and sorted"
         );
         assert!(CompiledQuery::NodeSet(NodeSetQuery { labels: vec![] }).is_trivially_empty());
+        // Advance pairs: every edge after the first, distinct and sorted.
+        let chain = TemporalPattern::single_edge(l(3), l(4))
+            .grow_forward(1, l(2))
+            .unwrap()
+            .grow_backward(l(3), 1)
+            .unwrap()
+            .grow_forward(1, l(2))
+            .unwrap();
+        assert_eq!(
+            CompiledQuery::from(chain).advance_pairs(),
+            vec![(l(3), l(4)), (l(4), l(2))]
+        );
+        assert!(
+            CompiledQuery::from(TemporalPattern::single_edge(l(3), l(4)))
+                .advance_pairs()
+                .is_empty()
+        );
         assert!(CompiledQuery::Static(StaticPattern {
             labels: vec![],
             edges: vec![],

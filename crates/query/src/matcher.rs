@@ -70,15 +70,6 @@ pub enum TemporalSpawn {
     Active(TemporalRun),
 }
 
-/// One partial match of a temporal pattern.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct RunState {
-    /// Index of the next pattern edge to match (edges before it are matched).
-    next_edge: usize,
-    /// Pattern node → data node, `usize::MAX` when unbound.
-    node_map: Vec<usize>,
-}
-
 /// The NFA of partial matches growing from one seed edge of a temporal pattern.
 ///
 /// Mirrors the edge-consistency rules of the recursive offline matcher this module
@@ -90,7 +81,12 @@ struct RunState {
 pub struct TemporalRun {
     start_ts: u64,
     deadline: u64,
-    states: Vec<RunState>,
+    /// The partial matches in discovery order, flattened — one allocation per run, none
+    /// per branch. Each takes `stride` words: the index of the next pattern edge to
+    /// match (edges before it are matched), then pattern node → data node
+    /// (`usize::MAX` when unbound).
+    states: Vec<usize>,
+    stride: usize,
     dropped_branches: u64,
 }
 
@@ -102,16 +98,16 @@ impl TemporalRun {
             return TemporalSpawn::Complete((edge.ts, edge.ts));
         }
         let first = pattern.edges()[0];
-        let mut node_map = vec![usize::MAX; pattern.node_count()];
-        node_map[first.src] = edge.src;
-        node_map[first.dst] = edge.dst;
+        let stride = pattern.node_count() + 1;
+        let mut states = vec![usize::MAX; stride];
+        states[0] = 1;
+        states[1 + first.src] = edge.src;
+        states[1 + first.dst] = edge.dst;
         TemporalSpawn::Active(Self {
             start_ts: edge.ts,
             deadline: window_deadline(edge.ts, window),
-            states: vec![RunState {
-                next_edge: 1,
-                node_map,
-            }],
+            states,
+            stride,
             dropped_branches: 0,
         })
     }
@@ -128,7 +124,7 @@ impl TemporalRun {
 
     /// Number of live partial matches.
     pub fn state_count(&self) -> usize {
-        self.states.len()
+        self.states.len() / self.stride
     }
 
     /// How many partial-match branches were discarded because the run was at
@@ -140,6 +136,8 @@ impl TemporalRun {
     }
 
     /// Advances the run by one data edge (strictly after the seed, in stream order).
+    /// An edge whose label pair matches no pattern edge after the first leaves the run
+    /// untouched — the streaming detector relies on that to skip such runs altogether.
     pub fn advance(
         &mut self,
         pattern: &TemporalPattern,
@@ -149,59 +147,58 @@ impl TemporalRun {
         if edge.ts > self.deadline {
             return RunStep::Expired;
         }
+        let edge_labels = (labels[edge.src], labels[edge.dst]);
+        let stride = self.stride;
         // Only states that existed before this edge may consume it: a data edge extends
         // a partial match by at most one pattern edge (timestamp order is strict).
-        let frozen = self.states.len();
+        let frozen = self.state_count();
         for i in 0..frozen {
-            let p_edge = pattern.edges()[self.states[i].next_edge];
-            if labels[edge.src] != pattern.label(p_edge.src)
-                || labels[edge.dst] != pattern.label(p_edge.dst)
-            {
+            let base = i * stride;
+            let next_edge = self.states[base];
+            let p_edge = pattern.edges()[next_edge];
+            if edge_labels != (pattern.label(p_edge.src), pattern.label(p_edge.dst)) {
                 continue;
             }
-            let state = &self.states[i];
+            let node_map = &self.states[base + 1..base + stride];
             // Source endpoint consistency (injective mapping).
-            let src_bound = state.node_map[p_edge.src] != usize::MAX;
+            let src_bound = node_map[p_edge.src] != usize::MAX;
             if src_bound {
-                if state.node_map[p_edge.src] != edge.src {
+                if node_map[p_edge.src] != edge.src {
                     continue;
                 }
-            } else if state.node_map.contains(&edge.src) {
+            } else if node_map.contains(&edge.src) {
                 continue;
             }
             // Destination endpoint consistency; a self-loop pattern edge forces the
             // destination to coincide with the (possibly just-bound) source.
-            let dst_bound = state.node_map[p_edge.dst] != usize::MAX || p_edge.src == p_edge.dst;
+            let dst_bound = node_map[p_edge.dst] != usize::MAX || p_edge.src == p_edge.dst;
             let expected_dst = if p_edge.src == p_edge.dst {
                 edge.src
             } else {
-                state.node_map[p_edge.dst]
+                node_map[p_edge.dst]
             };
             if dst_bound {
                 if expected_dst != edge.dst {
                     continue;
                 }
-            } else if state.node_map.contains(&edge.dst) || edge.dst == edge.src {
+            } else if node_map.contains(&edge.dst) || edge.dst == edge.src {
                 continue;
             }
-            let mut node_map = self.states[i].node_map.clone();
-            node_map[p_edge.src] = edge.src;
-            node_map[p_edge.dst] = edge.dst;
-            let next_edge = self.states[i].next_edge + 1;
-            if next_edge == pattern.edge_count() {
+            if next_edge + 1 == pattern.edge_count() {
                 return RunStep::Complete((self.start_ts, edge.ts.max(self.start_ts)));
             }
-            let grown = RunState {
-                next_edge,
-                node_map,
-            };
-            if self.states.contains(&grown) {
-                continue;
-            }
-            if self.states.len() < MAX_STATES_PER_RUN {
-                self.states.push(grown);
-            } else {
-                self.dropped_branches += 1;
+            // Grow the branch at the tail of the flat store; it stays only if it is
+            // new and the run has room.
+            let tail = self.states.len();
+            self.states.extend_from_within(base..base + stride);
+            self.states[tail] = next_edge + 1;
+            self.states[tail + 1 + p_edge.src] = edge.src;
+            self.states[tail + 1 + p_edge.dst] = edge.dst;
+            let (earlier, grown) = self.states.split_at(tail);
+            let duplicate = earlier.chunks_exact(stride).any(|state| state == grown);
+            if duplicate || tail / stride >= MAX_STATES_PER_RUN {
+                self.states.truncate(tail);
+                self.dropped_branches += u64::from(!duplicate);
             }
         }
         RunStep::Pending
@@ -224,23 +221,32 @@ pub struct NodeSetRun {
     seen_nodes: Vec<usize>,
 }
 
-impl NodeSetRun {
-    /// Opens a window anchored at `anchor_ts`. The caller feeds the anchor edge itself
-    /// through [`NodeSetRun::advance`] first (its endpoints count toward the match).
-    pub fn spawn(query: &NodeSetQuery, anchor_ts: u64, window: u64) -> Self {
-        let mut remaining: Vec<(Label, usize)> = Vec::new();
-        for &label in &query.labels {
-            match remaining.iter_mut().find(|(l, _)| *l == label) {
-                Some((_, count)) => *count += 1,
-                None => remaining.push((label, 1)),
-            }
+/// A keyword query's label multiset — label → how many distinct nodes must carry it, in
+/// first-appearance order. Built once per query (at registration, or once per offline
+/// search); every window then starts from a copy.
+pub fn label_multiset(query: &NodeSetQuery) -> Vec<(Label, usize)> {
+    let mut multiset: Vec<(Label, usize)> = Vec::new();
+    for &label in &query.labels {
+        match multiset.iter_mut().find(|(l, _)| *l == label) {
+            Some((_, count)) => *count += 1,
+            None => multiset.push((label, 1)),
         }
+    }
+    multiset
+}
+
+impl NodeSetRun {
+    /// Opens a window anchored at `anchor_ts` over the query's [`label_multiset`]. The
+    /// caller feeds the anchor edge itself through [`NodeSetRun::advance`] first (its
+    /// endpoints count toward the match).
+    pub fn spawn(multiset: &[(Label, usize)], anchor_ts: u64, window: u64) -> Self {
+        let outstanding = multiset.iter().map(|(_, count)| count).sum();
         Self {
             anchor_ts,
             deadline: window_deadline(anchor_ts, window),
-            outstanding: query.labels.len(),
-            remaining,
-            seen_nodes: Vec::new(),
+            outstanding,
+            remaining: multiset.to_vec(),
+            seen_nodes: Vec::with_capacity(outstanding),
         }
     }
 
@@ -254,7 +260,14 @@ impl NodeSetRun {
         self.anchor_ts
     }
 
-    /// Consumes one edge's endpoint appearances (source first, then destination).
+    /// Last timestamp at which this window can still complete.
+    pub fn deadline(&self) -> u64 {
+        self.deadline
+    }
+
+    /// Consumes one edge's endpoint appearances (source first, then destination). An
+    /// edge neither of whose endpoint labels is a member label leaves the window
+    /// untouched — the streaming detector relies on that to skip such windows.
     pub fn advance(&mut self, ts: u64, endpoints: [(usize, Label); 2]) -> RunStep {
         if ts > self.deadline {
             return RunStep::Expired;
@@ -480,6 +493,28 @@ mod tests {
     }
 
     #[test]
+    fn repeated_edges_do_not_duplicate_branches() {
+        // The same B->C data edge arriving again regrows a branch the run already
+        // tracks; it must be merged, however many branches the run already holds.
+        let fanout = 48;
+        let mut labels = vec![l(0), l(1)];
+        labels.extend(std::iter::repeat_n(l(2), fanout));
+        let p = abc_pattern().grow_forward(2, l(3)).unwrap();
+        let mut run = match TemporalRun::spawn(&p, e(1, 0, 1), 1_000) {
+            TemporalSpawn::Active(run) => run,
+            TemporalSpawn::Complete(_) => unreachable!(),
+        };
+        for i in 0..fanout {
+            for repeat in 0..2 {
+                let ts = 2 + 2 * i as u64 + repeat;
+                assert_eq!(run.advance(&p, &labels, e(ts, 1, 2 + i)), RunStep::Pending);
+                assert_eq!(run.state_count(), 2 + i, "edge {i}, repeat {repeat}");
+            }
+        }
+        assert_eq!(run.dropped_branches(), 0);
+    }
+
+    #[test]
     fn state_cap_is_counted_not_silent() {
         // Seed A->B, then far more B->C branch candidates than MAX_STATES_PER_RUN:
         // every C node is distinct, so each B->C edge grows a distinct branch.
@@ -503,6 +538,26 @@ mod tests {
             41,
             "one seed state + 511 kept branches"
         );
+        // The kept set is the seed state plus the first 511 branches in discovery
+        // order: the cap drops the latest arrivals, never an earlier branch.
+        let mut kept = run.states.chunks_exact(run.stride);
+        assert_eq!(kept.next().unwrap(), [1, 0, 1, usize::MAX, usize::MAX]);
+        for (i, state) in kept.enumerate() {
+            assert_eq!(state, [2, 0, 1, 2 + i, usize::MAX]);
+        }
+        // Re-offering an edge whose branch was kept grows nothing and drops nothing;
+        // re-offering one whose branch was dropped is dropped (and counted) again.
+        assert_eq!(run.advance(&p, &labels, e(900, 1, 2)), RunStep::Pending);
+        assert_eq!(
+            run.advance(&p, &labels, e(901, 1, 2 + 300)),
+            RunStep::Pending
+        );
+        assert_eq!((run.state_count(), run.dropped_branches()), (512, 41));
+        assert_eq!(
+            run.advance(&p, &labels, e(902, 1, 2 + 520)),
+            RunStep::Pending
+        );
+        assert_eq!((run.state_count(), run.dropped_branches()), (512, 42));
     }
 
     #[test]
@@ -519,7 +574,7 @@ mod tests {
         let query = NodeSetQuery {
             labels: vec![l(0), l(1), l(1)],
         };
-        let mut run = NodeSetRun::spawn(&query, 5, 10);
+        let mut run = NodeSetRun::spawn(&label_multiset(&query), 5, 10);
         // Anchor edge: an l(0) node and an l(1) node.
         assert_eq!(run.advance(5, [(0, l(0)), (1, l(1))]), RunStep::Pending);
         // Repeat appearance of node 1 does not double-count.
@@ -536,7 +591,7 @@ mod tests {
         let query = NodeSetQuery {
             labels: vec![l(0), l(5)],
         };
-        let mut run = NodeSetRun::spawn(&query, 5, 3);
+        let mut run = NodeSetRun::spawn(&label_multiset(&query), 5, 3);
         assert_eq!(run.advance(5, [(0, l(0)), (1, l(1))]), RunStep::Pending);
         assert_eq!(run.advance(8, [(2, l(5)), (3, l(1))]), RunStep::Expired);
     }

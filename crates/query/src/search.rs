@@ -21,8 +21,8 @@
 //! graph should build the index once and use the `*_indexed` variants.
 
 use crate::matcher::{
-    complete_static_anchored, seed_matches, static_window_bounds, NodeSetRun, RunStep, TemporalRun,
-    TemporalSpawn,
+    complete_static_anchored, label_multiset, seed_matches, static_window_bounds, NodeSetRun,
+    RunStep, TemporalRun, TemporalSpawn,
 };
 use tgminer::baselines::gspan::StaticPattern;
 use tgminer::baselines::nodeset::NodeSetQuery;
@@ -129,6 +129,7 @@ pub fn search_nodeset(graph: &TemporalGraph, query: &NodeSetQuery, window: u64) 
     if query.labels.is_empty() {
         return Vec::new();
     }
+    let multiset = label_multiset(query);
     let mut out = Vec::new();
     for (idx, anchor) in graph.edges().iter().enumerate() {
         let src_label = graph.label(anchor.src);
@@ -136,7 +137,7 @@ pub fn search_nodeset(graph: &TemporalGraph, query: &NodeSetQuery, window: u64) 
         if !NodeSetRun::anchors(query, src_label, dst_label) {
             continue;
         }
-        let mut run = NodeSetRun::spawn(query, anchor.ts, window);
+        let mut run = NodeSetRun::spawn(&multiset, anchor.ts, window);
         for later in &graph.edges()[idx..] {
             let endpoints = [
                 (later.src, graph.label(later.src)),

@@ -5,16 +5,23 @@
 //! Queries are registered with [`Detector::register`]; each arriving [`StreamEvent`]
 //! then goes through five steps:
 //!
-//! 1. **Resolve** pending `Ntemp` anchors whose window closed before this event — their
-//!    full window is buffered, so the order-free completion can run over it.
+//! 1. **Retire** what the event's timestamp has left behind — skipped with one compare
+//!    while nothing in flight has reached its deadline. Pending `Ntemp` anchors whose
+//!    window closed are resolved (their full window is buffered, so the order-free
+//!    completion can run over it); expired temporal runs and keyword windows are
+//!    dropped. In-flight work is queued per query in spawn order, which is deadline
+//!    order, so retiring is popping queue fronts.
 //! 2. **Append** the event to the [`IncrementalGraph`] (O(1) amortised), which also
 //!    evicts edges that left the retention window (twice the largest registered
 //!    *static* query window — enough for the `Ntemp` look-back *and* look-ahead;
 //!    temporal and keyword runs carry their own state, so a detector without static
 //!    queries stores no edges at all).
-//! 3. **Advance** every live temporal partial-match run by the new edge; completions
-//!    become detections, expired runs are dropped.
-//! 4. **Advance** every live keyword (`NodeSet`) window with the event's endpoints.
+//! 3. **Advance** the live temporal partial-match runs the new edge can move: those of
+//!    the queries with a pattern edge after the first carrying the event's label pair.
+//!    Every other run is left alone (the edge is a no-op for it); completions become
+//!    detections.
+//! 4. **Advance** the live keyword (`NodeSet`) windows of the queries with either
+//!    endpoint label among their members.
 //! 5. **Spawn** new work for the event itself: queries are keyed on their first edge's
 //!    `(source label, destination label)` pair (or, for keyword queries, on each member
 //!    label), so only queries whose first edge can match the event are touched.
@@ -23,26 +30,34 @@
 //! queries — whose matches may *precede* their anchor — are anchored incrementally and
 //! resolved once their window closes (or at [`Detector::flush`]).
 //!
-//! The registered-query state (the query list plus the first-edge seed indexes) lives
-//! in [`QueryTable`]; the sharded engine ([`crate::shard::ShardedDetector`]) partitions
+//! Detections inside one event keep the order a single shared run list would give
+//! them: by step, and within a step by spawn order across queries.
+//!
+//! The registered-query state (the query list, the label indexes that route an event
+//! to the queries it can seed or advance, and the per-query queues of in-flight work)
+//! lives in [`QueryTable`]; the sharded engine ([`crate::shard::ShardedDetector`]) partitions
 //! queries by giving each shard its own table and its own `Detector`.
 
 use crate::durability::Durability;
 use crate::error::{BatchError, DeregisterError, RegisterError};
 use crate::instrument::DetectorInstruments;
-use crate::registry::QueryTable;
+use crate::registry::{Live, PairRoutes, QueryTable, Slots};
 use obs::{Profiler, QueryCost, QueryCostReport, SharedSink, TraceEvent};
 use query::matcher::{
     complete_static_anchored, seed_matches, static_window_bounds, window_deadline, NodeSetRun,
     RunStep, TemporalRun, TemporalSpawn,
 };
 use std::time::Instant;
-use tgraph::{GraphError, IncrementalGraph, StreamEvent, TemporalEdge};
+use tgraph::{GraphError, IncrementalGraph, Label, StreamEvent, TemporalEdge};
 
-/// Rough per-state footprint of a temporal partial-match run, bytes: the state's
-/// node map (a small `Vec<usize>`), its timestamps, and its share of the run's
-/// allocation overhead. An estimate for capacity planning, not an allocator audit.
+/// Rough footprints behind [`Detector::memory_estimate_bytes`], bytes: a temporal run
+/// and each of its partial-match states (node map, timestamps, share of the run's
+/// allocation overhead), an open keyword window with its two small vectors, and a
+/// pending `Ntemp` anchor. Estimates for capacity planning, not an allocator audit.
+const TEMPORAL_RUN_BYTES: usize = 56;
 const RUN_STATE_BYTES: usize = 64;
+const KEYWORD_WINDOW_BYTES: usize = 144;
+const PENDING_ANCHOR_BYTES: usize = 40;
 
 // The compiled-query types live in the `query` crate (the compiler side of the
 // miner→compiler→registry dataflow); the detector executes exactly those. Re-exported
@@ -61,6 +76,17 @@ pub struct Detection {
     pub start_ts: u64,
     /// Timestamp of the instance's last event.
     pub end_ts: u64,
+}
+
+impl Detection {
+    /// `query` identified the instance spanning `interval`.
+    fn of(query: QueryId, (start_ts, end_ts): (u64, u64)) -> Self {
+        Self {
+            query,
+            start_ts,
+            end_ts,
+        }
+    }
 }
 
 /// A successful registration: the query's id plus its visibility contract.
@@ -93,14 +119,6 @@ pub struct Registration {
     pub visible_from: u64,
 }
 
-/// An `Ntemp` anchor waiting for its window to close.
-#[derive(Debug, Clone, Copy)]
-struct PendingStatic {
-    query: QueryId,
-    anchor: TemporalEdge,
-    deadline: u64,
-}
-
 /// Per-query attribution state (see [`Detector::enable_cost_attribution`]).
 #[derive(Debug)]
 struct CostTracker {
@@ -115,11 +133,26 @@ struct CostTracker {
 }
 
 impl CostTracker {
-    fn slot(&mut self, query: QueryId) -> &mut QueryCost {
-        if query >= self.per_query.len() {
-            self.per_query.resize(query + 1, QueryCost::default());
+    /// Books one unit of work against `query` — on the counter `field` picks — plus,
+    /// on a clock-timed event, the time since `clock`. A no-op when attribution is off.
+    fn charge(
+        costs: &mut Option<CostTracker>,
+        query: QueryId,
+        field: fn(&mut QueryCost) -> &mut u64,
+        clock: Option<Instant>,
+    ) {
+        let Some(costs) = costs else { return };
+        if query >= costs.per_query.len() {
+            costs.per_query.resize(query + 1, QueryCost::default());
         }
-        &mut self.per_query[query]
+        let slot = &mut costs.per_query[query];
+        *field(slot) += 1;
+        if let Some(start) = clock {
+            slot.sampled_ns = slot
+                .sampled_ns
+                .saturating_add(start.elapsed().as_nanos() as u64);
+            slot.sampled_ops += 1;
+        }
     }
 }
 
@@ -129,10 +162,13 @@ impl CostTracker {
 pub struct Detector {
     queries: QueryTable,
     graph: IncrementalGraph,
-    temporal_runs: Vec<(QueryId, TemporalRun)>,
-    nodeset_runs: Vec<(QueryId, NodeSetRun)>,
-    pending_static: Vec<PendingStatic>,
     dropped_branches: u64,
+    /// Per-event scratch, kept so the steady state allocates nothing: anchors that
+    /// fell due, one step's completions (both tagged with their spawn sequence number,
+    /// to be put in spawn order), and the keyword queries the current event touches.
+    due: Vec<(u64, QueryId, TemporalEdge)>,
+    completed: Vec<(u64, Detection)>,
+    touched: Vec<QueryId>,
     /// Attached metric handles, if any. Attaching them never changes detections —
     /// the uninstrumented hot path pays only `Option`-is-`None` branches.
     instruments: Option<DetectorInstruments>,
@@ -162,8 +198,10 @@ impl Default for Detector {
 
 impl Detector {
     /// Sampling interval for per-event latency in instrumented batches: one event
-    /// in this many is timed. Must be a power of two (used as a mask).
-    const LATENCY_SAMPLE: u64 = 16;
+    /// in this many is timed. Must be a power of two (used as a mask). Sized by the
+    /// <5% contract: a sample costs ~70ns against ~100ns of work per event at 32
+    /// queries — one in 16 measures 3–8% of a pass, one in 64 measures 0–4%.
+    const LATENCY_SAMPLE: u64 = 64;
 
     /// An empty detector with no registered queries.
     pub fn new() -> Self {
@@ -183,10 +221,10 @@ impl Detector {
         Self {
             queries: QueryTable::new(),
             graph,
-            temporal_runs: Vec::new(),
-            nodeset_runs: Vec::new(),
-            pending_static: Vec::new(),
             dropped_branches: 0,
+            due: Vec::new(),
+            completed: Vec::new(),
+            touched: Vec::new(),
             instruments: None,
             sink: None,
             durability: None,
@@ -224,7 +262,7 @@ impl Detector {
 
     /// Attaches (or with `None` detaches) a scoped-span profiler. When attached,
     /// batches open a `detector.batch` span and one event in
-    /// `LATENCY_SAMPLE` (16) additionally opens the four per-phase spans
+    /// `LATENCY_SAMPLE` (64) additionally opens the four per-phase spans
     /// (`resolve_static` / `advance_temporal` / `advance_nodesets` / `spawn`);
     /// the profiler's own root sampling applies on top. Profiling is inert:
     /// detections are identical with and without it.
@@ -240,8 +278,12 @@ impl Detector {
     /// Enables per-query cost attribution: exact work counters (runs spawned,
     /// advances, drops, detections) on *every* event, plus clock-timed per-run
     /// wall-time measurements on one event in `sample_interval` (`0`/`1` = every
-    /// event). Attribution is inert — it observes the five-step loop without
-    /// changing it. Costs accumulate for the detector's lifetime; calling again
+    /// event). `advanced` counts the runs and windows actually *offered* an event —
+    /// those of the queries whose advance index names its labels — plus anchor
+    /// resolutions; a run the event is routed past, or one that merely expires, is not
+    /// an advance. Attribution is inert — it observes the five-step loop without
+    /// changing it, and in particular never changes which runs are visited. Costs
+    /// accumulate for the detector's lifetime; calling again
     /// only changes the sampling interval.
     pub fn enable_cost_attribution(&mut self, sample_interval: u64) {
         let interval = sample_interval.max(1);
@@ -298,19 +340,30 @@ impl Detector {
     /// constants, not allocator measurements); its high-water mark is what the
     /// benchmark reports record.
     pub fn memory_estimate_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let edges = self.graph.live_edge_count() * size_of::<TemporalEdge>();
-        let labels = std::mem::size_of_val(self.graph.labels());
-        let temporal_states: usize = self
-            .temporal_runs
-            .iter()
-            .map(|(_, run)| run.state_count())
-            .sum();
-        let temporal = self.temporal_runs.len() * size_of::<(QueryId, TemporalRun)>()
-            + temporal_states * RUN_STATE_BYTES;
-        let nodesets = self.nodeset_runs.len() * (size_of::<(QueryId, NodeSetRun)>() + 64);
-        let pending = self.pending_static.len() * size_of::<PendingStatic>();
-        edges + labels + temporal + nodesets + pending
+        self.graph_bytes() + self.occupancy()[3]
+    }
+
+    /// The buffered edge window and the label table, bytes.
+    fn graph_bytes(&self) -> usize {
+        self.graph.live_edge_count() * std::mem::size_of::<TemporalEdge>()
+            + std::mem::size_of_val(self.graph.labels())
+    }
+
+    /// One pass over the run table: live temporal runs, open keyword windows, pending
+    /// anchors, and the estimated bytes of all of them.
+    fn occupancy(&self) -> [usize; 4] {
+        let mut tally = [0; 4];
+        let slots = self.queries.iter();
+        for item in slots.flat_map(|(_, registered)| &registered.in_flight) {
+            let (kind, bytes) = match &item.state {
+                Live::Run(run) => (0, TEMPORAL_RUN_BYTES + run.state_count() * RUN_STATE_BYTES),
+                Live::Window(_) => (1, KEYWORD_WINDOW_BYTES),
+                Live::Anchor(_) => (2, PENDING_ANCHOR_BYTES),
+            };
+            tally[kind] += 1;
+            tally[3] += bytes;
+        }
+        tally
     }
 
     /// Registers a query matched within `window` timestamp units.
@@ -374,15 +427,13 @@ impl Detector {
     /// Ids are never reused; deregistering an unknown or already-removed id fails with
     /// a typed [`DeregisterError`].
     pub fn deregister(&mut self, id: QueryId) -> Result<(), DeregisterError> {
+        // The query's in-flight work goes with its slot, without touching
+        // `dropped_branches`: that counter means "capped, possibly missed detections",
+        // while cancellation is deliberate.
         self.queries.remove(id)?;
         if let Some(durability) = &mut self.durability {
             durability.record_deregister(id);
         }
-        // Cancelled state is dropped without touching `dropped_branches`: that counter
-        // means "capped, possibly missed detections", while cancellation is deliberate.
-        self.temporal_runs.retain(|(query, _)| *query != id);
-        self.nodeset_runs.retain(|(query, _)| *query != id);
-        self.pending_static.retain(|pending| pending.query != id);
         self.graph
             .set_retention(Some(self.queries.max_static_window().saturating_mul(2)));
         if let Some(sink) = &self.sink {
@@ -460,51 +511,71 @@ impl Detector {
         let mut out = Vec::new();
         {
             let _span = profiler.as_ref().map(|p| p.enter("resolve_static"));
-            self.resolve_static_due(Some(event.ts), &mut out, timed);
+            if event.ts > self.queries.slots.next_deadline() {
+                self.retire_due(Some(event.ts), &mut out, timed);
+            }
         }
         self.graph
             .append(event)
             .expect("event was validated just above");
-        let edge = event.edge();
+        // One probe of the label index per event; the steps below walk its posting
+        // lists while they change the run table.
+        let index = &self.queries.index;
+        let routes = index.pair(event.src_label, event.dst_label);
+        let mut step = EventStep {
+            event,
+            timed,
+            slots: &mut self.queries.slots,
+            labels: self.graph.labels(),
+            costs: &mut self.costs,
+            completed: &mut self.completed,
+            dropped_branches: &mut self.dropped_branches,
+            out: &mut out,
+        };
         {
             let _span = profiler.as_ref().map(|p| p.enter("advance_temporal"));
-            self.advance_temporal(edge, &mut out, timed);
+            let offered = routes.map_or(&[][..], |routes| &routes.temporal_advance);
+            step.advance(offered);
         }
         {
             let _span = profiler.as_ref().map(|p| p.enter("advance_nodesets"));
-            self.advance_nodesets(event, &mut out, timed);
+            index.members(event.src_label, event.dst_label, &mut self.touched);
+            step.advance(&self.touched);
         }
         {
             let _span = profiler.as_ref().map(|p| p.enter("spawn"));
-            self.spawn_for(event, &mut out, timed);
+            step.spawn_for(routes, &self.touched);
         }
-        if !out.is_empty() {
-            if let Some(costs) = &mut self.costs {
-                for detection in &out {
-                    costs.slot(detection.query).detections += 1;
-                }
-            }
-        }
+        self.attribute_detections(&out);
         Ok(out)
+    }
+
+    /// Credits each detection to its query (cost attribution only).
+    fn attribute_detections(&mut self, detections: &[Detection]) {
+        for detection in detections {
+            CostTracker::charge(
+                &mut self.costs,
+                detection.query,
+                |c| &mut c.detections,
+                None,
+            );
+        }
     }
 
     /// Updates occupancy/memory gauges and reports eviction deltas to the sink.
     /// Called after instrumented events and batches only — never on the plain path.
     fn observe_state(&mut self) {
         if let Some(instruments) = &self.instruments {
-            instruments
-                .temporal_runs
-                .set(self.temporal_runs.len() as u64);
-            instruments.nodeset_runs.set(self.nodeset_runs.len() as u64);
-            instruments
-                .pending_static
-                .set(self.pending_static.len() as u64);
+            let [runs, windows, anchors, in_flight_bytes] = self.occupancy();
+            instruments.temporal_runs.set(runs as u64);
+            instruments.nodeset_runs.set(windows as u64);
+            instruments.pending_static.set(anchors as u64);
             instruments
                 .retained_edges
                 .set(self.graph.live_edge_count() as u64);
             instruments
                 .memory_bytes
-                .set(self.memory_estimate_bytes() as u64);
+                .set((self.graph_bytes() + in_flight_bytes) as u64);
         }
         if let Some(sink) = &self.sink {
             let evicted = self.graph.evicted_count();
@@ -561,9 +632,9 @@ impl Detector {
     /// The instrumented batch loop. Per-event latency is *sampled* — one event in
     /// [`Self::LATENCY_SAMPLE`] gets a clock-read pair and a histogram record; the
     /// rest pay a counter increment and a mask test. A full per-event measurement
-    /// costs ~60ns against ~300ns of real work (>15% overhead); sampling keeps the
-    /// whole instrumented path under the benchmark's 5% budget while the latency
-    /// distribution stays statistically faithful. Event/detection *counts* stay
+    /// costs ~70ns against ~100ns of real work; sampling keeps the whole instrumented
+    /// path under the benchmark's 5% budget while the latency distribution stays
+    /// statistically faithful. Event/detection *counts* stay
     /// exact (tallied per batch), and gauges update once per batch.
     fn instrumented_batch(&mut self, events: &[StreamEvent]) -> Result<Vec<Detection>, BatchError> {
         let mut out = Vec::new();
@@ -632,38 +703,24 @@ impl Detector {
     pub fn flush(&mut self) -> Vec<Detection> {
         let _span = self.profiler.as_ref().map(|p| p.enter("detector.flush"));
         let mut out = Vec::new();
-        self.resolve_static_due(None, &mut out, false);
-        for (query, run) in self.temporal_runs.drain(..) {
-            self.dropped_branches += run.dropped_branches();
-            if let Some(costs) = &mut self.costs {
-                costs.slot(query).dropped += 1;
-            }
-        }
-        if let Some(costs) = &mut self.costs {
-            for (query, _) in &self.nodeset_runs {
-                costs.slot(*query).dropped += 1;
-            }
-            for detection in &out {
-                costs.slot(detection.query).detections += 1;
-            }
-        }
-        self.nodeset_runs.clear();
+        self.retire_due(None, &mut out, false);
+        self.attribute_detections(&out);
         out
     }
 
     /// Live temporal partial-match runs (for observability and tests).
     pub fn active_temporal_runs(&self) -> usize {
-        self.temporal_runs.len()
+        self.occupancy()[0]
     }
 
     /// Live keyword windows.
     pub fn active_nodeset_runs(&self) -> usize {
-        self.nodeset_runs.len()
+        self.occupancy()[1]
     }
 
     /// `Ntemp` anchors waiting for their window to close.
     pub fn pending_static_anchors(&self) -> usize {
-        self.pending_static.len()
+        self.occupancy()[2]
     }
 
     /// The incremental graph backing the detector (live window, eviction counters).
@@ -679,230 +736,138 @@ impl Detector {
         self.dropped_branches
     }
 
-    /// Resolves pending static anchors. With `Some(now)`, only anchors whose window
-    /// closed strictly before `now` (their buffered slice is complete); with `None`,
-    /// all of them (stream end).
-    fn resolve_static_due(&mut self, now: Option<u64>, out: &mut Vec<Detection>, timed: bool) {
-        if self.pending_static.is_empty() {
-            return;
-        }
-        let (due, keep): (Vec<_>, Vec<_>) = std::mem::take(&mut self.pending_static)
-            .into_iter()
-            .partition(|p| now.is_none_or(|ts| p.deadline < ts));
-        self.pending_static = keep;
-        for pending in due {
+    /// Retires in-flight work. With `Some(now)`, what closed strictly before `now`:
+    /// due static anchors are resolved (their buffered slice is complete), expired
+    /// runs and keyword windows are dropped. With `None`, everything (stream end).
+    fn retire_due(&mut self, now: Option<u64>, out: &mut Vec<Detection>, timed: bool) {
+        self.queries
+            .slots
+            .retire(now, |query, item| match item.state {
+                Live::Anchor(anchor) => self.due.push((item.seq, query, anchor)),
+                unfinished => {
+                    if let Live::Run(run) = &unfinished {
+                        self.dropped_branches += run.dropped_branches();
+                    }
+                    CostTracker::charge(&mut self.costs, query, |c| &mut c.dropped, None);
+                }
+            });
+        self.due.sort_unstable_by_key(|&(seq, ..)| seq);
+        for &(_, query, anchor) in &self.due {
             let clock = timed.then(Instant::now);
-            let registered = self.queries.get(pending.query);
+            let registered = self.queries.get(query);
             let CompiledQuery::Static(pattern) = registered.query() else {
                 unreachable!("pending static anchor for a non-static query");
             };
             let live = self.graph.live_edges();
-            let (lo, hi) = static_window_bounds(live, pending.anchor.ts, registered.window());
-            if let Some((start_ts, end_ts)) = complete_static_anchored(
-                pattern,
-                self.graph.labels(),
-                &live[lo..hi],
-                pending.anchor,
-                registered.window(),
-            ) {
-                out.push(Detection {
-                    query: pending.query,
-                    start_ts,
-                    end_ts,
-                });
-            }
-            if let Some(costs) = &mut self.costs {
-                let slot = costs.slot(pending.query);
-                slot.advanced += 1;
-                if let Some(start) = clock {
-                    slot.sampled_ns = slot
-                        .sampled_ns
-                        .saturating_add(start.elapsed().as_nanos() as u64);
-                    slot.sampled_ops += 1;
-                }
-            }
+            let (lo, hi) = static_window_bounds(live, anchor.ts, registered.window());
+            let window = &live[lo..hi];
+            let labels = self.graph.labels();
+            out.extend(
+                complete_static_anchored(pattern, labels, window, anchor, registered.window())
+                    .map(|interval| Detection::of(query, interval)),
+            );
+            CostTracker::charge(&mut self.costs, query, |c| &mut c.advanced, clock);
         }
+        self.due.clear();
     }
+}
 
-    /// Advances all temporal runs by one edge.
-    fn advance_temporal(&mut self, edge: TemporalEdge, out: &mut Vec<Detection>, timed: bool) {
-        let mut runs = std::mem::take(&mut self.temporal_runs);
-        let mut dropped = 0u64;
-        runs.retain_mut(|(query, run)| {
-            let CompiledQuery::Temporal(pattern) = self.queries.get(*query).query() else {
-                unreachable!("temporal run for a non-temporal query");
-            };
-            let clock = timed.then(Instant::now);
-            let step = run.advance(pattern, self.graph.labels(), edge);
-            if let Some(costs) = &mut self.costs {
-                let slot = costs.slot(*query);
-                slot.advanced += 1;
-                if matches!(step, RunStep::Expired) {
-                    slot.dropped += 1;
-                }
-                if let Some(start) = clock {
-                    slot.sampled_ns = slot
-                        .sampled_ns
-                        .saturating_add(start.elapsed().as_nanos() as u64);
-                    slot.sampled_ops += 1;
-                }
-            }
-            let keep = match step {
-                RunStep::Pending => true,
-                RunStep::Expired => false,
-                RunStep::Complete((start_ts, end_ts)) => {
-                    out.push(Detection {
-                        query: *query,
-                        start_ts,
-                        end_ts,
-                    });
-                    false
-                }
-            };
-            if !keep {
-                dropped += run.dropped_branches();
-            }
-            keep
-        });
-        self.dropped_branches += dropped;
-        self.temporal_runs = runs;
-    }
+/// What an event's advance and spawn steps change, borrowed apart from the label
+/// index so its posting lists can be walked meanwhile.
+struct EventStep<'a> {
+    event: StreamEvent,
+    /// Whether this event's per-run work is clock-timed (cost attribution).
+    timed: bool,
+    slots: &'a mut Slots,
+    labels: &'a [Label],
+    costs: &'a mut Option<CostTracker>,
+    completed: &'a mut Vec<(u64, Detection)>,
+    dropped_branches: &'a mut u64,
+    out: &'a mut Vec<Detection>,
+}
 
-    /// Advances all keyword windows by one event's endpoints.
-    fn advance_nodesets(&mut self, event: StreamEvent, out: &mut Vec<Detection>, timed: bool) {
+impl EventStep<'_> {
+    /// Offers the event to the in-flight work of the `offered` queries — the ones it
+    /// can move — and to nothing else. Completions are emitted in spawn order across
+    /// queries — the order one shared run list would have produced them in.
+    fn advance(&mut self, offered: &[QueryId]) {
+        let (event, timed) = (self.event, self.timed);
         let endpoints = [(event.src, event.src_label), (event.dst, event.dst_label)];
-        let mut runs = std::mem::take(&mut self.nodeset_runs);
-        runs.retain_mut(|(query, run)| {
-            let clock = timed.then(Instant::now);
-            let step = run.advance(event.ts, endpoints);
-            if let Some(costs) = &mut self.costs {
-                let slot = costs.slot(*query);
-                slot.advanced += 1;
-                if matches!(step, RunStep::Expired) {
-                    slot.dropped += 1;
+        for &query in offered {
+            self.slots.offer(query, |compiled, item| {
+                let clock = timed.then(Instant::now);
+                let step = match (compiled, &mut item.state) {
+                    (CompiledQuery::Temporal(pattern), Live::Run(run)) => {
+                        run.advance(pattern, self.labels, event.edge())
+                    }
+                    (CompiledQuery::NodeSet(_), Live::Window(run)) => {
+                        run.advance(event.ts, endpoints)
+                    }
+                    _ => unreachable!("an advance index names a query of another kind"),
+                };
+                CostTracker::charge(self.costs, query, |c| &mut c.advanced, clock);
+                let RunStep::Complete(interval) = step else {
+                    debug_assert_eq!(step, RunStep::Pending, "the expired are retired first");
+                    return true;
+                };
+                if let Live::Run(run) = &item.state {
+                    *self.dropped_branches += run.dropped_branches();
                 }
-                if let Some(start) = clock {
-                    slot.sampled_ns = slot
-                        .sampled_ns
-                        .saturating_add(start.elapsed().as_nanos() as u64);
-                    slot.sampled_ops += 1;
-                }
-            }
-            match step {
-                RunStep::Pending => true,
-                RunStep::Expired => false,
-                RunStep::Complete((start_ts, end_ts)) => {
-                    out.push(Detection {
-                        query: *query,
-                        start_ts,
-                        end_ts,
-                    });
-                    false
-                }
-            }
-        });
-        self.nodeset_runs = runs;
+                self.completed
+                    .push((item.seq, Detection::of(query, interval)));
+                false
+            });
+        }
+        self.completed.sort_unstable_by_key(|&(seq, _)| seq);
+        self.out
+            .extend(self.completed.drain(..).map(|(_, detection)| detection));
     }
 
-    /// Spawns new runs / anchors for the arriving event itself.
-    fn spawn_for(&mut self, event: StreamEvent, out: &mut Vec<Detection>, timed: bool) {
+    /// Spawns new runs / anchors / keyword windows for the arriving event itself.
+    fn spawn_for(&mut self, routes: Option<&PairRoutes>, touched: &[QueryId]) {
+        let (event, timed, out) = (self.event, self.timed, &mut *self.out);
         let edge = event.edge();
-        let labels = self.graph.labels();
+        let endpoints = [(event.src, event.src_label), (event.dst, event.dst_label)];
+        let slots = &mut *self.slots;
 
         // Temporal queries whose first edge's label pair matches.
-        for &query in self
-            .queries
-            .temporal_candidates(event.src_label, event.dst_label)
-        {
-            let CompiledQuery::Temporal(pattern) = self.queries.get(query).query() else {
+        for &query in routes.map_or(&[][..], |routes| &routes.temporal_seeds) {
+            let registered = slots.get(query);
+            let CompiledQuery::Temporal(pattern) = registered.query() else {
                 unreachable!("temporal seed index points at a non-temporal query");
             };
-            if !seed_matches(pattern, labels, edge) {
+            if !seed_matches(pattern, self.labels, edge) {
                 continue; // right labels, wrong loop structure
             }
             let clock = timed.then(Instant::now);
-            match TemporalRun::spawn(pattern, edge, self.queries.get(query).window()) {
-                TemporalSpawn::Complete((start_ts, end_ts)) => {
-                    out.push(Detection {
-                        query,
-                        start_ts,
-                        end_ts,
-                    });
-                }
-                TemporalSpawn::Active(run) => self.temporal_runs.push((query, run)),
+            match TemporalRun::spawn(pattern, edge, registered.window()) {
+                TemporalSpawn::Complete(interval) => out.push(Detection::of(query, interval)),
+                TemporalSpawn::Active(run) => slots.spawn(query, run.deadline(), Live::Run(run)),
             }
-            if let Some(costs) = &mut self.costs {
-                let slot = costs.slot(query);
-                slot.spawned += 1;
-                if let Some(start) = clock {
-                    slot.sampled_ns = slot
-                        .sampled_ns
-                        .saturating_add(start.elapsed().as_nanos() as u64);
-                    slot.sampled_ops += 1;
-                }
-            }
+            CostTracker::charge(self.costs, query, |c| &mut c.spawned, clock);
         }
 
         // Static queries: remember the anchor, resolve when the window closes.
         // Anchoring itself is a push; the attributable work happens at resolution
         // (counted as an advance there), so only `spawned` ticks here.
-        for &query in self
-            .queries
-            .static_candidates(event.src_label, event.dst_label)
-        {
-            let deadline = window_deadline(event.ts, self.queries.get(query).window());
-            self.pending_static.push(PendingStatic {
-                query,
-                anchor: edge,
-                deadline,
-            });
-            if let Some(costs) = &mut self.costs {
-                costs.slot(query).spawned += 1;
-            }
+        for &query in routes.map_or(&[][..], |routes| &routes.static_anchors) {
+            let deadline = window_deadline(event.ts, slots.get(query).window());
+            slots.spawn(query, deadline, Live::Anchor(edge));
+            CostTracker::charge(self.costs, query, |c| &mut c.spawned, None);
         }
 
-        // Keyword queries touched by either endpoint label (deduplicated).
-        let mut spawned: Vec<QueryId> = Vec::new();
-        for label in [event.src_label, event.dst_label] {
-            for &query in self.queries.nodeset_candidates(label) {
-                if spawned.contains(&query) {
-                    continue;
-                }
-                spawned.push(query);
-            }
-        }
-        spawned.sort_unstable();
-        for query in spawned {
-            let CompiledQuery::NodeSet(set) = self.queries.get(query).query() else {
-                unreachable!("nodeset label index points at a non-nodeset query");
-            };
+        // Keyword queries touched by either endpoint label.
+        for &query in touched {
+            let registered = slots.get(query);
             let clock = timed.then(Instant::now);
-            let mut run = NodeSetRun::spawn(set, event.ts, self.queries.get(query).window());
+            let mut run = NodeSetRun::spawn(&registered.multiset, event.ts, registered.window());
             // The anchor edge's own endpoints count toward the match.
-            match run.advance(
-                event.ts,
-                [(event.src, event.src_label), (event.dst, event.dst_label)],
-            ) {
-                RunStep::Pending => self.nodeset_runs.push((query, run)),
+            match run.advance(event.ts, endpoints) {
+                RunStep::Pending => slots.spawn(query, run.deadline(), Live::Window(run)),
                 RunStep::Expired => {}
-                RunStep::Complete((start_ts, end_ts)) => {
-                    out.push(Detection {
-                        query,
-                        start_ts,
-                        end_ts,
-                    });
-                }
+                RunStep::Complete(interval) => out.push(Detection::of(query, interval)),
             }
-            if let Some(costs) = &mut self.costs {
-                let slot = costs.slot(query);
-                slot.spawned += 1;
-                if let Some(start) = clock {
-                    slot.sampled_ns = slot
-                        .sampled_ns
-                        .saturating_add(start.elapsed().as_nanos() as u64);
-                    slot.sampled_ops += 1;
-                }
-            }
+            CostTracker::charge(self.costs, query, |c| &mut c.spawned, clock);
         }
     }
 }
@@ -1481,25 +1446,28 @@ mod tests {
         assert_eq!(report.rows.len(), 2, "one row per registered id");
 
         let abc = report.get(q_abc).unwrap();
-        // Three A->B seed edges spawn runs; each live run is advanced by the
-        // following edges until it completes or expires.
+        // Three A->B seed edges spawn runs. Only a B->C edge can move one, and a run is
+        // offered only those: the ts-2 and ts-21 edges each advance (and complete) the
+        // run seeded just before. The ts-5 noise loop is routed past the abc query, the
+        // ts-10 B->C edge finds no live run, and the ts-20 A->B edge expires the ts-11
+        // run without advancing it — none of the three counts.
         assert_eq!(abc.spawned, 3);
-        assert!(abc.advanced > 0, "live runs were advanced: {abc:?}");
+        assert_eq!(abc.advanced, 2, "{abc:?}");
+        assert_eq!(abc.detections, 2);
         assert_eq!(
             abc.detections,
             detections.iter().filter(|d| d.query == q_abc).count() as u64
         );
-        // The ts-11 chain is reversed (B->C before A->B), so one of the three
-        // spawned runs never completes: it expires mid-stream or dies at flush.
-        assert_eq!(abc.spawned, abc.detections + abc.dropped);
+        // The ts-11 chain is reversed (B->C before A->B), so that run never completes.
+        assert_eq!(abc.dropped, 1);
         assert!(abc.sampled_ns > 0, "interval 1 times every operation");
-        assert!(abc.sampled_ops >= abc.advanced);
+        assert_eq!(abc.sampled_ops, 5, "every spawn and every advance is timed");
 
         let lp = report.get(q_loop).unwrap();
         assert_eq!(lp.spawned, 1, "one noise self-loop seeds it");
         assert_eq!(lp.detections, 1, "single-edge pattern completes at spawn");
-        assert_eq!(lp.dropped, 0);
-        assert!(lp.cost_units() < abc.cost_units(), "abc does more work");
+        assert_eq!((lp.advanced, lp.dropped), (0, 0));
+        assert_eq!((lp.cost_units(), abc.cost_units()), (1, 5));
     }
 
     #[test]

@@ -39,7 +39,7 @@
 //! | name                     | kind    | meaning                                   |
 //! |--------------------------|---------|-------------------------------------------|
 //! | `query.<q>.spawned`      | counter | partial-match runs seeded for the query   |
-//! | `query.<q>.advanced`     | counter | run-advance / anchor-resolution steps     |
+//! | `query.<q>.advanced`     | counter | runs offered an event + anchors resolved  |
 //! | `query.<q>.dropped`      | counter | runs expired or discarded unfinished      |
 //! | `query.<q>.detections`   | counter | detections attributed to the query        |
 //! | `query.<q>.sampled_ns`   | counter | wall time of the *sampled* operations     |

@@ -14,8 +14,10 @@
 //!   queries are partitioned over N shards (balanced by first-edge label-pair posting
 //!   frequency, [`LabelPairStats`]), each batch fans out to all shards, and per-shard
 //!   detections merge back into global timestamp order;
-//! * [`QueryTable`] — the registered-query state (queries, windows, first-edge seed
-//!   indexes) a single engine owns; it is the unit the sharded engine partitions;
+//! * [`QueryTable`] — the registered-query state (queries, windows, the label indexes
+//!   that route an event to the queries it can seed or advance, and each query's queue
+//!   of in-flight runs) a single engine owns; it is the unit the sharded engine
+//!   partitions;
 //! * [`TenantPool`] — the *second* sharding axis: a demux front-end routing an
 //!   interleaved multi-tenant stream ([`tgraph::TenantedEvent`]) to per-tenant
 //!   detector instances grouped into hashed tenant-groups ([`TenantRouter`]). Every

@@ -2,9 +2,9 @@
 //!
 //! ## Why sharding
 //!
-//! The single-threaded [`Detector`] advances every live run of every registered query
-//! on every event, so throughput divides by the number of registered queries. A
-//! monitoring deployment registers tens of queries over one high-rate event stream —
+//! The single-threaded [`Detector`] offers an event only to the runs it can move, but
+//! every registered query whose labels the stream carries still adds spawn and advance
+//! work per event, on one thread. A monitoring deployment registers tens of queries over one high-rate event stream —
 //! the classic partition-to-scale setting. [`ShardedDetector`] splits the *query set*
 //! (not the stream) across N shards:
 //!
@@ -154,7 +154,9 @@ impl LabelPairStats {
 /// Measured per-query cost, distilled from a [`QueryCostReport`] — the feedback
 /// half of the assignment loop. [`LabelPairStats`] *predicts* cost from label-pair
 /// posting frequencies before a query has run; `MeasuredCost` replaces that estimate
-/// with what attribution actually observed (`spawned + advanced` work units), via
+/// with what attribution actually observed (`spawned + advanced` work units: runs
+/// seeded plus runs *offered* an event — a query whose live runs the stream's labels
+/// never reach measures as cheap as it is), via
 /// [`ShardedDetector::apply_measured_costs`]. Costs are floored at 1: a registered
 /// query's bookkeeping is never free, and a zero load would make the greedy
 /// assignment dump every subsequent registration on one shard.
@@ -433,8 +435,9 @@ impl ShardedDetector {
     }
 
     /// Replaces the static label-pair cost estimate of every live query that
-    /// `measured` covers with its *measured* cost, then recomputes the per-shard
-    /// loads from scratch. Placements do not move (`moved: 0` in the emitted
+    /// `measured` covers with its *measured* cost (seeds plus the advances its runs
+    /// were actually offered, see [`obs::QueryCost::advanced`]), then recomputes the
+    /// per-shard loads from scratch. Placements do not move (`moved: 0` in the emitted
     /// [`TraceEvent::ShardRebalance`]) — what changes is the balance subsequent
     /// [`ShardedDetector::register`] calls see, so new queries fill in around the
     /// load the pool actually observed rather than the load the postings index
