@@ -1,4 +1,4 @@
-//! Durability for the streaming detectors: a write-ahead event log, periodic
+//! Durability for the streaming engines: a write-ahead event log, periodic
 //! snapshots, and crash recovery with detection parity.
 //!
 //! The engines in [`stream`] are deterministic functions of their inputs — the
@@ -9,18 +9,23 @@
 //! ordinary engine API, and the recovered engine detects the rest of the stream
 //! exactly as the uninterrupted one would have.
 //!
+//! There is one log surface for both engines — [`stream::ShardedDetector`] (one
+//! stream; one shard is the plain single-threaded configuration) and
+//! [`stream::TenantPool`] (many streams): [`Wal::attach`], [`Wal::snapshot`],
+//! [`recover`] and [`recover_tolerant`] are generic over [`stream::Engine`].
+//!
 //! ```no_run
-//! use durable::{recover_detector, Wal, WalConfig};
-//! use stream::Detector;
+//! use durable::{recover, Wal, WalConfig};
+//! use stream::ShardedDetector;
 //!
 //! // Live: attach the log before registering queries or feeding events.
 //! let wal = Wal::create("/var/lib/tgminer/wal", WalConfig::default())?;
-//! let mut detector = Detector::new();
-//! wal.attach_detector(&mut detector)?;
-//! // ... register queries, feed batches, occasionally wal.snapshot_detector(&detector) ...
+//! let mut detector = ShardedDetector::new(1);
+//! wal.attach(&mut detector)?;
+//! // ... register queries, feed batches, occasionally wal.snapshot(&detector) ...
 //!
-//! // After a crash: rebuild and keep going.
-//! let recovered = recover_detector("/var/lib/tgminer/wal", WalConfig::default())?;
+//! // After a crash: rebuild (shard count and placement come from the log) and go on.
+//! let recovered = recover::<ShardedDetector>("/var/lib/tgminer/wal", WalConfig::default())?;
 //! let mut detector = recovered.engine;
 //! # detector.flush();
 //! # Ok::<(), durable::DurableError>(())
@@ -50,8 +55,7 @@ pub mod wal;
 pub use error::{DurableError, WalDamage};
 pub use record::{EngineKind, InitRecord, SnapshotHeader, WalRecord};
 pub use recover::{
-    recover_detector, recover_detector_tolerant, recover_pool, recover_pool_tolerant,
-    recover_sharded, recover_sharded_tolerant, Recovered, RecoveredRegistration,
+    recover, recover_pool, recover_sharded, recover_tolerant, Recovered, RecoveredRegistration,
 };
 pub use wal::{RetryPolicy, SnapshotPolicy, SyncPolicy, Wal, WalConfig, WalStatus};
 

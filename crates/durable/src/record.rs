@@ -17,6 +17,8 @@
 
 use crate::codec::{put_len, put_u32, put_u64, put_u8, CodecError, Reader};
 use query::compile::CompiledQuery;
+use std::any::TypeId;
+use stream::Engine;
 use tgminer::baselines::gspan::StaticPattern;
 use tgminer::baselines::nodeset::NodeSetQuery;
 use tgraph::pattern::{PatternEdge, TemporalPattern};
@@ -26,15 +28,26 @@ use tgraph::{Label, StreamEvent, TenantId, TenantedEvent};
 /// the one that wrote the log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// A single-threaded [`stream::Detector`].
+    /// Read-only: a bare [`stream::Detector`], from when one could carry a log of its
+    /// own. Nothing writes this kind any more; such a log is record for record a
+    /// one-shard [`EngineKind::Sharded`] log and recovers as one.
     Detector,
-    /// A [`stream::ShardedDetector`] (query sharding).
+    /// A [`stream::ShardedDetector`] (one stream, query sharding).
     Sharded,
     /// A [`stream::TenantPool`] (tenant demux over sharded detectors).
     Pool,
 }
 
 impl EngineKind {
+    /// The kind engine `E` logs as: a pool iff it ingests tenant-tagged events.
+    pub(crate) fn of<E: Engine>() -> Self {
+        if TypeId::of::<E::Event>() == TypeId::of::<TenantedEvent>() {
+            EngineKind::Pool
+        } else {
+            EngineKind::Sharded
+        }
+    }
+
     fn to_u8(self) -> u8 {
         match self {
             EngineKind::Detector => 0,
@@ -70,7 +83,7 @@ impl std::fmt::Display for EngineKind {
 pub struct InitRecord {
     /// Which engine wrote the log.
     pub kind: EngineKind,
-    /// Query shards (per tenant, for a pool). 1 for a plain detector.
+    /// Query shards (per tenant, for a pool).
     pub shards: u32,
     /// Tenant groups (pools only). 1 otherwise.
     pub groups: u32,
@@ -278,6 +291,15 @@ fn get_init(reader: &mut Reader<'_>) -> Result<InitRecord, CodecError> {
 }
 
 impl WalRecord {
+    /// Whether the record is a replayable operation — a kind that mutates engine
+    /// state. `Init` and the snapshot envelope describe shape, not operations.
+    pub(crate) fn is_op(&self) -> bool {
+        !matches!(
+            self,
+            WalRecord::Init(_) | WalRecord::SnapshotHeader(_) | WalRecord::SnapshotFooter { .. }
+        )
+    }
+
     /// Encodes the record payload (tag byte + body).
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();

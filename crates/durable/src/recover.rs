@@ -4,15 +4,15 @@
 //! Recovery is replay, not deserialization: the newest usable snapshot supplies the
 //! engine shape and a bounded-horizon op prefix, the log segments at or after the
 //! snapshot's index supply the suffix, and every op is pushed through the ordinary
-//! engine API in its original order. Registrations replay with their logged ids
-//! (divergence is a typed error, never silent), event batches replay with errors
-//! swallowed and detections discarded — the live run already emitted both — and the
-//! snapshot's visibility floors are re-applied at the end. The result detects the
-//! rest of the stream byte-for-byte like the uninterrupted engine
+//! engine API ([`stream::Engine`]) in its original order. Registrations replay with
+//! their logged ids (divergence is a typed error, never silent), event batches replay
+//! with errors swallowed and detections discarded — the live run already emitted both
+//! — and the snapshot's visibility floors are re-applied at the end. The result
+//! detects the rest of the stream byte-for-byte like the uninterrupted engine
 //! (`tests/recovery_parity.rs` proves it at 1/2/4 shards and across tenant pools).
 //!
-//! Strict recovery (`recover_*`) refuses damaged logs; tolerant recovery
-//! (`recover_*_tolerant`) rebuilds the longest valid prefix and reports the damage —
+//! Strict recovery ([`recover`]) refuses damaged logs; tolerant recovery
+//! ([`recover_tolerant`]) rebuilds the longest valid prefix and reports the damage —
 //! it never skips *past* a damaged record, because everything after a tear is
 //! unframed garbage.
 
@@ -22,14 +22,12 @@ use crate::segment::{
     parse_segment_index, parse_snapshot_index, segment_file_name, snapshot_file_name, FrameReader,
 };
 use crate::snapshot;
-use crate::wal::{TailOp, TailState, Wal, WalConfig};
-use obs::TraceEvent;
+use crate::wal::{TailState, Wal, WalConfig};
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::path::Path;
-use stream::{
-    CompiledQuery, Detector, Durability, LabelPairStats, QueryId, ShardedDetector, TenantPool,
-};
-use tgraph::{StreamEvent, TenantId, TenantedEvent};
+use stream::{Engine, LabelPairStats, QueryId, ShardedDetector, TenantPool};
+use tgraph::TenantId;
 
 /// A live registration surfaced by recovery. `visible_from` is the value the
 /// *original* registration reported — a query's look-back floor is a fact about when
@@ -71,26 +69,12 @@ pub struct Recovered<E> {
     pub bytes_unreadable: u64,
 }
 
-impl<E> Recovered<E> {
-    /// The `recovery_completed` trace event for this recovery, ready to emit into
-    /// whatever sink the caller observes with.
-    pub fn recovery_event(&self) -> TraceEvent {
-        TraceEvent::RecoveryCompleted {
-            segments: self.segments_replayed,
-            records: self.records_replayed,
-            queries: self.registrations.len() as u64,
-            dropped: self.records_dropped,
-            damage: self.damage.as_ref().map(WalDamage::to_string),
-        }
-    }
-}
-
 /// Everything read off disk before any engine is touched.
 struct LoadedLog {
     init: InitRecord,
     /// Snapshot-time visibility floors, present iff a snapshot was used.
     floors: Option<Vec<(u64, Vec<u64>)>>,
-    ops: Vec<TailOp>,
+    ops: Vec<WalRecord>,
     state: TailState,
     damage: Option<WalDamage>,
     segments_replayed: u64,
@@ -200,8 +184,7 @@ fn load_log(dir: &Path, tolerant: bool) -> Result<LoadedLog, DurableError> {
                         detail: "snapshot record inside a log segment".into(),
                     });
                 }
-                other => {
-                    let op = TailOp::from_record(other).expect("remaining kinds are ops");
+                op => {
                     state.observe(&op);
                     ops.push(op);
                 }
@@ -224,190 +207,42 @@ fn load_log(dir: &Path, tolerant: bool) -> Result<LoadedLog, DurableError> {
     })
 }
 
-/// The uniform replay surface the three engines expose to recovery. Replay methods
-/// return `Err` only for *structural* divergence (a record kind the engine cannot
-/// receive, a floor table of the wrong shape); engine-level batch errors replay
-/// exactly as they happened live and are swallowed.
-trait RecoverEngine: Sized {
-    const KIND: EngineKind;
-    fn build(init: &InitRecord) -> Self;
-    fn replay_register(&mut self, query: CompiledQuery, window: u64) -> Result<QueryId, String>;
-    fn replay_deregister(&mut self, id: QueryId) -> Result<(), String>;
-    fn replay_batch(&mut self, events: &[StreamEvent]) -> Result<(), String>;
-    fn replay_tenant_batch(&mut self, events: &[TenantedEvent]) -> Result<(), String>;
-    fn replay_quiesce(&mut self, tenant: TenantId) -> Result<(), String>;
-    fn restore_floors(&mut self, floors: &[(u64, Vec<u64>)]) -> Result<(), String>;
-    fn attach(&mut self, durability: Durability);
+/// A logged batch as `E`'s input, or `None` when the op is not a batch of the event
+/// type `E` ingests (a tenant-tagged batch in a single-stream log, or the reverse).
+fn batch_for<E: Engine>(op: &WalRecord) -> Option<&[E::Event]> {
+    let batch: &dyn Any = match op {
+        WalRecord::Batch(events) => events,
+        WalRecord::TenantBatch(events) => events,
+        _ => return None,
+    };
+    batch.downcast_ref::<Vec<E::Event>>().map(Vec::as_slice)
 }
 
-fn stats_of(init: &InitRecord) -> LabelPairStats {
-    LabelPairStats::from_pair_counts(init.stats.iter().copied())
-}
-
-impl RecoverEngine for Detector {
-    const KIND: EngineKind = EngineKind::Detector;
-
-    fn build(_init: &InitRecord) -> Self {
-        Detector::new()
-    }
-
-    fn replay_register(&mut self, query: CompiledQuery, window: u64) -> Result<QueryId, String> {
-        self.register(query, window)
-            .map(|r| r.id)
-            .map_err(|e| e.to_string())
-    }
-
-    fn replay_deregister(&mut self, id: QueryId) -> Result<(), String> {
-        self.deregister(id).map_err(|e| e.to_string())
-    }
-
-    fn replay_batch(&mut self, events: &[StreamEvent]) -> Result<(), String> {
-        let _ = self.on_batch(events);
-        Ok(())
-    }
-
-    fn replay_tenant_batch(&mut self, _events: &[TenantedEvent]) -> Result<(), String> {
-        Err("tenant batch in a detector log".into())
-    }
-
-    fn replay_quiesce(&mut self, _tenant: TenantId) -> Result<(), String> {
-        Err("tenant quiesce in a detector log".into())
-    }
-
-    fn restore_floors(&mut self, floors: &[(u64, Vec<u64>)]) -> Result<(), String> {
-        for (tenant, shard_floors) in floors {
-            if *tenant != 0 || shard_floors.len() != 1 {
-                return Err("detector snapshot floors must be a single tenant-0 shard".into());
-            }
-            self.restore_visible_floor(shard_floors[0]);
-        }
-        Ok(())
-    }
-
-    fn attach(&mut self, durability: Durability) {
-        self.set_durability(Some(durability));
-    }
-}
-
-impl RecoverEngine for ShardedDetector {
-    const KIND: EngineKind = EngineKind::Sharded;
-
-    fn build(init: &InitRecord) -> Self {
-        ShardedDetector::with_stats(init.shards as usize, stats_of(init))
-    }
-
-    fn replay_register(&mut self, query: CompiledQuery, window: u64) -> Result<QueryId, String> {
-        self.register(query, window)
-            .map(|r| r.id)
-            .map_err(|e| e.to_string())
-    }
-
-    fn replay_deregister(&mut self, id: QueryId) -> Result<(), String> {
-        self.deregister(id).map_err(|e| e.to_string())
-    }
-
-    fn replay_batch(&mut self, events: &[StreamEvent]) -> Result<(), String> {
-        let _ = self.on_batch(events);
-        Ok(())
-    }
-
-    fn replay_tenant_batch(&mut self, _events: &[TenantedEvent]) -> Result<(), String> {
-        Err("tenant batch in a sharded-detector log".into())
-    }
-
-    fn replay_quiesce(&mut self, _tenant: TenantId) -> Result<(), String> {
-        Err("tenant quiesce in a sharded-detector log".into())
-    }
-
-    fn restore_floors(&mut self, floors: &[(u64, Vec<u64>)]) -> Result<(), String> {
-        for (tenant, shard_floors) in floors {
-            if *tenant != 0 || shard_floors.len() != self.shard_count() {
-                return Err(format!(
-                    "sharded snapshot floors must cover all {} shards for tenant 0",
-                    self.shard_count()
-                ));
-            }
-            self.restore_shard_visible_floors(shard_floors);
-        }
-        Ok(())
-    }
-
-    fn attach(&mut self, durability: Durability) {
-        self.set_durability(Some(durability));
-    }
-}
-
-impl RecoverEngine for TenantPool {
-    const KIND: EngineKind = EngineKind::Pool;
-
-    fn build(init: &InitRecord) -> Self {
-        TenantPool::with_stats(init.groups as usize, init.shards as usize, stats_of(init))
-    }
-
-    fn replay_register(&mut self, query: CompiledQuery, window: u64) -> Result<QueryId, String> {
-        self.register(query, window)
-            .map(|r| r.id)
-            .map_err(|e| e.to_string())
-    }
-
-    fn replay_deregister(&mut self, id: QueryId) -> Result<(), String> {
-        self.deregister(id).map_err(|e| e.to_string())
-    }
-
-    fn replay_batch(&mut self, _events: &[StreamEvent]) -> Result<(), String> {
-        Err("untenanted batch in a pool log".into())
-    }
-
-    fn replay_tenant_batch(&mut self, events: &[TenantedEvent]) -> Result<(), String> {
-        let _ = self.on_batch(events);
-        Ok(())
-    }
-
-    fn replay_quiesce(&mut self, tenant: TenantId) -> Result<(), String> {
-        // The live eviction's flush detections were already emitted; replay only
-        // needs the state change (eviction + saved floors).
-        let _ = self.quiesce_tenant(tenant);
-        Ok(())
-    }
-
-    fn restore_floors(&mut self, floors: &[(u64, Vec<u64>)]) -> Result<(), String> {
-        let shards = self.shards_per_tenant();
-        if floors.iter().any(|(_, f)| f.len() != shards) {
-            return Err(format!(
-                "pool snapshot floors must cover all {shards} shards"
-            ));
-        }
-        let mapped: Vec<(TenantId, Vec<u64>)> = floors
-            .iter()
-            .map(|(tenant, f)| (TenantId(*tenant), f.clone()))
-            .collect();
-        self.restore_tenant_visible_floors(&mapped);
-        Ok(())
-    }
-
-    fn attach(&mut self, durability: Durability) {
-        self.set_durability(Some(durability));
-    }
-}
-
-fn recover_engine<E: RecoverEngine>(
+fn recover_engine<E: Engine>(
     dir: &Path,
     config: WalConfig,
     tolerant: bool,
 ) -> Result<Recovered<E>, DurableError> {
-    let loaded = load_log(dir, tolerant)?;
-    if loaded.init.kind != E::KIND {
+    let mut loaded = load_log(dir, tolerant)?;
+    let kind = EngineKind::of::<E>();
+    // A log a bare `Detector` wrote is a one-shard sharded log under an older tag.
+    if loaded.init.kind == EngineKind::Detector && kind == EngineKind::Sharded {
+        loaded.init.kind = kind;
+    }
+    if loaded.init.kind != kind {
         return Err(DurableError::EngineMismatch {
-            expected: E::KIND,
+            expected: kind,
             found: loaded.init.kind,
         });
     }
 
-    let mut engine = E::build(&loaded.init);
+    let shape = (loaded.init.groups as usize, loaded.init.shards as usize);
+    let stats = LabelPairStats::from_pair_counts(loaded.init.stats.iter().copied());
+    let mut engine = E::build(shape, stats);
     let mut live: BTreeMap<u64, RecoveredRegistration> = BTreeMap::new();
     for op in &loaded.ops {
         match op {
-            TailOp::Register {
+            WalRecord::Register {
                 id,
                 window,
                 visible_from,
@@ -417,8 +252,9 @@ fn recover_engine<E: RecoverEngine>(
                 // rejection — or a different assigned id — means the log and the
                 // engine build disagree. Both are typed divergence, never silence.
                 let assigned = engine
-                    .replay_register(query.clone(), *window)
-                    .map_err(|e| divergence(format!("replaying registration {id}: {e}")))?;
+                    .register(query.clone(), *window)
+                    .map_err(|e| divergence(format!("replaying registration {id}: {e}")))?
+                    .id;
                 if assigned as u64 != *id {
                     return Err(divergence(format!(
                         "replay assigned query id {assigned}, log recorded {id}"
@@ -433,26 +269,48 @@ fn recover_engine<E: RecoverEngine>(
                     },
                 );
             }
-            TailOp::Deregister { id } => {
+            WalRecord::Deregister { id } => {
                 engine
-                    .replay_deregister(*id as QueryId)
+                    .deregister(*id as QueryId)
                     .map_err(|e| divergence(format!("replaying deregistration {id}: {e}")))?;
                 live.remove(id);
             }
-            TailOp::Batch(events) => engine.replay_batch(events).map_err(divergence)?,
-            TailOp::TenantBatch(events) => {
-                engine.replay_tenant_batch(events).map_err(divergence)?
+            WalRecord::Batch(_) | WalRecord::TenantBatch(_) => {
+                let events = batch_for::<E>(op)
+                    .ok_or_else(|| divergence(format!("foreign batch kind in a {kind} log")))?;
+                // Engine-level batch errors replay exactly as they happened live, and
+                // the live run already emitted the detections.
+                let _ = engine.on_batch(events);
             }
-            TailOp::Quiesce { tenant } => engine
-                .replay_quiesce(TenantId(*tenant))
-                .map_err(divergence)?,
+            WalRecord::Quiesce { tenant } => {
+                if kind != EngineKind::Pool {
+                    return Err(divergence(format!("tenant quiesce in a {kind} log")));
+                }
+                // Replay needs only the state change (eviction + saved floors).
+                let _ = engine.quiesce(TenantId(*tenant));
+            }
+            shape => unreachable!("load_log keeps only operations, not {shape:?}"),
         }
     }
-    // Floors restore *after* replay: `restore_*` ratchets (never lowers), so the
+    // Floors restore *after* replay: restoring ratchets (never lowers), so the
     // result is the max of the snapshot-time floor and anything replay re-evicted —
     // the live engine's floor at the same point in the stream.
-    if let Some(floors) = &loaded.floors {
-        engine.restore_floors(floors).map_err(divergence)?;
+    if let Some(floors) = loaded.floors.take() {
+        let single_stream = kind != EngineKind::Pool;
+        if floors
+            .iter()
+            .any(|(tenant, f)| f.len() != shape.1 || (single_stream && *tenant != 0))
+        {
+            return Err(divergence(format!(
+                "snapshot floors must cover all {} shards of a {kind} engine's streams",
+                shape.1
+            )));
+        }
+        let floors: Vec<(TenantId, Vec<u64>)> = floors
+            .into_iter()
+            .map(|(tenant, f)| (TenantId(tenant), f))
+            .collect();
+        engine.restore_visible_floors(&floors);
     }
 
     let records_replayed = loaded.ops.len() as u64;
@@ -463,7 +321,7 @@ fn recover_engine<E: RecoverEngine>(
         loaded.ops,
         loaded.state,
     )?;
-    engine.attach(wal.sink());
+    engine.set_durability(Some(Box::new(wal.clone())));
 
     Ok(Recovered {
         engine,
@@ -477,50 +335,157 @@ fn recover_engine<E: RecoverEngine>(
     })
 }
 
-/// Rebuilds a [`Detector`] from the log at `dir`, refusing damaged logs.
-pub fn recover_detector(
+/// Rebuilds engine `E` from the log at `dir`, refusing damaged logs. The log must
+/// have been written by the same kind of engine ([`DurableError::EngineMismatch`]
+/// otherwise); shard and group counts come from the log, not from the caller.
+pub fn recover<E: Engine>(
     dir: impl AsRef<Path>,
     config: WalConfig,
-) -> Result<Recovered<Detector>, DurableError> {
+) -> Result<Recovered<E>, DurableError> {
     recover_engine(dir.as_ref(), config, false)
 }
 
-/// Rebuilds a [`Detector`] from the longest valid log prefix, reporting any damage.
-pub fn recover_detector_tolerant(
+/// Rebuilds engine `E` from the longest valid log prefix, reporting any damage in
+/// [`Recovered::damage`].
+pub fn recover_tolerant<E: Engine>(
     dir: impl AsRef<Path>,
     config: WalConfig,
-) -> Result<Recovered<Detector>, DurableError> {
+) -> Result<Recovered<E>, DurableError> {
     recover_engine(dir.as_ref(), config, true)
 }
 
-/// Rebuilds a [`ShardedDetector`] from the log at `dir`, refusing damaged logs.
+/// [`recover`] for a [`ShardedDetector`], under its older per-engine name.
 pub fn recover_sharded(
     dir: impl AsRef<Path>,
     config: WalConfig,
 ) -> Result<Recovered<ShardedDetector>, DurableError> {
-    recover_engine(dir.as_ref(), config, false)
+    recover(dir, config)
 }
 
-/// Rebuilds a [`ShardedDetector`] from the longest valid log prefix.
-pub fn recover_sharded_tolerant(
-    dir: impl AsRef<Path>,
-    config: WalConfig,
-) -> Result<Recovered<ShardedDetector>, DurableError> {
-    recover_engine(dir.as_ref(), config, true)
-}
-
-/// Rebuilds a [`TenantPool`] from the log at `dir`, refusing damaged logs.
+/// [`recover`] for a [`TenantPool`], under its older per-engine name.
 pub fn recover_pool(
     dir: impl AsRef<Path>,
     config: WalConfig,
 ) -> Result<Recovered<TenantPool>, DurableError> {
-    recover_engine(dir.as_ref(), config, false)
+    recover(dir, config)
 }
 
-/// Rebuilds a [`TenantPool`] from the longest valid log prefix.
-pub fn recover_pool_tolerant(
-    dir: impl AsRef<Path>,
-    config: WalConfig,
-) -> Result<Recovered<TenantPool>, DurableError> {
-    recover_engine(dir.as_ref(), config, true)
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::record::SnapshotHeader;
+    use crate::segment::write_frame;
+    use stream::CompiledQuery;
+    use tgminer::baselines::gspan::StaticPattern;
+    use tgraph::{Label, StreamEvent};
+
+    fn event(ts: u64) -> StreamEvent {
+        StreamEvent {
+            ts,
+            src: 2 * ts as usize,
+            dst: 2 * ts as usize + 1,
+            src_label: Label(1),
+            dst_label: Label(2),
+        }
+    }
+
+    fn pair_query() -> CompiledQuery {
+        CompiledQuery::Static(StaticPattern {
+            labels: vec![Label(1), Label(2)],
+            edges: vec![(0, 1)],
+        })
+    }
+
+    /// A log directory as a bare `Detector` used to write it (kind tag 0): one
+    /// registration and batches 1..=6 in segment 0, a snapshot with floors `(0, [2])`
+    /// cut there, batches 7..=8 in segment 1.
+    fn legacy_detector_log(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("durable-legacy-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let init = InitRecord {
+            kind: EngineKind::Detector,
+            shards: 1,
+            groups: 1,
+            stats: Vec::new(),
+        };
+        let mut ops = vec![WalRecord::Register {
+            id: 0,
+            window: 5,
+            visible_from: 0,
+            query: pair_query(),
+        }];
+        ops.extend((1..=6).map(|ts| WalRecord::Batch(vec![event(ts)])));
+        let segment = |index: u64, records: Vec<WalRecord>| {
+            let mut bytes = Vec::new();
+            for record in records {
+                write_frame(&mut bytes, &record.encode()).unwrap();
+            }
+            std::fs::write(dir.join(segment_file_name(index)), bytes).unwrap();
+        };
+        let mut first = vec![WalRecord::Init(init.clone())];
+        first.extend(ops.iter().cloned());
+        assert_eq!(first[0].encode()[1], 0, "the legacy kind is tag 0 on disk");
+        segment(0, first);
+        let header = SnapshotHeader {
+            init,
+            max_window: 5,
+            last_ts: Some(6),
+            tenant_last_ts: Vec::new(),
+            floors: vec![(0, vec![2])],
+        };
+        snapshot::write(&dir, 1, &header, &ops).unwrap();
+        segment(
+            1,
+            (7..=8)
+                .map(|ts| WalRecord::Batch(vec![event(ts)]))
+                .collect(),
+        );
+        dir
+    }
+
+    #[test]
+    fn a_detector_kind_log_recovers_as_one_shard() {
+        let dir = legacy_detector_log("one-shard");
+        let recovered = recover::<ShardedDetector>(&dir, WalConfig::default()).unwrap();
+        assert_eq!(recovered.engine.shard_count(), 1);
+        assert_eq!(recovered.records_replayed, 9, "register + eight batches");
+        assert_eq!(recovered.registrations.len(), 1);
+        assert_eq!(recovered.engine.shard_visible_floors(), [2]);
+
+        // It detects the rest of the stream like a one-shard engine that never stopped.
+        let mut uninterrupted = ShardedDetector::new(1);
+        uninterrupted.register(pair_query(), 5).unwrap();
+        for ts in 1..=8 {
+            uninterrupted.on_batch(&[event(ts)]).unwrap();
+        }
+        let mut engine = recovered.engine;
+        let rest: Vec<StreamEvent> = (9..=20).map(event).collect();
+        let mut expected = uninterrupted.on_batch(&rest).unwrap();
+        expected.extend(uninterrupted.flush());
+        let mut resumed = engine.on_batch(&rest).unwrap();
+        resumed.extend(engine.flush());
+        assert!(!expected.is_empty());
+        assert_eq!(resumed, expected);
+
+        // Nothing writes the legacy tag: the next snapshot says `Sharded`.
+        let path = recovered.wal.snapshot(&engine).unwrap();
+        assert_eq!(
+            snapshot::load(&path).unwrap().0.init.kind,
+            EngineKind::Sharded
+        );
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn a_detector_kind_log_is_not_a_pool_log() {
+        let dir = legacy_detector_log("not-a-pool");
+        assert!(matches!(
+            recover::<TenantPool>(&dir, WalConfig::default()),
+            Err(DurableError::EngineMismatch {
+                expected: EngineKind::Pool,
+                found: EngineKind::Detector,
+            })
+        ));
+        std::fs::remove_dir_all(dir).unwrap();
+    }
 }

@@ -15,7 +15,6 @@
 use crate::error::{DurableError, WalDamage};
 use crate::record::{SnapshotHeader, WalRecord};
 use crate::segment::{snapshot_file_name, write_frame, FrameReader};
-use crate::wal::TailOp;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -24,7 +23,7 @@ pub(crate) fn write(
     dir: &Path,
     index: u64,
     header: &SnapshotHeader,
-    ops: &[TailOp],
+    ops: &[WalRecord],
 ) -> Result<(PathBuf, u64, u64), DurableError> {
     let mut buf = Vec::new();
     write_frame(
@@ -33,7 +32,7 @@ pub(crate) fn write(
     )
     .expect("vec write is infallible");
     for op in ops {
-        write_frame(&mut buf, &op.to_record().encode()).expect("vec write is infallible");
+        write_frame(&mut buf, &op.encode()).expect("vec write is infallible");
     }
     let ops_count = ops.len() as u64;
     write_frame(
@@ -51,7 +50,7 @@ pub(crate) fn write(
 }
 
 /// Loads a snapshot file, validating the header/footer envelope.
-pub(crate) fn load(path: &Path) -> Result<(SnapshotHeader, Vec<TailOp>), DurableError> {
+pub(crate) fn load(path: &Path) -> Result<(SnapshotHeader, Vec<WalRecord>), DurableError> {
     let mut reader = FrameReader::open(path)?;
     let decode_next = |reader: &mut FrameReader| -> Result<Option<(u64, WalRecord)>, DurableError> {
         match reader.next() {
@@ -110,16 +109,14 @@ pub(crate) fn load(path: &Path) -> Result<(SnapshotHeader, Vec<TailOp>), Durable
                 }
                 return Ok((header, ops));
             }
-            Some((offset, record)) => match TailOp::from_record(record) {
-                Some(op) => ops.push(op),
-                None => {
-                    return Err(DurableError::Codec {
-                        file: path.to_path_buf(),
-                        offset,
-                        detail: "non-op record inside snapshot body".into(),
-                    });
-                }
-            },
+            Some((_, op)) if op.is_op() => ops.push(op),
+            Some((offset, _)) => {
+                return Err(DurableError::Codec {
+                    file: path.to_path_buf(),
+                    offset,
+                    detail: "non-op record inside snapshot body".into(),
+                });
+            }
             // Clean EOF without a footer: the writer died mid-snapshot (pre-rename
             // this can't normally happen, but a copied/truncated file can look so).
             None => return Err(incomplete(reader.file().metadata().map_or(0, |m| m.len()))),
@@ -160,10 +157,10 @@ mod tests {
         }
     }
 
-    fn ops() -> Vec<TailOp> {
+    fn ops() -> Vec<WalRecord> {
         vec![
-            TailOp::Deregister { id: 3 },
-            TailOp::Batch(vec![StreamEvent {
+            WalRecord::Deregister { id: 3 },
+            WalRecord::Batch(vec![StreamEvent {
                 ts: 40,
                 src: 0,
                 dst: 1,

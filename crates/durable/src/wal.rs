@@ -1,12 +1,13 @@
 //! The write-ahead log: an append-only, segmented record stream plus the in-memory
 //! replay tail that snapshots are cut from.
 //!
-//! A [`Wal`] attaches to exactly one engine ([`stream::Detector`],
-//! [`stream::ShardedDetector`], or [`stream::TenantPool`]) by installing a
-//! [`stream::DurabilitySink`] behind the engine's `set_durability` hook. From then on
-//! every accepted registration/deregistration and every delivered event batch is
-//! framed, checksummed, and appended *before* the engine applies it — so a crash at
-//! any record boundary loses nothing that reached the engine.
+//! A [`Wal`] attaches to exactly one [`stream::Engine`] — a
+//! [`stream::ShardedDetector`] (one stream) or a [`stream::TenantPool`] (many) — by
+//! writing the engine's own shape as the `Init` record and installing itself as the
+//! engine's [`stream::DurabilitySink`]. From then on every accepted
+//! registration/deregistration and every delivered event batch is framed,
+//! checksummed, and appended *before* the engine applies it — so a crash at any
+//! record boundary loses nothing that reached the engine.
 //!
 //! Appends are infallible from the engine's point of view: a transient I/O failure
 //! is retried under [`RetryPolicy`] (with the partial frame truncated away first);
@@ -35,8 +36,7 @@ use std::fs::{self, File, OpenOptions};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 use stream::{
-    CompiledQuery, Detector, Durability, DurabilitySink, LabelPairStats, QueryId, ShardedDetector,
-    TenantPool,
+    CompiledQuery, DurabilitySink, Engine, LabelPairStats, QueryId, ShardedDetector, TenantPool,
 };
 use tgraph::{StreamEvent, TenantId, TenantedEvent};
 
@@ -107,9 +107,9 @@ impl RetryPolicy {
     }
 }
 
-/// Automatic snapshot cadence, checked by [`Wal::snapshot_due`] and the
-/// `maybe_snapshot_*` helpers. The default (`None`/`None`) never triggers —
-/// cadence stays the caller's choice, as before.
+/// Automatic snapshot cadence, checked by [`Wal::snapshot_due`] (callers write
+/// `if wal.snapshot_due() { wal.snapshot(&engine)?; }` once per batch). The default
+/// (`None`/`None`) never triggers — cadence stays the caller's choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SnapshotPolicy {
     /// Snapshot once this many records were logged since the last snapshot.
@@ -187,72 +187,6 @@ impl Default for WalConfig {
     }
 }
 
-/// A replayable logged operation — every record kind that mutates engine state.
-/// `Init`/snapshot records describe shape, not operations, so they are not tail ops.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum TailOp {
-    Register {
-        id: u64,
-        window: u64,
-        visible_from: u64,
-        query: CompiledQuery,
-    },
-    Deregister {
-        id: u64,
-    },
-    Batch(Vec<StreamEvent>),
-    TenantBatch(Vec<TenantedEvent>),
-    Quiesce {
-        tenant: u64,
-    },
-}
-
-impl TailOp {
-    pub(crate) fn to_record(&self) -> WalRecord {
-        match self {
-            TailOp::Register {
-                id,
-                window,
-                visible_from,
-                query,
-            } => WalRecord::Register {
-                id: *id,
-                window: *window,
-                visible_from: *visible_from,
-                query: query.clone(),
-            },
-            TailOp::Deregister { id } => WalRecord::Deregister { id: *id },
-            TailOp::Batch(events) => WalRecord::Batch(events.clone()),
-            TailOp::TenantBatch(events) => WalRecord::TenantBatch(events.clone()),
-            TailOp::Quiesce { tenant } => WalRecord::Quiesce { tenant: *tenant },
-        }
-    }
-
-    /// The op a log record describes, or `None` for shape records.
-    pub(crate) fn from_record(record: WalRecord) -> Option<Self> {
-        match record {
-            WalRecord::Register {
-                id,
-                window,
-                visible_from,
-                query,
-            } => Some(TailOp::Register {
-                id,
-                window,
-                visible_from,
-                query,
-            }),
-            WalRecord::Deregister { id } => Some(TailOp::Deregister { id }),
-            WalRecord::Batch(events) => Some(TailOp::Batch(events)),
-            WalRecord::TenantBatch(events) => Some(TailOp::TenantBatch(events)),
-            WalRecord::Quiesce { tenant } => Some(TailOp::Quiesce { tenant }),
-            WalRecord::Init(_)
-            | WalRecord::SnapshotHeader(_)
-            | WalRecord::SnapshotFooter { .. } => None,
-        }
-    }
-}
-
 /// The running aggregates the snapshot pruning horizon is computed from. Recovery
 /// rebuilds the same state by observing the snapshot header and every replayed op.
 #[derive(Debug, Clone, Default)]
@@ -275,19 +209,15 @@ impl TailState {
         }
     }
 
-    pub(crate) fn observe(&mut self, op: &TailOp) {
+    pub(crate) fn observe(&mut self, op: &WalRecord) {
         match op {
-            TailOp::Register { window, .. } => self.max_window = self.max_window.max(*window),
-            // Quiescence changes which tenants are materialised, not the replay
-            // horizon: the evicted tenant's last_ts stays, so its later batches (if
-            // it comes back) prune exactly as an always-live tenant's would.
-            TailOp::Deregister { .. } | TailOp::Quiesce { .. } => {}
-            TailOp::Batch(events) => {
+            WalRecord::Register { window, .. } => self.max_window = self.max_window.max(*window),
+            WalRecord::Batch(events) => {
                 if let Some(last) = events.last() {
                     self.last_ts = Some(self.last_ts.map_or(last.ts, |ts| ts.max(last.ts)));
                 }
             }
-            TailOp::TenantBatch(events) => {
+            WalRecord::TenantBatch(events) => {
                 for te in events {
                     self.last_ts = Some(self.last_ts.map_or(te.event.ts, |ts| ts.max(te.event.ts)));
                     let entry = self
@@ -297,6 +227,11 @@ impl TailState {
                     *entry = (*entry).max(te.event.ts);
                 }
             }
+            // Nothing else moves the horizon. In particular quiescence changes which
+            // tenants are materialised, not the horizon: the evicted tenant's last_ts
+            // stays, so its later batches (if it comes back) prune exactly as an
+            // always-live tenant's would.
+            _ => {}
         }
     }
 }
@@ -320,7 +255,9 @@ pub(crate) struct WalCore {
     segment_index: u64,
     file: File,
     segment_bytes: u64,
-    tail: Vec<TailOp>,
+    /// The replayable operations ([`WalRecord::is_op`]) since the last snapshot's
+    /// pruning horizon — what the next snapshot is cut from.
+    tail: Vec<WalRecord>,
     state: TailState,
     error: Option<DurableError>,
     /// Sticky: set when the retry budget is first spent; never cleared (even by
@@ -537,12 +474,12 @@ impl WalCore {
     /// The sink's append path: log, track, maybe rotate. Infallible — once the
     /// retry budget is spent the log degrades and everything after is dropped (the
     /// log would have a hole; better a typed degraded state than a silent gap).
-    fn log_op(&mut self, op: TailOp) {
+    fn log_op(&mut self, op: WalRecord) {
         if self.degraded {
             self.dropped_ops += 1;
             return;
         }
-        if let Err(e) = self.append_record(&op.to_record()) {
+        if let Err(e) = self.append_record(&op) {
             self.degrade(e);
             return;
         }
@@ -574,25 +511,19 @@ impl WalCore {
     /// event is older than `last_ts − H` (so every event with `ts ≥ cutoff` survives:
     /// its batch's last event is at least as new). Tenant batches prune against each
     /// tenant's own `last_ts`, keeping the batch if any tenant still needs it.
-    fn pruned_tail(&self) -> Vec<TailOp> {
+    fn pruned_tail(&self) -> Vec<WalRecord> {
         let horizon = self.state.max_window.saturating_mul(2).max(1);
         self.tail
             .iter()
             .filter(|op| match op {
-                // Quiesce ops are kept like registrations: they pin *where* in the
-                // op sequence a tenant's pending detections were drained, and a
-                // quiesce replayed against a not-yet-materialised tenant is a no-op.
-                TailOp::Register { .. } | TailOp::Deregister { .. } | TailOp::Quiesce { .. } => {
-                    true
-                }
-                TailOp::Batch(events) => {
+                WalRecord::Batch(events) => {
                     let cutoff = self
                         .state
                         .last_ts
                         .map_or(0, |last| last.saturating_sub(horizon));
                     events.last().is_some_and(|e| e.ts >= cutoff)
                 }
-                TailOp::TenantBatch(events) => events.iter().any(|te| {
+                WalRecord::TenantBatch(events) => events.iter().any(|te| {
                     let last = self
                         .state
                         .tenant_last_ts
@@ -601,6 +532,11 @@ impl WalCore {
                         .unwrap_or(0);
                     te.event.ts >= last.saturating_sub(horizon)
                 }),
+                // Only event batches age out. Quiesce ops are kept like registrations:
+                // they pin *where* in the op sequence a tenant's pending detections
+                // were drained, and a quiesce replayed against a not-yet-materialised
+                // tenant is a no-op.
+                _ => true,
             })
             .cloned()
             .collect()
@@ -722,20 +658,8 @@ impl std::fmt::Debug for Wal {
     }
 }
 
-/// The [`DurabilitySink`] installed into the attached engine.
-struct WalSink {
-    core: Arc<Mutex<WalCore>>,
-}
-
-impl WalSink {
-    fn lock(&self) -> MutexGuard<'_, WalCore> {
-        self.core
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-}
-
-impl DurabilitySink for WalSink {
+/// The attached engine holds a clone of the handle and reports its inputs here.
+impl DurabilitySink for Wal {
     fn record_register(
         &mut self,
         id: QueryId,
@@ -743,7 +667,7 @@ impl DurabilitySink for WalSink {
         window: u64,
         visible_from: u64,
     ) {
-        self.lock().log_op(TailOp::Register {
+        self.lock().log_op(WalRecord::Register {
             id: id as u64,
             window,
             visible_from,
@@ -752,19 +676,19 @@ impl DurabilitySink for WalSink {
     }
 
     fn record_deregister(&mut self, id: QueryId) {
-        self.lock().log_op(TailOp::Deregister { id: id as u64 });
+        self.lock().log_op(WalRecord::Deregister { id: id as u64 });
     }
 
     fn record_events(&mut self, events: &[StreamEvent]) {
-        self.lock().log_op(TailOp::Batch(events.to_vec()));
+        self.lock().log_op(WalRecord::Batch(events.to_vec()));
     }
 
     fn record_tenant_events(&mut self, events: &[TenantedEvent]) {
-        self.lock().log_op(TailOp::TenantBatch(events.to_vec()));
+        self.lock().log_op(WalRecord::TenantBatch(events.to_vec()));
     }
 
     fn record_quiesce(&mut self, tenant: TenantId) {
-        self.lock().log_op(TailOp::Quiesce { tenant: tenant.0 });
+        self.lock().log_op(WalRecord::Quiesce { tenant: tenant.0 });
     }
 }
 
@@ -782,7 +706,7 @@ impl Wal {
         dir: PathBuf,
         config: WalConfig,
         init: InitRecord,
-        tail: Vec<TailOp>,
+        tail: Vec<WalRecord>,
         state: TailState,
     ) -> Result<Self, DurableError> {
         let mut core = WalCore::create(dir, config)?;
@@ -805,84 +729,64 @@ impl Wal {
         self.lock().dir.clone()
     }
 
-    pub(crate) fn sink(&self) -> Durability {
-        Durability::new(WalSink {
-            core: Arc::clone(&self.core),
-        })
-    }
-
-    /// Attaches this log to a [`Detector`]: writes the `Init` record and installs the
-    /// logging sink. Attach before registering queries or feeding events — only what
-    /// happens after attachment is recoverable. Fails with
+    /// Attaches this log to an engine: writes the `Init` record from the engine's own
+    /// shape and [`LabelPairStats`] — exactly what recovery rebuilds it from, so query
+    /// placement replays onto the same shards — and installs the log as the engine's
+    /// durability sink. Attach before registering queries or feeding events — only
+    /// what happens after attachment is recoverable. Fails with
     /// [`DurableError::AlreadyAttached`] if the log already has an engine.
-    pub fn attach_detector(&self, detector: &mut Detector) -> Result<(), DurableError> {
+    pub fn attach<E: Engine>(&self, engine: &mut E) -> Result<(), DurableError> {
+        let (groups, shards) = engine.shape();
         self.lock().attach(InitRecord {
-            kind: EngineKind::Detector,
-            shards: 1,
-            groups: 1,
-            stats: Vec::new(),
+            kind: EngineKind::of::<E>(),
+            shards: u32::try_from(shards).expect("shard count fits u32"),
+            groups: u32::try_from(groups).expect("group count fits u32"),
+            stats: engine.stats().pair_counts(),
         })?;
-        detector.set_durability(Some(self.sink()));
+        engine.set_durability(Some(Box::new(self.clone())));
         Ok(())
     }
 
-    /// Attaches this log to a [`ShardedDetector`]. `stats` must be the same
-    /// [`LabelPairStats`] the detector was built with — recovery rebuilds the shard
-    /// placement by re-running the greedy assignment under the same cost model.
+    /// [`Wal::attach`] under its older per-engine name. `_stats` is ignored: the log
+    /// records the statistics the detector itself places queries by.
     pub fn attach_sharded(
         &self,
         detector: &mut ShardedDetector,
-        stats: &LabelPairStats,
+        _stats: &LabelPairStats,
     ) -> Result<(), DurableError> {
-        self.lock().attach(InitRecord {
-            kind: EngineKind::Sharded,
-            shards: u32::try_from(detector.shard_count()).expect("shard count fits u32"),
-            groups: 1,
-            stats: stats.pair_counts(),
-        })?;
-        detector.set_durability(Some(self.sink()));
-        Ok(())
+        self.attach(detector)
     }
 
-    /// Attaches this log to a [`TenantPool`]. `stats` must match the pool's own.
+    /// [`Wal::attach`] under its older per-engine name; `_stats` is ignored likewise.
     pub fn attach_pool(
         &self,
         pool: &mut TenantPool,
-        stats: &LabelPairStats,
+        _stats: &LabelPairStats,
     ) -> Result<(), DurableError> {
-        self.lock().attach(InitRecord {
-            kind: EngineKind::Pool,
-            shards: u32::try_from(pool.shards_per_tenant()).expect("shard count fits u32"),
-            groups: u32::try_from(pool.group_count()).expect("group count fits u32"),
-            stats: stats.pair_counts(),
-        })?;
-        pool.set_durability(Some(self.sink()));
-        Ok(())
+        self.attach(pool)
     }
 
-    /// Cuts a snapshot of the attached [`Detector`]'s recovery state and rotates to a
-    /// fresh segment; recovery then replays only the snapshot plus later segments.
-    /// Returns the snapshot file's path. Cadence is the caller's choice — every N
-    /// batches, on a timer, on tail growth; the log is complete without any snapshot.
-    pub fn snapshot_detector(&self, detector: &Detector) -> Result<PathBuf, DurableError> {
-        let floors = vec![(0, vec![detector.graph().visible_from()])];
-        self.lock().snapshot(EngineKind::Detector, floors)
-    }
-
-    /// [`Wal::snapshot_detector`], for a [`ShardedDetector`].
-    pub fn snapshot_sharded(&self, detector: &ShardedDetector) -> Result<PathBuf, DurableError> {
-        let floors = vec![(0, detector.shard_visible_floors())];
-        self.lock().snapshot(EngineKind::Sharded, floors)
-    }
-
-    /// [`Wal::snapshot_detector`], for a [`TenantPool`].
-    pub fn snapshot_pool(&self, pool: &TenantPool) -> Result<PathBuf, DurableError> {
-        let floors = pool
-            .tenant_visible_floors()
+    /// Cuts a snapshot of the attached engine's recovery state and rotates to a fresh
+    /// segment; recovery then replays only the snapshot plus later segments. Returns
+    /// the snapshot file's path. Cadence is the caller's choice — every N batches, on
+    /// a timer, when [`Wal::snapshot_due`]; the log is complete without any snapshot.
+    pub fn snapshot<E: Engine>(&self, engine: &E) -> Result<PathBuf, DurableError> {
+        let floors = engine
+            .visible_floors()
             .into_iter()
             .map(|(tenant, floors)| (tenant.0, floors))
             .collect();
-        self.lock().snapshot(EngineKind::Pool, floors)
+        self.lock().snapshot(EngineKind::of::<E>(), floors)
+    }
+
+    /// [`Wal::snapshot`] under its older per-engine name.
+    pub fn snapshot_sharded(&self, detector: &ShardedDetector) -> Result<PathBuf, DurableError> {
+        self.snapshot(detector)
+    }
+
+    /// [`Wal::snapshot`] under its older per-engine name.
+    pub fn snapshot_pool(&self, pool: &TenantPool) -> Result<PathBuf, DurableError> {
+        self.snapshot(pool)
     }
 
     /// Registers the `durable.*` instruments: `records_total`, `bytes_total`,
@@ -951,37 +855,6 @@ impl Wal {
                 .due(core.records_since_snapshot, core.bytes_since_snapshot)
     }
 
-    /// Cuts a [`Wal::snapshot_detector`] snapshot iff the cadence policy says one
-    /// is due. Call once per batch; returns the snapshot path when one was cut.
-    pub fn maybe_snapshot_detector(
-        &self,
-        detector: &Detector,
-    ) -> Result<Option<PathBuf>, DurableError> {
-        if !self.snapshot_due() {
-            return Ok(None);
-        }
-        self.snapshot_detector(detector).map(Some)
-    }
-
-    /// [`Wal::maybe_snapshot_detector`], for a [`ShardedDetector`].
-    pub fn maybe_snapshot_sharded(
-        &self,
-        detector: &ShardedDetector,
-    ) -> Result<Option<PathBuf>, DurableError> {
-        if !self.snapshot_due() {
-            return Ok(None);
-        }
-        self.snapshot_sharded(detector).map(Some)
-    }
-
-    /// [`Wal::maybe_snapshot_detector`], for a [`TenantPool`].
-    pub fn maybe_snapshot_pool(&self, pool: &TenantPool) -> Result<Option<PathBuf>, DurableError> {
-        if !self.snapshot_due() {
-            return Ok(None);
-        }
-        self.snapshot_pool(pool).map(Some)
-    }
-
     /// Takes the latched append failure, if any. The hot path never returns errors;
     /// they surface here, in [`Wal::status`], in the `durable.degraded` gauge, and
     /// in `wal_error` trace events. Taking the error does *not* clear degradation.
@@ -1032,8 +905,8 @@ mod tests {
     fn logs_init_then_ops_in_delivery_order() {
         let dir = temp_dir("order");
         let wal = Wal::create(&dir, WalConfig::default()).unwrap();
-        let mut detector = Detector::new();
-        wal.attach_detector(&mut detector).unwrap();
+        let mut detector = ShardedDetector::new(1);
+        wal.attach(&mut detector).unwrap();
         let reg = detector
             .register(
                 CompiledQuery::NodeSet(tgminer::baselines::nodeset::NodeSetQuery {
@@ -1048,7 +921,7 @@ mod tests {
 
         let records = read_all_records(&dir);
         assert_eq!(records.len(), 4);
-        assert!(matches!(&records[0], WalRecord::Init(init) if init.kind == EngineKind::Detector));
+        assert!(matches!(&records[0], WalRecord::Init(init) if init.kind == EngineKind::Sharded));
         assert!(matches!(
             &records[1],
             WalRecord::Register {
@@ -1074,8 +947,8 @@ mod tests {
             },
         )
         .unwrap();
-        let mut detector = Detector::new();
-        wal.attach_detector(&mut detector).unwrap();
+        let mut detector = ShardedDetector::new(1);
+        wal.attach(&mut detector).unwrap();
         for ts in 1..=20 {
             detector.on_batch(&[event(ts, 0, 1)]).unwrap();
         }
@@ -1090,11 +963,11 @@ mod tests {
     fn a_second_attach_is_rejected() {
         let dir = temp_dir("attach");
         let wal = Wal::create(&dir, WalConfig::default()).unwrap();
-        let mut detector = Detector::new();
-        wal.attach_detector(&mut detector).unwrap();
-        let mut other = Detector::new();
+        let mut detector = ShardedDetector::new(1);
+        wal.attach(&mut detector).unwrap();
+        let mut other = ShardedDetector::new(1);
         assert!(matches!(
-            wal.attach_detector(&mut other),
+            wal.attach(&mut other),
             Err(DurableError::AlreadyAttached)
         ));
         fs::remove_dir_all(dir).unwrap();
@@ -1113,8 +986,8 @@ mod tests {
         .unwrap();
         let registry = MetricsRegistry::new();
         wal.instrument(&registry);
-        let mut detector = Detector::new();
-        wal.attach_detector(&mut detector).unwrap();
+        let mut detector = ShardedDetector::new(1);
+        wal.attach(&mut detector).unwrap();
         for ts in 1..=6 {
             detector.on_batch(&[event(ts, 0, 1)]).unwrap();
         }
@@ -1145,8 +1018,8 @@ mod tests {
         let sink = Arc::new(obs::CollectingSink::new());
         wal.set_trace_sink(SharedSink::from(sink.clone()));
 
-        let mut detector = Detector::new();
-        wal.attach_detector(&mut detector).unwrap();
+        let mut detector = ShardedDetector::new(1);
+        wal.attach(&mut detector).unwrap();
         for ts in 1..=4 {
             detector.on_batch(&[event(ts, 0, 1)]).unwrap();
         }
@@ -1184,8 +1057,8 @@ mod tests {
         wal.instrument(&registry);
         let sink = Arc::new(obs::CollectingSink::new());
         wal.set_trace_sink(SharedSink::from(sink.clone()));
-        let mut detector = Detector::new();
-        wal.attach_detector(&mut detector).unwrap();
+        let mut detector = ShardedDetector::new(1);
+        wal.attach(&mut detector).unwrap();
         detector.on_batch(&[event(1, 0, 1)]).unwrap();
 
         let plan = FaultPlan::new(0);
@@ -1229,12 +1102,13 @@ mod tests {
         .unwrap();
         let sink = Arc::new(obs::CollectingSink::new());
         wal.set_trace_sink(SharedSink::from(sink.clone()));
-        let mut detector = Detector::new();
-        wal.attach_detector(&mut detector).unwrap();
+        let mut detector = ShardedDetector::new(1);
+        wal.attach(&mut detector).unwrap();
         let mut snapshots = 0;
         for ts in 1..=12 {
             detector.on_batch(&[event(ts, 0, 1)]).unwrap();
-            if wal.maybe_snapshot_detector(&detector).unwrap().is_some() {
+            if wal.snapshot_due() {
+                wal.snapshot(&detector).unwrap();
                 snapshots += 1;
             }
         }
@@ -1253,7 +1127,8 @@ mod tests {
             .iter()
             .any(|e| matches!(e, TraceEvent::WalGc { deleted, .. } if *deleted > 0)));
         // Kill-after-GC: the pruned log still recovers, strictly.
-        let recovered = crate::recover::recover_detector(&dir, WalConfig::default()).unwrap();
+        let recovered =
+            crate::recover::recover::<ShardedDetector>(&dir, WalConfig::default()).unwrap();
         assert!(recovered.damage.is_none());
         fs::remove_dir_all(dir).unwrap();
     }
@@ -1273,13 +1148,14 @@ mod tests {
         let plan = FaultPlan::new(0);
         plan.arm("snapshot.write", faults::FaultSchedule::EveryNth(1));
         wal.set_fault_plan(plan);
-        let mut detector = Detector::new();
-        wal.attach_detector(&mut detector).unwrap();
+        let mut detector = ShardedDetector::new(1);
+        wal.attach(&mut detector).unwrap();
         for ts in 1..=8 {
             detector.on_batch(&[event(ts, 0, 1)]).unwrap();
         }
         let before = crate::segment::list_indices(&dir, parse_segment_index).unwrap();
-        assert!(wal.maybe_snapshot_detector(&detector).is_err());
+        assert!(wal.snapshot_due());
+        assert!(wal.snapshot(&detector).is_err());
         let after = crate::segment::list_indices(&dir, parse_segment_index).unwrap();
         assert_eq!(before, after, "a failed snapshot must never GC");
         assert_eq!(
@@ -1295,8 +1171,8 @@ mod tests {
     fn pruning_keeps_every_event_inside_the_horizon() {
         let dir = temp_dir("prune");
         let wal = Wal::create(&dir, WalConfig::default()).unwrap();
-        let mut detector = Detector::new();
-        wal.attach_detector(&mut detector).unwrap();
+        let mut detector = ShardedDetector::new(1);
+        wal.attach(&mut detector).unwrap();
         detector
             .register(
                 CompiledQuery::NodeSet(tgminer::baselines::nodeset::NodeSetQuery {
@@ -1313,12 +1189,12 @@ mod tests {
         // Horizon is 2 × 5 = 10: the registration plus batches with last ts ≥ 90.
         let batches = pruned
             .iter()
-            .filter(|op| matches!(op, TailOp::Batch(_)))
+            .filter(|op| matches!(op, WalRecord::Batch(_)))
             .count();
         assert_eq!(batches, 11);
         assert!(pruned
             .iter()
-            .any(|op| matches!(op, TailOp::Register { .. })));
+            .any(|op| matches!(op, WalRecord::Register { .. })));
         drop(core);
         fs::remove_dir_all(dir).unwrap();
     }

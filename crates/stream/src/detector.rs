@@ -37,12 +37,19 @@
 //! to the queries it can seed or advance, and the per-query queues of in-flight work)
 //! lives in [`QueryTable`]; the sharded engine ([`crate::shard::ShardedDetector`]) partitions
 //! queries by giving each shard its own table and its own `Detector`.
+//!
+//! ## Core, not engine
+//!
+//! A `Detector` matches and nothing else: it has no write-ahead recorder, no trace
+//! sink and no failpoint. Those belong to the [`crate::Engine`] that owns it — a
+//! one-shard [`crate::ShardedDetector`] is the single-stream engine — which logs each
+//! input once, traces with global ids, and forwards the per-shard hooks kept here
+//! (metric handles, profiler, cost attribution).
 
-use crate::durability::Durability;
 use crate::error::{BatchError, DeregisterError, RegisterError};
 use crate::instrument::DetectorInstruments;
 use crate::registry::{Live, PairRoutes, QueryTable, Slots};
-use obs::{Profiler, QueryCost, QueryCostReport, SharedSink, TraceEvent};
+use obs::{Profiler, QueryCost};
 use query::matcher::{
     complete_static_anchored, seed_matches, static_window_bounds, window_deadline, NodeSetRun,
     RunStep, TemporalRun, TemporalSpawn,
@@ -50,7 +57,7 @@ use query::matcher::{
 use std::time::Instant;
 use tgraph::{GraphError, IncrementalGraph, Label, StreamEvent, TemporalEdge};
 
-/// Rough footprints behind [`Detector::memory_estimate_bytes`], bytes: a temporal run
+/// Rough footprints behind the `memory_bytes` gauge, bytes: a temporal run
 /// and each of its partial-match states (node map, timestamps, share of the run's
 /// allocation overhead), an open keyword window with its two small vectors, and a
 /// pending `Ntemp` anchor. Estimates for capacity planning, not an allocator audit.
@@ -119,7 +126,7 @@ pub struct Registration {
     pub visible_from: u64,
 }
 
-/// Per-query attribution state (see [`Detector::enable_cost_attribution`]).
+/// Per-query attribution state (see [`crate::ShardedDetector::enable_cost_attribution`]).
 #[derive(Debug)]
 struct CostTracker {
     /// Costs indexed by local [`QueryId`]. Ids are never reused, so a slot is
@@ -156,8 +163,8 @@ impl CostTracker {
     }
 }
 
-/// The streaming detection engine. See the module docs for the execution model and the
-/// crate docs for the offline-consistency guarantee.
+/// The single-threaded matching core. See the module docs for the execution model and
+/// the crate docs for the offline-consistency guarantee.
 #[derive(Debug)]
 pub struct Detector {
     queries: QueryTable,
@@ -172,18 +179,11 @@ pub struct Detector {
     /// Attached metric handles, if any. Attaching them never changes detections —
     /// the uninstrumented hot path pays only `Option`-is-`None` branches.
     instruments: Option<DetectorInstruments>,
-    /// Attached lifecycle-event sink, if any (same inertness contract).
-    sink: Option<SharedSink>,
-    /// Attached write-ahead recorder, if any (same inertness contract): inputs are
-    /// recorded, detections are never changed by attaching one.
-    durability: Option<Durability>,
     /// Attached scoped-span profiler, if any (same inertness contract): spans are
     /// observation-only and their timing is sampled.
     profiler: Option<Profiler>,
     /// Per-query cost attribution, if enabled (same inertness contract).
     costs: Option<CostTracker>,
-    /// Eviction count already reported to the sink (delta tracking).
-    traced_evictions: u64,
     /// Rolling event index for latency sampling (instrumented batches only).
     sample_tick: u64,
     /// Rolling event index for phase-span sampling (profiler attached only).
@@ -226,11 +226,8 @@ impl Detector {
             completed: Vec::new(),
             touched: Vec::new(),
             instruments: None,
-            sink: None,
-            durability: None,
             profiler: None,
             costs: None,
-            traced_evictions: 0,
             sample_tick: 0,
             profile_tick: 0,
         }
@@ -238,26 +235,8 @@ impl Detector {
 
     /// Attaches (or with `None` detaches) metric handles. Instrumentation is inert:
     /// detections are identical with and without it.
-    pub fn set_instruments(&mut self, instruments: Option<DetectorInstruments>) {
+    pub(crate) fn set_instruments(&mut self, instruments: Option<DetectorInstruments>) {
         self.instruments = instruments;
-    }
-
-    /// Attaches (or with `None` detaches) a lifecycle-event sink. The detector emits
-    /// [`TraceEvent::QueryRegistered`] / [`TraceEvent::QueryDeregistered`] (shard 0),
-    /// [`TraceEvent::BatchError`] on mid-batch aborts, and
-    /// [`TraceEvent::RetentionEviction`] when the sliding window drops edges.
-    pub fn set_trace_sink(&mut self, sink: Option<SharedSink>) {
-        self.sink = sink;
-        self.traced_evictions = self.graph.evicted_count();
-    }
-
-    /// Attaches (or with `None` detaches) a durability recorder. Registrations and
-    /// event batches from this call on are recorded (see [`crate::durability`] for the
-    /// ordering discipline); attach *before* registering queries so the log carries
-    /// the full input history. Recording is inert: detections are identical with and
-    /// without it.
-    pub fn set_durability(&mut self, durability: Option<Durability>) {
-        self.durability = durability;
     }
 
     /// Attaches (or with `None` detaches) a scoped-span profiler. When attached,
@@ -266,26 +245,14 @@ impl Detector {
     /// (`resolve_static` / `advance_temporal` / `advance_nodesets` / `spawn`);
     /// the profiler's own root sampling applies on top. Profiling is inert:
     /// detections are identical with and without it.
-    pub fn set_profiler(&mut self, profiler: Option<Profiler>) {
+    pub(crate) fn set_profiler(&mut self, profiler: Option<Profiler>) {
         self.profiler = profiler;
     }
 
-    /// The attached profiler, if any.
-    pub fn profiler(&self) -> Option<&Profiler> {
-        self.profiler.as_ref()
-    }
-
-    /// Enables per-query cost attribution: exact work counters (runs spawned,
-    /// advances, drops, detections) on *every* event, plus clock-timed per-run
-    /// wall-time measurements on one event in `sample_interval` (`0`/`1` = every
-    /// event). `advanced` counts the runs and windows actually *offered* an event —
-    /// those of the queries whose advance index names its labels — plus anchor
-    /// resolutions; a run the event is routed past, or one that merely expires, is not
-    /// an advance. Attribution is inert — it observes the five-step loop without
-    /// changing it, and in particular never changes which runs are visited. Costs
-    /// accumulate for the detector's lifetime; calling again
-    /// only changes the sampling interval.
-    pub fn enable_cost_attribution(&mut self, sample_interval: u64) {
+    /// Enables per-query cost attribution (the per-shard half of
+    /// [`crate::ShardedDetector::enable_cost_attribution`], which documents what is
+    /// counted). Calling again only changes the sampling interval.
+    pub(crate) fn enable_cost_attribution(&mut self, sample_interval: u64) {
         let interval = sample_interval.max(1);
         match &mut self.costs {
             Some(costs) => costs.interval = interval,
@@ -299,48 +266,20 @@ impl Detector {
         }
     }
 
-    /// Disables cost attribution, discarding the accumulated costs.
-    pub fn disable_cost_attribution(&mut self) {
-        self.costs = None;
-    }
-
     /// The raw measured costs `(per-local-id slice, sample interval)`, if
     /// attribution is enabled. The slice may be shorter than the id space: a
     /// query never touched has no slot yet (zero cost).
-    pub fn cost_attribution(&self) -> Option<(&[QueryCost], u64)> {
+    pub(crate) fn cost_attribution(&self) -> Option<(&[QueryCost], u64)> {
         self.costs
             .as_ref()
             .map(|costs| (costs.per_query.as_slice(), costs.interval))
     }
 
-    /// The measured costs as a report over this detector's *local* ids — one row
-    /// per id ever registered. The sharded engine remaps these to global ids; use
-    /// `ShardedDetector::query_cost_report` there.
-    pub fn query_costs(&self) -> Option<QueryCostReport> {
-        let costs = self.costs.as_ref()?;
-        let slots = self.queries.slot_count().max(costs.per_query.len());
-        Some(QueryCostReport {
-            rows: (0..slots)
-                .map(|id| (id, costs.per_query.get(id).copied().unwrap_or_default()))
-                .collect(),
-            sample_interval: costs.interval,
-        })
-    }
-
     /// Restores a visibility floor recorded from a previous process (crash recovery):
     /// [`IncrementalGraph::visible_from`] reports at least `floor` afterwards, even if
     /// the replayed history never re-triggered the eviction that originally set it.
-    pub fn restore_visible_floor(&mut self, floor: u64) {
+    pub(crate) fn restore_visible_floor(&mut self, floor: u64) {
         self.graph.restore_visible_floor(floor);
-    }
-
-    /// Estimated memory footprint of the detector's mutable state, bytes: the
-    /// buffered edge window, label table, live runs (weighted by their state
-    /// count), and pending anchors. A capacity-planning estimate (documented
-    /// constants, not allocator measurements); its high-water mark is what the
-    /// benchmark reports record.
-    pub fn memory_estimate_bytes(&self) -> usize {
-        self.graph_bytes() + self.occupancy()[3]
     }
 
     /// The buffered edge window and the label table, bytes.
@@ -392,11 +331,6 @@ impl Detector {
             },
         };
         let id = self.queries.register(query, window)?;
-        if let Some(durability) = &mut self.durability {
-            let registered = self.queries.get(id);
-            let (query, window) = (registered.query().clone(), registered.window());
-            durability.record_register(id, &query, window, visible_from);
-        }
         // Only static (`Ntemp`) matches read the buffered window — temporal and keyword
         // runs carry their own state — so retention is twice the largest *static*
         // window: anchors need `window - 1` of look-back still buffered when their
@@ -405,12 +339,6 @@ impl Detector {
         // empty), which is what makes temporal-only shards cheap.
         self.graph
             .set_retention(Some(self.queries.max_static_window().saturating_mul(2)));
-        if let Some(sink) = &self.sink {
-            sink.emit(&TraceEvent::QueryRegistered {
-                query: format!("q{id}"),
-                shard: 0,
-            });
-        }
         Ok(Registration { id, visible_from })
     }
 
@@ -431,17 +359,8 @@ impl Detector {
         // `dropped_branches`: that counter means "capped, possibly missed detections",
         // while cancellation is deliberate.
         self.queries.remove(id)?;
-        if let Some(durability) = &mut self.durability {
-            durability.record_deregister(id);
-        }
         self.graph
             .set_retention(Some(self.queries.max_static_window().saturating_mul(2)));
-        if let Some(sink) = &self.sink {
-            sink.emit(&TraceEvent::QueryDeregistered {
-                query: format!("q{id}"),
-                shard: 0,
-            });
-        }
         Ok(())
     }
 
@@ -461,25 +380,9 @@ impl Detector {
     /// (timestamps must be non-decreasing; equal timestamps are ordered by arrival)
     /// or it relabels a known node.
     pub fn on_event(&mut self, event: StreamEvent) -> Result<Vec<Detection>, GraphError> {
-        if let Some(durability) = &mut self.durability {
-            durability.record_events(std::slice::from_ref(&event));
-        }
-        if self.instruments.is_none() && self.sink.is_none() {
-            return self.process_event(event);
-        }
-        let start = Instant::now();
-        let result = self.process_event(event);
-        if let Ok(detections) = &result {
-            if let Some(instruments) = &self.instruments {
-                instruments.events_total.inc();
-                instruments.detections_total.add(detections.len() as u64);
-                instruments
-                    .event_latency_ns
-                    .record(start.elapsed().as_nanos() as u64);
-            }
-            self.observe_state();
-        }
-        result
+        // A one-event batch has no valid prefix, so the error carries no detections.
+        self.on_batch(std::slice::from_ref(&event))
+            .map_err(|err| err.error)
     }
 
     /// The actual five-step execution — shared by the instrumented and plain paths.
@@ -562,32 +465,21 @@ impl Detector {
         }
     }
 
-    /// Updates occupancy/memory gauges and reports eviction deltas to the sink.
-    /// Called after instrumented events and batches only — never on the plain path.
-    fn observe_state(&mut self) {
-        if let Some(instruments) = &self.instruments {
-            let [runs, windows, anchors, in_flight_bytes] = self.occupancy();
-            instruments.temporal_runs.set(runs as u64);
-            instruments.nodeset_runs.set(windows as u64);
-            instruments.pending_static.set(anchors as u64);
-            instruments
-                .retained_edges
-                .set(self.graph.live_edge_count() as u64);
-            instruments
-                .memory_bytes
-                .set((self.graph_bytes() + in_flight_bytes) as u64);
-        }
-        if let Some(sink) = &self.sink {
-            let evicted = self.graph.evicted_count();
-            if evicted > self.traced_evictions {
-                sink.emit(&TraceEvent::RetentionEviction {
-                    evicted: (evicted - self.traced_evictions) as usize,
-                    retained: self.graph.live_edge_count(),
-                    watermark: self.graph.visible_from(),
-                });
-                self.traced_evictions = evicted;
-            }
-        }
+    /// Updates the occupancy and memory gauges: the buffered edge window, label table,
+    /// live runs (weighted by their state count) and pending anchors. A
+    /// capacity-planning estimate from documented constants, not an allocator
+    /// measurement; its high-water mark is what the benchmark reports record.
+    fn observe_state(&self, instruments: &DetectorInstruments) {
+        let [runs, windows, anchors, in_flight_bytes] = self.occupancy();
+        instruments.temporal_runs.set(runs as u64);
+        instruments.nodeset_runs.set(windows as u64);
+        instruments.pending_static.set(anchors as u64);
+        instruments
+            .retained_edges
+            .set(self.graph.live_edge_count() as u64);
+        instruments
+            .memory_bytes
+            .set((self.graph_bytes() + in_flight_bytes) as u64);
     }
 
     /// Processes a batch of events, concatenating their detections.
@@ -598,16 +490,10 @@ impl Detector {
     /// stays in the state produced by the valid prefix, so the caller may repair or
     /// skip the offending event and keep streaming.
     pub fn on_batch(&mut self, events: &[StreamEvent]) -> Result<Vec<Detection>, BatchError> {
-        // Log-before-apply: the full batch is recorded even if an event mid-batch
-        // turns out invalid — replay re-runs the same batch and fails at the same
-        // index, leaving the replayed engine in the same valid-prefix state.
-        if let Some(durability) = &mut self.durability {
-            durability.record_events(events);
-        }
         // The batch span is the profiler's root (and its sampling point): when it is
         // sampled out, the per-event phase spans inside are suppressed for free.
         let _batch_span = self.profiler.as_ref().map(|p| p.enter("detector.batch"));
-        if self.instruments.is_none() && self.sink.is_none() {
+        if self.instruments.is_none() {
             // The plain path: `Option`-is-`None` branches only (one for the batch,
             // plus the profiler/attribution nil-checks inside `process_event`), then
             // exactly the pre-instrumentation loop.
@@ -642,12 +528,8 @@ impl Detector {
         let mut failure: Option<(usize, GraphError)> = None;
         let mut processed = 0u64;
         for (index, &event) in events.iter().enumerate() {
-            let sampled_start = match &self.instruments {
-                Some(_) if self.sample_tick & (Self::LATENCY_SAMPLE - 1) == 0 => {
-                    Some(Instant::now())
-                }
-                _ => None,
-            };
+            let sampled_start =
+                (self.sample_tick & (Self::LATENCY_SAMPLE - 1) == 0).then(Instant::now);
             self.sample_tick = self.sample_tick.wrapping_add(1);
             match self.process_event(event) {
                 Ok(detections) => out.extend(detections),
@@ -675,24 +557,15 @@ impl Detector {
             if failure.is_some() {
                 instruments.batch_errors_total.inc();
             }
+            self.observe_state(instruments);
         }
-        self.observe_state();
         match failure {
             None => Ok(out),
-            Some((index, error)) => {
-                if let Some(sink) = &self.sink {
-                    sink.emit(&TraceEvent::BatchError {
-                        index,
-                        emitted: out.len(),
-                        message: error.to_string(),
-                    });
-                }
-                Err(BatchError {
-                    emitted: out,
-                    index,
-                    error,
-                })
-            }
+            Some((index, error)) => Err(BatchError {
+                emitted: out,
+                index,
+                error,
+            }),
         }
     }
 
@@ -1441,11 +1314,11 @@ mod tests {
         );
         detector.enable_cost_attribution(1); // time every event
         let detections = replay(&mut detector, &g);
-        let report = detector.query_costs().expect("attribution enabled");
-        assert_eq!(report.sample_interval, 1);
-        assert_eq!(report.rows.len(), 2, "one row per registered id");
+        let (costs, sample_interval) = detector.cost_attribution().expect("attribution enabled");
+        assert_eq!(sample_interval, 1);
+        assert_eq!(costs.len(), 2, "both queries did work, so both have a slot");
 
-        let abc = report.get(q_abc).unwrap();
+        let abc = costs[q_abc];
         // Three A->B seed edges spawn runs. Only a B->C edge can move one, and a run is
         // offered only those: the ts-2 and ts-21 edges each advance (and complete) the
         // run seeded just before. The ts-5 noise loop is routed past the abc query, the
@@ -1463,7 +1336,7 @@ mod tests {
         assert!(abc.sampled_ns > 0, "interval 1 times every operation");
         assert_eq!(abc.sampled_ops, 5, "every spawn and every advance is timed");
 
-        let lp = report.get(q_loop).unwrap();
+        let lp = costs[q_loop];
         assert_eq!(lp.spawned, 1, "one noise self-loop seeds it");
         assert_eq!(lp.detections, 1, "single-edge pattern completes at spawn");
         assert_eq!((lp.advanced, lp.dropped), (0, 0));
@@ -1505,9 +1378,6 @@ mod tests {
             !profiler.snapshot().is_empty(),
             "phase spans were recorded along the way"
         );
-        // Disabling discards the costs; the detector keeps working.
-        observed.disable_cost_attribution();
-        assert!(observed.query_costs().is_none());
     }
 
     #[test]

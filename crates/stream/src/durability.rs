@@ -2,12 +2,13 @@
 //! attached [`DurabilitySink`] before applying them, so an append-only log of those
 //! inputs is sufficient to rebuild the engine by deterministic replay.
 //!
-//! This module deliberately holds only the trait and the [`Durability`] handle — the
-//! write-ahead log, snapshot, and recovery machinery live in the `durable` crate,
-//! which depends on `stream` (not the other way around). The contract mirrors
-//! [`crate::instrument`]: engines hold an `Option<Durability>` that is `None` by
-//! default, the uninstrumented hot path pays exactly one `Option` branch, and
-//! attaching a sink never changes detection behavior.
+//! This module deliberately holds only the trait — the write-ahead log, snapshot, and
+//! recovery machinery live in the `durable` crate, which depends on `stream` (not the
+//! other way around). Only the two engines ([`crate::Engine`]) take a sink: a
+//! [`crate::ShardedDetector`] or [`crate::TenantPool`] records once for everything it
+//! owns, and the per-shard [`crate::Detector`]s underneath never log. The contract
+//! mirrors [`crate::instrument`]: the sink is `None` by default, the unlogged hot path
+//! pays exactly one `Option` branch, and attaching one never changes detections.
 //!
 //! Ordering discipline (what makes replay exact):
 //!
@@ -27,8 +28,9 @@ use tgraph::{StreamEvent, TenantId, TenantedEvent};
 ///
 /// Implementations must be infallible from the engine's point of view: I/O errors are
 /// latched inside the sink (see `durable::Wal::take_error`) rather than surfaced on
-/// the hot path. `Send` because engines holding a sink move across threads.
-pub trait DurabilitySink: Send {
+/// the hot path. `Send` because engines holding a sink move across threads; `Debug`
+/// so the engines holding a boxed sink keep deriving it.
+pub trait DurabilitySink: Send + std::fmt::Debug {
     /// A query was registered and assigned `id`. `visible_from` is the registration's
     /// original look-back floor — recovery must surface *this* value, not whatever
     /// floor the replayed (possibly history-pruned) graph would recompute.
@@ -59,71 +61,15 @@ pub trait DurabilitySink: Send {
     }
 }
 
-/// An attached durability sink, held by `Detector`/`ShardedDetector`/`TenantPool`.
-///
-/// A newtype over `Box<dyn DurabilitySink>` (like [`obs::SharedSink`] wraps trace
-/// sinks) so engine structs keep deriving `Debug`. Attach at the **top level only**:
-/// a sharded detector or tenant pool records once for the whole engine; its inner
-/// per-shard detectors stay sink-free, otherwise every input would be logged twice.
-pub struct Durability(Box<dyn DurabilitySink>);
-
-impl Durability {
-    /// Wraps a sink for attachment via `set_durability`.
-    pub fn new(sink: impl DurabilitySink + 'static) -> Self {
-        Self(Box::new(sink))
-    }
-
-    /// Forwards a registration record.
-    #[inline]
-    pub fn record_register(
-        &mut self,
-        id: QueryId,
-        query: &CompiledQuery,
-        window: u64,
-        visible_from: u64,
-    ) {
-        self.0.record_register(id, query, window, visible_from);
-    }
-
-    /// Forwards a deregistration record.
-    #[inline]
-    pub fn record_deregister(&mut self, id: QueryId) {
-        self.0.record_deregister(id);
-    }
-
-    /// Forwards an event-batch record.
-    #[inline]
-    pub fn record_events(&mut self, events: &[StreamEvent]) {
-        self.0.record_events(events);
-    }
-
-    /// Forwards a tenant-batch record.
-    #[inline]
-    pub fn record_tenant_events(&mut self, events: &[TenantedEvent]) {
-        self.0.record_tenant_events(events);
-    }
-
-    /// Forwards a tenant-quiescence record.
-    #[inline]
-    pub fn record_quiesce(&mut self, tenant: TenantId) {
-        self.0.record_quiesce(tenant);
-    }
-}
-
-impl std::fmt::Debug for Durability {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Durability(..)")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ShardedDetector, TenantPool};
     use std::sync::{Arc, Mutex};
     use tgraph::Label;
 
     /// A sink that counts record calls, for wiring tests.
-    #[derive(Default)]
+    #[derive(Debug, Default)]
     struct CountingSink {
         counts: Arc<Mutex<[usize; 4]>>,
     }
@@ -144,15 +90,10 @@ mod tests {
     }
 
     #[test]
-    fn handle_forwards_every_record_kind() {
-        let sink = CountingSink::default();
-        let counts = sink.counts.clone();
-        let mut durability = Durability::new(sink);
+    fn an_engine_reports_every_input_to_its_sink_exactly_once() {
         let query = CompiledQuery::NodeSet(tgminer::baselines::nodeset::NodeSetQuery {
             labels: vec![Label(1)],
         });
-        durability.record_register(0, &query, 5, 0);
-        durability.record_deregister(0);
         let event = StreamEvent {
             ts: 1,
             src: 0,
@@ -160,11 +101,28 @@ mod tests {
             src_label: Label(1),
             dst_label: Label(2),
         };
-        durability.record_events(&[event, event]);
-        durability.record_tenant_events(&[TenantedEvent {
-            tenant: tgraph::TenantId(7),
+        // Two shards both apply the batch; the engine above them logs it once.
+        let sink = CountingSink::default();
+        let counts = sink.counts.clone();
+        let mut sharded = ShardedDetector::new(2);
+        sharded.set_durability(Some(Box::new(sink)));
+        let id = sharded.register(query.clone(), 5).unwrap().id;
+        sharded.on_batch(&[event, event]).unwrap();
+        sharded.deregister(id).unwrap();
+        assert_eq!(*counts.lock().unwrap(), [1, 1, 2, 0]);
+
+        // Likewise a pool: once at the demux front-end, never per tenant.
+        let sink = CountingSink::default();
+        let counts = sink.counts.clone();
+        let mut pool = TenantPool::new(2, 2);
+        pool.set_durability(Some(Box::new(sink)));
+        let id = pool.register(query, 5).unwrap().id;
+        let tenanted = |tenant| TenantedEvent {
+            tenant: tgraph::TenantId(tenant),
             event,
-        }]);
-        assert_eq!(*counts.lock().unwrap(), [1, 1, 2, 1]);
+        };
+        pool.on_batch(&[tenanted(7), tenanted(8)]).unwrap();
+        pool.deregister(id).unwrap();
+        assert_eq!(*counts.lock().unwrap(), [1, 1, 0, 2]);
     }
 }

@@ -1,8 +1,8 @@
 //! Instrumentation bundles: the metric handles a detector or pipeline ticks.
 //!
 //! Each bundle is created from a [`MetricsRegistry`] with a name prefix and then
-//! attached to an engine (`Detector::set_instruments`,
-//! `ShardedDetector::instrument`, `DiscoveryPipeline::instrument`). Handles are
+//! attached through `ShardedDetector::instrument` (one bundle per shard's
+//! `Detector`), `TenantPool::instrument` or `DiscoveryPipeline::instrument`. Handles are
 //! `Arc`-backed atomics, so attaching a bundle costs the engine exactly one
 //! `Option` branch per touch point and never takes a lock on the hot path.
 //!
@@ -31,10 +31,9 @@
 //! The gauges' high-water marks give the run's peaks (memory high-water,
 //! run-table occupancy peaks) for free.
 //!
-//! With cost attribution enabled (`Detector::enable_cost_attribution` and the
-//! sharded/tenant equivalents), exporting the resulting
-//! [`QueryCostReport`](obs::QueryCostReport) publishes per-query counters — with
-//! global query id `q`:
+//! With cost attribution enabled (`enable_cost_attribution` on either engine),
+//! exporting the resulting [`QueryCostReport`](obs::QueryCostReport) publishes
+//! per-query counters — with global query id `q`:
 //!
 //! | name                     | kind    | meaning                                   |
 //! |--------------------------|---------|-------------------------------------------|

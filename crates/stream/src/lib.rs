@@ -7,23 +7,28 @@
 //!
 //! * [`CompiledQuery`] — a registered behavior query: a temporal pattern (TGMiner), a
 //!   non-temporal pattern (`Ntemp`), or a keyword label set (`NodeSet`);
-//! * [`Detector`] — the single-threaded engine: queries are registered up front (each
+//! * [`Detector`] — the single-threaded matching core: queries are registered (each
 //!   with its match window), events arrive one at a time or in batches, and detections
-//!   are emitted as `(query, start_ts, end_ts)` intervals;
-//! * [`ShardedDetector`] — the same API scaled across worker threads: registered
-//!   queries are partitioned over N shards (balanced by first-edge label-pair posting
+//!   are emitted as `(query, start_ts, end_ts)` intervals. It matches and nothing else;
+//! * [`ShardedDetector`] — the engine for **one** stream: registered queries are
+//!   partitioned over N `Detector` shards (balanced by first-edge label-pair posting
 //!   frequency, [`LabelPairStats`]), each batch fans out to all shards, and per-shard
-//!   detections merge back into global timestamp order;
+//!   detections merge back into global timestamp order. One shard is the plain
+//!   single-threaded configuration;
 //! * [`QueryTable`] — the registered-query state (queries, windows, the label indexes
 //!   that route an event to the queries it can seed or advance, and each query's queue
-//!   of in-flight runs) a single engine owns; it is the unit the sharded engine
+//!   of in-flight runs) a `Detector` owns; it is the unit the sharded engine
 //!   partitions;
-//! * [`TenantPool`] — the *second* sharding axis: a demux front-end routing an
-//!   interleaved multi-tenant stream ([`tgraph::TenantedEvent`]) to per-tenant
-//!   detector instances grouped into hashed tenant-groups ([`TenantRouter`]). Every
+//! * [`TenantPool`] — the engine for **many** streams, the *second* sharding axis: a
+//!   demux front-end routing an interleaved multi-tenant stream
+//!   ([`tgraph::TenantedEvent`]) to per-tenant `ShardedDetector`s grouped into hashed
+//!   tenant-groups ([`TenantRouter`]). Every
 //!   tenant owns its own incremental graph, retention window, and `visible_from`,
 //!   while all tenants share one compiled query set; composed with query-sharding the
 //!   engine forms a 2-D grid, queries × tenant-groups;
+//! * [`Engine`] — what the two engines have in common, as a trait: the unit that is
+//!   logged, snapshotted and recovered (the `durable` crate is generic over it), traced
+//!   and fault-injected — once, above the shards it owns;
 //! * [`DiscoveryPipeline`] — the mine→detect loop closed online: ingest labeled
 //!   training streams, mine discriminative patterns per behavior class with `tgminer`,
 //!   compile them through [`query::compile`], hot-register them on a running
@@ -63,9 +68,9 @@
 //!
 //! ## Observability
 //!
-//! Every engine layer accepts the `obs` crate's inert instrumentation: metric
-//! bundles ([`instrument`]), structured trace sinks, a scoped-span profiler
-//! (`set_profiler` at each layer; spans aggregate into a collapsed-stack /
+//! Both engines accept the `obs` crate's inert instrumentation and hand it down to
+//! what they own: metric bundles ([`instrument`]), a structured trace sink, a
+//! scoped-span profiler (`set_profiler`; spans aggregate into a collapsed-stack /
 //! flamegraph export), and sampled per-query cost attribution
 //! (`enable_cost_attribution` / `query_cost_report`). Measured costs close the
 //! loop on shard balancing: [`MeasuredCost`] distills a cost report and
@@ -77,6 +82,7 @@
 pub mod detector;
 pub mod discovery;
 pub mod durability;
+pub mod engine;
 pub mod error;
 pub mod instrument;
 pub mod registry;
@@ -88,7 +94,8 @@ pub use discovery::{
     evaluate_deployed, macro_average, retire_deployed, ClassAccuracy, DeployedQuery,
     DiscoveryError, DiscoveryPipeline, DiscoveryReport,
 };
-pub use durability::{Durability, DurabilitySink};
+pub use durability::DurabilitySink;
+pub use engine::Engine;
 pub use error::{BatchError, DeregisterError, RegisterError, TenantBatchError};
 pub use instrument::{DetectorInstruments, PipelineInstruments};
 pub use registry::{QueryTable, Registered};

@@ -368,11 +368,6 @@ impl QueryTable {
         self.slots.entries.len()
     }
 
-    /// Whether `id` names a live registered query.
-    pub fn contains(&self, id: QueryId) -> bool {
-        self.slots.entries.get(id).is_some_and(Option::is_some)
-    }
-
     /// Iterates over the live queries as `(id, registration)` in id order.
     pub fn iter(&self) -> impl Iterator<Item = (QueryId, &Registered)> {
         self.slots
@@ -529,8 +524,8 @@ mod tests {
         assert_eq!(removed.window(), 5);
         assert_eq!(table.len(), 2);
         assert_eq!(table.slot_count(), 3);
-        assert!(!table.contains(t1));
-        assert!(table.contains(t2));
+        let live: Vec<QueryId> = table.iter().map(|(id, _)| id).collect();
+        assert_eq!(live, [t2, n], "t1 is gone, the others stay live");
         assert_eq!(
             pair(&table, 0, 1)[0],
             [t2],

@@ -40,7 +40,8 @@
 //! the same intervals.
 
 use crate::detector::{CompiledQuery, Detection, Detector, QueryId, Registration, SeedKey};
-use crate::durability::Durability;
+use crate::durability::DurabilitySink;
+use crate::engine::Engine;
 use crate::error::{BatchError, DeregisterError, RegisterError};
 use crate::instrument::DetectorInstruments;
 use faults::FaultPlan;
@@ -48,7 +49,9 @@ use obs::{
     MetricsRegistry, Profiler, QueryCost, QueryCostReport, ShardStat, SharedSink, TraceEvent,
 };
 use std::collections::{BTreeMap, HashMap};
-use tgraph::{EdgePostings, GraphError, IncrementalGraph, Label, StreamEvent, TemporalGraph};
+use tgraph::{
+    EdgePostings, GraphError, IncrementalGraph, Label, StreamEvent, TemporalGraph, TenantId,
+};
 
 /// Label-pair posting frequencies: the cost model behind query→shard assignment.
 ///
@@ -199,6 +202,29 @@ impl MeasuredCost {
 /// Results are identical either way — only the scheduling differs.
 pub const PARALLEL_BATCH_MIN: usize = 1024;
 
+/// Runs `work` on every worker — on scoped threads when `threaded` (one per worker,
+/// share-nothing: no locks, no channels), inline otherwise — and returns the results
+/// in worker order. Results are identical either way; only the scheduling differs.
+pub(crate) fn fan_out<W: Send, R: Send>(
+    workers: impl Iterator<Item = W>,
+    threaded: bool,
+    work: impl Fn(W) -> R + Sync,
+) -> Vec<R> {
+    if !threaded {
+        return workers.map(work).collect();
+    }
+    let work = &work;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = workers
+            .map(|worker| scope.spawn(move || work(worker)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("worker panicked"))
+            .collect()
+    })
+}
+
 /// One worker's state: a full detector over this shard's queries, plus the mapping from
 /// its dense local query ids back to the global ids the caller sees.
 #[derive(Debug)]
@@ -249,9 +275,10 @@ struct Placement {
     active: bool,
 }
 
-/// The sharded streaming detection engine: the [`Detector`] API, scaled across worker
-/// threads by partitioning the registered queries. See the module docs for the
-/// execution model.
+/// The single-stream engine: [`Detector`] cores over a partition of the registered
+/// queries, one per worker thread, with logging, tracing and fault injection done once
+/// above them. One shard is the plain single-threaded configuration. See the module
+/// docs for the execution model.
 #[derive(Debug)]
 pub struct ShardedDetector {
     shards: Vec<Shard>,
@@ -270,10 +297,9 @@ pub struct ShardedDetector {
     sink: Option<SharedSink>,
     /// Per-shard `evicted_count` at the last trace emission, for eviction deltas.
     last_evicted: Vec<u64>,
-    /// Pool-level write-ahead recorder: registrations carry *global* ids and batches
-    /// are recorded once for the whole pool, so the per-shard detectors stay
-    /// recorder-free (no input is logged twice).
-    durability: Option<Durability>,
+    /// Write-ahead recorder: registrations carry *global* ids and batches are
+    /// recorded once for the whole pool, above the shards.
+    durability: Option<Box<dyn DurabilitySink>>,
     /// Pool-level profiler handle for `pool.batch` / `pool.merge` spans. The same
     /// handle is forwarded to every shard detector, so shard-phase spans aggregate
     /// into the one span map regardless of which worker thread they ran on.
@@ -335,7 +361,7 @@ impl ShardedDetector {
     /// Attaches (or with `None` detaches) a pool-level durability recorder. Attach
     /// *before* registering queries so the log carries the full input history.
     /// Recording is inert: detections are identical with and without it.
-    pub fn set_durability(&mut self, durability: Option<Durability>) {
+    pub fn set_durability(&mut self, durability: Option<Box<dyn DurabilitySink>>) {
         self.durability = durability;
     }
 
@@ -391,20 +417,19 @@ impl ShardedDetector {
         self.profiler = profiler;
     }
 
-    /// Enables sampled per-query cost attribution on every shard (see
-    /// [`Detector::enable_cost_attribution`]). Counters are exact; wall time is
-    /// sampled one event in `sample_interval`. Read the merged result with
+    /// Enables per-query cost attribution on every shard: exact work counters (runs
+    /// spawned, advances, drops, detections) on *every* event, plus clock-timed
+    /// per-run wall time on one event in `sample_interval` (`0`/`1` = every event).
+    /// `advanced` counts the runs and windows actually *offered* an event — those of
+    /// the queries whose advance index names its labels — plus anchor resolutions; a
+    /// run the event is routed past, or one that merely expires, is not an advance.
+    /// Attribution is inert: it observes the five-step loop without changing which
+    /// runs are visited. Costs accumulate for the engine's lifetime; calling again
+    /// only changes the sampling interval. Read the merged result with
     /// [`ShardedDetector::query_cost_report`].
     pub fn enable_cost_attribution(&mut self, sample_interval: u64) {
         for shard in &mut self.shards {
             shard.detector.enable_cost_attribution(sample_interval);
-        }
-    }
-
-    /// Turns cost attribution off on every shard and discards the accumulated costs.
-    pub fn disable_cost_attribution(&mut self) {
-        for shard in &mut self.shards {
-            shard.detector.disable_cost_attribution();
         }
     }
 
@@ -522,11 +547,6 @@ impl ShardedDetector {
     /// not count).
     pub fn query_count(&self) -> usize {
         self.placements.iter().filter(|p| p.active).count()
-    }
-
-    /// Whether `query` names a live registered query.
-    pub fn is_registered(&self, query: QueryId) -> bool {
-        self.placements.get(query).is_some_and(|p| p.active)
     }
 
     /// Accumulated estimated cost per shard (the assignment balance).
@@ -690,28 +710,12 @@ impl ShardedDetector {
             durability.record_events(events);
         }
         let _batch_span = self.profiler.as_ref().map(|p| p.enter("pool.batch"));
-        let results: Vec<Result<Vec<Detection>, BatchError>> =
-            if !self.parallel || self.shards.len() == 1 || events.len() < PARALLEL_BATCH_MIN {
-                // A pool of one, a single-core machine (threads would only serialise),
-                // or a batch too small to amortise the spawn/join cost: run inline.
-                // Results are identical either way.
-                self.shards
-                    .iter_mut()
-                    .map(|shard| shard.process(events))
-                    .collect()
-            } else {
-                std::thread::scope(|scope| {
-                    let workers: Vec<_> = self
-                        .shards
-                        .iter_mut()
-                        .map(|shard| scope.spawn(move || shard.process(events)))
-                        .collect();
-                    workers
-                        .into_iter()
-                        .map(|worker| worker.join().expect("shard worker panicked"))
-                        .collect()
-                })
-            };
+        // A pool of one, a single-core machine (threads would only serialise), or a
+        // batch too small to amortise the spawn/join cost runs inline.
+        let threaded = self.parallel && self.shards.len() > 1 && events.len() >= PARALLEL_BATCH_MIN;
+        let results = fan_out(self.shards.iter_mut(), threaded, |shard| {
+            shard.process(events)
+        });
 
         let _merge_span = self.profiler.as_ref().map(|p| p.enter("pool.merge"));
         let mut merged = Vec::new();
@@ -772,6 +776,50 @@ impl ShardedDetector {
     /// Global timestamp order: instances sorted by when they complete in the stream.
     fn sort_global(detections: &mut [Detection]) {
         detections.sort_unstable_by_key(|d| (d.end_ts, d.start_ts, d.query));
+    }
+}
+
+impl Engine for ShardedDetector {
+    type Event = StreamEvent;
+    type Detection = Detection;
+    type BatchError = BatchError;
+
+    fn build((groups, shards): (usize, usize), stats: LabelPairStats) -> Self {
+        assert_eq!(groups, 1, "a single-stream engine has one group");
+        ShardedDetector::with_stats(shards, stats)
+    }
+    fn shape(&self) -> (usize, usize) {
+        (1, self.shard_count())
+    }
+    fn stats(&self) -> &LabelPairStats {
+        &self.stats
+    }
+    fn register(
+        &mut self,
+        query: CompiledQuery,
+        window: u64,
+    ) -> Result<Registration, RegisterError> {
+        ShardedDetector::register(self, query, window)
+    }
+    fn deregister(&mut self, query: QueryId) -> Result<(), DeregisterError> {
+        ShardedDetector::deregister(self, query)
+    }
+    fn on_batch(&mut self, events: &[StreamEvent]) -> Result<Vec<Detection>, BatchError> {
+        ShardedDetector::on_batch(self, events)
+    }
+    fn flush(&mut self) -> Vec<Detection> {
+        ShardedDetector::flush(self)
+    }
+    fn visible_floors(&self) -> Vec<(TenantId, Vec<u64>)> {
+        vec![(TenantId(0), self.shard_visible_floors())]
+    }
+    fn restore_visible_floors(&mut self, floors: &[(TenantId, Vec<u64>)]) {
+        for (_, shard_floors) in floors {
+            self.restore_shard_visible_floors(shard_floors);
+        }
+    }
+    fn set_durability(&mut self, sink: Option<Box<dyn DurabilitySink>>) {
+        ShardedDetector::set_durability(self, sink);
     }
 }
 
@@ -1011,8 +1059,11 @@ mod tests {
         let hot_shard = pool.shard_of(hot.id);
         assert_eq!(pool.shard_loads()[hot_shard], 100);
         pool.deregister(hot.id).unwrap();
-        assert!(!pool.is_registered(hot.id));
-        assert_eq!(pool.query_count(), 0);
+        assert_eq!(
+            pool.query_count(),
+            0,
+            "the deregistered id is no longer live"
+        );
         assert_eq!(pool.shard_loads(), &[0, 0], "freed cost is subtracted");
         assert_eq!(pool.queries_per_shard(), vec![0, 0]);
         // Double deregistration fails loudly; ids are never reused.

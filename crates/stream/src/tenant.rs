@@ -61,11 +61,12 @@
 //!   applied, because the flush drains pending detections early — replay must drain
 //!   them at the same point in the op sequence.
 
-use crate::detector::{CompiledQuery, QueryId, Registration};
-use crate::durability::Durability;
+use crate::detector::{CompiledQuery, Detection, QueryId, Registration};
+use crate::durability::DurabilitySink;
+use crate::engine::Engine;
 use crate::error::{DeregisterError, RegisterError, TenantBatchError};
 use crate::registry::QueryTable;
-use crate::shard::{LabelPairStats, ShardedDetector, PARALLEL_BATCH_MIN};
+use crate::shard::{fan_out, LabelPairStats, ShardedDetector, PARALLEL_BATCH_MIN};
 use faults::FaultPlan;
 use obs::{
     Counter, Gauge, MetricsRegistry, Profiler, QueryCost, QueryCostReport, SharedSink,
@@ -89,6 +90,18 @@ pub struct TenantDetection {
     pub start_ts: u64,
     /// Timestamp of the instance's last edge (when it was detected).
     pub end_ts: u64,
+}
+
+impl TenantDetection {
+    /// `detection`, attributed to `tenant`.
+    fn of(tenant: TenantId, detection: Detection) -> Self {
+        Self {
+            tenant,
+            query: detection.query,
+            start_ts: detection.start_ts,
+            end_ts: detection.end_ts,
+        }
+    }
 }
 
 /// Deterministic router from tenant ids to tenant-groups.
@@ -257,12 +270,7 @@ impl Group {
                 }
             };
             self.detections += out.len() as u64;
-            detections.extend(out.into_iter().map(|d| TenantDetection {
-                tenant: *tenant,
-                query: d.query,
-                start_ts: d.start_ts,
-                end_ts: d.end_ts,
-            }));
+            detections.extend(out.into_iter().map(|d| TenantDetection::of(*tenant, d)));
             if let Some((global_index, error)) = local_failure {
                 if failure
                     .as_ref()
@@ -299,7 +307,7 @@ pub struct TenantPool {
     parallel: bool,
     /// Pool-level write-ahead recorder: operations and tenant batches are recorded
     /// once at the demux front-end; per-tenant detectors stay recorder-free.
-    durability: Option<Durability>,
+    durability: Option<Box<dyn DurabilitySink>>,
     /// Pool-level profiler for `tenant.batch` / `tenant.demux` spans; cloned into
     /// every tenant detector (including tenants materialised later) so all spans
     /// aggregate into the one map.
@@ -410,16 +418,6 @@ impl TenantPool {
         }
     }
 
-    /// Turns cost attribution off everywhere and discards the accumulated costs.
-    pub fn disable_cost_attribution(&mut self) {
-        self.attribution_interval = None;
-        for group in &mut self.groups {
-            for (_, detector) in &mut group.tenants {
-                detector.disable_cost_attribution();
-            }
-        }
-    }
-
     /// The per-query cost report summed across every tenant, keyed by the canonical
     /// global query ids (every tenant runs the same query set, so rows add
     /// meaningfully). `None` unless [`TenantPool::enable_cost_attribution`] was
@@ -448,7 +446,7 @@ impl TenantPool {
     /// Attaches (or with `None` detaches) a pool-level durability recorder. Attach
     /// *before* registering queries so the log carries the full input history.
     /// Recording is inert: detections are identical with and without it.
-    pub fn set_durability(&mut self, durability: Option<Durability>) {
+    pub fn set_durability(&mut self, durability: Option<Box<dyn DurabilitySink>>) {
         self.durability = durability;
     }
 
@@ -531,11 +529,6 @@ impl TenantPool {
         }
     }
 
-    /// The router mapping tenants to groups.
-    pub fn router(&self) -> TenantRouter {
-        self.router
-    }
-
     /// Number of tenant-groups.
     pub fn group_count(&self) -> usize {
         self.router.group_count()
@@ -551,22 +544,9 @@ impl TenantPool {
         self.groups.iter().map(|g| g.tenants.len()).sum()
     }
 
-    /// The live tenants in group `group`, in ascending tenant-id order.
-    ///
-    /// # Panics
-    /// Panics if `group` is out of range.
-    pub fn tenants_in_group(&self, group: usize) -> Vec<TenantId> {
-        self.groups[group].tenants.iter().map(|(t, _)| *t).collect()
-    }
-
     /// Number of live registered queries (shared by every tenant).
     pub fn query_count(&self) -> usize {
         self.canonical.len()
-    }
-
-    /// Whether `query` is currently registered.
-    pub fn is_registered(&self, query: QueryId) -> bool {
-        self.canonical.contains(query)
     }
 
     /// Attaches group-level metrics. With group index `g`, the pool ticks:
@@ -806,29 +786,14 @@ impl TenantPool {
         }
         drop(demux_span);
 
-        let results: Vec<GroupOutcome> =
-            if !self.parallel || self.groups.len() == 1 || events.len() < PARALLEL_BATCH_MIN {
-                // One group, a single-core machine, or a batch too small to amortise
-                // thread spawn/join: run inline. Results are identical either way.
-                self.groups
-                    .iter_mut()
-                    .zip(&workloads)
-                    .map(|(group, workload)| group.process(workload))
-                    .collect()
-            } else {
-                std::thread::scope(|scope| {
-                    let workers: Vec<_> = self
-                        .groups
-                        .iter_mut()
-                        .zip(&workloads)
-                        .map(|(group, workload)| scope.spawn(move || group.process(workload)))
-                        .collect();
-                    workers
-                        .into_iter()
-                        .map(|worker| worker.join().expect("group worker panicked"))
-                        .collect()
-                })
-            };
+        // One group, a single-core machine, or a batch too small to amortise thread
+        // spawn/join runs inline.
+        let threaded = self.parallel && self.groups.len() > 1 && events.len() >= PARALLEL_BATCH_MIN;
+        let results = fan_out(
+            self.groups.iter_mut().zip(&workloads),
+            threaded,
+            |(group, workload)| group.process(workload),
+        );
 
         let mut failure: Option<(usize, TenantId, GraphError)> = None;
         for (detections, group_failure) in results {
@@ -917,12 +882,7 @@ impl TenantPool {
             instruments.tenants.set(group.tenants.len() as u64);
         }
         out.into_iter()
-            .map(|d| TenantDetection {
-                tenant,
-                query: d.query,
-                start_ts: d.start_ts,
-                end_ts: d.end_ts,
-            })
+            .map(|d| TenantDetection::of(tenant, d))
             .collect()
     }
 
@@ -983,12 +943,7 @@ impl TenantPool {
                 let tenant = *tenant;
                 let out = detector.flush();
                 group.detections += out.len() as u64;
-                merged.extend(out.into_iter().map(|d| TenantDetection {
-                    tenant,
-                    query: d.query,
-                    start_ts: d.start_ts,
-                    end_ts: d.end_ts,
-                }));
+                merged.extend(out.into_iter().map(|d| TenantDetection::of(tenant, d)));
             }
         }
         Self::sort_global(&mut merged);
@@ -1018,6 +973,53 @@ impl TenantPool {
                 .detections_total
                 .add(group.detections.saturating_sub(seen_detections));
         }
+    }
+}
+
+impl Engine for TenantPool {
+    type Event = TenantedEvent;
+    type Detection = TenantDetection;
+    type BatchError = TenantBatchError;
+
+    fn build((groups, shards): (usize, usize), stats: LabelPairStats) -> Self {
+        TenantPool::with_stats(groups, shards, stats)
+    }
+    fn shape(&self) -> (usize, usize) {
+        (self.group_count(), self.shards_per_tenant())
+    }
+    fn stats(&self) -> &LabelPairStats {
+        &self.stats
+    }
+    fn register(
+        &mut self,
+        query: CompiledQuery,
+        window: u64,
+    ) -> Result<Registration, RegisterError> {
+        TenantPool::register(self, query, window)
+    }
+    fn deregister(&mut self, query: QueryId) -> Result<(), DeregisterError> {
+        TenantPool::deregister(self, query)
+    }
+    fn on_batch(
+        &mut self,
+        events: &[TenantedEvent],
+    ) -> Result<Vec<TenantDetection>, TenantBatchError> {
+        TenantPool::on_batch(self, events)
+    }
+    fn flush(&mut self) -> Vec<TenantDetection> {
+        TenantPool::flush(self)
+    }
+    fn quiesce(&mut self, tenant: TenantId) -> Vec<TenantDetection> {
+        self.quiesce_tenant(tenant)
+    }
+    fn visible_floors(&self) -> Vec<(TenantId, Vec<u64>)> {
+        self.tenant_visible_floors()
+    }
+    fn restore_visible_floors(&mut self, floors: &[(TenantId, Vec<u64>)]) {
+        self.restore_tenant_visible_floors(floors);
+    }
+    fn set_durability(&mut self, sink: Option<Box<dyn DurabilitySink>>) {
+        TenantPool::set_durability(self, sink);
     }
 }
 
@@ -1162,8 +1164,10 @@ mod tests {
             "qa is gone on old and new tenants alike; qb matches under its global id"
         );
         assert_eq!(pool.query_count(), 1);
-        assert!(!pool.is_registered(qa));
-        assert!(pool.is_registered(qb));
+        assert!(
+            pool.deregister(qa).is_err() && pool.deregister(qb).is_ok(),
+            "qa is no longer live; qb still was"
+        );
     }
 
     #[test]
@@ -1318,8 +1322,6 @@ mod tests {
             ])
             .unwrap();
         assert_eq!(out.len(), 3);
-        pool.disable_cost_attribution();
-        assert!(pool.query_cost_report().is_none());
     }
 
     #[test]

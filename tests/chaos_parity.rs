@@ -27,58 +27,27 @@
 //!   `tenant.batch`) reject batches before any logging or mutation, so re-delivery
 //!   reaches fault-free parity with each input logged exactly once.
 
+mod common;
+
 use behavior_query::durable::{
-    read_logged_events, read_logged_tenant_events, recover_detector, recover_detector_tolerant,
-    recover_pool, recover_sharded, recover_sharded_tolerant, RetryPolicy, SnapshotPolicy,
-    SyncPolicy, Wal, WalConfig, WalDamage, WalStatus,
+    read_logged_events, read_logged_tenant_events, recover, recover_pool, recover_sharded,
+    recover_tolerant, RetryPolicy, SnapshotPolicy, SyncPolicy, Wal, WalConfig, WalDamage,
+    WalStatus,
 };
 use behavior_query::faults::{FaultPlan, FaultSchedule};
 use behavior_query::obs::{CollectingSink, MetricsRegistry, SharedSink, TraceEvent};
 use behavior_query::stream::{
-    CompiledQuery, Detection, Detector, LabelPairStats, PoisonPolicy, QuiescencePolicy,
-    ShardedDetector, TenantPool,
+    LabelPairStats, PoisonPolicy, QuiescencePolicy, ShardedDetector, TenantPool,
 };
 use behavior_query::syscall::events_of_graph;
-use behavior_query::tgminer::baselines::gspan::StaticPattern;
-use behavior_query::tgminer::baselines::nodeset::NodeSetQuery;
-use behavior_query::tgraph::generator::{
-    random_pattern, random_t_connected_graph, RandomGraphSpec,
+use behavior_query::tgraph::generator::{random_t_connected_graph, RandomGraphSpec};
+use behavior_query::tgraph::{GraphError, StreamEvent, TenantId, TenantedEvent};
+use common::{
+    chain_event, fresh, hits, interleave, last_chain_ts, pair_query, picks_from_seed, query_trio,
+    run_prefix, run_uninterrupted, temp_dir, tenant_hits,
 };
-use behavior_query::tgraph::{GraphError, Label, StreamEvent, TenantId, TenantedEvent};
 use proptest::prelude::*;
-use std::collections::VecDeque;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-fn temp_dir(tag: &str) -> PathBuf {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "chaos-parity-{tag}-{}-{}",
-        std::process::id(),
-        COUNTER.fetch_add(1, Ordering::Relaxed)
-    ))
-}
-
-/// Detections as order-free comparable tuples `(query, start_ts, end_ts)`.
-type Hit = (usize, u64, u64);
-
-fn hits(detections: Vec<Detection>) -> Vec<Hit> {
-    detections
-        .into_iter()
-        .map(|d| (d.query, d.start_ts, d.end_ts))
-        .collect()
-}
-
-/// Tenant-tagged detections as tuples `(tenant, query, start_ts, end_ts)`.
-type TenantHit = (u64, usize, u64, u64);
-
-fn tenant_hits(detections: Vec<behavior_query::stream::TenantDetection>) -> Vec<TenantHit> {
-    detections
-        .into_iter()
-        .map(|d| (d.tenant.0, d.query, d.start_ts, d.end_ts))
-        .collect()
-}
 
 /// The WAL configuration the chaos properties run under: tiny segments so rotation
 /// is exercised, periodic fsync so the `wal.fsync` failpoint is consulted, and a
@@ -111,142 +80,6 @@ fn durable_plan(seed: u64, point_pick: usize, sched_pick: usize, n: u64, k: u64)
     plan
 }
 
-/// The three-query workload (one temporal pattern plus its order-free and keyword
-/// derivatives), same trio as `recovery_parity`.
-fn query_trio(seed: u64, pedges: usize, window: u64) -> Vec<(CompiledQuery, u64)> {
-    let pattern = random_pattern(seed, pedges, 3);
-    vec![
-        (CompiledQuery::Temporal(pattern.clone()), window),
-        (
-            CompiledQuery::Static(StaticPattern {
-                labels: pattern.labels().to_vec(),
-                edges: pattern.edges().iter().map(|e| (e.src, e.dst)).collect(),
-            }),
-            window,
-        ),
-        (
-            CompiledQuery::NodeSet(NodeSetQuery {
-                labels: pattern.labels().to_vec(),
-            }),
-            window,
-        ),
-    ]
-}
-
-fn run_sharded_uninterrupted(
-    shards: usize,
-    queries: &[(CompiledQuery, u64)],
-    batches: &[&[StreamEvent]],
-) -> Vec<Hit> {
-    let mut detector = ShardedDetector::new(shards);
-    for (query, window) in queries {
-        detector
-            .register(query.clone(), *window)
-            .expect("valid query");
-    }
-    let mut out = Vec::new();
-    for batch in batches {
-        out.extend(hits(detector.on_batch(batch).expect("valid stream")));
-    }
-    out.extend(hits(detector.flush()));
-    out.sort_unstable();
-    out
-}
-
-/// Detections a fresh (unlogged) engine emits over `events` in `chunk`-sized
-/// batches, *without* flushing — the prefix half of the recovery decomposition.
-fn sharded_prefix_hits(
-    shards: usize,
-    queries: &[(CompiledQuery, u64)],
-    events: &[StreamEvent],
-    chunk: usize,
-) -> Vec<Hit> {
-    let mut detector = ShardedDetector::new(shards);
-    for (query, window) in queries {
-        detector
-            .register(query.clone(), *window)
-            .expect("valid query");
-    }
-    let mut out = Vec::new();
-    for batch in events.chunks(chunk.max(1)) {
-        out.extend(hits(detector.on_batch(batch).expect("valid stream")));
-    }
-    out
-}
-
-/// Deterministic pick-sequence interleaver (same scheme as `tenant_parity`).
-fn picks_from_seed(mut seed: u64, len: usize) -> Vec<usize> {
-    (0..len)
-        .map(|_| {
-            seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut x = seed;
-            x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            (x ^ (x >> 31)) as usize
-        })
-        .collect()
-}
-
-fn interleave(streams: &[(TenantId, Vec<StreamEvent>)], picks: &[usize]) -> Vec<TenantedEvent> {
-    let total: usize = streams.iter().map(|(_, e)| e.len()).sum();
-    let mut queues: Vec<(TenantId, VecDeque<StreamEvent>)> = streams
-        .iter()
-        .map(|(t, e)| (*t, e.iter().copied().collect()))
-        .collect();
-    let mut out = Vec::with_capacity(total);
-    let mut picks = picks.iter().cycle();
-    while out.len() < total {
-        let nonempty: Vec<usize> = (0..queues.len())
-            .filter(|&i| !queues[i].1.is_empty())
-            .collect();
-        let pick = picks.next().expect("cycled picks never end");
-        let i = nonempty[pick % nonempty.len()];
-        let (tenant, queue) = &mut queues[i];
-        out.push(TenantedEvent {
-            tenant: *tenant,
-            event: queue.pop_front().expect("selected queue is nonempty"),
-        });
-    }
-    out
-}
-
-fn run_pool_uninterrupted(
-    groups: usize,
-    shards: usize,
-    queries: &[(CompiledQuery, u64)],
-    batches: &[&[TenantedEvent]],
-) -> Vec<TenantHit> {
-    let mut pool = TenantPool::new(groups, shards);
-    for (query, window) in queries {
-        pool.register(query.clone(), *window).expect("valid query");
-    }
-    let mut out = Vec::new();
-    for batch in batches {
-        out.extend(tenant_hits(pool.on_batch(batch).expect("valid streams")));
-    }
-    out.extend(tenant_hits(pool.flush()));
-    out.sort_unstable();
-    out
-}
-
-fn pool_prefix_hits(
-    groups: usize,
-    shards: usize,
-    queries: &[(CompiledQuery, u64)],
-    events: &[TenantedEvent],
-    chunk: usize,
-) -> Vec<TenantHit> {
-    let mut pool = TenantPool::new(groups, shards);
-    for (query, window) in queries {
-        pool.register(query.clone(), *window).expect("valid query");
-    }
-    let mut out = Vec::new();
-    for batch in events.chunks(chunk.max(1)) {
-        out.extend(tenant_hits(pool.on_batch(batch).expect("valid streams")));
-    }
-    out
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -274,7 +107,8 @@ proptest! {
         let queries = query_trio(seed.wrapping_add(13), pedges, window);
         let batches: Vec<&[StreamEvent]> = events.chunks(batch).collect();
         for shards in [1usize, 2, 4] {
-            let uninterrupted = run_sharded_uninterrupted(shards, &queries, &batches);
+            let uninterrupted =
+                run_uninterrupted(fresh::<ShardedDetector>((1, shards)), &queries, &batches);
 
             let dir = temp_dir("wal-faults");
             let wal = Wal::create(&dir, chaos_wal()).expect("log dir");
@@ -290,11 +124,11 @@ proptest! {
 
             let mut live = Vec::new();
             for chunk in &batches {
-                live.extend(hits(
+                live.extend(
                     detector.on_batch(chunk).expect("durability faults never fail the engine"),
-                ));
+                );
             }
-            live.extend(hits(detector.flush()));
+            live.extend(detector.flush());
             live.sort_unstable();
             prop_assert_eq!(
                 &live, &uninterrupted,
@@ -327,7 +161,8 @@ proptest! {
                 }
                 WalStatus::Degraded => {
                     prop_assert!(fired > 0, "degradation requires at least one fault");
-                    recover_sharded_tolerant(&dir, chaos_wal()).expect("tolerant recovery")
+                    recover_tolerant::<ShardedDetector>(&dir, chaos_wal())
+                        .expect("tolerant recovery")
                 }
             };
             prop_assert!(
@@ -335,11 +170,13 @@ proptest! {
                 "injected faults never tear frames — the log is short, not damaged"
             );
             let mut engine = recovered.engine;
-            let mut combined = sharded_prefix_hits(shards, &queries, &logged, batch);
-            for chunk in events[logged.len()..].chunks(batch.max(1)) {
-                combined.extend(hits(engine.on_batch(chunk).expect("valid stream")));
+            let logged_batches: Vec<&[StreamEvent]> = logged.chunks(batch).collect();
+            let (_, mut combined) =
+                run_prefix(fresh::<ShardedDetector>((1, shards)), &queries, &logged_batches);
+            for chunk in events[logged.len()..].chunks(batch) {
+                combined.extend(engine.on_batch(chunk).expect("valid stream"));
             }
-            combined.extend(hits(engine.flush()));
+            combined.extend(engine.flush());
             combined.sort_unstable();
             prop_assert_eq!(
                 &combined, &uninterrupted,
@@ -376,7 +213,8 @@ proptest! {
         let interleaved = interleave(&streams, &picks_from_seed(pick_seed, 32));
         let batches: Vec<&[TenantedEvent]> = interleaved.chunks(batch).collect();
         for groups in [1usize, 2, 4] {
-            let uninterrupted = run_pool_uninterrupted(groups, 2, &queries, &batches);
+            let uninterrupted =
+                run_uninterrupted(fresh::<TenantPool>((groups, 2)), &queries, &batches);
 
             let dir = temp_dir("pool-faults");
             let wal = Wal::create(&dir, chaos_wal()).expect("log dir");
@@ -390,11 +228,9 @@ proptest! {
 
             let mut live = Vec::new();
             for chunk in &batches {
-                live.extend(tenant_hits(
-                    pool.on_batch(chunk).expect("durability faults never fail the pool"),
-                ));
+                live.extend(pool.on_batch(chunk).expect("durability faults never fail the pool"));
             }
-            live.extend(tenant_hits(pool.flush()));
+            live.extend(pool.flush());
             live.sort_unstable();
             prop_assert_eq!(&live, &uninterrupted, "live pool detections diverged");
 
@@ -418,11 +254,13 @@ proptest! {
             };
             prop_assert!(recovered.damage.is_none());
             let mut engine = recovered.engine;
-            let mut combined = pool_prefix_hits(groups, 2, &queries, &logged, batch);
-            for chunk in interleaved[logged.len()..].chunks(batch.max(1)) {
-                combined.extend(tenant_hits(engine.on_batch(chunk).expect("valid streams")));
+            let logged_batches: Vec<&[TenantedEvent]> = logged.chunks(batch).collect();
+            let (_, mut combined) =
+                run_prefix(fresh::<TenantPool>((groups, 2)), &queries, &logged_batches);
+            for chunk in interleaved[logged.len()..].chunks(batch) {
+                combined.extend(engine.on_batch(chunk).expect("valid streams"));
             }
-            combined.extend(tenant_hits(engine.flush()));
+            combined.extend(engine.flush());
             combined.sort_unstable();
             prop_assert_eq!(
                 &combined, &uninterrupted,
@@ -431,23 +269,6 @@ proptest! {
             std::fs::remove_dir_all(dir).expect("cleanup");
         }
     }
-}
-
-fn chain_event(i: u64) -> StreamEvent {
-    StreamEvent {
-        ts: i,
-        src: 2 * i as usize,
-        dst: 2 * i as usize + 1,
-        src_label: Label(1),
-        dst_label: Label(2),
-    }
-}
-
-fn pair_query() -> CompiledQuery {
-    CompiledQuery::Static(StaticPattern {
-        labels: vec![Label(1), Label(2)],
-        edges: vec![(0, 1)],
-    })
 }
 
 fn tev(tenant: u64, i: u64) -> TenantedEvent {
@@ -470,8 +291,8 @@ fn snapshot_cadence_with_gc_survives_a_kill() {
     };
     let dir = temp_dir("gc-kill");
     let wal = Wal::create(&dir, config.clone()).expect("log dir");
-    let mut detector = Detector::new();
-    wal.attach_detector(&mut detector).expect("attach");
+    let mut detector = ShardedDetector::new(1);
+    wal.attach(&mut detector).expect("attach");
     detector.register(pair_query(), 5).expect("valid query");
 
     let registry = MetricsRegistry::new();
@@ -481,8 +302,9 @@ fn snapshot_cadence_with_gc_survives_a_kill() {
         live.extend(hits(
             detector.on_batch(&[chain_event(i)]).expect("valid stream"),
         ));
-        wal.maybe_snapshot_detector(&detector)
-            .expect("cadence snapshot");
+        if wal.snapshot_due() {
+            wal.snapshot(&detector).expect("cadence snapshot");
+        }
     }
     let snapshot = registry.snapshot();
     assert!(
@@ -507,7 +329,7 @@ fn snapshot_cadence_with_gc_survives_a_kill() {
     drop(detector); // the crash
     drop(wal);
 
-    let recovered = recover_detector(&dir, config).expect("strict recovery after GC");
+    let recovered = recover::<ShardedDetector>(&dir, config).expect("strict recovery after GC");
     assert!(recovered.damage.is_none());
     let mut detector = recovered.engine;
     for i in 201..=210u64 {
@@ -518,7 +340,7 @@ fn snapshot_cadence_with_gc_survives_a_kill() {
     live.extend(hits(detector.flush()));
     live.sort_unstable();
 
-    let mut reference = Detector::new();
+    let mut reference = ShardedDetector::new(1);
     reference.register(pair_query(), 5).expect("valid query");
     let mut expected = Vec::new();
     for i in 1..=210u64 {
@@ -545,8 +367,8 @@ fn snapshot_cadence_with_gc_survives_a_kill() {
 fn a_transient_fault_heals_within_the_retry_budget() {
     let dir = temp_dir("transient");
     let wal = Wal::create(&dir, chaos_wal()).expect("log dir");
-    let mut detector = Detector::new();
-    wal.attach_detector(&mut detector).expect("attach");
+    let mut detector = ShardedDetector::new(1);
+    wal.attach(&mut detector).expect("attach");
     detector.register(pair_query(), 5).expect("valid query");
 
     let sink = Arc::new(CollectingSink::new());
@@ -594,8 +416,8 @@ fn a_transient_fault_heals_within_the_retry_budget() {
 fn a_spent_retry_budget_latches_degraded_mode_with_full_accounting() {
     let dir = temp_dir("latch");
     let wal = Wal::create(&dir, chaos_wal()).expect("log dir");
-    let mut detector = Detector::new();
-    wal.attach_detector(&mut detector).expect("attach");
+    let mut detector = ShardedDetector::new(1);
+    wal.attach(&mut detector).expect("attach");
     detector.register(pair_query(), 5).expect("valid query");
 
     let sink = Arc::new(CollectingSink::new());
@@ -645,10 +467,10 @@ fn a_spent_retry_budget_latches_degraded_mode_with_full_accounting() {
 
     // The registrations landed before the plan was armed; the batches never did.
     // Tolerant recovery rebuilds that prefix and the stream resumes durably.
-    let recovered = recover_detector_tolerant(&dir, chaos_wal()).expect("tolerant");
+    let recovered = recover_tolerant::<ShardedDetector>(&dir, chaos_wal()).expect("tolerant");
     assert!(recovered.damage.is_none());
     let mut detector = recovered.engine;
-    assert_eq!(detector.graph().last_ts(), None);
+    assert_eq!(last_chain_ts(&detector), None);
     detector
         .on_batch(&[chain_event(1)])
         .expect("stream resumes");
@@ -669,8 +491,8 @@ fn tolerant_recovery_accounts_exactly_for_the_injected_corruption() {
     };
     let dir = temp_dir("accounting");
     let wal = Wal::create(&dir, config.clone()).expect("log dir");
-    let mut detector = Detector::new();
-    wal.attach_detector(&mut detector).expect("attach");
+    let mut detector = ShardedDetector::new(1);
+    wal.attach(&mut detector).expect("attach");
     detector.register(pair_query(), 5).expect("valid query");
     for i in 1..=30u64 {
         detector.on_batch(&[chain_event(i)]).expect("valid stream");
@@ -712,7 +534,7 @@ fn tolerant_recovery_accounts_exactly_for_the_injected_corruption() {
         .sum();
     let expected_unreadable = size - target;
 
-    let recovered = recover_detector_tolerant(&dir, config).expect("tolerant");
+    let recovered = recover_tolerant::<ShardedDetector>(&dir, config).expect("tolerant");
     match recovered.damage {
         Some(WalDamage::ChecksumMismatch { ref file, offset }) => {
             assert_eq!(file, path, "damage names the corrupt segment");
@@ -732,7 +554,7 @@ fn tolerant_recovery_accounts_exactly_for_the_injected_corruption() {
         recovered.records_replayed, 1,
         "only the register precedes the flip"
     );
-    assert_eq!(recovered.engine.graph().last_ts(), None);
+    assert_eq!(last_chain_ts(&recovered.engine), None);
     std::fs::remove_dir_all(dir).expect("cleanup");
 }
 

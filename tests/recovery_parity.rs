@@ -16,48 +16,34 @@
 //! * a mined-query fixture sweep (the `tenant_parity` corpus) pinning kill-recover
 //!   parity on real formulated queries;
 //! * the time-travel loop: `read_logged_events` over all segments re-drives a fresh
-//!   detector to the same detections via `StreamSource::from_events`.
+//!   detector to the same detections via `StreamSource::from_events`;
+//! * the placement statistics in the log are the engine's own: attaching through the
+//!   older `attach_sharded(det, &stats)` spelling with *different* statistics still
+//!   recovers every query onto the shard it lived on.
+//!
+//! The single-stream tests run against a one-shard `ShardedDetector` — the
+//! single-threaded configuration of the single-stream engine.
+
+mod common;
 
 use behavior_query::durable::{
-    recover_detector, recover_detector_tolerant, recover_pool, recover_sharded, DurableError, Wal,
-    WalConfig, WalDamage,
+    recover, recover_sharded, recover_tolerant, DurableError, Wal, WalConfig, WalDamage,
 };
-use behavior_query::stream::{
-    CompiledQuery, Detection, Detector, LabelPairStats, ShardedDetector, TenantPool,
-};
+use behavior_query::obs::MetricsRegistry;
+use behavior_query::stream::{CompiledQuery, Engine, LabelPairStats, ShardedDetector, TenantPool};
 use behavior_query::syscall::{
     events_of_graph, Behavior, DatasetConfig, StreamSource, TestData, TestDataConfig, TrainingData,
 };
 use behavior_query::tgminer::baselines::gspan::StaticPattern;
-use behavior_query::tgminer::baselines::nodeset::NodeSetQuery;
-use behavior_query::tgraph::generator::{
-    random_pattern, random_t_connected_graph, RandomGraphSpec,
-};
+use behavior_query::tgraph::generator::{random_t_connected_graph, RandomGraphSpec};
 use behavior_query::tgraph::{Label, StreamEvent, TenantId, TenantedEvent};
+use common::{
+    chain_event, fresh, hits, interleave, last_chain_ts, pair_query, picks_from_seed, query_trio,
+    run_prefix, run_uninterrupted, run_with_kill, temp_dir,
+};
 use proptest::prelude::*;
-use std::collections::VecDeque;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
-
-fn temp_dir(tag: &str) -> PathBuf {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "recovery-parity-{tag}-{}-{}",
-        std::process::id(),
-        COUNTER.fetch_add(1, Ordering::Relaxed)
-    ))
-}
-
-/// Detections as order-free comparable tuples `(query, start_ts, end_ts)`.
-type Hit = (usize, u64, u64);
-
-fn hits(detections: Vec<Detection>) -> Vec<Hit> {
-    detections
-        .into_iter()
-        .map(|d| (d.query, d.start_ts, d.end_ts))
-        .collect()
-}
 
 fn small_wal() -> WalConfig {
     // Tiny segments so every multi-batch test crosses rotation boundaries too.
@@ -67,199 +53,43 @@ fn small_wal() -> WalConfig {
     }
 }
 
-/// The three-query workload the parity properties sweep: one temporal pattern plus
-/// its order-free and keyword derivatives.
-fn query_trio(seed: u64, pedges: usize, window: u64) -> Vec<(CompiledQuery, u64)> {
-    let pattern = random_pattern(seed, pedges, 3);
-    vec![
-        (CompiledQuery::Temporal(pattern.clone()), window),
-        (
-            CompiledQuery::Static(StaticPattern {
-                labels: pattern.labels().to_vec(),
-                edges: pattern.edges().iter().map(|e| (e.src, e.dst)).collect(),
-            }),
-            window,
-        ),
-        (
-            CompiledQuery::NodeSet(NodeSetQuery {
-                labels: pattern.labels().to_vec(),
-            }),
-            window,
-        ),
-    ]
-}
-
-fn run_sharded_uninterrupted(
-    shards: usize,
+/// The kill/recover run of the parity properties: a fresh engine of `shape`, logged
+/// through the generic [`Wal::attach`] from its first registration on.
+fn killed<E: Engine>(
+    shape: (usize, usize),
     queries: &[(CompiledQuery, u64)],
-    batches: &[&[StreamEvent]],
-) -> Vec<Hit> {
-    let mut detector = ShardedDetector::new(shards);
-    for (query, window) in queries {
-        detector
-            .register(query.clone(), *window)
-            .expect("valid query");
-    }
-    let mut out = Vec::new();
-    for batch in batches {
-        out.extend(hits(detector.on_batch(batch).expect("valid stream")));
-    }
-    out.extend(hits(detector.flush()));
-    out.sort_unstable();
-    out
-}
-
-/// Feeds `kill_at` batches into a logged engine, "crashes" (drops without flushing),
-/// recovers from the log, finishes the stream, and returns prefix + suffix
-/// detections. Optionally cuts a snapshot after batch `snapshot_at`.
-fn run_sharded_with_kill(
-    shards: usize,
-    queries: &[(CompiledQuery, u64)],
-    batches: &[&[StreamEvent]],
+    batches: &[&[E::Event]],
     kill_at: usize,
     snapshot_at: Option<usize>,
-) -> Vec<Hit> {
-    let dir = temp_dir("sharded-kill");
-    let wal = Wal::create(&dir, small_wal()).expect("log dir");
-    let mut detector = ShardedDetector::new(shards);
-    wal.attach_sharded(&mut detector, &LabelPairStats::new())
-        .expect("attach");
-    for (query, window) in queries {
-        detector
-            .register(query.clone(), *window)
-            .expect("valid query");
-    }
-    let mut out = Vec::new();
-    for (i, batch) in batches[..kill_at].iter().enumerate() {
-        out.extend(hits(detector.on_batch(batch).expect("valid stream")));
-        if snapshot_at == Some(i) {
-            wal.snapshot_sharded(&detector).expect("snapshot");
-        }
-    }
-    assert!(wal.take_error().is_none(), "log append failed");
-    drop(detector); // the crash: no flush, no goodbye
-    drop(wal);
-
-    let recovered = recover_sharded(&dir, small_wal()).expect("recoverable log");
-    assert!(recovered.damage.is_none());
-    let recovered_ids: Vec<usize> = recovered.registrations.iter().map(|r| r.id).collect();
-    assert_eq!(
-        recovered_ids,
-        (0..queries.len()).collect::<Vec<_>>(),
-        "replay must reassign the live ids"
-    );
-    let mut detector = recovered.engine;
-    for batch in &batches[kill_at..] {
-        out.extend(hits(detector.on_batch(batch).expect("valid stream")));
-    }
-    out.extend(hits(detector.flush()));
-    out.sort_unstable();
-    std::fs::remove_dir_all(dir).expect("cleanup");
-    out
+) -> Vec<E::Detection> {
+    let attach = |wal: &Wal, engine: &mut E| wal.attach(engine).expect("attach");
+    run_with_kill(
+        fresh::<E>(shape),
+        attach,
+        small_wal(),
+        queries,
+        batches,
+        kill_at,
+        snapshot_at,
+    )
 }
 
-/// Deterministic pick-sequence interleaver (same scheme as `tenant_parity`).
-fn picks_from_seed(mut seed: u64, len: usize) -> Vec<usize> {
-    (0..len)
-        .map(|_| {
-            seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut x = seed;
-            x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            (x ^ (x >> 31)) as usize
-        })
-        .collect()
+/// The single-threaded single-stream engine: one shard.
+fn one_shard() -> ShardedDetector {
+    ShardedDetector::new(1)
 }
 
-fn interleave(streams: &[(TenantId, Vec<StreamEvent>)], picks: &[usize]) -> Vec<TenantedEvent> {
-    let total: usize = streams.iter().map(|(_, e)| e.len()).sum();
-    let mut queues: Vec<(TenantId, VecDeque<StreamEvent>)> = streams
-        .iter()
-        .map(|(t, e)| (*t, e.iter().copied().collect()))
-        .collect();
-    let mut out = Vec::with_capacity(total);
-    let mut picks = picks.iter().cycle();
-    while out.len() < total {
-        let nonempty: Vec<usize> = (0..queues.len())
-            .filter(|&i| !queues[i].1.is_empty())
-            .collect();
-        let pick = picks.next().expect("cycled picks never end");
-        let i = nonempty[pick % nonempty.len()];
-        let (tenant, queue) = &mut queues[i];
-        out.push(TenantedEvent {
-            tenant: *tenant,
-            event: queue.pop_front().expect("selected queue is nonempty"),
-        });
-    }
-    out
-}
-
-/// Tenant-tagged detections as tuples `(tenant, query, start_ts, end_ts)`.
-type TenantHit = (u64, usize, u64, u64);
-
-fn tenant_hits(detections: Vec<behavior_query::stream::TenantDetection>) -> Vec<TenantHit> {
-    detections
-        .into_iter()
-        .map(|d| (d.tenant.0, d.query, d.start_ts, d.end_ts))
-        .collect()
-}
-
-fn run_pool_uninterrupted(
-    groups: usize,
-    shards: usize,
-    queries: &[(CompiledQuery, u64)],
-    batches: &[&[TenantedEvent]],
-) -> Vec<TenantHit> {
-    let mut pool = TenantPool::new(groups, shards);
-    for (query, window) in queries {
-        pool.register(query.clone(), *window).expect("valid query");
-    }
-    let mut out = Vec::new();
-    for batch in batches {
-        out.extend(tenant_hits(pool.on_batch(batch).expect("valid streams")));
-    }
-    out.extend(tenant_hits(pool.flush()));
-    out.sort_unstable();
-    out
-}
-
-fn run_pool_with_kill(
-    groups: usize,
-    shards: usize,
-    queries: &[(CompiledQuery, u64)],
-    batches: &[&[TenantedEvent]],
-    kill_at: usize,
-    snapshot_at: Option<usize>,
-) -> Vec<TenantHit> {
-    let dir = temp_dir("pool-kill");
-    let wal = Wal::create(&dir, small_wal()).expect("log dir");
-    let mut pool = TenantPool::new(groups, shards);
-    wal.attach_pool(&mut pool, &LabelPairStats::new())
-        .expect("attach");
-    for (query, window) in queries {
-        pool.register(query.clone(), *window).expect("valid query");
-    }
-    let mut out = Vec::new();
-    for (i, batch) in batches[..kill_at].iter().enumerate() {
-        out.extend(tenant_hits(pool.on_batch(batch).expect("valid streams")));
-        if snapshot_at == Some(i) {
-            wal.snapshot_pool(&pool).expect("snapshot");
-        }
-    }
-    assert!(wal.take_error().is_none(), "log append failed");
-    drop(pool);
-    drop(wal);
-
-    let recovered = recover_pool(&dir, small_wal()).expect("recoverable log");
-    assert!(recovered.damage.is_none());
-    let mut pool = recovered.engine;
-    for batch in &batches[kill_at..] {
-        out.extend(tenant_hits(pool.on_batch(batch).expect("valid streams")));
-    }
-    out.extend(tenant_hits(pool.flush()));
-    out.sort_unstable();
-    std::fs::remove_dir_all(dir).expect("cleanup");
-    out
+/// Retained edges of a one-shard engine, read the way an operator would: off the
+/// `retained_edges` gauge after an (empty, hence inert) instrumented batch.
+fn retained_edges(engine: &mut ShardedDetector) -> u64 {
+    let registry = MetricsRegistry::new();
+    engine.instrument(&registry);
+    engine.on_batch(&[]).expect("an empty batch is valid");
+    let snapshot = registry.snapshot();
+    let (value, _) = snapshot
+        .gauge("detector.shard0.retained_edges")
+        .expect("instrumented");
+    value
 }
 
 proptest! {
@@ -289,8 +119,10 @@ proptest! {
         // Half the cases snapshot somewhere before the kill.
         let snapshot_at = (snap_pick % 2 == 0 && kill_at > 0).then(|| snap_pick % kill_at.max(1));
         for shards in [1usize, 2, 4] {
-            let uninterrupted = run_sharded_uninterrupted(shards, &queries, &batches);
-            let survived = run_sharded_with_kill(shards, &queries, &batches, kill_at, snapshot_at);
+            let uninterrupted =
+                run_uninterrupted(fresh::<ShardedDetector>((1, shards)), &queries, &batches);
+            let survived =
+                killed::<ShardedDetector>((1, shards), &queries, &batches, kill_at, snapshot_at);
             prop_assert_eq!(
                 &survived, &uninterrupted,
                 "kill at batch {}/{} (snapshot {:?}, {} shards, seed {}) diverged",
@@ -325,9 +157,10 @@ proptest! {
         let kill_at = kill_pick % (batches.len() + 1);
         let snapshot_at = (snap_pick % 2 == 0 && kill_at > 0).then(|| snap_pick % kill_at.max(1));
         for groups in [1usize, 2, 4] {
-            let uninterrupted = run_pool_uninterrupted(groups, 2, &queries, &batches);
+            let uninterrupted =
+                run_uninterrupted(fresh::<TenantPool>((groups, 2)), &queries, &batches);
             let survived =
-                run_pool_with_kill(groups, 2, &queries, &batches, kill_at, snapshot_at);
+                killed::<TenantPool>((groups, 2), &queries, &batches, kill_at, snapshot_at);
             prop_assert_eq!(
                 &survived, &uninterrupted,
                 "pool kill at batch {}/{} (snapshot {:?}, {} groups, seed {}) diverged",
@@ -360,8 +193,8 @@ proptest! {
 
         let dir = temp_dir("snapshot-roundtrip");
         let wal = Wal::create(&dir, small_wal()).expect("log dir");
-        let mut live = Detector::new();
-        wal.attach_detector(&mut live).expect("attach");
+        let mut live = one_shard();
+        wal.attach(&mut live).expect("attach");
         let mut live_regs = Vec::new();
         for (query, w) in &queries {
             live_regs.push(live.register(query.clone(), *w).expect("valid query"));
@@ -376,11 +209,11 @@ proptest! {
                 );
             }
             if i == snapshot_at {
-                wal.snapshot_detector(&live).expect("snapshot");
+                wal.snapshot(&live).expect("snapshot");
             }
         }
 
-        let recovered = recover_detector(&dir, small_wal()).expect("recoverable log");
+        let recovered = recover::<ShardedDetector>(&dir, small_wal()).expect("recoverable log");
         prop_assert!(recovered.damage.is_none());
         // Ids are never reused: replay reassigns exactly the live ids, and the
         // recovered registrations surface the ORIGINAL visible_from values.
@@ -394,11 +227,12 @@ proptest! {
         }
         let mut rebuilt = recovered.engine;
         prop_assert_eq!(rebuilt.query_count(), live.query_count());
-        prop_assert_eq!(rebuilt.graph().retention(), live.graph().retention());
-        prop_assert_eq!(rebuilt.graph().visible_from(), live.graph().visible_from());
-        prop_assert_eq!(rebuilt.graph().last_ts(), live.graph().last_ts());
+        // Same retention at work (same edges still buffered), same visibility floor.
+        prop_assert_eq!(retained_edges(&mut rebuilt), retained_edges(&mut live));
+        prop_assert_eq!(rebuilt.shard_visible_floors(), live.shard_visible_floors());
         // The id allocator recovered too: the next registration gets the same id
-        // and the same visibility on both engines.
+        // and the same visibility on both engines. `queries[0]` is temporal, so its
+        // `visible_from` is `last_ts + 1`: the two engines stand at the same event.
         let live_next = live.register(queries[0].0.clone(), window).expect("valid query");
         let rebuilt_next = rebuilt.register(queries[0].0.clone(), window).expect("valid query");
         prop_assert_eq!(live_next.id, rebuilt_next.id);
@@ -413,29 +247,12 @@ proptest! {
     }
 }
 
-fn chain_event(i: u64) -> StreamEvent {
-    StreamEvent {
-        ts: i,
-        src: 2 * i as usize,
-        dst: 2 * i as usize + 1,
-        src_label: Label(1),
-        dst_label: Label(2),
-    }
-}
-
-fn pair_query() -> CompiledQuery {
-    CompiledQuery::Static(StaticPattern {
-        labels: vec![Label(1), Label(2)],
-        edges: vec![(0, 1)],
-    })
-}
-
-/// Builds a detector log with one registration and `events` single-event batches.
+/// Builds a one-shard log with one registration and `events` single-event batches.
 fn build_small_log(tag: &str, events: u64) -> PathBuf {
     let dir = temp_dir(tag);
     let wal = Wal::create(&dir, WalConfig::default()).expect("log dir");
-    let mut detector = Detector::new();
-    wal.attach_detector(&mut detector).expect("attach");
+    let mut detector = one_shard();
+    wal.attach(&mut detector).expect("attach");
     detector.register(pair_query(), 5).expect("valid query");
     for i in 1..=events {
         detector.on_batch(&[chain_event(i)]).expect("valid stream");
@@ -467,7 +284,7 @@ fn torn_writes_stop_recovery_at_the_last_valid_record() {
     let bytes = std::fs::read(&path).expect("segment readable");
     std::fs::write(&path, &bytes[..bytes.len() - 3]).expect("tear the last record");
 
-    match recover_detector(&dir, WalConfig::default()) {
+    match recover::<ShardedDetector>(&dir, WalConfig::default()) {
         Err(DurableError::Damage(WalDamage::TornRecord { file, offset })) => {
             assert_eq!(file, path);
             assert_eq!(offset, last_offset, "damage names the torn frame's offset");
@@ -475,7 +292,8 @@ fn torn_writes_stop_recovery_at_the_last_valid_record() {
         other => panic!("expected torn-record damage, got {other:?}"),
     }
 
-    let recovered = recover_detector_tolerant(&dir, WalConfig::default()).expect("tolerant");
+    let recovered =
+        recover_tolerant::<ShardedDetector>(&dir, WalConfig::default()).expect("tolerant");
     assert!(matches!(
         recovered.damage,
         Some(WalDamage::TornRecord { offset, .. }) if offset == last_offset
@@ -483,14 +301,14 @@ fn torn_writes_stop_recovery_at_the_last_valid_record() {
     // The engine reflects exactly the records before the tear: the register plus
     // four of the five batches (the fifth was torn).
     let mut detector = recovered.engine;
-    assert_eq!(detector.graph().last_ts(), Some(4));
+    assert_eq!(last_chain_ts(&detector), Some(4));
     // Recovery opened a fresh segment — the damaged file is left untouched for
     // inspection, and new appends land after it.
     assert!(dir.join("wal-000001.log").exists());
     detector
         .on_batch(&[chain_event(5)])
         .expect("stream resumes");
-    assert_eq!(detector.graph().last_ts(), Some(5));
+    assert_eq!(last_chain_ts(&detector), Some(5));
     std::fs::remove_dir_all(dir).expect("cleanup");
 }
 
@@ -508,7 +326,7 @@ fn bit_flips_surface_as_checksum_mismatches_at_the_damaged_offset() {
     bytes[target as usize + 12] ^= 0x40;
     std::fs::write(&path, bytes).expect("corrupt the record");
 
-    match recover_detector(&dir, WalConfig::default()) {
+    match recover::<ShardedDetector>(&dir, WalConfig::default()) {
         Err(DurableError::Damage(WalDamage::ChecksumMismatch { file, offset })) => {
             assert_eq!(file, path);
             assert_eq!(offset, target);
@@ -516,13 +334,14 @@ fn bit_flips_surface_as_checksum_mismatches_at_the_damaged_offset() {
         other => panic!("expected checksum damage, got {other:?}"),
     }
 
-    let recovered = recover_detector_tolerant(&dir, WalConfig::default()).expect("tolerant");
+    let recovered =
+        recover_tolerant::<ShardedDetector>(&dir, WalConfig::default()).expect("tolerant");
     assert!(matches!(
         recovered.damage,
         Some(WalDamage::ChecksumMismatch { offset, .. }) if offset == target
     ));
     // Valid prefix only: the two batches before the corrupt record, nothing after.
-    assert_eq!(recovered.engine.graph().last_ts(), Some(2));
+    assert_eq!(last_chain_ts(&recovered.engine), Some(2));
     assert_eq!(recovered.records_replayed, 3, "register + two batches");
     std::fs::remove_dir_all(dir).expect("cleanup");
 }
@@ -534,8 +353,8 @@ fn bit_flips_surface_as_checksum_mismatches_at_the_damaged_offset() {
 fn recovered_visible_from_is_the_original_registration_floor() {
     let dir = temp_dir("visible-from");
     let wal = Wal::create(&dir, WalConfig::default()).expect("log dir");
-    let mut detector = Detector::new();
-    wal.attach_detector(&mut detector).expect("attach");
+    let mut detector = one_shard();
+    wal.attach(&mut detector).expect("attach");
     // Window 10 => retention 20: by ts 100 the graph has evicted deep history.
     detector.register(pair_query(), 10).expect("valid query");
     for i in 1..=100 {
@@ -546,16 +365,17 @@ fn recovered_visible_from_is_the_original_registration_floor() {
         mid.visible_from > 0,
         "the fixture must register after evictions for the regression to bite"
     );
-    wal.snapshot_detector(&detector).expect("snapshot");
+    wal.snapshot(&detector).expect("snapshot");
     // Keep streaming: the live floor moves past the registration-time floor.
     for i in 101..=140 {
         detector.on_batch(&[chain_event(i)]).expect("valid stream");
     }
-    assert!(detector.graph().visible_from() > mid.visible_from);
+    assert!(detector.shard_visible_floors()[0] > mid.visible_from);
     drop(detector);
     drop(wal);
 
-    let recovered = recover_detector(&dir, WalConfig::default()).expect("recoverable log");
+    let recovered =
+        recover::<ShardedDetector>(&dir, WalConfig::default()).expect("recoverable log");
     let rec = recovered
         .registrations
         .iter()
@@ -566,7 +386,7 @@ fn recovered_visible_from_is_the_original_registration_floor() {
         "visible_from must be the original registration's floor, not recovery-time"
     );
     assert!(
-        recovered.engine.graph().visible_from() > rec.visible_from,
+        recovered.engine.shard_visible_floors()[0] > rec.visible_from,
         "the engine floor has moved on; the registration's record has not"
     );
     std::fs::remove_dir_all(dir).expect("cleanup");
@@ -591,8 +411,8 @@ fn logged_history_replays_through_a_stream_source() {
     let dir = temp_dir("time-travel");
     // Small segments: the history spans several rotated files.
     let wal = Wal::create(&dir, small_wal()).expect("log dir");
-    let mut detector = Detector::new();
-    wal.attach_detector(&mut detector).expect("attach");
+    let mut detector = one_shard();
+    wal.attach(&mut detector).expect("attach");
     for (query, window) in &queries {
         detector
             .register(query.clone(), *window)
@@ -608,7 +428,7 @@ fn logged_history_replays_through_a_stream_source() {
     let logged = read_logged_events(&dir).expect("readable history");
     assert_eq!(logged, events, "the log holds the exact delivered history");
     let mut source = StreamSource::from_events(logged, 13);
-    let mut replay_detector = Detector::new();
+    let mut replay_detector = one_shard();
     for (query, window) in &queries {
         replay_detector
             .register(query.clone(), *window)
@@ -622,6 +442,88 @@ fn logged_history_replays_through_a_stream_source() {
     replayed.sort_unstable();
     assert_eq!(replayed, original);
     std::fs::remove_dir_all(dir).expect("cleanup");
+}
+
+/// The log records the statistics the engine places queries by — not whatever the
+/// caller hands the older `attach_sharded(det, &stats)` spelling. Attached with
+/// *different* statistics, snapshotted and killed, the engine still recovers every
+/// query onto the shard it lived on (so the next registration lands, and sees, the
+/// same), at 2 and at 4 shards, and finishes the stream like one that never stopped.
+#[test]
+fn attaching_with_foreign_stats_still_recovers_the_engines_own_placement() {
+    const PAIRS: [(u32, u32); 4] = [(1, 2), (3, 4), (5, 6), (7, 8)];
+    let single_edge = |(a, b): (u32, u32)| {
+        CompiledQuery::Static(StaticPattern {
+            labels: vec![Label(a), Label(b)],
+            edges: vec![(0, 1)],
+        })
+    };
+    let hot_on = |(a, b): (u32, u32)| {
+        let mut stats = LabelPairStats::new();
+        (0..100).for_each(|_| stats.record(Label(a), Label(b)));
+        stats
+    };
+    let (own, foreign) = (hot_on(PAIRS[0]), hot_on(PAIRS[2]));
+    // Eight single-edge queries over four label pairs, narrow and wide windows
+    // alternating, so shards differ in retention and hence in visibility floor.
+    let queries: Vec<(CompiledQuery, u64)> = (0..8)
+        .map(|i| (single_edge(PAIRS[i % 4]), [5, 50][i % 2]))
+        .collect();
+    let events: Vec<StreamEvent> = (1..=320u64)
+        .map(|i| {
+            let (a, b) = PAIRS[i as usize % 4];
+            StreamEvent {
+                src_label: Label(a),
+                dst_label: Label(b),
+                ..chain_event(i)
+            }
+        })
+        .collect();
+    let batches: Vec<&[StreamEvent]> = events.chunks(16).collect();
+    let placement = |engine: &ShardedDetector| -> Vec<usize> {
+        (0..queries.len()).map(|q| engine.shard_of(q)).collect()
+    };
+    for shards in [2usize, 4] {
+        let built = |stats: &LabelPairStats| ShardedDetector::with_stats(shards, stats.clone());
+        let (mut twin, mut expected) = run_prefix(built(&own), &queries, &batches);
+        assert_ne!(
+            placement(&run_prefix(built(&foreign), &queries, &[]).0),
+            placement(&twin),
+            "the fixture must place differently under the foreign statistics"
+        );
+
+        let dir = temp_dir("foreign-stats");
+        let wal = Wal::create(&dir, small_wal()).expect("log dir");
+        let mut live = built(&own);
+        wal.attach_sharded(&mut live, &foreign).expect("attach");
+        let (live, mut survived) = run_prefix(live, &queries, &batches[..10]);
+        wal.snapshot_sharded(&live).expect("snapshot");
+        let (live, more) = run_prefix(live, &[], &batches[10..14]);
+        survived.extend(more);
+        assert!(wal.take_error().is_none(), "log append failed");
+        drop(live); // the crash
+        drop(wal);
+
+        let recovered = recover_sharded(&dir, small_wal()).expect("recoverable log");
+        assert_eq!(
+            placement(&recovered.engine),
+            placement(&twin),
+            "{shards} shards"
+        );
+        let (mut engine, rest) = run_prefix(recovered.engine, &[], &batches[14..]);
+        survived.extend(rest);
+        assert_eq!(engine.shard_visible_floors(), twin.shard_visible_floors());
+        let next = engine.register(single_edge(PAIRS[3]), 50).expect("valid");
+        assert_eq!(Ok(next), twin.register(single_edge(PAIRS[3]), 50));
+        assert_eq!(engine.shard_of(next.id), twin.shard_of(next.id));
+        survived.extend(engine.flush());
+        expected.extend(twin.flush());
+        survived.sort_unstable();
+        expected.sort_unstable();
+        assert!(!expected.is_empty());
+        assert_eq!(survived, expected, "{shards} shards");
+        std::fs::remove_dir_all(dir).expect("cleanup");
+    }
 }
 
 /// The mined-query fixture (same corpus as `tenant_parity`): tiny training + test
@@ -673,8 +575,10 @@ fn fixture_corpus_kill_recover_parity_across_shards() {
     let kill_at = batches.len() / 2;
     let snapshot_at = Some(kill_at / 2);
     for shards in [1usize, 2, 4] {
-        let uninterrupted = run_sharded_uninterrupted(shards, &fx.queries, &batches);
-        let survived = run_sharded_with_kill(shards, &fx.queries, &batches, kill_at, snapshot_at);
+        let uninterrupted =
+            run_uninterrupted(fresh::<ShardedDetector>((1, shards)), &fx.queries, &batches);
+        let survived =
+            killed::<ShardedDetector>((1, shards), &fx.queries, &batches, kill_at, snapshot_at);
         assert_eq!(
             survived, uninterrupted,
             "fixture kill-recover diverged at {shards} shards"

@@ -12,6 +12,8 @@
 //!   carrying identical workloads through 1/2/4 tenant-groups × 1/2/4 query shards,
 //!   pinned against the isolated single-detector run.
 
+mod common;
+
 use behavior_query::query::Interval;
 use behavior_query::stream::{CompiledQuery, Detector, TenantDetection, TenantPool};
 use behavior_query::syscall::{
@@ -25,8 +27,8 @@ use behavior_query::tgraph::generator::{
 };
 use behavior_query::tgraph::pattern::TemporalPattern;
 use behavior_query::tgraph::{StreamEvent, TenantId, TenantedEvent};
+use common::{interleave, picks_from_seed};
 use proptest::prelude::*;
-use std::collections::VecDeque;
 use std::sync::OnceLock;
 
 /// Runs one tenant's events alone through a single-threaded [`Detector`], returning
@@ -93,46 +95,6 @@ fn pool_intervals(
         }
     }
     per_tenant
-}
-
-/// Expands a sampled seed into a pick sequence with a splitmix64 walk, so random
-/// interleavings are reproducible from the printed proptest inputs.
-fn picks_from_seed(mut seed: u64, len: usize) -> Vec<usize> {
-    (0..len)
-        .map(|_| {
-            seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut x = seed;
-            x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            (x ^ (x >> 31)) as usize
-        })
-        .collect()
-}
-
-/// Interleaves per-tenant streams by a pick sequence: each pick selects one of the
-/// still-nonempty streams (modulo their count) and takes its next event. Any
-/// interleaving is reachable.
-fn interleave(streams: &[(TenantId, Vec<StreamEvent>)], picks: &[usize]) -> Vec<TenantedEvent> {
-    let total: usize = streams.iter().map(|(_, e)| e.len()).sum();
-    let mut queues: Vec<(TenantId, VecDeque<StreamEvent>)> = streams
-        .iter()
-        .map(|(t, e)| (*t, e.iter().copied().collect()))
-        .collect();
-    let mut out = Vec::with_capacity(total);
-    let mut picks = picks.iter().cycle();
-    while out.len() < total {
-        let nonempty: Vec<usize> = (0..queues.len())
-            .filter(|&i| !queues[i].1.is_empty())
-            .collect();
-        let pick = picks.next().expect("cycled picks never end");
-        let i = nonempty[pick % nonempty.len()];
-        let (tenant, queue) = &mut queues[i];
-        out.push(TenantedEvent {
-            tenant: *tenant,
-            event: queue.pop_front().expect("selected queue is nonempty"),
-        });
-    }
-    out
 }
 
 /// Derives the `Ntemp` (order-free) version of a temporal pattern.
