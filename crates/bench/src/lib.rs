@@ -1,8 +1,9 @@
-//! Shared harness code for the experiment binaries and Criterion benchmarks.
+//! Shared harness code for the experiment binaries.
 //!
 //! Every table and figure of the paper's evaluation has a corresponding binary in
-//! `src/bin/` (see `DESIGN.md` and `EXPERIMENTS.md` for the index). The binaries share
-//! the dataset setup and table-printing helpers defined here.
+//! `src/bin/` (README.md § "Measuring" has the index). The binaries share the dataset
+//! setup and table-printing helpers defined here. They reproduce the paper; the engine
+//! is measured by the repo benchmark in `benchmark/`.
 //!
 //! ## Experiment scale
 //!
@@ -10,12 +11,10 @@
 //! patterns) take hours to mine. Each binary therefore reads the `BQ_SCALE` environment
 //! variable:
 //!
-//! * `tiny`  — seconds; used by CI-style smoke runs and the Criterion benches.
+//! * `tiny`  — seconds; used by the CI smoke run.
 //! * `small` — default; minutes in release mode; reproduces every experiment's *shape*.
 //! * `paper` — the paper's nominal sizes (slow; only use for targeted runs).
 
-use obs::BenchReport;
-use std::path::PathBuf;
 use syscall::{Behavior, DatasetConfig, SizeClass, TestData, TestDataConfig, TrainingData};
 
 /// Experiment scale selected through the `BQ_SCALE` environment variable.
@@ -85,22 +84,6 @@ impl Scale {
             Scale::Paper => "paper",
         }
     }
-}
-
-/// Directory benchmark artifacts (`BENCH_<bin>_<scale>.json`) are written to:
-/// `BQ_BENCH_DIR`, defaulting to the working directory. CI and local runs invoke the
-/// binaries from the repo root, which is where the committed artifacts live.
-pub fn bench_output_dir() -> PathBuf {
-    std::env::var_os("BQ_BENCH_DIR").map_or_else(|| PathBuf::from("."), PathBuf::from)
-}
-
-/// Writes `report` into [`bench_output_dir`] under its canonical file name and
-/// reports the path on stderr. Returns the written path.
-pub fn write_bench_report(report: &BenchReport) -> std::io::Result<PathBuf> {
-    let path = bench_output_dir().join(report.file_name());
-    std::fs::write(&path, report.render())?;
-    eprintln!("[bench] wrote {}", path.display());
-    Ok(path)
 }
 
 /// Generates the training data for the selected scale, reporting progress on stderr.
@@ -221,19 +204,5 @@ mod tests {
     fn formatting_helpers_are_stable() {
         assert_eq!(pct(0.974), "97.4");
         assert_eq!(secs(std::time::Duration::from_millis(1500)), "1.500");
-    }
-
-    #[test]
-    fn bench_reports_write_where_bq_bench_dir_points() {
-        let dir = std::env::temp_dir().join("bq-bench-report-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::env::set_var("BQ_BENCH_DIR", &dir);
-        let report = BenchReport::new("unit_test", "tiny");
-        let path = write_bench_report(&report).unwrap();
-        std::env::remove_var("BQ_BENCH_DIR");
-        assert_eq!(path, dir.join("BENCH_unit_test_tiny.json"));
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert!(body.contains("bench-report/v1"));
-        std::fs::remove_file(&path).unwrap();
     }
 }

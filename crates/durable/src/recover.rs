@@ -56,8 +56,6 @@ pub struct Recovered<E> {
     /// Damage found by tolerant recovery (`None` under strict recovery, which fails
     /// instead). The engine reflects every record before the damage point.
     pub damage: Option<WalDamage>,
-    /// Log segments read (including a partially-read damaged one).
-    pub segments_replayed: u64,
     /// Operations replayed (snapshot tail + log suffix).
     pub records_replayed: u64,
     /// Intact records tolerant recovery had to drop because they sit in segments
@@ -77,7 +75,6 @@ struct LoadedLog {
     ops: Vec<WalRecord>,
     state: TailState,
     damage: Option<WalDamage>,
-    segments_replayed: u64,
     records_dropped: u64,
     bytes_unreadable: u64,
 }
@@ -121,7 +118,6 @@ fn load_log(dir: &Path, tolerant: bool) -> Result<LoadedLog, DurableError> {
     }
 
     let mut damage = None;
-    let mut segments_replayed = 0u64;
     let mut records_dropped = 0u64;
     let mut bytes_unreadable = 0u64;
     let indices: Vec<u64> = crate::segment::list_indices(dir, parse_segment_index)?
@@ -131,7 +127,6 @@ fn load_log(dir: &Path, tolerant: bool) -> Result<LoadedLog, DurableError> {
     'segments: for (position, &index) in indices.iter().enumerate() {
         let path = dir.join(segment_file_name(index));
         let mut reader = FrameReader::open(&path)?;
-        segments_replayed += 1;
         loop {
             let (offset, payload) = match reader.next() {
                 Ok(Some(frame)) => frame,
@@ -201,7 +196,6 @@ fn load_log(dir: &Path, tolerant: bool) -> Result<LoadedLog, DurableError> {
         ops,
         state,
         damage,
-        segments_replayed,
         records_dropped,
         bytes_unreadable,
     })
@@ -328,7 +322,6 @@ fn recover_engine<E: Engine>(
         wal,
         registrations: live.into_values().collect(),
         damage: loaded.damage,
-        segments_replayed: loaded.segments_replayed,
         records_replayed,
         records_dropped: loaded.records_dropped,
         bytes_unreadable: loaded.bytes_unreadable,

@@ -53,18 +53,6 @@ pub enum SyncPolicy {
     Always,
 }
 
-impl SyncPolicy {
-    /// The policy's stable name, as reported in bench artifacts (`never`,
-    /// `every_n`, `always`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            SyncPolicy::Never => "never",
-            SyncPolicy::EveryNRecords(_) => "every_n",
-            SyncPolicy::Always => "always",
-        }
-    }
-}
-
 /// Bounded retry-with-backoff for transient WAL I/O errors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
@@ -109,13 +97,11 @@ impl RetryPolicy {
 
 /// Automatic snapshot cadence, checked by [`Wal::snapshot_due`] (callers write
 /// `if wal.snapshot_due() { wal.snapshot(&engine)?; }` once per batch). The default
-/// (`None`/`None`) never triggers — cadence stays the caller's choice.
+/// (`None`) never triggers — cadence stays the caller's choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SnapshotPolicy {
     /// Snapshot once this many records were logged since the last snapshot.
     pub every_records: Option<u64>,
-    /// Snapshot once this many bytes were logged since the last snapshot.
-    pub every_bytes: Option<u64>,
     /// After each successful snapshot, delete the segment and snapshot files the
     /// new snapshot fully covers (everything below its anchor index). Trades the
     /// tolerant-recovery fallback to *older* snapshots for bounded disk use.
@@ -131,23 +117,14 @@ impl SnapshotPolicy {
         }
     }
 
-    /// Snapshot every `n` logged bytes.
-    pub fn every_bytes(n: u64) -> Self {
-        Self {
-            every_bytes: Some(n),
-            ..Self::default()
-        }
-    }
-
     /// The same policy with post-snapshot segment GC enabled.
     pub fn with_gc(mut self) -> Self {
         self.gc = true;
         self
     }
 
-    fn due(&self, records: u64, bytes: u64) -> bool {
+    fn due(&self, records: u64) -> bool {
         self.every_records.is_some_and(|n| n > 0 && records >= n)
-            || self.every_bytes.is_some_and(|n| n > 0 && bytes >= n)
     }
 }
 
@@ -255,9 +232,12 @@ pub(crate) struct WalCore {
     segment_index: u64,
     file: File,
     segment_bytes: u64,
-    /// The replayable operations ([`WalRecord::is_op`]) since the last snapshot's
-    /// pruning horizon — what the next snapshot is cut from.
+    /// The replayable operations ([`WalRecord::is_op`]) still inside the pruning
+    /// horizon — what the next snapshot is cut from.
     tail: Vec<WalRecord>,
+    /// `tail.len()` right after the last [`WalCore::prune_tail`]; the tail is pruned
+    /// again once it has doubled, so it stays bounded without any snapshot.
+    pruned_len: usize,
     state: TailState,
     error: Option<DurableError>,
     /// Sticky: set when the retry budget is first spent; never cleared (even by
@@ -269,7 +249,6 @@ pub(crate) struct WalCore {
     io_errors: u64,
     records_since_sync: u64,
     records_since_snapshot: u64,
-    bytes_since_snapshot: u64,
     faults: Option<FaultPlan>,
     instruments: Option<WalInstruments>,
     trace: Option<SharedSink>,
@@ -300,6 +279,7 @@ impl WalCore {
             file,
             segment_bytes: 0,
             tail: Vec::new(),
+            pruned_len: 0,
             state: TailState::default(),
             error: None,
             degraded: false,
@@ -308,7 +288,6 @@ impl WalCore {
             io_errors: 0,
             records_since_sync: 0,
             records_since_snapshot: 0,
-            bytes_since_snapshot: 0,
             faults: None,
             instruments: None,
             trace: None,
@@ -405,7 +384,6 @@ impl WalCore {
         })?;
         self.segment_bytes += written;
         self.records_since_snapshot += 1;
-        self.bytes_since_snapshot += written;
         if let Some(instruments) = &self.instruments {
             instruments.records.inc();
             instruments.bytes.add(written);
@@ -485,6 +463,9 @@ impl WalCore {
         }
         self.state.observe(&op);
         self.tail.push(op);
+        if self.tail.len() >= 2 * self.pruned_len.max(1) {
+            self.prune_tail();
+        }
         if self.segment_bytes >= self.config.max_segment_bytes {
             if let Err(e) = self.rotate_to(self.segment_index + 1) {
                 self.degrade(e);
@@ -504,42 +485,36 @@ impl WalCore {
         Ok(())
     }
 
-    /// Ops still inside the replay horizon `H = max(1, 2 × max_window)`.
+    /// Drops the ops that left the replay horizon `H = max(1, 2 × max_window)`.
     ///
     /// Registrations and deregistrations are never pruned — they pin exact id
     /// assignment and tombstones. An event batch is dropped only when its *last*
     /// event is older than `last_ts − H` (so every event with `ts ≥ cutoff` survives:
     /// its batch's last event is at least as new). Tenant batches prune against each
     /// tenant's own `last_ts`, keeping the batch if any tenant still needs it.
-    fn pruned_tail(&self) -> Vec<WalRecord> {
-        let horizon = self.state.max_window.saturating_mul(2).max(1);
-        self.tail
-            .iter()
-            .filter(|op| match op {
-                WalRecord::Batch(events) => {
-                    let cutoff = self
-                        .state
-                        .last_ts
-                        .map_or(0, |last| last.saturating_sub(horizon));
-                    events.last().is_some_and(|e| e.ts >= cutoff)
-                }
-                WalRecord::TenantBatch(events) => events.iter().any(|te| {
-                    let last = self
-                        .state
-                        .tenant_last_ts
-                        .get(&te.tenant.0)
-                        .copied()
-                        .unwrap_or(0);
-                    te.event.ts >= last.saturating_sub(horizon)
-                }),
-                // Only event batches age out. Quiesce ops are kept like registrations:
-                // they pin *where* in the op sequence a tenant's pending detections
-                // were drained, and a quiesce replayed against a not-yet-materialised
-                // tenant is a no-op.
-                _ => true,
-            })
-            .cloned()
-            .collect()
+    ///
+    /// Runs at every snapshot cut and, between cuts, whenever the tail has doubled
+    /// since the last run (amortised O(1) per op). Pruning between cuts is exactly
+    /// what a snapshot cut at that batch boundary would have done to the tail.
+    fn prune_tail(&mut self) {
+        let state = &self.state;
+        let horizon = state.max_window.saturating_mul(2).max(1);
+        self.tail.retain(|op| match op {
+            WalRecord::Batch(events) => {
+                let cutoff = state.last_ts.map_or(0, |last| last.saturating_sub(horizon));
+                events.last().is_some_and(|e| e.ts >= cutoff)
+            }
+            WalRecord::TenantBatch(events) => events.iter().any(|te| {
+                let last = state.tenant_last_ts.get(&te.tenant.0).copied().unwrap_or(0);
+                te.event.ts >= last.saturating_sub(horizon)
+            }),
+            // Only event batches age out. Quiesce ops are kept like registrations:
+            // they pin *where* in the op sequence a tenant's pending detections
+            // were drained, and a quiesce replayed against a not-yet-materialised
+            // tenant is a no-op.
+            _ => true,
+        });
+        self.pruned_len = self.tail.len();
     }
 
     fn snapshot(
@@ -559,7 +534,7 @@ impl WalCore {
                 found: init.kind,
             });
         }
-        self.tail = self.pruned_tail();
+        self.prune_tail();
         let header = SnapshotHeader {
             init,
             max_window: self.state.max_window,
@@ -591,7 +566,6 @@ impl WalCore {
         let (path, bytes, ops) = snapshot::write(&self.dir, new_index, &header, &self.tail)?;
         self.rotate_to(new_index)?;
         self.records_since_snapshot = 0;
-        self.bytes_since_snapshot = 0;
         if let Some(instruments) = &self.instruments {
             instruments.snapshots.inc();
         }
@@ -713,6 +687,7 @@ impl Wal {
         core.init = Some(init);
         core.tail = tail;
         core.state = state;
+        core.prune_tail();
         Ok(Self {
             core: Arc::new(Mutex::new(core)),
         })
@@ -848,11 +823,7 @@ impl Wal {
     /// Always `false` for the default (manual-cadence) policy or a degraded log.
     pub fn snapshot_due(&self) -> bool {
         let core = self.lock();
-        !core.degraded
-            && core
-                .config
-                .snapshot
-                .due(core.records_since_snapshot, core.bytes_since_snapshot)
+        !core.degraded && core.config.snapshot.due(core.records_since_snapshot)
     }
 
     /// Takes the latched append failure, if any. The hot path never returns errors;
@@ -1184,18 +1155,83 @@ mod tests {
         for ts in 1..=100 {
             detector.on_batch(&[event(ts, 0, 1)]).unwrap();
         }
-        let core = wal.lock();
-        let pruned = core.pruned_tail();
+        let mut core = wal.lock();
+        core.prune_tail();
         // Horizon is 2 × 5 = 10: the registration plus batches with last ts ≥ 90.
-        let batches = pruned
+        let batches = core
+            .tail
             .iter()
             .filter(|op| matches!(op, WalRecord::Batch(_)))
             .count();
         assert_eq!(batches, 11);
-        assert!(pruned
+        assert!(core
+            .tail
             .iter()
             .any(|op| matches!(op, WalRecord::Register { .. })));
         drop(core);
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn the_tail_stays_bounded_without_a_snapshot() {
+        let dir = temp_dir("bounded");
+        let wal = Wal::create(&dir, WalConfig::default()).unwrap();
+        let mut detector = ShardedDetector::new(1);
+        wal.attach(&mut detector).unwrap();
+        let query = CompiledQuery::Temporal(tgraph::pattern::TemporalPattern::single_edge(
+            Label(1),
+            Label(2),
+        ));
+        detector.register(query.clone(), 5).unwrap();
+        // Horizon 2 × 5 = 10 ticks at one batch per tick: 11 batches and the
+        // registration are inside it at any time.
+        let in_horizon = 12;
+        let mut longest = 0;
+        for ts in 1..=10_000 {
+            detector.on_batch(&[event(ts, 0, 1)]).unwrap();
+            longest = longest.max(wal.lock().tail.len());
+        }
+        assert!(
+            longest <= 2 * in_horizon,
+            "the tail grew to {longest} ops with {in_horizon} inside the horizon"
+        );
+
+        // A snapshot cut now holds exactly what the rule keeps: the registration and
+        // the batches whose last event is at or after 10_000 − 10.
+        let path = wal.snapshot(&detector).unwrap();
+        let (_, ops) = snapshot::load(&path).unwrap();
+        let mut expected = vec![WalRecord::Register {
+            id: 0,
+            window: 5,
+            visible_from: 0,
+            query: query.clone(),
+        }];
+        expected.extend((9_990..=10_000).map(|ts| WalRecord::Batch(vec![event(ts, 0, 1)])));
+        assert_eq!(ops, expected);
+
+        // Fifty more batches, then kill: recovery replays the snapshot plus all fifty,
+        // the resumed log keeps what is inside the horizon, and the engine finishes
+        // the stream like one that never stopped.
+        for ts in 10_001..=10_050 {
+            detector.on_batch(&[event(ts, 0, 1)]).unwrap();
+        }
+        drop((detector, wal));
+        let recovered =
+            crate::recover::recover::<ShardedDetector>(&dir, WalConfig::default()).unwrap();
+        assert_eq!(recovered.records_replayed, 12 + 50);
+        assert_eq!(recovered.wal.lock().tail.len(), in_horizon);
+        let mut uninterrupted = ShardedDetector::new(1);
+        uninterrupted.register(query, 5).unwrap();
+        for ts in 1..=10_050 {
+            uninterrupted.on_batch(&[event(ts, 0, 1)]).unwrap();
+        }
+        let mut resumed = recovered.engine;
+        for ts in 10_051..=10_100 {
+            let expected = uninterrupted.on_batch(&[event(ts, 0, 1)]).unwrap();
+            assert!(!expected.is_empty());
+            assert_eq!(resumed.on_batch(&[event(ts, 0, 1)]).unwrap(), expected);
+        }
+        assert_eq!(resumed.flush(), uninterrupted.flush());
         fs::remove_dir_all(dir).unwrap();
     }
 }

@@ -200,40 +200,6 @@ impl FaultPlan {
         self.lock().keys().cloned().collect()
     }
 
-    /// Parses a plan from a spec string — the `BQ_FAULTS` environment format:
-    /// comma-separated `point=schedule` pairs, where a schedule is `every:N`,
-    /// `at:K`, or `p:F` (e.g. `wal.fsync=every:3,snapshot.write=at:2`).
-    pub fn parse(spec: &str, seed: u64) -> Result<Self, String> {
-        let plan = Self::new(seed);
-        for entry in spec.split(',').map(str::trim).filter(|e| !e.is_empty()) {
-            let (point, schedule) = entry
-                .split_once('=')
-                .ok_or_else(|| format!("{entry:?}: expected point=schedule"))?;
-            let schedule = match schedule.split_once(':') {
-                Some(("every", n)) => FaultSchedule::EveryNth(
-                    n.parse()
-                        .map_err(|_| format!("{entry:?}: bad count {n:?}"))?,
-                ),
-                Some(("at", k)) => FaultSchedule::OneShotAt(
-                    k.parse()
-                        .map_err(|_| format!("{entry:?}: bad index {k:?}"))?,
-                ),
-                Some(("p", p)) => {
-                    let p: f64 = p
-                        .parse()
-                        .map_err(|_| format!("{entry:?}: bad probability"))?;
-                    if !(0.0..=1.0).contains(&p) {
-                        return Err(format!("{entry:?}: probability outside [0, 1]"));
-                    }
-                    FaultSchedule::Probability(p)
-                }
-                _ => return Err(format!("{entry:?}: schedule must be every:N, at:K, or p:F")),
-            };
-            plan.arm(point.trim(), schedule);
-        }
-        Ok(plan)
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, PointState>> {
         self.inner
             .points
@@ -346,23 +312,6 @@ mod tests {
         let real = std::io::Error::new(std::io::ErrorKind::NotFound, "no such file");
         assert!(InjectedFault::from_io(&real).is_none());
         assert!(io.to_string().contains("wal.fsync"));
-    }
-
-    #[test]
-    fn parse_builds_plans_from_env_specs() {
-        let plan = FaultPlan::parse("wal.fsync=every:3, snapshot.write=at:2,x=p:0.25", 9).unwrap();
-        assert_eq!(
-            plan.armed_points(),
-            vec!["snapshot.write".to_string(), "wal.fsync".into(), "x".into()]
-        );
-        assert!(plan.fires("wal.fsync").is_none());
-        assert!(plan.fires("snapshot.write").is_none());
-        assert!(plan.fires("snapshot.write").is_some());
-        assert!(FaultPlan::parse("", 0).unwrap().armed_points().is_empty());
-        assert!(FaultPlan::parse("junk", 0).is_err());
-        assert!(FaultPlan::parse("a=every:x", 0).is_err());
-        assert!(FaultPlan::parse("a=p:1.5", 0).is_err());
-        assert!(FaultPlan::parse("a=maybe:2", 0).is_err());
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! A minimal JSON document model with a stable writer and a strict parser.
 //!
 //! This exists because the environment is offline (no `serde_json`); it supports
-//! exactly what the benchmark artifacts and trace output need. Two deliberate
+//! exactly what the repo benchmark's result lines and trace output need. Two deliberate
 //! choices:
 //!
 //! * Objects are ordered `Vec<(String, Json)>`, not maps — the writer emits keys in
 //!   insertion order, so rendering the same document twice produces byte-identical
-//!   output (committed `BENCH_*.json` files diff cleanly across PRs).
+//!   output.
 //! * Non-finite numbers (`NaN`, `±∞`) render as `null`. JSON has no spelling for
-//!   them, and `null` is what makes a schema validator *fail loudly* on a required
-//!   numeric field instead of shipping a silently corrupt artifact.
+//!   them, and `null` is what makes a reader *fail loudly* on a required numeric
+//!   field instead of taking a silently corrupt number.
 
 use std::fmt;
 
@@ -88,14 +88,6 @@ impl Json {
         }
     }
 
-    /// The array items, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
     /// Renders compactly (no whitespace). Deterministic: same document, same bytes.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -104,7 +96,7 @@ impl Json {
     }
 
     /// Renders human-readably with two-space indentation and a trailing newline —
-    /// the format of committed `BENCH_*.json` files.
+    /// the format of `BENCHMARK.json`.
     pub fn render_pretty(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, Some(2), 0);
@@ -458,7 +450,7 @@ mod tests {
     #[test]
     fn round_trips_a_nested_document() {
         let doc = Json::Obj(vec![
-            ("name".into(), Json::Str("stream_throughput".into())),
+            ("name".into(), Json::Str("match".into())),
             ("events_per_sec".into(), Json::Num(123456.75)),
             (
                 "shards".into(),

@@ -13,12 +13,9 @@
 //!   lifecycle events: query register/deregister/hot-swap, shard rebalance, batch
 //!   errors, retention evictions, mining growth levels, pipeline stages.
 //! * [`json`] — a minimal JSON document model ([`Json`]) with a stable writer and a
-//!   strict parser, enough to persist and validate machine-readable artifacts.
-//! * [`report`] — the committed benchmark artifact format: [`BenchReport`] renders to
-//!   and validates the stable `BENCH_<bin>_<scale>.json` schema
-//!   ([`report::BENCH_SCHEMA`]) that records the repo's performance trajectory
-//!   (events/sec, latency percentiles, memory high-water, per-shard breakdown), and
-//!   [`report::diff_reports`] gates fresh runs against committed baselines.
+//!   strict parser, enough to persist and validate machine-readable output.
+//! * [`report`] — the per-shard and per-tenant-group breakdowns the engines report
+//!   ([`ShardStat`], [`TenantGroupStat`]).
 //! * [`profile`] — a scoped-span [`Profiler`] (thread-local span stacks, sampled
 //!   timing, collapsed-stack / flamegraph text export) plus the per-query cost
 //!   attribution types ([`QueryCost`], [`QueryCostReport`]) the engine fills in.
@@ -44,7 +41,5 @@ pub use metrics::{
     MetricsSnapshot,
 };
 pub use profile::{ProfileSnapshot, Profiler, QueryCost, QueryCostReport, Span, SpanStat};
-pub use report::{
-    BenchReport, DiffThresholds, LatencySummary, ReportDiff, ShardStat, TenantGroupStat,
-};
+pub use report::{ShardStat, TenantGroupStat};
 pub use trace::{CollectingSink, NullSink, SharedSink, StderrSink, TraceEvent, TraceSink};

@@ -220,19 +220,6 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Folds another snapshot into this one: per-bucket and total counts add
-    /// (saturating, like the live histogram), `max` takes the larger. Merging
-    /// per-shard latency snapshots this way yields exactly the histogram a single
-    /// shared histogram would have recorded.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-            *mine = mine.saturating_add(*theirs);
-        }
-        self.count = self.count.saturating_add(other.count);
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
-    }
-
     /// Estimates the q-quantile (`0.0 ≤ q ≤ 1.0`): the upper bound of the bucket
     /// containing the rank-`ceil(q·count)` observation, clamped to the observed
     /// maximum. Returns 0 when the histogram is empty. For any true quantile `t > 0`
@@ -580,6 +567,12 @@ mod tests {
                 "q={q}: estimate {estimate} not within [t, 2t) of true {truth}"
             );
         }
+        assert!(
+            snapshot.p50() <= snapshot.p95()
+                && snapshot.p95() <= snapshot.p99()
+                && snapshot.p99() <= snapshot.max,
+            "percentiles are monotonic and capped by the maximum"
+        );
     }
 
     #[test]
@@ -604,26 +597,6 @@ mod tests {
         assert_eq!(snap.p50(), 100);
         assert_eq!(snap.p99(), 100);
         assert_eq!(snap.occupied_buckets(), vec![(64, 127, 1)]);
-    }
-
-    #[test]
-    fn merged_snapshots_equal_a_single_shared_histogram() {
-        let left = Histogram::new();
-        let right = Histogram::new();
-        let shared = Histogram::new();
-        for v in 1..=500u64 {
-            left.record(v);
-            shared.record(v);
-        }
-        for v in 400..=900u64 {
-            right.record(v * 3);
-            shared.record(v * 3);
-        }
-        let mut merged = HistogramSnapshot::empty();
-        merged.merge(&left.snapshot());
-        merged.merge(&right.snapshot());
-        assert_eq!(merged, shared.snapshot());
-        assert_eq!(merged.p99(), shared.snapshot().p99());
     }
 
     #[test]

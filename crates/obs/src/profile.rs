@@ -13,8 +13,8 @@
 //! * [`QueryCost`] / [`QueryCostReport`] — per-query cost attribution: exact work
 //!   counters (runs spawned, run advances, runs dropped, detections) plus *sampled*
 //!   wall time, as recorded by the streaming detector when cost attribution is
-//!   enabled. The report is the measured ground truth that corrects the engine's
-//!   a-priori label-pair cost estimate (see `stream::MeasuredCost`).
+//!   enabled. The report is the measured ground truth next to the engine's
+//!   a-priori label-pair cost estimate.
 //!
 //! ## Sampling and the inertness contract
 //!
@@ -32,7 +32,6 @@
 //! each thread's spans nest into that thread's own path. Aggregation takes a mutex
 //! only when a *timed* span closes (sampled-out spans never lock).
 
-use crate::json::Json;
 use crate::metrics::MetricsRegistry;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -308,19 +307,6 @@ impl QueryCost {
         self.sampled_ns = self.sampled_ns.saturating_add(other.sampled_ns);
         self.sampled_ops = self.sampled_ops.saturating_add(other.sampled_ops);
     }
-
-    /// The cost as a JSON object (the shape `QueryCostReport::to_json` embeds).
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("spawned".into(), Json::from_u64(self.spawned)),
-            ("advanced".into(), Json::from_u64(self.advanced)),
-            ("dropped".into(), Json::from_u64(self.dropped)),
-            ("detections".into(), Json::from_u64(self.detections)),
-            ("sampled_ns".into(), Json::from_u64(self.sampled_ns)),
-            ("sampled_ops".into(), Json::from_u64(self.sampled_ops)),
-            ("cost_units".into(), Json::from_u64(self.cost_units())),
-        ])
-    }
 }
 
 /// Measured per-query costs, keyed by the engine's global query ids — the output
@@ -362,23 +348,6 @@ impl QueryCostReport {
                 counter.add(value.saturating_sub(counter.get()));
             }
         }
-    }
-
-    /// The report as a JSON array of `{query, spawned, advanced, ...}` rows (the
-    /// shape bench artifacts embed under `extra.query_costs`).
-    pub fn to_json(&self) -> Json {
-        Json::Arr(
-            self.rows
-                .iter()
-                .map(|(id, cost)| {
-                    let Json::Obj(mut fields) = cost.to_json() else {
-                        unreachable!("QueryCost::to_json returns an object");
-                    };
-                    fields.insert(0, ("query".into(), Json::from_u64(*id as u64)));
-                    Json::Obj(fields)
-                })
-                .collect(),
-        )
     }
 }
 
@@ -503,7 +472,7 @@ mod tests {
     }
 
     #[test]
-    fn cost_report_lookup_json_and_idempotent_export() {
+    fn cost_report_lookup_and_idempotent_export() {
         let report = QueryCostReport {
             rows: vec![
                 (
@@ -522,12 +491,6 @@ mod tests {
         assert_eq!(report.get(0).unwrap().spawned, 5);
         assert!(report.get(1).is_none());
         assert!(report.get(2).unwrap().is_zero());
-
-        let json = report.to_json();
-        let rows = json.as_arr().expect("array of rows");
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].get("query").and_then(Json::as_u64), Some(0));
-        assert_eq!(rows[0].get("cost_units").and_then(Json::as_u64), Some(12));
 
         let registry = MetricsRegistry::new();
         report.export(&registry);

@@ -79,15 +79,6 @@ pub enum TraceEvent {
         /// Embeddings materialized at this level.
         embeddings: u64,
     },
-    /// The miner hit its candidate-frontier budget and aborted the search.
-    FrontierBudgetExhausted {
-        /// Growth level at which the budget tripped.
-        level: usize,
-        /// Candidates processed when the budget tripped.
-        candidates: u64,
-        /// The configured budget.
-        budget: u64,
-    },
     /// The write-ahead log rotated to a fresh segment file.
     WalRotated {
         /// Index of the segment the log rotated *to*.
@@ -178,7 +169,6 @@ impl TraceEvent {
             TraceEvent::RetentionEviction { .. } => "retention_eviction",
             TraceEvent::PipelineStage { .. } => "pipeline_stage",
             TraceEvent::MiningLevel { .. } => "mining_level",
-            TraceEvent::FrontierBudgetExhausted { .. } => "frontier_budget_exhausted",
             TraceEvent::WalRotated { .. } => "wal_rotated",
             TraceEvent::SnapshotWritten { .. } => "snapshot_written",
             TraceEvent::RecoveryCompleted { .. } => "recovery_completed",
@@ -252,15 +242,6 @@ impl TraceEvent {
                 fields.push(("candidates".into(), Json::from_u64(*candidates)));
                 fields.push(("pruned".into(), Json::from_u64(*pruned)));
                 fields.push(("embeddings".into(), Json::from_u64(*embeddings)));
-            }
-            TraceEvent::FrontierBudgetExhausted {
-                level,
-                candidates,
-                budget,
-            } => {
-                fields.push(("level".into(), Json::from_u64(*level as u64)));
-                fields.push(("candidates".into(), Json::from_u64(*candidates)));
-                fields.push(("budget".into(), Json::from_u64(*budget)));
             }
             TraceEvent::WalRotated { segment, bytes } => {
                 fields.push(("segment".into(), Json::from_u64(*segment)));

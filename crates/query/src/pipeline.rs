@@ -218,10 +218,10 @@ pub fn formulate_and_evaluate(
 
 /// A full accuracy sweep: one [`BehaviorAccuracy`] row per evaluated behavior.
 ///
-/// This is the shared evaluate path behind the accuracy experiment binaries
-/// (`table2_accuracy`, `e2e_accuracy`): producing the rows and aggregating them lives
-/// here, so no binary carries its own ad-hoc averaging loop (which is where the
-/// divide-by-zero `NaN`s used to come from).
+/// This is the evaluate path behind the accuracy experiment binary
+/// (`table2_accuracy`): producing the rows and aggregating them lives here, so no
+/// binary carries its own ad-hoc averaging loop (which is where the divide-by-zero
+/// `NaN`s used to come from).
 #[derive(Debug, Clone, Default)]
 pub struct AccuracySummary {
     /// One row per behavior, in evaluation order.

@@ -468,7 +468,7 @@ impl Detector {
     /// Updates the occupancy and memory gauges: the buffered edge window, label table,
     /// live runs (weighted by their state count) and pending anchors. A
     /// capacity-planning estimate from documented constants, not an allocator
-    /// measurement; its high-water mark is what the benchmark reports record.
+    /// measurement; its high-water mark is what the repo benchmark records.
     fn observe_state(&self, instruments: &DetectorInstruments) {
         let [runs, windows, anchors, in_flight_bytes] = self.occupancy();
         instruments.temporal_runs.set(runs as u64);

@@ -113,19 +113,6 @@ pub struct DiscoveryReport {
     pub classes: Vec<ClassAccuracy>,
 }
 
-/// Macro-averaged `(precision, recall)` over per-class reports, or `None` when there is
-/// nothing to average — callers must treat an empty evaluation as an error instead of
-/// printing `0/0` artifacts.
-pub fn macro_average(classes: &[ClassAccuracy]) -> Option<(f64, f64)> {
-    if classes.is_empty() {
-        return None;
-    }
-    let n = classes.len() as f64;
-    let precision: f64 = classes.iter().map(|c| c.report.precision()).sum();
-    let recall: f64 = classes.iter().map(|c| c.report.recall()).sum();
-    Some((precision / n, recall / n))
-}
-
 /// The online discovery pipeline: ingested labeled traces, per-class mining, and
 /// deployment onto a running sharded detector. See the module docs for the dataflow.
 #[derive(Debug, Clone)]
@@ -142,9 +129,6 @@ pub struct DiscoveryPipeline {
     instruments: Option<PipelineInstruments>,
     /// Structured per-stage trace sink, when attached.
     sink: Option<SharedSink>,
-    /// Candidate budget each per-class mining run aborts at (0 = unlimited); see
-    /// [`tgminer::MinerConfig::frontier_budget`].
-    frontier_budget: usize,
 }
 
 impl DiscoveryPipeline {
@@ -157,7 +141,6 @@ impl DiscoveryPipeline {
             stats: LabelPairStats::new(),
             instruments: None,
             sink: None,
-            frontier_budget: 0,
         }
     }
 
@@ -170,17 +153,9 @@ impl DiscoveryPipeline {
 
     /// Attaches (or with `None`, detaches) a structured trace sink. The pipeline
     /// emits one [`TraceEvent::PipelineStage`] per ingest/mine/compile/register/
-    /// evaluate stage, plus per-growth-level [`TraceEvent::MiningLevel`] telemetry
-    /// and [`TraceEvent::FrontierBudgetExhausted`] when a budgeted run aborts.
+    /// evaluate stage, plus per-growth-level [`TraceEvent::MiningLevel`] telemetry.
     pub fn set_trace_sink(&mut self, sink: Option<SharedSink>) {
         self.sink = sink;
-    }
-
-    /// Caps each per-class mining run at `budget` candidate patterns; an exhausted
-    /// run keeps its best-so-far patterns and flags
-    /// [`tgminer::MiningStats::budget_exhausted`]. `0` (the default) disables the cap.
-    pub fn set_frontier_budget(&mut self, budget: usize) {
-        self.frontier_budget = budget;
     }
 
     /// Emits a [`TraceEvent::PipelineStage`] if a sink is attached.
@@ -276,7 +251,6 @@ impl DiscoveryPipeline {
             max_edges: self.options.query_size,
             top_k: self.options.miner_top_k,
             cap_per_graph: self.options.cap_per_graph,
-            frontier_budget: self.frontier_budget,
             ..MinerConfig::default()
         };
         let started = Instant::now();
@@ -294,14 +268,6 @@ impl DiscoveryPipeline {
                     candidates: level.candidates,
                     pruned: level.pruned,
                     embeddings: level.embeddings,
-                });
-            }
-            if result.stats.budget_exhausted {
-                let deepest = result.stats.levels.last().map_or(0, |l| l.level);
-                sink.emit(&TraceEvent::FrontierBudgetExhausted {
-                    level: deepest,
-                    candidates: result.stats.patterns_processed,
-                    budget: self.frontier_budget as u64,
                 });
             }
         }
@@ -410,7 +376,7 @@ pub fn retire_deployed(
 ///
 /// Detections from queries *not* listed in `deployed` — other tenants of the detector —
 /// are ignored, not misattributed. Classes are reported in first-deployment order.
-pub fn evaluate_deployed(
+fn evaluate_deployed(
     detector: &mut ShardedDetector,
     deployed: &[DeployedQuery],
     test: &TestData,
@@ -641,9 +607,6 @@ mod tests {
             "recall {}",
             bzip.report.recall()
         );
-        let (precision, recall) = macro_average(&report.classes).unwrap();
-        assert!(precision > 0.0 && recall > 0.0);
-        assert!(macro_average(&[]).is_none());
     }
 
     #[test]
@@ -669,10 +632,13 @@ mod tests {
             .unwrap();
         assert!(!deployed.is_empty());
         assert_eq!(detector.query_count(), deployed.len());
-        assert!(detector.shard_loads().iter().any(|&load| load > 0));
+        assert!(detector.shard_stats().iter().any(|s| s.load > 0));
         retire_deployed(&mut detector, &deployed).unwrap();
         assert_eq!(detector.query_count(), 0);
-        assert_eq!(detector.shard_loads(), &[0, 0], "freed cost is rebalanced");
+        assert!(
+            detector.shard_stats().iter().all(|s| s.load == 0),
+            "freed cost is rebalanced"
+        );
         // Retiring twice fails loudly.
         assert!(retire_deployed(&mut detector, &deployed).is_err());
     }

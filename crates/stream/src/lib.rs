@@ -72,12 +72,9 @@
 //! what they own: metric bundles ([`instrument`]), a structured trace sink, a
 //! scoped-span profiler (`set_profiler`; spans aggregate into a collapsed-stack /
 //! flamegraph export), and sampled per-query cost attribution
-//! (`enable_cost_attribution` / `query_cost_report`). Measured costs close the
-//! loop on shard balancing: [`MeasuredCost`] distills a cost report and
-//! [`ShardedDetector::apply_measured_costs`] swaps it in for the static
-//! [`LabelPairStats`] estimate. None of it may change detections —
-//! `tests/instrumentation_parity.rs` holds the whole surface to byte-identical
-//! output.
+//! (`enable_cost_attribution` / `query_cost_report`). None of it may change
+//! detections — `tests/instrumentation_parity.rs` holds the whole surface to
+//! byte-identical output.
 
 pub mod detector;
 pub mod discovery;
@@ -91,15 +88,15 @@ pub mod tenant;
 
 pub use detector::{CompiledQuery, Detection, Detector, QueryId, Registration, SeedKey};
 pub use discovery::{
-    evaluate_deployed, macro_average, retire_deployed, ClassAccuracy, DeployedQuery,
-    DiscoveryError, DiscoveryPipeline, DiscoveryReport,
+    retire_deployed, ClassAccuracy, DeployedQuery, DiscoveryError, DiscoveryPipeline,
+    DiscoveryReport,
 };
 pub use durability::DurabilitySink;
 pub use engine::Engine;
 pub use error::{BatchError, DeregisterError, RegisterError, TenantBatchError};
 pub use instrument::{DetectorInstruments, PipelineInstruments};
 pub use registry::{QueryTable, Registered};
-pub use shard::{LabelPairStats, MeasuredCost, ShardedDetector};
+pub use shard::{LabelPairStats, ShardedDetector};
 pub use tenant::{
     PoisonPolicy, QuarantinedEvent, QuiescencePolicy, TenantDetection, TenantPool, TenantRouter,
 };

@@ -154,48 +154,6 @@ impl LabelPairStats {
     }
 }
 
-/// Measured per-query cost, distilled from a [`QueryCostReport`] — the feedback
-/// half of the assignment loop. [`LabelPairStats`] *predicts* cost from label-pair
-/// posting frequencies before a query has run; `MeasuredCost` replaces that estimate
-/// with what attribution actually observed (`spawned + advanced` work units: runs
-/// seeded plus runs *offered* an event — a query whose live runs the stream's labels
-/// never reach measures as cheap as it is), via
-/// [`ShardedDetector::apply_measured_costs`]. Costs are floored at 1: a registered
-/// query's bookkeeping is never free, and a zero load would make the greedy
-/// assignment dump every subsequent registration on one shard.
-#[derive(Debug, Clone, Default)]
-pub struct MeasuredCost {
-    by_query: HashMap<QueryId, u64>,
-}
-
-impl MeasuredCost {
-    /// Distills a cost report into per-query work units (`cost_units`, floored at 1).
-    pub fn from_report(report: &QueryCostReport) -> Self {
-        Self {
-            by_query: report
-                .rows
-                .iter()
-                .map(|(id, cost)| (*id, cost.cost_units().max(1)))
-                .collect(),
-        }
-    }
-
-    /// The measured cost of one global query id, if the report covered it.
-    pub fn cost_of(&self, query: QueryId) -> Option<u64> {
-        self.by_query.get(&query).copied()
-    }
-
-    /// Number of queries with a measured cost.
-    pub fn len(&self) -> usize {
-        self.by_query.len()
-    }
-
-    /// Whether no query has a measured cost.
-    pub fn is_empty(&self) -> bool {
-        self.by_query.is_empty()
-    }
-}
-
 /// Minimum batch size worth fanning out to worker threads. Spawning and joining a
 /// scoped thread costs tens of microseconds; below this many events the per-shard work
 /// is usually smaller than that, so the pool processes the batch inline instead.
@@ -459,39 +417,6 @@ impl ShardedDetector {
         })
     }
 
-    /// Replaces the static label-pair cost estimate of every live query that
-    /// `measured` covers with its *measured* cost (seeds plus the advances its runs
-    /// were actually offered, see [`obs::QueryCost::advanced`]), then recomputes the
-    /// per-shard loads from scratch. Placements do not move (`moved: 0` in the emitted
-    /// [`TraceEvent::ShardRebalance`]) — what changes is the balance subsequent
-    /// [`ShardedDetector::register`] calls see, so new queries fill in around the
-    /// load the pool actually observed rather than the load the postings index
-    /// predicted. Returns how many placements were updated.
-    pub fn apply_measured_costs(&mut self, measured: &MeasuredCost) -> usize {
-        let mut updated = 0;
-        for (id, placement) in self.placements.iter_mut().enumerate() {
-            if !placement.active {
-                continue;
-            }
-            if let Some(cost) = measured.cost_of(id) {
-                placement.cost = cost;
-                updated += 1;
-            }
-        }
-        self.loads = vec![0; self.shards.len()];
-        for placement in self.placements.iter().filter(|p| p.active) {
-            self.loads[placement.shard] += placement.cost;
-        }
-        if let Some(sink) = &self.sink {
-            sink.emit(&TraceEvent::ShardRebalance {
-                shards: self.shards.len(),
-                moved: 0,
-                loads: self.loads.clone(),
-            });
-        }
-        updated
-    }
-
     /// Attaches (or with `None`, detaches) a pool-level structured trace sink.
     ///
     /// The pool emits lifecycle events itself — registrations and deregistrations
@@ -505,7 +430,7 @@ impl ShardedDetector {
         self.sink = sink;
     }
 
-    /// Per-shard load/occupancy breakdown in the shape the benchmark reports emit.
+    /// Per-shard load/occupancy breakdown (always on, no instruments needed).
     pub fn shard_stats(&self) -> Vec<ShardStat> {
         let queries = self.queries_per_shard();
         self.shards
@@ -547,11 +472,6 @@ impl ShardedDetector {
     /// not count).
     pub fn query_count(&self) -> usize {
         self.placements.iter().filter(|p| p.active).count()
-    }
-
-    /// Accumulated estimated cost per shard (the assignment balance).
-    pub fn shard_loads(&self) -> &[u64] {
-        &self.loads
     }
 
     /// Number of live queries per shard.
@@ -1057,14 +977,14 @@ mod tests {
             .register(CompiledQuery::Temporal(abc_pattern()), 5)
             .unwrap();
         let hot_shard = pool.shard_of(hot.id);
-        assert_eq!(pool.shard_loads()[hot_shard], 100);
+        assert_eq!(pool.loads[hot_shard], 100);
         pool.deregister(hot.id).unwrap();
         assert_eq!(
             pool.query_count(),
             0,
             "the deregistered id is no longer live"
         );
-        assert_eq!(pool.shard_loads(), &[0, 0], "freed cost is subtracted");
+        assert_eq!(pool.loads, [0, 0], "freed cost is subtracted");
         assert_eq!(pool.queries_per_shard(), vec![0, 0]);
         // Double deregistration fails loudly; ids are never reused.
         assert!(matches!(
@@ -1236,64 +1156,6 @@ mod tests {
     }
 
     #[test]
-    fn measured_costs_rebalance_loads_and_steer_new_registrations() {
-        // The postings index predicts pair (0,1) is 100x hotter than (2,3) — but the
-        // live stream only ever carries (2,3) edges. Measured attribution must
-        // overturn the prediction.
-        let mut stats = LabelPairStats::new();
-        for _ in 0..100 {
-            stats.record(l(0), l(1));
-        }
-        stats.record(l(2), l(3));
-        let mut pool = ShardedDetector::with_stats(2, stats);
-        let predicted_hot = pool
-            .register(
-                CompiledQuery::Temporal(TemporalPattern::single_edge(l(0), l(1))),
-                5,
-            )
-            .unwrap()
-            .id;
-        let actually_hot = pool
-            .register(
-                CompiledQuery::Temporal(TemporalPattern::single_edge(l(2), l(3))),
-                5,
-            )
-            .unwrap()
-            .id;
-        let predicted_shard = pool.shard_of(predicted_hot);
-        let actual_shard = pool.shard_of(actually_hot);
-        assert_ne!(predicted_shard, actual_shard);
-        assert_eq!(pool.shard_loads()[predicted_shard], 100);
-        assert_eq!(pool.shard_loads()[actual_shard], 1);
-
-        pool.enable_cost_attribution(4);
-        let events: Vec<StreamEvent> = (1..=50).map(|ts| ev(ts, 0, 1, 2, 3)).collect();
-        pool.on_batch(&events).unwrap();
-        let measured = MeasuredCost::from_report(&pool.query_cost_report().unwrap());
-        assert_eq!(measured.len(), 2);
-        assert!(!measured.is_empty());
-        assert_eq!(
-            measured.cost_of(predicted_hot),
-            Some(1),
-            "a query the stream never touched floors at cost 1"
-        );
-        assert!(measured.cost_of(actually_hot).unwrap() >= 50);
-
-        assert_eq!(pool.apply_measured_costs(&measured), 2);
-        assert_eq!(pool.shard_loads()[predicted_shard], 1);
-        assert!(pool.shard_loads()[actual_shard] >= 50);
-        // Under the static estimate the next registration would avoid the
-        // predicted-hot shard; under measured costs it lands exactly there.
-        let next = pool
-            .register(
-                CompiledQuery::Temporal(TemporalPattern::single_edge(l(0), l(1))),
-                5,
-            )
-            .unwrap();
-        assert_eq!(pool.shard_of(next.id), predicted_shard);
-    }
-
-    #[test]
     fn registration_errors_pass_through_without_consuming_ids() {
         let mut pool = ShardedDetector::new(3);
         assert_eq!(
@@ -1305,7 +1167,7 @@ mod tests {
             Err(RegisterError::EmptyQuery)
         );
         assert_eq!(pool.query_count(), 0);
-        assert_eq!(pool.shard_loads(), &[0, 0, 0]);
+        assert_eq!(pool.loads, [0, 0, 0]);
         let reg = pool
             .register(CompiledQuery::Temporal(abc_pattern()), 5)
             .unwrap();

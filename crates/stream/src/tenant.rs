@@ -587,7 +587,7 @@ impl TenantPool {
         self.instruments = Some(instruments);
     }
 
-    /// Per-group breakdown in the shape the benchmark reports embed under `extra`.
+    /// Per-group event, detection and tenant counts (always on, no instruments needed).
     pub fn group_stats(&self) -> Vec<TenantGroupStat> {
         self.groups
             .iter()

@@ -48,9 +48,6 @@ pub struct StreamSource {
     /// Optional delivery counter (`source.events_delivered`), ticked as cursor-driven
     /// batches are handed out. Purely observational.
     delivered: Option<obs::Counter>,
-    /// Events delivered since construction or the last [`StreamSource::reset`] — the
-    /// per-replay count, unlike the cumulative obs counter.
-    delivered_run: u64,
 }
 
 impl StreamSource {
@@ -66,7 +63,6 @@ impl StreamSource {
             batch_size,
             cursor: 0,
             delivered: None,
-            delivered_run: 0,
         }
     }
 
@@ -77,19 +73,9 @@ impl StreamSource {
     /// The counter is an [`obs::Counter`] and therefore monotonic by contract: it is
     /// **cumulative across replays** and is deliberately *not* rewound by
     /// [`StreamSource::reset`] — it answers "events delivered ever", the dashboard
-    /// total. A report that wants per-replay numbers (and would otherwise double-count
-    /// a reset-and-replayed source) must read
-    /// [`StreamSource::delivered_since_reset`] instead.
+    /// total.
     pub fn set_delivery_counter(&mut self, counter: Option<obs::Counter>) {
         self.delivered = counter;
-    }
-
-    /// Events delivered by [`StreamSource::next_batch`] since construction or the last
-    /// [`StreamSource::reset`] — the per-replay delivery count. Unlike the attached
-    /// obs counter (cumulative, never rewound), this restarts at 0 on every reset, so
-    /// replayed runs report their own deliveries instead of double-counting.
-    pub fn delivered_since_reset(&self) -> u64 {
-        self.delivered_run
     }
 
     /// A stream replaying a generated test dataset's monitoring graph.
@@ -110,7 +96,6 @@ impl StreamSource {
             batch_size,
             cursor: 0,
             delivered: None,
-            delivered_run: 0,
         }
     }
 
@@ -142,7 +127,6 @@ impl StreamSource {
         let start = self.cursor;
         let end = (start + self.batch_size).min(self.events.len());
         self.cursor = end;
-        self.delivered_run += (end - start) as u64;
         if let Some(counter) = &self.delivered {
             counter.add((end - start) as u64);
         }
@@ -150,15 +134,13 @@ impl StreamSource {
     }
 
     /// Rewinds the stream to the beginning (e.g. to replay it against another
-    /// detector) and restarts the per-replay delivery count
-    /// ([`StreamSource::delivered_since_reset`]).
+    /// detector).
     ///
     /// The attached obs delivery counter is **not** rewound: [`obs::Counter`] is
     /// monotonic by contract, so it keeps accumulating across replays (see
     /// [`StreamSource::set_delivery_counter`]).
     pub fn reset(&mut self) {
         self.cursor = 0;
-        self.delivered_run = 0;
     }
 
     /// An independent iterator over the whole stream's batches (the last one may be
@@ -574,10 +556,10 @@ mod tests {
     }
 
     #[test]
-    fn reset_keeps_obs_counter_cumulative_but_restarts_run_counter() {
-        // Satellite regression: `reset()` rewinds the cursor and the per-replay
-        // counter, but deliberately does NOT rewind the attached obs counter —
-        // `obs::Counter` is monotonic by contract, so replays keep accumulating.
+    fn reset_keeps_obs_counter_cumulative() {
+        // `reset()` rewinds the cursor but deliberately does NOT rewind the attached
+        // obs counter — `obs::Counter` is monotonic by contract, so replays keep
+        // accumulating.
         let data = TestData::generate(&TestDataConfig::tiny(), LabelInterner::new());
         let registry = obs::MetricsRegistry::new();
         let mut source = StreamSource::from_test_data(&data, 61);
@@ -585,10 +567,7 @@ mod tests {
         let len = source.len() as u64;
 
         while source.next_batch().is_some() {}
-        assert_eq!(source.delivered_since_reset(), len);
-
         source.reset();
-        assert_eq!(source.delivered_since_reset(), 0, "run counter restarts");
         assert_eq!(
             registry.snapshot().counter("source.events_delivered"),
             Some(len),
@@ -596,7 +575,6 @@ mod tests {
         );
 
         while source.next_batch().is_some() {}
-        assert_eq!(source.delivered_since_reset(), len);
         assert_eq!(
             registry.snapshot().counter("source.events_delivered"),
             Some(2 * len),

@@ -11,7 +11,7 @@ use behavior_query::query::{evaluate_queries, formulate_queries, QueryOptions};
 use behavior_query::syscall::{Behavior, DatasetConfig, TestData, TestDataConfig, TrainingData};
 
 fn main() {
-    // Small synthetic datasets keep the example quick; see EXPERIMENTS.md for larger runs.
+    // Small synthetic datasets keep the example quick; see README.md § "Measuring" for larger runs.
     let training_config = DatasetConfig {
         graphs_per_behavior: 10,
         background_graphs: 40,
