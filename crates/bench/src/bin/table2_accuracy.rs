@@ -1,24 +1,11 @@
 //! Table 2: query accuracy (precision / recall) of NodeSet, Ntemp, and TGMiner on the
 //! 12 behaviors, with query size fixed at 6 and all training data used.
 //!
-//! Each behavior is mined under a **candidate-frontier budget** (`BQ_FRONTIER_BUDGET`,
-//! default 500000 candidates, `0` disables): the paper's query_size=6 configuration is
-//! where a dense training set can blow the growth frontier up, and a guarded run
-//! fails fast with a per-growth-level diagnostic dump (which level exploded, how many
-//! candidates it generated, how many were pruned) and exit code 3 instead of hanging.
 //! An empty dataset exits non-zero instead of printing `0/0` artifacts.
 
 use bench::{pct, print_header, print_row, test_data, training_data, Scale};
-use query::{evaluate_queries, formulate_queries_budgeted, AccuracySummary, QueryOptions};
+use query::{evaluate_behaviors, QueryOptions};
 use syscall::Behavior;
-
-/// The mining candidate budget: `BQ_FRONTIER_BUDGET` (0 disables), default 500k.
-fn frontier_budget() -> usize {
-    std::env::var("BQ_FRONTIER_BUDGET")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(500_000)
-}
 
 fn main() {
     let scale = Scale::from_env();
@@ -28,40 +15,13 @@ fn main() {
         eprintln!("[table2] test dataset has no behavior instances; nothing to score");
         std::process::exit(2);
     }
-    let options = QueryOptions::default();
-    let budget = frontier_budget();
-
-    let mut summary = AccuracySummary::default();
-    for behavior in Behavior::all() {
-        eprintln!("[table2] evaluating {}...", behavior.name());
-        let queries = formulate_queries_budgeted(&training, behavior, &options, budget);
-        if queries.mining.stats.budget_exhausted {
-            let stats = &queries.mining.stats;
-            eprintln!(
-                "[table2] FRONTIER BUDGET EXHAUSTED mining {} (budget {budget} candidates, \
-                 query_size {}): the growth frontier blew up. Per-level breakdown:",
-                behavior.name(),
-                options.query_size
-            );
-            eprintln!(
-                "[table2]   {:>5}  {:>12}  {:>12}  {:>14}",
-                "level", "candidates", "pruned", "embeddings"
-            );
-            for level in &stats.levels {
-                eprintln!(
-                    "[table2]   {:>5}  {:>12}  {:>12}  {:>14}",
-                    level.level, level.candidates, level.pruned, level.embeddings
-                );
-            }
-            eprintln!(
-                "[table2]   processed {} candidates, {} embeddings materialised; raise \
-                 BQ_FRONTIER_BUDGET (or set 0 to disable) to push through",
-                stats.patterns_processed, stats.embeddings_materialized
-            );
-            std::process::exit(3);
-        }
-        summary.rows.push(evaluate_queries(&queries, &test));
-    }
+    let summary = evaluate_behaviors(
+        &training,
+        &test,
+        &Behavior::all(),
+        &QueryOptions::default(),
+        |behavior| eprintln!("[table2] evaluating {}...", behavior.name()),
+    );
 
     let widths = [20, 9, 9, 9, 9, 9, 9];
     println!(

@@ -27,8 +27,8 @@ pub use eval::{evaluate, merge_identified, AccuracyReport};
 pub use matcher::{NodeSetRun, RunStep, TemporalRun, TemporalSpawn};
 pub use pipeline::{
     compile_queries, evaluate_behaviors, evaluate_queries, formulate_and_evaluate,
-    formulate_queries, formulate_queries_budgeted, AccuracyAverages, AccuracySummary,
-    BehaviorAccuracy, BehaviorQueries, QueryOptions,
+    formulate_queries, AccuracyAverages, AccuracySummary, BehaviorAccuracy, BehaviorQueries,
+    QueryOptions,
 };
 pub use search::{
     search_nodeset, search_static, search_static_indexed, search_temporal, search_temporal_indexed,

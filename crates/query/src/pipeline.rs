@@ -71,22 +71,6 @@ pub fn formulate_queries(
     behavior: Behavior,
     options: &QueryOptions,
 ) -> BehaviorQueries {
-    formulate_queries_budgeted(training, behavior, options, 0)
-}
-
-/// [`formulate_queries`] with a candidate-frontier budget on the TGMiner run: the
-/// miner aborts after processing `frontier_budget` candidate patterns (0 disables
-/// the cap), keeping its best-so-far patterns and flagging
-/// [`tgminer::MiningStats::budget_exhausted`] in the returned `mining` result.
-/// The fast-fail guard for runaway mining configurations (large `query_size` over
-/// dense training data) — callers check the flag and dump
-/// [`tgminer::MiningStats::levels`] instead of hanging.
-pub fn formulate_queries_budgeted(
-    training: &TrainingData,
-    behavior: Behavior,
-    options: &QueryOptions,
-    frontier_budget: usize,
-) -> BehaviorQueries {
     let positives = training.positives(behavior);
     let negatives = training.negatives();
     let score = LogRatio::default();
@@ -96,7 +80,6 @@ pub fn formulate_queries_budgeted(
         max_edges: options.query_size,
         top_k: options.miner_top_k,
         cap_per_graph: options.cap_per_graph,
-        frontier_budget,
         ..MinerConfig::default()
     };
     let mining = mine(positives, negatives, &score, &config);

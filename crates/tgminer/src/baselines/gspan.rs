@@ -11,10 +11,12 @@
 //!   deduplicated through a canonical key (label-sorted nodes, permuting only within
 //!   equal-label groups) because without temporal order the growth path to a pattern is
 //!   no longer unique;
-//! * [`mine_nontemporal`] runs the discriminative search with the same score functions
-//!   and upper-bound pruning as the temporal miner.
+//! * [`mine_nontemporal`] runs the discriminative search with the same score functions,
+//!   top-k and admission rule ([`crate::topk`]) as the temporal miner: a pattern is
+//!   offered, then its branch is cut if the top-k does not admit its upper bound.
 
 use crate::score::ScoreFunction;
+use crate::topk::{Scored, TopK};
 use std::collections::{BTreeSet, HashSet};
 use std::time::{Duration, Instant};
 use tgraph::{Label, TemporalGraph};
@@ -351,18 +353,8 @@ fn permute_range(
     }
 }
 
-/// A mined non-temporal pattern with its score.
-#[derive(Debug, Clone)]
-pub struct NonTemporalPattern {
-    /// The pattern.
-    pub pattern: StaticPattern,
-    /// Discriminative score.
-    pub score: f64,
-    /// Frequency in the positive set.
-    pub pos_freq: f64,
-    /// Frequency in the negative set.
-    pub neg_freq: f64,
-}
+/// A mined non-temporal pattern with its statistics.
+pub type NonTemporalPattern = Scored<StaticPattern>;
 
 /// Result of a non-temporal mining run.
 #[derive(Debug, Clone, Default)]
@@ -408,10 +400,9 @@ pub fn mine_nontemporal(
         negatives: &neg_static,
         score,
         max_edges,
-        top_k,
         cap_per_graph: 64,
         visited: HashSet::new(),
-        top: Vec::new(),
+        top: TopK::new(top_k),
         patterns_processed: 0,
     };
 
@@ -428,14 +419,8 @@ pub fn mine_nontemporal(
         miner.dfs(&pattern, pattern.canonical_key(), &occ);
     }
 
-    let mut patterns = miner.top;
-    patterns.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
     NonTemporalResult {
-        patterns,
+        patterns: miner.top.into_patterns(),
         patterns_processed: miner.patterns_processed,
         elapsed: start.elapsed(),
     }
@@ -446,43 +431,13 @@ struct StaticMiner<'a> {
     negatives: &'a [StaticGraph],
     score: &'a dyn ScoreFunction,
     max_edges: usize,
-    top_k: usize,
     cap_per_graph: usize,
     visited: HashSet<Vec<u64>>,
-    top: Vec<NonTemporalPattern>,
+    top: TopK<StaticPattern>,
     patterns_processed: u64,
 }
 
 impl StaticMiner<'_> {
-    fn f_star(&self) -> f64 {
-        if self.top.len() >= self.top_k {
-            self.top
-                .last()
-                .map(|p| p.score)
-                .unwrap_or(f64::NEG_INFINITY)
-        } else {
-            f64::NEG_INFINITY
-        }
-    }
-
-    fn offer(&mut self, pattern: &StaticPattern, score: f64, pos_freq: f64, neg_freq: f64) {
-        if self.top.len() >= self.top_k && score <= self.f_star() {
-            return;
-        }
-        self.top.push(NonTemporalPattern {
-            pattern: pattern.clone(),
-            score,
-            pos_freq,
-            neg_freq,
-        });
-        self.top.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        self.top.truncate(self.top_k);
-    }
-
     /// Occurrences of a seed pattern, searched from scratch over both graph sets.
     fn compute_occurrences(&self, pattern: &StaticPattern) -> StaticOccurrences {
         self.occurrences_among(pattern, 0..self.positives.len(), 0..self.negatives.len())
@@ -526,7 +481,8 @@ impl StaticMiner<'_> {
         let pos_freq = pos_graphs as f64 / self.positives.len().max(1) as f64;
         let neg_freq = neg_graphs as f64 / self.negatives.len().max(1) as f64;
         let score = self.score.score(pos_freq, neg_freq);
-        self.offer(pattern, score, pos_freq, neg_freq);
+        self.top
+            .offer(score, pos_freq, neg_freq, || pattern.clone());
         Some(pos_freq)
     }
 
@@ -538,7 +494,7 @@ impl StaticMiner<'_> {
         if pattern.edge_count() >= self.max_edges {
             return;
         }
-        if self.score.upper_bound(pos_freq) < self.f_star() {
+        if !self.top.admits(self.score.upper_bound(pos_freq)) {
             return;
         }
         let children_at_cap = pattern.edge_count() + 1 == self.max_edges;

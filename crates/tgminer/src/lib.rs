@@ -13,6 +13,7 @@
 //! * [`pruning`] — upper-bound, subgraph and supergraph pruning with pluggable temporal
 //!   subgraph tests and residual-set equivalence tests (Section 4).
 //! * [`miner`] — the DFS driver, configuration, and results.
+//! * [`topk`] — the top-k collection and the one admission rule both miners prune by.
 //! * [`ranking`] — domain-knowledge interest ranking of tied patterns (Appendix M).
 //! * [`baselines`] — the paper's baselines: the five efficiency variants, the
 //!   non-temporal miner `Ntemp`, and the keyword baseline `NodeSet`.
@@ -60,6 +61,7 @@ pub mod pruning;
 pub mod ranking;
 pub mod score;
 pub mod stats;
+pub mod topk;
 
 pub use baselines::MinerVariant;
 pub use miner::{mine, MinedPattern, MinerConfig, MiningResult};

@@ -8,6 +8,11 @@
 //! test and the residual-set equivalence test are all configurable — the paper's five
 //! efficiency baselines are exactly such configurations (see [`crate::baselines`]).
 //!
+//! The miner never compares anything with the threshold `F*` itself: the top-k and
+//! the one admission rule live in [`crate::topk`]. A pattern is offered first; its
+//! branch is then cut if the top-k would not admit the branch's bound — which, once k
+//! patterns are held, includes a bound that merely *ties* `F*`.
+//!
 //! Embeddings are stored for patterns that will be grown. Patterns at
 //! [`MinerConfig::max_edges`] never are, so their parent only counts the graphs that
 //! support them ([`crate::growth::count_extensions`]): they are candidates like any
@@ -20,6 +25,7 @@ use crate::pruning::{
 };
 use crate::score::ScoreFunction;
 use crate::stats::MiningStats;
+use crate::topk::{Scored, TopK};
 use std::collections::BTreeMap;
 use std::time::Instant;
 use tgraph::matching::Embedding;
@@ -94,18 +100,8 @@ impl MinerConfig {
     }
 }
 
-/// One mined pattern with its statistics.
-#[derive(Debug, Clone)]
-pub struct MinedPattern {
-    /// The temporal graph pattern.
-    pub pattern: TemporalPattern,
-    /// Discriminative score `F(pos_freq, neg_freq)`.
-    pub score: f64,
-    /// Frequency in the positive set.
-    pub pos_freq: f64,
-    /// Frequency in the negative set.
-    pub neg_freq: f64,
-}
+/// One mined temporal pattern with its statistics.
+pub type MinedPattern = Scored<TemporalPattern>;
 
 /// Result of a mining run: the top-k patterns (sorted by decreasing score) plus work
 /// counters.
@@ -188,21 +184,16 @@ pub fn mine(
             config.use_subgraph_pruning,
             config.use_supergraph_pruning,
         ),
-        top: Vec::new(),
+        top: TopK::new(config.top_k),
         stats: MiningStats::default(),
     };
     for (pattern, occ) in seed_patterns(positives, negatives, config.cap_per_graph) {
         miner.dfs(&pattern, &occ);
     }
     let mut result = MiningResult {
-        patterns: miner.top,
+        patterns: miner.top.into_patterns(),
         stats: miner.stats,
     };
-    result.patterns.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
     result.stats.elapsed = start.elapsed();
     result
 }
@@ -284,48 +275,11 @@ struct Miner<'a> {
     config: &'a MinerConfig,
     postings_pos: Vec<LabelPostings>,
     registry: PruningRegistry,
-    top: Vec<MinedPattern>,
+    top: TopK<TemporalPattern>,
     stats: MiningStats,
 }
 
 impl Miner<'_> {
-    /// Current pruning threshold `F*`: the k-th best score found so far.
-    fn f_star(&self) -> f64 {
-        if self.top.len() >= self.config.top_k {
-            self.top
-                .last()
-                .map(|p| p.score)
-                .unwrap_or(f64::NEG_INFINITY)
-        } else {
-            f64::NEG_INFINITY
-        }
-    }
-
-    /// Offers a pattern to the top-k collection; `pattern` is only called on admission.
-    fn offer(
-        &mut self,
-        pattern: impl FnOnce() -> TemporalPattern,
-        score: f64,
-        pos_freq: f64,
-        neg_freq: f64,
-    ) {
-        if self.top.len() >= self.config.top_k && score <= self.f_star() {
-            return;
-        }
-        self.top.push(MinedPattern {
-            pattern: pattern(),
-            score,
-            pos_freq,
-            neg_freq,
-        });
-        self.top.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        self.top.truncate(self.config.top_k);
-    }
-
     /// Frontier budget: once the candidate count trips it, the whole remaining search
     /// is abandoned (every ancestor sees `truncated`, so no aborted branch can ever be
     /// registered as a dominating pruning entry). The best patterns found before the
@@ -358,11 +312,9 @@ impl Miner<'_> {
         let pos_freq = occ.freq_pos(self.positives.len());
         let neg_freq = occ.freq_neg(self.negatives.len());
         let score = self.score.score(pos_freq, neg_freq);
-        self.offer(|| pattern.clone(), score, pos_freq, neg_freq);
+        self.top
+            .offer(score, pos_freq, neg_freq, || pattern.clone());
         let mut branch_best = score;
-
-        let pruning_enabled =
-            self.config.use_subgraph_pruning || self.config.use_supergraph_pruning;
 
         // Size cap: the pattern itself is kept but its branch is not explored. Only
         // seeds get here (`max_edges <= 1`); larger patterns at the cap are counted by
@@ -372,37 +324,37 @@ impl Miner<'_> {
             return (branch_best, true);
         }
 
-        // Naive upper-bound pruning (Section 4.1).
-        if self.config.use_upper_bound {
-            let bound = self.score.upper_bound(pos_freq);
-            if bound < self.f_star() {
-                self.stats.upper_bound_prunes += 1;
-                self.stats.level_mut(level).pruned += 1;
-                if pruning_enabled {
-                    let facts = self.gather_facts(pattern, occ);
-                    // Every descendant scores at most `bound`, which is below the
-                    // threshold forever (F* never decreases), so the branch is dominated.
-                    self.registry.register(facts, bound, false);
-                }
-                return (branch_best, false);
-            }
+        // Naive upper-bound pruning (Section 4.1): every descendant scores at most the
+        // bound, and what the top-k does not admit now it never will (F* only grows).
+        // The branch is not registered: an entry can only dominate a pattern with the
+        // same positive residual set, hence the same support and the same bound — which
+        // this very test cuts first.
+        if self.config.use_upper_bound && !self.top.admits(self.score.upper_bound(pos_freq)) {
+            self.stats.upper_bound_prunes += 1;
+            self.stats.level_mut(level).pruned += 1;
+            return (branch_best, false);
         }
 
         // Subgraph / supergraph pruning (Section 4.2).
-        let facts = if pruning_enabled {
-            Some(self.gather_facts(pattern, occ))
-        } else {
-            None
-        };
+        let pruning_enabled =
+            self.config.use_subgraph_pruning || self.config.use_supergraph_pruning;
+        let facts = pruning_enabled.then(|| {
+            PatternFacts::gather(
+                pattern,
+                occ,
+                self.positives,
+                self.negatives,
+                self.config.residual_test,
+            )
+        });
         if let Some(facts) = &facts {
-            let f_star = self.f_star();
             if let Some(reason) = self.registry.check(
                 facts,
                 occ,
                 &self.postings_pos,
                 self.positives,
                 self.negatives,
-                f_star,
+                &self.top,
                 &mut self.stats,
             ) {
                 match reason {
@@ -410,7 +362,7 @@ impl Miner<'_> {
                     PruneReason::Supergraph => self.stats.supergraph_prunes += 1,
                 }
                 self.stats.level_mut(level).pruned += 1;
-                // The dominating entry proves this branch never reaches F*, which only
+                // The dominating entry proves this branch never beats F*, which only
                 // grows, so registering it as dominated is sound.
                 self.registry
                     .register(facts.clone(), f64::NEG_INFINITY, false);
@@ -473,23 +425,14 @@ impl Miner<'_> {
             candidates += 1;
             let neg_freq = frequency(leaf.neg_graphs, self.negatives.len());
             let score = self.score.score(pos_freq, neg_freq);
-            self.offer(|| leaf.key.apply(pattern), score, pos_freq, neg_freq);
+            self.top
+                .offer(score, pos_freq, neg_freq, || leaf.key.apply(pattern));
             best = best.max(score);
         }
         if candidates > 0 {
             self.stats.level_mut(pattern.edge_count() + 1).candidates += candidates;
         }
         (best, candidates > 0 || self.stats.budget_exhausted)
-    }
-
-    fn gather_facts(&self, pattern: &TemporalPattern, occ: &Occurrences) -> PatternFacts {
-        PatternFacts::gather(
-            pattern,
-            occ,
-            self.positives,
-            self.negatives,
-            self.config.residual_test,
-        )
     }
 }
 
@@ -594,6 +537,52 @@ mod tests {
         assert!((with_pruning.best_score() - without.best_score()).abs() < 1e-9);
         // Pruning must not process more patterns than the exhaustive run.
         assert!(with_pruning.stats.patterns_processed <= without.stats.patterns_processed);
+    }
+
+    /// More than k patterns at the score ceiling: once k of them are held, every
+    /// other full-support branch ties the bound and is cut where it starts, yet the
+    /// answer is the exhaustive run's, tie order included.
+    #[test]
+    fn ties_with_a_full_top_k_are_pruned_without_changing_the_answer() {
+        // Five distinct labels in a chain, in every positive and no negative: each of
+        // the chain's T-connected sub-patterns has frequency (1, 0).
+        let chain = || {
+            let mut b = GraphBuilder::new();
+            let nodes: Vec<usize> = (0..5).map(|i| b.add_node(l(i))).collect();
+            for (t, w) in nodes.windows(2).enumerate() {
+                b.add_edge(w[0], w[1], t as u64 + 1).unwrap();
+            }
+            b.build()
+        };
+        let positives = vec![chain(), chain(), chain()];
+        let mut b = GraphBuilder::new();
+        let (x, y) = (b.add_node(l(8)), b.add_node(l(9)));
+        b.add_edge(x, y, 1).unwrap();
+        let negatives = vec![b.build()];
+
+        let pruned = MinerConfig::default().with_max_edges(4).with_top_k(3);
+        let exhaustive = MinerConfig {
+            use_upper_bound: false,
+            use_subgraph_pruning: false,
+            use_supergraph_pruning: false,
+            ..pruned.clone()
+        };
+        let score = LogRatio::default();
+        let with_pruning = mine(&positives, &negatives, &score, &pruned);
+        let without = mine(&positives, &negatives, &score, &exhaustive);
+        let answer = |result: &MiningResult| -> Vec<(TemporalPattern, [u64; 3])> {
+            let bits = |p: &MinedPattern| [p.score, p.pos_freq, p.neg_freq].map(f64::to_bits);
+            let entries = result.patterns.iter();
+            entries.map(|p| (p.pattern.clone(), bits(p))).collect()
+        };
+        assert_eq!(answer(&with_pruning), answer(&without));
+        let ceiling = score.upper_bound(1.0);
+        assert!(without.patterns.iter().all(|p| p.score == ceiling));
+        assert_eq!(without.stats.patterns_processed, 10, "all sub-chains");
+        // A->B, A->B->C and A->B->C->D fill the top-3; A->B's branch ends there, and
+        // the three other seeds are each offered, tie, and are cut.
+        assert_eq!(with_pruning.stats.patterns_processed, 6);
+        assert_eq!(with_pruning.stats.upper_bound_prunes, 4);
     }
 
     #[test]

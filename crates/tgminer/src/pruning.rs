@@ -6,11 +6,16 @@
 //!
 //! * **Subgraph pruning** (Lemma 4): a registered `g1` with `g2 ⊆t g1`, equal positive
 //!   residual sets, whose extra node labels never occur in `g2`'s positive residual node
-//!   label set, and whose branch never reached the current threshold `F*`, proves that
-//!   `g2`'s branch cannot contain a top pattern either.
+//!   label set, and whose branch is *dominated* — the top-k no longer admits its best
+//!   score ([`TopK::admits`]) — proves that `g2`'s branch cannot contain a top pattern
+//!   either.
 //! * **Supergraph pruning** (Proposition 2): a registered `g1` with `g1 ⊆t g2`, equal
 //!   positive *and* negative residual sets, the same number of nodes, and a dominated
 //!   branch, proves the same.
+//!
+//! Branches cut by the naive upper bound are not registered. Both conditions need equal
+//! positive residual sets, hence equal positive support, hence an equal bound: whatever
+//! such an entry could dominate, the bound test — which runs first — has already cut.
 //!
 //! The expensive checks are ordered cheapest-first: integer residual signatures
 //! (Lemma 6) before temporal subgraph tests; the test algorithm and the residual
@@ -26,6 +31,7 @@
 
 use crate::embedding::Occurrences;
 use crate::stats::MiningStats;
+use crate::topk::TopK;
 use std::collections::HashMap;
 use tgraph::gindex::gindex_temporal_subgraph;
 use tgraph::pattern::TemporalPattern;
@@ -181,7 +187,7 @@ impl PruningRegistry {
     }
 
     /// Checks whether the branch of the pattern described by `facts` can be pruned
-    /// given the current threshold `f_star`. Work counters go into `stats`.
+    /// given the current top-k `top`. Work counters go into `stats`.
     #[allow(clippy::too_many_arguments)]
     pub fn check(
         &self,
@@ -190,7 +196,7 @@ impl PruningRegistry {
         postings_pos: &[LabelPostings],
         positives: &[TemporalGraph],
         negatives: &[TemporalGraph],
-        f_star: f64,
+        top: &TopK<TemporalPattern>,
         stats: &mut MiningStats,
     ) -> Option<PruneReason> {
         if !self.use_subgraph && !self.use_supergraph {
@@ -200,10 +206,9 @@ impl PruningRegistry {
         let candidates = self.by_sig_pos.get(&key)?;
         for &idx in candidates {
             let entry = &self.entries[idx];
-            // Both prunings require the registered branch to be dominated. A branch
-            // whose best score is NaN is treated as not dominated (kept), matching the
-            // original `!(branch_best < f_star)` comparison.
-            if entry.branch_best.partial_cmp(&f_star) != Some(std::cmp::Ordering::Less) {
+            // Both prunings require the registered branch to be dominated: nothing
+            // scoring its best could enter the top-k any more.
+            if top.admits(entry.branch_best) {
                 continue;
             }
             if self.use_subgraph
@@ -411,14 +416,53 @@ mod tests {
         assert!(multiset_difference(&[l(1), l(2)], &[l(1), l(2)]).is_empty());
     }
 
-    #[test]
-    fn registry_len_tracks_registrations() {
-        let mut reg = PruningRegistry::new(
+    fn registry() -> PruningRegistry {
+        PruningRegistry::new(
             SubgraphTestAlgo::Sequence,
             ResidualTestAlgo::Signature,
             true,
             true,
-        );
+        )
+    }
+
+    /// One positive graph holding only A -> B, the pattern A -> B and its facts.
+    struct OneEdgeTask {
+        positives: Vec<TemporalGraph>,
+        postings: Vec<LabelPostings>,
+        pattern: TemporalPattern,
+        occ: Occurrences,
+        facts: PatternFacts,
+    }
+
+    fn one_edge_task() -> OneEdgeTask {
+        let mut b = tgraph::GraphBuilder::new();
+        let (a, bb) = (b.add_node(l(0)), b.add_node(l(1)));
+        b.add_edge(a, bb, 1).unwrap();
+        let positives = vec![b.build()];
+        let postings = positives.iter().map(LabelPostings::build).collect();
+        let pattern = TemporalPattern::single_edge(l(0), l(1));
+        let occ = Occurrences::compute(&pattern, &positives, &[], 10);
+        let facts =
+            PatternFacts::gather(&pattern, &occ, &positives, &[], ResidualTestAlgo::Signature);
+        OneEdgeTask {
+            positives,
+            postings,
+            pattern,
+            occ,
+            facts,
+        }
+    }
+
+    /// A top-`k` holding one pattern that scores 1.0: full (F* = 1.0) iff `k` is 1.
+    fn top_holding_one(k: usize, pattern: &TemporalPattern) -> TopK<TemporalPattern> {
+        let mut top = TopK::new(k);
+        top.offer(1.0, 1.0, 0.0, || pattern.clone());
+        top
+    }
+
+    #[test]
+    fn registry_len_tracks_registrations() {
+        let mut reg = registry();
         assert!(reg.is_empty());
         let pattern = TemporalPattern::single_edge(l(0), l(1));
         let facts = PatternFacts {
@@ -440,42 +484,69 @@ mod tests {
     /// a pattern at the cap every checked pattern is strictly smaller.)
     #[test]
     fn a_truncated_strictly_larger_entry_never_prunes() {
-        use tgraph::GraphBuilder;
-        // One positive graph holding only A -> B: label C never follows the match.
-        let mut b = GraphBuilder::new();
-        let (a, bb) = (b.add_node(l(0)), b.add_node(l(1)));
-        b.add_edge(a, bb, 1).unwrap();
-        let positives = vec![b.build()];
-        let postings: Vec<LabelPostings> = positives.iter().map(LabelPostings::build).collect();
-
-        let small = TemporalPattern::single_edge(l(0), l(1));
-        let occ = Occurrences::compute(&small, &positives, &[], 10);
-        let facts =
-            PatternFacts::gather(&small, &occ, &positives, &[], ResidualTestAlgo::Signature);
+        // Label C never follows the match of A -> B.
+        let task = one_edge_task();
         // A dominated entry for A -> B -> C whose residual facts equal the small
         // pattern's: everything Lemma 4 asks for.
-        let big = small.grow_forward(1, l(2)).unwrap();
+        let big = task.pattern.grow_forward(1, l(2)).unwrap();
         let entry = PatternFacts {
             label_multiset: big.sorted_label_multiset(),
             pattern: big,
-            ..facts.clone()
+            ..task.facts.clone()
         };
+        let full = top_holding_one(1, &task.pattern);
         for truncated in [false, true] {
-            let mut reg = PruningRegistry::new(
-                SubgraphTestAlgo::Sequence,
-                ResidualTestAlgo::Signature,
-                true,
-                true,
-            );
+            let mut reg = registry();
             reg.register(entry.clone(), 0.5, truncated);
             let mut stats = MiningStats::default();
-            let verdict = reg.check(&facts, &occ, &postings, &positives, &[], 1.0, &mut stats);
+            let verdict = reg.check(
+                &task.facts,
+                &task.occ,
+                &task.postings,
+                &task.positives,
+                &[],
+                &full,
+                &mut stats,
+            );
             if truncated {
                 assert_eq!(verdict, None);
                 assert_eq!((stats.subgraph_tests, stats.residual_equiv_tests), (0, 0));
             } else {
                 assert_eq!(verdict, Some(PruneReason::Subgraph), "the control prunes");
             }
+        }
+    }
+
+    /// A registered branch is dominated exactly when its best score could no longer
+    /// enter the top-k: a tie with F* is, a better score is not, and while the top-k
+    /// is unfilled nothing is — not even a branch registered at −∞.
+    #[test]
+    fn domination_is_the_admission_rule() {
+        let task = one_edge_task();
+        let full = top_holding_one(1, &task.pattern);
+        let unfilled = top_holding_one(2, &task.pattern);
+        let cases = [
+            (1.0, &full, true),
+            (1.5, &full, false),
+            (f64::NAN, &full, false),
+            (1.0, &unfilled, false),
+            (f64::NEG_INFINITY, &unfilled, false),
+        ];
+        for (branch_best, top, prunes) in cases {
+            let mut reg = registry();
+            // The same pattern registered before: every other condition holds.
+            reg.register(task.facts.clone(), branch_best, false);
+            let mut stats = MiningStats::default();
+            let verdict = reg.check(
+                &task.facts,
+                &task.occ,
+                &task.postings,
+                &task.positives,
+                &[],
+                top,
+                &mut stats,
+            );
+            assert_eq!(verdict.is_some(), prunes, "branch best {branch_best}");
         }
     }
 

@@ -11,7 +11,7 @@ use std::time::Duration;
 ///
 /// This is the candidate-frontier diagnostic: when a mining run blows up, the
 /// per-level candidate counts show exactly which growth level exploded and how
-/// hard — the telemetry the frontier-budget guard dumps on abort.
+/// hard.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct LevelStats {
     /// Pattern edge count this row describes.

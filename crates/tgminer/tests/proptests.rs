@@ -1,12 +1,13 @@
 //! Property-based tests for the miner: score-function monotonicity, pruning soundness
-//! (pruned and exhaustive searches agree), and frequency correctness of mined patterns.
+//! (pruned and exhaustive searches return the same answer), and frequency correctness of
+//! mined patterns.
 
 use proptest::prelude::*;
 use tgminer::baselines::MinerVariant;
 use tgminer::embedding::Occurrences;
 use tgminer::growth::{count_extensions, enumerate_extensions};
 use tgminer::score::{GTest, InfoGain, LogRatio, ScoreFunction};
-use tgminer::{mine, MinerConfig};
+use tgminer::{mine, MinerConfig, MiningResult};
 use tgraph::generator::{random_t_connected_graph, RandomGraphSpec};
 use tgraph::matching::contains_pattern;
 use tgraph::pattern::TemporalPattern;
@@ -27,6 +28,99 @@ fn random_task(seed: u64, graphs: usize) -> (Vec<TemporalGraph>, Vec<TemporalGra
         .map(|i| random_t_connected_graph(seed.wrapping_add(1000 + i as u64), spec))
         .collect();
     (positives, negatives)
+}
+
+/// The whole answer of a run: the top patterns in order, each with the bits of its
+/// score and frequencies.
+fn answer(result: &MiningResult) -> Vec<(TemporalPattern, [u64; 3])> {
+    result
+        .patterns
+        .iter()
+        .map(|p| {
+            let bits = [p.score, p.pos_freq, p.neg_freq].map(f64::to_bits);
+            (p.pattern.clone(), bits)
+        })
+        .collect()
+}
+
+/// One sampled oracle case: a random task, a score function and the miner's limits.
+struct OracleCase {
+    positives: Vec<TemporalGraph>,
+    negatives: Vec<TemporalGraph>,
+    score: Box<dyn ScoreFunction>,
+    max_edges: usize,
+    top_k: usize,
+}
+
+impl OracleCase {
+    fn new(seed: u64, graphs: usize, max_edges: usize, k: usize, f: usize) -> Self {
+        let (positives, negatives) = random_task(seed, graphs);
+        let score: Box<dyn ScoreFunction> = match f {
+            0 => Box::new(LogRatio::default()),
+            1 => Box::new(GTest::default()),
+            _ => Box::new(InfoGain::new(positives.len(), negatives.len())),
+        };
+        Self {
+            positives,
+            negatives,
+            score,
+            max_edges,
+            top_k: [1, 3, 5, 24][k],
+        }
+    }
+
+    /// `config` with this case's limits applied.
+    fn mine(&self, config: MinerConfig) -> MiningResult {
+        let config = MinerConfig {
+            max_edges: self.max_edges,
+            top_k: self.top_k,
+            cap_per_graph: 64,
+            ..config
+        };
+        mine(&self.positives, &self.negatives, &*self.score, &config)
+    }
+
+    /// The reference: no bound, no subgraph pruning, no supergraph pruning.
+    fn exhaustive(&self) -> MiningResult {
+        self.mine(MinerConfig {
+            use_upper_bound: false,
+            use_subgraph_pruning: false,
+            use_supergraph_pruning: false,
+            ..MinerConfig::default()
+        })
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The pruned miner returns the exhaustive miner's whole answer — every top-k
+    /// pattern, in order, with the same score and frequencies to the bit (pruning
+    /// soundness, Theorem 2, and the exactness of pruning on a tie) — and never
+    /// processes more patterns.
+    #[test]
+    fn pruning_preserves_the_best_pattern(
+        seed in 0u64..100_000, graphs in 3usize..=5, max_edges in 2usize..=4, k in 0usize..4, f in 0usize..3
+    ) {
+        let case = OracleCase::new(seed, graphs, max_edges, k, f);
+        let with_pruning = case.mine(MinerConfig::default());
+        let without = case.exhaustive();
+        prop_assert_eq!(answer(&with_pruning), answer(&without), "{}", case.score.name());
+        prop_assert!(with_pruning.stats.patterns_processed <= without.stats.patterns_processed);
+    }
+
+    /// All six miner variants return the exhaustive miner's whole answer.
+    #[test]
+    fn all_variants_agree_on_the_best_score(
+        seed in 0u64..100_000, graphs in 3usize..=5, max_edges in 2usize..=4, k in 0usize..4, f in 0usize..3
+    ) {
+        let case = OracleCase::new(seed, graphs, max_edges, k, f);
+        let reference = answer(&case.exhaustive());
+        for variant in MinerVariant::all() {
+            let result = case.mine(variant.config(max_edges));
+            prop_assert_eq!(answer(&result), reference.clone(), "{} under {}", variant.name(), case.score.name());
+        }
+    }
 }
 
 proptest! {
@@ -53,48 +147,6 @@ proptest! {
             // The naive upper bound dominates any descendant (x' <= x, any y').
             let x_desc = (x - dx).max(0.0);
             prop_assert!(f.upper_bound(x) + 1e-9 >= f.score(x_desc, y), "{} upper bound violated", f.name());
-        }
-    }
-
-    /// The pruned miner finds the same best score as the exhaustive miner (pruning
-    /// soundness, Theorem 2), and never processes more patterns.
-    #[test]
-    fn pruning_preserves_the_best_pattern(seed in 0u64..500) {
-        let (positives, negatives) = random_task(seed, 4);
-        let score = LogRatio::default();
-        let pruned = MinerConfig { max_edges: 3, cap_per_graph: 64, ..MinerConfig::default() };
-        let exhaustive = MinerConfig {
-            max_edges: 3,
-            cap_per_graph: 64,
-            use_subgraph_pruning: false,
-            use_supergraph_pruning: false,
-            use_upper_bound: false,
-            ..MinerConfig::default()
-        };
-        let with_pruning = mine(&positives, &negatives, &score, &pruned);
-        let without = mine(&positives, &negatives, &score, &exhaustive);
-        prop_assert!((with_pruning.best_score() - without.best_score()).abs() < 1e-9,
-            "pruned={} exhaustive={}", with_pruning.best_score(), without.best_score());
-        prop_assert!(with_pruning.stats.patterns_processed <= without.stats.patterns_processed);
-    }
-
-    /// All six miner variants agree on the best score.
-    #[test]
-    fn all_variants_agree_on_the_best_score(seed in 0u64..200) {
-        let (positives, negatives) = random_task(seed, 3);
-        let score = LogRatio::default();
-        let mut reference: Option<f64> = None;
-        for variant in MinerVariant::all() {
-            let mut config = variant.config(3);
-            config.cap_per_graph = 64;
-            let result = mine(&positives, &negatives, &score, &config);
-            match reference {
-                None => reference = Some(result.best_score()),
-                Some(expected) => prop_assert!(
-                    (result.best_score() - expected).abs() < 1e-9,
-                    "{} disagrees: {} vs {}", variant.name(), result.best_score(), expected
-                ),
-            }
         }
     }
 

@@ -1,7 +1,9 @@
 //! Cross-crate integration tests: the full behavior-query pipeline from synthetic syscall
 //! logs through mining to query evaluation.
 
-use behavior_query::query::{formulate_and_evaluate, formulate_queries, QueryOptions};
+use behavior_query::query::{
+    evaluate_queries, formulate_and_evaluate, formulate_queries, AccuracySummary, QueryOptions,
+};
 use behavior_query::syscall::{Behavior, DatasetConfig, TestData, TestDataConfig, TrainingData};
 use behavior_query::tgminer::{mine, LogRatio, MinerConfig, MinerVariant};
 use behavior_query::tgraph::matching::contains_pattern;
@@ -130,4 +132,34 @@ fn subsampled_training_data_still_yields_working_queries() {
     };
     let accuracy = formulate_and_evaluate(&subset, &test, Behavior::Bzip2Decompress, &options);
     assert!(accuracy.tgminer.recall() > 0.5);
+}
+
+/// Table 2 at `tiny`, as `table2_accuracy` runs it: all twelve behaviors at the paper's
+/// query size 6 with default options. It completes, on a bounded amount of search work
+/// (a count, not a time), and orders the three approaches as the paper does.
+#[test]
+fn table2_completes_at_default_settings_and_orders_the_approaches_as_the_paper_does() {
+    let (training, test) = tiny_setup();
+    let options = QueryOptions::default();
+    assert_eq!(options.query_size, 6);
+    let mut summary = AccuracySummary::default();
+    for behavior in Behavior::all() {
+        let queries = formulate_queries(&training, behavior, &options);
+        let stats = &queries.mining.stats;
+        assert!(!stats.budget_exhausted, "{}", behavior.name());
+        assert!(
+            stats.patterns_processed <= 20_000,
+            "{}: {} candidates — ties with a full top-k are being grown again",
+            behavior.name(),
+            stats.patterns_processed
+        );
+        summary.rows.push(evaluate_queries(&queries, &test));
+    }
+    assert_eq!(summary.rows.len(), 12);
+    // (NodeSet, Ntemp, TGMiner) macro averages: Table 2 ranks them in that order.
+    let averages = summary.averages().expect("twelve rows");
+    for [nodeset, ntemp, tgminer] in [averages.precision, averages.recall] {
+        assert!(tgminer >= ntemp && ntemp >= nodeset, "{averages:?}");
+    }
+    assert!(averages.precision[2] >= 0.95, "{averages:?}");
 }

@@ -1,21 +1,28 @@
-//! Golden pin of both miners behind `query::formulate_queries`.
+//! Golden pins of both miners behind `query::formulate_queries`, in two files.
 //!
-//! `tests/golden/mining_pin.txt` records, for every class of the checked-in fixture
-//! corpus (`tests/fixtures/training.corpus`) and of `DatasetConfig::tiny()` at query
-//! sizes 1..=4, what `tgminer::mine` and `mine_nontemporal` return when configured as
-//! `formulate_queries` configures them: the top patterns in order (pattern, score,
-//! frequencies — as a count and an FNV-1a digest of their exact rendering), every work
-//! and prune counter, and the per-level candidate/pruned rows. A handful of
-//! `frontier_budget` runs pin where a tripped budget stops and what it has found by
-//! then, including trips in the middle of the size-cap level.
+//! For every class of the checked-in fixture corpus (`tests/fixtures/training.corpus`)
+//! and of `DatasetConfig::tiny()` at query sizes 1..=4, `tgminer::mine` and
+//! `mine_nontemporal` run configured as `formulate_queries` configures them, and each
+//! run is pinned twice:
 //!
-//! The file was captured **before** the size cap became a counting level, so it holds
-//! the materialising miners' answers: any evaluation shortcut must reproduce it line
-//! for line. Stored-embedding counts are pinned for the interior levels only; at the
-//! cap (from size 2 up) nothing is stored, which the test asserts instead.
+//! * `tests/golden/mining_answers.txt` — **what is returned**: the top patterns in
+//!   order (pattern, score, frequencies), as a count, the best score and an FNV-1a
+//!   digest of their exact rendering. The file is a column projection of the pin
+//!   captured from the materialising miners, before the size cap became a counting
+//!   level and before ties were pruned: any evaluation shortcut or work-only
+//!   optimisation must reproduce it line for line, unmodified.
+//! * `tests/golden/mining_work.txt` — **what it cost**: every work and prune counter
+//!   and the per-level candidate/pruned rows. Stored-embedding counts are pinned for
+//!   the interior levels only; at the cap (from size 2 up) nothing is stored, which
+//!   the test asserts instead. It also holds a handful of `frontier_budget` runs
+//!   whole, answer included — where a tripped budget stops, and what it has found by
+//!   then, is a function of the work, including trips in the middle of the size-cap
+//!   level.
 //!
-//! To regenerate after an *intentional* change of search order or admission policy:
-//! `cargo test --test mining_golden -- --ignored regenerate_mining_pin`.
+//! To regenerate the work file after an optimisation that moves counters:
+//! `cargo test --test mining_golden -- --ignored regenerate_mining_pin`. The answers
+//! file changes only with an *intentional* change of search order or admission policy:
+//! `cargo test --test mining_golden -- --ignored regenerate_mining_answers`.
 
 use behavior_query::syscall::{Behavior, DatasetConfig, TrainingData};
 use behavior_query::tgminer::baselines::gspan::mine_nontemporal;
@@ -35,8 +42,10 @@ const SIZES: std::ops::RangeInclusive<usize> = 1..=4;
 /// land inside a terminal level.
 const BUDGETS: [usize; 4] = [5, 50, 500, 5_000];
 
-fn pin_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/mining_pin.txt")
+fn golden_path(file: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(file)
 }
 
 fn fnv1a(text: &str) -> u64 {
@@ -134,9 +143,22 @@ fn config(size: usize, frontier_budget: usize) -> MinerConfig {
     }
 }
 
-/// The pinned rendering of one TGMiner run. `size` is the cap: embeddings of levels
+/// Text for the two golden files: one run's line of each, or each file whole.
+struct Pins {
+    answers: String,
+    work: String,
+}
+
+/// What a run returned: pattern count, best score (TGMiner only) and the digest of
+/// the rendered pattern list.
+fn answer(patterns: usize, best: Option<f64>, rendered: &str) -> String {
+    let best = best.map_or(String::new(), |b| format!(" best={b:?}"));
+    format!("patterns={patterns}{best} fnv={:016x}", fnv1a(rendered))
+}
+
+/// The pinned lines of one TGMiner run. `size` is the cap: embeddings of levels
 /// below it are pinned, the cap level's are asserted by the caller.
-fn tgminer_line(result: &MiningResult, size: usize) -> String {
+fn tgminer_pin(result: &MiningResult, size: usize) -> Pins {
     let stats = &result.stats;
     let mut rendered = String::new();
     for p in &result.patterns {
@@ -153,23 +175,23 @@ fn tgminer_line(result: &MiningResult, size: usize) -> String {
             }
         })
         .collect();
-    format!(
-        "processed={} expanded={} extensions={} ub={} sub={} super={} subgraph_tests={} \
-         residual_tests={} exhausted={} levels={} patterns={} best={:?} fnv={:016x}",
-        stats.patterns_processed,
-        stats.patterns_expanded,
-        stats.extensions_evaluated,
-        stats.upper_bound_prunes,
-        stats.subgraph_prunes,
-        stats.supergraph_prunes,
-        stats.subgraph_tests,
-        stats.residual_equiv_tests,
-        stats.budget_exhausted,
-        levels.join(","),
-        result.patterns.len(),
-        result.best_score(),
-        fnv1a(&rendered)
-    )
+    Pins {
+        answers: answer(result.patterns.len(), Some(result.best_score()), &rendered),
+        work: format!(
+            "processed={} expanded={} extensions={} ub={} sub={} super={} subgraph_tests={} \
+             residual_tests={} exhausted={} levels={}",
+            stats.patterns_processed,
+            stats.patterns_expanded,
+            stats.extensions_evaluated,
+            stats.upper_bound_prunes,
+            stats.subgraph_prunes,
+            stats.supergraph_prunes,
+            stats.subgraph_tests,
+            stats.residual_equiv_tests,
+            stats.budget_exhausted,
+            levels.join(","),
+        ),
+    }
 }
 
 /// What the size-cap level stores: nothing from size 2 up (the seeds of a size-1 run
@@ -186,8 +208,8 @@ fn assert_cap_level_stores_nothing(result: &MiningResult, size: usize, what: &st
     }
 }
 
-/// The pinned rendering of one Ntemp run.
-fn ntemp_line(task: &Task, negatives: &[TemporalGraph], size: usize) -> String {
+/// The pinned lines of one Ntemp run.
+fn ntemp_pin(task: &Task, negatives: &[TemporalGraph], size: usize) -> Pins {
     let ntemp = mine_nontemporal(
         &task.positives,
         negatives,
@@ -199,18 +221,15 @@ fn ntemp_line(task: &Task, negatives: &[TemporalGraph], size: usize) -> String {
     for p in &ntemp.patterns {
         render_pattern(&mut rendered, &p.pattern, p.score, p.pos_freq, p.neg_freq);
     }
-    format!(
-        "processed={} patterns={} fnv={:016x}",
-        ntemp.patterns_processed,
-        ntemp.patterns.len(),
-        fnv1a(&rendered)
-    )
+    Pins {
+        answers: answer(ntemp.patterns.len(), None, &rendered),
+        work: format!("processed={}", ntemp.patterns_processed),
+    }
 }
 
 /// Both miners on every class at every size. The runs are independent, so each gets
-/// its own thread (the large tiny classes at size 4 are most of the test's time);
-/// lines keep (class, size, miner) order.
-fn pin_of(corpus: &str, tasks: &[Task], negatives: &[TemporalGraph], out: &mut String) {
+/// its own thread; lines keep (class, size, miner) order.
+fn pin_of(corpus: &str, tasks: &[Task], negatives: &[TemporalGraph], out: &mut Pins) {
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for task in tasks {
@@ -220,20 +239,25 @@ fn pin_of(corpus: &str, tasks: &[Task], negatives: &[TemporalGraph], out: &mut S
                     let score = LogRatio::default();
                     let mined = mine(&task.positives, negatives, &score, &config(size, 0));
                     assert_cap_level_stores_nothing(&mined, size, &what());
-                    format!("{} tgminer {}\n", what(), tgminer_line(&mined, size))
+                    (format!("{} tgminer", what()), tgminer_pin(&mined, size))
                 }));
                 handles.push(scope.spawn(move || {
-                    format!("{} ntemp {}\n", what(), ntemp_line(task, negatives, size))
+                    (
+                        format!("{} ntemp", what()),
+                        ntemp_pin(task, negatives, size),
+                    )
                 }));
             }
         }
         for handle in handles {
-            out.push_str(&handle.join().expect("a mining thread panicked"));
+            let (what, pin) = handle.join().expect("a mining thread panicked");
+            writeln!(out.answers, "{what} {}", pin.answers).unwrap();
+            writeln!(out.work, "{what} {}", pin.work).unwrap();
         }
     });
 }
 
-/// Budgeted runs at size 3 on one class.
+/// Budgeted runs at size 3 on one class: whole lines in the work file.
 fn budget_pin(corpus: &str, task: &Task, negatives: &[TemporalGraph], out: &mut String) {
     let score = LogRatio::default();
     let unbounded = mine(&task.positives, negatives, &score, &config(3, 0));
@@ -246,43 +270,61 @@ fn budget_pin(corpus: &str, task: &Task, negatives: &[TemporalGraph], out: &mut 
             assert_eq!(mined.stats.patterns_processed, budget as u64, "{what}");
         }
         assert_cap_level_stores_nothing(&mined, 3, &what);
-        writeln!(out, "{what} tgminer {}", tgminer_line(&mined, 3)).unwrap();
+        let pin = tgminer_pin(&mined, 3);
+        writeln!(out, "{what} tgminer {} {}", pin.work, pin.answers).unwrap();
     }
 }
 
-fn current_pin() -> String {
-    let mut out = String::from(
-        "# mining golden pin — captured by tests/mining_golden.rs (regenerate_mining_pin) \
-         from the materialising miners; do not edit\n",
-    );
+fn current_pins() -> Pins {
+    let mut out = Pins {
+        answers: String::from(
+            "# mining answers — what both miners return; a column projection of the pin \
+             captured from the materialising miners (tests/mining_golden.rs); a work-only \
+             change must not touch this file; do not edit\n",
+        ),
+        work: String::from(
+            "# mining work — what both miners' runs cost, and the budgeted runs whole; \
+             captured by tests/mining_golden.rs (regenerate_mining_pin); do not edit\n",
+        ),
+    };
     let (fixture, fixture_negatives) = fixture_tasks();
     pin_of("fixture", &fixture, &fixture_negatives, &mut out);
     let (tiny, tiny_negatives) = tiny_tasks();
     pin_of("tiny", &tiny, &tiny_negatives, &mut out);
     // Budgeted runs: the fixture classes and one dense tiny class.
     for task in &fixture {
-        budget_pin("fixture", task, &fixture_negatives, &mut out);
+        budget_pin("fixture", task, &fixture_negatives, &mut out.work);
     }
     let sshd = tiny
         .iter()
         .find(|t| t.name == Behavior::SshdLogin.name())
         .expect("tiny data has sshd-login");
-    budget_pin("tiny", sshd, &tiny_negatives, &mut out);
+    budget_pin("tiny", sshd, &tiny_negatives, &mut out.work);
     out
+}
+
+fn assert_matches_golden(file: &str, actual: &str, regenerate: &str) {
+    let expected = std::fs::read_to_string(golden_path(file))
+        .unwrap_or_else(|e| panic!("missing {file} ({e}); run {regenerate}"));
+    for (line, (want, got)) in expected.lines().zip(actual.lines()).enumerate() {
+        assert_eq!(got, want, "{file} line {}", line + 1);
+    }
+    assert_eq!(actual.lines().count(), expected.lines().count(), "{file}");
 }
 
 #[test]
 fn both_miners_reproduce_the_pinned_results() {
-    let expected = std::fs::read_to_string(pin_path())
-        .unwrap_or_else(|e| panic!("missing mining pin ({e}); run regenerate_mining_pin"));
-    let actual = current_pin();
-    for (line, (want, got)) in expected.lines().zip(actual.lines()).enumerate() {
-        assert_eq!(got, want, "mining pin line {}", line + 1);
-    }
-    assert_eq!(actual.lines().count(), expected.lines().count());
+    let actual = current_pins();
+    assert_matches_golden(
+        "mining_answers.txt",
+        &actual.answers,
+        "regenerate_mining_answers",
+    );
+    assert_matches_golden("mining_work.txt", &actual.work, "regenerate_mining_pin");
     // The budget cases are only worth their lines if some trip inside the cap level.
     assert!(
-        expected
+        actual
+            .work
             .lines()
             .any(|l| l.contains("budget=") && l.contains("exhausted=true")),
         "no pinned budget run trips"
@@ -290,8 +332,13 @@ fn both_miners_reproduce_the_pinned_results() {
 }
 
 #[test]
-#[ignore = "rewrites tests/golden/mining_pin.txt"]
+#[ignore = "rewrites tests/golden/mining_work.txt"]
 fn regenerate_mining_pin() {
-    std::fs::create_dir_all(pin_path().parent().unwrap()).unwrap();
-    std::fs::write(pin_path(), current_pin()).unwrap();
+    std::fs::write(golden_path("mining_work.txt"), current_pins().work).unwrap();
+}
+
+#[test]
+#[ignore = "rewrites tests/golden/mining_answers.txt: only after an intentional change of search order or admission policy"]
+fn regenerate_mining_answers() {
+    std::fs::write(golden_path("mining_answers.txt"), current_pins().answers).unwrap();
 }
