@@ -34,17 +34,17 @@ impl fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 /// Appends a `u8`.
-pub fn put_u8(buf: &mut Vec<u8>, value: u8) {
+pub(crate) fn put_u8(buf: &mut Vec<u8>, value: u8) {
     buf.push(value);
 }
 
 /// Appends a `u32`, little-endian.
-pub fn put_u32(buf: &mut Vec<u8>, value: u32) {
+pub(crate) fn put_u32(buf: &mut Vec<u8>, value: u32) {
     buf.extend_from_slice(&value.to_le_bytes());
 }
 
 /// Appends a `u64`, little-endian.
-pub fn put_u64(buf: &mut Vec<u8>, value: u64) {
+pub(crate) fn put_u64(buf: &mut Vec<u8>, value: u64) {
     buf.extend_from_slice(&value.to_le_bytes());
 }
 
@@ -53,23 +53,35 @@ pub fn put_u64(buf: &mut Vec<u8>, value: u64) {
 /// # Panics
 /// Panics if `len` exceeds `u32::MAX` — a single record holding four billion entries
 /// is a caller bug, not a recoverable condition.
-pub fn put_len(buf: &mut Vec<u8>, len: usize) {
+pub(crate) fn put_len(buf: &mut Vec<u8>, len: usize) {
     put_u32(buf, u32::try_from(len).expect("record sequence fits u32"));
 }
 
+/// The little-endian `u32` at `bytes[at..at + 4]`, for fixed layouts whose length
+/// was checked once up front (out of bounds panics).
+pub(crate) fn u32_at(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"))
+}
+
+/// The little-endian `u64` at `bytes[at..at + 8]` (see [`u32_at`]).
+pub(crate) fn u64_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
+}
+
 /// A bounds-checked cursor over a record payload.
-pub struct Reader<'a> {
+pub(crate) struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
     /// A reader over the whole payload.
-    pub fn new(buf: &'a [u8]) -> Self {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
         Self { buf, pos: 0 }
     }
 
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], CodecError> {
+    /// The next `n` bytes, whole.
+    pub(crate) fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], CodecError> {
         let end = self.pos.checked_add(n).filter(|&end| end <= self.buf.len());
         match end {
             Some(end) => {
@@ -86,25 +98,23 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a `u8`.
-    pub fn u8(&mut self, what: &str) -> Result<u8, CodecError> {
+    pub(crate) fn u8(&mut self, what: &str) -> Result<u8, CodecError> {
         Ok(self.take(1, what)?[0])
     }
 
     /// Reads a little-endian `u32`.
-    pub fn u32(&mut self, what: &str) -> Result<u32, CodecError> {
-        let bytes = self.take(4, what)?;
-        Ok(u32::from_le_bytes(bytes.try_into().expect("4 bytes")))
+    pub(crate) fn u32(&mut self, what: &str) -> Result<u32, CodecError> {
+        Ok(u32_at(self.take(4, what)?, 0))
     }
 
     /// Reads a little-endian `u64`.
-    pub fn u64(&mut self, what: &str) -> Result<u64, CodecError> {
-        let bytes = self.take(8, what)?;
-        Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
+    pub(crate) fn u64(&mut self, what: &str) -> Result<u64, CodecError> {
+        Ok(u64_at(self.take(8, what)?, 0))
     }
 
     /// Reads a sequence length (`u32`), sanity-capped against the remaining payload
     /// so a corrupt length cannot trigger a giant allocation.
-    pub fn len(&mut self, what: &str, min_entry_bytes: usize) -> Result<usize, CodecError> {
+    pub(crate) fn len(&mut self, what: &str, min_entry_bytes: usize) -> Result<usize, CodecError> {
         let len = self.u32(what)? as usize;
         let remaining = self.buf.len() - self.pos;
         if len.saturating_mul(min_entry_bytes.max(1)) > remaining {
@@ -115,8 +125,20 @@ impl<'a> Reader<'a> {
         Ok(len)
     }
 
+    /// Reads a `u32`-counted sequence through `item`, the count checked by
+    /// [`Reader::len`] before anything is allocated for it.
+    pub(crate) fn seq<T>(
+        &mut self,
+        what: &str,
+        min_entry_bytes: usize,
+        mut item: impl FnMut(&mut Self) -> Result<T, CodecError>,
+    ) -> Result<Vec<T>, CodecError> {
+        let len = self.len(what, min_entry_bytes)?;
+        (0..len).map(|_| item(self)).collect()
+    }
+
     /// Asserts the payload was fully consumed — trailing bytes mean a skewed codec.
-    pub fn done(&self, what: &str) -> Result<(), CodecError> {
+    pub(crate) fn done(&self, what: &str) -> Result<(), CodecError> {
         if self.pos == self.buf.len() {
             Ok(())
         } else {

@@ -1,12 +1,14 @@
 //! CRC-32 (IEEE 802.3, polynomial `0xEDB88320`) over byte slices — the checksum in
-//! every log-record frame. Table-driven, with the table built at compile time so the
-//! crate stays dependency-free.
+//! every log-record frame. Slice-by-16: sixteen bytes per step through sixteen
+//! tables built at compile time, so the crate stays dependency-free. (Hardware CRC
+//! is not an option for this polynomial: SSE4.2's instruction is CRC-32C.)
 
-/// The 256-entry lookup table for the reflected IEEE polynomial.
-const TABLE: [u32; 256] = build_table();
+/// `TABLES[0]` is the classic byte-at-a-time table for the reflected IEEE polynomial;
+/// `TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes.
+const TABLES: [[u32; 256]; 16] = build_tables();
 
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -19,17 +21,36 @@ const fn build_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// The CRC-32 checksum of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;
-    for &byte in bytes {
-        crc = (crc >> 8) ^ TABLE[((crc ^ byte as u32) & 0xFF) as usize];
+    let mut blocks = bytes.chunks_exact(16);
+    for block in &mut blocks {
+        let mut block: [u8; 16] = block.try_into().expect("16-byte chunk");
+        for (byte, running) in block.iter_mut().zip(crc.to_le_bytes()) {
+            *byte ^= running;
+        }
+        // Byte `i` of the block is followed by `15 - i` more bytes of it.
+        crc = (0..16).fold(0, |acc, i| acc ^ TABLES[15 - i][block[i] as usize]);
+    }
+    for &byte in blocks.remainder() {
+        crc = (crc >> 8) ^ TABLES[0][((crc ^ byte as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -64,5 +85,26 @@ mod tests {
     #[test]
     fn empty_input_is_zero() {
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The byte-at-a-time definition the sliced loop must equal.
+    fn bytewise(bytes: &[u8]) -> u32 {
+        !bytes.iter().fold(!0u32, |crc, &byte| {
+            (0..8).fold(crc ^ u32::from(byte), |crc, _| {
+                (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg())
+            })
+        })
+    }
+
+    #[test]
+    fn sliced_equals_bytewise_at_every_small_length_and_alignment() {
+        // (An odd seed leaves the first byte as drawn.)
+        let buffer = crate::record::tests::hostile_payload(0x9E37_79B9_7F4A_7C15, 316);
+        for start in 0..16 {
+            for len in 0..=300 {
+                let slice = &buffer[start..start + len];
+                assert_eq!(crc32(slice), bytewise(slice), "start {start}, len {len}");
+            }
+        }
     }
 }

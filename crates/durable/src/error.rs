@@ -3,7 +3,7 @@
 use crate::record::EngineKind;
 use std::fmt;
 use std::io;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Physical damage found while scanning a log or snapshot file. Both variants name
 /// the file and the byte offset of the damaged frame, so an operator can inspect or
@@ -26,24 +26,6 @@ pub enum WalDamage {
         /// Byte offset of the frame whose checksum failed.
         offset: u64,
     },
-}
-
-impl WalDamage {
-    /// The damaged file.
-    pub fn file(&self) -> &PathBuf {
-        match self {
-            WalDamage::TornRecord { file, .. } | WalDamage::ChecksumMismatch { file, .. } => file,
-        }
-    }
-
-    /// Byte offset of the damaged frame.
-    pub fn offset(&self) -> u64 {
-        match self {
-            WalDamage::TornRecord { offset, .. } | WalDamage::ChecksumMismatch { offset, .. } => {
-                *offset
-            }
-        }
-    }
 }
 
 impl fmt::Display for WalDamage {
@@ -150,6 +132,14 @@ impl DurableError {
         DurableError::Io {
             path: path.into(),
             source,
+        }
+    }
+
+    pub(crate) fn codec(file: &Path, offset: u64, detail: impl Into<String>) -> Self {
+        DurableError::Codec {
+            file: file.to_path_buf(),
+            offset,
+            detail: detail.into(),
         }
     }
 }

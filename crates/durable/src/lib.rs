@@ -59,26 +59,20 @@ pub use recover::{
 };
 pub use wal::{RetryPolicy, SnapshotPolicy, SyncPolicy, Wal, WalConfig, WalStatus};
 
-use segment::{parse_segment_index, segment_file_name, FrameReader};
+use segment::{file_name, FrameReader, SEGMENT};
 use std::path::Path;
 use tgraph::{StreamEvent, TenantedEvent};
 
-fn logged_records(dir: &Path) -> Result<Vec<WalRecord>, DurableError> {
-    let mut records = Vec::new();
-    for index in segment::list_indices(dir, parse_segment_index)? {
-        let path = dir.join(segment_file_name(index));
+/// Hands every record logged at `dir` to `visit`, across all segments in order.
+fn for_each_logged(dir: &Path, mut visit: impl FnMut(WalRecord)) -> Result<(), DurableError> {
+    for index in segment::list_indices(dir, SEGMENT)? {
+        let path = dir.join(file_name(SEGMENT, index));
         let mut reader = FrameReader::open(&path)?;
-        while let Some((offset, payload)) = reader.next().map_err(DurableError::Damage)? {
-            records.push(
-                WalRecord::decode(&payload).map_err(|e| DurableError::Codec {
-                    file: path.clone(),
-                    offset,
-                    detail: e.detail,
-                })?,
-            );
+        while let Some((_, _, record)) = WalRecord::read_next(&mut reader, &path)? {
+            visit(record);
         }
     }
-    Ok(records)
+    Ok(())
 }
 
 /// Every [`StreamEvent`] ever logged at `dir`, across all segments in delivery
@@ -86,11 +80,11 @@ fn logged_records(dir: &Path) -> Result<Vec<WalRecord>, DurableError> {
 /// `syscall::stream::StreamSource::from_events` to re-drive any past run.
 pub fn read_logged_events(dir: impl AsRef<Path>) -> Result<Vec<StreamEvent>, DurableError> {
     let mut events = Vec::new();
-    for record in logged_records(dir.as_ref())? {
+    for_each_logged(dir.as_ref(), |record| {
         if let WalRecord::Batch(batch) = record {
             events.extend(batch);
         }
-    }
+    })?;
     Ok(events)
 }
 
@@ -100,10 +94,10 @@ pub fn read_logged_tenant_events(
     dir: impl AsRef<Path>,
 ) -> Result<Vec<TenantedEvent>, DurableError> {
     let mut events = Vec::new();
-    for record in logged_records(dir.as_ref())? {
+    for_each_logged(dir.as_ref(), |record| {
         if let WalRecord::TenantBatch(batch) = record {
             events.extend(batch);
         }
-    }
+    })?;
     Ok(events)
 }

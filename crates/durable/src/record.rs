@@ -15,9 +15,12 @@
 //! | 7   | `SnapshotFooter`   | snapshot files only: op count (completeness check)      |
 //! | 8   | `Quiesce`          | a silent tenant was flushed and evicted (logged before) |
 
-use crate::codec::{put_len, put_u32, put_u64, put_u8, CodecError, Reader};
+use crate::codec::{put_len, put_u32, put_u64, put_u8, u32_at, u64_at, CodecError, Reader};
+use crate::error::DurableError;
+use crate::segment::{FrameReader, FRAME_HEADER_BYTES};
 use query::compile::CompiledQuery;
 use std::any::TypeId;
+use std::path::Path;
 use stream::Engine;
 use tgminer::baselines::gspan::StaticPattern;
 use tgminer::baselines::nodeset::NodeSetQuery;
@@ -152,10 +155,6 @@ pub enum WalRecord {
     },
 }
 
-fn put_label(buf: &mut Vec<u8>, label: Label) {
-    put_u32(buf, label.0);
-}
-
 fn get_label(reader: &mut Reader<'_>) -> Result<Label, CodecError> {
     Ok(Label(reader.u32("label")?))
 }
@@ -163,55 +162,122 @@ fn get_label(reader: &mut Reader<'_>) -> Result<Label, CodecError> {
 fn put_labels(buf: &mut Vec<u8>, labels: &[Label]) {
     put_len(buf, labels.len());
     for &label in labels {
-        put_label(buf, label);
+        put_u32(buf, label.0);
     }
 }
 
 fn get_labels(reader: &mut Reader<'_>) -> Result<Vec<Label>, CodecError> {
-    let len = reader.len("labels", 4)?;
-    (0..len).map(|_| get_label(reader)).collect()
+    reader.seq("labels", 4, get_label)
 }
 
-fn put_event(buf: &mut Vec<u8>, event: &StreamEvent) {
-    put_u64(buf, event.ts);
-    put_u64(buf, event.src as u64);
-    put_u64(buf, event.dst as u64);
-    put_label(buf, event.src_label);
-    put_label(buf, event.dst_label);
-}
-
-/// Encoded size of one [`StreamEvent`] (the plausibility floor for batch lengths).
+/// Encoded size of one [`StreamEvent`]: `ts`, `src`, `dst` as `u64`, two `u32` labels.
+/// A [`TenantedEvent`] is its `u64` tenant id followed by the event.
 const EVENT_BYTES: usize = 32;
+const TENANT_BYTES: usize = 8;
+const TENANTED_EVENT_BYTES: usize = TENANT_BYTES + EVENT_BYTES;
 
-fn get_event(reader: &mut Reader<'_>) -> Result<StreamEvent, CodecError> {
-    Ok(StreamEvent {
-        ts: reader.u64("event ts")?,
-        src: reader.u64("event src")? as usize,
-        dst: reader.u64("event dst")? as usize,
-        src_label: get_label(reader)?,
-        dst_label: get_label(reader)?,
+/// Payload tags of the records the replay tail reads without decoding them.
+pub(crate) const TAG_REGISTER: u8 = 2;
+pub(crate) const TAG_BATCH: u8 = 4;
+pub(crate) const TAG_TENANT_BATCH: u8 = 5;
+/// Where a `Register` payload keeps its window: after the tag and the `u64` id.
+pub(crate) const REGISTER_WINDOW_AT: usize = 9;
+/// Where a batch payload's events start: after the tag and the `u32` count.
+const BATCH_EVENTS_AT: usize = 5;
+
+fn event_bytes(event: &StreamEvent) -> [u8; EVENT_BYTES] {
+    let mut bytes = [0; EVENT_BYTES];
+    bytes[0..8].copy_from_slice(&event.ts.to_le_bytes());
+    bytes[8..16].copy_from_slice(&(event.src as u64).to_le_bytes());
+    bytes[16..24].copy_from_slice(&(event.dst as u64).to_le_bytes());
+    bytes[24..28].copy_from_slice(&event.src_label.0.to_le_bytes());
+    bytes[28..32].copy_from_slice(&event.dst_label.0.to_le_bytes());
+    bytes
+}
+
+fn event_at(bytes: &[u8]) -> StreamEvent {
+    let bytes: &[u8; EVENT_BYTES] = bytes.try_into().expect("one event's stride");
+    StreamEvent {
+        ts: u64_at(bytes, 0),
+        src: u64_at(bytes, 8) as usize,
+        dst: u64_at(bytes, 16) as usize,
+        src_label: Label(u32_at(bytes, 24)),
+        dst_label: Label(u32_at(bytes, 28)),
+    }
+}
+
+/// The `Batch` payload of a borrowed slice — what the append path logs, without a
+/// [`WalRecord`] in between.
+pub(crate) fn put_batch(buf: &mut Vec<u8>, events: &[StreamEvent]) {
+    put_u8(buf, TAG_BATCH);
+    put_len(buf, events.len());
+    buf.reserve(events.len() * EVENT_BYTES);
+    for event in events {
+        buf.extend_from_slice(&event_bytes(event));
+    }
+}
+
+/// The `TenantBatch` payload of a borrowed slice (see [`put_batch`]).
+pub(crate) fn put_tenant_batch(buf: &mut Vec<u8>, events: &[TenantedEvent]) {
+    put_u8(buf, TAG_TENANT_BATCH);
+    put_len(buf, events.len());
+    buf.reserve(events.len() * TENANTED_EVENT_BYTES);
+    for te in events {
+        put_u64(buf, te.tenant.0);
+        buf.extend_from_slice(&event_bytes(&te.event));
+    }
+}
+
+/// `(tenant, ts)` of every event of an encoded batch, in order — tenant 0 on the
+/// single stream — and nothing for any other record. `payload` must be one this
+/// module encoded or [`WalRecord::decode`] accepted.
+pub(crate) fn stamps(payload: &[u8]) -> impl DoubleEndedIterator<Item = (u64, u64)> + '_ {
+    // `prefix`: the bytes of an entry before its event — the tenant id, or nothing.
+    let (events, prefix) = match payload[0] {
+        TAG_BATCH => (&payload[BATCH_EVENTS_AT..], 0),
+        TAG_TENANT_BATCH => (&payload[BATCH_EVENTS_AT..], TENANT_BYTES),
+        _ => (&payload[..0], 0),
+    };
+    events.chunks_exact(prefix + EVENT_BYTES).map(move |e| {
+        (
+            if prefix == 0 { 0 } else { u64_at(e, 0) },
+            u64_at(e, prefix),
+        )
     })
+}
+
+/// Node labels and `(src, dst)` edges — the body temporal and static queries share.
+fn put_pattern(
+    buf: &mut Vec<u8>,
+    labels: &[Label],
+    edges: impl ExactSizeIterator<Item = (usize, usize)>,
+) {
+    put_labels(buf, labels);
+    put_len(buf, edges.len());
+    for (src, dst) in edges {
+        put_u32(buf, src as u32);
+        put_u32(buf, dst as u32);
+    }
+}
+
+type Pattern = (Vec<Label>, Vec<(usize, usize)>);
+
+fn get_pattern(reader: &mut Reader<'_>) -> Result<Pattern, CodecError> {
+    let labels = get_labels(reader)?;
+    let edge = |r: &mut Reader<'_>| Ok((r.u32("edge src")? as usize, r.u32("edge dst")? as usize));
+    Ok((labels, reader.seq("pattern edges", 8, edge)?))
 }
 
 fn put_query(buf: &mut Vec<u8>, query: &CompiledQuery) {
     match query {
         CompiledQuery::Temporal(pattern) => {
             put_u8(buf, 0);
-            put_labels(buf, pattern.labels());
-            put_len(buf, pattern.edges().len());
-            for edge in pattern.edges() {
-                put_u32(buf, edge.src as u32);
-                put_u32(buf, edge.dst as u32);
-            }
+            let edges = pattern.edges().iter().map(|e| (e.src, e.dst));
+            put_pattern(buf, pattern.labels(), edges);
         }
         CompiledQuery::Static(pattern) => {
             put_u8(buf, 1);
-            put_labels(buf, &pattern.labels);
-            put_len(buf, pattern.edges.len());
-            for &(src, dst) in &pattern.edges {
-                put_u32(buf, src as u32);
-                put_u32(buf, dst as u32);
-            }
+            put_pattern(buf, &pattern.labels, pattern.edges.iter().copied());
         }
         CompiledQuery::NodeSet(query) => {
             put_u8(buf, 2);
@@ -223,31 +289,14 @@ fn put_query(buf: &mut Vec<u8>, query: &CompiledQuery) {
 fn get_query(reader: &mut Reader<'_>) -> Result<CompiledQuery, CodecError> {
     match reader.u8("query kind")? {
         0 => {
-            let labels = get_labels(reader)?;
-            let edge_count = reader.len("pattern edges", 8)?;
-            let edges = (0..edge_count)
-                .map(|_| {
-                    Ok(PatternEdge {
-                        src: reader.u32("edge src")? as usize,
-                        dst: reader.u32("edge dst")? as usize,
-                    })
-                })
-                .collect::<Result<Vec<_>, CodecError>>()?;
-            let pattern = TemporalPattern::from_parts(labels, edges)
+            let (labels, edges) = get_pattern(reader)?;
+            let edges = edges.into_iter().map(|(src, dst)| PatternEdge { src, dst });
+            let pattern = TemporalPattern::from_parts(labels, edges.collect())
                 .map_err(|e| CodecError::new(format!("invalid temporal pattern: {e}")))?;
             Ok(CompiledQuery::Temporal(pattern))
         }
         1 => {
-            let labels = get_labels(reader)?;
-            let edge_count = reader.len("pattern edges", 8)?;
-            let edges = (0..edge_count)
-                .map(|_| {
-                    Ok((
-                        reader.u32("edge src")? as usize,
-                        reader.u32("edge dst")? as usize,
-                    ))
-                })
-                .collect::<Result<Vec<_>, CodecError>>()?;
+            let (labels, edges) = get_pattern(reader)?;
             Ok(CompiledQuery::Static(StaticPattern { labels, edges }))
         }
         2 => Ok(CompiledQuery::NodeSet(NodeSetQuery {
@@ -263,8 +312,8 @@ fn put_init(buf: &mut Vec<u8>, init: &InitRecord) {
     put_u32(buf, init.groups);
     put_len(buf, init.stats.len());
     for &((src, dst), count) in &init.stats {
-        put_label(buf, src);
-        put_label(buf, dst);
+        put_u32(buf, src.0);
+        put_u32(buf, dst.0);
         put_u64(buf, count);
     }
 }
@@ -273,15 +322,9 @@ fn get_init(reader: &mut Reader<'_>) -> Result<InitRecord, CodecError> {
     let kind = EngineKind::from_u8(reader.u8("engine kind")?)?;
     let shards = reader.u32("shard count")?;
     let groups = reader.u32("group count")?;
-    let stats_len = reader.len("stats pairs", 16)?;
-    let stats = (0..stats_len)
-        .map(|_| {
-            let src = get_label(reader)?;
-            let dst = get_label(reader)?;
-            let count = reader.u64("pair count")?;
-            Ok(((src, dst), count))
-        })
-        .collect::<Result<Vec<_>, CodecError>>()?;
+    let stats = reader.seq("stats pairs", 16, |r| {
+        Ok(((get_label(r)?, get_label(r)?), r.u64("pair count")?))
+    })?;
     Ok(InitRecord {
         kind,
         shards,
@@ -290,23 +333,23 @@ fn get_init(reader: &mut Reader<'_>) -> Result<InitRecord, CodecError> {
     })
 }
 
-impl WalRecord {
-    /// Whether the record is a replayable operation — a kind that mutates engine
-    /// state. `Init` and the snapshot envelope describe shape, not operations.
-    pub(crate) fn is_op(&self) -> bool {
-        !matches!(
-            self,
-            WalRecord::Init(_) | WalRecord::SnapshotHeader(_) | WalRecord::SnapshotFooter { .. }
-        )
-    }
+/// A frame read back: its offset, its bytes (header included), its decoded payload.
+pub(crate) type ReadFrame<'a> = (u64, &'a [u8], WalRecord);
 
+impl WalRecord {
     /// Encodes the record payload (tag byte + body).
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Appends the record payload to `buf`.
+    pub(crate) fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             WalRecord::Init(init) => {
-                put_u8(&mut buf, 1);
-                put_init(&mut buf, init);
+                put_u8(buf, 1);
+                put_init(buf, init);
             }
             WalRecord::Register {
                 id,
@@ -314,66 +357,52 @@ impl WalRecord {
                 visible_from,
                 query,
             } => {
-                put_u8(&mut buf, 2);
-                put_u64(&mut buf, *id);
-                put_u64(&mut buf, *window);
-                put_u64(&mut buf, *visible_from);
-                put_query(&mut buf, query);
+                put_u8(buf, TAG_REGISTER);
+                put_u64(buf, *id);
+                put_u64(buf, *window);
+                put_u64(buf, *visible_from);
+                put_query(buf, query);
             }
             WalRecord::Deregister { id } => {
-                put_u8(&mut buf, 3);
-                put_u64(&mut buf, *id);
+                put_u8(buf, 3);
+                put_u64(buf, *id);
             }
-            WalRecord::Batch(events) => {
-                put_u8(&mut buf, 4);
-                put_len(&mut buf, events.len());
-                for event in events {
-                    put_event(&mut buf, event);
-                }
-            }
-            WalRecord::TenantBatch(events) => {
-                put_u8(&mut buf, 5);
-                put_len(&mut buf, events.len());
-                for te in events {
-                    put_u64(&mut buf, te.tenant.0);
-                    put_event(&mut buf, &te.event);
-                }
-            }
+            WalRecord::Batch(events) => put_batch(buf, events),
+            WalRecord::TenantBatch(events) => put_tenant_batch(buf, events),
             WalRecord::SnapshotHeader(header) => {
-                put_u8(&mut buf, 6);
-                put_init(&mut buf, &header.init);
-                put_u64(&mut buf, header.max_window);
+                put_u8(buf, 6);
+                put_init(buf, &header.init);
+                put_u64(buf, header.max_window);
                 match header.last_ts {
-                    None => put_u8(&mut buf, 0),
+                    None => put_u8(buf, 0),
                     Some(ts) => {
-                        put_u8(&mut buf, 1);
-                        put_u64(&mut buf, ts);
+                        put_u8(buf, 1);
+                        put_u64(buf, ts);
                     }
                 }
-                put_len(&mut buf, header.tenant_last_ts.len());
+                put_len(buf, header.tenant_last_ts.len());
                 for &(tenant, ts) in &header.tenant_last_ts {
-                    put_u64(&mut buf, tenant);
-                    put_u64(&mut buf, ts);
+                    put_u64(buf, tenant);
+                    put_u64(buf, ts);
                 }
-                put_len(&mut buf, header.floors.len());
+                put_len(buf, header.floors.len());
                 for (tenant, floors) in &header.floors {
-                    put_u64(&mut buf, *tenant);
-                    put_len(&mut buf, floors.len());
+                    put_u64(buf, *tenant);
+                    put_len(buf, floors.len());
                     for &floor in floors {
-                        put_u64(&mut buf, floor);
+                        put_u64(buf, floor);
                     }
                 }
             }
             WalRecord::SnapshotFooter { ops } => {
-                put_u8(&mut buf, 7);
-                put_u64(&mut buf, *ops);
+                put_u8(buf, 7);
+                put_u64(buf, *ops);
             }
             WalRecord::Quiesce { tenant } => {
-                put_u8(&mut buf, 8);
-                put_u64(&mut buf, *tenant);
+                put_u8(buf, 8);
+                put_u64(buf, *tenant);
             }
         }
-        buf
     }
 
     /// Decodes a record payload, rejecting unknown tags, truncated fields, and
@@ -382,7 +411,7 @@ impl WalRecord {
         let mut reader = Reader::new(payload);
         let record = match reader.u8("record tag")? {
             1 => WalRecord::Init(get_init(&mut reader)?),
-            2 => WalRecord::Register {
+            TAG_REGISTER => WalRecord::Register {
                 id: reader.u64("query id")?,
                 window: reader.u64("window")?,
                 visible_from: reader.u64("visible_from")?,
@@ -391,26 +420,23 @@ impl WalRecord {
             3 => WalRecord::Deregister {
                 id: reader.u64("query id")?,
             },
-            4 => {
+            // Batches are fixed-stride: once the count is plausible for the bytes that
+            // remain (so `len × stride` is bounded by the payload), take them whole.
+            TAG_BATCH => {
                 let len = reader.len("batch events", EVENT_BYTES)?;
-                WalRecord::Batch(
-                    (0..len)
-                        .map(|_| get_event(&mut reader))
-                        .collect::<Result<Vec<_>, _>>()?,
-                )
+                let events = reader.take(len * EVENT_BYTES, "batch events")?;
+                WalRecord::Batch(events.chunks_exact(EVENT_BYTES).map(event_at).collect())
             }
-            5 => {
-                let len = reader.len("tenant batch events", EVENT_BYTES + 8)?;
-                WalRecord::TenantBatch(
-                    (0..len)
-                        .map(|_| {
-                            Ok(TenantedEvent {
-                                tenant: TenantId(reader.u64("tenant id")?),
-                                event: get_event(&mut reader)?,
-                            })
-                        })
-                        .collect::<Result<Vec<_>, CodecError>>()?,
-                )
+            TAG_TENANT_BATCH => {
+                let len = reader.len("tenant batch events", TENANTED_EVENT_BYTES)?;
+                let events = reader.take(len * TENANTED_EVENT_BYTES, "tenant batch events")?;
+                let events = events
+                    .chunks_exact(TENANTED_EVENT_BYTES)
+                    .map(|e| TenantedEvent {
+                        tenant: TenantId(u64_at(e, 0)),
+                        event: event_at(&e[TENANT_BYTES..]),
+                    });
+                WalRecord::TenantBatch(events.collect())
             }
             6 => {
                 let init = get_init(&mut reader)?;
@@ -422,21 +448,13 @@ impl WalRecord {
                         return Err(CodecError::new(format!("bad option tag {other}")));
                     }
                 };
-                let tenant_len = reader.len("tenant last_ts", 16)?;
-                let tenant_last_ts = (0..tenant_len)
-                    .map(|_| Ok((reader.u64("tenant id")?, reader.u64("tenant last_ts")?)))
-                    .collect::<Result<Vec<_>, CodecError>>()?;
-                let floors_len = reader.len("floor entries", 12)?;
-                let floors = (0..floors_len)
-                    .map(|_| {
-                        let tenant = reader.u64("tenant id")?;
-                        let shard_len = reader.len("shard floors", 8)?;
-                        let shard_floors = (0..shard_len)
-                            .map(|_| reader.u64("floor"))
-                            .collect::<Result<Vec<_>, _>>()?;
-                        Ok((tenant, shard_floors))
-                    })
-                    .collect::<Result<Vec<_>, CodecError>>()?;
+                let tenant_last_ts = reader.seq("tenant last_ts", 16, |r| {
+                    Ok((r.u64("tenant id")?, r.u64("tenant last_ts")?))
+                })?;
+                let floors = reader.seq("floor entries", 12, |r| {
+                    let tenant = r.u64("tenant id")?;
+                    Ok((tenant, r.seq("shard floors", 8, |r| r.u64("floor"))?))
+                })?;
                 WalRecord::SnapshotHeader(SnapshotHeader {
                     init,
                     max_window,
@@ -456,10 +474,25 @@ impl WalRecord {
         reader.done("record")?;
         Ok(record)
     }
+
+    /// The next frame of `reader` (which reads `file`), whole — header included —
+    /// and decoded, with its offset; `None` at a clean end of file. Damage and
+    /// undecodable payloads are typed errors naming the file and the offset.
+    pub(crate) fn read_next<'a>(
+        reader: &'a mut FrameReader,
+        file: &Path,
+    ) -> Result<Option<ReadFrame<'a>>, DurableError> {
+        let Some((offset, frame)) = reader.next_frame().map_err(DurableError::Damage)? else {
+            return Ok(None);
+        };
+        let decoded = Self::decode(&frame[FRAME_HEADER_BYTES..]);
+        let record = decoded.map_err(|e| DurableError::codec(file, offset, e.detail))?;
+        Ok(Some((offset, frame, record)))
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use tgraph::generator::random_pattern;
 
@@ -473,10 +506,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_record_kind_round_trips() {
+    /// One record of every kind (and of every query kind).
+    pub(crate) fn one_of_each_kind() -> Vec<WalRecord> {
         let pattern = random_pattern(42, 3, 4);
-        let records = vec![
+        vec![
             WalRecord::Init(InitRecord {
                 kind: EngineKind::Pool,
                 shards: 4,
@@ -532,8 +565,12 @@ mod tests {
             }),
             WalRecord::SnapshotFooter { ops: 12 },
             WalRecord::Quiesce { tenant: 11 },
-        ];
-        for record in records {
+        ]
+    }
+
+    #[test]
+    fn every_record_kind_round_trips() {
+        for record in one_of_each_kind() {
             let decoded = WalRecord::decode(&record.encode())
                 .unwrap_or_else(|e| panic!("decoding {record:?}: {e}"));
             assert_eq!(decoded, record);
@@ -562,5 +599,97 @@ mod tests {
         crate::codec::put_u32(&mut payload, 0);
         let mut reader = Reader::new(&payload);
         assert!(get_query(&mut reader).is_err());
+    }
+
+    /// `len` pseudo-random bytes; the first is a valid record tag half the time, so
+    /// the bodies behind the tags are reached as well.
+    pub(crate) fn hostile_payload(seed: u64, len: usize) -> Vec<u8> {
+        let mut state = seed;
+        let mut bytes: Vec<u8> = (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 56) as u8
+            })
+            .collect();
+        if let Some(tag) = bytes.first_mut().filter(|_| seed.is_multiple_of(2)) {
+            *tag = 1 + *tag % 8;
+        }
+        bytes
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4096))]
+
+        /// Arbitrary bytes decode to a record or a typed error — never a panic.
+        #[test]
+        fn arbitrary_payloads_never_panic(seed in 0u64..u64::MAX, len in 0usize..=160) {
+            let payload = hostile_payload(seed, len);
+            if let Ok(record) = WalRecord::decode(&payload) {
+                proptest::prop_assert_eq!(record.encode(), payload, "decode is exact");
+            }
+        }
+    }
+
+    #[test]
+    fn every_truncation_is_an_error_and_every_single_byte_mutation_is_typed() {
+        for record in one_of_each_kind() {
+            let encoded = record.encode();
+            for cut in 0..encoded.len() {
+                assert!(
+                    WalRecord::decode(&encoded[..cut]).is_err(),
+                    "{record:?} cut at {cut} decoded"
+                );
+            }
+            for at in 0..encoded.len() {
+                let mut mutated = encoded.clone();
+                for value in 0..=u8::MAX {
+                    mutated[at] = value;
+                    // Ok (another valid record) or a typed error; reaching here is the
+                    // assertion — a panic or an abort fails the test.
+                    let _ = WalRecord::decode(&mutated);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_batch_length_of_u32_max_is_refused_before_it_sizes_anything() {
+        for (tag, stride) in [
+            (TAG_BATCH, EVENT_BYTES),
+            (TAG_TENANT_BATCH, TENANTED_EVENT_BYTES),
+        ] {
+            // A whole valid event follows the lying count, so only the plausibility
+            // check — not the truncation check behind it — can be what refuses it.
+            let mut payload = vec![tag];
+            payload.extend_from_slice(&u32::MAX.to_le_bytes());
+            payload.extend_from_slice(&vec![0; stride]);
+            let error = WalRecord::decode(&payload).expect_err("four billion events in 40 bytes");
+            assert!(error.detail.contains("implausible"), "{error}");
+            // One event too few for the count it states is refused the same way.
+            let mut short = vec![tag];
+            short.extend_from_slice(&2u32.to_le_bytes());
+            short.extend_from_slice(&vec![0; 2 * stride - 1]);
+            let error = WalRecord::decode(&short).expect_err("two events in fewer bytes");
+            assert!(error.detail.contains("implausible"), "{error}");
+        }
+    }
+
+    #[test]
+    fn stamps_read_what_the_decoder_reads() {
+        for record in one_of_each_kind() {
+            let expected: Vec<(u64, u64)> = match &record {
+                WalRecord::Batch(events) => events.iter().map(|e| (0, e.ts)).collect(),
+                WalRecord::TenantBatch(events) => {
+                    events.iter().map(|te| (te.tenant.0, te.event.ts)).collect()
+                }
+                _ => Vec::new(),
+            };
+            assert_eq!(stamps(&record.encode()).collect::<Vec<_>>(), expected);
+            if let WalRecord::Register { window, .. } = record {
+                assert_eq!(u64_at(&record.encode(), REGISTER_WINDOW_AT), window);
+            }
+        }
     }
 }

@@ -4,7 +4,11 @@
 //! Recovery is replay, not deserialization: the newest usable snapshot supplies the
 //! engine shape and a bounded-horizon op prefix, the log segments at or after the
 //! snapshot's index supply the suffix, and every op is pushed through the ordinary
-//! engine API ([`stream::Engine`]) in its original order. Registrations replay with
+//! engine API ([`stream::Engine`]) in its original order — in **one pass**: the engine
+//! is built when the `Init` record (or the snapshot header) is read, each op is
+//! applied as it is decoded, and its frame goes onto the resumed log's horizon-pruned
+//! [`Tail`]. So recovery holds one loaded segment and the tail, never the decoded
+//! history, whatever the length of the log. Registrations replay with
 //! their logged ids (divergence is a typed error, never silent), event batches replay
 //! with errors swallowed and detections discarded — the live run already emitted both
 //! — and the snapshot's visibility floors are re-applied at the end. The result
@@ -18,11 +22,9 @@
 
 use crate::error::{DurableError, WalDamage};
 use crate::record::{EngineKind, InitRecord, WalRecord};
-use crate::segment::{
-    parse_segment_index, parse_snapshot_index, segment_file_name, snapshot_file_name, FrameReader,
-};
+use crate::segment::{file_name, list_indices, FrameReader, SEGMENT, SNAPSHOT};
 use crate::snapshot;
-use crate::wal::{TailState, Wal, WalConfig};
+use crate::wal::{Tail, Wal, WalConfig};
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -67,138 +69,10 @@ pub struct Recovered<E> {
     pub bytes_unreadable: u64,
 }
 
-/// Everything read off disk before any engine is touched.
-struct LoadedLog {
-    init: InitRecord,
-    /// Snapshot-time visibility floors, present iff a snapshot was used.
-    floors: Option<Vec<(u64, Vec<u64>)>>,
-    ops: Vec<WalRecord>,
-    state: TailState,
-    damage: Option<WalDamage>,
-    records_dropped: u64,
-    bytes_unreadable: u64,
-}
-
 fn divergence(detail: impl Into<String>) -> DurableError {
     DurableError::ReplayDivergence {
         detail: detail.into(),
     }
-}
-
-fn load_log(dir: &Path, tolerant: bool) -> Result<LoadedLog, DurableError> {
-    // Newest usable snapshot first. Strict mode trusts exactly the newest snapshot
-    // (a damaged one is an error to surface, not to route around); tolerant mode
-    // walks back to older snapshots, and ultimately to a full-log replay.
-    let mut base = None;
-    for &index in crate::segment::list_indices(dir, parse_snapshot_index)?
-        .iter()
-        .rev()
-    {
-        match snapshot::load(&dir.join(snapshot_file_name(index))) {
-            Ok((header, ops)) => {
-                base = Some((index, header, ops));
-                break;
-            }
-            Err(_) if tolerant => continue,
-            Err(e) => return Err(e),
-        }
-    }
-
-    let (first_segment, mut init, floors, mut ops, mut state) = match base {
-        Some((index, header, ops)) => {
-            let state = TailState::from_header(&header);
-            (index, Some(header.init), Some(header.floors), ops, state)
-        }
-        None => (0, None, None, Vec::new(), TailState::default()),
-    };
-    // The snapshot header's aggregates describe the *pruned-away* history; replayed
-    // ops (snapshot tail included) re-advance them from there.
-    for op in &ops {
-        state.observe(op);
-    }
-
-    let mut damage = None;
-    let mut records_dropped = 0u64;
-    let mut bytes_unreadable = 0u64;
-    let indices: Vec<u64> = crate::segment::list_indices(dir, parse_segment_index)?
-        .into_iter()
-        .filter(|&i| i >= first_segment)
-        .collect();
-    'segments: for (position, &index) in indices.iter().enumerate() {
-        let path = dir.join(segment_file_name(index));
-        let mut reader = FrameReader::open(&path)?;
-        loop {
-            let (offset, payload) = match reader.next() {
-                Ok(Some(frame)) => frame,
-                Ok(None) => break,
-                Err(found) => {
-                    if tolerant {
-                        // Nothing at or after a tear is trustworthy — in this
-                        // segment or any later one. Account exactly for what the
-                        // truncation costs: the unreadable remainder of this
-                        // segment, plus every intact record in later segments.
-                        damage = Some(found);
-                        bytes_unreadable += reader.remaining_bytes();
-                        for &later in &indices[position + 1..] {
-                            let mut tail = FrameReader::open(dir.join(segment_file_name(later)))?;
-                            loop {
-                                match tail.next() {
-                                    Ok(Some(_)) => records_dropped += 1,
-                                    Ok(None) => break,
-                                    Err(_) => {
-                                        bytes_unreadable += tail.remaining_bytes();
-                                        break;
-                                    }
-                                }
-                            }
-                        }
-                        break 'segments;
-                    }
-                    return Err(DurableError::Damage(found));
-                }
-            };
-            let record = WalRecord::decode(&payload).map_err(|e| DurableError::Codec {
-                file: path.clone(),
-                offset,
-                detail: e.detail,
-            })?;
-            match record {
-                WalRecord::Init(record) => {
-                    if init.is_some() {
-                        return Err(divergence(format!(
-                            "duplicate Init record at {}:{offset}",
-                            path.display()
-                        )));
-                    }
-                    init = Some(record);
-                }
-                WalRecord::SnapshotHeader(_) | WalRecord::SnapshotFooter { .. } => {
-                    return Err(DurableError::Codec {
-                        file: path.clone(),
-                        offset,
-                        detail: "snapshot record inside a log segment".into(),
-                    });
-                }
-                op => {
-                    state.observe(&op);
-                    ops.push(op);
-                }
-            }
-        }
-    }
-
-    let init = init.ok_or_else(|| DurableError::MissingInit {
-        dir: dir.to_path_buf(),
-    })?;
-    Ok(LoadedLog {
-        init,
-        floors,
-        ops,
-        state,
-        damage,
-        records_dropped,
-        bytes_unreadable,
-    })
 }
 
 /// A logged batch as `E`'s input, or `None` when the op is not a batch of the event
@@ -212,30 +86,62 @@ fn batch_for<E: Engine>(op: &WalRecord) -> Option<&[E::Event]> {
     batch.downcast_ref::<Vec<E::Event>>().map(Vec::as_slice)
 }
 
-fn recover_engine<E: Engine>(
-    dir: &Path,
-    config: WalConfig,
-    tolerant: bool,
-) -> Result<Recovered<E>, DurableError> {
-    let mut loaded = load_log(dir, tolerant)?;
-    let kind = EngineKind::of::<E>();
-    // A log a bare `Detector` wrote is a one-shard sharded log under an older tag.
-    if loaded.init.kind == EngineKind::Detector && kind == EngineKind::Sharded {
-        loaded.init.kind = kind;
-    }
-    if loaded.init.kind != kind {
-        return Err(DurableError::EngineMismatch {
-            expected: kind,
-            found: loaded.init.kind,
-        });
+/// An engine being rebuilt: it exists from the moment the log's shape is known, and
+/// every op is applied to it as it is read.
+struct Replay<E> {
+    engine: E,
+    init: InitRecord,
+    /// Snapshot-time visibility floors; none unless a snapshot was used.
+    floors: Vec<(TenantId, Vec<u64>)>,
+    live: BTreeMap<u64, RecoveredRegistration>,
+    /// The frames of the replayed ops still inside the horizon — the resumed log's.
+    tail: Tail,
+    replayed: u64,
+}
+
+impl<E: Engine> Replay<E> {
+    /// Builds the empty engine `init` describes, or refuses a log of another kind.
+    fn start(
+        mut init: InitRecord,
+        floors: Vec<(u64, Vec<u64>)>,
+        tail: Tail,
+    ) -> Result<Self, DurableError> {
+        let kind = EngineKind::of::<E>();
+        // A log a bare `Detector` wrote is a one-shard sharded log under an older tag.
+        if init.kind == EngineKind::Detector && kind == EngineKind::Sharded {
+            init.kind = kind;
+        }
+        if init.kind != kind {
+            return Err(DurableError::EngineMismatch {
+                expected: kind,
+                found: init.kind,
+            });
+        }
+        let shards = init.shards as usize;
+        let single_stream = kind != EngineKind::Pool;
+        if floors
+            .iter()
+            .any(|(tenant, f)| f.len() != shards || (single_stream && *tenant != 0))
+        {
+            return Err(divergence(format!(
+                "snapshot floors must cover all {shards} shards of a {kind} engine's streams"
+            )));
+        }
+        let stats = LabelPairStats::from_pair_counts(init.stats.iter().copied());
+        Ok(Self {
+            engine: E::build((init.groups as usize, shards), stats),
+            init,
+            floors: floors.into_iter().map(|(t, f)| (TenantId(t), f)).collect(),
+            live: BTreeMap::new(),
+            tail,
+            replayed: 0,
+        })
     }
 
-    let shape = (loaded.init.groups as usize, loaded.init.shards as usize);
-    let stats = LabelPairStats::from_pair_counts(loaded.init.stats.iter().copied());
-    let mut engine = E::build(shape, stats);
-    let mut live: BTreeMap<u64, RecoveredRegistration> = BTreeMap::new();
-    for op in &loaded.ops {
-        match op {
+    /// Applies one op and keeps its `frame` (as stored) for the resumed log's tail.
+    fn apply(&mut self, frame: &[u8], op: WalRecord) -> Result<(), DurableError> {
+        let kind = self.init.kind;
+        match &op {
             WalRecord::Register {
                 id,
                 window,
@@ -245,7 +151,8 @@ fn recover_engine<E: Engine>(
                 // Registrations were logged *after* live acceptance, so a replay
                 // rejection — or a different assigned id — means the log and the
                 // engine build disagree. Both are typed divergence, never silence.
-                let assigned = engine
+                let assigned = self
+                    .engine
                     .register(query.clone(), *window)
                     .map_err(|e| divergence(format!("replaying registration {id}: {e}")))?
                     .id;
@@ -254,7 +161,7 @@ fn recover_engine<E: Engine>(
                         "replay assigned query id {assigned}, log recorded {id}"
                     )));
                 }
-                live.insert(
+                self.live.insert(
                     *id,
                     RecoveredRegistration {
                         id: assigned,
@@ -264,73 +171,150 @@ fn recover_engine<E: Engine>(
                 );
             }
             WalRecord::Deregister { id } => {
-                engine
+                self.engine
                     .deregister(*id as QueryId)
                     .map_err(|e| divergence(format!("replaying deregistration {id}: {e}")))?;
-                live.remove(id);
+                self.live.remove(id);
             }
             WalRecord::Batch(_) | WalRecord::TenantBatch(_) => {
-                let events = batch_for::<E>(op)
+                let events = batch_for::<E>(&op)
                     .ok_or_else(|| divergence(format!("foreign batch kind in a {kind} log")))?;
                 // Engine-level batch errors replay exactly as they happened live, and
                 // the live run already emitted the detections.
-                let _ = engine.on_batch(events);
+                let _ = self.engine.on_batch(events);
             }
             WalRecord::Quiesce { tenant } => {
                 if kind != EngineKind::Pool {
                     return Err(divergence(format!("tenant quiesce in a {kind} log")));
                 }
                 // Replay needs only the state change (eviction + saved floors).
-                let _ = engine.quiesce(TenantId(*tenant));
+                let _ = self.engine.quiesce(TenantId(*tenant));
             }
-            shape => unreachable!("load_log keeps only operations, not {shape:?}"),
+            shape => unreachable!("only operations are applied, not {shape:?}"),
+        }
+        self.tail.push(frame);
+        self.replayed += 1;
+        Ok(())
+    }
+}
+
+fn recover_engine<E: Engine>(
+    dir: &Path,
+    config: WalConfig,
+    tolerant: bool,
+) -> Result<Recovered<E>, DurableError> {
+    // Newest usable snapshot first. Strict mode trusts exactly the newest snapshot
+    // (a damaged one is an error to surface, not to route around); tolerant mode
+    // walks back to older snapshots, and ultimately to a full-log replay. Only an
+    // unreadable snapshot is routed around — one that reads and then disagrees with
+    // the engine is as fatal as the same disagreement in a segment.
+    let mut replay: Option<Replay<E>> = None;
+    let mut first_segment = 0;
+    for &index in list_indices(dir, SNAPSHOT)?.iter().rev() {
+        let loaded = snapshot::load(
+            &dir.join(file_name(SNAPSHOT, index)),
+            |header| {
+                let tail = Tail::from_header(&header);
+                Replay::start(header.init, header.floors, tail)
+            },
+            Replay::apply,
+        );
+        match loaded {
+            Ok(loaded) => {
+                (replay, first_segment) = (Some(loaded), index);
+                break;
+            }
+            Err(DurableError::Io { .. } | DurableError::Damage(_) | DurableError::Codec { .. })
+                if tolerant => {}
+            Err(e) => return Err(e),
         }
     }
+
+    let missing_init = || DurableError::MissingInit {
+        dir: dir.to_path_buf(),
+    };
+    let mut damage = None;
+    let mut records_dropped = 0u64;
+    let mut bytes_unreadable = 0u64;
+    let indices: Vec<u64> = list_indices(dir, SEGMENT)?
+        .into_iter()
+        .filter(|&i| i >= first_segment)
+        .collect();
+    'segments: for (position, &index) in indices.iter().enumerate() {
+        let path = dir.join(file_name(SEGMENT, index));
+        let mut reader = FrameReader::open(&path)?;
+        loop {
+            let (offset, frame, record) = match WalRecord::read_next(&mut reader, &path) {
+                Ok(Some(read)) => read,
+                Ok(None) => break,
+                Err(DurableError::Damage(found)) if tolerant => {
+                    // Nothing at or after a tear is trustworthy — in this segment
+                    // or any later one. Account exactly for what the truncation
+                    // costs: the unreadable remainder of this segment, plus every
+                    // intact record in later segments.
+                    damage = Some(found);
+                    bytes_unreadable += reader.remaining_bytes();
+                    for &later in &indices[position + 1..] {
+                        let mut later = FrameReader::open(dir.join(file_name(SEGMENT, later)))?;
+                        while let Ok(Some(_)) = later.next() {
+                            records_dropped += 1;
+                        }
+                        // Nothing at a clean end, the damaged remainder otherwise.
+                        bytes_unreadable += later.remaining_bytes();
+                    }
+                    break 'segments;
+                }
+                Err(e) => return Err(e),
+            };
+            match record {
+                WalRecord::Init(_) if replay.is_some() => {
+                    return Err(divergence(format!(
+                        "duplicate Init record at {}:{offset}",
+                        path.display()
+                    )));
+                }
+                WalRecord::Init(init) => {
+                    replay = Some(Replay::start(init, Vec::new(), Tail::default())?);
+                }
+                WalRecord::SnapshotHeader(_) | WalRecord::SnapshotFooter { .. } => {
+                    let detail = "snapshot record inside a log segment";
+                    return Err(DurableError::codec(&path, offset, detail));
+                }
+                op => replay.as_mut().ok_or_else(missing_init)?.apply(frame, op)?,
+            }
+        }
+    }
+
+    let mut replay = replay.ok_or_else(missing_init)?;
     // Floors restore *after* replay: restoring ratchets (never lowers), so the
     // result is the max of the snapshot-time floor and anything replay re-evicted —
     // the live engine's floor at the same point in the stream.
-    if let Some(floors) = loaded.floors.take() {
-        let single_stream = kind != EngineKind::Pool;
-        if floors
-            .iter()
-            .any(|(tenant, f)| f.len() != shape.1 || (single_stream && *tenant != 0))
-        {
-            return Err(divergence(format!(
-                "snapshot floors must cover all {} shards of a {kind} engine's streams",
-                shape.1
-            )));
-        }
-        let floors: Vec<(TenantId, Vec<u64>)> = floors
-            .into_iter()
-            .map(|(tenant, f)| (TenantId(tenant), f))
-            .collect();
-        engine.restore_visible_floors(&floors);
-    }
+    replay.engine.restore_visible_floors(&replay.floors);
 
-    let records_replayed = loaded.ops.len() as u64;
-    let wal = Wal::resume(
-        dir.to_path_buf(),
-        config,
-        loaded.init,
-        loaded.ops,
-        loaded.state,
-    )?;
-    engine.set_durability(Some(Box::new(wal.clone())));
+    let wal = Wal::resume(dir.to_path_buf(), config, replay.init, replay.tail)?;
+    replay.engine.set_durability(Some(Box::new(wal.clone())));
 
     Ok(Recovered {
-        engine,
+        engine: replay.engine,
         wal,
-        registrations: live.into_values().collect(),
-        damage: loaded.damage,
-        records_replayed,
-        records_dropped: loaded.records_dropped,
-        bytes_unreadable: loaded.bytes_unreadable,
+        registrations: replay.live.into_values().collect(),
+        damage,
+        records_replayed: replay.replayed,
+        records_dropped,
+        bytes_unreadable,
     })
 }
 
 /// Rebuilds engine `E` from the log at `dir`, refusing damaged logs. The log must
 /// have been written by the same kind of engine ([`DurableError::EngineMismatch`]
 /// otherwise); shard and group counts come from the log, not from the caller.
+///
+/// Errors surface in log order, because the log is read once: the kind is checked
+/// the moment the `Init` record (or snapshot header) is read, so a foreign log is an
+/// `EngineMismatch` even when it is also damaged further on; an operation before any
+/// `Init` — or a log with none — is [`DurableError::MissingInit`], a second `Init` a
+/// [`DurableError::ReplayDivergence`]; damage and undecodable records are reported at
+/// the frame where the scan meets them. No engine is returned with an error.
 pub fn recover<E: Engine>(
     dir: impl AsRef<Path>,
     config: WalConfig,
@@ -367,7 +351,7 @@ pub fn recover_pool(
 mod tests {
     use super::*;
     use crate::record::SnapshotHeader;
-    use crate::segment::write_frame;
+    use crate::snapshot::tests::{framed, load_all};
     use stream::CompiledQuery;
     use tgminer::baselines::gspan::StaticPattern;
     use tgraph::{Label, StreamEvent};
@@ -409,11 +393,7 @@ mod tests {
         }];
         ops.extend((1..=6).map(|ts| WalRecord::Batch(vec![event(ts)])));
         let segment = |index: u64, records: Vec<WalRecord>| {
-            let mut bytes = Vec::new();
-            for record in records {
-                write_frame(&mut bytes, &record.encode()).unwrap();
-            }
-            std::fs::write(dir.join(segment_file_name(index)), bytes).unwrap();
+            std::fs::write(dir.join(file_name(SEGMENT, index)), framed(&records)).unwrap();
         };
         let mut first = vec![WalRecord::Init(init.clone())];
         first.extend(ops.iter().cloned());
@@ -426,7 +406,7 @@ mod tests {
             tenant_last_ts: Vec::new(),
             floors: vec![(0, vec![2])],
         };
-        snapshot::write(&dir, 1, &header, &ops).unwrap();
+        snapshot::write(&dir, 1, header, &framed(&ops), ops.len() as u64).unwrap();
         segment(
             1,
             (7..=8)
@@ -462,10 +442,7 @@ mod tests {
 
         // Nothing writes the legacy tag: the next snapshot says `Sharded`.
         let path = recovered.wal.snapshot(&engine).unwrap();
-        assert_eq!(
-            snapshot::load(&path).unwrap().0.init.kind,
-            EngineKind::Sharded
-        );
+        assert_eq!(load_all(&path).unwrap().0.init.kind, EngineKind::Sharded);
         std::fs::remove_dir_all(dir).unwrap();
     }
 
@@ -478,6 +455,101 @@ mod tests {
                 expected: EngineKind::Pool,
                 found: EngineKind::Detector,
             })
+        ));
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// A fresh log directory whose segment `i` holds `segments[i]`, framed.
+    fn log_of(tag: &str, segments: &[Vec<WalRecord>]) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("durable-order-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (index, records) in segments.iter().enumerate() {
+            std::fs::write(dir.join(file_name(SEGMENT, index as u64)), framed(records)).unwrap();
+        }
+        dir
+    }
+
+    fn init(kind: EngineKind) -> WalRecord {
+        WalRecord::Init(InitRecord {
+            kind,
+            shards: 1,
+            groups: 1,
+            stats: Vec::new(),
+        })
+    }
+
+    #[test]
+    fn an_op_before_any_init_and_a_log_without_one_are_missing_init() {
+        let batch = WalRecord::Batch(vec![event(1)]);
+        let logs = [
+            vec![vec![batch.clone(), init(EngineKind::Sharded)]],
+            vec![vec![batch.clone()], vec![batch]],
+            vec![vec![]],
+        ];
+        for (i, segments) in logs.iter().enumerate() {
+            let dir = log_of(&format!("no-init-{i}"), segments);
+            for tolerant in [false, true] {
+                let recovered =
+                    recover_engine::<ShardedDetector>(&dir, WalConfig::default(), tolerant);
+                assert!(
+                    matches!(recovered, Err(DurableError::MissingInit { .. })),
+                    "log {i}, tolerant {tolerant}: {recovered:?}"
+                );
+            }
+            std::fs::remove_dir_all(dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_second_init_is_typed_divergence() {
+        let segments = [vec![
+            init(EngineKind::Sharded),
+            WalRecord::Batch(vec![event(1)]),
+            init(EngineKind::Sharded),
+        ]];
+        let dir = log_of("two-inits", &segments);
+        let recovered = recover::<ShardedDetector>(&dir, WalConfig::default());
+        assert!(
+            matches!(&recovered, Err(DurableError::ReplayDivergence { detail }) if detail.contains("duplicate Init")),
+            "{recovered:?}"
+        );
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// The order one-pass recovery reports in: the log's kind is checked when its
+    /// `Init` is read, before the scan meets damage further on. (Two passes used to
+    /// report the damage first.)
+    #[test]
+    fn a_foreign_log_is_an_engine_mismatch_even_when_damaged_further_on() {
+        let segments = [vec![
+            init(EngineKind::Pool),
+            WalRecord::Batch(vec![event(1)]),
+        ]];
+        let dir = log_of("foreign-damaged", &segments);
+        let path = dir.join(file_name(SEGMENT, 0));
+        let mut bytes = std::fs::read(&path).unwrap();
+        *bytes.last_mut().unwrap() ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        for tolerant in [false, true] {
+            let recovered = recover_engine::<ShardedDetector>(&dir, WalConfig::default(), tolerant);
+            assert!(
+                matches!(
+                    recovered,
+                    Err(DurableError::EngineMismatch {
+                        expected: EngineKind::Sharded,
+                        found: EngineKind::Pool,
+                    })
+                ),
+                "tolerant {tolerant}: {recovered:?}"
+            );
+        }
+        // The same damage in a log of the right kind is what strict recovery reports.
+        let mut segment = framed(&[init(EngineKind::Sharded), WalRecord::Batch(vec![event(1)])]);
+        *segment.last_mut().unwrap() ^= 0x01;
+        std::fs::write(&path, segment).unwrap();
+        assert!(matches!(
+            recover::<ShardedDetector>(&dir, WalConfig::default()),
+            Err(DurableError::Damage(WalDamage::ChecksumMismatch { .. }))
         ));
         std::fs::remove_dir_all(dir).unwrap();
     }

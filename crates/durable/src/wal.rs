@@ -14,25 +14,36 @@
 //! once the budget is spent the log enters a sticky **degraded** mode — the engine
 //! keeps detecting, durability is suspended, and the condition surfaces through
 //! [`Wal::status`], the `durable.degraded` gauge, a `wal_error` trace event, and
-//! [`Wal::take_error`] (the next snapshot fails too). Records are written with plain
-//! unbuffered `write_all` — there is no user-space buffer to lose, so "kill at a
-//! record boundary" is exactly the durability granularity; [`SyncPolicy`] optionally
-//! tightens that to "kill anywhere" at fsync cost.
+//! [`Wal::take_error`] (the next snapshot fails too).
+//!
+//! A record is encoded once ([`crate::segment::push_frame`]) and reaches the
+//! unbuffered segment file in **one** `write_all` of the finished frame. Nothing waits
+//! in user space between records, so "kill at a record boundary" is exactly the
+//! durability granularity ([`SyncPolicy`] optionally tightens that to "kill anywhere"
+//! at fsync cost), and a kill inside the write leaves a torn frame recovery names. A
+//! *failed* write may have landed any prefix of the frame; `segment_bytes` advances
+//! only past whole frames, so every retry first truncates the file back to it.
+//!
+//! The frame is encoded at the end of the replay [`Tail`] and written to the file
+//! from there. The tail is only ever replayed, pruned (a batch's last timestamp sits
+//! at a fixed offset) or copied into a snapshot, so the bytes the disk holds are its
+//! one representation: no second copy of a batch, and once the buffer has reached its
+//! steady size no allocation per logged batch.
 //!
 //! Every I/O site consults an optional [`faults::FaultPlan`] (`wal.append`,
 //! `wal.fsync`, `wal.rotate`, `snapshot.write`) so chaos tests can drive each
 //! failure path deterministically — see `tests/chaos_parity.rs`.
 
+use crate::codec::{u32_at, u64_at};
 use crate::error::DurableError;
-use crate::record::{EngineKind, InitRecord, SnapshotHeader, WalRecord};
-use crate::segment::{
-    parse_segment_index, parse_snapshot_index, segment_file_name, snapshot_file_name, write_frame,
-};
+use crate::record::{self, EngineKind, InitRecord, SnapshotHeader, WalRecord};
+use crate::segment::{file_name, list_indices, push_frame, FRAME_HEADER_BYTES, SEGMENT, SNAPSHOT};
 use crate::snapshot;
 use faults::FaultPlan;
 use obs::{Counter, Gauge, MetricsRegistry, SharedSink, TraceEvent};
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 use stream::{
@@ -75,15 +86,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// No retries, no sleeping: the first failure latches immediately.
-    pub fn none() -> Self {
-        Self {
-            attempts: 0,
-            backoff_base_ms: 0,
-            backoff_cap_ms: 0,
-        }
-    }
-
     fn backoff_ms(&self, attempt: u32) -> u64 {
         if self.backoff_base_ms == 0 {
             return 0;
@@ -164,44 +166,78 @@ impl Default for WalConfig {
     }
 }
 
-/// The running aggregates the snapshot pruning horizon is computed from. Recovery
-/// rebuilds the same state by observing the snapshot header and every replayed op.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct TailState {
+/// The replay tail: the framed bytes of the replayable operations (every record but
+/// `Init` and the snapshot envelope) still inside the pruning horizon, back to back —
+/// what the next snapshot is cut from — and the running aggregates the horizon is
+/// computed from. The live log and recovery both build it through [`Tail::admit`], so there is
+/// one observe and one prune.
+#[derive(Debug, Default)]
+pub(crate) struct Tail {
+    pub(crate) frames: Vec<u8>,
+    /// Frames in `frames`.
+    pub(crate) ops: u64,
+    /// `ops` right after the last [`Tail::prune`]; the tail is pruned again once it
+    /// has doubled, so it stays bounded without any snapshot.
+    pruned_ops: u64,
     /// Largest window ever registered (never shrinks — a deregistered wide query's
     /// partial matches may still be in flight when a snapshot is cut).
-    pub(crate) max_window: u64,
+    max_window: u64,
     /// Last event timestamp on the single stream.
-    pub(crate) last_ts: Option<u64>,
+    last_ts: Option<u64>,
     /// Last event timestamp per tenant (raw ids; sorted for deterministic headers).
-    pub(crate) tenant_last_ts: BTreeMap<u64, u64>,
+    tenant_last_ts: BTreeMap<u64, u64>,
 }
 
-impl TailState {
+impl Tail {
+    /// An empty tail continuing from a snapshot: the header's aggregates describe
+    /// the *pruned-away* history, and the ops admitted next re-advance them.
     pub(crate) fn from_header(header: &SnapshotHeader) -> Self {
         Self {
             max_window: header.max_window,
             last_ts: header.last_ts,
             tenant_last_ts: header.tenant_last_ts.iter().copied().collect(),
+            ..Self::default()
         }
     }
 
-    pub(crate) fn observe(&mut self, op: &WalRecord) {
-        match op {
-            WalRecord::Register { window, .. } => self.max_window = self.max_window.max(*window),
-            WalRecord::Batch(events) => {
-                if let Some(last) = events.last() {
-                    self.last_ts = Some(self.last_ts.map_or(last.ts, |ts| ts.max(last.ts)));
-                }
+    fn header(&self, init: InitRecord, floors: Vec<(u64, Vec<u64>)>) -> SnapshotHeader {
+        let tenant_last_ts = Vec::from_iter(self.tenant_last_ts.iter().map(|(&t, &ts)| (t, ts)));
+        SnapshotHeader {
+            init,
+            max_window: self.max_window,
+            last_ts: self.last_ts,
+            tenant_last_ts,
+            floors,
+        }
+    }
+
+    /// Appends an op's frame as read from disk (recovery) and admits it.
+    pub(crate) fn push(&mut self, frame: &[u8]) {
+        let start = self.frames.len();
+        self.frames.extend_from_slice(frame);
+        self.admit(start);
+    }
+
+    /// Admits the op whose frame starts at `start` and ends the buffer: advances the
+    /// aggregates by what it carries and prunes once the tail has doubled (amortised
+    /// O(1) per op).
+    fn admit(&mut self, start: usize) {
+        let payload = &self.frames[start + FRAME_HEADER_BYTES..];
+        // (`None < Some(_)`, so `max` against an `Option` only ever advances.)
+        match payload[0] {
+            record::TAG_REGISTER => {
+                let window = u64_at(payload, record::REGISTER_WINDOW_AT);
+                self.max_window = self.max_window.max(window);
             }
-            WalRecord::TenantBatch(events) => {
-                for te in events {
-                    self.last_ts = Some(self.last_ts.map_or(te.event.ts, |ts| ts.max(te.event.ts)));
-                    let entry = self
-                        .tenant_last_ts
-                        .entry(te.tenant.0)
-                        .or_insert(te.event.ts);
-                    *entry = (*entry).max(te.event.ts);
+            record::TAG_BATCH => {
+                let last = record::stamps(payload).next_back();
+                self.last_ts = self.last_ts.max(last.map(|(_, ts)| ts));
+            }
+            record::TAG_TENANT_BATCH => {
+                for (tenant, ts) in record::stamps(payload) {
+                    self.last_ts = self.last_ts.max(Some(ts));
+                    let entry = self.tenant_last_ts.entry(tenant).or_insert(ts);
+                    *entry = (*entry).max(ts);
                 }
             }
             // Nothing else moves the horizon. In particular quiescence changes which
@@ -210,9 +246,60 @@ impl TailState {
             // always-live tenant's would.
             _ => {}
         }
+        self.ops += 1;
+        if self.ops >= 2 * self.pruned_ops.max(1) {
+            self.prune();
+        }
+    }
+
+    /// Drops the ops that left the replay horizon `H = max(1, 2 × max_window)`,
+    /// compacting the survivors' frames in place.
+    ///
+    /// Registrations and deregistrations are never pruned — they pin exact id
+    /// assignment and tombstones. An event batch is dropped only when its *last*
+    /// event is older than `last_ts − H` (so every event with `ts ≥ cutoff` survives:
+    /// its batch's last event is at least as new). Tenant batches prune against each
+    /// tenant's own `last_ts`, keeping the batch if any tenant still needs it.
+    ///
+    /// Runs at every snapshot cut and, between cuts, whenever the tail has doubled
+    /// since the last run. Pruning between cuts is exactly what a snapshot cut at
+    /// that batch boundary would have done to the tail.
+    fn prune(&mut self) {
+        let horizon = self.max_window.saturating_mul(2).max(1);
+        let cutoff = self.last_ts.map_or(0, |last| last.saturating_sub(horizon));
+        let (mut read, mut kept_bytes, mut kept) = (0, 0, 0);
+        while read < self.frames.len() {
+            let end = read + FRAME_HEADER_BYTES + u32_at(&self.frames, read) as usize;
+            let payload = &self.frames[read + FRAME_HEADER_BYTES..end];
+            let keep = match payload[0] {
+                record::TAG_BATCH => record::stamps(payload)
+                    .next_back()
+                    .is_some_and(|(_, ts)| ts >= cutoff),
+                record::TAG_TENANT_BATCH => record::stamps(payload).any(|(tenant, ts)| {
+                    let last = self.tenant_last_ts.get(&tenant).copied().unwrap_or(0);
+                    ts >= last.saturating_sub(horizon)
+                }),
+                // Only event batches age out. Quiesce ops are kept like registrations:
+                // they pin *where* in the op sequence a tenant's pending detections
+                // were drained, and a quiesce replayed against a not-yet-materialised
+                // tenant is a no-op.
+                _ => true,
+            };
+            if keep {
+                self.frames.copy_within(read..end, kept_bytes);
+                kept_bytes += end - read;
+                kept += 1;
+            }
+            read = end;
+        }
+        self.frames.truncate(kept_bytes);
+        self.ops = kept;
+        self.pruned_ops = kept;
     }
 }
 
+/// Free-standing until [`Wal::instrument`] swaps in a registry's.
+#[derive(Default)]
 struct WalInstruments {
     records: Counter,
     bytes: Counter,
@@ -232,35 +319,24 @@ pub(crate) struct WalCore {
     segment_index: u64,
     file: File,
     segment_bytes: u64,
-    /// The replayable operations ([`WalRecord::is_op`]) still inside the pruning
-    /// horizon — what the next snapshot is cut from.
-    tail: Vec<WalRecord>,
-    /// `tail.len()` right after the last [`WalCore::prune_tail`]; the tail is pruned
-    /// again once it has doubled, so it stays bounded without any snapshot.
-    pruned_len: usize,
-    state: TailState,
+    tail: Tail,
     error: Option<DurableError>,
-    /// Sticky: set when the retry budget is first spent; never cleared (even by
-    /// `take_error`) because the log already has a hole.
-    degraded: bool,
-    degraded_detail: Option<String>,
+    /// Why the log degraded. Sticky: set when the retry budget is first spent; never
+    /// cleared (even by `take_error`) because the log already has a hole.
+    degraded: Option<String>,
     dropped_ops: u64,
     /// Cumulative I/O errors, including ones a retry recovered from.
     io_errors: u64,
     records_since_sync: u64,
     records_since_snapshot: u64,
     faults: Option<FaultPlan>,
-    instruments: Option<WalInstruments>,
+    instruments: WalInstruments,
     trace: Option<SharedSink>,
 }
 
-fn open_segment(dir: &Path, index: u64) -> Result<File, DurableError> {
-    let path = dir.join(segment_file_name(index));
-    OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .map_err(|e| DurableError::io(path, e))
+fn open_segment(dir: &Path, index: u64) -> std::io::Result<File> {
+    let path = dir.join(file_name(SEGMENT, index));
+    OpenOptions::new().create(true).append(true).open(path)
 }
 
 impl WalCore {
@@ -268,9 +344,10 @@ impl WalCore {
         fs::create_dir_all(&dir).map_err(|e| DurableError::io(&dir, e))?;
         // Never append to an existing segment: its final record may be torn, and
         // bytes after a tear are unreachable. A fresh segment is always clean.
-        let existing = crate::segment::list_indices(&dir, parse_segment_index)?;
+        let existing = list_indices(&dir, SEGMENT)?;
         let segment_index = existing.last().map_or(0, |&last| last + 1);
-        let file = open_segment(&dir, segment_index)?;
+        let file = open_segment(&dir, segment_index)
+            .map_err(|e| DurableError::io(dir.join(file_name(SEGMENT, segment_index)), e))?;
         Ok(Self {
             dir,
             config,
@@ -278,29 +355,22 @@ impl WalCore {
             segment_index,
             file,
             segment_bytes: 0,
-            tail: Vec::new(),
-            pruned_len: 0,
-            state: TailState::default(),
+            tail: Tail::default(),
             error: None,
-            degraded: false,
-            degraded_detail: None,
+            degraded: None,
             dropped_ops: 0,
             io_errors: 0,
             records_since_sync: 0,
             records_since_snapshot: 0,
             faults: None,
-            instruments: None,
+            instruments: WalInstruments::default(),
             trace: None,
         })
     }
 
     /// The latched/degraded failure, re-synthesized (I/O errors are not `Clone`).
     fn latched(&self) -> Option<DurableError> {
-        let detail = self
-            .error
-            .as_ref()
-            .map(|e| e.to_string())
-            .or_else(|| self.degraded_detail.clone())?;
+        let detail = self.degraded.as_ref()?;
         Some(DurableError::io(
             &self.dir,
             std::io::Error::other(format!("earlier append failed: {detail}")),
@@ -315,11 +385,16 @@ impl WalCore {
             .map(faults::InjectedFault::into_io_error)
     }
 
-    fn count_io_error(&mut self) {
+    /// Counts and traces a failed I/O operation on `path`; returns it typed.
+    fn io_failed(&mut self, path: PathBuf, e: std::io::Error, latched: bool) -> DurableError {
         self.io_errors += 1;
-        if let Some(instruments) = &self.instruments {
-            instruments.io_errors.inc();
-        }
+        self.instruments.io_errors.inc();
+        self.emit(&TraceEvent::WalError {
+            path: path.display().to_string(),
+            detail: e.to_string(),
+            latched,
+        });
+        DurableError::io(path, e)
     }
 
     fn emit(&self, event: &TraceEvent) {
@@ -328,31 +403,27 @@ impl WalCore {
         }
     }
 
-    /// Runs a fallible I/O operation under the retry budget. Each failure bumps
-    /// `durable.io_errors_total` and emits a `wal_error` trace event; before every
-    /// retry the active segment is truncated back to the last good frame boundary
-    /// (a failed `write_all` may have landed a partial frame), the backoff slept,
-    /// and a `wal_retry` event emitted. The terminal failure carries
-    /// `latched: true`.
+    /// Runs a fallible I/O operation — or the fault armed on `point` in its place —
+    /// under the retry budget. Each failure bumps `durable.io_errors_total` and emits
+    /// a `wal_error` trace event; before every retry the active segment is truncated
+    /// back to the last good frame boundary (a failed `write_all` may have landed part
+    /// of the frame), the backoff slept, and a `wal_retry` event emitted. The terminal
+    /// failure carries `latched: true`.
     fn retry_io<T>(
         &mut self,
+        point: &str,
         mut op: impl FnMut(&mut WalCore) -> std::io::Result<T>,
     ) -> Result<T, DurableError> {
         let mut attempt: u32 = 0;
         loop {
-            match op(self) {
+            match self.fault(point).map_or_else(|| op(self), Err) {
                 Ok(value) => return Ok(value),
                 Err(e) => {
-                    self.count_io_error();
-                    let path = self.dir.join(segment_file_name(self.segment_index));
+                    let path = self.dir.join(file_name(SEGMENT, self.segment_index));
                     let out_of_budget = attempt >= self.config.retry.attempts;
-                    self.emit(&TraceEvent::WalError {
-                        path: path.display().to_string(),
-                        detail: e.to_string(),
-                        latched: out_of_budget,
-                    });
+                    let error = self.io_failed(path, e, out_of_budget);
                     if out_of_budget {
-                        return Err(DurableError::io(path, e));
+                        return Err(error);
                     }
                     attempt += 1;
                     // A failed write may have landed part of a frame; cut back to
@@ -362,9 +433,7 @@ impl WalCore {
                     if backoff_ms > 0 {
                         std::thread::sleep(std::time::Duration::from_millis(backoff_ms));
                     }
-                    if let Some(instruments) = &self.instruments {
-                        instruments.retries.inc();
-                    }
+                    self.instruments.retries.inc();
                     self.emit(&TraceEvent::WalRetry {
                         attempt: u64::from(attempt),
                         backoff_ms,
@@ -374,21 +443,29 @@ impl WalCore {
         }
     }
 
-    fn append_record(&mut self, record: &WalRecord) -> Result<(), DurableError> {
-        let payload = record.encode();
-        let written = self.retry_io(|core| {
-            if let Some(e) = core.fault("wal.append") {
-                return Err(e);
-            }
-            write_frame(&mut core.file, &payload)
-        })?;
-        self.segment_bytes += written;
-        self.records_since_snapshot += 1;
-        if let Some(instruments) = &self.instruments {
-            instruments.records.inc();
-            instruments.bytes.add(written);
+    /// Frames `encode`'s payload at the end of the tail buffer and writes the frame
+    /// to the active segment from there, in one `write_all`. On failure the buffer is
+    /// as it was; on success the frame is still at the returned offset for the caller
+    /// to admit (an op) or truncate away (`Init`, which is shape, not an operation).
+    fn append_frame(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<usize, DurableError> {
+        let start = self.tail.frames.len();
+        push_frame(&mut self.tail.frames, encode);
+        let written = (self.tail.frames.len() - start) as u64;
+        let appended = self
+            .retry_io("wal.append", |core| {
+                core.file.write_all(&core.tail.frames[start..])
+            })
+            .and_then(|()| {
+                self.segment_bytes += written;
+                self.records_since_snapshot += 1;
+                self.instruments.records.inc();
+                self.instruments.bytes.add(written);
+                self.maybe_sync()
+            });
+        if appended.is_err() {
+            self.tail.frames.truncate(start);
         }
-        self.maybe_sync()
+        appended.map(|()| start)
     }
 
     /// Applies the [`SyncPolicy`] after a successful append.
@@ -404,67 +481,42 @@ impl WalCore {
         if !due {
             return Ok(());
         }
-        self.retry_io(|core| {
-            if let Some(e) = core.fault("wal.fsync") {
-                return Err(e);
-            }
-            core.file.sync_data()
-        })?;
+        self.retry_io("wal.fsync", |core| core.file.sync_data())?;
         self.records_since_sync = 0;
-        if let Some(instruments) = &self.instruments {
-            instruments.fsyncs.inc();
-        }
+        self.instruments.fsyncs.inc();
         Ok(())
     }
 
     fn rotate_to(&mut self, index: u64) -> Result<(), DurableError> {
-        let closed_bytes = self.segment_bytes;
-        let dir = self.dir.clone();
-        self.file = self.retry_io(|core| {
-            if let Some(e) = core.fault("wal.rotate") {
-                return Err(e);
-            }
-            let path = dir.join(segment_file_name(index));
-            OpenOptions::new().create(true).append(true).open(path)
-        })?;
-        self.segment_index = index;
-        self.segment_bytes = 0;
-        if let Some(instruments) = &self.instruments {
-            instruments.rotations.inc();
-        }
+        self.file = self.retry_io("wal.rotate", |core| open_segment(&core.dir, index))?;
+        self.instruments.rotations.inc();
         self.emit(&TraceEvent::WalRotated {
             segment: index,
-            bytes: closed_bytes,
+            bytes: self.segment_bytes,
         });
+        self.segment_index = index;
+        self.segment_bytes = 0;
         Ok(())
     }
 
     /// Marks the log degraded: the retry budget is spent, later ops are dropped.
     fn degrade(&mut self, error: DurableError) {
-        self.degraded = true;
-        self.degraded_detail = Some(error.to_string());
+        self.degraded = Some(error.to_string());
         self.error = Some(error);
-        if let Some(instruments) = &self.instruments {
-            instruments.degraded.set(1);
-        }
+        self.instruments.degraded.set(1);
     }
 
     /// The sink's append path: log, track, maybe rotate. Infallible — once the
     /// retry budget is spent the log degrades and everything after is dropped (the
     /// log would have a hole; better a typed degraded state than a silent gap).
-    fn log_op(&mut self, op: WalRecord) {
-        if self.degraded {
+    fn log_op(&mut self, encode: impl FnOnce(&mut Vec<u8>)) {
+        if self.degraded.is_some() {
             self.dropped_ops += 1;
             return;
         }
-        if let Err(e) = self.append_record(&op) {
-            self.degrade(e);
-            return;
-        }
-        self.state.observe(&op);
-        self.tail.push(op);
-        if self.tail.len() >= 2 * self.pruned_len.max(1) {
-            self.prune_tail();
+        match self.append_frame(encode) {
+            Ok(start) => self.tail.admit(start),
+            Err(e) => return self.degrade(e),
         }
         if self.segment_bytes >= self.config.max_segment_bytes {
             if let Err(e) = self.rotate_to(self.segment_index + 1) {
@@ -480,41 +532,11 @@ impl WalCore {
         if let Some(e) = self.latched() {
             return Err(e);
         }
-        self.append_record(&WalRecord::Init(init.clone()))?;
+        let record = WalRecord::Init(init.clone());
+        let start = self.append_frame(|buf| record.encode_into(buf))?;
+        self.tail.frames.truncate(start);
         self.init = Some(init);
         Ok(())
-    }
-
-    /// Drops the ops that left the replay horizon `H = max(1, 2 × max_window)`.
-    ///
-    /// Registrations and deregistrations are never pruned — they pin exact id
-    /// assignment and tombstones. An event batch is dropped only when its *last*
-    /// event is older than `last_ts − H` (so every event with `ts ≥ cutoff` survives:
-    /// its batch's last event is at least as new). Tenant batches prune against each
-    /// tenant's own `last_ts`, keeping the batch if any tenant still needs it.
-    ///
-    /// Runs at every snapshot cut and, between cuts, whenever the tail has doubled
-    /// since the last run (amortised O(1) per op). Pruning between cuts is exactly
-    /// what a snapshot cut at that batch boundary would have done to the tail.
-    fn prune_tail(&mut self) {
-        let state = &self.state;
-        let horizon = state.max_window.saturating_mul(2).max(1);
-        self.tail.retain(|op| match op {
-            WalRecord::Batch(events) => {
-                let cutoff = state.last_ts.map_or(0, |last| last.saturating_sub(horizon));
-                events.last().is_some_and(|e| e.ts >= cutoff)
-            }
-            WalRecord::TenantBatch(events) => events.iter().any(|te| {
-                let last = state.tenant_last_ts.get(&te.tenant.0).copied().unwrap_or(0);
-                te.event.ts >= last.saturating_sub(horizon)
-            }),
-            // Only event batches age out. Quiesce ops are kept like registrations:
-            // they pin *where* in the op sequence a tenant's pending detections
-            // were drained, and a quiesce replayed against a not-yet-materialised
-            // tenant is a no-op.
-            _ => true,
-        });
-        self.pruned_len = self.tail.len();
     }
 
     fn snapshot(
@@ -534,19 +556,8 @@ impl WalCore {
                 found: init.kind,
             });
         }
-        self.prune_tail();
-        let header = SnapshotHeader {
-            init,
-            max_window: self.state.max_window,
-            last_ts: self.state.last_ts,
-            tenant_last_ts: self
-                .state
-                .tenant_last_ts
-                .iter()
-                .map(|(&t, &ts)| (t, ts))
-                .collect(),
-            floors,
-        };
+        self.tail.prune();
+        let header = self.tail.header(init, floors);
         // The snapshot takes the index of the segment the log rotates to: replay is
         // "load snapshot N, then segments ≥ N". Writing the file before rotating is
         // crash-safe in both gap windows — a crash before the rename leaves the old
@@ -554,21 +565,14 @@ impl WalCore {
         // whose segment N is simply empty.
         let new_index = self.segment_index + 1;
         if let Some(e) = self.fault("snapshot.write") {
-            self.count_io_error();
-            let path = self.dir.join(snapshot_file_name(new_index));
-            self.emit(&TraceEvent::WalError {
-                path: path.display().to_string(),
-                detail: e.to_string(),
-                latched: false,
-            });
-            return Err(DurableError::io(path, e));
+            let path = self.dir.join(file_name(SNAPSHOT, new_index));
+            return Err(self.io_failed(path, e, false));
         }
-        let (path, bytes, ops) = snapshot::write(&self.dir, new_index, &header, &self.tail)?;
+        let ops = self.tail.ops;
+        let (path, bytes) = snapshot::write(&self.dir, new_index, header, &self.tail.frames, ops)?;
         self.rotate_to(new_index)?;
         self.records_since_snapshot = 0;
-        if let Some(instruments) = &self.instruments {
-            instruments.snapshots.inc();
-        }
+        self.instruments.snapshots.inc();
         self.emit(&TraceEvent::SnapshotWritten {
             segment: new_index,
             bytes,
@@ -589,23 +593,18 @@ impl WalCore {
     fn gc_through(&mut self, anchor: u64) {
         let mut deleted = 0u64;
         let mut highest = 0u64;
-        let segments =
-            crate::segment::list_indices(&self.dir, parse_segment_index).unwrap_or_default();
-        for index in segments.into_iter().filter(|&i| i < anchor) {
-            if fs::remove_file(self.dir.join(segment_file_name(index))).is_ok() {
-                deleted += 1;
-                highest = highest.max(index);
+        for kind in [SEGMENT, SNAPSHOT] {
+            let covered = list_indices(&self.dir, kind).unwrap_or_default();
+            for index in covered.into_iter().filter(|&i| i < anchor) {
+                let removed = fs::remove_file(self.dir.join(file_name(kind, index))).is_ok();
+                if removed && kind == SEGMENT {
+                    deleted += 1;
+                    highest = highest.max(index);
+                }
             }
-        }
-        let snapshots =
-            crate::segment::list_indices(&self.dir, parse_snapshot_index).unwrap_or_default();
-        for index in snapshots.into_iter().filter(|&i| i < anchor) {
-            let _ = fs::remove_file(self.dir.join(snapshot_file_name(index)));
         }
         if deleted > 0 {
-            if let Some(instruments) = &self.instruments {
-                instruments.gc_segments.add(deleted);
-            }
+            self.instruments.gc_segments.add(deleted);
             self.emit(&TraceEvent::WalGc {
                 deleted,
                 through_segment: highest,
@@ -627,7 +626,7 @@ impl std::fmt::Debug for Wal {
         f.debug_struct("Wal")
             .field("dir", &core.dir)
             .field("segment_index", &core.segment_index)
-            .field("tail_ops", &core.tail.len())
+            .field("tail_ops", &core.tail.ops)
             .finish()
     }
 }
@@ -641,7 +640,7 @@ impl DurabilitySink for Wal {
         window: u64,
         visible_from: u64,
     ) {
-        self.lock().log_op(WalRecord::Register {
+        self.log_record(&WalRecord::Register {
             id: id as u64,
             window,
             visible_from,
@@ -650,19 +649,20 @@ impl DurabilitySink for Wal {
     }
 
     fn record_deregister(&mut self, id: QueryId) {
-        self.lock().log_op(WalRecord::Deregister { id: id as u64 });
+        self.log_record(&WalRecord::Deregister { id: id as u64 });
     }
 
     fn record_events(&mut self, events: &[StreamEvent]) {
-        self.lock().log_op(WalRecord::Batch(events.to_vec()));
+        self.lock().log_op(|buf| record::put_batch(buf, events));
     }
 
     fn record_tenant_events(&mut self, events: &[TenantedEvent]) {
-        self.lock().log_op(WalRecord::TenantBatch(events.to_vec()));
+        self.lock()
+            .log_op(|buf| record::put_tenant_batch(buf, events));
     }
 
     fn record_quiesce(&mut self, tenant: TenantId) {
-        self.lock().log_op(WalRecord::Quiesce { tenant: tenant.0 });
+        self.log_record(&WalRecord::Quiesce { tenant: tenant.0 });
     }
 }
 
@@ -676,18 +676,16 @@ impl Wal {
         })
     }
 
+    /// Re-opens the log recovery just replayed, continuing from the tail it built.
     pub(crate) fn resume(
         dir: PathBuf,
         config: WalConfig,
         init: InitRecord,
-        tail: Vec<WalRecord>,
-        state: TailState,
+        tail: Tail,
     ) -> Result<Self, DurableError> {
         let mut core = WalCore::create(dir, config)?;
         core.init = Some(init);
         core.tail = tail;
-        core.state = state;
-        core.prune_tail();
         Ok(Self {
             core: Arc::new(Mutex::new(core)),
         })
@@ -699,9 +697,8 @@ impl Wal {
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    /// The log directory.
-    pub fn dir(&self) -> PathBuf {
-        self.lock().dir.clone()
+    fn log_record(&self, record: &WalRecord) {
+        self.lock().log_op(|buf| record.encode_into(buf));
     }
 
     /// Attaches this log to an engine: writes the `Init` record from the engine's own
@@ -771,8 +768,8 @@ impl Wal {
     pub fn instrument(&self, registry: &MetricsRegistry) {
         let mut core = self.lock();
         let degraded = registry.gauge("durable.degraded");
-        degraded.set(u64::from(core.degraded));
-        core.instruments = Some(WalInstruments {
+        degraded.set(u64::from(core.degraded.is_some()));
+        core.instruments = WalInstruments {
             records: registry.counter("durable.records_total"),
             bytes: registry.counter("durable.bytes_total"),
             rotations: registry.counter("durable.rotations_total"),
@@ -782,7 +779,7 @@ impl Wal {
             fsyncs: registry.counter("durable.fsyncs_total"),
             gc_segments: registry.counter("durable.gc_segments_total"),
             degraded,
-        });
+        };
     }
 
     /// Routes `wal_rotated` / `snapshot_written` / `wal_error` / `wal_retry` /
@@ -802,7 +799,7 @@ impl Wal {
     /// Whether the log is still appending or has degraded. Degradation is sticky —
     /// see [`WalStatus`].
     pub fn status(&self) -> WalStatus {
-        if self.lock().degraded {
+        if self.lock().degraded.is_some() {
             WalStatus::Degraded
         } else {
             WalStatus::Healthy
@@ -823,7 +820,7 @@ impl Wal {
     /// Always `false` for the default (manual-cadence) policy or a degraded log.
     pub fn snapshot_due(&self) -> bool {
         let core = self.lock();
-        !core.degraded && core.config.snapshot.due(core.records_since_snapshot)
+        core.degraded.is_none() && core.config.snapshot.due(core.records_since_snapshot)
     }
 
     /// Takes the latched append failure, if any. The hot path never returns errors;
@@ -861,12 +858,26 @@ mod tests {
         }
     }
 
+    /// The ops a tail holds, decoded (its frames are laid out like a segment's).
+    fn tail_ops(tail: &Tail) -> Vec<WalRecord> {
+        let path = temp_dir("tail").with_extension("frames");
+        fs::write(&path, &tail.frames).unwrap();
+        let mut reader = FrameReader::open(&path).unwrap();
+        let mut ops = Vec::new();
+        while let Some((_, payload)) = reader.next().unwrap() {
+            ops.push(WalRecord::decode(payload).unwrap());
+        }
+        fs::remove_file(path).unwrap();
+        assert_eq!(ops.len() as u64, tail.ops, "the tail's op count");
+        ops
+    }
+
     fn read_all_records(dir: &Path) -> Vec<WalRecord> {
         let mut records = Vec::new();
-        for index in crate::segment::list_indices(dir, parse_segment_index).unwrap() {
-            let mut reader = FrameReader::open(dir.join(segment_file_name(index))).unwrap();
+        for index in list_indices(dir, SEGMENT).unwrap() {
+            let mut reader = FrameReader::open(dir.join(file_name(SEGMENT, index))).unwrap();
             while let Some((_, payload)) = reader.next().unwrap() {
-                records.push(WalRecord::decode(&payload).unwrap());
+                records.push(WalRecord::decode(payload).unwrap());
             }
         }
         records
@@ -923,7 +934,7 @@ mod tests {
         for ts in 1..=20 {
             detector.on_batch(&[event(ts, 0, 1)]).unwrap();
         }
-        let segments = crate::segment::list_indices(&dir, parse_segment_index).unwrap();
+        let segments = list_indices(&dir, SEGMENT).unwrap();
         assert!(segments.len() > 1, "expected rotation, got {segments:?}");
         // Records stay intact across the rotation boundary.
         assert_eq!(read_all_records(&dir).len(), 21);
@@ -1084,11 +1095,8 @@ mod tests {
             }
         }
         assert!(snapshots >= 2, "cadence never tripped: {snapshots}");
-        let newest_snapshot = *crate::segment::list_indices(&dir, parse_snapshot_index)
-            .unwrap()
-            .last()
-            .unwrap();
-        let segments = crate::segment::list_indices(&dir, parse_segment_index).unwrap();
+        let newest_snapshot = *list_indices(&dir, SNAPSHOT).unwrap().last().unwrap();
+        let segments = list_indices(&dir, SEGMENT).unwrap();
         assert!(
             segments.iter().all(|&i| i >= newest_snapshot),
             "GC left covered segments: {segments:?} vs snapshot {newest_snapshot}"
@@ -1124,10 +1132,10 @@ mod tests {
         for ts in 1..=8 {
             detector.on_batch(&[event(ts, 0, 1)]).unwrap();
         }
-        let before = crate::segment::list_indices(&dir, parse_segment_index).unwrap();
+        let before = list_indices(&dir, SEGMENT).unwrap();
         assert!(wal.snapshot_due());
         assert!(wal.snapshot(&detector).is_err());
-        let after = crate::segment::list_indices(&dir, parse_segment_index).unwrap();
+        let after = list_indices(&dir, SEGMENT).unwrap();
         assert_eq!(before, after, "a failed snapshot must never GC");
         assert_eq!(
             wal.status(),
@@ -1155,20 +1163,15 @@ mod tests {
         for ts in 1..=100 {
             detector.on_batch(&[event(ts, 0, 1)]).unwrap();
         }
-        let mut core = wal.lock();
-        core.prune_tail();
-        // Horizon is 2 × 5 = 10: the registration plus batches with last ts ≥ 90.
-        let batches = core
-            .tail
-            .iter()
-            .filter(|op| matches!(op, WalRecord::Batch(_)))
-            .count();
-        assert_eq!(batches, 11);
-        assert!(core
-            .tail
-            .iter()
-            .any(|op| matches!(op, WalRecord::Register { .. })));
-        drop(core);
+        wal.lock().tail.prune();
+        // Horizon is 2 × 5 = 10: the registration, then exactly the batches whose
+        // last event is at or after 100 − 10 — the one *on* the cutoff included.
+        let ops = tail_ops(&wal.lock().tail);
+        assert!(matches!(ops[0], WalRecord::Register { .. }));
+        let kept: Vec<WalRecord> = (90..=100)
+            .map(|ts| WalRecord::Batch(vec![event(ts, 0, 1)]))
+            .collect();
+        assert_eq!(ops[1..], kept);
         fs::remove_dir_all(dir).unwrap();
     }
 
@@ -1189,7 +1192,7 @@ mod tests {
         let mut longest = 0;
         for ts in 1..=10_000 {
             detector.on_batch(&[event(ts, 0, 1)]).unwrap();
-            longest = longest.max(wal.lock().tail.len());
+            longest = longest.max(wal.lock().tail.ops);
         }
         assert!(
             longest <= 2 * in_horizon,
@@ -1199,7 +1202,7 @@ mod tests {
         // A snapshot cut now holds exactly what the rule keeps: the registration and
         // the batches whose last event is at or after 10_000 − 10.
         let path = wal.snapshot(&detector).unwrap();
-        let (_, ops) = snapshot::load(&path).unwrap();
+        let (_, ops) = snapshot::tests::load_all(&path).unwrap();
         let mut expected = vec![WalRecord::Register {
             id: 0,
             window: 5,
@@ -1219,7 +1222,14 @@ mod tests {
         let recovered =
             crate::recover::recover::<ShardedDetector>(&dir, WalConfig::default()).unwrap();
         assert_eq!(recovered.records_replayed, 12 + 50);
-        assert_eq!(recovered.wal.lock().tail.len(), in_horizon);
+        // Recovery pruned as it went, on the same doubling rule; a cut now keeps
+        // exactly what is inside the horizon.
+        assert!(recovered.wal.lock().tail.ops <= 2 * in_horizon);
+        recovered.wal.lock().tail.prune();
+        assert_eq!(
+            tail_ops(&recovered.wal.lock().tail).len() as u64,
+            in_horizon
+        );
         let mut uninterrupted = ShardedDetector::new(1);
         uninterrupted.register(query, 5).unwrap();
         for ts in 1..=10_050 {
@@ -1233,5 +1243,80 @@ mod tests {
         }
         assert_eq!(resumed.flush(), uninterrupted.flush());
         fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// A failed write may have landed any prefix of its frame. The retry must cut the
+    /// segment back to the last whole frame first, or the bytes stay in the history.
+    #[test]
+    fn a_retry_truncates_a_partial_frame_away() {
+        let dir = temp_dir("partial");
+        let config = WalConfig {
+            retry: RetryPolicy {
+                attempts: 1,
+                backoff_base_ms: 0,
+                backoff_cap_ms: 0,
+            },
+            ..WalConfig::default()
+        };
+        let wal = Wal::create(&dir, config).unwrap();
+        let mut detector = ShardedDetector::new(1);
+        wal.attach(&mut detector).unwrap();
+        detector.on_batch(&[event(1, 0, 1)]).unwrap();
+        // What a write that died half-way leaves: bytes past `segment_bytes`.
+        wal.lock().file.write_all(&[0xAB; 13]).unwrap();
+        let plan = FaultPlan::new(0);
+        plan.arm("wal.append", faults::FaultSchedule::OneShotAt(1));
+        wal.set_fault_plan(plan);
+        detector.on_batch(&[event(2, 0, 1)]).unwrap();
+        assert_eq!(wal.io_errors(), 1);
+        assert_eq!(wal.status(), WalStatus::Healthy);
+        // Init and both batches, back to back, and nothing else in the file.
+        assert_eq!(read_all_records(&dir).len(), 3);
+        let size = fs::metadata(dir.join(file_name(SEGMENT, 0))).unwrap().len();
+        assert_eq!(size, wal.lock().segment_bytes);
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn tenant_batches_prune_against_each_tenants_own_horizon() {
+        let tenant_batch = |stamps: &[(u64, u64)]| {
+            WalRecord::TenantBatch(
+                stamps
+                    .iter()
+                    .map(|&(tenant, ts)| TenantedEvent {
+                        tenant: TenantId(tenant),
+                        event: event(ts, 0, 1),
+                    })
+                    .collect(),
+            )
+        };
+        let ops = [
+            WalRecord::Register {
+                id: 0,
+                window: 5,
+                visible_from: 0,
+                query: CompiledQuery::NodeSet(tgminer::baselines::nodeset::NodeSetQuery {
+                    labels: vec![Label(1)],
+                }),
+            },
+            tenant_batch(&[(1, 10), (2, 10)]), // tenant 2 still needs it: 10 ≥ 20 − 10
+            tenant_batch(&[(1, 11)]),          // one tick inside tenant 1's cutoff 22 − 10
+            tenant_batch(&[(1, 12)]),          // on the cutoff: kept
+            WalRecord::Quiesce { tenant: 1 },
+            tenant_batch(&[(2, 9), (2, 9)]), // out of order and before 20 − 10: dropped
+            tenant_batch(&[(2, 20), (1, 22)]),
+        ];
+        let mut tail = Tail::default();
+        for op in &ops {
+            let mut frame = Vec::new();
+            push_frame(&mut frame, |buf| op.encode_into(buf));
+            tail.push(&frame);
+        }
+        tail.prune();
+        assert_eq!(tail.max_window, 5);
+        assert_eq!(tail.last_ts, Some(22));
+        assert_eq!(tail.tenant_last_ts, BTreeMap::from([(1, 22), (2, 20)]));
+        let kept = [&ops[0], &ops[1], &ops[3], &ops[4], &ops[6]];
+        assert_eq!(tail_ops(&tail).iter().collect::<Vec<_>>(), kept);
     }
 }
