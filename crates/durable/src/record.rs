@@ -223,8 +223,10 @@ pub(crate) fn put_tenant_batch(buf: &mut Vec<u8>, events: &[TenantedEvent]) {
     put_len(buf, events.len());
     buf.reserve(events.len() * TENANTED_EVENT_BYTES);
     for te in events {
-        put_u64(buf, te.tenant.0);
-        buf.extend_from_slice(&event_bytes(&te.event));
+        let mut entry = [0; TENANTED_EVENT_BYTES];
+        entry[..TENANT_BYTES].copy_from_slice(&te.tenant.0.to_le_bytes());
+        entry[TENANT_BYTES..].copy_from_slice(&event_bytes(&te.event));
+        buf.extend_from_slice(&entry);
     }
 }
 

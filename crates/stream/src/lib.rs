@@ -22,10 +22,9 @@
 //! * [`TenantPool`] — the engine for **many** streams, the *second* sharding axis: a
 //!   demux front-end routing an interleaved multi-tenant stream
 //!   ([`tgraph::TenantedEvent`]) to per-tenant `ShardedDetector`s grouped into hashed
-//!   tenant-groups ([`TenantRouter`]). Every
-//!   tenant owns its own incremental graph, retention window, and `visible_from`,
-//!   while all tenants share one compiled query set; composed with query-sharding the
-//!   engine forms a 2-D grid, queries × tenant-groups;
+//!   tenant-groups. Every tenant owns its own incremental graph, retention window, and
+//!   `visible_from`, while all tenants share one compiled query set; composed with
+//!   query-sharding the engine forms a 2-D grid, queries × tenant-groups;
 //! * [`Engine`] — what the two engines have in common, as a trait: the unit that is
 //!   logged, snapshotted and recovered (the `durable` crate is generic over it), traced
 //!   and fault-injected — once, above the shards it owns;
@@ -97,6 +96,4 @@ pub use error::{BatchError, DeregisterError, RegisterError, TenantBatchError};
 pub use instrument::{DetectorInstruments, PipelineInstruments};
 pub use registry::{QueryTable, Registered};
 pub use shard::{LabelPairStats, ShardedDetector};
-pub use tenant::{
-    PoisonPolicy, QuarantinedEvent, QuiescencePolicy, TenantDetection, TenantPool, TenantRouter,
-};
+pub use tenant::{PoisonPolicy, QuarantinedEvent, QuiescencePolicy, TenantDetection, TenantPool};

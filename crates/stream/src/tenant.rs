@@ -6,8 +6,8 @@
 //! per host) arriving interleaved on one wire, with **no global timestamp order**
 //! across tenants. This module adds the *tenant* axis:
 //!
-//! * [`TenantRouter`] — a deterministic hash from [`TenantId`] to one of G
-//!   tenant-groups, so group placement is reproducible across runs and machines;
+//! * a deterministic hash from [`TenantId`] to one of G tenant-groups, so group
+//!   placement is reproducible across runs and machines;
 //! * [`TenantPool`] — the demux front-end: it routes each batch's events to per-tenant
 //!   detector instances (created lazily on a tenant's first event), each owning its own
 //!   [`tgraph::IncrementalGraph`], retention window, and `visible_from`, while all
@@ -23,6 +23,22 @@
 //! interleaving (merged, round-robin, adversarial) is irrelevant to results. Detections
 //! are merged into global `(end_ts, tenant, start_ts, query)` order — ascending
 //! completion time, tenant id as the deterministic tie-break.
+//!
+//! ## Demux
+//!
+//! Collectors ship each host's events in chunks, so [`TenantPool::on_batch`] demuxes
+//! by *runs* (maximal stretches of consecutive events of one tenant): a stable
+//! counting sort of the batch by tenant into the pool's **arena**, one
+//! `Vec<StreamEvent>` in which each tenant's sub-stream is a contiguous slice in
+//! arrival order, handed to its detector as it is. Per run that costs one tenant
+//! lookup (a binary search in its group) and one clock update; per event, one 32-byte
+//! copy. The arena and the run list are reused: after warm-up the front door
+//! allocates nothing, and staging memory follows the largest batch seen, not the
+//! tenant count (a live tenant carries the 16-byte range of its slice, which leaves
+//! with it). Fully interleaved input (run length 1) pays the lookup per event, as
+//! every batch used to. There is no tenant→slot cache for that shape: it would be
+//! state per tenant ever seen, invalidated by every materialisation and eviction,
+//! for input that collectors do not produce.
 //!
 //! ## The tenant-parity law
 //!
@@ -73,6 +89,7 @@ use obs::{
     TenantGroupStat, TraceEvent,
 };
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Range;
 use tgraph::{GraphError, StreamEvent, TenantId, TenantedEvent};
 
 /// A detection attributed to the tenant whose stream produced it.
@@ -104,45 +121,19 @@ impl TenantDetection {
     }
 }
 
-/// Deterministic router from tenant ids to tenant-groups.
-///
-/// Uses a splitmix64 finalizer so placement is uniform even for sequential tenant ids,
-/// and identical across runs, machines, and group iterations — group assignment is part
-/// of the engine's reproducibility contract, not an implementation detail.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TenantRouter {
-    groups: usize,
-}
-
-impl TenantRouter {
-    /// A router over `groups` tenant-groups.
-    ///
-    /// # Panics
-    /// Panics if `groups` is zero.
-    pub fn new(groups: usize) -> Self {
-        assert!(groups > 0, "a tenant router needs at least one group");
-        Self { groups }
+/// The tenant-group, of `groups`, that `tenant` belongs to: the splitmix64 finalizer
+/// (public-domain constants) modulo `groups`, so low-entropy tenant ids (0, 1, 2, …)
+/// spread uniformly, and identically across runs and machines — group assignment is
+/// part of the engine's reproducibility contract, not an implementation detail. One
+/// group takes every tenant without the division.
+fn group_of(tenant: TenantId, groups: usize) -> usize {
+    if groups == 1 {
+        return 0;
     }
-
-    /// Number of tenant-groups.
-    pub fn group_count(&self) -> usize {
-        self.groups
-    }
-
-    /// The group this tenant belongs to. Pure and deterministic: the same tenant maps
-    /// to the same group for the lifetime of the configuration.
-    pub fn group_of(&self, tenant: TenantId) -> usize {
-        (splitmix64(tenant.0) % self.groups as u64) as usize
-    }
-}
-
-/// The splitmix64 finalizer (public-domain constants): a strong 64-bit mix so that
-/// low-entropy tenant ids (0, 1, 2, …) still spread uniformly over groups.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut x = tenant.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
+    ((x ^ (x >> 31)) % groups as u64) as usize
 }
 
 /// Poison-event quarantine policy (see the module docs): an event a tenant rejects
@@ -155,15 +146,6 @@ pub struct PoisonPolicy {
     /// Dead-letter buffer capacity; beyond it the *oldest* quarantined event is
     /// forgotten (and would be delivered again if ever re-sent).
     pub capacity: usize,
-}
-
-impl Default for PoisonPolicy {
-    fn default() -> Self {
-        Self {
-            max_failures: 3,
-            capacity: 64,
-        }
-    }
 }
 
 /// One dead-letter entry: the event a tenant kept rejecting, held for inspection.
@@ -211,21 +193,36 @@ struct GroupInstruments {
     tenants: Gauge,
 }
 
-/// One tenant's demuxed share of a batch: its events in arrival order plus each
-/// event's global index in the incoming batch (for error attribution).
-type TenantWorkload = (TenantId, Vec<StreamEvent>, Vec<usize>);
+/// One run of a batch being demuxed: the consecutive events of one tenant at batch
+/// positions `at`. `first` marks the tenant's first run of the batch.
+#[derive(Debug)]
+struct Run {
+    group: usize,
+    /// The tenant's position in its group's `tenants`.
+    slot: usize,
+    at: Range<usize>,
+    first: bool,
+}
 
-/// What processing a group's workload yields: the group's detections (unsorted) and
-/// the lowest-global-index failure, if any tenant rejected an event.
+/// What processing a group's share of a batch yields: the group's detections
+/// (unsorted) and the lowest-batch-position failure, if any tenant rejected an event.
 type GroupOutcome = (Vec<TenantDetection>, Option<(usize, TenantId, GraphError)>);
 
-/// One tenant-group: the tenants the router assigned here, each with its own
-/// query-sharded detector.
+/// One live tenant: its own query-sharded detector and, while a batch is demuxed, where
+/// its sub-stream lies in the pool's arena (`0..0` between batches).
 #[derive(Debug)]
+struct Tenant {
+    id: TenantId,
+    detector: ShardedDetector,
+    staged: Range<usize>,
+}
+
+/// One tenant-group: the tenants hashed here.
+#[derive(Debug, Default)]
 struct Group {
     /// Live tenants, sorted by tenant id (kept sorted so iteration order — and with it
     /// every merge and stats report — is deterministic).
-    tenants: Vec<(TenantId, ShardedDetector)>,
+    tenants: Vec<Tenant>,
     /// Events this group's detectors processed.
     events: u64,
     /// Detections this group's detectors emitted.
@@ -234,51 +231,36 @@ struct Group {
 }
 
 impl Group {
-    fn new() -> Self {
-        Self {
-            tenants: Vec::new(),
-            events: 0,
-            detections: 0,
-            instruments: None,
-        }
-    }
-
-    fn detector_mut(&mut self, tenant: TenantId) -> &mut ShardedDetector {
-        let idx = self
-            .tenants
-            .binary_search_by_key(&tenant, |(t, _)| *t)
-            .expect("tenant materialised before processing");
-        &mut self.tenants[idx].1
-    }
-
-    /// Processes one group's share of a demuxed batch. Each workload entry is one
-    /// tenant's sub-stream plus the global batch indices its events came from.
-    /// Returns the group's detections (unsorted) and the lowest-global-index failure,
-    /// if any tenant rejected an event.
-    fn process(&mut self, workload: &[TenantWorkload]) -> GroupOutcome {
+    /// Processes group `index`'s share of a staged batch: each of its tenants with a
+    /// run in `runs` gets its slice of `arena`, in first-appearance order.
+    fn process(&mut self, index: usize, runs: &[Run], arena: &[StreamEvent]) -> GroupOutcome {
         let mut detections = Vec::new();
         let mut failure: Option<(usize, TenantId, GraphError)> = None;
-        for (tenant, events, indices) in workload {
-            let (out, local_failure) = match self.detector_mut(*tenant).on_batch(events) {
+        for first in runs.iter().filter(|r| r.first && r.group == index) {
+            let tenant = &mut self.tenants[first.slot];
+            let events = &arena[std::mem::take(&mut tenant.staged)];
+            let out = match tenant.detector.on_batch(events) {
                 Ok(out) => {
                     self.events += events.len() as u64;
-                    (out, None)
+                    out
                 }
                 Err(err) => {
                     self.events += err.index as u64;
-                    (err.emitted, Some((indices[err.index], err.error)))
+                    // The tenant's `err.index`-th event, found in the batch by walking
+                    // the tenant's runs.
+                    let mine = |r: &&Run| (r.group, r.slot) == (index, first.slot);
+                    let mut positions = runs.iter().filter(mine).flat_map(|r| r.at.clone());
+                    let at = positions
+                        .nth(err.index)
+                        .expect("the tenant's runs hold the event");
+                    if failure.as_ref().is_none_or(|(lowest, _, _)| at < *lowest) {
+                        failure = Some((at, tenant.id, err.error));
+                    }
+                    err.emitted
                 }
             };
             self.detections += out.len() as u64;
-            detections.extend(out.into_iter().map(|d| TenantDetection::of(*tenant, d)));
-            if let Some((global_index, error)) = local_failure {
-                if failure
-                    .as_ref()
-                    .is_none_or(|(index, _, _)| global_index < *index)
-                {
-                    failure = Some((global_index, *tenant, error));
-                }
-            }
+            detections.extend(out.into_iter().map(|d| TenantDetection::of(tenant.id, d)));
         }
         (detections, failure)
     }
@@ -286,12 +268,11 @@ impl Group {
 
 /// The multi-tenant demux front-end (see the module docs).
 ///
-/// Construction fixes the grid shape: `groups` tenant-groups (tenants hashed onto them
-/// by [`TenantRouter`]) × `shards_per_group` query shards inside every tenant's
+/// Construction fixes the grid shape: `groups` tenant-groups (tenants hashed onto
+/// them) × `shards_per_group` query shards inside every tenant's
 /// [`ShardedDetector`]. Tenants themselves are created lazily, on first event.
 #[derive(Debug)]
 pub struct TenantPool {
-    router: TenantRouter,
     shards_per_tenant: usize,
     stats: LabelPairStats,
     /// Canonical registered-query state: validates registrations, assigns the global
@@ -302,6 +283,11 @@ pub struct TenantPool {
     /// created after the fact.
     journal: Vec<JournalOp>,
     groups: Vec<Group>,
+    /// The batch being processed, counting-sorted by tenant (see the module docs,
+    /// "Demux"); it only grows, to the largest batch seen.
+    arena: Vec<StreamEvent>,
+    /// The runs of the batch being processed, in batch order.
+    runs: Vec<Run>,
     /// Mirrors `ShardedDetector`: group fan-out only pays for threads on multi-core
     /// machines and large batches.
     parallel: bool,
@@ -362,16 +348,17 @@ impl TenantPool {
     /// placement is identical across tenants).
     pub fn with_stats(groups: usize, shards_per_tenant: usize, stats: LabelPairStats) -> Self {
         assert!(
-            shards_per_tenant > 0,
-            "tenants need at least one query shard"
+            groups > 0 && shards_per_tenant > 0,
+            "a tenant pool needs at least one group and one query shard per tenant"
         );
         Self {
-            router: TenantRouter::new(groups),
             shards_per_tenant,
             stats,
             canonical: QueryTable::new(),
             journal: Vec::new(),
-            groups: (0..groups).map(|_| Group::new()).collect(),
+            groups: (0..groups).map(|_| Group::default()).collect(),
+            arena: Vec::new(),
+            runs: Vec::new(),
             parallel: std::thread::available_parallelism().map_or(1, |n| n.get()) > 1,
             durability: None,
             profiler: None,
@@ -398,10 +385,8 @@ impl TenantPool {
     /// detector-phase spans aggregate together. Inert: detections are identical with
     /// and without it.
     pub fn set_profiler(&mut self, profiler: Option<Profiler>) {
-        for group in &mut self.groups {
-            for (_, detector) in &mut group.tenants {
-                detector.set_profiler(profiler.clone());
-            }
+        for detector in self.detectors_mut() {
+            detector.set_profiler(profiler.clone());
         }
         self.profiler = profiler;
     }
@@ -411,10 +396,8 @@ impl TenantPool {
     /// result with [`TenantPool::query_cost_report`].
     pub fn enable_cost_attribution(&mut self, sample_interval: u64) {
         self.attribution_interval = Some(sample_interval.max(1));
-        for group in &mut self.groups {
-            for (_, detector) in &mut group.tenants {
-                detector.enable_cost_attribution(sample_interval);
-            }
+        for detector in self.detectors_mut() {
+            detector.enable_cost_attribution(sample_interval);
         }
     }
 
@@ -426,8 +409,8 @@ impl TenantPool {
         let sample_interval = self.attribution_interval?;
         let mut merged: BTreeMap<usize, QueryCost> = BTreeMap::new();
         for group in &self.groups {
-            for (_, detector) in &group.tenants {
-                let Some(report) = detector.query_cost_report() else {
+            for tenant in &group.tenants {
+                let Some(report) = tenant.detector.query_cost_report() else {
                     continue;
                 };
                 for (id, cost) in &report.rows {
@@ -500,7 +483,7 @@ impl TenantPool {
                 group
                     .tenants
                     .iter()
-                    .map(|(tenant, detector)| (*tenant, detector.shard_visible_floors()))
+                    .map(|tenant| (tenant.id, tenant.detector.shard_visible_floors()))
             })
             .collect();
         floors.extend(
@@ -517,26 +500,10 @@ impl TenantPool {
     /// tenant that went quiet before the snapshot still reports its original floors.
     pub fn restore_tenant_visible_floors(&mut self, floors: &[(TenantId, Vec<u64>)]) {
         for (tenant, shard_floors) in floors {
-            self.ensure_tenant(*tenant);
-            let group = &mut self.groups[self.router.group_of(*tenant)];
-            let idx = group
-                .tenants
-                .binary_search_by_key(tenant, |(t, _)| *t)
-                .expect("ensure_tenant materialised the tenant");
-            group.tenants[idx]
-                .1
-                .restore_shard_visible_floors(shard_floors);
+            let (group, slot) = self.ensure_tenant(*tenant);
+            let detector = &mut self.groups[group].tenants[slot].detector;
+            detector.restore_shard_visible_floors(shard_floors);
         }
-    }
-
-    /// Number of tenant-groups.
-    pub fn group_count(&self) -> usize {
-        self.router.group_count()
-    }
-
-    /// Query shards inside each tenant's detector.
-    pub fn shards_per_tenant(&self) -> usize {
-        self.shards_per_tenant
     }
 
     /// Number of live tenants across all groups.
@@ -620,14 +587,12 @@ impl TenantPool {
         self.journal
             .push(JournalOp::Register(query.clone(), window));
         let mut visible_from = 0;
-        for group in &mut self.groups {
-            for (_, detector) in &mut group.tenants {
-                let registration = detector
-                    .register(query.clone(), window)
-                    .expect("canonical table accepted the query");
-                debug_assert_eq!(registration.id, id, "journal replay desynchronised ids");
-                visible_from = visible_from.max(registration.visible_from);
-            }
+        for detector in self.detectors_mut() {
+            let registration = detector
+                .register(query.clone(), window)
+                .expect("canonical table accepted the query");
+            debug_assert_eq!(registration.id, id, "journal replay desynchronised ids");
+            visible_from = visible_from.max(registration.visible_from);
         }
         if let Some(durability) = &mut self.durability {
             durability.record_register(id, &query, window, visible_from);
@@ -646,24 +611,30 @@ impl TenantPool {
         if let Some(durability) = &mut self.durability {
             durability.record_deregister(query);
         }
-        for group in &mut self.groups {
-            for (_, detector) in &mut group.tenants {
-                detector
-                    .deregister(query)
-                    .expect("canonical table knew the query");
-            }
+        for detector in self.detectors_mut() {
+            detector
+                .deregister(query)
+                .expect("canonical table knew the query");
         }
         Ok(())
     }
 
+    /// Every live tenant's detector, in (group, tenant) order.
+    fn detectors_mut(&mut self) -> impl Iterator<Item = &mut ShardedDetector> {
+        let tenants = self.groups.iter_mut().flat_map(|group| &mut group.tenants);
+        tenants.map(|tenant| &mut tenant.detector)
+    }
+
     /// Materialises a tenant if this is its first appearance: a fresh
     /// [`ShardedDetector`] (own graphs, own retention) brought up to date by replaying
-    /// the registration journal.
-    fn ensure_tenant(&mut self, tenant: TenantId) {
-        let group_idx = self.router.group_of(tenant);
+    /// the registration journal. Returns the tenant's group and its position in the
+    /// group's `tenants` (an insertion shifts the positions after it).
+    fn ensure_tenant(&mut self, tenant: TenantId) -> (usize, usize) {
+        let group_idx = group_of(tenant, self.groups.len());
         let group = &mut self.groups[group_idx];
-        let Err(insert_at) = group.tenants.binary_search_by_key(&tenant, |(t, _)| *t) else {
-            return;
+        let insert_at = match group.tenants.binary_search_by_key(&tenant, |t| t.id) {
+            Ok(slot) => return (group_idx, slot),
+            Err(insert_at) => insert_at,
         };
         let mut detector = ShardedDetector::with_stats(self.shards_per_tenant, self.stats.clone());
         // New tenants join the pool's observability configuration mid-stream, so a
@@ -691,9 +662,72 @@ impl TenantPool {
         if let Some(floors) = self.quiesced_floors.remove(&tenant) {
             detector.restore_shard_visible_floors(&floors);
         }
-        group.tenants.insert(insert_at, (tenant, detector));
+        let entry = Tenant {
+            id: tenant,
+            detector,
+            staged: 0..0,
+        };
+        group.tenants.insert(insert_at, entry);
         if let Some(instruments) = &group.instruments {
             instruments.tenants.set(group.tenants.len() as u64);
+        }
+        (group_idx, insert_at)
+    }
+
+    /// Demuxes `batch` by runs into the arena (module docs, "Demux"). Afterwards
+    /// `runs` lists the batch's runs, every tenant in it is materialised, and each
+    /// one's `staged` names its contiguous, arrival-ordered share of `arena`.
+    fn stage(&mut self, batch: &[TenantedEvent]) {
+        self.runs.clear();
+        if let Some(filler) = batch.first() {
+            self.arena
+                .resize(self.arena.len().max(batch.len()), filler.event);
+        }
+        // Pass 1, per run: one tenant lookup, one clock update, the tenant's count.
+        let (mut start, live) = (0, self.tenant_count());
+        for run in batch.chunk_by(|a, b| a.tenant == b.tenant) {
+            let (tenant, at) = (run[0].tenant, start..start + run.len());
+            start = at.end;
+            let (group, slot) = self.ensure_tenant(tenant);
+            let ts = run.iter().map(|te| te.event.ts).max().unwrap_or(0);
+            let last = self.tenant_last_ts.entry(tenant).or_insert(ts);
+            *last = (*last).max(ts);
+            self.max_seen_ts = self.max_seen_ts.max(ts);
+            let staged = &mut self.groups[group].tenants[slot].staged;
+            let first = staged.end == 0;
+            staged.end += at.len();
+            self.runs.push(Run {
+                group,
+                slot,
+                at,
+                first,
+            });
+        }
+        // A tenant materialised mid-batch shifted the slots after it: resolve them
+        // again now that every tenant of the batch exists.
+        if self.tenant_count() != live {
+            for run in &mut self.runs {
+                let tenants = &self.groups[run.group].tenants;
+                run.slot = tenants
+                    .binary_search_by_key(&batch[run.at.start].tenant, |t| t.id)
+                    .expect("pass 1 materialised every tenant of the batch");
+            }
+        }
+        // Pass 2, the counting sort: a tenant's first run turns its count into its
+        // offset, and every run is copied behind the tenant's earlier ones.
+        let mut offset = 0;
+        for run in &self.runs {
+            let staged = &mut self.groups[run.group].tenants[run.slot].staged;
+            if run.first {
+                let count = staged.end;
+                *staged = offset..offset;
+                offset += count;
+            }
+            let to = staged.end..staged.end + run.at.len();
+            staged.end = to.end;
+            for (slot, te) in self.arena[to].iter_mut().zip(&batch[run.at.clone()]) {
+                *slot = te.event;
+            }
         }
     }
 
@@ -739,76 +773,43 @@ impl TenantPool {
 
         // Quarantined poison events are dropped at the front door — before the log —
         // so replay sees exactly the filtered stream the live engines processed.
-        // `kept_indices` maps filtered positions back to the caller's batch for
-        // error attribution.
-        let filtered: Option<(Vec<TenantedEvent>, Vec<usize>)> = if self.quarantined.is_empty() {
-            None
-        } else {
-            let mut kept = Vec::with_capacity(events.len());
-            let mut kept_indices = Vec::with_capacity(events.len());
-            for (index, te) in events.iter().enumerate() {
-                if !self.is_quarantined(te) {
-                    kept.push(*te);
-                    kept_indices.push(index);
-                }
-            }
-            Some((kept, kept_indices))
-        };
-        let batch: &[TenantedEvent] = filtered.as_ref().map_or(events, |(kept, _)| kept);
+        let kept: Option<Vec<TenantedEvent>> = (!self.quarantined.is_empty()).then(|| {
+            let kept = events.iter().filter(|te| !self.is_quarantined(te));
+            kept.copied().collect()
+        });
+        let batch: &[TenantedEvent] = kept.as_deref().unwrap_or(events);
 
         // Log-before-apply, once at the demux front-end.
         if let Some(durability) = &mut self.durability {
             durability.record_tenant_events(batch);
         }
-        // Demux into per-group workloads, preserving arrival order per tenant and
-        // remembering each event's global batch index for error attribution.
         let demux_span = self.profiler.as_ref().map(|p| p.enter("tenant.demux"));
-        let mut workloads: Vec<Vec<TenantWorkload>> =
-            (0..self.groups.len()).map(|_| Vec::new()).collect();
-        for (index, te) in batch.iter().enumerate() {
-            let global = filtered
-                .as_ref()
-                .map_or(index, |(_, kept_indices)| kept_indices[index]);
-            self.ensure_tenant(te.tenant);
-            let last = self.tenant_last_ts.entry(te.tenant).or_insert(te.event.ts);
-            *last = (*last).max(te.event.ts);
-            self.max_seen_ts = self.max_seen_ts.max(te.event.ts);
-            let workload = &mut workloads[self.router.group_of(te.tenant)];
-            let entry = match workload.iter_mut().find(|(t, _, _)| *t == te.tenant) {
-                Some(entry) => entry,
-                None => {
-                    workload.push((te.tenant, Vec::new(), Vec::new()));
-                    workload.last_mut().expect("just pushed")
-                }
-            };
-            entry.1.push(te.event);
-            entry.2.push(global);
-        }
+        self.stage(batch);
         drop(demux_span);
 
         // One group, a single-core machine, or a batch too small to amortise thread
-        // spawn/join runs inline.
+        // spawn/join runs inline; workers share the arena and the run list read-only.
         let threaded = self.parallel && self.groups.len() > 1 && events.len() >= PARALLEL_BATCH_MIN;
         let results = fan_out(
-            self.groups.iter_mut().zip(&workloads),
+            self.groups.iter_mut().enumerate(),
             threaded,
-            |(group, workload)| group.process(workload),
+            |(index, group)| group.process(index, &self.runs, &self.arena),
         );
 
         let mut failure: Option<(usize, TenantId, GraphError)> = None;
-        for (detections, group_failure) in results {
+        for (detections, other) in results {
             merged.extend(detections);
-            if let Some((index, tenant, error)) = group_failure {
-                if failure.as_ref().is_none_or(|(i, _, _)| index < *i) {
-                    failure = Some((index, tenant, error));
-                }
-            }
+            failure = [failure, other].into_iter().flatten().min_by_key(|f| f.0);
         }
         Self::sort_global(&mut merged);
         self.tick_instruments();
         match failure {
             None => Ok(merged),
             Some((index, tenant, error)) => {
+                // `index` counts the events the quarantine filter kept: map it back to
+                // the caller's batch (the identity when nothing is quarantined).
+                let mut passed = (0..events.len()).filter(|&i| !self.is_quarantined(&events[i]));
+                let index = passed.nth(index).expect("the rejected event was kept");
                 self.note_poison_failure(tenant, events[index].event, &error);
                 Err(TenantBatchError {
                     emitted: merged,
@@ -833,10 +834,10 @@ impl TenantPool {
         let cutoff = self.max_seen_ts.saturating_sub(effective);
         let mut stale: Vec<(TenantId, u64, usize)> = Vec::new();
         for (group_idx, group) in self.groups.iter().enumerate() {
-            for (tenant, _) in &group.tenants {
-                let last = self.tenant_last_ts.get(tenant).copied().unwrap_or(0);
+            for tenant in &group.tenants {
+                let last = self.tenant_last_ts.get(&tenant.id).copied().unwrap_or(0);
                 if last < cutoff {
-                    stale.push((*tenant, last, group_idx));
+                    stale.push((tenant.id, last, group_idx));
                 }
             }
         }
@@ -868,11 +869,12 @@ impl TenantPool {
     /// no-op. Public because crash recovery replays logged `Quiesce` records through
     /// this method (discarding the detections — the live run already emitted them).
     pub fn quiesce_tenant(&mut self, tenant: TenantId) -> Vec<TenantDetection> {
-        let group = &mut self.groups[self.router.group_of(tenant)];
-        let Ok(idx) = group.tenants.binary_search_by_key(&tenant, |(t, _)| *t) else {
+        let group_idx = group_of(tenant, self.groups.len());
+        let group = &mut self.groups[group_idx];
+        let Ok(idx) = group.tenants.binary_search_by_key(&tenant, |t| t.id) else {
             return Vec::new();
         };
-        let (_, mut detector) = group.tenants.remove(idx);
+        let mut detector = group.tenants.remove(idx).detector;
         let out = detector.flush();
         group.detections += out.len() as u64;
         self.quiesced_floors
@@ -938,12 +940,10 @@ impl TenantPool {
     pub fn flush(&mut self) -> Vec<TenantDetection> {
         let mut merged = Vec::new();
         for group in &mut self.groups {
-            for i in 0..group.tenants.len() {
-                let (tenant, detector) = &mut group.tenants[i];
-                let tenant = *tenant;
-                let out = detector.flush();
+            for tenant in &mut group.tenants {
+                let out = tenant.detector.flush();
                 group.detections += out.len() as u64;
-                merged.extend(out.into_iter().map(|d| TenantDetection::of(tenant, d)));
+                merged.extend(out.into_iter().map(|d| TenantDetection::of(tenant.id, d)));
             }
         }
         Self::sort_global(&mut merged);
@@ -985,7 +985,7 @@ impl Engine for TenantPool {
         TenantPool::with_stats(groups, shards, stats)
     }
     fn shape(&self) -> (usize, usize) {
-        (self.group_count(), self.shards_per_tenant())
+        (self.groups.len(), self.shards_per_tenant)
     }
     fn stats(&self) -> &LabelPairStats {
         &self.stats
@@ -1065,24 +1065,23 @@ mod tests {
 
     #[test]
     fn router_is_deterministic_and_covers_all_groups() {
-        let router = TenantRouter::new(4);
         for t in 0..64 {
-            let g = router.group_of(TenantId(t));
+            let g = group_of(TenantId(t), 4);
             assert!(g < 4);
-            assert_eq!(g, router.group_of(TenantId(t)), "same tenant, same group");
+            assert_eq!(g, group_of(TenantId(t), 4), "same tenant, same group");
         }
         // Sequential ids spread over every group (splitmix64 mixes low entropy).
         let hit: std::collections::HashSet<usize> =
-            (0..64).map(|t| router.group_of(TenantId(t))).collect();
+            (0..64).map(|t| group_of(TenantId(t), 4)).collect();
         assert_eq!(hit.len(), 4, "64 sequential tenants cover all 4 groups");
         // One group accepts everything.
-        assert_eq!(TenantRouter::new(1).group_of(TenantId(123)), 0);
+        assert_eq!(group_of(TenantId(123), 1), 0);
     }
 
     #[test]
     #[should_panic(expected = "at least one group")]
     fn zero_groups_are_rejected() {
-        let _ = TenantRouter::new(0);
+        let _ = TenantPool::new(0, 1);
     }
 
     #[test]
@@ -1456,6 +1455,27 @@ mod tests {
         all.sort_unstable();
         expected.sort_unstable();
         assert_eq!(all, expected);
+    }
+
+    #[test]
+    fn a_runs_newest_timestamp_is_its_tenants_clock() {
+        let mut pool = TenantPool::new(1, 1);
+        pool.register(edge_query(), 5).unwrap();
+        pool.set_quiescence(Some(QuiescencePolicy { horizon: 10 }));
+        // Tenant 1's one run spans ts 1..=100: its silence is measured from 100, the
+        // run's newest event — from its first, the next sweep would evict it.
+        pool.on_batch(&[
+            te(1, ev(1, 0, 1, 0, 1)),
+            te(1, ev(100, 0, 1, 0, 1)),
+            te(2, ev(100, 0, 1, 0, 1)),
+        ])
+        .unwrap();
+        pool.on_batch(&[te(2, ev(101, 0, 1, 0, 1))]).unwrap();
+        assert_eq!(
+            pool.tenant_count(),
+            2,
+            "nobody has been silent for 10 ticks"
+        );
     }
 
     #[test]

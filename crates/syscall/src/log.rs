@@ -7,8 +7,14 @@
 
 use crate::entity::Entity;
 use crate::event::{SyscallEvent, SyscallType};
-use std::collections::HashMap;
+use std::collections::hash_map::{DefaultHasher, HashMap};
+use std::hash::BuildHasherDefault;
 use tgraph::{GraphBuilder, LabelInterner, TemporalGraph};
+
+/// A `HashMap` with fixed hash keys: the entity maps of the generators own a string
+/// per entry and free them in table order, so std's per-process random keys would
+/// make the heap the generated inputs leave behind differ from run to run.
+pub(crate) type StableMap<K, V> = HashMap<K, V, BuildHasherDefault<DefaultHasher>>;
 
 /// An ordered syscall log for one activity (or one background window).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -73,7 +79,7 @@ impl SyscallLog {
     /// Distinct entities become nodes (entities are deduplicated by kind + name); every
     /// event becomes one edge in the direction of information flow.
     pub fn to_temporal_graph(&self, interner: &mut LabelInterner) -> TemporalGraph {
-        let mut node_of: HashMap<Entity, usize> = HashMap::new();
+        let mut node_of: StableMap<Entity, usize> = StableMap::default();
         let mut builder = GraphBuilder::with_capacity(self.events.len(), self.events.len());
         for event in &self.events {
             let (src_entity, dst_entity) = event.edge_endpoints();

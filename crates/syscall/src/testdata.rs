@@ -17,11 +17,10 @@ use crate::behaviors::Behavior;
 use crate::dataset::DatasetConfig;
 use crate::entity::Entity;
 use crate::event::SyscallType;
-use crate::log::SyscallLog;
+use crate::log::{StableMap, SyscallLog};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 use tgraph::{GraphBuilder, LabelInterner, TemporalGraph};
 
 /// Configuration of the test data generator.
@@ -205,7 +204,7 @@ fn emit_log(
     log: &SyscallLog,
     ts: &mut u64,
 ) {
-    let mut scope: HashMap<String, usize> = HashMap::new();
+    let mut scope: StableMap<String, usize> = StableMap::default();
     for event in log.events() {
         let (src_entity, dst_entity) = event.edge_endpoints();
         let src_label = src_entity.label_string();

@@ -24,7 +24,7 @@
 
 use crate::error::GraphError;
 use crate::graph::{GraphBuilder, TemporalEdge, TemporalGraph};
-use crate::label::Label;
+use crate::label::{Label, StableMap};
 use std::collections::HashMap;
 
 /// One timestamped edge observation in a monitoring stream.
@@ -97,7 +97,7 @@ pub struct TenantedEvent {
 /// incrementally as events arrive.
 #[derive(Debug, Clone, Default)]
 pub struct EdgePostings {
-    postings: HashMap<(Label, Label), Vec<usize>>,
+    postings: StableMap<(Label, Label), Vec<usize>>,
 }
 
 impl EdgePostings {

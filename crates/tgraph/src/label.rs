@@ -4,8 +4,20 @@
 //! "socket:github.com:443"). Mining compares labels billions of times, so labels
 //! are interned into dense `u32` ids once and compared as integers thereafter.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{DefaultHasher, HashMap};
 use std::fmt;
+use std::hash::BuildHasherDefault;
+
+/// A `HashMap` with fixed hash keys, for maps whose entries own heap memory.
+///
+/// Dropping such a map frees its entries in table order. Under std's per-process
+/// random keys that order — and with it the allocator's free lists and the placement
+/// of everything allocated afterwards — differs from one run of the same program to
+/// the next, which showed as peak memory landing 3–20 % apart between identical runs.
+/// With fixed keys the order is a function of the input. Same hash function, same
+/// cost; the keys are labels of generated or mined data, none of it on the engine's
+/// ingest path.
+pub(crate) type StableMap<K, V> = HashMap<K, V, BuildHasherDefault<DefaultHasher>>;
 
 /// An interned node label.
 ///
@@ -38,7 +50,7 @@ impl fmt::Display for Label {
 /// Bidirectional mapping between label strings and dense [`Label`] ids.
 #[derive(Debug, Default, Clone)]
 pub struct LabelInterner {
-    by_name: HashMap<String, Label>,
+    by_name: StableMap<String, Label>,
     names: Vec<String>,
 }
 

@@ -3,19 +3,27 @@
 //! a [`TenantPool`] reports for T are identical to running T's events alone through a
 //! single [`Detector`] with the same registrations.
 //!
-//! Two layers of evidence:
+//! Three layers of evidence:
 //!
 //! * property tests over random per-tenant t-connected graphs interleaved by a
 //!   proptest-generated pick sequence (so the interleaving itself shrinks on failure),
 //!   sweeping group counts, shards per group, and batch sizes;
 //! * a fixed sweep on generated `TestData` with genuinely mined queries: 3 tenants
 //!   carrying identical workloads through 1/2/4 tenant-groups × 1/2/4 query shards,
-//!   pinned against the isolated single-detector run.
+//!   pinned against the isolated single-detector run;
+//! * the front door against a per-event reference: batches cut into runs of 1, 2, 16 or
+//!   everything, over up to 64 tenants, with invalid events and a live quarantine — the
+//!   pool's result (`Ok` or every field of the error), its dead-letter buffer and its
+//!   per-group event counts equal feeding each event, in batch order, to an isolated
+//!   per-tenant [`Detector`] that stops at its tenant's first rejection.
 
 mod common;
 
 use behavior_query::query::Interval;
-use behavior_query::stream::{CompiledQuery, Detector, TenantDetection, TenantPool};
+use behavior_query::stream::{
+    CompiledQuery, Detection, Detector, PoisonPolicy, QuarantinedEvent, TenantBatchError,
+    TenantDetection, TenantPool,
+};
 use behavior_query::syscall::{
     events_of_graph, Behavior, DatasetConfig, TenantedStreamSource, TestData, TestDataConfig,
     TrainingData,
@@ -26,9 +34,13 @@ use behavior_query::tgraph::generator::{
     random_pattern, random_t_connected_graph, RandomGraphSpec,
 };
 use behavior_query::tgraph::pattern::TemporalPattern;
-use behavior_query::tgraph::{StreamEvent, TenantId, TenantedEvent};
-use common::{interleave, picks_from_seed};
+use behavior_query::tgraph::{GraphError, Label, StreamEvent, TenantId, TenantedEvent};
+use common::{interleave, picks_from_seed, query_trio};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::OnceLock;
 
 /// Runs one tenant's events alone through a single-threaded [`Detector`], returning
@@ -45,7 +57,7 @@ fn isolated_intervals(
             .expect("parity queries are valid");
     }
     let mut per_query: Vec<Vec<Interval>> = vec![Vec::new(); queries.len()];
-    let mut sink = |detections: Vec<behavior_query::stream::Detection>| {
+    let mut sink = |detections: Vec<Detection>| {
         for d in detections {
             per_query[d.query].push((d.start_ts, d.end_ts));
         }
@@ -158,6 +170,238 @@ proptest! {
                 tenant, seed, groups, shards, batch
             );
         }
+    }
+}
+
+/// The group a tenant hashes to (splitmix64 finalizer modulo the group count), spelled
+/// out here because placement is part of the engine's reproducibility contract.
+fn group_of(tenant: TenantId, groups: usize) -> usize {
+    let mut x = tenant.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    ((x ^ (x >> 31)) % groups as u64) as usize
+}
+
+fn attributed(tenant: TenantId, d: Detection) -> TenantDetection {
+    TenantDetection {
+        tenant,
+        query: d.query,
+        start_ts: d.start_ts,
+        end_ts: d.end_ts,
+    }
+}
+
+/// What the pool's front door must equal: every event, in batch order, goes to its
+/// tenant's own [`Detector`] unless it is quarantined or its tenant already rejected an
+/// event of this batch. Poison policy `max_failures: 1`, so the reported rejection is
+/// quarantined at once.
+struct Reference {
+    queries: Vec<(CompiledQuery, u64)>,
+    detectors: BTreeMap<TenantId, Detector>,
+    /// Dead-letter capacity; `None` without a poison policy.
+    capacity: Option<usize>,
+    quarantined: VecDeque<QuarantinedEvent>,
+    group_events: Vec<u64>,
+}
+
+impl Reference {
+    fn on_batch(
+        &mut self,
+        batch: &[TenantedEvent],
+    ) -> Result<Vec<TenantDetection>, TenantBatchError> {
+        let mut emitted = Vec::new();
+        let mut failure: Option<(usize, TenantId, GraphError)> = None;
+        let mut stopped = BTreeSet::new();
+        for (index, te) in batch.iter().enumerate() {
+            let dropped = self
+                .quarantined
+                .iter()
+                .any(|q| q.tenant == te.tenant && q.event == te.event);
+            if dropped || stopped.contains(&te.tenant) {
+                continue;
+            }
+            let detector = self.detectors.entry(te.tenant).or_insert_with(|| {
+                let mut detector = Detector::new();
+                for (query, window) in &self.queries {
+                    detector.register(query.clone(), *window).expect("valid");
+                }
+                detector
+            });
+            match detector.on_event(te.event) {
+                Ok(out) => {
+                    let group = group_of(te.tenant, self.group_events.len());
+                    self.group_events[group] += 1;
+                    emitted.extend(out.into_iter().map(|d| attributed(te.tenant, d)));
+                }
+                Err(error) => {
+                    stopped.insert(te.tenant);
+                    failure.get_or_insert((index, te.tenant, error));
+                }
+            }
+        }
+        emitted.sort_unstable_by_key(|d| (d.end_ts, d.tenant, d.start_ts, d.query));
+        let Some((index, tenant, error)) = failure else {
+            return Ok(emitted);
+        };
+        if let Some(capacity) = self.capacity {
+            self.quarantined.push_back(QuarantinedEvent {
+                tenant,
+                event: batch[index].event,
+                failures: 1,
+            });
+            while self.quarantined.len() > capacity {
+                self.quarantined.pop_front();
+            }
+        }
+        Err(TenantBatchError {
+            emitted,
+            index,
+            tenant,
+            error,
+        })
+    }
+
+    fn flush(&mut self) -> Vec<TenantDetection> {
+        let mut out = Vec::new();
+        for (tenant, detector) in &mut self.detectors {
+            let trailing = detector.flush();
+            out.extend(trailing.into_iter().map(|d| attributed(*tenant, d)));
+        }
+        out.sort_unstable_by_key(|d| (d.end_ts, d.tenant, d.start_ts, d.query));
+        out
+    }
+}
+
+/// A seeded producer of run-structured batches over a fixed tenant set. Valid events
+/// keep each tenant's clock non-decreasing and label node `n` as `n % 3`.
+struct Producer {
+    rng: StdRng,
+    tenants: Vec<TenantId>,
+    clocks: BTreeMap<TenantId, u64>,
+}
+
+impl Producer {
+    fn next_event(&mut self, tenant: TenantId) -> TenantedEvent {
+        let clock = self.clocks.entry(tenant).or_insert(10);
+        *clock += self.rng.gen_range(0..3u64);
+        let src = self.rng.gen_range(0..6usize);
+        let dst = (src + self.rng.gen_range(1..6usize)) % 6;
+        TenantedEvent {
+            tenant,
+            event: StreamEvent {
+                ts: *clock,
+                src,
+                dst,
+                src_label: Label(src as u32 % 3),
+                dst_label: Label(dst as u32 % 3),
+            },
+        }
+    }
+
+    /// `size` events in runs of `run_len` (the last may be shorter), each run a random
+    /// tenant's next events. Then `invalid` events are spoiled — a timestamp of 0 or a
+    /// contradicting label, at a random run's first event, its last, or one inside —
+    /// and every event of `poison` is spliced in at a random position.
+    fn batch(
+        &mut self,
+        size: usize,
+        run_len: usize,
+        invalid: usize,
+        poison: &[TenantedEvent],
+    ) -> Vec<TenantedEvent> {
+        let mut batch = Vec::with_capacity(size + poison.len());
+        let mut runs = Vec::new();
+        while batch.len() < size {
+            let tenant = *self.tenants.choose(&mut self.rng).expect("tenants");
+            let len = run_len.min(size - batch.len());
+            runs.push(batch.len()..batch.len() + len);
+            batch.extend((0..len).map(|_| self.next_event(tenant)));
+        }
+        for _ in 0..invalid {
+            let run = runs.choose(&mut self.rng).expect("a run").clone();
+            let at = match self.rng.gen_range(0..3) {
+                0 => run.start,
+                1 => run.end - 1,
+                _ => self.rng.gen_range(run),
+            };
+            if self.rng.gen_bool(0.5) {
+                batch[at].event.ts = 0;
+            } else {
+                batch[at].event.src_label = Label(7);
+            }
+        }
+        for te in poison {
+            let at = self.rng.gen_range(0..batch.len() + 1);
+            batch.insert(at, *te);
+        }
+        batch
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The front door against the per-event reference (see the file docs): a warm-up
+    /// batch materialises some tenants — the rest appear mid-batch, shifting their
+    /// group's positions — then three generated batches, then a flush.
+    #[test]
+    fn runs_invalid_events_and_quarantine_match_a_per_event_reference(
+        seed in 0u64..u64::MAX,
+        tenant_count in 1usize..65,
+        run_choice in 0usize..4,
+        size in 1usize..301,
+        invalid in 0usize..3,
+        quarantine in 0usize..2,
+        groups in 1usize..4,
+        shards in 1usize..3,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        // Sparse ids in shuffled order: first appearance is not tenant-id order.
+        let mut tenants: Vec<TenantId> =
+            (0..tenant_count as u64).map(|t| TenantId(t * 7 + 3)).collect();
+        tenants.shuffle(&mut rng);
+        let queries = query_trio(seed, 2, 8);
+        let mut pool = TenantPool::new(groups, shards);
+        for (query, window) in &queries {
+            pool.register(query.clone(), *window).expect("valid");
+        }
+        let capacity = (quarantine == 1).then_some(2);
+        pool.set_poison_policy(capacity.map(|capacity| PoisonPolicy { max_failures: 1, capacity }));
+        let mut reference = Reference {
+            queries,
+            detectors: BTreeMap::new(),
+            capacity,
+            quarantined: VecDeque::new(),
+            group_events: vec![0; groups],
+        };
+        let warm = tenants[..rng.gen_range(1..tenants.len() + 1)].to_vec();
+        let mut producer = Producer { rng, tenants: warm, clocks: BTreeMap::new() };
+        let mut batches = vec![producer.batch(size, 2, 0, &[])];
+        // With a policy on, one warmed-up tenant's clock goes backwards: rejected once,
+        // quarantined, and from then on dropped wherever later batches repeat it.
+        let mut poison = Vec::new();
+        if capacity.is_some() {
+            let mut te = producer.next_event(producer.tenants[0]);
+            te.event.ts = 0;
+            batches.push(vec![te]);
+            poison = vec![te; 3];
+        }
+        producer.tenants = tenants;
+        let run_len = [1, 2, 16, size][run_choice];
+        for _ in 0..3 {
+            batches.push(producer.batch(size, run_len, invalid, &poison));
+        }
+        for (b, batch) in batches.iter().enumerate() {
+            let expected = reference.on_batch(batch);
+            prop_assert_eq!(pool.on_batch(batch), expected, "batch {} of seed {}", b, seed);
+            prop_assert_eq!(
+                pool.quarantined(),
+                reference.quarantined.iter().copied().collect::<Vec<_>>()
+            );
+            let events: Vec<u64> = pool.group_stats().iter().map(|s| s.events).collect();
+            prop_assert_eq!(&events, &reference.group_events, "batch {} of seed {}", b, seed);
+        }
+        prop_assert_eq!(pool.flush(), reference.flush());
     }
 }
 
