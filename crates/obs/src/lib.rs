@@ -11,7 +11,7 @@
 //!   touch the registry (or a lock) again.
 //! * [`trace`] — a callback-based structured tracing sink ([`TraceSink`]) for
 //!   lifecycle events: query register/deregister/hot-swap, shard rebalance, batch
-//!   errors, retention evictions, mining growth levels, pipeline stages.
+//!   errors, retention evictions, log rotation / snapshots / recovery, quiescence.
 //! * [`json`] — a minimal JSON document model ([`Json`]) with a stable writer and a
 //!   strict parser, enough to persist and validate machine-readable output.
 //! * [`report`] — the per-shard and per-tenant-group breakdowns the engines report

@@ -59,26 +59,6 @@ pub enum TraceEvent {
         /// The new retention watermark (oldest retained timestamp).
         watermark: u64,
     },
-    /// A discovery-pipeline stage finished.
-    PipelineStage {
-        /// Stage name: `ingest`, `mine`, `compile`, `register`, or `evaluate`.
-        stage: String,
-        /// Behavior class the stage ran for, when applicable.
-        class: Option<String>,
-        /// Wall-clock duration in nanoseconds.
-        duration_ns: u64,
-    },
-    /// The miner finished one pattern-growth level.
-    MiningLevel {
-        /// Growth level (pattern edge count).
-        level: usize,
-        /// Candidate patterns processed at this level.
-        candidates: u64,
-        /// Candidates eliminated by pruning at this level.
-        pruned: u64,
-        /// Embeddings materialized at this level.
-        embeddings: u64,
-    },
     /// The write-ahead log rotated to a fresh segment file.
     WalRotated {
         /// Index of the segment the log rotated *to*.
@@ -167,8 +147,6 @@ impl TraceEvent {
             TraceEvent::ShardRebalance { .. } => "shard_rebalance",
             TraceEvent::BatchError { .. } => "batch_error",
             TraceEvent::RetentionEviction { .. } => "retention_eviction",
-            TraceEvent::PipelineStage { .. } => "pipeline_stage",
-            TraceEvent::MiningLevel { .. } => "mining_level",
             TraceEvent::WalRotated { .. } => "wal_rotated",
             TraceEvent::SnapshotWritten { .. } => "snapshot_written",
             TraceEvent::RecoveryCompleted { .. } => "recovery_completed",
@@ -219,29 +197,6 @@ impl TraceEvent {
                 fields.push(("evicted".into(), Json::from_u64(*evicted as u64)));
                 fields.push(("retained".into(), Json::from_u64(*retained as u64)));
                 fields.push(("watermark".into(), Json::from_u64(*watermark)));
-            }
-            TraceEvent::PipelineStage {
-                stage,
-                class,
-                duration_ns,
-            } => {
-                fields.push(("stage".into(), Json::Str(stage.clone())));
-                match class {
-                    Some(class) => fields.push(("class".into(), Json::Str(class.clone()))),
-                    None => fields.push(("class".into(), Json::Null)),
-                }
-                fields.push(("duration_ns".into(), Json::from_u64(*duration_ns)));
-            }
-            TraceEvent::MiningLevel {
-                level,
-                candidates,
-                pruned,
-                embeddings,
-            } => {
-                fields.push(("level".into(), Json::from_u64(*level as u64)));
-                fields.push(("candidates".into(), Json::from_u64(*candidates)));
-                fields.push(("pruned".into(), Json::from_u64(*pruned)));
-                fields.push(("embeddings".into(), Json::from_u64(*embeddings)));
             }
             TraceEvent::WalRotated { segment, bytes } => {
                 fields.push(("segment".into(), Json::from_u64(*segment)));

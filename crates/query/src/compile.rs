@@ -5,13 +5,12 @@
 //! `NodeSet` emits keyword sets) and the execution side (the offline [`crate::search`]
 //! functions and the streaming detector in the `stream` crate, which re-exports these
 //! types). Keeping the compiled form here means the miner→compiler contract is checked
-//! where the queries are produced: [`compile_mined`] never emits a trivially-empty
-//! query, so anything it returns registers cleanly downstream.
+//! where the queries are produced: [`compile`] never emits a trivially-empty query, so
+//! anything it returns registers cleanly downstream.
 
 use crate::search::{search_nodeset, search_static, search_temporal, Interval};
 use tgminer::baselines::gspan::StaticPattern;
 use tgminer::baselines::nodeset::NodeSetQuery;
-use tgminer::MiningResult;
 use tgraph::pattern::TemporalPattern;
 use tgraph::{Label, TemporalGraph};
 
@@ -130,17 +129,17 @@ impl From<NodeSetQuery> for CompiledQuery {
     }
 }
 
-/// Compiles the top `k` patterns of a mining run into executable queries, in the
-/// miner's stable export order ([`MiningResult::export_top`]).
+/// Compiles selected temporal patterns — [`crate::formulate_temporal`]'s, or
+/// [`crate::BehaviorQueries::temporal`] — into executable queries, order kept.
 ///
 /// This is the miner→compiler contract: every mined pattern has at least one edge, so
 /// every query returned here has a seed key and registers on a streaming detector
 /// without error (given a positive window). The filter is belt-and-braces — it
 /// guarantees the invariant even if a future miner emits a degenerate pattern.
-pub fn compile_mined(mining: &MiningResult, k: usize) -> Vec<CompiledQuery> {
-    mining
-        .export_top(k)
-        .into_iter()
+pub fn compile(patterns: &[TemporalPattern]) -> Vec<CompiledQuery> {
+    patterns
+        .iter()
+        .cloned()
         .map(CompiledQuery::from)
         .filter(|query| !query.is_trivially_empty())
         .collect()
@@ -149,7 +148,6 @@ pub fn compile_mined(mining: &MiningResult, k: usize) -> Vec<CompiledQuery> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tgminer::{mine, score::LogRatio, MinerConfig};
     use tgraph::GraphBuilder;
 
     fn l(i: u32) -> Label {
@@ -208,34 +206,20 @@ mod tests {
     }
 
     #[test]
-    fn compile_mined_yields_registerable_queries_in_stable_order() {
-        let positives = vec![
-            chain_graph(&[(0, 1), (1, 2)]),
-            chain_graph(&[(0, 1), (1, 2)]),
+    fn compile_keeps_every_pattern_in_order() {
+        let patterns = [
+            TemporalPattern::single_edge(l(0), l(1))
+                .grow_forward(1, l(2))
+                .unwrap(),
+            TemporalPattern::single_edge(l(0), l(1)),
         ];
-        let negatives = vec![chain_graph(&[(1, 2), (0, 1)])];
-        let mining = mine(
-            &positives,
-            &negatives,
-            &LogRatio::default(),
-            &MinerConfig::default().with_top_k(6),
-        );
-        assert!(!mining.patterns.is_empty());
-        let compiled = compile_mined(&mining, 4);
-        assert!(!compiled.is_empty());
-        assert!(compiled.len() <= 4);
-        for query in &compiled {
+        let compiled = compile(&patterns);
+        assert_eq!(compiled.len(), 2);
+        for (query, pattern) in compiled.iter().zip(&patterns) {
             assert!(!query.is_trivially_empty(), "mined queries always seed");
-            assert!(matches!(query, CompiledQuery::Temporal(_)));
+            assert_eq!(query, &CompiledQuery::Temporal(pattern.clone()));
         }
-        // Stability: compiling the same result twice gives the same list.
-        let again = compile_mined(&mining, 4);
-        for (a, b) in compiled.iter().zip(&again) {
-            let (CompiledQuery::Temporal(pa), CompiledQuery::Temporal(pb)) = (a, b) else {
-                unreachable!("miner exports temporal patterns");
-            };
-            assert_eq!(pa, pb);
-        }
+        assert!(compile(&[]).is_empty());
     }
 
     #[test]

@@ -44,17 +44,6 @@ impl AccuracyReport {
             self.discovered as f64 / self.instances as f64
         }
     }
-
-    /// Harmonic mean of precision and recall.
-    pub fn f1(&self) -> f64 {
-        let p = self.precision();
-        let r = self.recall();
-        if p + r == 0.0 {
-            0.0
-        } else {
-            2.0 * p * r / (p + r)
-        }
-    }
 }
 
 /// Evaluates a set of identified instances against the ground-truth intervals of the
@@ -90,6 +79,12 @@ pub fn merge_identified(mut all: Vec<Interval>) -> Vec<Interval> {
     all
 }
 
+/// Scores everything a behavior's queries hit — offline search results or streamed
+/// detections alike: duplicates across the queries collapse, then [`evaluate`].
+pub fn evaluate_hits(hits: Vec<Interval>, truth: &[Interval]) -> AccuracyReport {
+    evaluate(&merge_identified(hits), truth)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,7 +96,6 @@ mod tests {
         let report = evaluate(&identified, &truth);
         assert_eq!(report.precision(), 1.0);
         assert_eq!(report.recall(), 1.0);
-        assert_eq!(report.f1(), 1.0);
     }
 
     #[test]
@@ -151,12 +145,14 @@ mod tests {
         let missed = evaluate(&[], &[(1, 2)]);
         assert_eq!(missed.precision(), 0.0);
         assert_eq!(missed.recall(), 0.0);
-        assert_eq!(missed.f1(), 0.0);
     }
 
     #[test]
     fn merge_identified_deduplicates_and_sorts() {
         let merged = merge_identified(vec![(5, 6), (1, 2), (5, 6)]);
         assert_eq!(merged, vec![(1, 2), (5, 6)]);
+        // Scoring hits merges first: the duplicate is one identified instance.
+        let report = evaluate_hits(vec![(5, 6), (1, 2), (5, 6)], &[(0, 3)]);
+        assert_eq!((report.identified, report.correct), (2, 1));
     }
 }

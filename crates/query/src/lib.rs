@@ -7,14 +7,14 @@
 //!
 //! * [`pipeline`] — end-to-end query formulation and evaluation for one behavior, for
 //!   TGMiner and for the two accuracy baselines (`Ntemp`, `NodeSet`).
-//! * [`compile`] — the executable form of a behavior query ([`CompiledQuery`]) and the
-//!   miner→compiler entry points; the streaming detector (crate `stream`) executes
+//! * [`mod@compile`] — the executable form of a behavior query ([`CompiledQuery`]) and the
+//!   one pattern→query entry point; the streaming detector (crate `stream`) executes
 //!   exactly these.
 //! * [`matcher`] — the per-edge advance state machines shared by the batch search and
 //!   the streaming detector (crate `stream`).
 //! * [`search`] — windowed search of temporal, non-temporal, and keyword queries over a
 //!   large temporal graph, built on [`matcher`].
-//! * [`eval`] — precision / recall / F1 definitions of Section 6.2.
+//! * [`eval`] — precision / recall definitions of Section 6.2.
 
 pub mod compile;
 pub mod eval;
@@ -22,12 +22,12 @@ pub mod matcher;
 pub mod pipeline;
 pub mod search;
 
-pub use compile::{compile_mined, CompiledQuery, SeedKey};
-pub use eval::{evaluate, merge_identified, AccuracyReport};
+pub use compile::{compile, CompiledQuery, SeedKey};
+pub use eval::{evaluate, evaluate_hits, merge_identified, AccuracyReport};
 pub use matcher::{NodeSetRun, RunStep, TemporalRun, TemporalSpawn};
 pub use pipeline::{
-    compile_queries, evaluate_behaviors, evaluate_queries, formulate_and_evaluate,
-    formulate_queries, AccuracyAverages, AccuracySummary, BehaviorAccuracy, BehaviorQueries,
+    evaluate_behaviors, evaluate_queries, formulate_and_evaluate, formulate_queries,
+    formulate_temporal, AccuracyAverages, AccuracySummary, BehaviorAccuracy, BehaviorQueries,
     QueryOptions,
 };
 pub use search::{

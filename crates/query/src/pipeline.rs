@@ -6,8 +6,7 @@
 //! behavior's lifetime window, and score precision/recall against the ground truth.
 //! The same pipeline is instantiated for the two accuracy baselines (`Ntemp`, `NodeSet`).
 
-use crate::compile::CompiledQuery;
-use crate::eval::{evaluate, merge_identified, AccuracyReport};
+use crate::eval::{evaluate_hits, AccuracyReport};
 use crate::search::{search_nodeset, search_static_indexed, search_temporal_indexed, Interval};
 use syscall::{Behavior, TestData, TrainingData};
 use tgminer::baselines::gspan::{mine_nontemporal, StaticPattern};
@@ -65,6 +64,53 @@ pub struct BehaviorQueries {
     pub mining: MiningResult,
 }
 
+/// Mines `behavior`'s positives against the background with the miner configured from
+/// `options` — the one place that mapping lives.
+fn mine_temporal(
+    training: &TrainingData,
+    behavior: Behavior,
+    options: &QueryOptions,
+) -> MiningResult {
+    let config = MinerConfig {
+        max_edges: options.query_size,
+        top_k: options.miner_top_k,
+        cap_per_graph: options.cap_per_graph,
+        ..MinerConfig::default()
+    };
+    mine(
+        training.positives(behavior),
+        training.negatives(),
+        &LogRatio::default(),
+        &config,
+    )
+}
+
+/// The interest ranker of a training set: label popularity over all its graphs, its
+/// shared-noise labels blacklisted.
+fn interest_ranker(training: &TrainingData) -> InterestRanker {
+    InterestRanker::from_training(training.all_graphs()).with_blacklist(training.blacklist())
+}
+
+/// The top `k` mined patterns in the ranker's selection order.
+fn select(ranker: &InterestRanker, mining: &MiningResult, k: usize) -> Vec<TemporalPattern> {
+    let selected = ranker.top_queries(mining, k);
+    selected.into_iter().map(|p| p.pattern).collect()
+}
+
+/// The TGMiner part of query formulation on its own — what an online deployment
+/// registers: mines `behavior`'s positives against the background and returns the top
+/// `options.top_queries` patterns in [`InterestRanker::rank`] order, with the full
+/// mining result. A class the training set lacks yields no patterns.
+pub fn formulate_temporal(
+    training: &TrainingData,
+    behavior: Behavior,
+    options: &QueryOptions,
+) -> (Vec<TemporalPattern>, MiningResult) {
+    let mining = mine_temporal(training, behavior, options);
+    let temporal = select(&interest_ranker(training), &mining, options.top_queries);
+    (temporal, mining)
+}
+
 /// Formulates the TGMiner, Ntemp and NodeSet queries for `behavior` from training data.
 pub fn formulate_queries(
     training: &TrainingData,
@@ -75,21 +121,11 @@ pub fn formulate_queries(
     let negatives = training.negatives();
     let score = LogRatio::default();
 
-    // TGMiner temporal patterns, ranked by (score, interest).
-    let config = MinerConfig {
-        max_edges: options.query_size,
-        top_k: options.miner_top_k,
-        cap_per_graph: options.cap_per_graph,
-        ..MinerConfig::default()
-    };
-    let mining = mine(positives, negatives, &score, &config);
-    let ranker =
-        InterestRanker::from_training(training.all_graphs()).with_blacklist(training.blacklist());
-    let temporal = ranker
-        .top_queries(&mining, options.top_queries)
-        .into_iter()
-        .map(|p| p.pattern)
-        .collect();
+    // TGMiner temporal patterns, as `formulate_temporal` selects them; the ranker is
+    // kept for the Ntemp patterns below.
+    let mining = mine_temporal(training, behavior, options);
+    let ranker = interest_ranker(training);
+    let temporal = select(&ranker, &mining, options.top_queries);
 
     // Ntemp non-temporal patterns, ranked by (score, interest over labels).
     let ntemp = mine_nontemporal(
@@ -133,20 +169,6 @@ pub fn formulate_queries(
     }
 }
 
-/// Compiles a formulated behavior query into its executable form: the top TGMiner
-/// temporal patterns as [`CompiledQuery`]s, ready to register on a streaming detector
-/// or dispatch through [`CompiledQuery::search`]. Trivially-empty queries are filtered
-/// out, so everything returned registers without error (given a positive window).
-pub fn compile_queries(queries: &BehaviorQueries) -> Vec<CompiledQuery> {
-    queries
-        .temporal
-        .iter()
-        .cloned()
-        .map(CompiledQuery::from)
-        .filter(|query| !query.is_trivially_empty())
-        .collect()
-}
-
 /// Accuracy of the three approaches on one behavior.
 #[derive(Debug, Clone, Copy)]
 pub struct BehaviorAccuracy {
@@ -182,9 +204,9 @@ pub fn evaluate_queries(queries: &BehaviorQueries, test: &TestData) -> BehaviorA
 
     BehaviorAccuracy {
         behavior: queries.behavior,
-        nodeset: evaluate(&merge_identified(nodeset_hits), &truth),
-        ntemp: evaluate(&merge_identified(ntemp_hits), &truth),
-        tgminer: evaluate(&merge_identified(temporal_hits), &truth),
+        nodeset: evaluate_hits(nodeset_hits, &truth),
+        ntemp: evaluate_hits(ntemp_hits, &truth),
+        tgminer: evaluate_hits(temporal_hits, &truth),
     }
 }
 
@@ -242,12 +264,6 @@ impl AccuracySummary {
             *value /= n;
         }
         Some(AccuracyAverages { precision, recall })
-    }
-
-    /// Total number of ground-truth instances across all rows (identical per approach;
-    /// zero means the test dataset was empty for every evaluated behavior).
-    pub fn total_instances(&self) -> usize {
-        self.rows.iter().map(|row| row.tgminer.instances).sum()
     }
 }
 
@@ -325,24 +341,47 @@ mod tests {
     }
 
     #[test]
-    fn compiled_queries_mirror_the_formulated_temporal_patterns() {
+    fn formulate_queries_selects_exactly_what_formulate_temporal_does() {
         let (training, _) = tiny_setup();
         let options = QueryOptions {
-            query_size: 3,
+            query_size: 4,
             top_queries: 3,
             miner_top_k: 8,
             cap_per_graph: 32,
         };
-        let queries = formulate_queries(&training, Behavior::GzipDecompress, &options);
-        let compiled = compile_queries(&queries);
-        assert_eq!(compiled.len(), queries.temporal.len());
-        for (compiled, pattern) in compiled.iter().zip(&queries.temporal) {
-            assert!(!compiled.is_trivially_empty());
-            let CompiledQuery::Temporal(p) = compiled else {
-                panic!("behavior queries compile to temporal patterns");
-            };
-            assert_eq!(p, pattern);
+        // The same selection from a dataset that went over the wire as labeled traces.
+        let replayed = TrainingData::from_traces(
+            &syscall::labeled_traces(&training),
+            training.interner.clone(),
+        )
+        .expect("generated traces are consistent");
+        for behavior in Behavior::all() {
+            let (temporal, mining) = formulate_temporal(&training, behavior, &options);
+            assert!(!temporal.is_empty() && temporal.len() <= 3);
+            assert_eq!(
+                formulate_queries(&training, behavior, &options).temporal,
+                temporal
+            );
+            assert_eq!(
+                formulate_temporal(&replayed, behavior, &options).0,
+                temporal
+            );
+            assert_eq!(
+                mining.patterns.len(),
+                8,
+                "the miner's top-k, before selection"
+            );
         }
+        // A class the training set lacks mines from nothing and selects nothing.
+        let mut background = syscall::labeled_traces(&training);
+        background.retain(|trace| trace.label == syscall::TraceLabel::Background);
+        let background_only =
+            TrainingData::from_traces(&background, training.interner.clone()).unwrap();
+        assert!(
+            formulate_temporal(&background_only, Behavior::SshdLogin, &options)
+                .0
+                .is_empty()
+        );
     }
 
     #[test]
@@ -364,7 +403,7 @@ mod tests {
         );
         assert_eq!(seen, vec![Behavior::GzipDecompress]);
         assert_eq!(summary.rows.len(), 1);
-        assert!(summary.total_instances() > 0);
+        assert!(summary.rows[0].tgminer.instances > 0);
         let averages = summary.averages().expect("non-empty sweep");
         let row = &summary.rows[0];
         assert!((averages.precision[2] - row.tgminer.precision()).abs() < 1e-12);

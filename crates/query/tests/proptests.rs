@@ -6,7 +6,7 @@
 //! Both must saturate, never wrap.
 
 use proptest::prelude::*;
-use query::compile::compile_mined;
+use query::compile::compile;
 use query::matcher::{static_window_bounds, window_deadline};
 use tgraph::TemporalEdge;
 
@@ -108,8 +108,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The compiler half of the miner→compiler→registry contract: every pattern the
-    /// miner emits compiles into a non-empty query with a seed key, and the export is
-    /// stable (compiling twice yields identical queries). The registry half — that
+    /// miner emits compiles into a non-empty query with a seed key, in the order
+    /// given. The registry half — that
     /// these queries register without error — lives in
     /// `crates/stream/tests/mine_register_contract.rs`.
     #[test]
@@ -138,15 +138,14 @@ proptest! {
         };
         let mining = mine(&positives, &negatives, &LogRatio::default(), &config);
         prop_assert!(!mining.patterns.is_empty());
-        let compiled = compile_mined(&mining, mining.patterns.len());
+        let patterns: Vec<_> = mining.patterns.iter().map(|p| p.pattern.clone()).collect();
+        let compiled = compile(&patterns);
         // Nothing the miner emits is trivially empty, so the compiler's filter is a
-        // no-op: export and compilation have identical lengths.
-        prop_assert_eq!(compiled.len(), mining.export_top(usize::MAX).len());
-        for query in &compiled {
-            prop_assert!(!query.is_trivially_empty());
+        // no-op: every pattern comes out, in place.
+        prop_assert_eq!(compiled.len(), patterns.len());
+        for (query, pattern) in compiled.iter().zip(&patterns) {
             prop_assert!(query.seed_key().is_some());
+            prop_assert_eq!(query, &query::CompiledQuery::Temporal(pattern.clone()));
         }
-        let again = compile_mined(&mining, mining.patterns.len());
-        prop_assert_eq!(compiled.len(), again.len());
     }
 }

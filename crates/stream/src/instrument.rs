@@ -1,10 +1,10 @@
-//! Instrumentation bundles: the metric handles a detector or pipeline ticks.
+//! The instrumentation bundle: the metric handles a detector ticks.
 //!
-//! Each bundle is created from a [`MetricsRegistry`] with a name prefix and then
+//! A bundle is created from a [`MetricsRegistry`] with a name prefix and then
 //! attached through `ShardedDetector::instrument` (one bundle per shard's
-//! `Detector`), `TenantPool::instrument` or `DiscoveryPipeline::instrument`. Handles are
-//! `Arc`-backed atomics, so attaching a bundle costs the engine exactly one
-//! `Option` branch per touch point and never takes a lock on the hot path.
+//! `Detector`) or `TenantPool::instrument`. Handles are `Arc`-backed atomics, so
+//! attaching a bundle costs the engine exactly one `Option` branch per touch point
+//! and never takes a lock on the hot path.
 //!
 //! Attaching instruments is **inert** by contract: detections are byte-identical
 //! with and without them (`tests/instrumentation_parity.rs` in this crate proves
@@ -52,14 +52,10 @@
 //! tenant-group regardless of tenant churn (see
 //! [`TenantPool::instrument`](crate::TenantPool::instrument) for the table).
 //!
-//! With prefix `pipeline.` the [`DiscoveryPipeline`](crate::DiscoveryPipeline)
-//! stages record `pipeline.{ingest,mine,compile,register,evaluate}_ns` histograms
-//! plus `pipeline.traces_ingested` / `pipeline.patterns_mined` /
-//! `pipeline.queries_deployed` counters, and `record_mining` exports the miner's
-//! per-growth-level work as `miner.level<N>.{candidates,pruned,embeddings}`.
+//! Mining is not instrumented from here: a run's per-growth-level counters are in
+//! its result, `tgminer::MiningResult::stats.levels`.
 
 use obs::{Counter, Gauge, Histogram, MetricsRegistry};
-use tgminer::MiningStats;
 
 /// The metric handles one [`Detector`](crate::Detector) ticks.
 #[derive(Debug, Clone)]
@@ -104,72 +100,6 @@ impl DetectorInstruments {
             pending_static: registry.gauge(&format!("{prefix}pending_static")),
             retained_edges: registry.gauge(&format!("{prefix}retained_edges")),
             memory_bytes: registry.gauge(&format!("{prefix}memory_bytes")),
-        }
-    }
-}
-
-/// The metric handles the [`DiscoveryPipeline`](crate::DiscoveryPipeline) ticks,
-/// plus the registry it exports per-growth-level mining counters into.
-#[derive(Debug, Clone)]
-pub struct PipelineInstruments {
-    /// The registry, kept for dynamically-named per-level mining counters.
-    pub registry: MetricsRegistry,
-    /// Per-trace ingest latency, nanoseconds.
-    pub ingest_ns: Histogram,
-    /// Per-class mining latency, nanoseconds.
-    pub mine_ns: Histogram,
-    /// Per-class compile latency, nanoseconds.
-    pub compile_ns: Histogram,
-    /// Per-query hot-registration latency, nanoseconds.
-    pub register_ns: Histogram,
-    /// Held-out evaluation latency, nanoseconds.
-    pub evaluate_ns: Histogram,
-    /// Traces ingested.
-    pub traces_ingested: Counter,
-    /// Patterns the miner exported across classes.
-    pub patterns_mined: Counter,
-    /// Queries hot-registered on a detector.
-    pub queries_deployed: Counter,
-}
-
-impl PipelineInstruments {
-    /// Registers the pipeline metric set (fixed prefix `pipeline.`).
-    pub fn register(registry: &MetricsRegistry) -> Self {
-        Self {
-            registry: registry.clone(),
-            ingest_ns: registry.histogram("pipeline.ingest_ns"),
-            mine_ns: registry.histogram("pipeline.mine_ns"),
-            compile_ns: registry.histogram("pipeline.compile_ns"),
-            register_ns: registry.histogram("pipeline.register_ns"),
-            evaluate_ns: registry.histogram("pipeline.evaluate_ns"),
-            traces_ingested: registry.counter("pipeline.traces_ingested"),
-            patterns_mined: registry.counter("pipeline.patterns_mined"),
-            queries_deployed: registry.counter("pipeline.queries_deployed"),
-        }
-    }
-
-    /// Exports a mining run's work counters: the aggregate totals under `miner.*`
-    /// and each growth level's frontier under
-    /// `miner.level<N>.{candidates,pruned,embeddings}` — the diagnostic the
-    /// query-size blowup needs (which level exploded, and how hard).
-    pub fn record_mining(&self, stats: &MiningStats) {
-        self.registry
-            .counter("miner.patterns_processed")
-            .add(stats.patterns_processed);
-        self.registry
-            .counter("miner.embeddings_materialized")
-            .add(stats.embeddings_materialized);
-        for level in &stats.levels {
-            let prefix = format!("miner.level{}", level.level);
-            self.registry
-                .counter(&format!("{prefix}.candidates"))
-                .add(level.candidates);
-            self.registry
-                .counter(&format!("{prefix}.pruned"))
-                .add(level.pruned);
-            self.registry
-                .counter(&format!("{prefix}.embeddings"))
-                .add(level.embeddings);
         }
     }
 }

@@ -28,10 +28,11 @@
 //! * [`Engine`] — what the two engines have in common, as a trait: the unit that is
 //!   logged, snapshotted and recovered (the `durable` crate is generic over it), traced
 //!   and fault-injected — once, above the shards it owns;
-//! * [`DiscoveryPipeline`] — the mine→detect loop closed online: ingest labeled
-//!   training streams, mine discriminative patterns per behavior class with `tgminer`,
-//!   compile them through [`query::compile`], hot-register them on a running
-//!   [`ShardedDetector`], and score per-class precision/recall on held-out streams;
+//! * [`discovery`] — the mine→detect loop closed online: what `query` formulates from
+//!   a training set ([`query::formulate_temporal`], [`query::compile()`]) is
+//!   hot-registered on a running [`ShardedDetector`] ([`deploy_class`], [`deploy_all`],
+//!   [`retire_deployed`]) and scored per class on held-out streams
+//!   ([`score_deployed`], [`evaluate_split`]);
 //! * the temporal substrate lives in [`tgraph::IncrementalGraph`], and the per-edge
 //!   advance logic is shared with the offline search through [`query::matcher`].
 //!
@@ -87,13 +88,13 @@ pub mod tenant;
 
 pub use detector::{CompiledQuery, Detection, Detector, QueryId, Registration, SeedKey};
 pub use discovery::{
-    retire_deployed, ClassAccuracy, DeployedQuery, DiscoveryError, DiscoveryPipeline,
-    DiscoveryReport,
+    deploy_all, deploy_class, evaluate_split, retire_deployed, score_deployed, ClassAccuracy,
+    DeployedQuery,
 };
 pub use durability::DurabilitySink;
 pub use engine::Engine;
 pub use error::{BatchError, DeregisterError, RegisterError, TenantBatchError};
-pub use instrument::{DetectorInstruments, PipelineInstruments};
+pub use instrument::DetectorInstruments;
 pub use registry::{QueryTable, Registered};
 pub use shard::{LabelPairStats, ShardedDetector};
 pub use tenant::{PoisonPolicy, QuarantinedEvent, QuiescencePolicy, TenantDetection, TenantPool};

@@ -55,8 +55,8 @@ use tgraph::{
 
 /// Label-pair posting frequencies: the cost model behind query→shard assignment.
 ///
-/// Build one from historical telemetry ([`LabelPairStats::from_postings`] /
-/// [`LabelPairStats::from_graph`]) or accumulate one online with
+/// Build one from historical telemetry ([`LabelPairStats::from_graph`] /
+/// [`LabelPairStats::from_graphs`]) or accumulate one online with
 /// [`LabelPairStats::record`]. Pairs never observed cost 1, so an empty stats object
 /// degrades gracefully to balance-by-count.
 #[derive(Debug, Clone, Default)]
@@ -75,7 +75,7 @@ impl LabelPairStats {
     }
 
     /// Frequencies from a prebuilt label-pair postings index.
-    pub fn from_postings(postings: &EdgePostings) -> Self {
+    fn from_postings(postings: &EdgePostings) -> Self {
         let mut stats = Self::default();
         for ((src, dst), count) in postings.pair_counts() {
             stats.add(src, dst, count as u64);
@@ -86,6 +86,17 @@ impl LabelPairStats {
     /// Frequencies from a materialised graph (builds the postings on the fly).
     pub fn from_graph(graph: &TemporalGraph) -> Self {
         Self::from_postings(&EdgePostings::build(graph))
+    }
+
+    /// Frequencies over a set of graphs — a training set's, say — edge by edge.
+    pub fn from_graphs<'a>(graphs: impl IntoIterator<Item = &'a TemporalGraph>) -> Self {
+        let mut stats = Self::default();
+        for graph in graphs {
+            for edge in graph.edges() {
+                stats.record(graph.label(edge.src), graph.label(edge.dst));
+            }
+        }
+        stats
     }
 
     /// Records one observed edge with these endpoint labels.
@@ -128,7 +139,7 @@ impl LabelPairStats {
     }
 
     /// Observed frequency of a label appearing as either endpoint, floored at 1.
-    pub fn label_weight(&self, label: Label) -> u64 {
+    fn label_weight(&self, label: Label) -> u64 {
         self.per_label.get(&label).copied().unwrap_or(0).max(1)
     }
 
@@ -475,7 +486,7 @@ impl ShardedDetector {
     }
 
     /// Number of live queries per shard.
-    pub fn queries_per_shard(&self) -> Vec<usize> {
+    fn queries_per_shard(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.shards.len()];
         for placement in self.placements.iter().filter(|p| p.active) {
             counts[placement.shard] += 1;
@@ -830,6 +841,34 @@ mod tests {
         });
         // Distinct labels 0 and 1: 3 + 1.
         assert_eq!(stats.query_cost(&query), 4);
+    }
+
+    #[test]
+    fn from_graphs_counts_every_edge_of_every_graph() {
+        let graph = |order: &[(usize, usize)]| {
+            let mut b = tgraph::GraphBuilder::new();
+            for i in 0..3 {
+                b.add_node(l(i));
+            }
+            for (ts, &(src, dst)) in order.iter().enumerate() {
+                b.add_edge(src, dst, ts as u64 + 1).unwrap();
+            }
+            b.build()
+        };
+        let (a, b) = (graph(&[(0, 1), (1, 2), (0, 1)]), graph(&[(0, 1), (2, 2)]));
+        // One graph: what `from_graph` counts through its postings index.
+        assert_eq!(
+            LabelPairStats::from_graphs([&a]).pair_counts(),
+            LabelPairStats::from_graph(&a).pair_counts()
+        );
+        // Several: the sum, marginals included.
+        let both = LabelPairStats::from_graphs([&a, &b]);
+        assert_eq!(
+            both.pair_counts(),
+            vec![((l(0), l(1)), 3), ((l(1), l(2)), 1), ((l(2), l(2)), 1)]
+        );
+        assert_eq!(both.label_weight(l(2)), 2);
+        assert!(LabelPairStats::from_graphs([]).pair_counts().is_empty());
     }
 
     #[test]

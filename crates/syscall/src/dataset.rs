@@ -12,9 +12,10 @@ use crate::behaviors::{Behavior, SHARED_NOISE_FILES};
 use crate::entity::Entity;
 use crate::event::SyscallType;
 use crate::log::SyscallLog;
+use crate::stream::{graph_of_events, LabeledTrace, TraceLabel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tgraph::{Label, LabelInterner, TemporalGraph};
+use tgraph::{GraphError, Label, LabelInterner, TemporalGraph};
 
 /// Configuration of the synthetic training data generator.
 #[derive(Debug, Clone, Copy)]
@@ -97,17 +98,18 @@ pub struct BehaviorStats {
     pub graphs: usize,
 }
 
-/// The full training dataset: 12 behavior sets plus background graphs.
+/// A training dataset: one positive graph set per behavior class plus the background
+/// graphs — generated ([`TrainingData::generate`]: all 12 behaviors) or rebuilt from
+/// labeled traces ([`TrainingData::from_traces`]: the classes the traces name).
 #[derive(Debug, Clone)]
 pub struct TrainingData {
     /// Label interner shared by every graph in the dataset.
     pub interner: LabelInterner,
-    /// Positive graph sets, one per behavior, in [`Behavior::all`] order.
+    /// Positive graph sets, one per behavior: in [`Behavior::all`] order when
+    /// generated, in first-appearance order when built from traces.
     pub behaviors: Vec<BehaviorDataset>,
     /// Background (negative) graphs.
     pub background: Vec<TemporalGraph>,
-    /// The configuration that produced the data.
-    pub config: DatasetConfig,
 }
 
 impl TrainingData {
@@ -138,18 +140,52 @@ impl TrainingData {
             interner,
             behaviors,
             background,
-            config: *config,
         }
     }
 
-    /// The positive graph set of `behavior`.
+    /// Rebuilds a training set from labeled traces — the form a deployment receives
+    /// its examples in — each trace's graph through [`graph_of_events`]. Classes are
+    /// kept in first-appearance order, traces in their given order within a class.
+    /// `interner` names the traces' labels (it is what [`TrainingData::blacklist`]
+    /// looks shared-noise labels up in): the original's for a replayed dataset, an
+    /// empty one for a corpus of bare label ids.
+    ///
+    /// All or nothing: the first inconsistent trace (a relabelled node, a timestamp
+    /// below its predecessor) is the error and no training set is built.
+    pub fn from_traces(
+        traces: &[LabeledTrace],
+        interner: LabelInterner,
+    ) -> Result<Self, GraphError> {
+        let mut behaviors: Vec<BehaviorDataset> = Vec::new();
+        let mut background = Vec::new();
+        for trace in traces {
+            let graph = graph_of_events(&trace.events)?;
+            match trace.label {
+                TraceLabel::Background => background.push(graph),
+                TraceLabel::Behavior(behavior) => {
+                    match behaviors.iter_mut().find(|d| d.behavior == behavior) {
+                        Some(dataset) => dataset.graphs.push(graph),
+                        None => behaviors.push(BehaviorDataset {
+                            behavior,
+                            graphs: vec![graph],
+                        }),
+                    }
+                }
+            }
+        }
+        Ok(Self {
+            interner,
+            behaviors,
+            background,
+        })
+    }
+
+    /// The positive graph set of `behavior`; empty for a class the dataset lacks.
     pub fn positives(&self, behavior: Behavior) -> &[TemporalGraph] {
-        &self
-            .behaviors
+        self.behaviors
             .iter()
             .find(|d| d.behavior == behavior)
-            .expect("all behaviors are generated")
-            .graphs
+            .map_or(&[], |d| &d.graphs)
     }
 
     /// The negative (background) graph set.
@@ -217,7 +253,6 @@ impl TrainingData {
                 })
                 .collect(),
             background: take(&self.background),
-            config: self.config,
         }
     }
 
@@ -242,7 +277,6 @@ impl TrainingData {
                 })
                 .collect(),
             background: copy(&self.background),
-            config: self.config,
         }
     }
 }
@@ -366,6 +400,85 @@ mod tests {
         assert_eq!(data.negatives().len(), config.background_graphs);
         let (nodes, edges) = data.totals();
         assert!(nodes > 0 && edges > 0);
+    }
+
+    fn trace(label: TraceLabel, events: &[(u64, usize, usize, u32, u32)]) -> LabeledTrace {
+        LabeledTrace {
+            label,
+            events: events
+                .iter()
+                .map(|&(ts, src, dst, sl, dl)| tgraph::StreamEvent {
+                    ts,
+                    src,
+                    dst,
+                    src_label: Label(sl),
+                    dst_label: Label(dl),
+                })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn from_traces_groups_classes_in_first_appearance_order() {
+        use Behavior::{GzipDecompress, SshdLogin};
+        // sshd-login comes first although `Behavior::all` lists it after gzip.
+        let traces = [
+            trace(TraceLabel::Behavior(SshdLogin), &[(1, 7, 9, 0, 1)]),
+            trace(TraceLabel::Background, &[(5, 0, 0, 3, 3)]),
+            trace(TraceLabel::Behavior(GzipDecompress), &[(1, 2, 3, 4, 5)]),
+            trace(TraceLabel::Behavior(SshdLogin), &[(2, 1, 1, 6, 6)]),
+        ];
+        let data = TrainingData::from_traces(&traces, LabelInterner::new()).unwrap();
+        let classes: Vec<Behavior> = data.behaviors.iter().map(|d| d.behavior).collect();
+        assert_eq!(classes, vec![SshdLogin, GzipDecompress]);
+        assert_eq!(data.positives(SshdLogin).len(), 2);
+        assert_eq!(data.positives(SshdLogin)[1].label(0), Label(6));
+        assert_eq!(data.positives(GzipDecompress).len(), 1);
+        assert_eq!(data.negatives().len(), 1);
+        // A class the traces never named has no positives — and asking is not a panic.
+        assert!(data.positives(Behavior::ScpDownload).is_empty());
+        assert!(
+            data.blacklist().is_empty(),
+            "an empty interner names no label"
+        );
+    }
+
+    #[test]
+    fn a_rejected_corpus_builds_nothing() {
+        let good = trace(TraceLabel::Background, &[(1, 0, 1, 0, 1)]);
+        // Node 4 re-announced with a different label, after two good traces.
+        let relabelled = trace(TraceLabel::Background, &[(1, 4, 5, 0, 1), (2, 4, 5, 9, 1)]);
+        assert!(matches!(
+            TrainingData::from_traces(
+                &[good.clone(), good.clone(), relabelled],
+                LabelInterner::new()
+            ),
+            Err(GraphError::LabelConflict { node: 4, .. })
+        ));
+        let stale = trace(
+            TraceLabel::Behavior(Behavior::GzipDecompress),
+            &[(3, 0, 1, 0, 1), (2, 1, 0, 1, 0)],
+        );
+        assert!(matches!(
+            TrainingData::from_traces(&[good, stale], LabelInterner::new()),
+            Err(GraphError::NonMonotonicTimestamp { .. })
+        ));
+        let empty = TrainingData::from_traces(&[], LabelInterner::new()).unwrap();
+        assert!(empty.behaviors.is_empty() && empty.background.is_empty());
+    }
+
+    #[test]
+    fn a_replayed_dataset_is_the_original_graph_for_graph() {
+        let original = TrainingData::generate(&DatasetConfig::tiny());
+        let traces = crate::stream::labeled_traces(&original);
+        let replayed = TrainingData::from_traces(&traces, original.interner.clone()).unwrap();
+        assert_eq!(replayed.behaviors.len(), 12);
+        for (a, b) in replayed.behaviors.iter().zip(&original.behaviors) {
+            assert_eq!(a.behavior, b.behavior);
+            assert_eq!(a.graphs, b.graphs);
+        }
+        assert_eq!(replayed.background, original.background);
+        assert_eq!(replayed.blacklist(), original.blacklist());
     }
 
     #[test]

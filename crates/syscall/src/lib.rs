@@ -15,7 +15,8 @@
 //! * [`testdata`] — the large monitoring graph with ground-truth behavior intervals used
 //!   for precision/recall evaluation.
 //! * [`stream`] — replay adapter turning generated datasets into ordered, batched event
-//!   streams for the online detection engine.
+//!   streams for the online detection engine, and labeled traces (events plus a class
+//!   tag) to and from training data.
 
 pub mod behaviors;
 pub mod dataset;
@@ -31,7 +32,7 @@ pub use entity::{Entity, EntityKind};
 pub use event::{SyscallEvent, SyscallType};
 pub use log::SyscallLog;
 pub use stream::{
-    events_of_graph, LabeledStreamSource, LabeledTrace, StreamSource, TenantedStreamSource,
-    TraceLabel,
+    events_of_graph, graph_of_events, labeled_traces, LabeledTrace, StreamSource,
+    TenantedStreamSource, TraceLabel,
 };
 pub use testdata::{BehaviorInstance, TestData, TestDataConfig};

@@ -7,11 +7,11 @@
 //! through the detector is how the parity tests check streaming results against the
 //! offline search, and how the throughput benchmark drives the engine.
 //!
-//! [`LabeledStreamSource`] is the training-side twin: it replays a [`TrainingData`]
-//! dataset as a sequence of *labeled traces* — each trace is one behavior execution (or
-//! one background window) delivered as events plus its class tag. This is the wire
-//! format the online discovery pipeline (`stream::discovery`) ingests: a monitoring
-//! deployment receives labeled example streams, not materialised graph objects.
+//! [`LabeledTrace`] is the training-side wire format: one behavior execution (or one
+//! background window) delivered as events plus its class tag — a monitoring deployment
+//! receives labeled example streams, not materialised graph objects. [`labeled_traces`]
+//! replays a [`TrainingData`] in that form and [`TrainingData::from_traces`] is its
+//! inverse, built on [`graph_of_events`], the inverse of [`events_of_graph`].
 //!
 //! [`TenantedStreamSource`] is the multi-tenant front: it interleaves several
 //! independent per-tenant streams (tenant ids assigned here, from the owning
@@ -22,7 +22,10 @@
 use crate::behaviors::Behavior;
 use crate::dataset::TrainingData;
 use crate::testdata::TestData;
-use tgraph::{StreamEvent, TemporalGraph, TenantId, TenantedEvent};
+use std::collections::HashMap;
+use tgraph::{
+    GraphBuilder, GraphError, Label, StreamEvent, TemporalGraph, TenantId, TenantedEvent,
+};
 
 /// The events a materialised temporal graph would have produced, in timestamp order.
 pub fn events_of_graph(graph: &TemporalGraph) -> Vec<StreamEvent> {
@@ -39,15 +42,43 @@ pub fn events_of_graph(graph: &TemporalGraph) -> Vec<StreamEvent> {
         .collect()
 }
 
+/// Rebuilds a trace's temporal graph from its event stream — the inverse of
+/// [`events_of_graph`] up to node ids, which are remapped densely in first-appearance
+/// order (isolated nodes do not survive replay: a trace is its events).
+///
+/// A node keeps the label it was first announced with; a conflicting re-announcement
+/// is a [`GraphError::LabelConflict`], and a timestamp below its predecessor a
+/// [`GraphError::NonMonotonicTimestamp`] (ties are legal).
+pub fn graph_of_events(events: &[StreamEvent]) -> Result<TemporalGraph, GraphError> {
+    let mut builder = GraphBuilder::new();
+    let mut ids: HashMap<usize, (usize, Label)> = HashMap::new();
+    for event in events {
+        for (node, label) in [(event.src, event.src_label), (event.dst, event.dst_label)] {
+            match ids.get(&node) {
+                None => {
+                    ids.insert(node, (builder.add_node(label), label));
+                }
+                Some(&(_, existing)) => {
+                    if existing != label {
+                        return Err(GraphError::LabelConflict {
+                            node,
+                            existing: existing.0,
+                            new: label.0,
+                        });
+                    }
+                }
+            }
+        }
+        builder.add_edge(ids[&event.src].0, ids[&event.dst].0, event.ts)?;
+    }
+    Ok(builder.build())
+}
+
 /// An ordered, batched event stream over a materialised temporal graph.
 #[derive(Debug, Clone)]
 pub struct StreamSource {
     events: Vec<StreamEvent>,
     batch_size: usize,
-    cursor: usize,
-    /// Optional delivery counter (`source.events_delivered`), ticked as cursor-driven
-    /// batches are handed out. Purely observational.
-    delivered: Option<obs::Counter>,
 }
 
 impl StreamSource {
@@ -58,24 +89,7 @@ impl StreamSource {
     /// Panics if `batch_size` is zero.
     pub fn from_graph(graph: &TemporalGraph, batch_size: usize) -> Self {
         assert!(batch_size > 0, "batch size must be positive");
-        Self {
-            events: events_of_graph(graph),
-            batch_size,
-            cursor: 0,
-            delivered: None,
-        }
-    }
-
-    /// Attaches (or with `None`, detaches) a counter ticked with every event
-    /// [`StreamSource::next_batch`] delivers. [`StreamSource::batches`] iterators are
-    /// independent of the cursor and do not tick it.
-    ///
-    /// The counter is an [`obs::Counter`] and therefore monotonic by contract: it is
-    /// **cumulative across replays** and is deliberately *not* rewound by
-    /// [`StreamSource::reset`] — it answers "events delivered ever", the dashboard
-    /// total.
-    pub fn set_delivery_counter(&mut self, counter: Option<obs::Counter>) {
-        self.delivered = counter;
+        Self::from_events(events_of_graph(graph), batch_size)
     }
 
     /// A stream replaying a generated test dataset's monitoring graph.
@@ -91,12 +105,7 @@ impl StreamSource {
     /// Panics if `batch_size` is zero.
     pub fn from_events(events: Vec<StreamEvent>, batch_size: usize) -> Self {
         assert!(batch_size > 0, "batch size must be positive");
-        Self {
-            events,
-            batch_size,
-            cursor: 0,
-            delivered: None,
-        }
+        Self { events, batch_size }
     }
 
     /// The configured batch size.
@@ -114,40 +123,10 @@ impl StreamSource {
         self.events.is_empty()
     }
 
-    /// Events not yet delivered.
-    pub fn remaining(&self) -> usize {
-        self.events.len() - self.cursor
-    }
-
-    /// Delivers the next batch (the last one may be short), or `None` at end of stream.
-    pub fn next_batch(&mut self) -> Option<&[StreamEvent]> {
-        if self.cursor >= self.events.len() {
-            return None;
-        }
-        let start = self.cursor;
-        let end = (start + self.batch_size).min(self.events.len());
-        self.cursor = end;
-        if let Some(counter) = &self.delivered {
-            counter.add((end - start) as u64);
-        }
-        Some(&self.events[start..end])
-    }
-
-    /// Rewinds the stream to the beginning (e.g. to replay it against another
-    /// detector).
-    ///
-    /// The attached obs delivery counter is **not** rewound: [`obs::Counter`] is
-    /// monotonic by contract, so it keeps accumulating across replays (see
-    /// [`StreamSource::set_delivery_counter`]).
-    pub fn reset(&mut self) {
-        self.cursor = 0;
-    }
-
-    /// An independent iterator over the whole stream's batches (the last one may be
-    /// short), starting from the beginning regardless of this source's cursor. This is
-    /// how the same source is replayed into several detector pools (e.g. every shard
+    /// The whole stream's batches from the beginning (the last one may be short). Every
+    /// call starts over, so one source replays into several detector pools (every shard
     /// count of a throughput sweep, or the sharded and single-threaded engines of a
-    /// parity check) without mutable-borrow or `reset` bookkeeping.
+    /// parity check) without any cursor bookkeeping.
     pub fn batches(&self) -> std::slice::Chunks<'_, StreamEvent> {
         self.events.chunks(self.batch_size)
     }
@@ -163,15 +142,14 @@ impl StreamSource {
 /// Across tenants there is **no** ordering guarantee: depending on the constructor the
 /// interleaving is time-merged ([`TenantedStreamSource::merged`] — globally
 /// non-decreasing, ties broken by tenant id) or scheduler-style round-robin
-/// ([`TenantedStreamSource::round_robin`] — global timestamps jump backwards whenever
-/// the rotation wraps). Consumers must demux by tenant and must not assume one global
-/// total order — that is exactly the contract the `stream` crate's tenant pool is
-/// built for.
+/// ([`TenantedStreamSource::replicate_test_data`] — global timestamps jump backwards
+/// whenever the rotation wraps). Consumers must demux by tenant and must not assume one
+/// global total order — that is exactly the contract the `stream` crate's tenant pool
+/// is built for.
 #[derive(Debug, Clone)]
 pub struct TenantedStreamSource {
     events: Vec<TenantedEvent>,
     batch_size: usize,
-    cursor: usize,
     tenants: usize,
 }
 
@@ -181,7 +159,6 @@ impl TenantedStreamSource {
         Self {
             events,
             batch_size,
-            cursor: 0,
             tenants,
         }
     }
@@ -230,7 +207,7 @@ impl TenantedStreamSource {
     ///
     /// # Panics
     /// Panics if `batch_size` or `chunk` is zero.
-    pub fn round_robin(
+    fn round_robin(
         streams: Vec<(TenantId, Vec<StreamEvent>)>,
         chunk: usize,
         batch_size: usize,
@@ -291,20 +268,6 @@ impl TenantedStreamSource {
         Self::merged(streams, batch_size)
     }
 
-    /// A stream over explicit tenant-tagged events in their given interleaving — the
-    /// multi-tenant re-ingest path (e.g. `durable::read_logged_tenant_events`). The
-    /// tenant count is the number of distinct tenant ids present.
-    ///
-    /// # Panics
-    /// Panics if `batch_size` is zero.
-    pub fn from_tenanted_events(events: Vec<TenantedEvent>, batch_size: usize) -> Self {
-        let mut tenants: Vec<u64> = events.iter().map(|e| e.tenant.0).collect();
-        tenants.sort_unstable();
-        tenants.dedup();
-        let count = tenants.len();
-        Self::new(events, batch_size, count)
-    }
-
     /// Number of tenants the source was built from (including event-less ones).
     pub fn tenant_count(&self) -> usize {
         self.tenants
@@ -325,29 +288,8 @@ impl TenantedStreamSource {
         self.events.is_empty()
     }
 
-    /// Events not yet delivered.
-    pub fn remaining(&self) -> usize {
-        self.events.len() - self.cursor
-    }
-
-    /// Delivers the next batch (the last one may be short), or `None` at end of stream.
-    pub fn next_batch(&mut self) -> Option<&[TenantedEvent]> {
-        if self.cursor >= self.events.len() {
-            return None;
-        }
-        let start = self.cursor;
-        let end = (start + self.batch_size).min(self.events.len());
-        self.cursor = end;
-        Some(&self.events[start..end])
-    }
-
-    /// Rewinds the stream to the beginning.
-    pub fn reset(&mut self) {
-        self.cursor = 0;
-    }
-
-    /// An independent iterator over the whole stream's batches, ignoring the cursor
-    /// (same contract as [`StreamSource::batches`]).
+    /// The whole stream's batches from the beginning (same contract as
+    /// [`StreamSource::batches`]).
     pub fn batches(&self) -> std::slice::Chunks<'_, TenantedEvent> {
         self.events.chunks(self.batch_size)
     }
@@ -372,24 +314,6 @@ pub enum TraceLabel {
     Background,
 }
 
-impl TraceLabel {
-    /// The tagged behavior, or `None` for background traces.
-    pub fn behavior(self) -> Option<Behavior> {
-        match self {
-            TraceLabel::Behavior(behavior) => Some(behavior),
-            TraceLabel::Background => None,
-        }
-    }
-
-    /// Human-readable class name (`"background"` for background traces).
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceLabel::Behavior(behavior) => behavior.name(),
-            TraceLabel::Background => "background",
-        }
-    }
-}
-
 /// One labeled training trace: a class tag plus the trace's events in timestamp order.
 /// Node ids are scoped to the trace (each trace is an independent execution), and
 /// timestamps are strictly increasing *within* the trace only.
@@ -401,78 +325,22 @@ pub struct LabeledTrace {
     pub events: Vec<StreamEvent>,
 }
 
-/// A training dataset replayed as an ordered sequence of labeled traces — the ingest
-/// format of the online discovery pipeline.
-#[derive(Debug, Clone)]
-pub struct LabeledStreamSource {
-    traces: Vec<LabeledTrace>,
-    cursor: usize,
-}
-
-impl LabeledStreamSource {
-    /// Replays a generated training dataset: every behavior's positive traces (in
-    /// [`Behavior::all`] order, as [`TrainingData`] stores them) followed by the
-    /// background traces.
-    pub fn from_training_data(data: &TrainingData) -> Self {
-        let mut traces = Vec::new();
-        for dataset in &data.behaviors {
-            for graph in &dataset.graphs {
-                traces.push(LabeledTrace {
-                    label: TraceLabel::Behavior(dataset.behavior),
-                    events: events_of_graph(graph),
-                });
-            }
-        }
-        for graph in &data.background {
-            traces.push(LabeledTrace {
-                label: TraceLabel::Background,
-                events: events_of_graph(graph),
-            });
-        }
-        Self { traces, cursor: 0 }
-    }
-
-    /// A source over explicit traces (fixture corpora, captured telemetry).
-    pub fn from_traces(traces: Vec<LabeledTrace>) -> Self {
-        Self { traces, cursor: 0 }
-    }
-
-    /// All traces, independent of the cursor.
-    pub fn traces(&self) -> &[LabeledTrace] {
-        &self.traces
-    }
-
-    /// Number of traces in the source.
-    pub fn len(&self) -> usize {
-        self.traces.len()
-    }
-
-    /// Whether the source has no traces.
-    pub fn is_empty(&self) -> bool {
-        self.traces.is_empty()
-    }
-
-    /// Traces not yet delivered.
-    pub fn remaining(&self) -> usize {
-        self.traces.len() - self.cursor
-    }
-
-    /// Total number of events across all traces.
-    pub fn event_count(&self) -> usize {
-        self.traces.iter().map(|t| t.events.len()).sum()
-    }
-
-    /// Delivers the next labeled trace, or `None` at end of stream.
-    pub fn next_trace(&mut self) -> Option<&LabeledTrace> {
-        let trace = self.traces.get(self.cursor)?;
-        self.cursor += 1;
-        Some(trace)
-    }
-
-    /// Rewinds the stream to the first trace.
-    pub fn reset(&mut self) {
-        self.cursor = 0;
-    }
+/// A training dataset as labeled traces: every behavior's positive traces (classes in
+/// the order [`TrainingData`] stores them) followed by the background traces.
+pub fn labeled_traces(data: &TrainingData) -> Vec<LabeledTrace> {
+    let trace = |label, graph| LabeledTrace {
+        label,
+        events: events_of_graph(graph),
+    };
+    let positives = data.behaviors.iter().flat_map(|dataset| {
+        let label = TraceLabel::Behavior(dataset.behavior);
+        dataset.graphs.iter().map(move |graph| trace(label, graph))
+    });
+    let background = data
+        .background
+        .iter()
+        .map(|graph| trace(TraceLabel::Background, graph));
+    positives.chain(background).collect()
 }
 
 #[cfg(test)]
@@ -480,15 +348,25 @@ mod tests {
     use super::*;
     use crate::dataset::DatasetConfig;
     use crate::testdata::TestDataConfig;
-    use tgraph::LabelInterner;
+    use tgraph::{Label, LabelInterner};
+
+    fn ev(ts: u64, src: usize, dst: usize, sl: u32, dl: u32) -> StreamEvent {
+        StreamEvent {
+            ts,
+            src,
+            dst,
+            src_label: Label(sl),
+            dst_label: Label(dl),
+        }
+    }
 
     #[test]
     fn batches_cover_the_graph_in_order() {
         let data = TestData::generate(&TestDataConfig::tiny(), LabelInterner::new());
-        let mut source = StreamSource::from_test_data(&data, 97);
+        let source = StreamSource::from_test_data(&data, 97);
         assert_eq!(source.len(), data.graph.edge_count());
         let mut replayed = Vec::new();
-        while let Some(batch) = source.next_batch() {
+        for batch in source.batches() {
             assert!(batch.len() <= 97);
             replayed.extend_from_slice(batch);
         }
@@ -498,25 +376,20 @@ mod tests {
             assert_eq!(event.src_label, data.graph.label(edge.src));
             assert_eq!(event.dst_label, data.graph.label(edge.dst));
         }
-        assert_eq!(source.remaining(), 0);
-        source.reset();
-        assert_eq!(source.remaining(), source.len());
     }
 
     #[test]
     fn batch_size_one_delivers_single_events() {
         let data = TestData::generate(&TestDataConfig::tiny(), LabelInterner::new());
-        let mut source = StreamSource::from_test_data(&data, 1);
-        let first = source.next_batch().unwrap();
-        assert_eq!(first.len(), 1);
-        assert_eq!(source.remaining(), source.len() - 1);
+        let source = StreamSource::from_test_data(&data, 1);
+        assert_eq!(source.batches().len(), source.len());
+        assert!(source.batches().all(|batch| batch.len() == 1));
     }
 
     #[test]
-    fn batches_iterator_is_independent_of_the_cursor() {
+    fn every_batches_call_replays_the_whole_stream() {
         let data = TestData::generate(&TestDataConfig::tiny(), LabelInterner::new());
-        let mut source = StreamSource::from_test_data(&data, 53);
-        source.next_batch(); // advance the cursor; the iterator must not care
+        let source = StreamSource::from_test_data(&data, 53);
         let replayed: usize = source.batches().map(<[StreamEvent]>::len).sum();
         assert_eq!(replayed, source.len());
         // Two iterations deliver identical batches.
@@ -524,7 +397,6 @@ mod tests {
         let second: Vec<&[StreamEvent]> = source.batches().collect();
         assert_eq!(first, second);
         assert!(first.iter().all(|batch| batch.len() <= 53));
-        assert_eq!(source.remaining(), source.len() - 53, "cursor untouched");
     }
 
     #[test]
@@ -535,65 +407,11 @@ mod tests {
     }
 
     #[test]
-    fn delivery_counter_ticks_per_delivered_event() {
-        let data = TestData::generate(&TestDataConfig::tiny(), LabelInterner::new());
-        let registry = obs::MetricsRegistry::new();
-        let mut source = StreamSource::from_test_data(&data, 61);
-        source.set_delivery_counter(Some(registry.counter("source.events_delivered")));
-        while source.next_batch().is_some() {}
-        assert_eq!(
-            registry.snapshot().counter("source.events_delivered"),
-            Some(source.len() as u64)
-        );
-        // Detached again, replay leaves the counter untouched.
-        source.set_delivery_counter(None);
-        source.reset();
-        while source.next_batch().is_some() {}
-        assert_eq!(
-            registry.snapshot().counter("source.events_delivered"),
-            Some(source.len() as u64)
-        );
-    }
-
-    #[test]
-    fn reset_keeps_obs_counter_cumulative() {
-        // `reset()` rewinds the cursor but deliberately does NOT rewind the attached
-        // obs counter — `obs::Counter` is monotonic by contract, so replays keep
-        // accumulating.
-        let data = TestData::generate(&TestDataConfig::tiny(), LabelInterner::new());
-        let registry = obs::MetricsRegistry::new();
-        let mut source = StreamSource::from_test_data(&data, 61);
-        source.set_delivery_counter(Some(registry.counter("source.events_delivered")));
-        let len = source.len() as u64;
-
-        while source.next_batch().is_some() {}
-        source.reset();
-        assert_eq!(
-            registry.snapshot().counter("source.events_delivered"),
-            Some(len),
-            "obs counter is not rewound by reset"
-        );
-
-        while source.next_batch().is_some() {}
-        assert_eq!(
-            registry.snapshot().counter("source.events_delivered"),
-            Some(2 * len),
-            "obs counter accumulates across replays"
-        );
-    }
-
-    #[test]
     fn merged_tenant_stream_is_globally_ordered_and_preserves_tenant_order() {
         let mk = |ts: &[u64]| -> Vec<StreamEvent> {
             ts.iter()
                 .enumerate()
-                .map(|(i, &t)| StreamEvent {
-                    ts: t,
-                    src: 2 * i,
-                    dst: 2 * i + 1,
-                    src_label: tgraph::Label(1),
-                    dst_label: tgraph::Label(2),
-                })
+                .map(|(i, &t)| ev(t, 2 * i, 2 * i + 1, 1, 2))
                 .collect()
         };
         let streams = vec![
@@ -601,11 +419,11 @@ mod tests {
             (TenantId(1), mk(&[2, 4, 5])),
             (TenantId(2), mk(&[4])),
         ];
-        let mut source = TenantedStreamSource::merged(streams.clone(), 3);
+        let source = TenantedStreamSource::merged(streams.clone(), 3);
         assert_eq!(source.tenant_count(), 3);
         assert_eq!(source.len(), 8);
         let mut delivered = Vec::new();
-        while let Some(batch) = source.next_batch() {
+        for batch in source.batches() {
             assert!(batch.len() <= 3);
             delivered.extend_from_slice(batch);
         }
@@ -628,9 +446,6 @@ mod tests {
         for (tenant, events) in &streams {
             assert_eq!(&source.tenant_events(*tenant), events);
         }
-        assert_eq!(source.remaining(), 0);
-        source.reset();
-        assert_eq!(source.remaining(), source.len());
     }
 
     #[test]
@@ -651,7 +466,7 @@ mod tests {
             global.windows(2).any(|w| w[1] < w[0]),
             "expected a non-monotonic global interleave"
         );
-        // `batches()` is cursor-independent and deterministic.
+        // Construction is deterministic.
         let again = TenantedStreamSource::replicate_test_data(&data, 3, 7, 64);
         let a: Vec<TenantedEvent> = source.batches().flatten().copied().collect();
         let b: Vec<TenantedEvent> = again.batches().flatten().copied().collect();
@@ -666,27 +481,12 @@ mod tests {
         assert_eq!(source.len(), events.len());
         let replayed: Vec<StreamEvent> = source.batches().flatten().copied().collect();
         assert_eq!(replayed, events);
-
-        let tenanted: Vec<TenantedEvent> = events
-            .iter()
-            .enumerate()
-            .map(|(i, &event)| TenantedEvent {
-                tenant: TenantId((i % 3) as u64),
-                event,
-            })
-            .collect();
-        let source = TenantedStreamSource::from_tenanted_events(tenanted.clone(), 71);
-        assert_eq!(source.tenant_count(), 3);
-        let replayed: Vec<TenantedEvent> = source.batches().flatten().copied().collect();
-        assert_eq!(replayed, tenanted);
     }
 
     #[test]
     fn from_traces_assigns_tenants_by_trace_index() {
-        let config = DatasetConfig::tiny();
-        let training = TrainingData::generate(&config);
-        let labeled = LabeledStreamSource::from_training_data(&training);
-        let traces: Vec<LabeledTrace> = labeled.traces().iter().take(4).cloned().collect();
+        let training = TrainingData::generate(&DatasetConfig::tiny());
+        let traces: Vec<LabeledTrace> = labeled_traces(&training).into_iter().take(4).collect();
         let source = TenantedStreamSource::from_traces(&traces, 32);
         assert_eq!(source.tenant_count(), traces.len());
         assert_eq!(
@@ -699,40 +499,61 @@ mod tests {
     }
 
     #[test]
-    fn labeled_replay_covers_every_training_trace_in_order() {
+    fn labeled_traces_cover_every_training_graph_in_order() {
         let config = DatasetConfig::tiny();
         let training = TrainingData::generate(&config);
-        let mut source = LabeledStreamSource::from_training_data(&training);
+        let traces = labeled_traces(&training);
         assert_eq!(
-            source.len(),
+            traces.len(),
             12 * config.graphs_per_behavior + config.background_graphs
         );
-        assert_eq!(
-            source.event_count(),
-            training.all_graphs().map(|g| g.edge_count()).sum::<usize>()
-        );
-        // The first trace replays the first behavior's first graph exactly.
-        let first = source.next_trace().expect("non-empty source").clone();
-        assert_eq!(
-            first.label,
-            TraceLabel::Behavior(training.behaviors[0].behavior)
-        );
-        let graph = &training.behaviors[0].graphs[0];
-        assert_eq!(first.events, events_of_graph(graph));
-        assert_eq!(first.events.len(), graph.edge_count());
-        // Background traces come last, and the cursor walks every trace once.
-        assert_eq!(source.remaining(), source.len() - 1);
-        let mut background = 0usize;
-        while let Some(trace) = source.next_trace() {
-            if trace.label == TraceLabel::Background {
-                assert_eq!(trace.label.behavior(), None);
-                assert_eq!(trace.label.name(), "background");
-                background += 1;
-            }
+        // Trace i is graph i of the dataset (behaviors, then background), event for
+        // event, tagged with the class that owns it.
+        for (trace, graph) in traces.iter().zip(training.all_graphs()) {
+            assert_eq!(trace.events, events_of_graph(graph));
         }
-        assert_eq!(background, config.background_graphs);
-        assert_eq!(source.remaining(), 0);
-        source.reset();
-        assert_eq!(source.remaining(), source.len());
+        let labels: Vec<TraceLabel> = traces.iter().map(|t| t.label).collect();
+        let mut expected = Vec::new();
+        for dataset in &training.behaviors {
+            expected.extend(vec![
+                TraceLabel::Behavior(dataset.behavior);
+                dataset.graphs.len()
+            ]);
+        }
+        expected.extend(vec![TraceLabel::Background; config.background_graphs]);
+        assert_eq!(labels, expected);
+    }
+
+    #[test]
+    fn graph_of_events_remaps_nodes_densely_in_first_appearance_order() {
+        // Node 7 appears twice, then 9 again: three events over two nodes.
+        let graph = graph_of_events(&[ev(1, 7, 9, 0, 1), ev(2, 9, 7, 1, 0), ev(2, 9, 9, 1, 1)])
+            .expect("consistent trace");
+        assert_eq!(graph.node_count(), 2);
+        assert_eq!((graph.label(0), graph.label(1)), (Label(0), Label(1)));
+        let edges: Vec<(usize, usize, u64)> =
+            graph.edges().iter().map(|e| (e.src, e.dst, e.ts)).collect();
+        assert_eq!(edges, vec![(0, 1, 1), (1, 0, 2), (1, 1, 2)]);
+        // It inverts `events_of_graph` exactly on a graph whose ids are already dense.
+        assert_eq!(graph_of_events(&events_of_graph(&graph)).unwrap(), graph);
+    }
+
+    #[test]
+    fn graph_of_events_rejects_relabels_and_stale_timestamps() {
+        // Node 4 re-announced with a different label.
+        assert!(matches!(
+            graph_of_events(&[ev(1, 4, 5, 0, 1), ev(2, 4, 5, 9, 1)]),
+            Err(GraphError::LabelConflict {
+                node: 4,
+                existing: 0,
+                new: 9
+            })
+        ));
+        // Timestamps must be non-decreasing within a trace (ties are legal).
+        assert!(matches!(
+            graph_of_events(&[ev(3, 0, 1, 0, 1), ev(2, 1, 0, 1, 0)]),
+            Err(GraphError::NonMonotonicTimestamp { .. })
+        ));
+        assert!(graph_of_events(&[ev(3, 0, 1, 0, 1), ev(3, 1, 0, 1, 0)]).is_ok());
     }
 }

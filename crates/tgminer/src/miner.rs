@@ -123,39 +123,6 @@ impl MiningResult {
     pub fn best_score(&self) -> f64 {
         self.best().map(|p| p.score).unwrap_or(f64::NEG_INFINITY)
     }
-
-    /// The top `k` mined patterns in a *stable export order*: descending score, then
-    /// descending positive frequency, then descending edge count (among equally
-    /// discriminative patterns the larger one is more specific — fewer false seeds
-    /// when executed online), then the canonical pattern order itself.
-    ///
-    /// `patterns` is only sorted by score, so equal-scoring patterns sit in DFS
-    /// discovery order — deterministic for one build, but an accident of search-order
-    /// internals. Downstream consumers that persist or compare exported queries (the
-    /// query compiler, golden tests, hot-reload diffing) need ties broken by the
-    /// patterns themselves, which this method guarantees — for the patterns *in this
-    /// result*. Which equal-scoring patterns survived the miner's own top-k cut at
-    /// the `top_k` boundary is still the miner's admission policy (first reached
-    /// wins); ask for `top_k` headroom above the count you export, as the query
-    /// pipeline does, to keep the boundary away from the exported prefix.
-    pub fn export_top(&self, k: usize) -> Vec<TemporalPattern> {
-        let mut ranked: Vec<&MinedPattern> = self.patterns.iter().collect();
-        // `total_cmp`, not `partial_cmp`-with-Equal-fallback: a NaN score (possible
-        // with a degenerate score function) must still yield a total order, or the
-        // sort itself can abort.
-        ranked.sort_by(|a, b| {
-            b.score
-                .total_cmp(&a.score)
-                .then_with(|| b.pos_freq.total_cmp(&a.pos_freq))
-                .then_with(|| b.pattern.edge_count().cmp(&a.pattern.edge_count()))
-                .then_with(|| a.pattern.cmp(&b.pattern))
-        });
-        ranked
-            .into_iter()
-            .take(k)
-            .map(|p| p.pattern.clone())
-            .collect()
-    }
 }
 
 /// Mines the most discriminative T-connected temporal graph patterns distinguishing
@@ -586,41 +553,6 @@ mod tests {
     }
 
     #[test]
-    fn export_top_breaks_score_ties_by_the_pattern_itself() {
-        let (positives, negatives) = datasets();
-        let result = mine(
-            &positives,
-            &negatives,
-            &LogRatio::default(),
-            &MinerConfig::default().with_top_k(8),
-        );
-        let exported = result.export_top(8);
-        assert!(!exported.is_empty());
-        assert!(exported.len() <= 8);
-        // The export must follow the documented key — (score desc, pos_freq desc,
-        // edge count desc, pattern asc) — independently of the DFS discovery order
-        // `patterns` sits in.
-        let mut reference: Vec<&MinedPattern> = result.patterns.iter().collect();
-        reference.sort_by(|a, b| {
-            b.score
-                .total_cmp(&a.score)
-                .then(b.pos_freq.total_cmp(&a.pos_freq))
-                .then_with(|| b.pattern.edge_count().cmp(&a.pattern.edge_count()))
-                .then_with(|| a.pattern.cmp(&b.pattern))
-        });
-        let reference: Vec<TemporalPattern> = reference
-            .iter()
-            .take(8)
-            .map(|p| p.pattern.clone())
-            .collect();
-        assert_eq!(exported, reference);
-        // And it is reproducible, truncates, and handles k = 0.
-        assert_eq!(exported, result.export_top(8));
-        assert_eq!(result.export_top(1).len(), 1);
-        assert!(result.export_top(0).is_empty());
-    }
-
-    #[test]
     fn empty_positive_set_yields_no_patterns() {
         let negatives = vec![negative_graph()];
         let result = mine(
@@ -681,7 +613,10 @@ mod tests {
         };
         let budgeted = mine(&positives, &negatives, &LogRatio::default(), &loose);
         assert!(!budgeted.stats.budget_exhausted);
-        assert_eq!(budgeted.export_top(8), unbounded.export_top(8));
+        let patterns = |result: &MiningResult| -> Vec<TemporalPattern> {
+            result.patterns.iter().map(|p| p.pattern.clone()).collect()
+        };
+        assert_eq!(patterns(&budgeted), patterns(&unbounded));
         assert_eq!(
             budgeted.stats.patterns_processed,
             unbounded.stats.patterns_processed

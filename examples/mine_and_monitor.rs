@@ -2,48 +2,53 @@
 //!
 //! Run with `cargo run --release --example mine_and_monitor`.
 //!
-//! Training arrives as a *labeled event stream* (the wire format a deployment would
-//! receive), not as materialised graphs: the [`DiscoveryPipeline`] ingests it, mines
-//! each behavior class against the background traces, compiles the top patterns, and
+//! Training arrives as *labeled traces* (the wire format a deployment would receive),
+//! not as materialised graphs: [`TrainingData::from_traces`] rebuilds the training set,
+//! the paper's pipeline ([`formulate_temporal`], [`compile`]) mines each behavior class
+//! against the background traces and selects its top patterns, and [`deploy_class`]
 //! hot-registers them on a running [`ShardedDetector`]. Mid-stream, one class is
 //! retired (its in-flight partial matches are dropped and its shard load is freed) and
 //! another is deployed in its place — the detector never stops consuming events.
 //! Finally the per-class precision/recall of a clean train/evaluate split is printed.
 
-use behavior_query::query::QueryOptions;
-use behavior_query::stream::{retire_deployed, DiscoveryPipeline, ShardedDetector};
+use behavior_query::query::{compile, formulate_temporal, QueryOptions};
+use behavior_query::stream::{
+    deploy_class, evaluate_split, retire_deployed, LabelPairStats, ShardedDetector,
+};
 use behavior_query::syscall::{
-    Behavior, DatasetConfig, LabeledStreamSource, StreamSource, TestData, TestDataConfig,
-    TrainingData,
+    labeled_traces, Behavior, DatasetConfig, StreamSource, TestData, TestDataConfig, TrainingData,
 };
 use std::collections::HashMap;
 
 fn main() {
-    // ---- Train: ingest the labeled training stream. ---------------------------------
-    let training = TrainingData::generate(&DatasetConfig::tiny());
-    let test = TestData::generate(&TestDataConfig::tiny(), training.interner.clone());
+    // ---- Train: rebuild the training set from the labeled traces. -------------------
+    let generated = TrainingData::generate(&DatasetConfig::tiny());
+    let test = TestData::generate(&TestDataConfig::tiny(), generated.interner.clone());
     let options = QueryOptions {
         query_size: 4,
         top_queries: 2,
         miner_top_k: 8,
         cap_per_graph: 32,
     };
-    let mut pipeline = DiscoveryPipeline::new(options);
-    let mut source = LabeledStreamSource::from_training_data(&training);
-    let ingested = pipeline
-        .ingest_source(&mut source)
-        .expect("generated training streams are consistent");
-    let (positives, background) = pipeline.trace_counts();
-    println!("ingested {ingested} labeled traces ({positives} positive, {background} background)");
+    let traces = labeled_traces(&generated);
+    let training = TrainingData::from_traces(&traces, generated.interner)
+        .expect("generated training traces are consistent");
+    let background = training.negatives().len();
+    println!(
+        "ingested {} labeled traces ({} positive, {background} background)",
+        traces.len(),
+        traces.len() - background
+    );
 
     // ---- Deploy two classes on a running sharded detector. --------------------------
-    let mut detector = ShardedDetector::with_stats(2, pipeline.stats().clone());
+    let stats = LabelPairStats::from_graphs(training.all_graphs());
+    let mut detector = ShardedDetector::with_stats(2, stats);
     let window = test.max_duration;
+    let queries_of = |behavior| compile(&formulate_temporal(&training, behavior, &options).0);
     let mut names: HashMap<usize, Behavior> = HashMap::new();
     let mut deployed_a = Vec::new();
     for behavior in [Behavior::GzipDecompress, Behavior::Bzip2Decompress] {
-        let deployed = pipeline
-            .deploy_class(&mut detector, behavior, window)
+        let deployed = deploy_class(&mut detector, behavior, queries_of(behavior), window)
             .expect("mined queries register cleanly");
         println!(
             "deployed {:<18} as {} quer{} (shards {:?})",
@@ -97,8 +102,8 @@ fn main() {
         Behavior::GzipDecompress.name(),
         deployed_a.len(),
     );
-    let swapped = pipeline
-        .deploy_class(&mut detector, Behavior::ScpDownload, window)
+    let scp = Behavior::ScpDownload;
+    let swapped = deploy_class(&mut detector, scp, queries_of(scp), window)
         .expect("mined queries register cleanly");
     for query in &swapped {
         names.insert(query.registration.id, Behavior::ScpDownload);
@@ -133,14 +138,13 @@ fn main() {
     }
 
     // ---- Score a clean split: the Table 2 loop, online. -----------------------------
-    let report = pipeline
-        .evaluate_split(&test, 2, 256)
-        .expect("training streams were ingested");
+    let classes =
+        evaluate_split(&training, &options, &test, 2, 256).expect("a valid held-out stream");
     println!(
         "\nclean train/evaluate split over all {} classes:",
-        report.classes.len()
+        classes.len()
     );
-    for class in &report.classes {
+    for class in &classes {
         println!(
             "  {:<18} precision {:>5.1}%  recall {:>5.1}%",
             class.behavior.name(),

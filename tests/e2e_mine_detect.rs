@@ -20,10 +20,10 @@
 //! `cargo test --test e2e_mine_detect -- --ignored regenerate_fixtures`.
 
 use behavior_query::query::QueryOptions;
-use behavior_query::stream::{DeployedQuery, DiscoveryPipeline, ShardedDetector};
-use behavior_query::syscall::{Behavior, LabeledTrace, TraceLabel};
+use behavior_query::stream::{deploy_all, DeployedQuery, LabelPairStats, ShardedDetector};
+use behavior_query::syscall::{Behavior, LabeledTrace, TraceLabel, TrainingData};
 use behavior_query::tgraph::generator::{random_t_connected_graph, RandomGraphSpec};
-use behavior_query::tgraph::{GraphBuilder, Label, StreamEvent, TemporalGraph};
+use behavior_query::tgraph::{GraphBuilder, Label, LabelInterner, StreamEvent, TemporalGraph};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -323,26 +323,19 @@ fn mining_options() -> QueryOptions {
     }
 }
 
-/// Ingests the corpus and returns the trained pipeline.
-fn trained_pipeline(corpus: &[LabeledTrace]) -> DiscoveryPipeline {
-    let mut pipeline = DiscoveryPipeline::new(mining_options());
-    for trace in corpus {
-        pipeline.ingest(trace).expect("fixture traces are valid");
-    }
-    pipeline
+/// The corpus as a training set (its labels are bare ids: nothing to intern).
+fn training_set(corpus: &[LabeledTrace]) -> TrainingData {
+    TrainingData::from_traces(corpus, LabelInterner::new()).expect("fixture traces are valid")
 }
 
 /// Runs the full loop at the given shard count, returning the detection list formatted
 /// as golden lines `<query_id> <class> <start_ts> <end_ts>` in emission order.
-fn detection_lines(
-    pipeline: &DiscoveryPipeline,
-    stream: &[StreamEvent],
-    shards: usize,
-) -> Vec<String> {
-    let mut detector = ShardedDetector::with_stats(shards, pipeline.stats().clone());
-    let deployed: Vec<DeployedQuery> = pipeline
-        .deploy_all(&mut detector, WINDOW)
-        .expect("mined fixture queries register cleanly");
+fn detection_lines(training: &TrainingData, stream: &[StreamEvent], shards: usize) -> Vec<String> {
+    let stats = LabelPairStats::from_graphs(training.all_graphs());
+    let mut detector = ShardedDetector::with_stats(shards, stats);
+    let deployed: Vec<DeployedQuery> =
+        deploy_all(&mut detector, training, &mining_options(), WINDOW)
+            .expect("mined fixture queries register cleanly");
     assert!(
         deployed.len() >= 2,
         "both classes must deploy at least one query"
@@ -417,9 +410,9 @@ fn golden_detections_at_1_2_and_4_shards() {
         .map(str::to_string)
         .collect();
     assert!(!expected.is_empty(), "the golden list is never empty");
-    let pipeline = trained_pipeline(&corpus);
+    let training = training_set(&corpus);
     for shards in [1usize, 2, 4] {
-        let lines = detection_lines(&pipeline, &stream, shards);
+        let lines = detection_lines(&training, &stream, shards);
         assert_eq!(
             lines, expected,
             "detections diverged from the golden list with {shards} shard(s)"
@@ -492,8 +485,7 @@ fn regenerate_fixtures() {
     let stream = generated_stream();
     std::fs::write(fixture_path("training.corpus"), format_corpus(&corpus)).unwrap();
     std::fs::write(fixture_path("stream.events"), format_stream(&stream)).unwrap();
-    let pipeline = trained_pipeline(&corpus);
-    let lines = detection_lines(&pipeline, &stream, 1);
+    let lines = detection_lines(&training_set(&corpus), &stream, 1);
     let mut golden = String::from(
         "# golden detections: <query_id> <class> <start_ts> <end_ts> — generated by \
          tests/e2e_mine_detect.rs (regenerate_fixtures); do not edit\n",

@@ -23,9 +23,9 @@ use behavior_query::obs::{
     TraceEvent,
 };
 use behavior_query::query::QueryOptions;
-use behavior_query::stream::{Detection, DiscoveryPipeline, ShardedDetector};
-use behavior_query::syscall::{Behavior, LabeledTrace, TraceLabel};
-use behavior_query::tgraph::{Label, StreamEvent};
+use behavior_query::stream::{deploy_all, Detection, LabelPairStats, ShardedDetector};
+use behavior_query::syscall::{Behavior, LabeledTrace, TraceLabel, TrainingData};
+use behavior_query::tgraph::{Label, LabelInterner, StreamEvent};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -94,17 +94,17 @@ fn held_out_stream() -> Vec<StreamEvent> {
         .collect()
 }
 
-fn trained_pipeline() -> DiscoveryPipeline {
-    let mut pipeline = DiscoveryPipeline::new(QueryOptions {
-        query_size: 3,
-        top_queries: 2,
-        miner_top_k: 8,
-        cap_per_graph: 32,
-    });
-    for trace in training_corpus() {
-        pipeline.ingest(&trace).expect("fixture traces are valid");
-    }
-    pipeline
+/// The mining options the golden e2e test deploys with.
+const OPTIONS: QueryOptions = QueryOptions {
+    query_size: 3,
+    top_queries: 2,
+    miner_top_k: 8,
+    cap_per_graph: 32,
+};
+
+fn training_set() -> TrainingData {
+    TrainingData::from_traces(&training_corpus(), LabelInterner::new())
+        .expect("fixture traces are valid")
 }
 
 /// Formats detections as stable comparison lines.
@@ -130,7 +130,7 @@ struct Replay {
 /// bundles, a pool-level collecting sink, a scoped-span profiler, and per-query
 /// cost attribution (every operation timed: sample interval 1).
 fn replay(
-    pipeline: &DiscoveryPipeline,
+    training: &TrainingData,
     stream: &[StreamEvent],
     shards: usize,
     instrumented: bool,
@@ -138,15 +138,15 @@ fn replay(
     let registry = MetricsRegistry::new();
     let sink = Arc::new(CollectingSink::default());
     let profiler = Profiler::new();
-    let mut detector = ShardedDetector::with_stats(shards, pipeline.stats().clone());
+    let stats = LabelPairStats::from_graphs(training.all_graphs());
+    let mut detector = ShardedDetector::with_stats(shards, stats);
     if instrumented {
         detector.instrument(&registry);
         detector.set_trace_sink(Some(SharedSink::from_arc(sink.clone())));
         detector.set_profiler(Some(profiler.clone()));
         detector.enable_cost_attribution(1);
     }
-    let deployed = pipeline
-        .deploy_all(&mut detector, WINDOW)
+    let deployed = deploy_all(&mut detector, training, &OPTIONS, WINDOW)
         .expect("mined fixture queries register cleanly");
     let mut lines = Vec::new();
     for batch in stream.chunks(BATCH) {
@@ -167,17 +167,17 @@ fn replay(
 
 #[test]
 fn instrumented_detections_are_byte_identical_at_1_2_and_4_shards() {
-    let pipeline = trained_pipeline();
+    let training = training_set();
     let stream = held_out_stream();
     assert!(!stream.is_empty(), "fixture stream is non-empty");
     for shards in [1usize, 2, 4] {
-        let bare_run = replay(&pipeline, &stream, shards, false);
+        let bare_run = replay(&training, &stream, shards, false);
         let (bare, deployed) = (bare_run.lines, bare_run.deployed);
         assert!(
             bare_run.costs.is_none(),
             "a bare run accumulates no cost attribution"
         );
-        let run = replay(&pipeline, &stream, shards, true);
+        let run = replay(&training, &stream, shards, true);
         let (instrumented, registry, sink) = (run.lines, run.registry, run.sink);
         assert_eq!(run.deployed, deployed);
         assert!(

@@ -427,7 +427,7 @@ fn logged_history_replays_through_a_stream_source() {
 
     let logged = read_logged_events(&dir).expect("readable history");
     assert_eq!(logged, events, "the log holds the exact delivered history");
-    let mut source = StreamSource::from_events(logged, 13);
+    let source = StreamSource::from_events(logged, 13);
     let mut replay_detector = one_shard();
     for (query, window) in &queries {
         replay_detector
@@ -435,7 +435,7 @@ fn logged_history_replays_through_a_stream_source() {
             .expect("valid query");
     }
     let mut replayed = Vec::new();
-    while let Some(batch) = source.next_batch() {
+    for batch in source.batches() {
         replayed.extend(hits(replay_detector.on_batch(batch).expect("valid stream")));
     }
     replayed.extend(hits(replay_detector.flush()));
