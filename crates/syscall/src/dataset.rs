@@ -11,7 +11,7 @@
 use crate::behaviors::{Behavior, SHARED_NOISE_FILES};
 use crate::entity::Entity;
 use crate::event::SyscallType;
-use crate::log::SyscallLog;
+use crate::log::{GraphWriter, SyscallLog, Timestamps};
 use crate::stream::{graph_of_events, LabeledTrace, TraceLabel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -117,23 +117,24 @@ impl TrainingData {
     pub fn generate(config: &DatasetConfig) -> Self {
         let mut interner = LabelInterner::new();
         let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut writer = GraphWriter::new(&mut interner);
+        let mut graph_of = |log: SyscallLog| {
+            writer.append(&log, Timestamps::Logged);
+            writer.take_graph()
+        };
 
         let behaviors = Behavior::all()
             .into_iter()
             .map(|behavior| {
                 let graphs = (0..config.graphs_per_behavior)
-                    .map(|_| {
-                        behavior
-                            .generate_instance(&mut rng, config.scale)
-                            .to_temporal_graph(&mut interner)
-                    })
+                    .map(|_| graph_of(behavior.generate_instance(&mut rng, config.scale)))
                     .collect();
                 BehaviorDataset { behavior, graphs }
             })
             .collect();
 
         let background = (0..config.background_graphs)
-            .map(|_| generate_background_log(&mut rng, config).to_temporal_graph(&mut interner))
+            .map(|_| graph_of(generate_background_log(&mut rng, config)))
             .collect();
 
         Self {
@@ -301,9 +302,25 @@ fn set_stats(name: &str, graphs: &[TemporalGraph]) -> BehaviorStats {
 /// monitoring agents touching shared files) plus, with probability `decoy_rate` per
 /// confusable behavior, that behavior's decoy fragment.
 pub(crate) fn generate_background_log(rng: &mut StdRng, config: &DatasetConfig) -> SyscallLog {
+    let mut log = SyscallLog::new();
+    draw_background(rng, config, |event| {
+        let (subject, object, syscall) = event.render();
+        log.record_next(subject, object, syscall);
+    });
+    log
+}
+
+/// Draws one background window and hands its events to `emit` in log order,
+/// unrendered. The draws — which decoys the window holds, then every noise event —
+/// are the same RNG calls in the same order whatever `emit` keeps, so a caller that
+/// renders only a prefix leaves the generator where a full render would.
+pub(crate) fn draw_background(
+    rng: &mut StdRng,
+    config: &DatasetConfig,
+    mut emit: impl FnMut(BackgroundEvent),
+) {
     let profile_edges = 749.0; // background average edges in Table 1
     let target_edges = ((profile_edges * config.scale).round() as usize).max(20);
-    let mut log = SyscallLog::new();
 
     // Decide which decoys this background window contains.
     let mut decoys: Vec<Vec<(Entity, Entity, SyscallType)>> = Vec::new();
@@ -322,54 +339,104 @@ pub(crate) fn generate_background_log(rng: &mut StdRng, config: &DatasetConfig) 
     let mut remaining_noise = noise_budget;
     for (i, fragment) in decoys.into_iter().enumerate() {
         let gap = remaining_noise / (segments - i);
-        emit_background_noise(rng, &mut log, gap);
+        for _ in 0..gap {
+            emit(BackgroundEvent::Noise(NoiseDraw::draw(rng)));
+        }
         remaining_noise -= gap;
-        for (subject, object, syscall) in fragment {
-            log.record_next(subject, object, syscall);
+        for event in fragment {
+            emit(BackgroundEvent::Decoy(event));
         }
     }
-    emit_background_noise(rng, &mut log, remaining_noise);
-    log
+    for _ in 0..remaining_noise {
+        emit(BackgroundEvent::Noise(NoiseDraw::draw(rng)));
+    }
 }
 
-/// Emits `count` generic background noise events.
-fn emit_background_noise(rng: &mut StdRng, log: &mut SyscallLog, count: usize) {
-    const DAEMONS: [&str; 8] = [
-        "cron",
-        "rsyslogd",
-        "systemd",
-        "snapd",
-        "dbus-daemon",
-        "irqbalance",
-        "atd",
-        "collectd",
-    ];
-    for _ in 0..count {
-        let daemon = Entity::process(DAEMONS[rng.gen_range(0..DAEMONS.len())]);
+/// One event of a background window as drawn: a decoy fragment's event, or generic
+/// noise not yet rendered into entities.
+#[derive(Debug)]
+pub(crate) enum BackgroundEvent {
+    /// Generic server activity.
+    Noise(NoiseDraw),
+    /// An event of a confusable behavior's decoy fragment.
+    Decoy((Entity, Entity, SyscallType)),
+}
+
+impl BackgroundEvent {
+    /// The event as `(subject, object, syscall)`.
+    pub(crate) fn render(self) -> (Entity, Entity, SyscallType) {
+        match self {
+            BackgroundEvent::Noise(draw) => draw.render(),
+            BackgroundEvent::Decoy(event) => event,
+        }
+    }
+}
+
+const DAEMONS: [&str; 8] = [
+    "cron",
+    "rsyslogd",
+    "systemd",
+    "snapd",
+    "dbus-daemon",
+    "irqbalance",
+    "atd",
+    "collectd",
+];
+
+/// One generic background noise event as drawn: indices into the noise vocabularies,
+/// no strings. Drawing one takes three RNG values, rendering it none.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum NoiseDraw {
+    /// `DAEMONS[daemon]` reads `SHARED_NOISE_FILES[file]`.
+    Shared { daemon: usize, file: usize },
+    /// `DAEMONS[daemon]` writes its working file `/var/spool/bg-{idx}`.
+    Spool { daemon: usize, idx: u32 },
+    /// `DAEMONS[daemon]` writes `/var/log/syslog.{idx}`.
+    Syslog { daemon: usize, idx: u32 },
+    /// `DAEMONS[daemon]` forks `DAEMONS[child]`.
+    Fork { daemon: usize, child: usize },
+}
+
+impl NoiseDraw {
+    fn draw(rng: &mut StdRng) -> Self {
+        let daemon = rng.gen_range(0..DAEMONS.len());
         let roll: f64 = rng.gen();
-        let (subject, object, syscall) = if roll < 0.5 {
-            let file = SHARED_NOISE_FILES[rng.gen_range(0..SHARED_NOISE_FILES.len())];
-            (daemon, Entity::file(file), SyscallType::Read)
+        if roll < 0.5 {
+            let file = rng.gen_range(0..SHARED_NOISE_FILES.len());
+            NoiseDraw::Shared { daemon, file }
         } else if roll < 0.8 {
             // Background label variety: per-daemon working files.
             let idx = rng.gen_range(0..1_000u32);
-            (
-                daemon,
-                Entity::file(format!("/var/spool/bg-{idx}")),
-                SyscallType::Write,
-            )
+            NoiseDraw::Spool { daemon, idx }
         } else if roll < 0.9 {
             let idx = rng.gen_range(0..200u32);
-            (
-                daemon,
+            NoiseDraw::Syslog { daemon, idx }
+        } else {
+            let child = rng.gen_range(0..DAEMONS.len());
+            NoiseDraw::Fork { daemon, child }
+        }
+    }
+
+    fn render(self) -> (Entity, Entity, SyscallType) {
+        let daemon = |i: usize| Entity::process(DAEMONS[i]);
+        match self {
+            NoiseDraw::Shared { daemon: d, file } => (
+                daemon(d),
+                Entity::file(SHARED_NOISE_FILES[file]),
+                SyscallType::Read,
+            ),
+            NoiseDraw::Spool { daemon: d, idx } => (
+                daemon(d),
+                Entity::file(format!("/var/spool/bg-{idx}")),
+                SyscallType::Write,
+            ),
+            NoiseDraw::Syslog { daemon: d, idx } => (
+                daemon(d),
                 Entity::file(format!("/var/log/syslog.{idx}")),
                 SyscallType::Write,
-            )
-        } else {
-            let other = Entity::process(DAEMONS[rng.gen_range(0..DAEMONS.len())]);
-            (daemon, other, SyscallType::Fork)
-        };
-        log.record_next(subject, object, syscall);
+            ),
+            NoiseDraw::Fork { daemon: d, child } => (daemon(d), daemon(child), SyscallType::Fork),
+        }
     }
 }
 

@@ -9,7 +9,7 @@ use crate::entity::Entity;
 use crate::event::{SyscallEvent, SyscallType};
 use std::collections::hash_map::{DefaultHasher, HashMap};
 use std::hash::BuildHasherDefault;
-use tgraph::{GraphBuilder, LabelInterner, TemporalGraph};
+use tgraph::{GraphBuilder, Label, LabelInterner, TemporalGraph};
 
 /// A `HashMap` with fixed hash keys: the entity maps of the generators own a string
 /// per entry and free them in table order, so std's per-process random keys would
@@ -79,21 +79,112 @@ impl SyscallLog {
     /// Distinct entities become nodes (entities are deduplicated by kind + name); every
     /// event becomes one edge in the direction of information flow.
     pub fn to_temporal_graph(&self, interner: &mut LabelInterner) -> TemporalGraph {
-        let mut node_of: StableMap<Entity, usize> = StableMap::default();
-        let mut builder = GraphBuilder::with_capacity(self.events.len(), self.events.len());
-        for event in &self.events {
-            let (src_entity, dst_entity) = event.edge_endpoints();
-            let src = *node_of
-                .entry(src_entity.clone())
-                .or_insert_with(|| builder.add_node(interner.intern(&src_entity.label_string())));
-            let dst = *node_of
-                .entry(dst_entity.clone())
-                .or_insert_with(|| builder.add_node(interner.intern(&dst_entity.label_string())));
-            builder
-                .add_edge(src, dst, event.ts)
-                .expect("record() keeps timestamps strictly increasing");
+        let mut writer = GraphWriter::new(interner);
+        writer.append(self, Timestamps::Logged);
+        writer.take_graph()
+    }
+
+    /// Empties the log, keeping its buffer.
+    pub(crate) fn clear(&mut self) {
+        self.events.clear();
+    }
+
+    /// Removes the first event `matches` accepts, if any; the others keep their
+    /// timestamps.
+    pub(crate) fn remove_first(&mut self, matches: impl Fn(&SyscallEvent) -> bool) {
+        if let Some(i) = self.events.iter().position(matches) {
+            self.events.remove(i);
         }
-        builder.build()
+    }
+}
+
+/// Where [`GraphWriter::append`] puts a log's edges in time.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Timestamps {
+    /// At the events' own timestamps.
+    Logged,
+    /// One tick after the previous edge, whatever the log says: appended logs follow
+    /// one another on one clock.
+    Next,
+}
+
+/// The one log → graph conversion, for a generator's whole run: appends syscall logs
+/// to a temporal graph over `interner`, each log over fresh nodes — one per distinct
+/// entity of that log, as each activity is its own process instances.
+///
+/// An entity's label is resolved once per writer: its label string is built and
+/// interned when the entity first appears, and every later appearance, in this log or
+/// a later one, is one map lookup. Labels are therefore interned in first-appearance
+/// order, as interning every appearance would. Within a log, entity and label are
+/// one-to-one (a label is the entity's kind and name), so the log's nodes are kept by
+/// label id, in a table every log reuses.
+pub(crate) struct GraphWriter<'i> {
+    builder: GraphBuilder,
+    interner: &'i mut LabelInterner,
+    labels: StableMap<Entity, Label>,
+    /// By label id: `(log, node)` — the label's node, if `log` is the one appending.
+    scope: Vec<(usize, usize)>,
+    /// Logs appended so far; the current one's number while it is appended.
+    logs: usize,
+}
+
+impl<'i> GraphWriter<'i> {
+    pub(crate) fn new(interner: &'i mut LabelInterner) -> Self {
+        Self {
+            builder: GraphBuilder::new(),
+            interner,
+            labels: StableMap::default(),
+            scope: Vec::new(),
+            logs: 0,
+        }
+    }
+
+    /// Appends `log`'s events as edges over fresh nodes.
+    pub(crate) fn append(&mut self, log: &SyscallLog, at: Timestamps) {
+        self.logs += 1;
+        for event in &log.events {
+            let (src, dst) = event.edge_endpoints();
+            let src = self.node(src);
+            let dst = self.node(dst);
+            let ts = match at {
+                Timestamps::Logged => event.ts,
+                Timestamps::Next => self.last_ts() + 1,
+            };
+            self.builder
+                .add_edge(src, dst, ts)
+                .expect("timestamps strictly increase");
+        }
+    }
+
+    /// The node of `entity` in the log being appended, added on its first appearance.
+    fn node(&mut self, entity: &Entity) -> usize {
+        let label = match self.labels.get(entity) {
+            Some(&label) => label,
+            None => {
+                let label = self.interner.intern(&entity.label_string());
+                self.labels.insert(entity.clone(), label);
+                label
+            }
+        };
+        if self.scope.len() <= label.index() {
+            self.scope.resize(label.index() + 1, (0, 0));
+        }
+        let (log, node) = &mut self.scope[label.index()];
+        if *log != self.logs {
+            *log = self.logs;
+            *node = self.builder.add_node(label);
+        }
+        *node
+    }
+
+    /// The timestamp of the last edge appended, 0 before the first.
+    pub(crate) fn last_ts(&self) -> u64 {
+        self.builder.last_ts().unwrap_or(0)
+    }
+
+    /// The graph appended so far; the writer starts an empty one.
+    pub(crate) fn take_graph(&mut self) -> TemporalGraph {
+        std::mem::take(&mut self.builder).build()
     }
 }
 

@@ -14,14 +14,14 @@
 //! be matched directly against the test graph.
 
 use crate::behaviors::Behavior;
-use crate::dataset::DatasetConfig;
+use crate::dataset::{draw_background, DatasetConfig};
 use crate::entity::Entity;
 use crate::event::SyscallType;
-use crate::log::{StableMap, SyscallLog};
+use crate::log::{GraphWriter, SyscallLog, Timestamps};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use tgraph::{GraphBuilder, LabelInterner, TemporalGraph};
+use tgraph::{LabelInterner, TemporalGraph};
 
 /// Configuration of the test data generator.
 #[derive(Debug, Clone, Copy)]
@@ -128,8 +128,8 @@ impl TestData {
     /// ids line up with the mined patterns).
     pub fn generate(config: &TestDataConfig, mut interner: LabelInterner) -> TestData {
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let mut builder = GraphBuilder::new();
-        let mut ts = 0u64;
+        // One clock for the whole stream: every log's edges follow the previous log's.
+        let mut writer = GraphWriter::new(&mut interner);
         let mut instances = Vec::with_capacity(config.instances);
         let behaviors = Behavior::all();
         let confusable: Vec<Behavior> = behaviors
@@ -137,11 +137,12 @@ impl TestData {
             .copied()
             .filter(|b| b.decoy_fragment(&mut StdRng::seed_from_u64(0)).is_some())
             .collect();
+        // Background noise between activities, rendered into one reused log.
+        let mut noise = SyscallLog::new();
 
         for i in 0..config.instances {
-            // Background noise between activities.
-            let noise = background_segment(&mut rng, config.noise_between);
-            emit_log(&mut builder, &mut interner, &noise, &mut ts);
+            background_segment(&mut rng, config.noise_between, &mut noise);
+            writer.append(&noise, Timestamps::Next);
 
             // Occasionally a decoy fragment of a confusable behavior.
             if !confusable.is_empty() && rng.gen_bool(config.decoy_rate * confusable.len() as f64) {
@@ -151,7 +152,7 @@ impl TestData {
                     for (s, o, c) in fragment {
                         decoy_log.record_next(s, o, c);
                     }
-                    emit_log(&mut builder, &mut interner, &decoy_log, &mut ts);
+                    writer.append(&decoy_log, Timestamps::Next);
                 }
             }
 
@@ -159,19 +160,20 @@ impl TestData {
             let behavior = behaviors[i % behaviors.len()];
             let mut log = behavior.generate_instance(&mut rng, config.scale);
             if rng.gen_bool(config.dropout) {
-                log = drop_one_signature_event(&mut rng, behavior, log);
+                drop_one_signature_event(&mut rng, behavior, &mut log);
             }
-            let start_ts = ts + 1;
-            emit_log(&mut builder, &mut interner, &log, &mut ts);
+            let start_ts = writer.last_ts() + 1;
+            writer.append(&log, Timestamps::Next);
             instances.push(BehaviorInstance {
                 behavior,
                 start_ts,
-                end_ts: ts,
+                end_ts: writer.last_ts(),
             });
         }
         // Trailing background noise.
-        let noise = background_segment(&mut rng, config.noise_between);
-        emit_log(&mut builder, &mut interner, &noise, &mut ts);
+        background_segment(&mut rng, config.noise_between, &mut noise);
+        writer.append(&noise, Timestamps::Next);
+        let graph = writer.take_graph();
 
         let max_duration = instances
             .iter()
@@ -179,7 +181,7 @@ impl TestData {
             .max()
             .unwrap_or(1);
         TestData {
-            graph: builder.build(),
+            graph,
             interner,
             instances,
             max_duration,
@@ -196,77 +198,48 @@ impl TestData {
     }
 }
 
-/// Appends a syscall log to the big graph with fresh nodes (per-activity scoping),
-/// advancing the global timestamp counter.
-fn emit_log(
-    builder: &mut GraphBuilder,
-    interner: &mut LabelInterner,
-    log: &SyscallLog,
-    ts: &mut u64,
-) {
-    let mut scope: StableMap<String, usize> = StableMap::default();
-    for event in log.events() {
-        let (src_entity, dst_entity) = event.edge_endpoints();
-        let src_label = src_entity.label_string();
-        let dst_label = dst_entity.label_string();
-        let src = *scope
-            .entry(src_label.clone())
-            .or_insert_with(|| builder.add_node(interner.intern(&src_label)));
-        let dst = *scope
-            .entry(dst_label.clone())
-            .or_insert_with(|| builder.add_node(interner.intern(&dst_label)));
-        *ts += 1;
-        builder
-            .add_edge(src, dst, *ts)
-            .expect("timestamps strictly increase");
-    }
-}
-
-/// Generic background noise of the requested length.
-fn background_segment(rng: &mut StdRng, target: usize) -> SyscallLog {
-    let config = DatasetConfig {
+/// The training background window the test stream's noise is cut from: its event mix,
+/// with the decoys off (the test-data generator inserts decoys itself, so it controls
+/// their positions). At scale 1.0 a window is 749 events.
+fn noise_window() -> DatasetConfig {
+    DatasetConfig {
         decoy_rate: 0.0,
         scale: 1.0,
         ..DatasetConfig::tiny()
-    };
-    let mut log = SyscallLog::new();
-    // Reuse the training background event mix, but with the decoys disabled (decoys are
-    // inserted explicitly by the test-data generator so their positions are controlled).
-    let full = crate::dataset::generate_background_log(rng, &config);
-    for event in full.events().iter().take(target) {
-        log.record(event.clone());
     }
-    while log.len() < target {
-        log.record_next(
+}
+
+/// Background noise of length `keep`, written over `noise`: the first `keep` events of
+/// one background window, then `idle → /proc/loadavg` reads where the window is
+/// shorter than `keep`.
+///
+/// The whole window is drawn whatever `keep` is — the decoy rolls and every noise
+/// event — so the RNG leaves here where rendering the window in full would leave it.
+/// Only what is kept is rendered (`tests/generator_alloc.rs` holds that).
+fn background_segment(rng: &mut StdRng, keep: usize, noise: &mut SyscallLog) {
+    noise.clear();
+    draw_background(rng, &noise_window(), |event| {
+        if noise.len() < keep {
+            let (subject, object, syscall) = event.render();
+            noise.record_next(subject, object, syscall);
+        }
+    });
+    while noise.len() < keep {
+        noise.record_next(
             Entity::process("idle"),
             Entity::file("/proc/loadavg"),
             SyscallType::Read,
         );
     }
-    log
 }
 
 /// Removes one random signature event from an instance log (recall dropout).
-fn drop_one_signature_event(rng: &mut StdRng, behavior: Behavior, log: SyscallLog) -> SyscallLog {
+fn drop_one_signature_event(rng: &mut StdRng, behavior: Behavior, log: &mut SyscallLog) {
     let signature = behavior.signature();
-    let victim = signature
-        .choose(rng)
-        .expect("signatures are non-empty")
-        .clone();
-    let mut out = SyscallLog::new();
-    let mut dropped = false;
-    for event in log.events() {
-        if !dropped
-            && event.subject == victim.0
-            && event.object == victim.1
-            && event.syscall == victim.2
-        {
-            dropped = true;
-            continue;
-        }
-        out.record(event.clone());
-    }
-    out
+    let (subject, object, syscall) = signature.choose(rng).expect("signatures are non-empty");
+    log.remove_first(|event| {
+        &event.subject == subject && &event.object == object && event.syscall == *syscall
+    });
 }
 
 #[cfg(test)]
@@ -318,5 +291,45 @@ mod tests {
         assert_eq!(data.interner.get("proc:sshd"), Some(sshd_label));
         // The test graph actually contains that label.
         assert!(data.graph.labels().contains(&sshd_label));
+    }
+
+    #[test]
+    fn a_segment_draws_its_whole_window_but_keeps_only_its_prefix() {
+        use rand::RngCore;
+        // One buffer for every case, as `generate` reuses it.
+        let mut noise = SyscallLog::new();
+        for seed in [3, 2015] {
+            for keep in [0, 1, 60, 748, 749, 750, 1_000] {
+                // What a segment was: the whole window rendered, a prefix kept, padded.
+                let mut full_rng = StdRng::seed_from_u64(seed);
+                let window =
+                    crate::dataset::generate_background_log(&mut full_rng, &noise_window());
+                assert_eq!(window.len(), 749);
+                let mut expected = SyscallLog::new();
+                for event in window.events().iter().take(keep) {
+                    expected.record(event.clone());
+                }
+                while expected.len() < keep {
+                    expected.record_next(
+                        Entity::process("idle"),
+                        Entity::file("/proc/loadavg"),
+                        SyscallType::Read,
+                    );
+                }
+
+                let mut rng = StdRng::seed_from_u64(seed);
+                background_segment(&mut rng, keep, &mut noise);
+                assert_eq!(noise, expected, "seed {seed}, keep {keep}");
+                // The whole window is drawn: the twelve decoy rolls and three values per
+                // noise event, kept or not, as a full render takes them. (That only the
+                // kept prefix is rendered, `tests/generator_alloc.rs` holds.)
+                assert_eq!(rng, full_rng, "seed {seed}, keep {keep}");
+                let mut counted = StdRng::seed_from_u64(seed);
+                for _ in 0..12 + 3 * 749 {
+                    counted.next_u64();
+                }
+                assert_eq!(rng, counted, "seed {seed}, keep {keep}");
+            }
+        }
     }
 }
