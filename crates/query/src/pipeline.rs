@@ -26,7 +26,10 @@ pub struct QueryOptions {
     pub top_queries: usize,
     /// How many candidate patterns the miner retains before interest ranking.
     pub miner_top_k: usize,
-    /// Embedding cap per (pattern, graph) during mining.
+    /// Embedding cap per (pattern, graph) during TGMiner's mining. The `Ntemp` miner
+    /// does not read it: `mine_nontemporal` keeps 64 per graph whatever this is, so at
+    /// any other value (the benchmark's stream workloads use 32) the two miners run
+    /// with different caps.
     pub cap_per_graph: usize,
 }
 

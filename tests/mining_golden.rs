@@ -19,6 +19,10 @@
 //!   then, is a function of the work, including trips in the middle of the size-cap
 //!   level.
 //!
+//! Neither file reaches the sizes the benchmark measures at, so `Ntemp` is pinned there
+//! by constants in this file: `ntemp_at_benchmark_sizes` (`#[ignore]`d, release only:
+//! `cargo test --release --test mining_golden -- --ignored ntemp_at_benchmark_sizes`).
+//!
 //! To regenerate the work file after an optimisation that moves counters:
 //! `cargo test --test mining_golden -- --ignored regenerate_mining_pin`. The answers
 //! file changes only with an *intentional* change of search order or admission policy:
@@ -208,22 +212,28 @@ fn assert_cap_level_stores_nothing(result: &MiningResult, size: usize, what: &st
     }
 }
 
-/// The pinned lines of one Ntemp run.
-fn ntemp_pin(task: &Task, negatives: &[TemporalGraph], size: usize) -> Pins {
-    let ntemp = mine_nontemporal(
-        &task.positives,
-        negatives,
-        &LogRatio::default(),
-        size,
-        TOP_K,
-    );
+/// One Ntemp run as `formulate_queries` configures it: the rendered top-k and the
+/// run's `patterns_processed`.
+fn ntemp_run(
+    positives: &[TemporalGraph],
+    negatives: &[TemporalGraph],
+    size: usize,
+    top_k: usize,
+) -> (usize, String, u64) {
+    let ntemp = mine_nontemporal(positives, negatives, &LogRatio::default(), size, top_k);
     let mut rendered = String::new();
     for p in &ntemp.patterns {
         render_pattern(&mut rendered, &p.pattern, p.score, p.pos_freq, p.neg_freq);
     }
+    (ntemp.patterns.len(), rendered, ntemp.patterns_processed)
+}
+
+/// The pinned lines of one Ntemp run.
+fn ntemp_pin(task: &Task, negatives: &[TemporalGraph], size: usize) -> Pins {
+    let (count, rendered, processed) = ntemp_run(&task.positives, negatives, size, TOP_K);
     Pins {
-        answers: answer(ntemp.patterns.len(), None, &rendered),
-        work: format!("processed={}", ntemp.patterns_processed),
+        answers: answer(count, None, &rendered),
+        work: format!("processed={processed}"),
     }
 }
 
@@ -341,4 +351,54 @@ fn regenerate_mining_pin() {
 #[ignore = "rewrites tests/golden/mining_answers.txt: only after an intentional change of search order or admission policy"]
 fn regenerate_mining_answers() {
     std::fs::write(golden_path("mining_answers.txt"), current_pins().answers).unwrap();
+}
+
+/// Ntemp where the benchmark measures `mine_s`, on its `DatasetConfig::small()`
+/// training data: `mine-deep`'s nine classes at size 6 and `mine-wide`'s three at
+/// size 3 (top-k 24), and the stream workloads' pool at size 4 (top-k 8). Each
+/// constant is the FNV-1a digest of the run's rendered top-k followed by its
+/// `processed=` line, computed on the parent of the change that derives a child's
+/// occurrences from its parent's embeddings. Like the answers file: never update
+/// these for a work-only change.
+const NTEMP_AT_BENCHMARK_SIZES: [(Behavior, usize, usize, u64); 15] = [
+    (Behavior::Bzip2Decompress, 6, 24, 0x4b5c_a972_825f_2626),
+    (Behavior::GzipDecompress, 6, 24, 0xa3ad_30bb_d366_d3b9),
+    (Behavior::WgetDownload, 6, 24, 0x8925_48e3_628d_05a0),
+    (Behavior::FtpDownload, 6, 24, 0x34bc_0df3_4c9d_a7eb),
+    (Behavior::ScpDownload, 6, 24, 0x010d_9529_d789_36ae),
+    (Behavior::GccCompile, 6, 24, 0xf1ef_51a4_7284_dc99),
+    (Behavior::GppCompile, 6, 24, 0x3a9f_34da_c903_c1c9),
+    (Behavior::FtpdLogin, 6, 24, 0x2487_b3a1_a839_c369),
+    (Behavior::SshLogin, 6, 24, 0x4662_05fb_ca79_fcde),
+    (Behavior::SshdLogin, 3, 24, 0xa853_7d8b_a286_9a22),
+    (Behavior::AptGetUpdate, 3, 24, 0x173c_0b8f_daa7_b844),
+    (Behavior::AptGetInstall, 3, 24, 0xb194_106f_5ba6_ca5f),
+    (Behavior::GzipDecompress, 4, 8, 0x1263_c5cc_0122_9c77),
+    (Behavior::Bzip2Decompress, 4, 8, 0xaf89_f886_dd64_bbb9),
+    (Behavior::ScpDownload, 4, 8, 0x8611_c4ac_dfea_da7f),
+];
+
+#[test]
+#[ignore = "mines fifteen classes at `small`: run in release (CI does)"]
+fn ntemp_at_benchmark_sizes() {
+    let training = TrainingData::generate(&DatasetConfig::small());
+    let mut mismatches = Vec::new();
+    for (behavior, size, top_k, pinned) in NTEMP_AT_BENCHMARK_SIZES {
+        let (count, mut rendered, processed) = ntemp_run(
+            training.positives(behavior),
+            training.negatives(),
+            size,
+            top_k,
+        );
+        writeln!(rendered, "processed={processed}").unwrap();
+        let digest = fnv1a(&rendered);
+        if digest != pinned {
+            mismatches.push(format!(
+                "{} size={size} top_k={top_k}: patterns={count} processed={processed} \
+                 fnv={digest:#018x}, pinned {pinned:#018x}",
+                behavior.name()
+            ));
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
 }
