@@ -269,10 +269,11 @@ impl ProfileSnapshot {
 pub struct QueryCost {
     /// Runs / anchors / keyword windows spawned for this query.
     pub spawned: u64,
-    /// Partial-match advances and anchor resolutions executed: one per live run or
-    /// keyword window actually *offered* an event (the engine offers an event only to
-    /// the runs of queries whose advance index names its labels — a run it is routed
-    /// past, or one that merely expires, is not an advance), one per anchor resolved.
+    /// Partial-match advances and anchor resolutions executed: one per live temporal
+    /// run actually *offered* an event (the engine offers an event only to the runs of
+    /// queries whose advance index names its labels — a run it is routed past, or one
+    /// that merely expires, is not an advance), one per event a keyword query's
+    /// tracker records, one per anchor resolved.
     pub advanced: u64,
     /// Runs dropped without completing (window expiry or stream end).
     pub dropped: u64,

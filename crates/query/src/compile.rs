@@ -8,6 +8,7 @@
 //! where the queries are produced: [`compile`] never emits a trivially-empty query, so
 //! anything it returns registers cleanly downstream.
 
+use crate::matcher::KeywordTracker;
 use crate::search::{search_nodeset, search_static, search_temporal, Interval};
 use tgminer::baselines::gspan::StaticPattern;
 use tgminer::baselines::nodeset::NodeSetQuery;
@@ -98,6 +99,15 @@ impl CompiledQuery {
         pairs.sort_unstable();
         pairs.dedup();
         pairs
+    }
+
+    /// The recency state a keyword query's windows share in the streaming registry
+    /// (see [`KeywordTracker`]); empty for the other query types, which have none.
+    pub fn keyword_tracker(&self) -> KeywordTracker {
+        match self {
+            CompiledQuery::NodeSet(set) => KeywordTracker::new(set),
+            _ => KeywordTracker::default(),
+        }
     }
 
     /// Runs the query offline over a materialised graph — the batch twin of streaming

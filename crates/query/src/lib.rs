@@ -24,7 +24,7 @@ pub mod search;
 
 pub use compile::{compile, CompiledQuery, SeedKey};
 pub use eval::{evaluate, evaluate_hits, merge_identified, AccuracyReport};
-pub use matcher::{NodeSetRun, RunStep, TemporalRun, TemporalSpawn};
+pub use matcher::{KeywordTracker, RunStep, TemporalRun, TemporalSpawn};
 pub use pipeline::{
     evaluate_behaviors, evaluate_queries, formulate_and_evaluate, formulate_queries,
     formulate_temporal, AccuracyAverages, AccuracySummary, BehaviorAccuracy, BehaviorQueries,

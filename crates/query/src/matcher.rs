@@ -10,8 +10,9 @@
 //!   a data edge matching the pattern's first edge and advanced one data edge at a time.
 //!   It reports the **earliest completion**: the first data edge whose arrival completes
 //!   any consistent embedding of the pattern.
-//! * [`NodeSetRun`] — the keyword (`NodeSet`) query's incremental state: a multiset of
-//!   labels still to be collected inside the window.
+//! * [`KeywordTracker`] — the keyword (`NodeSet`) query's incremental state, one per
+//!   query: the most recent distinct nodes per member label. Every open window of the
+//!   query reads it; a window is just its anchor's timestamp and stream position.
 //! * [`complete_static_anchored`] — the order-free (`Ntemp`) completion over a window
 //!   slice; static queries allow matched edges *before* the anchor, so they are resolved
 //!   against a buffered window rather than advanced edge-by-edge.
@@ -112,11 +113,6 @@ impl TemporalRun {
         })
     }
 
-    /// Timestamp of the seed edge.
-    pub fn start_ts(&self) -> u64 {
-        self.start_ts
-    }
-
     /// Last timestamp at which this run can still complete.
     pub fn deadline(&self) -> u64 {
         self.deadline
@@ -205,89 +201,87 @@ impl TemporalRun {
     }
 }
 
-/// Incremental state of one keyword (`NodeSet`) match window.
+/// The recency state of one keyword (`NodeSet`) query, shared by all of its windows.
 ///
 /// A match is a set of distinct nodes carrying exactly the query's label multiset, all
-/// appearing within `window` timestamp units of the anchor. Node appearances are
-/// consumed in stream order, source endpoint before destination endpoint — the same
-/// order the offline scan uses.
-#[derive(Debug, Clone)]
-pub struct NodeSetRun {
-    anchor_ts: u64,
-    deadline: u64,
-    /// Label → how many more nodes with that label are needed.
-    remaining: Vec<(Label, usize)>,
-    outstanding: usize,
-    seen_nodes: Vec<usize>,
+/// appearing within `window` timestamp units of the anchor — an edge with a member
+/// label at either end. For each member label `L` that `need_L` distinct nodes must
+/// carry, the tracker keeps the `need_L` most recent distinct `L`-nodes with the stream
+/// position each last appeared at; [`KeywordTracker::met`] is the smallest of those
+/// positions (0 while some label has fewer such nodes). A window anchored at position
+/// `a` is therefore complete exactly when `met() >= a`: every label then has `need_L`
+/// distinct nodes at positions `>= a`. `met` never decreases, so the windows an event
+/// completes are always the query's oldest open ones — a prefix in anchor order — and
+/// a window is nothing but its anchor's timestamp and position.
+///
+/// The caller numbers positions: from 1, one per edge, both endpoints sharing it.
+#[derive(Debug, Clone, Default)]
+pub struct KeywordTracker {
+    /// Per member label, in first-appearance order: the label, its first slot in
+    /// `recent` and its slot count (`need_L`).
+    labels: Vec<(Label, usize, usize)>,
+    /// `(node, last position)` slots; position 0 marks an empty slot.
+    recent: Vec<(usize, u64)>,
+    /// The smallest position in `recent`, kept up to date by `note`.
+    met: u64,
 }
 
-/// A keyword query's label multiset — label → how many distinct nodes must carry it, in
-/// first-appearance order. Built once per query (at registration, or once per offline
-/// search); every window then starts from a copy.
-pub fn label_multiset(query: &NodeSetQuery) -> Vec<(Label, usize)> {
-    let mut multiset: Vec<(Label, usize)> = Vec::new();
-    for &label in &query.labels {
-        match multiset.iter_mut().find(|(l, _)| *l == label) {
-            Some((_, count)) => *count += 1,
-            None => multiset.push((label, 1)),
+impl KeywordTracker {
+    /// An empty tracker over `query`'s label multiset.
+    pub fn new(query: &NodeSetQuery) -> Self {
+        let mut labels: Vec<(Label, usize, usize)> = Vec::new();
+        for &label in &query.labels {
+            match labels.iter_mut().find(|(l, ..)| *l == label) {
+                Some((.., need)) => *need += 1,
+                None => labels.push((label, 0, 1)),
+            }
         }
-    }
-    multiset
-}
-
-impl NodeSetRun {
-    /// Opens a window anchored at `anchor_ts` over the query's [`label_multiset`]. The
-    /// caller feeds the anchor edge itself through [`NodeSetRun::advance`] first (its
-    /// endpoints count toward the match).
-    pub fn spawn(multiset: &[(Label, usize)], anchor_ts: u64, window: u64) -> Self {
-        let outstanding = multiset.iter().map(|(_, count)| count).sum();
+        let mut slots = 0;
+        for (_, first, need) in &mut labels {
+            *first = slots;
+            slots += *need;
+        }
         Self {
-            anchor_ts,
-            deadline: window_deadline(anchor_ts, window),
-            outstanding,
-            remaining: multiset.to_vec(),
-            seen_nodes: Vec::with_capacity(outstanding),
+            labels,
+            recent: vec![(0, 0); slots],
+            met: 0,
         }
     }
 
-    /// Whether either label is relevant to `query` (the anchor condition).
-    pub fn anchors(query: &NodeSetQuery, src_label: Label, dst_label: Label) -> bool {
-        query.labels.contains(&src_label) || query.labels.contains(&dst_label)
-    }
-
-    /// Timestamp of the anchor edge.
-    pub fn anchor_ts(&self) -> u64 {
-        self.anchor_ts
-    }
-
-    /// Last timestamp at which this window can still complete.
-    pub fn deadline(&self) -> u64 {
-        self.deadline
-    }
-
-    /// Consumes one edge's endpoint appearances (source first, then destination). An
-    /// edge neither of whose endpoint labels is a member label leaves the window
-    /// untouched — the streaming detector relies on that to skip such windows.
-    pub fn advance(&mut self, ts: u64, endpoints: [(usize, Label); 2]) -> RunStep {
-        if ts > self.deadline {
-            return RunStep::Expired;
-        }
+    /// Records an edge's endpoints at `position`, source first. A node already among
+    /// its label's most recent only moves to `position`; a new one takes an empty slot
+    /// or evicts the label's oldest. Returns whether either endpoint carries a member
+    /// label — whether the edge anchors a window.
+    pub fn note(&mut self, position: u64, endpoints: [(usize, Label); 2]) -> bool {
+        let mut recorded = false;
         for (node, label) in endpoints {
-            if self.seen_nodes.contains(&node) {
+            let Some(&(_, first, need)) = self.labels.iter().find(|(l, ..)| *l == label) else {
                 continue;
-            }
-            if let Some((_, count)) = self.remaining.iter_mut().find(|(l, _)| *l == label) {
-                if *count > 0 {
-                    *count -= 1;
-                    self.outstanding -= 1;
-                    self.seen_nodes.push(node);
-                    if self.outstanding == 0 {
-                        return RunStep::Complete((self.anchor_ts, ts));
-                    }
-                }
-            }
+            };
+            recorded = true;
+            let slots = &mut self.recent[first..first + need];
+            let slot = match slots.iter().position(|&(n, at)| at != 0 && n == node) {
+                Some(seen) => seen,
+                None => (0..need).min_by_key(|&i| slots[i].1).expect("need >= 1"),
+            };
+            slots[slot] = (node, position);
         }
-        RunStep::Pending
+        if recorded {
+            self.met = self.recent.iter().map(|&(_, at)| at).min().unwrap_or(0);
+        }
+        recorded
+    }
+
+    /// The latest anchor position whose window is complete: the smallest position over
+    /// every label's most recent nodes, 0 while some label has fewer than it needs.
+    pub fn met(&self) -> u64 {
+        self.met
+    }
+
+    /// Bytes of the tracker's two buffers, for memory estimates.
+    pub fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(self.labels.as_slice())
+            + std::mem::size_of_val(self.recent.as_slice())
     }
 }
 
@@ -570,30 +564,27 @@ mod tests {
     }
 
     #[test]
-    fn nodeset_run_collects_the_label_multiset() {
+    fn keyword_tracker_counts_distinct_nodes_per_label() {
         let query = NodeSetQuery {
             labels: vec![l(0), l(1), l(1)],
         };
-        let mut run = NodeSetRun::spawn(&label_multiset(&query), 5, 10);
-        // Anchor edge: an l(0) node and an l(1) node.
-        assert_eq!(run.advance(5, [(0, l(0)), (1, l(1))]), RunStep::Pending);
-        // Repeat appearance of node 1 does not double-count.
-        assert_eq!(run.advance(6, [(1, l(1)), (9, l(9))]), RunStep::Pending);
-        // A second distinct l(1) node completes the multiset.
-        assert_eq!(
-            run.advance(8, [(2, l(1)), (3, l(7))]),
-            RunStep::Complete((5, 8))
-        );
-    }
-
-    #[test]
-    fn nodeset_run_expires() {
-        let query = NodeSetQuery {
-            labels: vec![l(0), l(5)],
-        };
-        let mut run = NodeSetRun::spawn(&label_multiset(&query), 5, 3);
-        assert_eq!(run.advance(5, [(0, l(0)), (1, l(1))]), RunStep::Pending);
-        assert_eq!(run.advance(8, [(2, l(5)), (3, l(1))]), RunStep::Expired);
+        let mut tracker = KeywordTracker::new(&query);
+        // An l(0) node and an l(1) node: one l(1) node short.
+        assert!(tracker.note(1, [(0, l(0)), (1, l(1))]));
+        assert_eq!(tracker.met(), 0);
+        // Node 1 again only moves; l(9) is no member.
+        assert!(tracker.note(2, [(1, l(1)), (9, l(9))]));
+        assert_eq!(tracker.met(), 0);
+        assert!(!tracker.note(3, [(9, l(9)), (8, l(7))]));
+        // A second distinct l(1) node completes the window anchored at 1.
+        assert!(tracker.note(4, [(2, l(1)), (3, l(7))]));
+        assert_eq!(tracker.met(), 1);
+        // A third l(1) node evicts the oldest (node 1 at 2), not the newest.
+        tracker.note(5, [(4, l(1)), (4, l(1))]);
+        assert_eq!(tracker.met(), 1, "node 0 at 1 is still the only l(0) node");
+        tracker.note(6, [(0, l(0)), (9, l(9))]);
+        assert_eq!(tracker.met(), 4, "l(1) keeps node 2 at 4 and node 4 at 5");
+        assert_eq!(tracker.heap_bytes(), 2 * 24 + 3 * 16);
     }
 
     #[test]

@@ -21,9 +21,10 @@
 //! graph should build the index once and use the `*_indexed` variants.
 
 use crate::matcher::{
-    complete_static_anchored, label_multiset, seed_matches, static_window_bounds, NodeSetRun,
+    complete_static_anchored, seed_matches, static_window_bounds, window_deadline, KeywordTracker,
     RunStep, TemporalRun, TemporalSpawn,
 };
+use std::collections::VecDeque;
 use tgminer::baselines::gspan::StaticPattern;
 use tgminer::baselines::nodeset::NodeSetQuery;
 use tgraph::pattern::TemporalPattern;
@@ -124,33 +125,41 @@ pub fn search_static_indexed(
 /// Searches a keyword (`NodeSet`) query: a match is a set of nodes carrying exactly the
 /// query's label multiset whose appearances span at most `window` timestamp units.
 /// Matches are anchored at every edge that touches any of the query's labels (the
-/// anchor is the earliest appearance of the match).
+/// anchor is the earliest appearance of the match), one interval per completed anchor,
+/// in anchor order.
+///
+/// One pass over the edges with one [`KeywordTracker`]: open anchors wait in a FIFO,
+/// which is deadline order and — since the tracker's `met` never decreases — completion
+/// order too.
 pub fn search_nodeset(graph: &TemporalGraph, query: &NodeSetQuery, window: u64) -> Vec<Interval> {
-    if query.labels.is_empty() {
-        return Vec::new();
-    }
-    let multiset = label_multiset(query);
+    let mut tracker = KeywordTracker::new(query);
+    // Open anchors: (deadline, timestamp, position).
+    let mut open: VecDeque<(u64, u64, u64)> = VecDeque::new();
     let mut out = Vec::new();
-    for (idx, anchor) in graph.edges().iter().enumerate() {
-        let src_label = graph.label(anchor.src);
-        let dst_label = graph.label(anchor.dst);
-        if !NodeSetRun::anchors(query, src_label, dst_label) {
+    for (position, edge) in (1..).zip(graph.edges()) {
+        while open
+            .front()
+            .is_some_and(|&(deadline, ..)| deadline < edge.ts)
+        {
+            open.pop_front();
+        }
+        let endpoints = [
+            (edge.src, graph.label(edge.src)),
+            (edge.dst, graph.label(edge.dst)),
+        ];
+        let anchors = tracker.note(position, endpoints);
+        let met = tracker.met();
+        while let Some(&(_, ts, _)) = open.front().filter(|&&(.., at)| at <= met) {
+            out.push((ts, edge.ts));
+            open.pop_front();
+        }
+        if !anchors {
             continue;
         }
-        let mut run = NodeSetRun::spawn(&multiset, anchor.ts, window);
-        for later in &graph.edges()[idx..] {
-            let endpoints = [
-                (later.src, graph.label(later.src)),
-                (later.dst, graph.label(later.dst)),
-            ];
-            match run.advance(later.ts, endpoints) {
-                RunStep::Pending => {}
-                RunStep::Expired => break,
-                RunStep::Complete(interval) => {
-                    out.push(interval);
-                    break;
-                }
-            }
+        if met >= position {
+            out.push((edge.ts, edge.ts));
+        } else {
+            open.push_back((window_deadline(edge.ts, window), edge.ts, position));
         }
     }
     out
@@ -159,6 +168,7 @@ pub fn search_nodeset(graph: &TemporalGraph, query: &NodeSetQuery, window: u64) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use tgraph::{GraphBuilder, Label};
 
     fn l(i: u32) -> Label {
@@ -308,5 +318,139 @@ mod tests {
         let loop_pattern = TemporalPattern::single_self_loop(l(9));
         let hits = search_temporal(&g, &loop_pattern, 5);
         assert_eq!(hits, vec![(5, 5)]);
+    }
+
+    /// The reference keyword rule: one window per anchor, consuming node appearances in
+    /// stream order (source endpoint first) until every label of the multiset has its
+    /// distinct nodes, or the window closes.
+    struct AnchoredWindow {
+        anchor_ts: u64,
+        deadline: u64,
+        /// Label → how many more distinct nodes must carry it.
+        remaining: Vec<(Label, usize)>,
+        outstanding: usize,
+        seen_nodes: Vec<usize>,
+    }
+
+    impl AnchoredWindow {
+        fn open(query: &NodeSetQuery, anchor_ts: u64, window: u64) -> Self {
+            let mut remaining: Vec<(Label, usize)> = Vec::new();
+            for &label in &query.labels {
+                match remaining.iter_mut().find(|(l, _)| *l == label) {
+                    Some((_, count)) => *count += 1,
+                    None => remaining.push((label, 1)),
+                }
+            }
+            Self {
+                anchor_ts,
+                deadline: window_deadline(anchor_ts, window),
+                outstanding: query.labels.len(),
+                remaining,
+                seen_nodes: Vec::new(),
+            }
+        }
+
+        fn advance(&mut self, ts: u64, endpoints: [(usize, Label); 2]) -> RunStep {
+            if ts > self.deadline {
+                return RunStep::Expired;
+            }
+            for (node, label) in endpoints {
+                if self.seen_nodes.contains(&node) {
+                    continue;
+                }
+                if let Some((_, count)) = self.remaining.iter_mut().find(|(l, _)| *l == label) {
+                    if *count > 0 {
+                        *count -= 1;
+                        self.outstanding -= 1;
+                        self.seen_nodes.push(node);
+                        if self.outstanding == 0 {
+                            return RunStep::Complete((self.anchor_ts, ts));
+                        }
+                    }
+                }
+            }
+            RunStep::Pending
+        }
+    }
+
+    /// `search_nodeset` as a forward scan per anchor.
+    fn per_anchor_scan(graph: &TemporalGraph, query: &NodeSetQuery, window: u64) -> Vec<Interval> {
+        let endpoints =
+            |e: &tgraph::TemporalEdge| [(e.src, graph.label(e.src)), (e.dst, graph.label(e.dst))];
+        let mut out = Vec::new();
+        for (idx, anchor) in graph.edges().iter().enumerate() {
+            let [(_, src_label), (_, dst_label)] = endpoints(anchor);
+            if !(query.labels.contains(&src_label) || query.labels.contains(&dst_label)) {
+                continue;
+            }
+            let mut run = AnchoredWindow::open(query, anchor.ts, window);
+            for later in &graph.edges()[idx..] {
+                match run.advance(later.ts, endpoints(later)) {
+                    RunStep::Pending => {}
+                    RunStep::Expired => break,
+                    RunStep::Complete(interval) => {
+                        out.push(interval);
+                        break;
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// A SplitMix64 stream: a case's graph and query, from its sampled seed.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    /// 3–10 nodes over a 3–4 label alphabet; up to 48 edges, about one in five a
+    /// self-loop, with repeated and gapped timestamps; and a query of 1–3 distinct labels
+    /// each needing 1–3 distinct nodes.
+    fn random_case(rng: &mut Rng) -> (TemporalGraph, NodeSetQuery) {
+        let mut b = GraphBuilder::new();
+        let alphabet = 3 + rng.below(2);
+        let n = 3 + rng.below(8);
+        for _ in 0..n {
+            b.add_node(l(rng.below(alphabet) as u32));
+        }
+        let mut ts = rng.below(3) as u64;
+        for _ in 0..1 + rng.below(48) {
+            ts += [0, 0, 1, 1, 2, 5][rng.below(6)];
+            let src = rng.below(n);
+            let dst = if rng.below(5) == 0 { src } else { rng.below(n) };
+            b.add_edge(src, dst, ts).unwrap();
+        }
+        let mut labels = Vec::new();
+        for _ in 0..1 + rng.below(3) {
+            let label = l(rng.below(alphabet) as u32);
+            labels.extend(std::iter::repeat_n(label, 1 + rng.below(3)));
+        }
+        (b.build(), NodeSetQuery { labels })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The tracker-and-queue search lists what a forward scan per anchor lists,
+        /// in the same order, at windows from a single instant to unbounded.
+        #[test]
+        fn keyword_tracker_equals_the_per_anchor_scan(seed in 0u64..u64::MAX) {
+            let (graph, query) = random_case(&mut Rng(seed));
+            for window in [1, 2, 3, 7, u64::MAX] {
+                prop_assert_eq!(
+                    search_nodeset(&graph, &query, window),
+                    per_anchor_scan(&graph, &query, window),
+                    "window {}, query {:?}, graph {:?}", window, query.labels, graph
+                );
+            }
+        }
     }
 }

@@ -20,8 +20,8 @@
 //!    the queries with a pattern edge after the first carrying the event's label pair.
 //!    Every other run is left alone (the edge is a no-op for it); completions become
 //!    detections.
-//! 4. **Advance** the live keyword (`NodeSet`) windows of the queries with either
-//!    endpoint label among their members.
+//! 4. **Advance** the keyword (`NodeSet`) queries with either endpoint label among their
+//!    members: each one's recency tracker notes the event; its completed windows leave.
 //! 5. **Spawn** new work for the event itself: queries are keyed on their first edge's
 //!    `(source label, destination label)` pair (or, for keyword queries, on each member
 //!    label), so only queries whose first edge can match the event are touched.
@@ -51,19 +51,19 @@ use crate::instrument::DetectorInstruments;
 use crate::registry::{Live, PairRoutes, QueryTable, Slots};
 use obs::{Profiler, QueryCost};
 use query::matcher::{
-    complete_static_anchored, seed_matches, static_window_bounds, window_deadline, NodeSetRun,
-    RunStep, TemporalRun, TemporalSpawn,
+    complete_static_anchored, seed_matches, static_window_bounds, window_deadline, RunStep,
+    TemporalRun, TemporalSpawn,
 };
 use std::time::Instant;
-use tgraph::{GraphError, IncrementalGraph, Label, StreamEvent, TemporalEdge};
+use tgraph::{GraphError, IncrementalGraph, StreamEvent, TemporalEdge};
 
 /// Rough footprints behind the `memory_bytes` gauge, bytes: a temporal run
 /// and each of its partial-match states (node map, timestamps, share of the run's
-/// allocation overhead), an open keyword window with its two small vectors, and a
-/// pending `Ntemp` anchor. Estimates for capacity planning, not an allocator audit.
+/// allocation overhead), an open keyword window (four words; its tracker is counted
+/// apart), and a pending `Ntemp` anchor. Estimates, not an allocator audit.
 const TEMPORAL_RUN_BYTES: usize = 56;
 const RUN_STATE_BYTES: usize = 64;
-const KEYWORD_WINDOW_BYTES: usize = 144;
+const KEYWORD_WINDOW_BYTES: usize = 32;
 const PENDING_ANCHOR_BYTES: usize = 40;
 
 // The compiled-query types live in the `query` crate (the compiler side of the
@@ -289,14 +289,15 @@ impl Detector {
     }
 
     /// One pass over the run table: live temporal runs, open keyword windows, pending
-    /// anchors, and the estimated bytes of all of them.
+    /// anchors, and the estimated bytes of all of them and of the keyword trackers.
     fn occupancy(&self) -> [usize; 4] {
-        let mut tally = [0; 4];
+        let trackers = self.queries.iter().map(|(_, r)| r.tracker.heap_bytes());
+        let mut tally = [0, 0, 0, trackers.sum()];
         let slots = self.queries.iter();
         for item in slots.flat_map(|(_, registered)| &registered.in_flight) {
             let (kind, bytes) = match &item.state {
                 Live::Run(run) => (0, TEMPORAL_RUN_BYTES + run.state_count() * RUN_STATE_BYTES),
-                Live::Window(_) => (1, KEYWORD_WINDOW_BYTES),
+                Live::Window { .. } => (1, KEYWORD_WINDOW_BYTES),
                 Live::Anchor(_) => (2, PENDING_ANCHOR_BYTES),
             };
             tally[kind] += 1;
@@ -429,7 +430,7 @@ impl Detector {
             event,
             timed,
             slots: &mut self.queries.slots,
-            labels: self.graph.labels(),
+            graph: &self.graph,
             costs: &mut self.costs,
             completed: &mut self.completed,
             dropped_branches: &mut self.dropped_branches,
@@ -652,7 +653,8 @@ struct EventStep<'a> {
     /// Whether this event's per-run work is clock-timed (cost attribution).
     timed: bool,
     slots: &'a mut Slots,
-    labels: &'a [Label],
+    /// The graph the event joined; its append count is the event's stream position.
+    graph: &'a IncrementalGraph,
     costs: &'a mut Option<CostTracker>,
     completed: &'a mut Vec<(u64, Detection)>,
     dropped_branches: &'a mut u64,
@@ -664,28 +666,34 @@ impl EventStep<'_> {
     /// can move — and to nothing else. Completions are emitted in spawn order across
     /// queries — the order one shared run list would have produced them in.
     fn advance(&mut self, offered: &[QueryId]) {
-        let (event, timed) = (self.event, self.timed);
+        let (event, timed, position) = (self.event, self.timed, self.graph.total_appended());
         let endpoints = [(event.src, event.src_label), (event.dst, event.dst_label)];
         for &query in offered {
+            if let CompiledQuery::NodeSet(_) = self.slots.get(query).query() {
+                let clock = timed.then(Instant::now);
+                for item in self.slots.note(query, position, endpoints) {
+                    if let Live::Window { ts, .. } = item.state {
+                        let detection = Detection::of(query, (ts, event.ts));
+                        self.completed.push((item.seq, detection));
+                    }
+                }
+                CostTracker::charge(self.costs, query, |c| &mut c.advanced, clock);
+                continue;
+            }
             self.slots.offer(query, |compiled, item| {
                 let clock = timed.then(Instant::now);
-                let step = match (compiled, &mut item.state) {
-                    (CompiledQuery::Temporal(pattern), Live::Run(run)) => {
-                        run.advance(pattern, self.labels, event.edge())
-                    }
-                    (CompiledQuery::NodeSet(_), Live::Window(run)) => {
-                        run.advance(event.ts, endpoints)
-                    }
-                    _ => unreachable!("an advance index names a query of another kind"),
+                let (CompiledQuery::Temporal(pattern), Live::Run(run)) =
+                    (compiled, &mut item.state)
+                else {
+                    unreachable!("an advance index names a query of another kind");
                 };
+                let step = run.advance(pattern, self.graph.labels(), event.edge());
                 CostTracker::charge(self.costs, query, |c| &mut c.advanced, clock);
                 let RunStep::Complete(interval) = step else {
                     debug_assert_eq!(step, RunStep::Pending, "the expired are retired first");
                     return true;
                 };
-                if let Live::Run(run) = &item.state {
-                    *self.dropped_branches += run.dropped_branches();
-                }
+                *self.dropped_branches += run.dropped_branches();
                 self.completed
                     .push((item.seq, Detection::of(query, interval)));
                 false
@@ -700,7 +708,6 @@ impl EventStep<'_> {
     fn spawn_for(&mut self, routes: Option<&PairRoutes>, touched: &[QueryId]) {
         let (event, timed, out) = (self.event, self.timed, &mut *self.out);
         let edge = event.edge();
-        let endpoints = [(event.src, event.src_label), (event.dst, event.dst_label)];
         let slots = &mut *self.slots;
 
         // Temporal queries whose first edge's label pair matches.
@@ -709,7 +716,7 @@ impl EventStep<'_> {
             let CompiledQuery::Temporal(pattern) = registered.query() else {
                 unreachable!("temporal seed index points at a non-temporal query");
             };
-            if !seed_matches(pattern, self.labels, edge) {
+            if !seed_matches(pattern, self.graph.labels(), edge) {
                 continue; // right labels, wrong loop structure
             }
             let clock = timed.then(Instant::now);
@@ -729,16 +736,16 @@ impl EventStep<'_> {
             CostTracker::charge(self.costs, query, |c| &mut c.spawned, None);
         }
 
-        // Keyword queries touched by either endpoint label.
+        // Keyword queries touched by either endpoint label (their trackers noted it).
+        let (ts, pos) = (event.ts, self.graph.total_appended());
         for &query in touched {
             let registered = slots.get(query);
             let clock = timed.then(Instant::now);
-            let mut run = NodeSetRun::spawn(&registered.multiset, event.ts, registered.window());
-            // The anchor edge's own endpoints count toward the match.
-            match run.advance(event.ts, endpoints) {
-                RunStep::Pending => slots.spawn(query, run.deadline(), Live::Window(run)),
-                RunStep::Expired => {}
-                RunStep::Complete(interval) => out.push(Detection::of(query, interval)),
+            if registered.tracker.met() >= pos {
+                out.push(Detection::of(query, (ts, ts)));
+            } else {
+                let deadline = window_deadline(ts, registered.window());
+                slots.spawn(query, deadline, Live::Window { ts, pos });
             }
             CostTracker::charge(self.costs, query, |c| &mut c.spawned, clock);
         }
@@ -1341,6 +1348,27 @@ mod tests {
         assert_eq!(lp.detections, 1, "single-edge pattern completes at spawn");
         assert_eq!((lp.advanced, lp.dropped), (0, 0));
         assert_eq!((lp.cost_units(), abc.cost_units()), (1, 5));
+    }
+
+    #[test]
+    fn a_keyword_query_advances_once_per_event_its_tracker_records() {
+        let g = test_graph();
+        let mut detector = Detector::new();
+        let q = must_register(
+            &mut detector,
+            CompiledQuery::NodeSet(NodeSetQuery {
+                labels: vec![l(0), l(1), l(2)],
+            }),
+            5,
+        );
+        detector.enable_cost_attribution(1);
+        let detections = replay(&mut detector, &g);
+        let cost = detector.cost_attribution().expect("attribution enabled").0[q];
+        // Six of the seven edges carry a member label (all but the ts-5 noise loop):
+        // each is noted once and anchors a window, however many windows are open.
+        assert_eq!((cost.spawned, cost.advanced), (6, 6));
+        assert_eq!(cost.detections, detections.len() as u64);
+        assert_eq!(cost.dropped, cost.spawned - cost.detections);
     }
 
     #[test]

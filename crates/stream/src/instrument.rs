@@ -38,7 +38,7 @@
 //! | name                     | kind    | meaning                                   |
 //! |--------------------------|---------|-------------------------------------------|
 //! | `query.<q>.spawned`      | counter | partial-match runs seeded for the query   |
-//! | `query.<q>.advanced`     | counter | runs offered an event + anchors resolved  |
+//! | `query.<q>.advanced`     | counter | runs offered, tracker notes, resolutions  |
 //! | `query.<q>.dropped`      | counter | runs expired or discarded unfinished      |
 //! | `query.<q>.detections`   | counter | detections attributed to the query        |
 //! | `query.<q>.sampled_ns`   | counter | wall time of the *sampled* operations     |

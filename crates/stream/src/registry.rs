@@ -20,13 +20,13 @@
 //! sweep with one compare per event. An event is offered only to the queues of the
 //! queries whose *advance index* names its labels (the label pair of every pattern edge
 //! after the first for temporal queries, the member labels for keyword queries) — for
-//! every other run the event is provably a no-op. Removing a query drops its queue with
-//! its slot.
+//! every other run the event is provably a no-op. A keyword query's windows share one
+//! [`KeywordTracker`]. Removing a query drops its queue with its slot.
 
 use crate::detector::{CompiledQuery, QueryId, SeedKey};
 use crate::error::{DeregisterError, RegisterError};
-use query::matcher::{label_multiset, NodeSetRun, TemporalRun};
-use std::collections::{HashMap, VecDeque};
+use query::matcher::{KeywordTracker, TemporalRun};
+use std::collections::{vec_deque::Drain, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use tgraph::{Label, TemporalEdge};
 
@@ -53,13 +53,16 @@ impl Hasher for LabelHasher {
 
 type LabelMap<K, V> = HashMap<K, V, BuildHasherDefault<LabelHasher>>;
 
+/// The panic message of a slot lookup by an id that was never registered or is removed.
+const STALE_ID: &str = "query id points at a removed or unknown query";
+
 /// One unit of a query's in-flight work.
 #[derive(Debug, Clone)]
 pub(crate) enum Live {
     /// A temporal partial-match run.
     Run(TemporalRun),
-    /// An open keyword window.
-    Window(NodeSetRun),
+    /// An open keyword window: its anchor's timestamp and stream position.
+    Window { ts: u64, pos: u64 },
     /// An `Ntemp` anchor waiting for its window to close.
     Anchor(TemporalEdge),
 }
@@ -80,9 +83,8 @@ pub(crate) struct InFlight {
 pub struct Registered {
     query: CompiledQuery,
     window: u64,
-    /// A keyword query's label multiset (empty for the other query types), built once
-    /// here instead of per window.
-    pub(crate) multiset: Vec<(Label, usize)>,
+    /// A keyword query's recency tracker, shared by its windows (else empty).
+    pub(crate) tracker: KeywordTracker,
     /// The query's in-flight work in spawn order, hence deadline order. Only
     /// [`Slots`] adds to or removes from it.
     pub(crate) in_flight: VecDeque<InFlight>,
@@ -122,18 +124,36 @@ pub(crate) struct LabelIndex {
     by_pair: LabelMap<(Label, Label), PairRoutes>,
     /// Keyword queries by each member label (their seed and advance index alike).
     by_member: LabelMap<Label, Vec<QueryId>>,
+    /// Bit `label % 4096` is set for every label a key above names.
+    named: [u128; 32],
 }
 
 impl LabelIndex {
+    /// Whether some registered query may name `label` (false positives only).
+    fn names(&self, label: Label) -> bool {
+        self.named[label.0 as usize / 128 % 32] >> (label.0 % 128) & 1 == 1
+    }
+
+    /// Re-derives `named` from the maps' keys.
+    fn rebuild_named(&mut self) {
+        self.named = [0; 32];
+        let pairs = self.by_pair.keys().flat_map(|&(src, dst)| [src, dst]);
+        for label in pairs.chain(self.by_member.keys().copied()) {
+            self.named[label.0 as usize / 128 % 32] |= 1 << (label.0 % 128);
+        }
+    }
+
     /// Everything an event with this label pair routes to among temporal and static
     /// queries — one probe for seeds, anchors and the advance index together.
     pub(crate) fn pair(&self, src: Label, dst: Label) -> Option<&PairRoutes> {
-        self.by_pair.get(&(src, dst))
+        let named = self.names(src) && self.names(dst);
+        named.then(|| self.by_pair.get(&(src, dst))).flatten()
     }
 
     /// Keyword queries containing this label.
     pub(crate) fn member(&self, label: Label) -> &[QueryId] {
-        self.by_member.get(&label).map_or(&[], Vec::as_slice)
+        let list = self.names(label).then(|| self.by_member.get(&label));
+        list.flatten().map_or(&[], Vec::as_slice)
     }
 
     /// Refills `touched` with the keyword queries that have either endpoint label among
@@ -172,9 +192,7 @@ impl Slots {
     /// The registered query with id `id` (panics like [`QueryTable::get`]).
     #[inline]
     pub(crate) fn get(&self, id: QueryId) -> &Registered {
-        self.entries[id]
-            .as_ref()
-            .expect("query id points at a removed or unknown query")
+        self.entries[id].as_ref().expect(STALE_ID)
     }
 
     /// A lower bound on the deadlines of everything in flight: nothing can have
@@ -185,9 +203,7 @@ impl Slots {
 
     /// Queues a new in-flight item at the back of `id`'s queue.
     pub(crate) fn spawn(&mut self, id: QueryId, deadline: u64, state: Live) {
-        let registered = self.entries[id]
-            .as_mut()
-            .expect("spawning for a removed or unknown query");
+        let registered = self.entries[id].as_mut().expect(STALE_ID);
         registered.in_flight.push_back(InFlight {
             seq: self.next_seq,
             deadline,
@@ -204,13 +220,27 @@ impl Slots {
         id: QueryId,
         mut keep: impl FnMut(&CompiledQuery, &mut InFlight) -> bool,
     ) {
-        let registered = self.entries[id]
-            .as_mut()
-            .expect("label index points at a removed or unknown query");
+        let registered = self.entries[id].as_mut().expect(STALE_ID);
         if !registered.in_flight.is_empty() {
             let query = &registered.query;
             registered.in_flight.retain_mut(|item| keep(query, item));
         }
+    }
+
+    /// Notes an event at `position` in keyword query `id`'s tracker and drains the
+    /// windows that completed: a prefix of its queue.
+    pub(crate) fn note(
+        &mut self,
+        id: QueryId,
+        position: u64,
+        endpoints: [(usize, Label); 2],
+    ) -> Drain<'_, InFlight> {
+        let registered = self.entries[id].as_mut().expect(STALE_ID);
+        registered.tracker.note(position, endpoints);
+        let met = registered.tracker.met();
+        let done = |item: &&InFlight| matches!(item.state, Live::Window { pos, .. } if pos <= met);
+        let completed = registered.in_flight.iter().take_while(done).count();
+        registered.in_flight.drain(..completed)
     }
 
     /// Pops every in-flight item whose window closed strictly before `now` (all of them
@@ -277,10 +307,6 @@ impl QueryTable {
         };
         let id = self.slots.entries.len();
         let by_pair = &mut self.index.by_pair;
-        let multiset = match &query {
-            CompiledQuery::NodeSet(set) => label_multiset(set),
-            _ => Vec::new(),
-        };
         match seed_key {
             SeedKey::TemporalPair(src, dst) => {
                 by_pair
@@ -306,10 +332,11 @@ impl QueryTable {
                 }
             }
         }
+        self.index.rebuild_named();
         self.slots.entries.push(Some(Registered {
-            query,
             window,
-            multiset,
+            tracker: query.keyword_tracker(),
+            query,
             in_flight: VecDeque::new(),
         }));
         self.live += 1;
@@ -340,6 +367,7 @@ impl QueryTable {
                 & unlink(&mut routes.static_anchors)
                 & unlink(&mut routes.temporal_advance))
         });
+        self.index.rebuild_named();
         if matches!(registered.query, CompiledQuery::Static(_)) {
             // The removed query may have been the one sizing the retention.
             self.max_static_window = self

@@ -378,9 +378,9 @@ impl ShardedDetector {
     /// Enables per-query cost attribution on every shard: exact work counters (runs
     /// spawned, advances, drops, detections) on *every* event, plus clock-timed
     /// per-run wall time on one event in `sample_interval` (`0`/`1` = every event).
-    /// `advanced` counts the runs and windows actually *offered* an event — those of
-    /// the queries whose advance index names its labels — plus anchor resolutions; a
-    /// run the event is routed past, or one that merely expires, is not an advance.
+    /// `advanced` counts the temporal runs actually *offered* an event (those of the
+    /// queries whose advance index names its labels), keyword tracker notes and anchor
+    /// resolutions; a run routed past, or one that merely expires, is not an advance.
     /// Attribution is inert: it observes the five-step loop without changing which
     /// runs are visited. Costs accumulate for the engine's lifetime; calling again
     /// only changes the sampling interval. Read the merged result with

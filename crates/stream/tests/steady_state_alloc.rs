@@ -1,6 +1,7 @@
 //! The plain (uninstrumented) event path allocates nothing per event while nothing
 //! spawns, completes or falls due — whether the event is routed past every query or
-//! offered to a live run — and the tenant pool's front door adds nothing to it: no
+//! offered to a live run — a keyword window allocates nothing to open, wait or
+//! complete, and the tenant pool's front door adds nothing to it: no
 //! allocation per batch beyond its tenants' own, no memory kept per tenant that has
 //! left. Counted with a counting global allocator, which is why this test has a binary
 //! of its own.
@@ -116,6 +117,48 @@ fn quiet_events_allocate_nothing() {
     assert_eq!(detections, 0);
     assert_eq!(allocations, 0, "the quiet path must not allocate");
     assert_eq!(detector.active_temporal_runs(), 1, "the run is still there");
+}
+
+/// Allocations of `events` after the first 64 (which warm the detector up), delivered
+/// in batches of 64 to a detector with `query` registered; each must detect once.
+fn allocations_after_warm_up(query: CompiledQuery, events: &[StreamEvent]) -> u64 {
+    let mut detector = Detector::new();
+    detector.register(query, 1_000_000).unwrap();
+    let (warm_up, measured) = events.split_at(64);
+    detector.on_batch(warm_up).unwrap();
+    let mut detections = 0;
+    let allocations = allocations_during(|| {
+        for chunk in measured.chunks(64) {
+            detections += detector.on_batch(chunk).unwrap().len();
+        }
+    });
+    assert_eq!(detections, measured.len());
+    allocations
+}
+
+#[test]
+fn keyword_spawns_and_completions_allocate_nothing() {
+    // A keyword query needing two distinct label-1 nodes, over events alternating
+    // between two of them: each event completes the window the previous one opened
+    // and opens one that waits — one spawn, one queued window, one completion per
+    // event. Against a single-edge temporal query completing on every event, the same
+    // detections in the same batches: whatever the keyword path allocated beyond the
+    // detections themselves would show as a difference.
+    let events: Vec<StreamEvent> = (0..64 * 33u64)
+        .map(|i| ev(1 + i, 0, 1 + (i % 2) as usize, 0, 1))
+        .collect();
+    let keywords = NodeSetQuery {
+        labels: vec![Label(0), Label(1), Label(1)],
+    };
+    let keyword_path = allocations_after_warm_up(CompiledQuery::NodeSet(keywords), &events);
+    let detections_alone = allocations_after_warm_up(
+        CompiledQuery::Temporal(TemporalPattern::single_edge(Label(0), Label(1))),
+        &events,
+    );
+    assert_eq!(
+        keyword_path, detections_alone,
+        "keyword windows allocate beyond the detections they emit"
+    );
 }
 
 #[test]

@@ -2,8 +2,11 @@
 //! label index names, against a reference engine with no index at all — one shared list
 //! per kind of in-flight work, and **every** live run advanced by **every** event.
 //!
-//! The reference ([`Model`]) is written from the public `query::matcher` primitives and
-//! nothing else of the engine. The two are compared after *every* event: the detections
+//! The reference ([`Model`]) is written from the public `query::matcher` primitives for
+//! temporal and static queries and nothing else of the engine; for keyword queries it
+//! keeps a window of its own per anchor ([`ModelWindow`]), which consumes node
+//! appearances until the label multiset is collected — not the engine's one shared
+//! recency tracker per query. The two are compared after *every* event: the detections
 //! the event produced (order included), the three occupancy counts and
 //! `dropped_branches`. Streams are generated from a seed and cover equal timestamps,
 //! window 1 and windows near `u64::MAX`, queries sharing labels and first edges,
@@ -12,8 +15,8 @@
 //! invalid events — alone and in the middle of a batch.
 
 use behavior_query::query::matcher::{
-    complete_static_anchored, label_multiset, seed_matches, static_window_bounds, window_deadline,
-    NodeSetRun, RunStep, TemporalRun, TemporalSpawn, MAX_STATES_PER_RUN,
+    complete_static_anchored, seed_matches, static_window_bounds, window_deadline, RunStep,
+    TemporalRun, TemporalSpawn, MAX_STATES_PER_RUN,
 };
 use behavior_query::stream::{CompiledQuery, Detection, Detector};
 use behavior_query::tgminer::baselines::gspan::StaticPattern;
@@ -24,12 +27,64 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// One keyword window of the reference: opened at an anchor, it consumes node
+/// appearances in stream order (source endpoint first) until every label of the
+/// multiset has its distinct nodes, or its deadline passes.
+struct ModelWindow {
+    anchor_ts: u64,
+    deadline: u64,
+    /// Label → how many more distinct nodes must carry it.
+    remaining: Vec<(Label, usize)>,
+    seen_nodes: Vec<usize>,
+}
+
+impl ModelWindow {
+    fn open(set: &NodeSetQuery, anchor_ts: u64, window: u64) -> Self {
+        let mut remaining: Vec<(Label, usize)> = Vec::new();
+        for &label in &set.labels {
+            match remaining.iter_mut().find(|(l, _)| *l == label) {
+                Some((_, count)) => *count += 1,
+                None => remaining.push((label, 1)),
+            }
+        }
+        Self {
+            anchor_ts,
+            deadline: window_deadline(anchor_ts, window),
+            remaining,
+            seen_nodes: Vec::new(),
+        }
+    }
+
+    fn advance(&mut self, ts: u64, endpoints: [(usize, Label); 2]) -> RunStep {
+        if ts > self.deadline {
+            return RunStep::Expired;
+        }
+        for (node, label) in endpoints {
+            if self.seen_nodes.contains(&node) {
+                continue;
+            }
+            let needed = self
+                .remaining
+                .iter_mut()
+                .find(|(l, n)| *l == label && *n > 0);
+            if let Some((_, count)) = needed {
+                *count -= 1;
+                self.seen_nodes.push(node);
+            }
+        }
+        if self.remaining.iter().all(|&(_, count)| count == 0) {
+            return RunStep::Complete((self.anchor_ts, ts));
+        }
+        RunStep::Pending
+    }
+}
+
 /// The reference engine: no label index, no per-query queues, no deadline order.
 struct Model {
     queries: Vec<Option<(CompiledQuery, u64)>>,
     graph: IncrementalGraph,
     temporal: Vec<(usize, TemporalRun)>,
-    windows: Vec<(usize, NodeSetRun)>,
+    windows: Vec<(usize, ModelWindow)>,
     anchors: Vec<(usize, TemporalEdge, u64)>,
     dropped_branches: u64,
 }
@@ -144,10 +199,10 @@ impl Model {
             let CompiledQuery::NodeSet(set) = query else {
                 continue;
             };
-            if !NodeSetRun::anchors(set, event.src_label, event.dst_label) {
+            if !(set.labels.contains(&event.src_label) || set.labels.contains(&event.dst_label)) {
                 continue;
             }
-            let mut run = NodeSetRun::spawn(&label_multiset(set), event.ts, *window);
+            let mut run = ModelWindow::open(set, event.ts, *window);
             match run.advance(event.ts, endpoints) {
                 RunStep::Pending => self.windows.push((id, run)),
                 RunStep::Complete((s, e)) => out.push(detection(id, s, e)),
@@ -387,4 +442,96 @@ fn hub_fanout_drops_are_accounted_identically() {
     assert_eq!(detector.active_temporal_runs(), 1, "the bystander's run");
     assert_eq!(detector.flush(), model.flush());
     assert_same_state(&detector, &model, "after flush");
+}
+
+/// Registers `queries` on both engines, feeds both `events` as `(ts, src, dst, src
+/// label, dst label)`, checks they agree after each, and returns each event's
+/// detections.
+fn run_both(
+    queries: Vec<(CompiledQuery, u64)>,
+    events: &[(u64, usize, usize, u32, u32)],
+) -> Vec<Vec<Detection>> {
+    let (mut detector, mut model) = (Detector::new(), Model::new());
+    for (query, window) in queries {
+        register(&mut detector, &mut model, query, window);
+    }
+    let mut seen = Vec::new();
+    for (i, &(ts, src, dst, src_label, dst_label)) in events.iter().enumerate() {
+        let event = StreamEvent {
+            ts,
+            src,
+            dst,
+            src_label: Label(src_label),
+            dst_label: Label(dst_label),
+        };
+        let expected = model.on_event(event).unwrap();
+        assert_eq!(detector.on_event(event).unwrap(), expected, "event {i}");
+        assert_same_state(&detector, &model, &format!("after event {i}"));
+        seen.push(expected);
+    }
+    assert_eq!(detector.flush(), model.flush());
+    seen
+}
+
+fn keywords(labels: &[u32]) -> CompiledQuery {
+    CompiledQuery::NodeSet(NodeSetQuery {
+        labels: labels.iter().copied().map(Label).collect(),
+    })
+}
+
+/// A temporal run and keyword windows of two queries complete on one event: the run
+/// first (its step comes first), then the windows in spawn order across queries — an
+/// older window of query 2 before query 1's, before a newer one of query 2 — then what
+/// the event itself completes at spawn.
+#[test]
+fn one_event_completes_a_run_and_windows_of_two_queries_in_spawn_order() {
+    let chain = TemporalPattern::single_edge(Label(0), Label(1))
+        .grow_forward(1, Label(2))
+        .unwrap();
+    let queries = vec![
+        (CompiledQuery::Temporal(chain), 10),
+        (keywords(&[1, 2]), 10),
+        (keywords(&[0, 2]), 10),
+    ];
+    let per_event = run_both(
+        queries,
+        &[
+            (1, 0, 5, 0, 3), // opens a window of query 2 only
+            (2, 0, 1, 0, 1), // seeds the run, opens a window of query 1, then of query 2
+            (3, 1, 2, 1, 2), // completes all four, then query 1 at once
+        ],
+    );
+    assert_eq!(per_event[..2], [vec![], vec![]]);
+    assert_eq!(
+        per_event[2],
+        [
+            detection(0, 2, 3),
+            detection(2, 1, 3),
+            detection(1, 2, 3),
+            detection(2, 2, 3),
+            detection(1, 3, 3),
+        ]
+    );
+}
+
+/// A multiset that needs two distinct nodes of one label: the same node reappearing —
+/// in a self-loop, at either end — never counts twice; a second node completes every
+/// window open since.
+#[test]
+fn a_reappearing_node_is_one_of_the_distinct_nodes_a_label_needs() {
+    let per_event = run_both(
+        vec![(keywords(&[5, 5, 6]), 10)],
+        &[
+            (1, 0, 1, 5, 6), // node 0 (label 5) and node 1 (label 6)
+            (2, 0, 0, 5, 5), // node 0 again, at both ends
+            (3, 1, 0, 6, 5), // both again
+            (4, 2, 3, 5, 7), // a second label-5 node
+        ],
+    );
+    assert_eq!(per_event[..3], [vec![], vec![], vec![]]);
+    assert_eq!(
+        per_event[3],
+        [detection(0, 1, 4), detection(0, 2, 4), detection(0, 3, 4)],
+        "the window the last event opens still lacks a label-6 node after it"
+    );
 }
