@@ -17,14 +17,17 @@
 //!   slice; static queries allow matched edges *before* the anchor, so they are resolved
 //!   against a buffered window rather than advanced edge-by-edge.
 //!
-//! All functions speak plain `&[Label]` + [`TemporalEdge`] so they work both over a
-//! materialised [`tgraph::TemporalGraph`] and over the live window of a
-//! [`tgraph::IncrementalGraph`].
+//! Every primitive takes the endpoint labels from the edge it is offered, a
+//! [`StreamEvent`], and never from a table indexed by node id: the streamed path passes
+//! the event as it arrived, and the offline search labels a graph's edges as it offers
+//! them ([`tgraph::TemporalGraph::event`]). A node is its id — a partial match binds an
+//! id to at most one pattern node — while each edge matches under the labels it
+//! carries, so a stream may reuse an id under another label.
 
 use tgminer::baselines::gspan::StaticPattern;
 use tgminer::baselines::nodeset::NodeSetQuery;
 use tgraph::pattern::TemporalPattern;
-use tgraph::{Label, TemporalEdge};
+use tgraph::{Label, StreamEvent, TemporalEdge};
 
 /// An identified instance: the closed timestamp interval of the match.
 pub type Interval = (u64, u64);
@@ -44,10 +47,9 @@ pub fn window_deadline(start_ts: u64, window: u64) -> u64 {
 
 /// Whether a data edge can seed a match of `pattern` (labels of the first pattern edge
 /// agree and the loop structure matches).
-pub fn seed_matches(pattern: &TemporalPattern, labels: &[Label], edge: TemporalEdge) -> bool {
+pub fn seed_matches(pattern: &TemporalPattern, edge: StreamEvent) -> bool {
     let first = pattern.edges()[0];
-    labels[edge.src] == pattern.label(first.src)
-        && labels[edge.dst] == pattern.label(first.dst)
+    (edge.src_label, edge.dst_label) == (pattern.label(first.src), pattern.label(first.dst))
         && (first.src == first.dst) == (edge.src == edge.dst)
 }
 
@@ -84,8 +86,10 @@ pub struct TemporalRun {
     deadline: u64,
     /// The partial matches in discovery order, flattened — one allocation per run, none
     /// per branch. Each takes `stride` words: the index of the next pattern edge to
-    /// match (edges before it are matched), then pattern node → data node
-    /// (`usize::MAX` when unbound).
+    /// match (edges before it are matched), then pattern node → data node. A pattern is
+    /// numbered in first-visit order, so the nodes its matched edges bind are a prefix
+    /// ([`bound_nodes`]); the words past it hold `usize::MAX`, which is never read as an
+    /// id — every `usize` is one.
     states: Vec<usize>,
     stride: usize,
     dropped_branches: u64,
@@ -94,7 +98,7 @@ pub struct TemporalRun {
 impl TemporalRun {
     /// Seeds a run at `edge`, which the caller has checked with [`seed_matches`].
     /// Single-edge patterns complete immediately.
-    pub fn spawn(pattern: &TemporalPattern, edge: TemporalEdge, window: u64) -> TemporalSpawn {
+    pub fn spawn(pattern: &TemporalPattern, edge: StreamEvent, window: u64) -> TemporalSpawn {
         if pattern.edge_count() == 1 {
             return TemporalSpawn::Complete((edge.ts, edge.ts));
         }
@@ -134,16 +138,11 @@ impl TemporalRun {
     /// Advances the run by one data edge (strictly after the seed, in stream order).
     /// An edge whose label pair matches no pattern edge after the first leaves the run
     /// untouched — the streaming detector relies on that to skip such runs altogether.
-    pub fn advance(
-        &mut self,
-        pattern: &TemporalPattern,
-        labels: &[Label],
-        edge: TemporalEdge,
-    ) -> RunStep {
+    pub fn advance(&mut self, pattern: &TemporalPattern, edge: StreamEvent) -> RunStep {
         if edge.ts > self.deadline {
             return RunStep::Expired;
         }
-        let edge_labels = (labels[edge.src], labels[edge.dst]);
+        let edge_labels = (edge.src_label, edge.dst_label);
         let stride = self.stride;
         // Only states that existed before this edge may consume it: a data edge extends
         // a partial match by at most one pattern edge (timestamp order is strict).
@@ -155,10 +154,10 @@ impl TemporalRun {
             if edge_labels != (pattern.label(p_edge.src), pattern.label(p_edge.dst)) {
                 continue;
             }
-            let node_map = &self.states[base + 1..base + stride];
+            let bound = bound_nodes(pattern, next_edge);
+            let node_map = &self.states[base + 1..base + 1 + bound];
             // Source endpoint consistency (injective mapping).
-            let src_bound = node_map[p_edge.src] != usize::MAX;
-            if src_bound {
+            if p_edge.src < bound {
                 if node_map[p_edge.src] != edge.src {
                     continue;
                 }
@@ -167,14 +166,12 @@ impl TemporalRun {
             }
             // Destination endpoint consistency; a self-loop pattern edge forces the
             // destination to coincide with the (possibly just-bound) source.
-            let dst_bound = node_map[p_edge.dst] != usize::MAX || p_edge.src == p_edge.dst;
-            let expected_dst = if p_edge.src == p_edge.dst {
-                edge.src
-            } else {
-                node_map[p_edge.dst]
-            };
-            if dst_bound {
-                if expected_dst != edge.dst {
+            if p_edge.src == p_edge.dst {
+                if edge.dst != edge.src {
+                    continue;
+                }
+            } else if p_edge.dst < bound {
+                if node_map[p_edge.dst] != edge.dst {
                     continue;
                 }
             } else if node_map.contains(&edge.dst) || edge.dst == edge.src {
@@ -199,6 +196,13 @@ impl TemporalRun {
         }
         RunStep::Pending
     }
+}
+
+/// How many pattern nodes the first `matched` edges of `pattern` bind: in first-visit
+/// numbering they are nodes `0..bound_nodes(pattern, matched)`.
+fn bound_nodes(pattern: &TemporalPattern, matched: usize) -> usize {
+    let edges = pattern.edges()[..matched].iter();
+    edges.map(|e| e.src.max(e.dst) + 1).max().unwrap_or(0)
 }
 
 /// The recency state of one keyword (`NodeSet`) query, shared by all of its windows.
@@ -291,20 +295,18 @@ impl KeywordTracker {
 /// `(min, max)` timestamps of the first completion found, or `None`.
 pub fn complete_static_anchored(
     pattern: &StaticPattern,
-    labels: &[Label],
-    window_edges: &[TemporalEdge],
-    anchor: TemporalEdge,
+    window_edges: &[StreamEvent],
+    anchor: StreamEvent,
     window: u64,
 ) -> Option<Interval> {
     let (p_src, p_dst) = pattern.edges[0];
-    let mut node_map = vec![usize::MAX; pattern.labels.len()];
-    node_map[p_src] = anchor.src;
+    let mut node_map = vec![None; pattern.labels.len()];
+    node_map[p_src] = Some(anchor.src);
     if p_dst != p_src {
-        node_map[p_dst] = anchor.dst;
+        node_map[p_dst] = Some(anchor.dst);
     }
     complete_static(
         pattern,
-        labels,
         window_edges,
         1,
         &mut node_map,
@@ -319,10 +321,9 @@ pub fn complete_static_anchored(
 #[allow(clippy::too_many_arguments)]
 fn complete_static(
     pattern: &StaticPattern,
-    labels: &[Label],
-    window_edges: &[TemporalEdge],
+    window_edges: &[StreamEvent],
     p_idx: usize,
-    node_map: &mut Vec<usize>,
+    node_map: &mut Vec<Option<usize>>,
     min_ts: u64,
     max_ts: u64,
     window: u64,
@@ -337,39 +338,38 @@ fn complete_static(
     let want_src = pattern.labels[p_src];
     let want_dst = pattern.labels[p_dst];
     for edge in window_edges {
-        if labels[edge.src] != want_src || labels[edge.dst] != want_dst {
+        if (edge.src_label, edge.dst_label) != (want_src, want_dst) {
             continue;
         }
-        let src_bound = node_map[p_src] != usize::MAX;
+        let src_bound = node_map[p_src].is_some();
         if src_bound {
-            if node_map[p_src] != edge.src {
+            if node_map[p_src] != Some(edge.src) {
                 continue;
             }
-        } else if node_map.contains(&edge.src) {
+        } else if node_map.contains(&Some(edge.src)) {
             continue;
         }
-        let dst_bound = node_map[p_dst] != usize::MAX || p_src == p_dst;
+        let dst_bound = node_map[p_dst].is_some() || p_src == p_dst;
         let expected_dst = if p_src == p_dst {
-            edge.src
+            Some(edge.src)
         } else {
             node_map[p_dst]
         };
         if dst_bound {
-            if expected_dst != edge.dst {
+            if expected_dst != Some(edge.dst) {
                 continue;
             }
-        } else if node_map.contains(&edge.dst) || edge.dst == edge.src {
+        } else if node_map.contains(&Some(edge.dst)) || edge.dst == edge.src {
             continue;
         }
         if !src_bound {
-            node_map[p_src] = edge.src;
+            node_map[p_src] = Some(edge.src);
         }
         if !dst_bound {
-            node_map[p_dst] = edge.dst;
+            node_map[p_dst] = Some(edge.dst);
         }
         let result = complete_static(
             pattern,
-            labels,
             window_edges,
             p_idx + 1,
             node_map,
@@ -381,22 +381,28 @@ fn complete_static(
             return result;
         }
         if !dst_bound {
-            node_map[p_dst] = usize::MAX;
+            node_map[p_dst] = None;
         }
         if !src_bound {
-            node_map[p_src] = usize::MAX;
+            node_map[p_src] = None;
         }
     }
     None
 }
 
-/// The window slice for a static anchor: indices `[lo, hi)` into `edges` covering
-/// timestamps `[anchor_ts - window + 1, anchor_ts + window - 1]`.
-pub fn static_window_bounds(edges: &[TemporalEdge], anchor_ts: u64, window: u64) -> (usize, usize) {
+/// The window slice for a static anchor: indices `[lo, hi)` into `edges` — a buffered
+/// window of events, or a graph's edges to label into one — covering timestamps
+/// `[anchor_ts - window + 1, anchor_ts + window - 1]`.
+pub fn static_window_bounds<E: Copy + Into<TemporalEdge>>(
+    edges: &[E],
+    anchor_ts: u64,
+    window: u64,
+) -> (usize, usize) {
     let earliest = anchor_ts.saturating_sub(window.saturating_sub(1));
     let deadline = window_deadline(anchor_ts, window);
-    let lo = edges.partition_point(|e| e.ts < earliest);
-    let hi = edges.partition_point(|e| e.ts <= deadline);
+    let ts = |edge: &E| (*edge).into().ts;
+    let lo = edges.partition_point(|e| ts(e) < earliest);
+    let hi = edges.partition_point(|e| ts(e) <= deadline);
     (lo, hi)
 }
 
@@ -409,8 +415,25 @@ mod tests {
         Label(i)
     }
 
-    fn e(ts: u64, src: usize, dst: usize) -> TemporalEdge {
-        TemporalEdge { ts, src, dst }
+    fn ev(ts: u64, src: usize, dst: usize, src_label: u32, dst_label: u32) -> StreamEvent {
+        StreamEvent {
+            ts,
+            src,
+            dst,
+            src_label: l(src_label),
+            dst_label: l(dst_label),
+        }
+    }
+
+    /// The edge `src -> dst` at `ts`, labelled from a node table of the test's own.
+    fn e(labels: &[Label], ts: u64, src: usize, dst: usize) -> StreamEvent {
+        StreamEvent {
+            ts,
+            src,
+            dst,
+            src_label: labels[src],
+            dst_label: labels[dst],
+        }
     }
 
     fn abc_pattern() -> TemporalPattern {
@@ -423,27 +446,27 @@ mod tests {
     fn seed_matching_checks_labels_and_loop_structure() {
         let labels = vec![l(0), l(1), l(0)];
         let p = abc_pattern();
-        assert!(seed_matches(&p, &labels, e(1, 0, 1)));
-        assert!(!seed_matches(&p, &labels, e(1, 1, 0)));
+        assert!(seed_matches(&p, e(&labels, 1, 0, 1)));
+        assert!(!seed_matches(&p, e(&labels, 1, 1, 0)));
         assert!(
-            !seed_matches(&p, &labels, e(1, 0, 0)),
+            !seed_matches(&p, e(&labels, 1, 0, 0)),
             "loop edge cannot seed a non-loop pattern"
         );
         let loop_p = TemporalPattern::single_self_loop(l(0));
-        assert!(seed_matches(&loop_p, &labels, e(1, 2, 2)));
-        assert!(!seed_matches(&loop_p, &labels, e(1, 0, 2)));
+        assert!(seed_matches(&loop_p, e(&labels, 1, 2, 2)));
+        assert!(!seed_matches(&loop_p, e(&labels, 1, 0, 2)));
     }
 
     #[test]
     fn temporal_run_completes_in_order() {
         let labels = vec![l(0), l(1), l(2)];
         let p = abc_pattern();
-        let mut run = match TemporalRun::spawn(&p, e(1, 0, 1), 5) {
+        let mut run = match TemporalRun::spawn(&p, e(&labels, 1, 0, 1), 5) {
             TemporalSpawn::Active(run) => run,
             TemporalSpawn::Complete(_) => panic!("two-edge pattern cannot complete at seed"),
         };
         assert_eq!(
-            run.advance(&p, &labels, e(2, 1, 2)),
+            run.advance(&p, e(&labels, 2, 1, 2)),
             RunStep::Complete((1, 2))
         );
     }
@@ -452,13 +475,59 @@ mod tests {
     fn temporal_run_expires_at_the_window_edge() {
         let labels = vec![l(0), l(1), l(2)];
         let p = abc_pattern();
-        let mut run = match TemporalRun::spawn(&p, e(10, 0, 1), 3) {
+        let mut run = match TemporalRun::spawn(&p, e(&labels, 10, 0, 1), 3) {
             TemporalSpawn::Active(run) => run,
             TemporalSpawn::Complete(_) => unreachable!(),
         };
         assert_eq!(run.deadline(), 12);
-        assert_eq!(run.advance(&p, &labels, e(12, 0, 1)), RunStep::Pending);
-        assert_eq!(run.advance(&p, &labels, e(13, 1, 2)), RunStep::Expired);
+        assert_eq!(run.advance(&p, e(&labels, 12, 0, 1)), RunStep::Pending);
+        assert_eq!(run.advance(&p, e(&labels, 13, 1, 2)), RunStep::Expired);
+    }
+
+    #[test]
+    fn a_reused_id_keeps_its_binding_while_each_edge_keeps_its_labels() {
+        // A->B then B->C, seeded at 0 -> 1. Node 0 reappearing labelled C cannot be the
+        // C node as well; node 1 reappearing labelled D matches no pattern edge; a
+        // fresh C node completes the run.
+        let p = abc_pattern();
+        let mut run = match TemporalRun::spawn(&p, ev(1, 0, 1, 0, 1), 10) {
+            TemporalSpawn::Active(run) => run,
+            TemporalSpawn::Complete(_) => unreachable!(),
+        };
+        assert_eq!(run.advance(&p, ev(2, 1, 0, 1, 2)), RunStep::Pending);
+        assert_eq!(run.advance(&p, ev(3, 1, 2, 3, 2)), RunStep::Pending);
+        assert_eq!(run.state_count(), 1);
+        assert_eq!(
+            run.advance(&p, ev(4, 1, 2, 1, 2)),
+            RunStep::Complete((1, 4))
+        );
+        // A seed is judged by the labels its event carries, whatever the ids.
+        assert!(seed_matches(&p, ev(5, 2, 0, 0, 1)));
+        assert!(!seed_matches(&p, ev(5, 0, 1, 1, 1)));
+    }
+
+    #[test]
+    fn the_largest_id_binds_like_any_other() {
+        // A -> B, then B -> A back, with A bound to `usize::MAX`.
+        let p = TemporalPattern::single_edge(l(0), l(1))
+            .grow_inward(1, 0)
+            .unwrap();
+        let mut run = match TemporalRun::spawn(&p, ev(1, usize::MAX, 7, 0, 1), 10) {
+            TemporalSpawn::Active(run) => run,
+            TemporalSpawn::Complete(_) => unreachable!(),
+        };
+        assert_eq!(run.advance(&p, ev(2, 7, 8, 1, 0)), RunStep::Pending);
+        assert_eq!(
+            run.advance(&p, ev(3, 7, usize::MAX, 1, 0)),
+            RunStep::Complete((1, 3))
+        );
+        let there_and_back = StaticPattern {
+            labels: vec![l(0), l(1)],
+            edges: vec![(0, 1), (1, 0)],
+        };
+        let events = [ev(1, usize::MAX, 7, 0, 1), ev(2, 7, usize::MAX, 1, 0)];
+        let hit = complete_static_anchored(&there_and_back, &events, events[0], 10);
+        assert_eq!(hit, Some((1, 2)));
     }
 
     #[test]
@@ -468,12 +537,12 @@ mod tests {
         // keep both branches alive until the completing edge arrives.
         let labels = vec![l(0), l(1), l(2), l(2), l(3)];
         let p = abc_pattern().grow_forward(2, l(3)).unwrap();
-        let mut run = match TemporalRun::spawn(&p, e(1, 0, 1), 10) {
+        let mut run = match TemporalRun::spawn(&p, e(&labels, 1, 0, 1), 10) {
             TemporalSpawn::Active(run) => run,
             TemporalSpawn::Complete(_) => unreachable!(),
         };
-        assert_eq!(run.advance(&p, &labels, e(2, 1, 2)), RunStep::Pending);
-        assert_eq!(run.advance(&p, &labels, e(3, 1, 3)), RunStep::Pending);
+        assert_eq!(run.advance(&p, e(&labels, 2, 1, 2)), RunStep::Pending);
+        assert_eq!(run.advance(&p, e(&labels, 3, 1, 3)), RunStep::Pending);
         assert_eq!(
             run.state_count(),
             3,
@@ -481,7 +550,7 @@ mod tests {
         );
         // Completion through the *second* branch (C = node 3).
         assert_eq!(
-            run.advance(&p, &labels, e(4, 3, 4)),
+            run.advance(&p, e(&labels, 4, 3, 4)),
             RunStep::Complete((1, 4))
         );
     }
@@ -494,14 +563,14 @@ mod tests {
         let mut labels = vec![l(0), l(1)];
         labels.extend(std::iter::repeat_n(l(2), fanout));
         let p = abc_pattern().grow_forward(2, l(3)).unwrap();
-        let mut run = match TemporalRun::spawn(&p, e(1, 0, 1), 1_000) {
+        let mut run = match TemporalRun::spawn(&p, e(&labels, 1, 0, 1), 1_000) {
             TemporalSpawn::Active(run) => run,
             TemporalSpawn::Complete(_) => unreachable!(),
         };
         for i in 0..fanout {
             for repeat in 0..2 {
                 let ts = 2 + 2 * i as u64 + repeat;
-                assert_eq!(run.advance(&p, &labels, e(ts, 1, 2 + i)), RunStep::Pending);
+                assert_eq!(run.advance(&p, e(&labels, ts, 1, 2 + i)), RunStep::Pending);
                 assert_eq!(run.state_count(), 2 + i, "edge {i}, repeat {repeat}");
             }
         }
@@ -516,13 +585,13 @@ mod tests {
         let mut labels = vec![l(0), l(1)];
         labels.extend(std::iter::repeat_n(l(2), hub_fanout));
         let p = abc_pattern().grow_forward(2, l(3)).unwrap();
-        let mut run = match TemporalRun::spawn(&p, e(1, 0, 1), u64::MAX) {
+        let mut run = match TemporalRun::spawn(&p, e(&labels, 1, 0, 1), u64::MAX) {
             TemporalSpawn::Active(run) => run,
             TemporalSpawn::Complete(_) => unreachable!(),
         };
         for i in 0..hub_fanout {
             assert_eq!(
-                run.advance(&p, &labels, e(2 + i as u64, 1, 2 + i)),
+                run.advance(&p, e(&labels, 2 + i as u64, 1, 2 + i)),
                 RunStep::Pending
             );
         }
@@ -541,14 +610,14 @@ mod tests {
         }
         // Re-offering an edge whose branch was kept grows nothing and drops nothing;
         // re-offering one whose branch was dropped is dropped (and counted) again.
-        assert_eq!(run.advance(&p, &labels, e(900, 1, 2)), RunStep::Pending);
+        assert_eq!(run.advance(&p, e(&labels, 900, 1, 2)), RunStep::Pending);
         assert_eq!(
-            run.advance(&p, &labels, e(901, 1, 2 + 300)),
+            run.advance(&p, e(&labels, 901, 1, 2 + 300)),
             RunStep::Pending
         );
         assert_eq!((run.state_count(), run.dropped_branches()), (512, 41));
         assert_eq!(
-            run.advance(&p, &labels, e(902, 1, 2 + 520)),
+            run.advance(&p, e(&labels, 902, 1, 2 + 520)),
             RunStep::Pending
         );
         assert_eq!((run.state_count(), run.dropped_branches()), (512, 42));
@@ -556,8 +625,9 @@ mod tests {
 
     #[test]
     fn single_edge_pattern_completes_at_spawn() {
+        let labels = vec![l(0), l(1)];
         let p = TemporalPattern::single_edge(l(0), l(1));
-        match TemporalRun::spawn(&p, e(7, 0, 1), 5) {
+        match TemporalRun::spawn(&p, e(&labels, 7, 0, 1), 5) {
             TemporalSpawn::Complete(interval) => assert_eq!(interval, (7, 7)),
             TemporalSpawn::Active(_) => panic!("single-edge pattern must complete at seed"),
         }
@@ -602,19 +672,22 @@ mod tests {
             edges: vec![(0, 1), (1, 2)],
         };
         // Anchor at the A->B edge (ts 11); the B->C edge lies before it in the window.
-        let anchor = g.edge(1);
-        let (lo, hi) = static_window_bounds(g.edges(), anchor.ts, 5);
-        let hit = complete_static_anchored(&pattern, g.labels(), &g.edges()[lo..hi], anchor, 5);
+        let events = [g.event(0), g.event(1)];
+        let anchor = events[1];
+        let (lo, hi) = static_window_bounds(&events, anchor.ts, 5);
+        let hit = complete_static_anchored(&pattern, &events[lo..hi], anchor, 5);
         assert_eq!(hit, Some((10, 11)));
         // A window of 1 only covers the anchor itself.
-        let (lo, hi) = static_window_bounds(g.edges(), anchor.ts, 1);
-        let miss = complete_static_anchored(&pattern, g.labels(), &g.edges()[lo..hi], anchor, 1);
+        let (lo, hi) = static_window_bounds(&events, anchor.ts, 1);
+        let miss = complete_static_anchored(&pattern, &events[lo..hi], anchor, 1);
         assert_eq!(miss, None);
     }
 
     #[test]
     fn static_window_bounds_clip_to_the_window() {
-        let edges: Vec<TemporalEdge> = (1..=10).map(|ts| e(ts, 0, 1)).collect();
+        let edges: Vec<TemporalEdge> = (1..=10)
+            .map(|ts| TemporalEdge { ts, src: 0, dst: 1 })
+            .collect();
         let (lo, hi) = static_window_bounds(&edges, 5, 3);
         // Window covers ts in [3, 7].
         assert_eq!((lo, hi), (2, 7));

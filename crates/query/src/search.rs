@@ -15,10 +15,12 @@
 //! The per-edge matching rules live in [`crate::matcher`] and are shared with the
 //! streaming detector (crate `stream`): a batch search here is definitionally a replay
 //! of the graph's edges through the same state machines, which is what makes streaming
-//! detections interval-for-interval consistent with these functions. Seed/anchor lookup
-//! goes through a [`tgraph::EdgePostings`] index keyed by `(source label, destination
-//! label)` instead of scanning every edge; callers searching many queries over the same
-//! graph should build the index once and use the `*_indexed` variants.
+//! detections interval-for-interval consistent with these functions. The matcher takes
+//! labelled edges, so each graph edge is labelled as it is offered
+//! ([`TemporalGraph::event`]). Seed/anchor lookup goes through a [`tgraph::EdgePostings`]
+//! index keyed by `(source label, destination label)` instead of scanning every edge;
+//! callers searching many queries over the same graph should build the index once and
+//! use the `*_indexed` variants.
 
 use crate::matcher::{
     complete_static_anchored, seed_matches, static_window_bounds, window_deadline, KeywordTracker,
@@ -61,8 +63,8 @@ pub fn search_temporal_indexed(
     let first = pattern.edges()[0];
     let mut out = Vec::new();
     for &seed_idx in postings.candidates(pattern.label(first.src), pattern.label(first.dst)) {
-        let seed = graph.edge(seed_idx);
-        if !seed_matches(pattern, graph.labels(), seed) {
+        let seed = graph.event(seed_idx);
+        if !seed_matches(pattern, seed) {
             continue; // right labels, wrong loop structure
         }
         let mut run = match TemporalRun::spawn(pattern, seed, window) {
@@ -72,8 +74,8 @@ pub fn search_temporal_indexed(
             }
             TemporalSpawn::Active(run) => run,
         };
-        for &later in &graph.edges()[seed_idx + 1..] {
-            match run.advance(pattern, graph.labels(), later) {
+        for later in seed_idx + 1..graph.edge_count() {
+            match run.advance(pattern, graph.event(later)) {
                 RunStep::Pending => {}
                 RunStep::Expired => break,
                 RunStep::Complete(interval) => {
@@ -106,18 +108,19 @@ pub fn search_static_indexed(
     }
     let (p_src, p_dst) = pattern.edges[0];
     let mut out = Vec::new();
+    // The anchor's window, labelled; one buffer for every anchor.
+    let mut window_events = Vec::new();
     for &anchor_idx in postings.candidates(pattern.labels[p_src], pattern.labels[p_dst]) {
-        let anchor = graph.edge(anchor_idx);
+        let anchor = graph.event(anchor_idx);
         let (lo, hi) = static_window_bounds(graph.edges(), anchor.ts, window);
-        if let Some(interval) = complete_static_anchored(
+        window_events.clear();
+        window_events.extend((lo..hi).map(|idx| graph.event(idx)));
+        out.extend(complete_static_anchored(
             pattern,
-            graph.labels(),
-            &graph.edges()[lo..hi],
+            &window_events,
             anchor,
             window,
-        ) {
-            out.push(interval);
-        }
+        ));
     }
     out
 }

@@ -55,16 +55,17 @@ use query::matcher::{
     TemporalRun, TemporalSpawn,
 };
 use std::time::Instant;
-use tgraph::{GraphError, IncrementalGraph, StreamEvent, TemporalEdge};
+use tgraph::{GraphError, IncrementalGraph, StreamEvent};
 
 /// Rough footprints behind the `memory_bytes` gauge, bytes: a temporal run
 /// and each of its partial-match states (node map, timestamps, share of the run's
 /// allocation overhead), an open keyword window (four words; its tracker is counted
-/// apart), and a pending `Ntemp` anchor. Estimates, not an allocator audit.
+/// apart), and a pending `Ntemp` anchor (its event, spawn number and deadline).
+/// Estimates, not an allocator audit.
 const TEMPORAL_RUN_BYTES: usize = 56;
 const RUN_STATE_BYTES: usize = 64;
 const KEYWORD_WINDOW_BYTES: usize = 32;
-const PENDING_ANCHOR_BYTES: usize = 40;
+const PENDING_ANCHOR_BYTES: usize = 48;
 
 // The compiled-query types live in the `query` crate (the compiler side of the
 // miner→compiler→registry dataflow); the detector executes exactly those. Re-exported
@@ -173,7 +174,7 @@ pub struct Detector {
     /// Per-event scratch, kept so the steady state allocates nothing: anchors that
     /// fell due, one step's completions (both tagged with their spawn sequence number,
     /// to be put in spawn order), and the keyword queries the current event touches.
-    due: Vec<(u64, QueryId, TemporalEdge)>,
+    due: Vec<(u64, QueryId, StreamEvent)>,
     completed: Vec<(u64, Detection)>,
     touched: Vec<QueryId>,
     /// Attached metric handles, if any. Attaching them never changes detections —
@@ -205,22 +206,11 @@ impl Detector {
 
     /// An empty detector with no registered queries.
     pub fn new() -> Self {
-        // The detector keys its own lookups on first-edge label pairs, so the
-        // incremental graph's generic postings index would be maintained for nobody —
-        // disable it on the hot path. Retention starts at 0 (nothing to match yet);
-        // every registration re-derives it from the largest registered window.
-        let mut graph = IncrementalGraph::with_retention(0);
-        graph.disable_postings();
-        Self::with_graph(graph)
-    }
-
-    /// A detector over a caller-configured (empty) incremental graph. This is how the
-    /// sharded engine stamps out per-shard detectors from one graph template (see
-    /// [`IncrementalGraph::fresh_like`]).
-    pub(crate) fn with_graph(graph: IncrementalGraph) -> Self {
         Self {
             queries: QueryTable::new(),
-            graph,
+            // Retention starts at 0 (nothing to match yet); every registration
+            // re-derives it from the largest registered window.
+            graph: IncrementalGraph::with_retention(0),
             dropped_branches: 0,
             due: Vec::new(),
             completed: Vec::new(),
@@ -282,10 +272,10 @@ impl Detector {
         self.graph.restore_visible_floor(floor);
     }
 
-    /// The buffered edge window and the label table, bytes.
+    /// The buffered window of labelled edges, bytes: all the graph holds, as it keeps
+    /// nothing per node.
     fn graph_bytes(&self) -> usize {
-        self.graph.live_edge_count() * std::mem::size_of::<TemporalEdge>()
-            + std::mem::size_of_val(self.graph.labels())
+        self.graph.live_edge_count() * std::mem::size_of::<StreamEvent>()
     }
 
     /// One pass over the run table: live temporal runs, open keyword windows, pending
@@ -336,8 +326,8 @@ impl Detector {
         // runs carry their own state — so retention is twice the largest *static*
         // window: anchors need `window - 1` of look-back still buffered when their
         // `window - 1` of look-ahead closes. A detector without static queries retains
-        // nothing (events still validate and announce labels, but edge storage stays
-        // empty), which is what makes temporal-only shards cheap.
+        // nothing (events still validate, but edge storage stays empty), which is what
+        // makes temporal-only shards cheap.
         self.graph
             .set_retention(Some(self.queries.max_static_window().saturating_mul(2)));
         Ok(Registration { id, visible_from })
@@ -379,7 +369,9 @@ impl Detector {
     ///
     /// Errors (and leaves the detector unchanged) if the event's timestamp decreases
     /// (timestamps must be non-decreasing; equal timestamps are ordered by arrival)
-    /// or it relabels a known node.
+    /// or it is a self-loop carrying two labels. An id seen before under another label
+    /// is accepted: the event matches under the labels it carries (see
+    /// [`IncrementalGraph::validate`]).
     pub fn on_event(&mut self, event: StreamEvent) -> Result<Vec<Detection>, GraphError> {
         // A one-event batch has no valid prefix, so the error carries no detections.
         self.on_batch(std::slice::from_ref(&event))
@@ -466,8 +458,8 @@ impl Detector {
         }
     }
 
-    /// Updates the occupancy and memory gauges: the buffered edge window, label table,
-    /// live runs (weighted by their state count) and pending anchors. A
+    /// Updates the occupancy and memory gauges: the buffered edge window, live runs
+    /// (weighted by their state count), keyword trackers and pending anchors. A
     /// capacity-planning estimate from documented constants, not an allocator
     /// measurement; its high-water mark is what the repo benchmark records.
     fn observe_state(&self, instruments: &DetectorInstruments) {
@@ -634,10 +626,8 @@ impl Detector {
             };
             let live = self.graph.live_edges();
             let (lo, hi) = static_window_bounds(live, anchor.ts, registered.window());
-            let window = &live[lo..hi];
-            let labels = self.graph.labels();
             out.extend(
-                complete_static_anchored(pattern, labels, window, anchor, registered.window())
+                complete_static_anchored(pattern, &live[lo..hi], anchor, registered.window())
                     .map(|interval| Detection::of(query, interval)),
             );
             CostTracker::charge(&mut self.costs, query, |c| &mut c.advanced, clock);
@@ -687,7 +677,7 @@ impl EventStep<'_> {
                 else {
                     unreachable!("an advance index names a query of another kind");
                 };
-                let step = run.advance(pattern, self.graph.labels(), event.edge());
+                let step = run.advance(pattern, event);
                 CostTracker::charge(self.costs, query, |c| &mut c.advanced, clock);
                 let RunStep::Complete(interval) = step else {
                     debug_assert_eq!(step, RunStep::Pending, "the expired are retired first");
@@ -707,7 +697,6 @@ impl EventStep<'_> {
     /// Spawns new runs / anchors / keyword windows for the arriving event itself.
     fn spawn_for(&mut self, routes: Option<&PairRoutes>, touched: &[QueryId]) {
         let (event, timed, out) = (self.event, self.timed, &mut *self.out);
-        let edge = event.edge();
         let slots = &mut *self.slots;
 
         // Temporal queries whose first edge's label pair matches.
@@ -716,11 +705,11 @@ impl EventStep<'_> {
             let CompiledQuery::Temporal(pattern) = registered.query() else {
                 unreachable!("temporal seed index points at a non-temporal query");
             };
-            if !seed_matches(pattern, self.graph.labels(), edge) {
+            if !seed_matches(pattern, event) {
                 continue; // right labels, wrong loop structure
             }
             let clock = timed.then(Instant::now);
-            match TemporalRun::spawn(pattern, edge, registered.window()) {
+            match TemporalRun::spawn(pattern, event, registered.window()) {
                 TemporalSpawn::Complete(interval) => out.push(Detection::of(query, interval)),
                 TemporalSpawn::Active(run) => slots.spawn(query, run.deadline(), Live::Run(run)),
             }
@@ -732,7 +721,7 @@ impl EventStep<'_> {
         // (counted as an advance there), so only `spawned` ticks here.
         for &query in routes.map_or(&[][..], |routes| &routes.static_anchors) {
             let deadline = window_deadline(event.ts, slots.get(query).window());
-            slots.spawn(query, deadline, Live::Anchor(edge));
+            slots.spawn(query, deadline, Live::Anchor(event));
             CostTracker::charge(self.costs, query, |c| &mut c.spawned, None);
         }
 
@@ -1046,8 +1035,8 @@ mod tests {
             0,
             "no static query ever reads the window, so nothing is retained"
         );
-        // Matching is unaffected: labels and runs live outside the edge store.
-        assert!(detector.graph().is_known_node(0));
+        // Nor is anything kept per node; runs carry their own state.
+        assert_eq!(detector.graph().node_count(), 0);
         assert!(detector.active_temporal_runs() <= 10);
     }
 
@@ -1102,8 +1091,9 @@ mod tests {
         detector.on_event(ev(10, 1, 2, 1, 2)).unwrap();
         detector.on_event(ev(11, 0, 1, 0, 1)).unwrap();
         assert_eq!(detector.pending_static_anchors(), 1);
-        // This event is past the anchor's deadline but relabels node 0 — rejected.
-        assert!(detector.on_event(ev(30, 0, 1, 9, 1)).is_err());
+        // This event is past the anchor's deadline but gives its self-loop two labels
+        // — rejected.
+        assert!(detector.on_event(ev(30, 0, 0, 9, 1)).is_err());
         assert_eq!(
             detector.pending_static_anchors(),
             1,
@@ -1257,9 +1247,12 @@ mod tests {
             Err(GraphError::NonMonotonicTimestamp { .. })
         ));
         assert!(matches!(
-            detector.on_event(ev(11, 0, 1, 3, 1)),
+            detector.on_event(ev(11, 4, 4, 3, 1)),
             Err(GraphError::LabelConflict { .. })
         ));
+        // A reused id under another label is no error: node 0, seen as label 0, now
+        // carries label 3 and matches under it.
+        detector.on_event(ev(11, 0, 1, 3, 1)).unwrap();
     }
 
     #[test]

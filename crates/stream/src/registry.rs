@@ -28,7 +28,7 @@ use crate::error::{DeregisterError, RegisterError};
 use query::matcher::{KeywordTracker, TemporalRun};
 use std::collections::{vec_deque::Drain, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
-use tgraph::{Label, TemporalEdge};
+use tgraph::{Label, StreamEvent};
 
 /// Multiply-xor hasher (the Fx scheme) for the label-keyed routing maps, which are
 /// probed on every event. Their keys are the labels of *registered* queries — operator
@@ -64,7 +64,7 @@ pub(crate) enum Live {
     /// An open keyword window: its anchor's timestamp and stream position.
     Window { ts: u64, pos: u64 },
     /// An `Ntemp` anchor waiting for its window to close.
-    Anchor(TemporalEdge),
+    Anchor(StreamEvent),
 }
 
 /// An in-flight item in its query's queue.

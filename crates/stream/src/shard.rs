@@ -49,7 +49,7 @@ use obs::{
     MetricsRegistry, Profiler, QueryCost, QueryCostReport, ShardStat, SharedSink, TraceEvent,
 };
 use std::collections::{BTreeMap, HashMap};
-use tgraph::{GraphError, IncrementalGraph, Label, StreamEvent, TemporalGraph, TenantId};
+use tgraph::{GraphError, Label, StreamEvent, TemporalGraph, TenantId};
 
 /// Label-pair posting frequencies: the cost model behind query→shard assignment.
 ///
@@ -283,14 +283,10 @@ impl ShardedDetector {
     /// Panics if `shards` is zero.
     pub fn with_stats(shards: usize, stats: LabelPairStats) -> Self {
         assert!(shards > 0, "a sharded detector needs at least one shard");
-        // One graph template, stamped per shard: postings disabled (detectors key
-        // their own lookups), retention 0 until the shard's first query widens it.
-        let mut template = IncrementalGraph::with_retention(0);
-        template.disable_postings();
         Self {
             shards: (0..shards)
                 .map(|_| Shard {
-                    detector: Detector::with_graph(template.fresh_like()),
+                    detector: Detector::new(),
                     global_ids: Vec::new(),
                     events_processed: 0,
                     detections_emitted: 0,
@@ -323,7 +319,7 @@ impl ShardedDetector {
         self.durability = durability;
     }
 
-    /// Per-shard visibility floors ([`IncrementalGraph::visible_from`]), in shard
+    /// Per-shard visibility floors ([`tgraph::IncrementalGraph::visible_from`]), in shard
     /// order — recorded into snapshots so recovery can restore them exactly.
     pub fn shard_visible_floors(&self) -> Vec<u64> {
         self.shards
@@ -584,7 +580,8 @@ impl ShardedDetector {
     /// Processes one event; returns its detections in global timestamp order.
     ///
     /// Errors (leaving every shard unchanged) if the event's timestamp decreases
-    /// (non-decreasing order; arrival tie-break) or it relabels a known node.
+    /// (non-decreasing order; arrival tie-break) or it is a self-loop carrying two
+    /// labels.
     /// Prefer [`ShardedDetector::on_batch`]
     /// for throughput — per-event fan-out pays the thread-scope cost per event.
     pub fn on_event(&mut self, event: StreamEvent) -> Result<Vec<Detection>, GraphError> {

@@ -1,7 +1,8 @@
 //! The plain (uninstrumented) event path allocates nothing per event while nothing
 //! spawns, completes or falls due — whether the event is routed past every query or
 //! offered to a live run — a keyword window allocates nothing to open, wait or
-//! complete, and the tenant pool's front door adds nothing to it: no
+//! complete, an event between the largest node ids allocates what one between small
+//! ids does, and the tenant pool's front door adds nothing to it: no
 //! allocation per batch beyond its tenants' own, no memory kept per tenant that has
 //! left. Counted with a counting global allocator, which is why this test has a binary
 //! of its own.
@@ -89,8 +90,8 @@ fn quiet_events_allocate_nothing() {
         .unwrap();
     // Warm-up. The seed opens a temporal run and a keyword window; a first B→C edge
     // grows the run, and a second (a duplicate branch) sizes its scratch tail. Unrouted
-    // events bring the graph's node table and its small edge buffer (nothing is
-    // retained without a static query, the buffer compacts at 64) to their final size.
+    // events bring the graph's small edge buffer (nothing is retained without a static
+    // query, the buffer compacts at 64) to its final size.
     detector.on_event(ev(1, 0, 1, 0, 1)).unwrap();
     detector.on_event(ev(2, 1, 2, 1, 2)).unwrap();
     detector.on_event(ev(3, 1, 2, 1, 2)).unwrap();
@@ -117,6 +118,41 @@ fn quiet_events_allocate_nothing() {
     assert_eq!(detections, 0);
     assert_eq!(allocations, 0, "the quiet path must not allocate");
     assert_eq!(detector.active_temporal_runs(), 1, "the run is still there");
+}
+
+#[test]
+fn the_largest_ids_allocate_what_small_ones_do() {
+    // Nothing in the engine is sized by a node id: an event between `1 << 40` and
+    // `usize::MAX` allocates no more than the same event between nodes 3 and 4 —
+    // routed past every query, or seeding a temporal run and opening a keyword window.
+    let mut detector = Detector::new();
+    detector
+        .register(CompiledQuery::Temporal(chain()), 1_000_000)
+        .unwrap();
+    let keywords = NodeSetQuery {
+        labels: vec![Label(0), Label(5)],
+    };
+    detector
+        .register(CompiledQuery::NodeSet(keywords), 1_000_000)
+        .unwrap();
+    for ts in 1..=128 {
+        detector.on_event(ev(ts, 3, 4, 7, 7)).unwrap();
+    }
+    let mut ts = 128;
+    let mut allocations = |src: usize, dst: usize, labels: (u32, u32)| {
+        ts += 1;
+        allocations_during(|| drop(detector.on_event(ev(ts, src, dst, labels.0, labels.1))))
+    };
+    for labels in [(7, 7), (0, 1)] {
+        let small = allocations(3, 4, labels);
+        for (src, dst) in [(1 << 40, usize::MAX), (usize::MAX, 1 << 40)] {
+            assert!(
+                allocations(src, dst, labels) <= small,
+                "{src} -> {dst} with labels {labels:?}: more than {small} allocations"
+            );
+        }
+    }
+    assert_eq!(detector.active_temporal_runs(), 3);
 }
 
 /// Allocations of `events` after the first 64 (which warm the detector up), delivered
@@ -192,8 +228,8 @@ fn unmatched() -> CompiledQuery {
     CompiledQuery::Temporal(TemporalPattern::single_edge(Label(8), Label(9)))
 }
 
-/// `tenant`'s events `from..from + len`: one tick each over 128 nodes, so neither a
-/// tenant's node table nor anything else in its detector grows with the stream.
+/// `tenant`'s events `from..from + len`: one tick each over 128 nodes, so nothing in a
+/// tenant's detector grows with the stream.
 fn run_of(tenant: u64, from: u64, len: u64) -> impl Iterator<Item = TenantedEvent> {
     (from..from + len).map(move |i| TenantedEvent {
         tenant: TenantId(tenant),

@@ -29,16 +29,8 @@ use tgraph::{
 
 /// The events a materialised temporal graph would have produced, in timestamp order.
 pub fn events_of_graph(graph: &TemporalGraph) -> Vec<StreamEvent> {
-    graph
-        .edges()
-        .iter()
-        .map(|edge| StreamEvent {
-            ts: edge.ts,
-            src: edge.src,
-            dst: edge.dst,
-            src_label: graph.label(edge.src),
-            dst_label: graph.label(edge.dst),
-        })
+    (0..graph.edge_count())
+        .map(|idx| graph.event(idx))
         .collect()
 }
 
@@ -48,7 +40,9 @@ pub fn events_of_graph(graph: &TemporalGraph) -> Vec<StreamEvent> {
 ///
 /// A node keeps the label it was first announced with; a conflicting re-announcement
 /// is a [`GraphError::LabelConflict`], and a timestamp below its predecessor a
-/// [`GraphError::NonMonotonicTimestamp`] (ties are legal).
+/// [`GraphError::NonMonotonicTimestamp`] (ties are legal). This is stricter than the
+/// streaming engine, which accepts a reused id under a new label: a graph has one
+/// label per node.
 pub fn graph_of_events(events: &[StreamEvent]) -> Result<TemporalGraph, GraphError> {
     let mut builder = GraphBuilder::new();
     let mut ids: HashMap<usize, (usize, Label)> = HashMap::new();
@@ -348,7 +342,7 @@ mod tests {
     use super::*;
     use crate::dataset::DatasetConfig;
     use crate::testdata::TestDataConfig;
-    use tgraph::{Label, LabelInterner};
+    use tgraph::{Label, LabelInterner, TemporalEdge};
 
     fn ev(ts: u64, src: usize, dst: usize, sl: u32, dl: u32) -> StreamEvent {
         StreamEvent {
@@ -372,7 +366,7 @@ mod tests {
         }
         assert_eq!(replayed.len(), data.graph.edge_count());
         for (event, edge) in replayed.iter().zip(data.graph.edges()) {
-            assert_eq!(event.edge(), *edge);
+            assert_eq!(TemporalEdge::from(*event), *edge);
             assert_eq!(event.src_label, data.graph.label(edge.src));
             assert_eq!(event.dst_label, data.graph.label(edge.dst));
         }

@@ -32,13 +32,16 @@ pub enum GraphError {
     DisconnectedGrowth,
     /// The graph is empty where a non-empty graph is required.
     EmptyGraph,
-    /// A stream event re-announced an existing node with a different label.
+    /// One node carried two labels: a self-loop event labelled its ends differently,
+    /// or a trace rebuilt into one graph (`syscall::graph_of_events`, where a node has
+    /// one label) gave a node a second one. A stream itself may reuse an id under a
+    /// new label.
     LabelConflict {
-        /// The node whose label was contradicted.
+        /// The node that carried two labels.
         node: usize,
-        /// The label the node was first announced with (as a raw id).
+        /// The label it carried first (as a raw id).
         existing: u32,
-        /// The conflicting label from the new event (as a raw id).
+        /// The other label (as a raw id).
         new: u32,
     },
     /// An armed fault-injection failpoint fired: the batch was rejected cleanly,

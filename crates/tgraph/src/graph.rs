@@ -6,6 +6,7 @@
 //! syscalls between the same two system entities).
 
 use crate::error::GraphError;
+use crate::incremental::StreamEvent;
 use crate::label::Label;
 
 /// A directed edge carrying a timestamp.
@@ -111,6 +112,23 @@ impl TemporalGraph {
     #[inline]
     pub fn edge(&self, idx: usize) -> TemporalEdge {
         self.edges[idx]
+    }
+
+    /// Edge at storage index `idx` with both endpoint labels: the form the matcher
+    /// and the streaming engine take an edge in.
+    ///
+    /// # Panics
+    /// Panics if `idx` is out of range.
+    #[inline]
+    pub fn event(&self, idx: usize) -> StreamEvent {
+        let TemporalEdge { ts, src, dst } = self.edges[idx];
+        StreamEvent {
+            ts,
+            src,
+            dst,
+            src_label: self.labels[src],
+            dst_label: self.labels[dst],
+        }
     }
 
     /// Out-degree of `node` (number of edges with `node` as source).
@@ -264,6 +282,16 @@ mod tests {
                 ts: 5,
                 src: 0,
                 dst: 1
+            }
+        );
+        assert_eq!(
+            g.event(1),
+            StreamEvent {
+                ts: 9,
+                src: 1,
+                dst: 0,
+                src_label: Label(1),
+                dst_label: Label(0)
             }
         );
         assert_eq!(g.timespan(), Some((5, 9)));

@@ -3,39 +3,43 @@
 //! per kind of in-flight work, and **every** live run advanced by **every** event.
 //!
 //! The reference ([`Model`]) is written from the public `query::matcher` primitives for
-//! temporal and static queries and nothing else of the engine; for keyword queries it
-//! keeps a window of its own per anchor ([`ModelWindow`]), which consumes node
-//! appearances until the label multiset is collected — not the engine's one shared
-//! recency tracker per query. The two are compared after *every* event: the detections
-//! the event produced (order included), the three occupancy counts and
-//! `dropped_branches`. Streams are generated from a seed and cover equal timestamps,
-//! window 1 and windows near `u64::MAX`, queries sharing labels and first edges,
-//! self-loop pattern edges, edges whose endpoint labels coincide, a label with id
-//! `u32::MAX`, registration and deregistration mid-stream with runs in flight, and
-//! invalid events — alone and in the middle of a batch.
+//! temporal and static queries and nothing else of the engine — it keeps its own
+//! window of labelled events, not an `IncrementalGraph`; for keyword queries it keeps
+//! a window of its own per anchor ([`ModelWindow`]), which consumes node appearances
+//! until the label multiset is collected — not the engine's one shared recency tracker
+//! per query. The two are compared after *every* event: the detections the event
+//! produced (order included), the three occupancy counts and `dropped_branches`.
+//! Streams are generated from a seed and cover equal timestamps, window 1 and windows
+//! near `u64::MAX`, queries sharing labels and first edges, self-loop pattern edges,
+//! edges whose endpoint labels coincide, a label with id `u32::MAX`, node ids `1 << 40`
+//! and `usize::MAX`, ids reused under new labels inside and across windows,
+//! registration and deregistration mid-stream with runs in flight, and invalid events
+//! — alone and in the middle of a batch.
 
 use behavior_query::query::matcher::{
     complete_static_anchored, seed_matches, static_window_bounds, window_deadline, RunStep,
     TemporalRun, TemporalSpawn, MAX_STATES_PER_RUN,
 };
-use behavior_query::stream::{CompiledQuery, Detection, Detector};
+use behavior_query::stream::{CompiledQuery, Detection, Detector, ShardedDetector, TenantPool};
 use behavior_query::tgminer::baselines::gspan::StaticPattern;
 use behavior_query::tgminer::baselines::nodeset::NodeSetQuery;
 use behavior_query::tgraph::pattern::TemporalPattern;
-use behavior_query::tgraph::{GraphError, IncrementalGraph, Label, StreamEvent, TemporalEdge};
+use behavior_query::tgraph::{GraphError, Label, StreamEvent, TenantId, TenantedEvent};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// One keyword window of the reference: opened at an anchor, it consumes node
 /// appearances in stream order (source endpoint first) until every label of the
-/// multiset has its distinct nodes, or its deadline passes.
+/// multiset has its distinct nodes, or its deadline passes. A label counts the distinct
+/// ids that appeared under it, so an id reused under another member label counts once
+/// under each.
 struct ModelWindow {
     anchor_ts: u64,
     deadline: u64,
     /// Label → how many more distinct nodes must carry it.
     remaining: Vec<(Label, usize)>,
-    seen_nodes: Vec<usize>,
+    seen: Vec<(usize, Label)>,
 }
 
 impl ModelWindow {
@@ -51,7 +55,7 @@ impl ModelWindow {
             anchor_ts,
             deadline: window_deadline(anchor_ts, window),
             remaining,
-            seen_nodes: Vec::new(),
+            seen: Vec::new(),
         }
     }
 
@@ -59,8 +63,8 @@ impl ModelWindow {
         if ts > self.deadline {
             return RunStep::Expired;
         }
-        for (node, label) in endpoints {
-            if self.seen_nodes.contains(&node) {
+        for appearance @ (_, label) in endpoints {
+            if self.seen.contains(&appearance) {
                 continue;
             }
             let needed = self
@@ -69,7 +73,7 @@ impl ModelWindow {
                 .find(|(l, n)| *l == label && *n > 0);
             if let Some((_, count)) = needed {
                 *count -= 1;
-                self.seen_nodes.push(node);
+                self.seen.push(appearance);
             }
         }
         if self.remaining.iter().all(|&(_, count)| count == 0) {
@@ -82,10 +86,13 @@ impl ModelWindow {
 /// The reference engine: no label index, no per-query queues, no deadline order.
 struct Model {
     queries: Vec<Option<(CompiledQuery, u64)>>,
-    graph: IncrementalGraph,
+    /// The labelled events static anchors resolve against, oldest first.
+    window: Vec<StreamEvent>,
+    retention: u64,
+    last_ts: Option<u64>,
     temporal: Vec<(usize, TemporalRun)>,
     windows: Vec<(usize, ModelWindow)>,
-    anchors: Vec<(usize, TemporalEdge, u64)>,
+    anchors: Vec<(usize, StreamEvent, u64)>,
     dropped_branches: u64,
 }
 
@@ -93,7 +100,9 @@ impl Model {
     fn new() -> Self {
         Self {
             queries: Vec::new(),
-            graph: IncrementalGraph::with_retention(0),
+            window: Vec::new(),
+            retention: 0,
+            last_ts: None,
             temporal: Vec::new(),
             windows: Vec::new(),
             anchors: Vec::new(),
@@ -108,8 +117,26 @@ impl Model {
             .iter()
             .flatten()
             .filter_map(|(q, w)| matches!(q, CompiledQuery::Static(_)).then_some(*w));
-        let retention = widest.max().unwrap_or(0).saturating_mul(2);
-        self.graph.set_retention(Some(retention));
+        self.retention = widest.max().unwrap_or(0).saturating_mul(2);
+    }
+
+    /// The event contract: timestamps never decrease, and a self-loop carries one
+    /// label. Nothing is remembered about a node, so nothing else can conflict.
+    fn validate(&self, event: &StreamEvent) -> Result<(), GraphError> {
+        if let Some(previous) = self.last_ts.filter(|&last| event.ts < last) {
+            return Err(GraphError::NonMonotonicTimestamp {
+                previous,
+                current: event.ts,
+            });
+        }
+        if event.src == event.dst && event.src_label != event.dst_label {
+            return Err(GraphError::LabelConflict {
+                node: event.src,
+                existing: event.src_label.0,
+                new: event.dst_label.0,
+            });
+        }
+        Ok(())
     }
 
     fn register(&mut self, query: CompiledQuery, window: u64) {
@@ -125,36 +152,36 @@ impl Model {
         self.resize_retention();
     }
 
-    fn resolve(&mut self, due: Vec<(usize, TemporalEdge, u64)>, out: &mut Vec<Detection>) {
+    fn resolve(&mut self, due: Vec<(usize, StreamEvent, u64)>, out: &mut Vec<Detection>) {
         for (id, anchor, _) in due {
             let Some((CompiledQuery::Static(pattern), window)) = &self.queries[id] else {
                 unreachable!("anchor of a non-static query");
             };
-            let live = self.graph.live_edges();
-            let (lo, hi) = static_window_bounds(live, anchor.ts, *window);
-            let labels = self.graph.labels();
-            let hit = complete_static_anchored(pattern, labels, &live[lo..hi], anchor, *window);
+            let (lo, hi) = static_window_bounds(&self.window, anchor.ts, *window);
+            let hit = complete_static_anchored(pattern, &self.window[lo..hi], anchor, *window);
             out.extend(hit.map(|(start_ts, end_ts)| detection(id, start_ts, end_ts)));
         }
     }
 
     fn on_event(&mut self, event: StreamEvent) -> Result<Vec<Detection>, GraphError> {
-        self.graph.validate(&event)?;
+        self.validate(&event)?;
         let mut out = Vec::new();
         let (due, keep) = std::mem::take(&mut self.anchors)
             .into_iter()
             .partition(|&(_, _, deadline)| deadline < event.ts);
         self.anchors = keep;
         self.resolve(due, &mut out);
-        self.graph.append(event).expect("validated");
-        let (edge, labels) = (event.edge(), self.graph.labels());
+        self.last_ts = Some(event.ts);
+        self.window.push(event);
+        let oldest_kept = event.ts.saturating_sub(self.retention);
+        self.window.retain(|kept| kept.ts > oldest_kept);
         let queries = &self.queries;
         let dropped = &mut self.dropped_branches;
         self.temporal.retain_mut(|(id, run)| {
             let Some((CompiledQuery::Temporal(pattern), _)) = &queries[*id] else {
                 unreachable!("run of a non-temporal query");
             };
-            let step = run.advance(pattern, labels, edge);
+            let step = run.advance(pattern, event);
             if let RunStep::Complete((start_ts, end_ts)) = step {
                 out.push(detection(*id, start_ts, end_ts));
             }
@@ -177,10 +204,10 @@ impl Model {
             let CompiledQuery::Temporal(pattern) = query else {
                 continue;
             };
-            if !seed_matches(pattern, labels, edge) {
+            if !seed_matches(pattern, event) {
                 continue;
             }
-            match TemporalRun::spawn(pattern, edge, *window) {
+            match TemporalRun::spawn(pattern, event, *window) {
                 TemporalSpawn::Complete((s, e)) => out.push(detection(id, s, e)),
                 TemporalSpawn::Active(run) => self.temporal.push((id, run)),
             }
@@ -192,7 +219,7 @@ impl Model {
             let (src, dst) = pattern.edges[0];
             if (pattern.labels[src], pattern.labels[dst]) == (event.src_label, event.dst_label) {
                 self.anchors
-                    .push((id, edge, window_deadline(event.ts, *window)));
+                    .push((id, event, window_deadline(event.ts, *window)));
             }
         }
         for (id, (query, window)) in (0..queries.len()).filter_map(|id| Some((id, live(id)?))) {
@@ -315,7 +342,12 @@ proptest! {
         steps in 20usize..160,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let node_labels: Vec<Label> = (0..nodes).map(|_| pick_label(&mut rng)).collect();
+        // The id pool: small ids and the two largest an id space has. Each id has a
+        // current label, and one appearance in ten relabels it — a reused id — whether
+        // or not a window it took part in is still open.
+        let mut ids: Vec<usize> = (0..nodes - 2).collect();
+        ids.extend([1 << 40, usize::MAX]);
+        let mut labels: Vec<Label> = ids.iter().map(|_| pick_label(&mut rng)).collect();
         let (mut detector, mut model) = (Detector::new(), Model::new());
         for _ in 0..rng.gen_range(1..7) {
             let (query, window) = random_query(&mut rng);
@@ -326,10 +358,22 @@ proptest! {
             register(&mut detector, &mut model, query, window);
         }
         let mut ts = rng.gen_range(0..3u64);
-        let random_event = |rng: &mut StdRng, ts: u64| {
-            let src = rng.gen_range(0..nodes);
-            let dst = if rng.gen_bool(0.15) { src } else { rng.gen_range(0..nodes) };
-            StreamEvent { ts, src, dst, src_label: node_labels[src], dst_label: node_labels[dst] }
+        let mut random_event = |rng: &mut StdRng, ts: u64| {
+            let mut appear = |rng: &mut StdRng| {
+                let at = rng.gen_range(0..ids.len());
+                if rng.gen_bool(0.1) {
+                    labels[at] = pick_label(rng);
+                }
+                (ids[at], labels[at])
+            };
+            let (src, src_label) = appear(rng);
+            let (dst, dst_label) = match rng.gen_bool(0.15) {
+                true => (src, src_label),
+                false => appear(rng),
+            };
+            // A self-loop has one node, hence one label.
+            let dst_label = if dst == src { src_label } else { dst_label };
+            StreamEvent { ts, src, dst, src_label, dst_label }
         };
         for step in 0..steps {
             let context = format!("at step {step} of seed {seed}");
@@ -356,12 +400,9 @@ proptest! {
                     if ts > 0 && rng.gen_bool(0.5) {
                         bad.ts = ts - 1;
                     } else {
-                        // Relabels a node the prefix has just announced.
-                        bad.src = good.src;
-                        bad.src_label = Label(good.src_label.0 ^ 1);
-                        if bad.dst == bad.src {
-                            bad.dst_label = bad.src_label;
-                        }
+                        // A self-loop whose one node carries two labels.
+                        bad.dst = bad.src;
+                        bad.dst_label = Label(bad.src_label.0 ^ 1);
                     }
                     let unreached = random_event(&mut rng, ts + 1);
                     let expected = model.on_event(good).expect("valid event");
@@ -444,9 +485,19 @@ fn hub_fanout_drops_are_accounted_identically() {
     assert_same_state(&detector, &model, "after flush");
 }
 
-/// Registers `queries` on both engines, feeds both `events` as `(ts, src, dst, src
-/// label, dst label)`, checks they agree after each, and returns each event's
-/// detections.
+/// `(ts, src, dst, src label, dst label)` as an event.
+fn event_of(&(ts, src, dst, src_label, dst_label): &(u64, usize, usize, u32, u32)) -> StreamEvent {
+    StreamEvent {
+        ts,
+        src,
+        dst,
+        src_label: Label(src_label),
+        dst_label: Label(dst_label),
+    }
+}
+
+/// Registers `queries` on both engines, feeds both `events`, checks they agree after
+/// each and at the flush, and returns each event's detections, then the flush's.
 fn run_both(
     queries: Vec<(CompiledQuery, u64)>,
     events: &[(u64, usize, usize, u32, u32)],
@@ -456,20 +507,15 @@ fn run_both(
         register(&mut detector, &mut model, query, window);
     }
     let mut seen = Vec::new();
-    for (i, &(ts, src, dst, src_label, dst_label)) in events.iter().enumerate() {
-        let event = StreamEvent {
-            ts,
-            src,
-            dst,
-            src_label: Label(src_label),
-            dst_label: Label(dst_label),
-        };
+    for (i, event) in events.iter().map(event_of).enumerate() {
         let expected = model.on_event(event).unwrap();
         assert_eq!(detector.on_event(event).unwrap(), expected, "event {i}");
         assert_same_state(&detector, &model, &format!("after event {i}"));
         seen.push(expected);
     }
-    assert_eq!(detector.flush(), model.flush());
+    let flushed = model.flush();
+    assert_eq!(detector.flush(), flushed);
+    seen.push(flushed);
     seen
 }
 
@@ -534,4 +580,71 @@ fn a_reappearing_node_is_one_of_the_distinct_nodes_a_label_needs() {
         [detection(0, 1, 4), detection(0, 2, 4), detection(0, 3, 4)],
         "the window the last event opens still lacks a label-6 node after it"
     );
+}
+
+/// Ids at the top of the id space are ids like any other: every engine — the bare
+/// detector (through the model), one and two query shards and a tenant pool — accepts
+/// events between `1 << 40` and `usize::MAX`, in both directions and as self-loops,
+/// and detects in them what the model does.
+#[test]
+fn the_largest_ids_are_accepted_and_matched_by_every_engine() {
+    const BIG: usize = 1 << 40;
+    let there_and_back = TemporalPattern::single_edge(Label(0), Label(1))
+        .grow_inward(1, 0)
+        .unwrap();
+    let queries = vec![
+        (CompiledQuery::Temporal(there_and_back), 10),
+        (
+            CompiledQuery::Static(StaticPattern {
+                labels: vec![Label(1), Label(0)],
+                edges: vec![(0, 1)],
+            }),
+            10,
+        ),
+        (keywords(&[0, 1]), 10),
+    ];
+    let events = [
+        (1, usize::MAX, BIG, 0, 1),
+        (2, BIG, usize::MAX, 1, 0),
+        (3, usize::MAX, usize::MAX, 0, 0),
+        (4, BIG, BIG, 1, 1),
+    ];
+    let mut expected: Vec<Detection> = run_both(queries.clone(), &events).concat();
+    expected.sort_unstable();
+    let fired: Vec<usize> = expected.iter().map(|d| d.query).collect();
+    assert!(
+        (0..3).all(|q| fired.contains(&q)),
+        "every query fires: {expected:?}"
+    );
+
+    let stream: Vec<StreamEvent> = events.iter().map(event_of).collect();
+    for shards in [1, 2] {
+        let mut engine = ShardedDetector::new(shards);
+        for (query, window) in &queries {
+            engine.register(query.clone(), *window).unwrap();
+        }
+        let mut found = engine.on_batch(&stream).unwrap();
+        found.extend(engine.flush());
+        found.sort_unstable();
+        assert_eq!(found, expected, "{shards} shards");
+    }
+    let mut pool = TenantPool::new(1, 2);
+    for (query, window) in &queries {
+        pool.register(query.clone(), *window).unwrap();
+    }
+    let tenanted: Vec<TenantedEvent> = stream
+        .iter()
+        .map(|&event| TenantedEvent {
+            tenant: TenantId(u64::MAX),
+            event,
+        })
+        .collect();
+    let mut found = pool.on_batch(&tenanted).unwrap();
+    found.extend(pool.flush());
+    let mut found: Vec<Detection> = found
+        .into_iter()
+        .map(|d| detection(d.query, d.start_ts, d.end_ts))
+        .collect();
+    found.sort_unstable();
+    assert_eq!(found, expected, "tenant pool");
 }

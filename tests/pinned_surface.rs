@@ -1,7 +1,8 @@
 //! Canary for `benchmark/README.md` § "Pinned public surface": every `stream` and
-//! `durable` item the out-of-workspace benchmark harness calls, named here with the
-//! signature the harness relies on and driven once on `tiny` data — so a rename or a
-//! changed signature fails `cargo test` before it fails the benchmark build.
+//! `durable` item the out-of-workspace benchmark harness calls, and the
+//! `IncrementalGraph` methods its `tgraph` layer times, named here with the signature
+//! the harness relies on and driven once — so a rename or a changed signature fails
+//! `cargo test` before it fails the benchmark build.
 
 mod common;
 
@@ -18,7 +19,9 @@ use behavior_query::syscall::{
     DatasetConfig, StreamSource, TenantedStreamSource, TestData, TestDataConfig, TrainingData,
 };
 use behavior_query::tgraph::pattern::TemporalPattern;
-use behavior_query::tgraph::{StreamEvent, TemporalGraph, TenantedEvent};
+use behavior_query::tgraph::{
+    GraphError, IncrementalGraph, Label, StreamEvent, TemporalGraph, TenantedEvent,
+};
 use std::path::PathBuf;
 
 type Registered = Result<Registration, RegisterError>;
@@ -176,4 +179,31 @@ fn every_pinned_stream_and_durable_item_keeps_its_name_and_signature() {
         .expect_err("time ran backwards")
         .to_string()
         .contains("#1"));
+}
+
+#[test]
+fn every_pinned_incremental_graph_method_keeps_its_name_and_signature() {
+    let _: fn(u64) -> IncrementalGraph = IncrementalGraph::with_retention;
+    let _: fn(&IncrementalGraph, &StreamEvent) -> Result<(), GraphError> =
+        IncrementalGraph::validate;
+    let _: fn(&mut IncrementalGraph, StreamEvent) -> Result<u64, GraphError> =
+        IncrementalGraph::append;
+    let _: fn(&IncrementalGraph) -> usize = IncrementalGraph::live_edge_count;
+    let _: fn(&IncrementalGraph) -> usize = IncrementalGraph::node_count;
+
+    // The harness's loop: validate, append, read the live window and the node count.
+    // `tgraph.nodes` counts the distinct ids of the retained edges.
+    let mut graph = IncrementalGraph::with_retention(3);
+    for ts in 1..=5u64 {
+        let event = StreamEvent {
+            ts,
+            src: ts as usize,
+            dst: 0,
+            src_label: Label(1),
+            dst_label: Label(2),
+        };
+        assert!(graph.validate(&event).is_ok());
+        assert_eq!(graph.append(event), Ok(ts - 1));
+    }
+    assert_eq!((graph.live_edge_count(), graph.node_count()), (3, 4));
 }

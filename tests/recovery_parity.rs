@@ -19,7 +19,10 @@
 //!   detector to the same detections via `StreamSource::from_events`;
 //! * the placement statistics in the log are the engine's own: attaching through the
 //!   older `attach_sharded(det, &stats)` spelling with *different* statistics still
-//!   recovers every query onto the shard it lived on.
+//!   recovers every query onto the shard it lived on;
+//! * an id last seen before a snapshot's replay horizon and relabelled after it is
+//!   accepted and matched alike by the live and the recovered engines, since neither
+//!   keeps anything per node that the pruned history would have to rebuild.
 //!
 //! The single-stream tests run against a one-shard `ShardedDetector` — the
 //! single-threaded configuration of the single-stream engine.
@@ -36,6 +39,7 @@ use behavior_query::syscall::{
 };
 use behavior_query::tgminer::baselines::gspan::StaticPattern;
 use behavior_query::tgraph::generator::{random_t_connected_graph, RandomGraphSpec};
+use behavior_query::tgraph::pattern::TemporalPattern;
 use behavior_query::tgraph::{Label, StreamEvent, TenantId, TenantedEvent};
 use common::{
     chain_event, fresh, hits, interleave, last_chain_ts, pair_query, picks_from_seed, query_trio,
@@ -524,6 +528,53 @@ fn attaching_with_foreign_stats_still_recovers_the_engines_own_placement() {
         assert_eq!(survived, expected, "{shards} shards");
         std::fs::remove_dir_all(dir).expect("cleanup");
     }
+}
+
+/// A reused id across a snapshot's replay horizon. Node 2 appears once, at tick 1
+/// with label 1; with window 5 the log keeps 2 × 5 ticks of history, so the snapshot
+/// at tick 40 no longer replays that appearance. At tick 41 node 2 returns with label
+/// 7. The live engine and the one recovered from the snapshot (`recover`, which
+/// `recover_sharded` and `recover_pool` name per engine) both accept the event, and
+/// both detect the `7 → 2` edge it forms: one shard, two shards and a tenant pool.
+#[test]
+fn an_id_relabelled_past_the_replay_horizon_is_accepted_alike_live_and_recovered() {
+    let reused = CompiledQuery::Temporal(TemporalPattern::single_edge(Label(7), Label(2)));
+    let queries = vec![(pair_query(), 5), (reused, 5)];
+    let mut events: Vec<StreamEvent> = (1..=40).map(chain_event).collect();
+    events.push(StreamEvent {
+        ts: 41,
+        src: chain_event(1).src,
+        dst: 1_000,
+        src_label: Label(7),
+        dst_label: Label(2),
+    });
+    events.extend((42..=50).map(chain_event));
+    let relabel_hit = (1, 41, 41);
+    let (kill_at, snapshot_at) = (40, Some(39));
+
+    let batches: Vec<&[StreamEvent]> = events.chunks(1).collect();
+    for shards in [1, 2] {
+        let live = run_uninterrupted(fresh::<ShardedDetector>((1, shards)), &queries, &batches);
+        assert!(hits(live.clone()).contains(&relabel_hit), "{shards} shards");
+        let survived =
+            killed::<ShardedDetector>((1, shards), &queries, &batches, kill_at, snapshot_at);
+        assert_eq!(survived, live, "{shards} shards");
+    }
+
+    let tenanted: Vec<TenantedEvent> = events
+        .iter()
+        .map(|&event| TenantedEvent {
+            tenant: TenantId(3),
+            event,
+        })
+        .collect();
+    let batches: Vec<&[TenantedEvent]> = tenanted.chunks(1).collect();
+    let live = run_uninterrupted(fresh::<TenantPool>((1, 1)), &queries, &batches);
+    assert!(live
+        .iter()
+        .any(|d| (d.query, d.start_ts, d.end_ts) == relabel_hit));
+    let survived = killed::<TenantPool>((1, 1), &queries, &batches, kill_at, snapshot_at);
+    assert_eq!(survived, live, "tenant pool");
 }
 
 /// The mined-query fixture (same corpus as `tenant_parity`): tiny training + test

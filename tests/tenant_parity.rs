@@ -300,8 +300,8 @@ impl Producer {
 
     /// `size` events in runs of `run_len` (the last may be shorter), each run a random
     /// tenant's next events. Then `invalid` events are spoiled — a timestamp of 0 or a
-    /// contradicting label, at a random run's first event, its last, or one inside —
-    /// and every event of `poison` is spliced in at a random position.
+    /// self-loop carrying two labels, at a random run's first event, its last, or one
+    /// inside — and every event of `poison` is spliced in at a random position.
     fn batch(
         &mut self,
         size: usize,
@@ -324,10 +324,11 @@ impl Producer {
                 1 => run.end - 1,
                 _ => self.rng.gen_range(run),
             };
+            let event = &mut batch[at].event;
             if self.rng.gen_bool(0.5) {
-                batch[at].event.ts = 0;
+                event.ts = 0;
             } else {
-                batch[at].event.src_label = Label(7);
+                (event.dst, event.dst_label) = (event.src, Label(7));
             }
         }
         for te in poison {
