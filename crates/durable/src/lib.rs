@@ -10,7 +10,7 @@
 //! exactly as the uninterrupted one would have.
 //!
 //! There is one log surface for both engines — [`stream::ShardedDetector`] (one
-//! stream; one shard is the plain single-threaded configuration) and
+//! stream; one shard is the plain configuration) and
 //! [`stream::TenantPool`] (many streams): [`Wal::attach`], [`Wal::snapshot`],
 //! [`recover`] and [`recover_tolerant`] are generic over [`stream::Engine`].
 //!

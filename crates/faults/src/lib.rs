@@ -4,7 +4,7 @@
 //! and return typed injected errors. The durability layer (`durable`) and the
 //! streaming engines (`stream`) each accept an optional [`FaultPlan`]; armed
 //! failpoints let tests and chaos harnesses drive the system through every failure
-//! mode — fsync errors, torn rotations, dying shard workers, poison tenants —
+//! mode — fsync errors, torn rotations, rejected engine batches, poison tenants —
 //! without touching the filesystem or the scheduler.
 //!
 //! ## Inertness contract
@@ -27,7 +27,7 @@
 //! | `wal.fsync`      | `durable`: before each policy-driven `fsync`      |
 //! | `wal.rotate`     | `durable`: before opening the next segment        |
 //! | `snapshot.write` | `durable`: before writing a snapshot file         |
-//! | `shard.worker`   | `stream`: before a sharded batch fans out         |
+//! | `shard.worker`   | `stream`: before a sharded batch reaches a shard  |
 //! | `tenant.batch`   | `stream`: before a tenant pool demuxes a batch    |
 //!
 //! ## Example
@@ -113,7 +113,7 @@ struct PlanInner {
 }
 
 /// A seeded registry of armed failpoints. Cheap to clone (shared state), safe to
-/// consult from shard worker threads.
+/// share across threads.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     inner: Arc<PlanInner>,
@@ -143,11 +143,6 @@ impl FaultPlan {
                 fired: 0,
             },
         );
-    }
-
-    /// Disarms a failpoint; it never fires again until re-armed.
-    pub fn disarm(&self, point: &str) {
-        self.lock().remove(point);
     }
 
     /// Consults the failpoint: counts one hit and returns the typed fault if the
@@ -291,14 +286,10 @@ mod tests {
     }
 
     #[test]
-    fn unarmed_points_never_fire_and_disarm_works() {
+    fn unarmed_points_never_fire() {
         let plan = FaultPlan::new(0);
         assert!(plan.fires("anything").is_none());
         assert_eq!(plan.hits("anything"), 0);
-        plan.arm("x", FaultSchedule::EveryNth(1));
-        assert!(plan.fires("x").is_some());
-        plan.disarm("x");
-        assert!(plan.fires("x").is_none());
     }
 
     #[test]

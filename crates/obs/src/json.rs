@@ -80,14 +80,6 @@ impl Json {
         }
     }
 
-    /// The boolean value, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Renders compactly (no whitespace). Deterministic: same document, same bytes.
     pub fn render(&self) -> String {
         let mut out = String::new();

@@ -12,9 +12,8 @@
 //!   are emitted as `(query, start_ts, end_ts)` intervals. It matches and nothing else;
 //! * [`ShardedDetector`] — the engine for **one** stream: registered queries are
 //!   partitioned over N `Detector` shards (balanced by first-edge label-pair posting
-//!   frequency, [`LabelPairStats`]), each batch fans out to all shards, and per-shard
-//!   detections merge back into global timestamp order. One shard is the plain
-//!   single-threaded configuration;
+//!   frequency, [`LabelPairStats`]), each batch goes to every shard in turn, and
+//!   per-shard detections merge back into global timestamp order;
 //! * [`QueryTable`] — the registered-query state (queries, windows, the label indexes
 //!   that route an event to the queries it can seed or advance, and each query's queue
 //!   of in-flight runs) a `Detector` owns; it is the unit the sharded engine
@@ -35,6 +34,10 @@
 //!   ([`score_deployed`], [`evaluate_split`]);
 //! * the temporal substrate lives in [`tgraph::IncrementalGraph`], and the per-edge
 //!   advance logic is shared with the offline search through [`query::matcher`].
+//!
+//! Both engines are single-threaded: query shards and tenant-groups are partitions,
+//! run in sequence on the caller's thread. A deployment scales out by running one
+//! process, with its own write-ahead log, per tenant set.
 //!
 //! ## Error contracts
 //!

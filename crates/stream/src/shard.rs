@@ -1,19 +1,17 @@
-//! The sharded streaming detector: registered queries partitioned across worker shards.
+//! The sharded streaming detector: registered queries partitioned across shards.
 //!
-//! ## Why sharding
+//! ## Shards are partitions, not threads
 //!
-//! The single-threaded [`Detector`] offers an event only to the runs it can move, but
-//! every registered query whose labels the stream carries still adds spawn and advance
-//! work per event, on one thread. A monitoring deployment registers tens of queries over one high-rate event stream —
-//! the classic partition-to-scale setting. [`ShardedDetector`] splits the *query set*
-//! (not the stream) across N shards:
+//! The engine is single-threaded: [`ShardedDetector`] splits the *query set* (not the
+//! stream) across N shards and runs them one after another on the caller's thread.
+//! Scale-out is one process, with its own write-ahead log, per tenant set — share
+//! nothing, coordinate nothing. Within the process:
 //!
 //! * each shard owns a full [`Detector`] — its own [`crate::registry::QueryTable`],
 //!   partial-match runs, pending anchors, and its own [`tgraph::IncrementalGraph`]
 //!   whose retention is sized to *that shard's* largest static-query window (a shard
 //!   with no static queries stores no edges at all);
-//! * every event batch is fanned out to all shards on [`std::thread::scope`] workers
-//!   (share-nothing: no locks, no channels, no extra dependencies);
+//! * every event batch goes to every shard in turn;
 //! * per-shard detections are remapped to global query ids and merged back into global
 //!   timestamp order — ascending `(end_ts, start_ts, query)`, i.e. the order instances
 //!   complete in the stream.
@@ -26,7 +24,7 @@
 //! edge's label pair occurs, so a query keyed on a hot pair is proportionally more
 //! expensive. Each registration lands on the shard with the lowest
 //! accumulated cost — several queries keyed on one hot pair therefore spread across
-//! shards instead of serialising the pool behind a single worker. Without stats every
+//! shards instead of piling onto one. Without stats every
 //! query costs 1 and the assignment degrades to balance-by-count.
 //!
 //! ## Consistency
@@ -154,36 +152,7 @@ impl LabelPairStats {
     }
 }
 
-/// Minimum batch size worth fanning out to worker threads. Spawning and joining a
-/// scoped thread costs tens of microseconds; below this many events the per-shard work
-/// is usually smaller than that, so the pool processes the batch inline instead.
-/// Results are identical either way — only the scheduling differs.
-pub const PARALLEL_BATCH_MIN: usize = 1024;
-
-/// Runs `work` on every worker — on scoped threads when `threaded` (one per worker,
-/// share-nothing: no locks, no channels), inline otherwise — and returns the results
-/// in worker order. Results are identical either way; only the scheduling differs.
-pub(crate) fn fan_out<W: Send, R: Send>(
-    workers: impl Iterator<Item = W>,
-    threaded: bool,
-    work: impl Fn(W) -> R + Sync,
-) -> Vec<R> {
-    if !threaded {
-        return workers.map(work).collect();
-    }
-    let work = &work;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = workers
-            .map(|worker| scope.spawn(move || work(worker)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("worker panicked"))
-            .collect()
-    })
-}
-
-/// One worker's state: a full detector over this shard's queries, plus the mapping from
+/// One shard's state: a full detector over this shard's queries, plus the mapping from
 /// its dense local query ids back to the global ids the caller sees.
 #[derive(Debug)]
 struct Shard {
@@ -234,9 +203,8 @@ struct Placement {
 }
 
 /// The single-stream engine: [`Detector`] cores over a partition of the registered
-/// queries, one per worker thread, with logging, tracing and fault injection done once
-/// above them. One shard is the plain single-threaded configuration. See the module
-/// docs for the execution model.
+/// queries, run in sequence on the caller's thread, with logging, tracing and fault
+/// injection done once above them. See the module docs for the execution model.
 #[derive(Debug)]
 pub struct ShardedDetector {
     shards: Vec<Shard>,
@@ -245,10 +213,6 @@ pub struct ShardedDetector {
     stats: LabelPairStats,
     /// Global query id → placement (ids are dense over registrations, never reused).
     placements: Vec<Placement>,
-    /// Whether batches fan out on worker threads. `false` on single-core machines
-    /// (detected at construction): spawning workers that serialise on one CPU is pure
-    /// overhead, so shards run inline there — same results, no threads.
-    parallel: bool,
     /// Pool-level trace sink: lifecycle events carry *global* query ids and real
     /// shard indices, so the pool emits them itself rather than wiring sinks into
     /// the per-shard detectors (which only know local ids and always say shard 0).
@@ -260,7 +224,7 @@ pub struct ShardedDetector {
     durability: Option<Box<dyn DurabilitySink>>,
     /// Pool-level profiler handle for `pool.batch` / `pool.merge` spans. The same
     /// handle is forwarded to every shard detector, so shard-phase spans aggregate
-    /// into the one span map regardless of which worker thread they ran on.
+    /// into the one span map.
     profiler: Option<Profiler>,
     /// Deterministic fault plan; the `shard.worker` failpoint is consulted at the
     /// top of every batch. Unarmed: one `Option` branch, no behavior change.
@@ -268,7 +232,7 @@ pub struct ShardedDetector {
 }
 
 impl ShardedDetector {
-    /// A pool of `shards` workers balancing queries by count (no frequency stats).
+    /// A pool of `shards` shards balancing queries by count (no frequency stats).
     ///
     /// # Panics
     /// Panics if `shards` is zero.
@@ -276,7 +240,7 @@ impl ShardedDetector {
         Self::with_stats(shards, LabelPairStats::new())
     }
 
-    /// A pool of `shards` workers balancing queries by first-edge label-pair posting
+    /// A pool of `shards` shards balancing queries by first-edge label-pair posting
     /// frequency, estimated from `stats`.
     ///
     /// # Panics
@@ -295,7 +259,6 @@ impl ShardedDetector {
             loads: vec![0; shards],
             stats,
             placements: Vec::new(),
-            parallel: std::thread::available_parallelism().map_or(1, |n| n.get()) > 1,
             sink: None,
             last_evicted: vec![0; shards],
             durability: None,
@@ -359,11 +322,10 @@ impl ShardedDetector {
     /// Attaches (or with `None`, detaches) a shared scoped-span [`Profiler`].
     ///
     /// One handle serves the whole pool: the pool times `pool.batch` / `pool.merge`
-    /// around fan-out and merge, and every shard detector gets a clone so its
-    /// per-phase spans (`detector.batch`, `resolve_static`, …) land in the same
-    /// aggregated span map — span stacks are thread-local, so worker threads nest
-    /// correctly without coordination. Profiling is inert: detections are identical
-    /// with and without it (checked in `tests/instrumentation_parity.rs`).
+    /// around the shard loop and the merge, and every shard detector gets a clone so
+    /// its per-phase spans (`detector.batch`, `resolve_static`, …) nest under
+    /// `pool.batch` in the same aggregated span map. Profiling is inert: detections
+    /// are identical with and without it (checked in `tests/instrumentation_parity.rs`).
     pub fn set_profiler(&mut self, profiler: Option<Profiler>) {
         for shard in &mut self.shards {
             shard.detector.set_profiler(profiler.clone());
@@ -581,9 +543,8 @@ impl ShardedDetector {
     ///
     /// Errors (leaving every shard unchanged) if the event's timestamp decreases
     /// (non-decreasing order; arrival tie-break) or it is a self-loop carrying two
-    /// labels.
-    /// Prefer [`ShardedDetector::on_batch`]
-    /// for throughput — per-event fan-out pays the thread-scope cost per event.
+    /// labels. Prefer [`ShardedDetector::on_batch`] for throughput — a batch pays the
+    /// logging, failpoint and merge bookkeeping once, not per event.
     pub fn on_event(&mut self, event: StreamEvent) -> Result<Vec<Detection>, GraphError> {
         match self.on_batch(std::slice::from_ref(&event)) {
             Ok(out) => Ok(out),
@@ -594,7 +555,7 @@ impl ShardedDetector {
         }
     }
 
-    /// Fans a batch out to every shard in parallel and merges the per-shard detections
+    /// Runs a batch through every shard in turn and merges the per-shard detections
     /// into global timestamp order — ascending `(end_ts, start_ts, query)`.
     ///
     /// Same mid-batch contract as [`Detector::on_batch`]: every shard appends every
@@ -627,18 +588,10 @@ impl ShardedDetector {
             durability.record_events(events);
         }
         let _batch_span = self.profiler.as_ref().map(|p| p.enter("pool.batch"));
-        // A pool of one, a single-core machine (threads would only serialise), or a
-        // batch too small to amortise the spawn/join cost runs inline.
-        let threaded = self.parallel && self.shards.len() > 1 && events.len() >= PARALLEL_BATCH_MIN;
-        let results = fan_out(self.shards.iter_mut(), threaded, |shard| {
-            shard.process(events)
-        });
-
-        let _merge_span = self.profiler.as_ref().map(|p| p.enter("pool.merge"));
         let mut merged = Vec::new();
         let mut failure: Option<(usize, GraphError)> = None;
-        for result in results {
-            match result {
+        for shard in &mut self.shards {
+            match shard.process(events) {
                 Ok(detections) => merged.extend(detections),
                 Err(err) => {
                     // Shards share validation state, so they all fail identically.
@@ -654,6 +607,7 @@ impl ShardedDetector {
                 }
             }
         }
+        let _merge_span = self.profiler.as_ref().map(|p| p.enter("pool.merge"));
         Self::sort_global(&mut merged);
         self.trace_evictions();
         match failure {
@@ -923,10 +877,10 @@ mod tests {
     }
 
     #[test]
-    fn large_batches_agree_with_the_single_threaded_detector() {
-        // A batch above PARALLEL_BATCH_MIN takes the fan-out path (worker threads on
-        // multi-core machines); the merged result must equal the one-detector answer.
-        let events: Vec<StreamEvent> = (1..=(PARALLEL_BATCH_MIN as u64 + 500))
+    fn a_large_batch_over_three_shards_agrees_with_one_detector() {
+        // 1,524 events through three shards: the merged result must equal the
+        // one-detector answer, query by query.
+        let events: Vec<StreamEvent> = (1..=1_524u64)
             .map(|ts| ev(ts, 2 * ts as usize, 2 * ts as usize + 1, 0, 1))
             .collect();
         let mut single = Detector::new();

@@ -15,6 +15,10 @@
 //!   each tenant's [`ShardedDetector`], the engine forms a 2-D grid:
 //!   queries × tenant-groups.
 //!
+//! Groups, like query shards, are partitions, not threads: the pool runs them one
+//! after another on the caller's thread. Scale-out is one process, with its own
+//! write-ahead log, per tenant set.
+//!
 //! ## Ordering contract
 //!
 //! Within one tenant, events must be non-decreasing in timestamp (ties keep arrival
@@ -82,7 +86,7 @@ use crate::durability::DurabilitySink;
 use crate::engine::Engine;
 use crate::error::{DeregisterError, RegisterError, TenantBatchError};
 use crate::registry::QueryTable;
-use crate::shard::{fan_out, LabelPairStats, ShardedDetector, PARALLEL_BATCH_MIN};
+use crate::shard::{LabelPairStats, ShardedDetector};
 use faults::FaultPlan;
 use obs::{
     Counter, Gauge, MetricsRegistry, Profiler, QueryCost, QueryCostReport, SharedSink,
@@ -204,10 +208,6 @@ struct Run {
     first: bool,
 }
 
-/// What processing a group's share of a batch yields: the group's detections
-/// (unsorted) and the lowest-batch-position failure, if any tenant rejected an event.
-type GroupOutcome = (Vec<TenantDetection>, Option<(usize, TenantId, GraphError)>);
-
 /// One live tenant: its own query-sharded detector and, while a batch is demuxed, where
 /// its sub-stream lies in the pool's arena (`0..0` between batches).
 #[derive(Debug)]
@@ -232,10 +232,17 @@ struct Group {
 
 impl Group {
     /// Processes group `index`'s share of a staged batch: each of its tenants with a
-    /// run in `runs` gets its slice of `arena`, in first-appearance order.
-    fn process(&mut self, index: usize, runs: &[Run], arena: &[StreamEvent]) -> GroupOutcome {
-        let mut detections = Vec::new();
-        let mut failure: Option<(usize, TenantId, GraphError)> = None;
+    /// run in `runs` gets its slice of `arena`, in first-appearance order. Detections
+    /// are appended to `detections` unsorted; `failure` keeps the lowest-batch-position
+    /// rejection seen so far.
+    fn process(
+        &mut self,
+        index: usize,
+        runs: &[Run],
+        arena: &[StreamEvent],
+        detections: &mut Vec<TenantDetection>,
+        failure: &mut Option<(usize, TenantId, GraphError)>,
+    ) {
         for first in runs.iter().filter(|r| r.first && r.group == index) {
             let tenant = &mut self.tenants[first.slot];
             let events = &arena[std::mem::take(&mut tenant.staged)];
@@ -254,7 +261,7 @@ impl Group {
                         .nth(err.index)
                         .expect("the tenant's runs hold the event");
                     if failure.as_ref().is_none_or(|(lowest, _, _)| at < *lowest) {
-                        failure = Some((at, tenant.id, err.error));
+                        *failure = Some((at, tenant.id, err.error));
                     }
                     err.emitted
                 }
@@ -262,7 +269,6 @@ impl Group {
             self.detections += out.len() as u64;
             detections.extend(out.into_iter().map(|d| TenantDetection::of(tenant.id, d)));
         }
-        (detections, failure)
     }
 }
 
@@ -288,9 +294,6 @@ pub struct TenantPool {
     arena: Vec<StreamEvent>,
     /// The runs of the batch being processed, in batch order.
     runs: Vec<Run>,
-    /// Mirrors `ShardedDetector`: group fan-out only pays for threads on multi-core
-    /// machines and large batches.
-    parallel: bool,
     /// Pool-level write-ahead recorder: operations and tenant batches are recorded
     /// once at the demux front-end; per-tenant detectors stay recorder-free.
     durability: Option<Box<dyn DurabilitySink>>,
@@ -359,7 +362,6 @@ impl TenantPool {
             groups: (0..groups).map(|_| Group::default()).collect(),
             arena: Vec::new(),
             runs: Vec::new(),
-            parallel: std::thread::available_parallelism().map_or(1, |n| n.get()) > 1,
             durability: None,
             profiler: None,
             attribution_interval: None,
@@ -787,19 +789,9 @@ impl TenantPool {
         self.stage(batch);
         drop(demux_span);
 
-        // One group, a single-core machine, or a batch too small to amortise thread
-        // spawn/join runs inline; workers share the arena and the run list read-only.
-        let threaded = self.parallel && self.groups.len() > 1 && events.len() >= PARALLEL_BATCH_MIN;
-        let results = fan_out(
-            self.groups.iter_mut().enumerate(),
-            threaded,
-            |(index, group)| group.process(index, &self.runs, &self.arena),
-        );
-
         let mut failure: Option<(usize, TenantId, GraphError)> = None;
-        for (detections, other) in results {
-            merged.extend(detections);
-            failure = [failure, other].into_iter().flatten().min_by_key(|f| f.0);
+        for (index, group) in self.groups.iter_mut().enumerate() {
+            group.process(index, &self.runs, &self.arena, &mut merged, &mut failure);
         }
         Self::sort_global(&mut merged);
         self.tick_instruments();

@@ -119,7 +119,7 @@ impl StreamSource {
 
     /// The whole stream's batches from the beginning (the last one may be short). Every
     /// call starts over, so one source replays into several detector pools (every shard
-    /// count of a throughput sweep, or the sharded and single-threaded engines of a
+    /// count of a throughput sweep, or the sharded engine and a bare detector of a
     /// parity check) without any cursor bookkeeping.
     pub fn batches(&self) -> std::slice::Chunks<'_, StreamEvent> {
         self.events.chunks(self.batch_size)

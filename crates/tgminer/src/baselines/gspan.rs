@@ -27,7 +27,8 @@
 
 use crate::score::ScoreFunction;
 use crate::topk::{Scored, TopK};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use crate::StableSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 use tgraph::{Label, TemporalGraph};
 
@@ -569,7 +570,7 @@ struct StaticMiner<'a> {
     score: &'a dyn ScoreFunction,
     max_edges: usize,
     cap_per_graph: usize,
-    visited: HashSet<Vec<u64>>,
+    visited: StableSet<Vec<u64>>,
     top: TopK<StaticPattern>,
     patterns_processed: u64,
     scratch: Scratch,
@@ -589,7 +590,7 @@ impl<'a> StaticMiner<'a> {
             score,
             max_edges,
             cap_per_graph: CAP_PER_GRAPH,
-            visited: HashSet::new(),
+            visited: StableSet::default(),
             top: TopK::new(top_k),
             patterns_processed: 0,
             scratch: Scratch::default(),

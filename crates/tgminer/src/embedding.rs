@@ -8,7 +8,7 @@
 
 use tgraph::matching::{find_embeddings, Embedding};
 use tgraph::pattern::TemporalPattern;
-use tgraph::residual::{ResidualSet, ResidualSignature};
+use tgraph::residual::ResidualSet;
 use tgraph::TemporalGraph;
 
 /// The embeddings of one pattern inside one data graph.
@@ -90,16 +90,6 @@ impl Occurrences {
         }
     }
 
-    /// Residual signature `I(Gp, g)` over the positive set (Lemma 6).
-    pub fn residual_signature_pos(&self, positives: &[TemporalGraph]) -> ResidualSignature {
-        self.residual_set_pos().signature(positives)
-    }
-
-    /// Residual signature `I(Gn, g)` over the negative set.
-    pub fn residual_signature_neg(&self, negatives: &[TemporalGraph]) -> ResidualSignature {
-        self.residual_set_neg().signature(negatives)
-    }
-
     /// The positive residual graph set `R(Gp, g)` (set semantics).
     pub fn residual_set_pos(&self) -> ResidualSet {
         ResidualSet::from_embeddings(
@@ -122,6 +112,7 @@ impl Occurrences {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tgraph::residual::ResidualSignature;
     use tgraph::{GraphBuilder, Label};
 
     fn l(i: u32) -> Label {
@@ -161,11 +152,11 @@ mod tests {
         let positives = vec![chain(&[0, 1, 2, 3])]; // edges: 0->1, 1->2, 2->3
         let p = TemporalPattern::single_edge(l(0), l(1));
         let occ = Occurrences::compute(&p, &positives, &[], 100);
-        let sig = occ.residual_signature_pos(&positives);
+        let sig = occ.residual_set_pos().signature(&positives);
         assert_eq!(sig.total_edges, 2);
         assert_eq!(sig.residual_count, 1);
         assert_eq!(
-            occ.residual_signature_neg(&[]),
+            occ.residual_set_neg().signature(&[]),
             ResidualSignature::default()
         );
     }

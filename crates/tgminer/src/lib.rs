@@ -69,3 +69,15 @@ pub use pruning::{ResidualTestAlgo, SubgraphTestAlgo};
 pub use ranking::InterestRanker;
 pub use score::{GTest, InfoGain, LogRatio, ScoreFunction};
 pub use stats::{LevelStats, MiningStats};
+
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasherDefault;
+
+/// A `HashMap` with fixed hash keys, as `tgraph`'s label tables use: for a map whose
+/// entries own heap memory, drop order — and with it the allocator's later layout —
+/// is then a function of the input, not of per-process random keys.
+pub(crate) type StableMap<K, V> = HashMap<K, V, BuildHasherDefault<DefaultHasher>>;
+
+/// The set counterpart of [`StableMap`].
+pub(crate) type StableSet<T> = HashSet<T, BuildHasherDefault<DefaultHasher>>;

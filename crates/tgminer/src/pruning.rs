@@ -32,7 +32,7 @@
 use crate::embedding::Occurrences;
 use crate::stats::MiningStats;
 use crate::topk::TopK;
-use std::collections::HashMap;
+use crate::StableMap;
 use tgraph::gindex::gindex_temporal_subgraph;
 use tgraph::pattern::TemporalPattern;
 use tgraph::residual::{LabelPostings, ResidualSet, ResidualSignature};
@@ -139,7 +139,7 @@ struct DiscoveredEntry {
 pub struct PruningRegistry {
     entries: Vec<DiscoveredEntry>,
     /// Index from positive residual signature to candidate entries.
-    by_sig_pos: HashMap<(u64, u64), Vec<usize>>,
+    by_sig_pos: StableMap<(u64, u64), Vec<usize>>,
     subgraph_algo: SubgraphTestAlgo,
     residual_algo: ResidualTestAlgo,
     use_subgraph: bool,
@@ -156,7 +156,7 @@ impl PruningRegistry {
     ) -> Self {
         Self {
             entries: Vec::new(),
-            by_sig_pos: HashMap::new(),
+            by_sig_pos: StableMap::default(),
             subgraph_algo,
             residual_algo,
             use_subgraph,

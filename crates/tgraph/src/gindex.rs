@@ -6,21 +6,20 @@
 //! which reproduces the overhead the paper attributes to this baseline ("PruneGI has to
 //! frequently build graph indexes for each discovered pattern").
 
-use crate::label::Label;
+use crate::label::{Label, StableMap};
 use crate::pattern::TemporalPattern;
-use std::collections::HashMap;
 
 /// A one-edge index over a temporal pattern: `(src label, dst label)` → edge positions
 /// in timestamp order.
 #[derive(Debug, Clone)]
 pub struct OneEdgeIndex {
-    postings: HashMap<(Label, Label), Vec<usize>>,
+    postings: StableMap<(Label, Label), Vec<usize>>,
 }
 
 impl OneEdgeIndex {
     /// Builds the index for `pattern`.
     pub fn build(pattern: &TemporalPattern) -> Self {
-        let mut postings: HashMap<(Label, Label), Vec<usize>> = HashMap::new();
+        let mut postings: StableMap<(Label, Label), Vec<usize>> = StableMap::default();
         for (idx, edge) in pattern.edges().iter().enumerate() {
             let key = (pattern.label(edge.src), pattern.label(edge.dst));
             postings.entry(key).or_default().push(idx);

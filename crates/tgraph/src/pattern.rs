@@ -9,7 +9,7 @@
 //! structurally identical. Pattern equality and hashing are therefore plain `==`/`Hash`.
 
 use crate::error::GraphError;
-use crate::graph::{GraphBuilder, TemporalGraph};
+use crate::graph::TemporalGraph;
 use crate::label::Label;
 use std::fmt;
 
@@ -271,20 +271,6 @@ impl TemporalPattern {
         Ok(Self { labels, edges })
     }
 
-    /// Converts the pattern to a concrete [`TemporalGraph`] with timestamps `1..=|E|`.
-    pub fn to_graph(&self) -> TemporalGraph {
-        let mut builder = GraphBuilder::with_capacity(self.labels.len(), self.edges.len());
-        for &label in &self.labels {
-            builder.add_node(label);
-        }
-        for (i, edge) in self.edges.iter().enumerate() {
-            builder
-                .add_edge(edge.src, edge.dst, (i + 1) as u64)
-                .expect("pattern edges are valid by construction");
-        }
-        builder.build()
-    }
-
     /// Multiset of node labels, sorted. Used by pruning as a cheap pre-filter.
     pub fn sorted_label_multiset(&self) -> Vec<Label> {
         let mut labels = self.labels.clone();
@@ -314,6 +300,7 @@ impl fmt::Display for TemporalPattern {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::GraphBuilder;
 
     fn l(i: u32) -> Label {
         Label(i)
@@ -399,18 +386,6 @@ mod tests {
     fn from_graph_rejects_empty() {
         let g = TemporalGraph::new(vec![l(0)], vec![]).unwrap();
         assert!(TemporalPattern::from_graph(&g).is_err());
-    }
-
-    #[test]
-    fn to_graph_round_trips() {
-        let p = TemporalPattern::single_edge(l(0), l(1))
-            .grow_forward(1, l(2))
-            .unwrap()
-            .grow_inward(0, 2)
-            .unwrap();
-        let g = p.to_graph();
-        let back = TemporalPattern::from_graph(&g).unwrap();
-        assert_eq!(p, back);
     }
 
     #[test]

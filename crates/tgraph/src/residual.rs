@@ -12,9 +12,9 @@
 //! integer comparisons.
 
 use crate::graph::TemporalGraph;
-use crate::label::Label;
+use crate::label::{Label, StableMap};
 use crate::matching::Embedding;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// Number of edges in the residual graph of a match whose last matched edge has storage
 /// index `last_edge_idx` in `graph`.
@@ -128,13 +128,13 @@ pub struct ResidualSignature {
 /// label sets (subgraph-pruning condition 3).
 #[derive(Debug, Clone, Default)]
 pub struct LabelPostings {
-    postings: HashMap<Label, Vec<usize>>,
+    postings: StableMap<Label, Vec<usize>>,
 }
 
 impl LabelPostings {
     /// Builds the postings lists for `graph`.
     pub fn build(graph: &TemporalGraph) -> Self {
-        let mut postings: HashMap<Label, Vec<usize>> = HashMap::new();
+        let mut postings: StableMap<Label, Vec<usize>> = StableMap::default();
         for (idx, edge) in graph.edges().iter().enumerate() {
             postings.entry(graph.label(edge.src)).or_default().push(idx);
             if edge.dst != edge.src || graph.label(edge.dst) != graph.label(edge.src) {

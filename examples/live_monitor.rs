@@ -1,13 +1,13 @@
 //! Live monitoring: mine behavior queries offline, then detect behaviors *online* as a
-//! stream of system events arrives — on a sharded worker pool.
+//! stream of system events arrives — on a sharded engine.
 //!
 //! Run with `cargo run --release --example live_monitor`.
 //!
 //! The offline half is the paper's pipeline: generate training logs, mine discriminative
 //! temporal patterns for a few target behaviors. The online half is this repository's
 //! streaming extension: register the mined patterns with a `stream::ShardedDetector`
-//! (queries partitioned across worker threads, balanced by first-edge label-pair
-//! frequency) and replay the test dataset as an ordered event stream — detections are
+//! (queries partitioned across shards that run in turn on one thread, balanced by
+//! first-edge label-pair frequency) and replay the test dataset as an ordered event stream — detections are
 //! emitted the moment the completing event arrives, in global timestamp order, and
 //! agree interval-for-interval with the offline search whatever the shard count.
 

@@ -25,7 +25,7 @@
 //!   keeps anything per node that the pruned history would have to rebuild.
 //!
 //! The single-stream tests run against a one-shard `ShardedDetector` — the
-//! single-threaded configuration of the single-stream engine.
+//! plainest configuration of the single-stream engine.
 
 mod common;
 
@@ -78,7 +78,7 @@ fn killed<E: Engine>(
     )
 }
 
-/// The single-threaded single-stream engine: one shard.
+/// The single-stream engine at its plainest: one shard.
 fn one_shard() -> ShardedDetector {
     ShardedDetector::new(1)
 }

@@ -270,15 +270,15 @@ proptest! {
 }
 
 /// The acceptance sweep: on generated `TestData` with genuinely mined queries, sharded
-/// pools of 1, 2 and 4 workers emit the identical sorted detection set as the
-/// single-threaded detector and the offline search.
+/// pools of 1, 2 and 4 shards emit the identical sorted detection set as the
+/// one-shard detector and the offline search.
 #[test]
 fn testdata_sharded_parity_at_1_2_and_4_shards() {
     let fx = fixture();
     let single = stream_intervals(&fx.test.graph, &fx.queries, 128);
     assert_eq!(&single, &fx.offline, "single-threaded baseline diverged");
-    // Batch 128 stays on the pool's inline path; 2048 crosses PARALLEL_BATCH_MIN and
-    // exercises the worker-thread fan-out (on multi-core machines).
+    // A small and a large batch: shard results must not depend on where batches cut
+    // the stream.
     for batch in [128usize, 2048] {
         for shards in [1usize, 2, 4] {
             let sharded = sharded_intervals(&fx.test.graph, &fx.queries, batch, shards);
