@@ -406,7 +406,7 @@ mod tests {
             tenant_last_ts: Vec::new(),
             floors: vec![(0, vec![2])],
         };
-        snapshot::write(&dir, 1, header, &framed(&ops), ops.len() as u64).unwrap();
+        snapshot::write(&dir, 1, header, &framed(&ops), ops.len() as u64, false).unwrap();
         segment(
             1,
             (7..=8)

@@ -8,38 +8,59 @@
 //! parity guarantee testable rather than asserted.
 //!
 //! Files are written to a `.tmp` sibling and atomically renamed into place, so a
-//! crash mid-write never leaves a half-snapshot under the live name. The footer
+//! crash mid-write never leaves a half-snapshot under the live name. When the log
+//! syncs at all, the file is synced before the rename and the directory after it, so
+//! the snapshot is on disk before segment GC deletes what it covers. The footer
 //! carries the op count; a snapshot without a matching footer is incomplete and
 //! treated as damaged.
 
 use crate::error::{DurableError, WalDamage};
 use crate::record::{SnapshotHeader, WalRecord};
 use crate::segment::{file_name, push_frame, FrameReader, SNAPSHOT};
-use std::fs;
+use std::fs::{self, File};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Writes snapshot `index` into `dir` — the header frame, the `ops` frames of `tail`
-/// exactly as the log holds them, the footer frame; returns `(path, bytes)`.
+/// exactly as the log holds them, the footer frame — straight to the file; returns
+/// its path. With `sync`, the file's data is synced before the rename and the
+/// directory after it: two syncs.
 pub(crate) fn write(
     dir: &Path,
     index: u64,
     header: SnapshotHeader,
     tail: &[u8],
     ops: u64,
-) -> Result<(PathBuf, u64), DurableError> {
-    let header = WalRecord::SnapshotHeader(header);
-    let mut buf = Vec::with_capacity(tail.len() + 256);
-    push_frame(&mut buf, |buf| header.encode_into(buf));
-    buf.extend_from_slice(tail);
-    push_frame(&mut buf, |buf| {
+    sync: bool,
+) -> Result<PathBuf, DurableError> {
+    let mut envelope = Vec::new();
+    push_frame(&mut envelope, |buf| {
+        WalRecord::SnapshotHeader(header).encode_into(buf)
+    });
+    let header_bytes = envelope.len();
+    push_frame(&mut envelope, |buf| {
         WalRecord::SnapshotFooter { ops }.encode_into(buf)
     });
+    let (head, foot) = envelope.split_at(header_bytes);
 
     let path = dir.join(file_name(SNAPSHOT, index));
     let tmp = dir.join(format!("{}.tmp", file_name(SNAPSHOT, index)));
-    fs::write(&tmp, &buf).map_err(|e| DurableError::io(&tmp, e))?;
+    let written = File::create(&tmp).and_then(|mut file| {
+        file.write_all(head)?;
+        file.write_all(tail)?;
+        file.write_all(foot)?;
+        if sync {
+            file.sync_data()?;
+        }
+        Ok(())
+    });
+    written.map_err(|e| DurableError::io(&tmp, e))?;
     fs::rename(&tmp, &path).map_err(|e| DurableError::io(&path, e))?;
-    Ok((path, buf.len() as u64))
+    if sync {
+        let synced = File::open(dir).and_then(|dir| dir.sync_all());
+        synced.map_err(|e| DurableError::io(dir, e))?;
+    }
+    Ok(path)
 }
 
 /// Reads a snapshot file in one pass, validating the header/footer envelope: the
@@ -165,9 +186,8 @@ pub(crate) mod tests {
     #[test]
     fn snapshots_round_trip() {
         let dir = temp_dir("roundtrip");
-        let (path, bytes) = write(&dir, 3, header(), &framed(&ops()), 2).unwrap();
+        let path = write(&dir, 3, header(), &framed(&ops()), 2, false).unwrap();
         assert_eq!(path.file_name().unwrap(), "snapshot-000003.snap");
-        assert_eq!(bytes, fs::metadata(&path).unwrap().len());
         let (loaded_header, loaded_ops) = load_all(&path).unwrap();
         assert_eq!(loaded_header, header());
         assert_eq!(loaded_ops, ops());
@@ -177,7 +197,7 @@ pub(crate) mod tests {
     #[test]
     fn a_truncated_snapshot_is_typed_damage_not_a_panic() {
         let dir = temp_dir("truncated");
-        let (path, _) = write(&dir, 1, header(), &framed(&ops()), 2).unwrap();
+        let path = write(&dir, 1, header(), &framed(&ops()), 2, false).unwrap();
         let bytes = fs::read(&path).unwrap();
         // Drop the footer frame entirely (footer payload is 9 bytes + 8 header).
         fs::write(&path, &bytes[..bytes.len() - 17]).unwrap();
@@ -192,7 +212,7 @@ pub(crate) mod tests {
     fn a_footer_op_count_mismatch_is_a_codec_error() {
         let dir = temp_dir("mismatch");
         // A lying footer: it claims 5 ops over an empty body.
-        let (path, _) = write(&dir, 1, header(), &[], 5).unwrap();
+        let path = write(&dir, 1, header(), &[], 5, false).unwrap();
         assert!(matches!(load_all(&path), Err(DurableError::Codec { .. })));
         fs::remove_dir_all(dir).unwrap();
     }
@@ -233,7 +253,7 @@ pub(crate) mod tests {
         let dir = temp_dir("mutate");
         let ops = crate::record::tests::one_of_each_kind();
         let ops: Vec<WalRecord> = ops.into_iter().skip(1).take(6).collect();
-        let (path, _) = write(&dir, 1, header(), &framed(&ops), ops.len() as u64).unwrap();
+        let path = write(&dir, 1, header(), &framed(&ops), ops.len() as u64, false).unwrap();
         assert_eq!(load_all(&path).unwrap(), (header(), ops));
         let clean = fs::read(&path).unwrap();
         for cut in 0..clean.len() {

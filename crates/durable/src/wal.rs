@@ -13,8 +13,9 @@
 //! is retried under [`RetryPolicy`] (with the partial frame truncated away first);
 //! once the budget is spent the log enters a sticky **degraded** mode — the engine
 //! keeps detecting, durability is suspended, and the condition surfaces through
-//! [`Wal::status`], the `durable.degraded` gauge, a `wal_error` trace event, and
-//! [`Wal::take_error`] (the next snapshot fails too).
+//! [`Wal::status`], the `durable.degraded` gauge and [`Wal::take_error`] (the next
+//! snapshot fails too). Every failure, healed or not, counts in
+//! `durable.io_errors_total` and every retry in `durable.retries_total`.
 //!
 //! A record is encoded once ([`crate::segment::push_frame`]) and reaches the
 //! unbuffered segment file in **one** `write_all` of the finished frame. Nothing waits
@@ -26,9 +27,9 @@
 //!
 //! The frame is encoded at the end of the replay [`Tail`] and written to the file
 //! from there. The tail is only ever replayed, pruned (a batch's last timestamp sits
-//! at a fixed offset) or copied into a snapshot, so the bytes the disk holds are its
-//! one representation: no second copy of a batch, and once the buffer has reached its
-//! steady size no allocation per logged batch.
+//! at a fixed offset) or written out as a snapshot's body, so the bytes the disk holds
+//! are its one representation: no second copy of a batch, and once the buffer has
+//! reached its steady size no allocation per logged batch.
 //!
 //! Every I/O site consults an optional [`faults::FaultPlan`] (`wal.append`,
 //! `wal.fsync`, `wal.rotate`, `snapshot.write`) so chaos tests can drive each
@@ -40,7 +41,7 @@ use crate::record::{self, EngineKind, InitRecord, SnapshotHeader, WalRecord};
 use crate::segment::{file_name, list_indices, push_frame, FRAME_HEADER_BYTES, SEGMENT, SNAPSHOT};
 use crate::snapshot;
 use faults::FaultPlan;
-use obs::{Counter, Gauge, MetricsRegistry, SharedSink, TraceEvent};
+use obs::{Counter, Gauge, MetricsRegistry};
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
@@ -51,7 +52,9 @@ use stream::{
 };
 use tgraph::{StreamEvent, TenantId, TenantedEvent};
 
-/// When the log calls `fsync` (well, `fdatasync`) on the active segment.
+/// When the log calls `fsync` (well, `fdatasync`) on the active segment. Under any
+/// policy but `Never`, a snapshot is also synced, file and directory, before segment
+/// GC may delete what it covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SyncPolicy {
     /// Never sync explicitly: durability granularity is the OS page cache. The
@@ -331,7 +334,6 @@ pub(crate) struct WalCore {
     records_since_snapshot: u64,
     faults: Option<FaultPlan>,
     instruments: WalInstruments,
-    trace: Option<SharedSink>,
 }
 
 fn open_segment(dir: &Path, index: u64) -> std::io::Result<File> {
@@ -364,7 +366,6 @@ impl WalCore {
             records_since_snapshot: 0,
             faults: None,
             instruments: WalInstruments::default(),
-            trace: None,
         })
     }
 
@@ -385,30 +386,18 @@ impl WalCore {
             .map(faults::InjectedFault::into_io_error)
     }
 
-    /// Counts and traces a failed I/O operation on `path`; returns it typed.
-    fn io_failed(&mut self, path: PathBuf, e: std::io::Error, latched: bool) -> DurableError {
+    /// Counts a failed I/O operation on `path`; returns it typed.
+    fn io_failed(&mut self, path: PathBuf, e: std::io::Error) -> DurableError {
         self.io_errors += 1;
         self.instruments.io_errors.inc();
-        self.emit(&TraceEvent::WalError {
-            path: path.display().to_string(),
-            detail: e.to_string(),
-            latched,
-        });
         DurableError::io(path, e)
     }
 
-    fn emit(&self, event: &TraceEvent) {
-        if let Some(trace) = &self.trace {
-            trace.emit(event);
-        }
-    }
-
     /// Runs a fallible I/O operation — or the fault armed on `point` in its place —
-    /// under the retry budget. Each failure bumps `durable.io_errors_total` and emits
-    /// a `wal_error` trace event; before every retry the active segment is truncated
-    /// back to the last good frame boundary (a failed `write_all` may have landed part
-    /// of the frame), the backoff slept, and a `wal_retry` event emitted. The terminal
-    /// failure carries `latched: true`.
+    /// under the retry budget. Each failure bumps `durable.io_errors_total`; before
+    /// every retry the active segment is truncated back to the last good frame
+    /// boundary (a failed `write_all` may have landed part of the frame), the backoff
+    /// slept, and `durable.retries_total` bumped. The terminal failure is returned.
     fn retry_io<T>(
         &mut self,
         point: &str,
@@ -420,9 +409,8 @@ impl WalCore {
                 Ok(value) => return Ok(value),
                 Err(e) => {
                     let path = self.dir.join(file_name(SEGMENT, self.segment_index));
-                    let out_of_budget = attempt >= self.config.retry.attempts;
-                    let error = self.io_failed(path, e, out_of_budget);
-                    if out_of_budget {
+                    let error = self.io_failed(path, e);
+                    if attempt >= self.config.retry.attempts {
                         return Err(error);
                     }
                     attempt += 1;
@@ -434,10 +422,6 @@ impl WalCore {
                         std::thread::sleep(std::time::Duration::from_millis(backoff_ms));
                     }
                     self.instruments.retries.inc();
-                    self.emit(&TraceEvent::WalRetry {
-                        attempt: u64::from(attempt),
-                        backoff_ms,
-                    });
                 }
             }
         }
@@ -490,10 +474,6 @@ impl WalCore {
     fn rotate_to(&mut self, index: u64) -> Result<(), DurableError> {
         self.file = self.retry_io("wal.rotate", |core| open_segment(&core.dir, index))?;
         self.instruments.rotations.inc();
-        self.emit(&TraceEvent::WalRotated {
-            segment: index,
-            bytes: self.segment_bytes,
-        });
         self.segment_index = index;
         self.segment_bytes = 0;
         Ok(())
@@ -566,19 +546,23 @@ impl WalCore {
         let new_index = self.segment_index + 1;
         if let Some(e) = self.fault("snapshot.write") {
             let path = self.dir.join(file_name(SNAPSHOT, new_index));
-            return Err(self.io_failed(path, e, false));
+            return Err(self.io_failed(path, e));
         }
-        let ops = self.tail.ops;
-        let (path, bytes) = snapshot::write(&self.dir, new_index, header, &self.tail.frames, ops)?;
+        let sync = self.config.sync != SyncPolicy::Never;
+        let path = snapshot::write(
+            &self.dir,
+            new_index,
+            header,
+            &self.tail.frames,
+            self.tail.ops,
+            sync,
+        )?;
+        if sync {
+            self.instruments.fsyncs.add(2);
+        }
         self.rotate_to(new_index)?;
         self.records_since_snapshot = 0;
         self.instruments.snapshots.inc();
-        self.emit(&TraceEvent::SnapshotWritten {
-            segment: new_index,
-            bytes,
-            ops,
-            io_errors: self.io_errors,
-        });
         if self.config.snapshot.gc {
             self.gc_through(new_index);
         }
@@ -590,25 +574,15 @@ impl WalCore {
     /// anchor is dead weight. Only ever called right after a *successful*
     /// snapshot — a failed snapshot leaves every file in place. Deletions are
     /// best-effort; a file that will not delete is simply kept.
-    fn gc_through(&mut self, anchor: u64) {
-        let mut deleted = 0u64;
-        let mut highest = 0u64;
+    fn gc_through(&self, anchor: u64) {
         for kind in [SEGMENT, SNAPSHOT] {
             let covered = list_indices(&self.dir, kind).unwrap_or_default();
             for index in covered.into_iter().filter(|&i| i < anchor) {
                 let removed = fs::remove_file(self.dir.join(file_name(kind, index))).is_ok();
                 if removed && kind == SEGMENT {
-                    deleted += 1;
-                    highest = highest.max(index);
+                    self.instruments.gc_segments.inc();
                 }
             }
-        }
-        if deleted > 0 {
-            self.instruments.gc_segments.add(deleted);
-            self.emit(&TraceEvent::WalGc {
-                deleted,
-                through_segment: highest,
-            });
         }
     }
 }
@@ -782,12 +756,6 @@ impl Wal {
         };
     }
 
-    /// Routes `wal_rotated` / `snapshot_written` / `wal_error` / `wal_retry` /
-    /// `wal_gc` trace events into `sink`.
-    pub fn set_trace_sink(&self, sink: SharedSink) {
-        self.lock().trace = Some(sink);
-    }
-
     /// Arms a [`FaultPlan`] on every WAL I/O site (`wal.append`, `wal.fsync`,
     /// `wal.rotate`, `snapshot.write`). Injected faults behave exactly like real
     /// I/O errors — retried, counted, and latching — but never corrupt the disk,
@@ -824,8 +792,8 @@ impl Wal {
     }
 
     /// Takes the latched append failure, if any. The hot path never returns errors;
-    /// they surface here, in [`Wal::status`], in the `durable.degraded` gauge, and
-    /// in `wal_error` trace events. Taking the error does *not* clear degradation.
+    /// they surface here, in [`Wal::status`] and in the `durable.degraded` gauge.
+    /// Taking the error does *not* clear degradation.
     pub fn take_error(&self) -> Option<DurableError> {
         self.lock().error.take()
     }
@@ -997,8 +965,8 @@ mod tests {
         let plan = FaultPlan::new(0);
         plan.arm("wal.append", faults::FaultSchedule::OneShotAt(3));
         wal.set_fault_plan(plan);
-        let sink = Arc::new(obs::CollectingSink::new());
-        wal.set_trace_sink(SharedSink::from(sink.clone()));
+        let registry = MetricsRegistry::new();
+        wal.instrument(&registry);
 
         let mut detector = ShardedDetector::new(1);
         wal.attach(&mut detector).unwrap();
@@ -1010,13 +978,9 @@ mod tests {
         assert!(wal.take_error().is_none());
         // Every record reached disk exactly once despite the injected failure.
         assert_eq!(read_all_records(&dir).len(), 5);
-        let events = sink.events();
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, TraceEvent::WalError { latched: false, .. })));
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, TraceEvent::WalRetry { attempt: 1, .. })));
+        assert_eq!(registry.counter("durable.io_errors_total").get(), 1);
+        assert_eq!(registry.counter("durable.retries_total").get(), 1);
+        assert_eq!(registry.gauge("durable.degraded").get(), 0);
         fs::remove_dir_all(dir).unwrap();
     }
 
@@ -1037,8 +1001,6 @@ mod tests {
         .unwrap();
         let registry = MetricsRegistry::new();
         wal.instrument(&registry);
-        let sink = Arc::new(obs::CollectingSink::new());
-        wal.set_trace_sink(SharedSink::from(sink.clone()));
         let mut detector = ShardedDetector::new(1);
         wal.attach(&mut detector).unwrap();
         detector.on_batch(&[event(1, 0, 1)]).unwrap();
@@ -1056,10 +1018,6 @@ mod tests {
         assert_eq!(registry.counter("durable.io_errors_total").get(), 2);
         assert_eq!(registry.counter("durable.retries_total").get(), 1);
         assert_eq!(registry.gauge("durable.degraded").get(), 1);
-        assert!(sink
-            .events()
-            .iter()
-            .any(|e| matches!(e, TraceEvent::WalError { latched: true, .. })));
         assert!(wal.take_error().is_some());
         // Taking the error does not resurrect the log: the hole is permanent.
         assert_eq!(wal.status(), WalStatus::Degraded);
@@ -1082,8 +1040,8 @@ mod tests {
             },
         )
         .unwrap();
-        let sink = Arc::new(obs::CollectingSink::new());
-        wal.set_trace_sink(SharedSink::from(sink.clone()));
+        let registry = MetricsRegistry::new();
+        wal.instrument(&registry);
         let mut detector = ShardedDetector::new(1);
         wal.attach(&mut detector).unwrap();
         let mut snapshots = 0;
@@ -1101,15 +1059,40 @@ mod tests {
             segments.iter().all(|&i| i >= newest_snapshot),
             "GC left covered segments: {segments:?} vs snapshot {newest_snapshot}"
         );
-        assert!(sink
-            .events()
-            .iter()
-            .any(|e| matches!(e, TraceEvent::WalGc { deleted, .. } if *deleted > 0)));
+        assert!(registry.counter("durable.gc_segments_total").get() > 0);
         // Kill-after-GC: the pruned log still recovers, strictly.
         let recovered =
             crate::recover::recover::<ShardedDetector>(&dir, WalConfig::default()).unwrap();
         assert!(recovered.damage.is_none());
         fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// A syncing log syncs a snapshot, file and directory, before GC may delete the
+    /// segments it covers; a log that never syncs does not sync its snapshots either.
+    #[test]
+    fn snapshots_are_synced_unless_the_log_never_syncs() {
+        for (sync, synced) in [(SyncPolicy::Always, 2), (SyncPolicy::Never, 0)] {
+            let dir = temp_dir("snapsync");
+            let config = WalConfig {
+                sync,
+                snapshot: SnapshotPolicy::default().with_gc(),
+                ..WalConfig::default()
+            };
+            let wal = Wal::create(&dir, config).unwrap();
+            let registry = MetricsRegistry::new();
+            wal.instrument(&registry);
+            let mut detector = ShardedDetector::new(1);
+            wal.attach(&mut detector).unwrap();
+            for ts in 1..=4 {
+                detector.on_batch(&[event(ts, 0, 1)]).unwrap();
+            }
+            let fsyncs = registry.counter("durable.fsyncs_total");
+            let before = fsyncs.get();
+            wal.snapshot(&detector).unwrap();
+            assert_eq!(fsyncs.get() - before, synced, "{sync:?}");
+            assert_eq!(list_indices(&dir, SEGMENT).unwrap(), [1], "{sync:?}");
+            fs::remove_dir_all(dir).unwrap();
+        }
     }
 
     #[test]

@@ -9,9 +9,6 @@
 //!   whose snapshots estimate p50/p95/p99 within a factor-of-two error bound.
 //!   Handles are cheap `Arc`s around atomics: hot paths clone a handle once and never
 //!   touch the registry (or a lock) again.
-//! * [`trace`] — a callback-based structured tracing sink ([`TraceSink`]) for
-//!   lifecycle events: query register/deregister/hot-swap, shard rebalance, batch
-//!   errors, retention evictions, log rotation / snapshots / recovery, quiescence.
 //! * [`json`] — a minimal JSON document model ([`Json`]) with a stable writer and a
 //!   strict parser, enough to persist and validate machine-readable output.
 //! * [`report`] — the per-shard and per-tenant-group breakdowns the engines report
@@ -22,18 +19,18 @@
 //!
 //! ## Design rules
 //!
-//! Instrumentation must be **inert**: attaching metrics, a trace sink, a profiler,
-//! or cost attribution may never change what a detector detects (checked by
-//! `crates/stream/tests/instrumentation_parity.rs`), and the uninstrumented hot
-//! path pays only `Option`-is-`None` branches. All metric writers are lock-free
-//! atomics, safe to tick from scoped worker threads; only registry lookups
-//! (construction-time) and timed-span aggregation take a lock.
+//! Instrumentation must be **inert**: attaching metrics, a profiler, or cost
+//! attribution may never change what a detector detects (checked by
+//! `tests/instrumentation_parity.rs`), and the uninstrumented hot path pays only
+//! `Option`-is-`None` branches. Lifecycle events (registrations, rebalances, log
+//! rotations, quiescence) are reported by the engines' return values, accessors and
+//! counters (DESIGN.md, "Lifecycle events"). All metric writers are lock-free atomics;
+//! only registry lookups (construction-time) and timed-span aggregation take a lock.
 
 pub mod json;
 pub mod metrics;
 pub mod profile;
 pub mod report;
-pub mod trace;
 
 pub use json::{Json, JsonError};
 pub use metrics::{
@@ -42,4 +39,3 @@ pub use metrics::{
 };
 pub use profile::{ProfileSnapshot, Profiler, QueryCost, QueryCostReport, Span, SpanStat};
 pub use report::{ShardStat, TenantGroupStat};
-pub use trace::{CollectingSink, NullSink, SharedSink, StderrSink, TraceEvent, TraceSink};

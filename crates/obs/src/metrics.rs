@@ -224,7 +224,7 @@ impl HistogramSnapshot {
     /// containing the rank-`ceil(q·count)` observation, clamped to the observed
     /// maximum. Returns 0 when the histogram is empty. For any true quantile `t > 0`
     /// the estimate `e` satisfies `t ≤ e < 2·t`.
-    pub fn quantile(&self, q: f64) -> u64 {
+    fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -263,13 +263,8 @@ impl HistogramSnapshot {
         }
     }
 
-    /// The inclusive `(lower, upper)` value range of bucket `index`.
-    pub fn bucket_bounds(index: usize) -> (u64, u64) {
-        (bucket_lower(index), bucket_upper(index))
-    }
-
     /// The non-empty buckets as `(lower, upper, count)` rows.
-    pub fn occupied_buckets(&self) -> Vec<(u64, u64, u64)> {
+    fn occupied_buckets(&self) -> Vec<(u64, u64, u64)> {
         self.buckets
             .iter()
             .enumerate()
@@ -531,7 +526,7 @@ mod tests {
         assert_eq!(bucket_index(4), 3);
         assert_eq!(bucket_index(u64::MAX), 64);
         for index in 0..HISTOGRAM_BUCKETS {
-            let (lo, hi) = HistogramSnapshot::bucket_bounds(index);
+            let (lo, hi) = (bucket_lower(index), bucket_upper(index));
             assert!(lo <= hi);
             assert_eq!(bucket_index(lo), index, "lower bound lands in its bucket");
             assert_eq!(bucket_index(hi), index, "upper bound lands in its bucket");

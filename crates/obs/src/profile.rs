@@ -294,11 +294,6 @@ impl QueryCost {
         self.spawned.saturating_add(self.advanced)
     }
 
-    /// Whether nothing was ever attributed to the query.
-    pub fn is_zero(&self) -> bool {
-        *self == Self::default()
-    }
-
     /// Folds another cost record into this one (field-wise saturating sums).
     pub fn merge(&mut self, other: &QueryCost) {
         self.spawned = self.spawned.saturating_add(other.spawned);
@@ -463,8 +458,7 @@ mod tests {
             sampled_ops: 2,
         };
         assert_eq!(a.cost_units(), 12);
-        assert!(!a.is_zero());
-        assert!(QueryCost::default().is_zero());
+        assert_ne!(a, QueryCost::default());
         let b = a;
         a.merge(&b);
         assert_eq!(a.spawned, 4);
@@ -491,7 +485,7 @@ mod tests {
         };
         assert_eq!(report.get(0).unwrap().spawned, 5);
         assert!(report.get(1).is_none());
-        assert!(report.get(2).unwrap().is_zero());
+        assert_eq!(report.get(2), Some(&QueryCost::default()));
 
         let registry = MetricsRegistry::new();
         report.export(&registry);

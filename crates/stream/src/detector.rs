@@ -40,11 +40,11 @@
 //!
 //! ## Core, not engine
 //!
-//! A `Detector` matches and nothing else: it has no write-ahead recorder, no trace
-//! sink and no failpoint. Those belong to the [`crate::Engine`] that owns it — a
-//! one-shard [`crate::ShardedDetector`] is the single-stream engine — which logs each
-//! input once, traces with global ids, and forwards the per-shard hooks kept here
-//! (metric handles, profiler, cost attribution).
+//! A `Detector` matches and nothing else: it has no write-ahead recorder and no
+//! failpoint. Those belong to the [`crate::Engine`] that owns it — a one-shard
+//! [`crate::ShardedDetector`] is the single-stream engine — which logs each input once
+//! under global ids and forwards the per-shard hooks kept here (metric handles,
+//! profiler, cost attribution).
 
 use crate::error::{BatchError, DeregisterError, RegisterError};
 use crate::instrument::DetectorInstruments;

@@ -51,7 +51,7 @@ pub trait DurabilitySink: Send + std::fmt::Debug {
     /// A batch of tenant-tagged events is about to be applied (pool-level engines).
     fn record_tenant_events(&mut self, events: &[TenantedEvent]);
 
-    /// A silent tenant is about to be quiesced (flushed and evicted). Logged
+    /// A tenant is about to be quiesced (flushed and evicted). Logged
     /// *before* the eviction, like event batches: the flush drains pending
     /// detections early, so replay must evict at exactly the same point in the
     /// op sequence or a recovered pool would re-emit them. Default no-op so

@@ -4,8 +4,8 @@
 //! There are two engines. A [`crate::ShardedDetector`] matches **one** totally ordered
 //! stream; a [`crate::TenantPool`] demuxes **many** independent streams onto per-tenant
 //! `ShardedDetector`s. Both own their shards outright (share-nothing), so both are the
-//! place where inputs are logged, lifecycle events traced and faults injected — once,
-//! above the per-shard [`crate::Detector`]s, which only match.
+//! place where inputs are logged and faults injected — once, above the per-shard
+//! [`crate::Detector`]s, which only match.
 //!
 //! [`Engine`] is that common surface: build from a shape, register / deregister,
 //! feed batches, flush, report and restore visibility floors, take a durability sink.
@@ -19,7 +19,7 @@ use crate::error::{DeregisterError, RegisterError};
 use crate::shard::LabelPairStats;
 use tgraph::TenantId;
 
-/// A detection engine: the unit that is logged, snapshotted, recovered, traced and
+/// A detection engine: the unit that is logged, snapshotted, recovered and
 /// fault-injected. See the module docs.
 pub trait Engine: Sized {
     /// What the engine ingests: [`tgraph::StreamEvent`] for one stream,

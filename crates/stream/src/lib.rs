@@ -25,8 +25,8 @@
 //!   `visible_from`, while all tenants share one compiled query set; composed with
 //!   query-sharding the engine forms a 2-D grid, queries × tenant-groups;
 //! * [`Engine`] — what the two engines have in common, as a trait: the unit that is
-//!   logged, snapshotted and recovered (the `durable` crate is generic over it), traced
-//!   and fault-injected — once, above the shards it owns;
+//!   logged, snapshotted and recovered (the `durable` crate is generic over it) and
+//!   fault-injected — once, above the shards it owns;
 //! * [`discovery`] — the mine→detect loop closed online: what `query` formulates from
 //!   a training set ([`query::formulate_temporal`], [`query::compile()`]) is
 //!   hot-registered on a running [`ShardedDetector`] ([`deploy_class`], [`deploy_all`],
@@ -72,12 +72,13 @@
 //! ## Observability
 //!
 //! Both engines accept the `obs` crate's inert instrumentation and hand it down to
-//! what they own: metric bundles ([`instrument`]), a structured trace sink, a
-//! scoped-span profiler (`set_profiler`; spans aggregate into a collapsed-stack /
-//! flamegraph export), and sampled per-query cost attribution
-//! (`enable_cost_attribution` / `query_cost_report`). None of it may change
-//! detections — `tests/instrumentation_parity.rs` holds the whole surface to
-//! byte-identical output.
+//! what they own: metric bundles ([`instrument`]), a scoped-span profiler
+//! (`set_profiler`; spans aggregate into a collapsed-stack / flamegraph export), and
+//! sampled per-query cost attribution (`enable_cost_attribution` /
+//! `query_cost_report`). None of it may change detections —
+//! `tests/instrumentation_parity.rs` holds the whole surface to byte-identical output.
+//! Lifecycle events have no channel of their own: return values, accessors and
+//! counters report them (DESIGN.md, "Lifecycle events").
 
 pub mod detector;
 pub mod discovery;

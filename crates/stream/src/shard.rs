@@ -43,9 +43,7 @@ use crate::engine::Engine;
 use crate::error::{BatchError, DeregisterError, RegisterError};
 use crate::instrument::DetectorInstruments;
 use faults::FaultPlan;
-use obs::{
-    MetricsRegistry, Profiler, QueryCost, QueryCostReport, ShardStat, SharedSink, TraceEvent,
-};
+use obs::{MetricsRegistry, Profiler, QueryCost, QueryCostReport, ShardStat};
 use std::collections::{BTreeMap, HashMap};
 use tgraph::{GraphError, Label, StreamEvent, TemporalGraph, TenantId};
 
@@ -121,7 +119,7 @@ impl LabelPairStats {
 
     /// Observed frequency of a label pair, floored at 1 (unseen pairs still cost
     /// something — the query bookkeeping is never free).
-    pub fn pair_weight(&self, src: Label, dst: Label) -> u64 {
+    fn pair_weight(&self, src: Label, dst: Label) -> u64 {
         self.pairs.get(&(src, dst)).copied().unwrap_or(0).max(1)
     }
 
@@ -137,7 +135,7 @@ impl LabelPairStats {
     /// Temporal and static queries seed on their first edge's label pair; keyword
     /// queries seed on every event touching any member label, so their cost is the sum
     /// of the member labels' marginal frequencies.
-    pub fn query_cost(&self, query: &CompiledQuery) -> u64 {
+    fn query_cost(&self, query: &CompiledQuery) -> u64 {
         match query.seed_key() {
             Some(SeedKey::TemporalPair(src, dst)) | Some(SeedKey::StaticPair(src, dst)) => {
                 self.pair_weight(src, dst)
@@ -203,8 +201,8 @@ struct Placement {
 }
 
 /// The single-stream engine: [`Detector`] cores over a partition of the registered
-/// queries, run in sequence on the caller's thread, with logging, tracing and fault
-/// injection done once above them. See the module docs for the execution model.
+/// queries, run in sequence on the caller's thread, with logging and fault injection
+/// done once above them. See the module docs for the execution model.
 #[derive(Debug)]
 pub struct ShardedDetector {
     shards: Vec<Shard>,
@@ -213,12 +211,6 @@ pub struct ShardedDetector {
     stats: LabelPairStats,
     /// Global query id → placement (ids are dense over registrations, never reused).
     placements: Vec<Placement>,
-    /// Pool-level trace sink: lifecycle events carry *global* query ids and real
-    /// shard indices, so the pool emits them itself rather than wiring sinks into
-    /// the per-shard detectors (which only know local ids and always say shard 0).
-    sink: Option<SharedSink>,
-    /// Per-shard `evicted_count` at the last trace emission, for eviction deltas.
-    last_evicted: Vec<u64>,
     /// Write-ahead recorder: registrations carry *global* ids and batches are
     /// recorded once for the whole pool, above the shards.
     durability: Option<Box<dyn DurabilitySink>>,
@@ -259,8 +251,6 @@ impl ShardedDetector {
             loads: vec![0; shards],
             stats,
             placements: Vec::new(),
-            sink: None,
-            last_evicted: vec![0; shards],
             durability: None,
             profiler: None,
             faults: None,
@@ -375,19 +365,6 @@ impl ShardedDetector {
         })
     }
 
-    /// Attaches (or with `None`, detaches) a pool-level structured trace sink.
-    ///
-    /// The pool emits lifecycle events itself — registrations and deregistrations
-    /// with global query ids and real shard indices, shard-rebalance summaries,
-    /// merged batch errors, and per-shard retention evictions. The per-shard
-    /// detectors never get sinks of their own, so no event is reported twice.
-    pub fn set_trace_sink(&mut self, sink: Option<SharedSink>) {
-        for (idx, shard) in self.shards.iter().enumerate() {
-            self.last_evicted[idx] = shard.detector.graph().evicted_count();
-        }
-        self.sink = sink;
-    }
-
     /// Per-shard load/occupancy breakdown (always on, no instruments needed).
     pub fn shard_stats(&self) -> Vec<ShardStat> {
         let queries = self.queries_per_shard();
@@ -402,23 +379,6 @@ impl ShardedDetector {
                 load: self.loads[idx],
             })
             .collect()
-    }
-
-    /// Emits per-shard [`TraceEvent::RetentionEviction`] deltas since the last check.
-    fn trace_evictions(&mut self) {
-        let Some(sink) = &self.sink else { return };
-        for (idx, shard) in self.shards.iter().enumerate() {
-            let graph = shard.detector.graph();
-            let evicted = graph.evicted_count();
-            if evicted > self.last_evicted[idx] {
-                sink.emit(&TraceEvent::RetentionEviction {
-                    evicted: (evicted - self.last_evicted[idx]) as usize,
-                    retained: graph.live_edge_count(),
-                    watermark: graph.visible_from(),
-                });
-                self.last_evicted[idx] = evicted;
-            }
-        }
     }
 
     /// Number of shards in the pool.
@@ -494,12 +454,6 @@ impl ShardedDetector {
             let (query, window) = (registered.query().clone(), registered.window());
             durability.record_register(id, &query, window, local.visible_from);
         }
-        if let Some(sink) = &self.sink {
-            sink.emit(&TraceEvent::QueryRegistered {
-                query: format!("q{id}"),
-                shard: shard_idx,
-            });
-        }
         Ok(Registration {
             id,
             visible_from: local.visible_from,
@@ -524,17 +478,6 @@ impl ShardedDetector {
         self.loads[placement.shard] -= placement.cost;
         if let Some(durability) = &mut self.durability {
             durability.record_deregister(query);
-        }
-        if let Some(sink) = &self.sink {
-            sink.emit(&TraceEvent::QueryDeregistered {
-                query: format!("q{query}"),
-                shard: placement.shard,
-            });
-            sink.emit(&TraceEvent::ShardRebalance {
-                shards: self.shards.len(),
-                moved: 0,
-                loads: self.loads.clone(),
-            });
         }
         Ok(())
     }
@@ -566,21 +509,13 @@ impl ShardedDetector {
         // Failpoint first: an injected fault is a clean rejection — nothing logged,
         // nothing applied — so the whole batch can simply be delivered again.
         if let Some(fault) = self.faults.as_ref().and_then(|p| p.fires("shard.worker")) {
-            let error = GraphError::FaultInjected {
-                point: fault.point,
-                occurrence: fault.occurrence,
-            };
-            if let Some(sink) = &self.sink {
-                sink.emit(&TraceEvent::BatchError {
-                    index: 0,
-                    emitted: 0,
-                    message: error.to_string(),
-                });
-            }
             return Err(BatchError {
                 emitted: Vec::new(),
                 index: 0,
-                error,
+                error: GraphError::FaultInjected {
+                    point: fault.point,
+                    occurrence: fault.occurrence,
+                },
             });
         }
         // Log-before-apply, once for the whole pool (shards all see the same batch).
@@ -609,23 +544,13 @@ impl ShardedDetector {
         }
         let _merge_span = self.profiler.as_ref().map(|p| p.enter("pool.merge"));
         Self::sort_global(&mut merged);
-        self.trace_evictions();
         match failure {
             None => Ok(merged),
-            Some((index, error)) => {
-                if let Some(sink) = &self.sink {
-                    sink.emit(&TraceEvent::BatchError {
-                        index,
-                        emitted: merged.len(),
-                        message: error.to_string(),
-                    });
-                }
-                Err(BatchError {
-                    emitted: merged,
-                    index,
-                    error,
-                })
-            }
+            Some((index, error)) => Err(BatchError {
+                emitted: merged,
+                index,
+                error,
+            }),
         }
     }
 
@@ -640,7 +565,6 @@ impl ShardedDetector {
             merged.extend(out);
         }
         Self::sort_global(&mut merged);
-        self.trace_evictions();
         merged
     }
 

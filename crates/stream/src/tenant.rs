@@ -88,10 +88,7 @@ use crate::error::{DeregisterError, RegisterError, TenantBatchError};
 use crate::registry::QueryTable;
 use crate::shard::{LabelPairStats, ShardedDetector};
 use faults::FaultPlan;
-use obs::{
-    Counter, Gauge, MetricsRegistry, Profiler, QueryCost, QueryCostReport, SharedSink,
-    TenantGroupStat, TraceEvent,
-};
+use obs::{Counter, Gauge, MetricsRegistry, Profiler, QueryCost, QueryCostReport, TenantGroupStat};
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Range;
 use tgraph::{GraphError, StreamEvent, TenantId, TenantedEvent};
@@ -304,8 +301,6 @@ pub struct TenantPool {
     /// Cost-attribution sampling interval, remembered so tenants materialised after
     /// [`TenantPool::enable_cost_attribution`] join the measurement mid-stream.
     attribution_interval: Option<u64>,
-    /// Pool-level trace sink for `poison_quarantined` / `tenant_quiesced` events.
-    sink: Option<SharedSink>,
     /// Armed fault plan; `tenant.batch` fires at the very top of [`TenantPool::on_batch`].
     faults: Option<FaultPlan>,
     /// Poison-event quarantine policy; `None` (default) disables quarantine.
@@ -365,7 +360,6 @@ impl TenantPool {
             durability: None,
             profiler: None,
             attribution_interval: None,
-            sink: None,
             faults: None,
             poison: None,
             failing: BTreeMap::new(),
@@ -435,13 +429,6 @@ impl TenantPool {
         self.durability = durability;
     }
 
-    /// Attaches (or with `None` detaches) a pool-level trace sink for the
-    /// self-healing events `poison_quarantined` and `tenant_quiesced`. Inert:
-    /// detections are identical with and without it.
-    pub fn set_trace_sink(&mut self, sink: Option<SharedSink>) {
-        self.sink = sink;
-    }
-
     /// Arms (or with `None` disarms) a deterministic fault plan. The pool consults
     /// the `tenant.batch` failpoint at the very top of [`TenantPool::on_batch`],
     /// before any logging or state mutation, so an injected fault is a clean typed
@@ -470,42 +457,6 @@ impl TenantPool {
     /// The dead-letter buffer, oldest first.
     pub fn quarantined(&self) -> Vec<QuarantinedEvent> {
         self.quarantined.iter().copied().collect()
-    }
-
-    /// Per-tenant, per-shard visibility floors for every materialised tenant, in
-    /// (group, tenant) order — recorded into snapshots so recovery can restore them.
-    /// Quiesced tenants report the floors saved at their eviction (appended after the
-    /// live tenants, in tenant order): their floors must survive a snapshot cut while
-    /// they are away, or a recovered pool would recreate them with no look-back bound.
-    pub fn tenant_visible_floors(&self) -> Vec<(TenantId, Vec<u64>)> {
-        let mut floors: Vec<(TenantId, Vec<u64>)> = self
-            .groups
-            .iter()
-            .flat_map(|group| {
-                group
-                    .tenants
-                    .iter()
-                    .map(|tenant| (tenant.id, tenant.detector.shard_visible_floors()))
-            })
-            .collect();
-        floors.extend(
-            self.quiesced_floors
-                .iter()
-                .map(|(tenant, f)| (*tenant, f.clone())),
-        );
-        floors
-    }
-
-    /// Restores per-tenant visibility floors recorded by
-    /// [`TenantPool::tenant_visible_floors`] in a previous process. Tenants that have
-    /// not re-materialised during replay are created first (journal replay), so a
-    /// tenant that went quiet before the snapshot still reports its original floors.
-    pub fn restore_tenant_visible_floors(&mut self, floors: &[(TenantId, Vec<u64>)]) {
-        for (tenant, shard_floors) in floors {
-            let (group, slot) = self.ensure_tenant(*tenant);
-            let detector = &mut self.groups[group].tenants[slot].detector;
-            detector.restore_shard_visible_floors(shard_floors);
-        }
     }
 
     /// Number of live tenants across all groups.
@@ -814,8 +765,8 @@ impl TenantPool {
     }
 
     /// Evicts every materialised tenant whose last event has fallen outside the
-    /// effective quiescence horizon, logging each eviction before applying it.
-    /// Returns the evicted tenants' trailing detections, unsorted.
+    /// effective quiescence horizon ([`Engine::quiesce`] logs each eviction before
+    /// applying it). Returns the evicted tenants' trailing detections, unsorted.
     fn quiesce_silent_tenants(&mut self) -> Vec<TenantDetection> {
         let Some(policy) = self.quiescence else {
             return Vec::new();
@@ -824,60 +775,22 @@ impl TenantPool {
         // match there could still complete, and cutting it would change detections.
         let effective = policy.horizon.max(self.max_window_seen.saturating_mul(2));
         let cutoff = self.max_seen_ts.saturating_sub(effective);
-        let mut stale: Vec<(TenantId, u64, usize)> = Vec::new();
-        for (group_idx, group) in self.groups.iter().enumerate() {
-            for tenant in &group.tenants {
-                let last = self.tenant_last_ts.get(&tenant.id).copied().unwrap_or(0);
-                if last < cutoff {
-                    stale.push((tenant.id, last, group_idx));
-                }
-            }
-        }
+        let stale: Vec<TenantId> = self
+            .groups
+            .iter()
+            .flat_map(|group| &group.tenants)
+            .map(|tenant| tenant.id)
+            .filter(|id| self.tenant_last_ts.get(id).copied().unwrap_or(0) < cutoff)
+            .collect();
         let mut merged = Vec::new();
-        for (tenant, last_ts, group) in stale {
-            if let Some(durability) = &mut self.durability {
-                durability.record_quiesce(tenant);
-            }
-            merged.extend(self.quiesce_tenant(tenant));
+        for tenant in stale {
+            merged.extend(self.quiesce(tenant));
             self.quiesce_total += 1;
             if let Some(instruments) = &self.instruments {
                 instruments.quiesced_total.inc();
             }
-            if let Some(sink) = &self.sink {
-                sink.emit(&TraceEvent::TenantQuiesced {
-                    tenant: tenant.0,
-                    group,
-                    last_ts,
-                    horizon: effective,
-                });
-            }
         }
         merged
-    }
-
-    /// Flushes and evicts `tenant`, saving its visibility floors for the lazy
-    /// journal-replay recreation on its next event (see the module docs). Returns
-    /// the tenant's trailing detections; a tenant that is not materialised is a
-    /// no-op. Public because crash recovery replays logged `Quiesce` records through
-    /// this method (discarding the detections — the live run already emitted them).
-    pub fn quiesce_tenant(&mut self, tenant: TenantId) -> Vec<TenantDetection> {
-        let group_idx = group_of(tenant, self.groups.len());
-        let group = &mut self.groups[group_idx];
-        let Ok(idx) = group.tenants.binary_search_by_key(&tenant, |t| t.id) else {
-            return Vec::new();
-        };
-        let mut detector = group.tenants.remove(idx).detector;
-        let out = detector.flush();
-        group.detections += out.len() as u64;
-        self.quiesced_floors
-            .insert(tenant, detector.shard_visible_floors());
-        self.failing.remove(&tenant);
-        if let Some(instruments) = &group.instruments {
-            instruments.tenants.set(group.tenants.len() as u64);
-        }
-        out.into_iter()
-            .map(|d| TenantDetection::of(tenant, d))
-            .collect()
     }
 
     /// Whether `te` matches a dead-letter entry (same tenant, identical event).
@@ -917,13 +830,6 @@ impl TenantPool {
         self.quarantine_total += 1;
         if let Some(instruments) = &self.instruments {
             instruments.quarantined_total.inc();
-        }
-        if let Some(sink) = &self.sink {
-            sink.emit(&TraceEvent::PoisonQuarantined {
-                tenant: tenant.0,
-                ts: event.ts,
-                quarantined: self.quarantined.len() as u64,
-            });
         }
     }
 
@@ -1001,14 +907,58 @@ impl Engine for TenantPool {
     fn flush(&mut self) -> Vec<TenantDetection> {
         TenantPool::flush(self)
     }
+    /// Flushes and evicts `tenant`, saving its visibility floors for the lazy
+    /// journal-replay recreation on its next event (see the module docs). Returns the
+    /// tenant's trailing detections; a tenant that is not materialised is a no-op.
+    ///
+    /// An eviction is logged as a `Quiesce` record before it applies, whoever starts
+    /// it — the quiescence policy or a caller — because the flush drains pending
+    /// detections early. Crash recovery replays the record through this method before
+    /// it attaches the log, so nothing is logged twice.
     fn quiesce(&mut self, tenant: TenantId) -> Vec<TenantDetection> {
-        self.quiesce_tenant(tenant)
+        let group_idx = group_of(tenant, self.groups.len());
+        let group = &mut self.groups[group_idx];
+        let Ok(idx) = group.tenants.binary_search_by_key(&tenant, |t| t.id) else {
+            return Vec::new();
+        };
+        if let Some(durability) = &mut self.durability {
+            durability.record_quiesce(tenant);
+        }
+        let mut detector = group.tenants.remove(idx).detector;
+        let out = detector.flush();
+        group.detections += out.len() as u64;
+        self.quiesced_floors
+            .insert(tenant, detector.shard_visible_floors());
+        self.failing.remove(&tenant);
+        if let Some(instruments) = &group.instruments {
+            instruments.tenants.set(group.tenants.len() as u64);
+        }
+        out.into_iter()
+            .map(|d| TenantDetection::of(tenant, d))
+            .collect()
     }
+    /// Per-tenant, per-shard floors for every materialised tenant, in (group, tenant)
+    /// order. Quiesced tenants report the floors saved at their eviction (appended
+    /// after the live tenants, in tenant order): their floors must survive a snapshot
+    /// cut while they are away, or a recovered pool would recreate them with no
+    /// look-back bound.
     fn visible_floors(&self) -> Vec<(TenantId, Vec<u64>)> {
-        self.tenant_visible_floors()
+        let live = self.groups.iter().flat_map(|group| &group.tenants);
+        let mut floors: Vec<(TenantId, Vec<u64>)> = live
+            .map(|tenant| (tenant.id, tenant.detector.shard_visible_floors()))
+            .collect();
+        floors.extend(self.quiesced_floors.iter().map(|(t, f)| (*t, f.clone())));
+        floors
     }
+    /// Tenants that have not re-materialised during replay are created first (journal
+    /// replay), so a tenant that went quiet before the snapshot still reports its
+    /// original floors.
     fn restore_visible_floors(&mut self, floors: &[(TenantId, Vec<u64>)]) {
-        self.restore_tenant_visible_floors(floors);
+        for (tenant, shard_floors) in floors {
+            let (group, slot) = self.ensure_tenant(*tenant);
+            let detector = &mut self.groups[group].tenants[slot].detector;
+            detector.restore_shard_visible_floors(shard_floors);
+        }
     }
     fn set_durability(&mut self, sink: Option<Box<dyn DurabilitySink>>) {
         TenantPool::set_durability(self, sink);
@@ -1351,8 +1301,6 @@ mod tests {
             max_failures: 2,
             capacity: 4,
         }));
-        let sink = std::sync::Arc::new(obs::CollectingSink::new());
-        pool.set_trace_sink(Some(SharedSink::from(sink.clone())));
         let registry = MetricsRegistry::new();
         pool.instrument(&registry);
         pool.on_batch(&[te(0, ev(10, 0, 1, 0, 1))]).unwrap();
@@ -1375,14 +1323,6 @@ mod tests {
         let out = pool.on_batch(&batch).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].end_ts, 11);
-        assert!(sink.events().iter().any(|e| matches!(
-            e,
-            TraceEvent::PoisonQuarantined {
-                tenant: 0,
-                ts: 4,
-                quarantined: 1
-            }
-        )));
         assert_eq!(
             registry.snapshot().counter("tenant.quarantined_total"),
             Some(1)
@@ -1406,8 +1346,6 @@ mod tests {
         let mut pool = TenantPool::new(1, 1);
         pool.register(static_q(), 5).unwrap();
         pool.set_quiescence(Some(QuiescencePolicy { horizon: 10 }));
-        let sink = std::sync::Arc::new(obs::CollectingSink::new());
-        pool.set_trace_sink(Some(SharedSink::from(sink.clone())));
         let registry = MetricsRegistry::new();
         pool.instrument(&registry);
         let mut all = Vec::new();
@@ -1417,15 +1355,6 @@ mod tests {
         // Tenant 1 fell outside the horizon once tenant 2 advanced the clock: it was
         // evicted at the start of the third batch, its pending static detection
         // flushed into that batch's output rather than lost.
-        assert!(sink.events().iter().any(|e| matches!(
-            e,
-            TraceEvent::TenantQuiesced {
-                tenant: 1,
-                last_ts: 1,
-                horizon: 10,
-                ..
-            }
-        )));
         assert_eq!(
             registry.snapshot().counter("tenant.quiesced_total"),
             Some(1)
@@ -1480,7 +1409,7 @@ mod tests {
         // Sweep runs at batch start: tenant 1 is evicted on the *next* batch.
         pool.on_batch(&[te(2, ev(101, 0, 1, 0, 1))]).unwrap();
         assert_eq!(pool.tenant_count(), 1);
-        let floors = pool.tenant_visible_floors();
+        let floors = pool.visible_floors();
         assert!(
             floors.iter().any(|(t, _)| *t == TenantId(1)),
             "evicted tenant's floors stay visible to snapshots"

@@ -19,8 +19,8 @@
 //!   failpoints consulted by the durability and ingest layers, so chaos tests replay
 //!   the same faults every run.
 //! * [`obs`] — zero-dependency observability: metrics registry (counters, gauges,
-//!   log-scale histograms), structured trace sinks, and the versioned benchmark
-//!   report schema.
+//!   log-scale histograms), a scoped-span profiler with per-query cost attribution,
+//!   and a minimal JSON model.
 //!
 //! See `README.md` for a quickstart and `DESIGN.md` for the system inventory.
 

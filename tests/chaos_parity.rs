@@ -15,8 +15,8 @@
 //!   delete covered segments, yet strict recovery still reaches parity — GC never
 //!   deletes a file recovery needs;
 //! * degraded-mode accounting: a spent retry budget latches exactly once, with
-//!   `wal_error` / `wal_retry` trace events, `durable.io_errors_total`, the
-//!   `durable.degraded` gauge, and `dropped_ops` all agreeing;
+//!   `durable.io_errors_total`, `durable.retries_total`, the `durable.degraded`
+//!   gauge, and `dropped_ops` all agreeing;
 //! * tolerant-recovery damage accounting: a bit flip in an *early* segment reports
 //!   the exact corruption site, the exact count of intact records dropped from later
 //!   segments, and the exact unreadable byte span — cross-checked against the
@@ -35,7 +35,7 @@ use behavior_query::durable::{
     WalStatus,
 };
 use behavior_query::faults::{FaultPlan, FaultSchedule};
-use behavior_query::obs::{CollectingSink, MetricsRegistry, SharedSink, TraceEvent};
+use behavior_query::obs::MetricsRegistry;
 use behavior_query::stream::{
     LabelPairStats, PoisonPolicy, QuiescencePolicy, ShardedDetector, TenantPool,
 };
@@ -47,7 +47,6 @@ use common::{
     run_prefix, run_uninterrupted, temp_dir, tenant_hits,
 };
 use proptest::prelude::*;
-use std::sync::Arc;
 
 /// The WAL configuration the chaos properties run under: tiny segments so rotation
 /// is exercised, periodic fsync so the `wal.fsync` failpoint is consulted, and a
@@ -361,8 +360,8 @@ fn snapshot_cadence_with_gc_survives_a_kill() {
     std::fs::remove_dir_all(dir).expect("cleanup");
 }
 
-/// A one-shot fault inside the retry budget heals in place: one `wal_error`
-/// (latched: false), one `wal_retry`, and the log stays complete and healthy.
+/// A one-shot fault inside the retry budget heals in place: one counted I/O error,
+/// one counted retry, and the log stays complete and healthy.
 #[test]
 fn a_transient_fault_heals_within_the_retry_budget() {
     let dir = temp_dir("transient");
@@ -371,8 +370,8 @@ fn a_transient_fault_heals_within_the_retry_budget() {
     wal.attach(&mut detector).expect("attach");
     detector.register(pair_query(), 5).expect("valid query");
 
-    let sink = Arc::new(CollectingSink::new());
-    wal.set_trace_sink(SharedSink::from(sink.clone()));
+    let registry = MetricsRegistry::new();
+    wal.instrument(&registry);
     let plan = FaultPlan::new(7);
     plan.arm("wal.append", FaultSchedule::OneShotAt(1));
     wal.set_fault_plan(plan.clone());
@@ -385,19 +384,18 @@ fn a_transient_fault_heals_within_the_retry_budget() {
     assert_eq!(wal.dropped_ops(), 0);
     assert!(wal.take_error().is_none());
 
-    let events = sink.events();
-    assert!(
-        events
-            .iter()
-            .any(|e| matches!(e, TraceEvent::WalError { latched: false, .. })),
-        "the transient failure must trace as non-latched"
+    let snapshot = registry.snapshot();
+    assert_eq!(
+        snapshot.counter("durable.io_errors_total"),
+        Some(1),
+        "the transient failure is counted"
     );
-    assert!(
-        events
-            .iter()
-            .any(|e| matches!(e, TraceEvent::WalRetry { attempt: 1, .. })),
-        "the retry must trace with its attempt number"
+    assert_eq!(
+        snapshot.counter("durable.retries_total"),
+        Some(1),
+        "one retry healed it"
     );
+    assert_eq!(snapshot.gauge("durable.degraded").map(|(v, _)| v), Some(0));
     drop(detector);
     drop(wal);
     assert_eq!(
@@ -409,9 +407,9 @@ fn a_transient_fault_heals_within_the_retry_budget() {
 }
 
 /// A permanently failing append spends the retry budget and latches: sticky
-/// degraded status, a latched `wal_error` trace, the error surfaced through
-/// `take_error`, later ops counted as dropped, and the metrics registry agreeing
-/// with the handle's own counters.
+/// degraded status, the error surfaced through `take_error`, later ops counted as
+/// dropped, and the metrics registry — one more I/O error than retries, the
+/// degraded gauge set — agreeing with the handle's own counters.
 #[test]
 fn a_spent_retry_budget_latches_degraded_mode_with_full_accounting() {
     let dir = temp_dir("latch");
@@ -420,8 +418,6 @@ fn a_spent_retry_budget_latches_degraded_mode_with_full_accounting() {
     wal.attach(&mut detector).expect("attach");
     detector.register(pair_query(), 5).expect("valid query");
 
-    let sink = Arc::new(CollectingSink::new());
-    wal.set_trace_sink(SharedSink::from(sink.clone()));
     let registry = MetricsRegistry::new();
     wal.instrument(&registry);
     let plan = FaultPlan::new(7);
@@ -447,12 +443,6 @@ fn a_spent_retry_budget_latches_degraded_mode_with_full_accounting() {
         .expect("the latched error surfaces exactly once");
     assert!(error.to_string().contains("injected fault at wal.append"));
 
-    assert!(
-        sink.events()
-            .iter()
-            .any(|e| matches!(e, TraceEvent::WalError { latched: true, .. })),
-        "the terminal failure must trace as latched"
-    );
     let snapshot = registry.snapshot();
     assert_eq!(snapshot.counter("durable.io_errors_total"), Some(2));
     assert_eq!(snapshot.counter("durable.retries_total"), Some(1));
@@ -593,17 +583,16 @@ fn quiesced_tenants_recover_and_return_through_the_log() {
         .expect("attach");
     pool.register(pair_query(), 5).expect("valid query");
     pool.set_quiescence(Some(policy));
-    let sink = Arc::new(CollectingSink::new());
-    pool.set_trace_sink(Some(SharedSink::from(sink.clone())));
+    let registry = MetricsRegistry::new();
+    pool.instrument(&registry);
     let mut live = Vec::new();
     for batch in &batches[..3] {
         live.extend(tenant_hits(pool.on_batch(batch).expect("valid streams")));
     }
-    assert!(
-        sink.events()
-            .iter()
-            .any(|e| matches!(e, TraceEvent::TenantQuiesced { tenant: 1, .. })),
-        "the eviction must trace"
+    assert_eq!(
+        registry.snapshot().counter("tenant.quiesced_total"),
+        Some(1),
+        "the eviction is counted"
     );
     assert_eq!(
         pool.tenant_count(),

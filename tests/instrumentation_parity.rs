@@ -1,33 +1,29 @@
-//! Instrumentation inertness: attaching metrics, trace sinks, a scoped-span
-//! profiler, and per-query cost attribution to the streaming engine must not change
-//! a single detection.
+//! Instrumentation inertness: attaching metrics, a scoped-span profiler, and
+//! per-query cost attribution to the streaming engine must not change a single
+//! detection.
 //!
 //! The contract (`stream::instrument` module docs) is that observability is purely
 //! observational: an instrumented [`ShardedDetector`] — per-shard metric bundles, a
-//! pool-level trace sink, a [`Profiler`], AND cost attribution attached — produces
-//! a byte-identical detection list to an uninstrumented one, at every shard count.
+//! [`Profiler`], AND cost attribution attached — produces a byte-identical detection
+//! list to an uninstrumented one, at every shard count.
 //! This test proves it over the committed fixture corpus of
 //! `tests/e2e_mine_detect.rs`: mine the training corpus, deploy the compiled
 //! queries twice (bare and instrumented), replay the held-out stream through both,
 //! and compare the formatted detection lines.
 //!
 //! On the side, it pins the metrics the instrumented run must have recorded (event
-//! counts matching the stream, memory/occupancy high-water marks), the lifecycle
-//! events the sink must have seen (one registration per deployed query, on the
-//! shard the pool reports), the cost attribution (every deployed fixture query
+//! counts matching the stream, memory/occupancy high-water marks), the placement the
+//! pool reports (every deployed query counted on exactly one real shard), the cost
+//! attribution (every deployed fixture query
 //! reports non-zero measured cost), and the profiler's collapsed-stack export
 //! (non-empty, covering the detector spans).
 
-use behavior_query::obs::{
-    CollectingSink, MetricsRegistry, ProfileSnapshot, Profiler, QueryCostReport, SharedSink,
-    TraceEvent,
-};
+use behavior_query::obs::{MetricsRegistry, ProfileSnapshot, Profiler, QueryCostReport};
 use behavior_query::query::QueryOptions;
 use behavior_query::stream::{deploy_all, Detection, LabelPairStats, ShardedDetector};
 use behavior_query::syscall::{Behavior, LabeledTrace, TraceLabel, TrainingData};
 use behavior_query::tgraph::{Label, LabelInterner, StreamEvent};
 use std::path::PathBuf;
-use std::sync::Arc;
 
 /// Match window, batch size: the values the golden e2e test deploys with.
 const WINDOW: u64 = 12;
@@ -120,15 +116,18 @@ fn lines_of(detections: &[Detection]) -> Vec<String> {
 struct Replay {
     lines: Vec<String>,
     registry: MetricsRegistry,
-    sink: Arc<CollectingSink>,
     deployed: usize,
+    /// The shard each deployed query was placed on, in deployment order.
+    placements: Vec<usize>,
+    /// Live queries summed over `shard_stats()`.
+    shard_queries: usize,
     profile: Option<ProfileSnapshot>,
     costs: Option<QueryCostReport>,
 }
 
 /// Runs the full replay; with `instrumented` the detector carries per-shard metric
-/// bundles, a pool-level collecting sink, a scoped-span profiler, and per-query
-/// cost attribution (every operation timed: sample interval 1).
+/// bundles, a scoped-span profiler, and per-query cost attribution (every operation
+/// timed: sample interval 1).
 fn replay(
     training: &TrainingData,
     stream: &[StreamEvent],
@@ -136,13 +135,11 @@ fn replay(
     instrumented: bool,
 ) -> Replay {
     let registry = MetricsRegistry::new();
-    let sink = Arc::new(CollectingSink::default());
     let profiler = Profiler::new();
     let stats = LabelPairStats::from_graphs(training.all_graphs());
     let mut detector = ShardedDetector::with_stats(shards, stats);
     if instrumented {
         detector.instrument(&registry);
-        detector.set_trace_sink(Some(SharedSink::from_arc(sink.clone())));
         detector.set_profiler(Some(profiler.clone()));
         detector.enable_cost_attribution(1);
     }
@@ -158,8 +155,12 @@ fn replay(
     Replay {
         lines,
         registry,
-        sink,
         deployed: deployed.len(),
+        placements: deployed
+            .iter()
+            .map(|d| detector.shard_of(d.registration.id))
+            .collect(),
+        shard_queries: detector.shard_stats().iter().map(|s| s.queries).sum(),
         profile: instrumented.then(|| profiler.snapshot()),
         costs: detector.query_cost_report(),
     }
@@ -178,7 +179,7 @@ fn instrumented_detections_are_byte_identical_at_1_2_and_4_shards() {
             "a bare run accumulates no cost attribution"
         );
         let run = replay(&training, &stream, shards, true);
-        let (instrumented, registry, sink) = (run.lines, run.registry, run.sink);
+        let (instrumented, registry) = (run.lines, run.registry);
         assert_eq!(run.deployed, deployed);
         assert!(
             !bare.is_empty(),
@@ -283,24 +284,14 @@ fn instrumented_detections_are_byte_identical_at_1_2_and_4_shards() {
             );
         }
 
-        // And the sink saw one registration per deployed query, each on the shard the
-        // pool's placement reports.
-        let events = sink.drain();
-        let registered: Vec<(String, usize)> = events
-            .iter()
-            .filter_map(|event| match event {
-                TraceEvent::QueryRegistered { query, shard } => Some((query.clone(), *shard)),
-                _ => None,
-            })
-            .collect();
+        // And the pool placed every deployed query on exactly one real shard.
         assert_eq!(
-            registered.len(),
-            deployed,
-            "one registration event per deployed query at {shards} shard(s)"
+            run.shard_queries, deployed,
+            "the per-shard query counts sum to the deployed count at {shards} shard(s)"
         );
         assert!(
-            registered.iter().all(|(_, shard)| *shard < shards),
-            "registration events name real shards"
+            run.placements.iter().all(|&shard| shard < shards),
+            "every deployed query lives on a real shard"
         );
     }
 }

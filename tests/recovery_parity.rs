@@ -22,7 +22,9 @@
 //!   recovers every query onto the shard it lived on;
 //! * an id last seen before a snapshot's replay horizon and relabelled after it is
 //!   accepted and matched alike by the live and the recovered engines, since neither
-//!   keeps anything per node that the pruned history would have to rebuild.
+//!   keeps anything per node that the pruned history would have to rebuild;
+//! * a tenant quiesce the caller starts is logged and replayed like one the
+//!   quiescence policy starts, so a kill after it recovers the eviction.
 //!
 //! The single-stream tests run against a one-shard `ShardedDetector` — the
 //! plainest configuration of the single-stream engine.
@@ -33,7 +35,9 @@ use behavior_query::durable::{
     recover, recover_sharded, recover_tolerant, DurableError, Wal, WalConfig, WalDamage,
 };
 use behavior_query::obs::MetricsRegistry;
-use behavior_query::stream::{CompiledQuery, Engine, LabelPairStats, ShardedDetector, TenantPool};
+use behavior_query::stream::{
+    CompiledQuery, Engine, LabelPairStats, ShardedDetector, TenantDetection, TenantPool,
+};
 use behavior_query::syscall::{
     events_of_graph, Behavior, DatasetConfig, StreamSource, TestData, TestDataConfig, TrainingData,
 };
@@ -575,6 +579,90 @@ fn an_id_relabelled_past_the_replay_horizon_is_accepted_alike_live_and_recovered
         .any(|d| (d.query, d.start_ts, d.end_ts) == relabel_hit));
     let survived = killed::<TenantPool>((1, 1), &queries, &batches, kill_at, snapshot_at);
     assert_eq!(survived, live, "tenant pool");
+}
+
+/// One step of the caller-quiesce script below.
+enum Step {
+    Batch(Vec<TenantedEvent>),
+    Quiesce(TenantId),
+}
+
+fn apply(pool: &mut TenantPool, step: &Step) -> Vec<TenantDetection> {
+    match step {
+        Step::Batch(batch) => pool.on_batch(batch).expect("valid streams"),
+        Step::Quiesce(tenant) => pool.quiesce(*tenant),
+    }
+}
+
+/// A quiesce the caller starts through [`Engine::quiesce`] is logged like one the
+/// quiescence policy starts. Tenants 7 and 8 both send the first edge of a two-edge
+/// query; the caller quiesces tenant 7, which drops its pending run; both send the
+/// second edge, so only tenant 8 detects. Killed after any step, the pool recovers
+/// to one that evicted tenant 7 at the same point, and finishes the stream like the
+/// uninterrupted pool — a pool recovered without the eviction would detect for
+/// tenant 7 too.
+#[test]
+fn a_quiesce_the_caller_starts_is_logged_and_recovers_to_parity() {
+    let query = CompiledQuery::Temporal(
+        TemporalPattern::single_edge(Label(1), Label(2))
+            .grow_forward(1, Label(3))
+            .expect("a two-edge chain"),
+    );
+    let edge = |tenant: u64, ts: u64, src: usize, labels: (u32, u32)| TenantedEvent {
+        tenant: TenantId(tenant),
+        event: StreamEvent {
+            ts,
+            src,
+            dst: src + 1,
+            src_label: Label(labels.0),
+            dst_label: Label(labels.1),
+        },
+    };
+    let script = [
+        Step::Batch(vec![edge(7, 1, 0, (1, 2)), edge(8, 1, 0, (1, 2))]),
+        Step::Quiesce(TenantId(7)),
+        Step::Batch(vec![edge(7, 2, 1, (2, 3)), edge(8, 2, 1, (2, 3))]),
+    ];
+
+    let mut reference = TenantPool::new(1, 1);
+    reference.register(query.clone(), 10).expect("valid query");
+    let mut expected = Vec::new();
+    for step in &script {
+        expected.extend(apply(&mut reference, step));
+    }
+    expected.extend(reference.flush());
+    expected.sort_unstable();
+    let found: Vec<(u64, u64, u64)> = expected
+        .iter()
+        .map(|d| (d.tenant.0, d.start_ts, d.end_ts))
+        .collect();
+    assert_eq!(found, [(8, 1, 2)], "the quiesce dropped tenant 7's run");
+
+    for kill_at in 0..=script.len() {
+        let dir = temp_dir("caller-quiesce");
+        let wal = Wal::create(&dir, WalConfig::default()).expect("log dir");
+        let mut pool = TenantPool::new(1, 1);
+        wal.attach(&mut pool).expect("attach");
+        pool.register(query.clone(), 10).expect("valid query");
+        let mut out = Vec::new();
+        for step in &script[..kill_at] {
+            out.extend(apply(&mut pool, step));
+        }
+        assert!(wal.take_error().is_none());
+        drop(pool); // the crash
+        drop(wal);
+
+        let mut pool = recover::<TenantPool>(&dir, WalConfig::default())
+            .expect("recoverable log")
+            .engine;
+        for step in &script[kill_at..] {
+            out.extend(apply(&mut pool, step));
+        }
+        out.extend(pool.flush());
+        out.sort_unstable();
+        assert_eq!(out, expected, "killed after {kill_at} steps");
+        std::fs::remove_dir_all(dir).expect("cleanup");
+    }
 }
 
 /// The mined-query fixture (same corpus as `tenant_parity`): tiny training + test
