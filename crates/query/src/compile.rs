@@ -29,7 +29,7 @@ pub enum CompiledQuery {
 
 /// The seed condition of a compiled query: which arriving events start new work for it.
 /// This is the single source of truth for both the streaming registration indexes
-/// (`stream::QueryTable`) and the shard-assignment cost model (`stream::LabelPairStats`),
+/// (`stream::registry`) and the shard-assignment cost model (`stream::LabelPairStats`),
 /// so routing and load estimation cannot drift.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SeedKey {

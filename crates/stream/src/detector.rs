@@ -35,8 +35,9 @@
 //!
 //! The registered-query state (the query list, the label indexes that route an event
 //! to the queries it can seed or advance, and the per-query queues of in-flight work)
-//! lives in [`QueryTable`]; the sharded engine ([`crate::shard::ShardedDetector`]) partitions
-//! queries by giving each shard its own table and its own `Detector`.
+//! lives in a [`crate::registry`] table; the sharded engine
+//! ([`crate::shard::ShardedDetector`]) partitions queries by giving each shard its own
+//! `Detector`, which registers each of its queries under the engine's id for it.
 //!
 //! ## Core, not engine
 //!
@@ -72,7 +73,8 @@ const PENDING_ANCHOR_BYTES: usize = 48;
 // here so streaming callers keep a single import surface.
 pub use query::compile::{CompiledQuery, SeedKey};
 
-/// Identifier of a registered query, assigned by [`Detector::register`].
+/// Identifier of a registered query, assigned once by the engine that owns the query
+/// set ([`Detector::register`] for a bare detector).
 pub type QueryId = usize;
 
 /// An emitted detection: `query` identified an instance spanning `[start_ts, end_ts]`.
@@ -128,9 +130,9 @@ pub struct Registration {
 }
 
 /// Per-query attribution state (see [`crate::ShardedDetector::enable_cost_attribution`]).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct CostTracker {
-    /// Costs indexed by local [`QueryId`]. Ids are never reused, so a slot is
+    /// Costs indexed by [`QueryId`]. Ids are never reused, so a slot is
     /// stable for the detector's lifetime; the vec grows on first touch, and a
     /// registered-but-never-touched query simply has no slot yet (zero cost).
     per_query: Vec<QueryCost>,
@@ -166,7 +168,7 @@ impl CostTracker {
 
 /// The single-threaded matching core. See the module docs for the execution model and
 /// the crate docs for the offline-consistency guarantee.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Detector {
     queries: QueryTable,
     graph: IncrementalGraph,
@@ -256,7 +258,7 @@ impl Detector {
         }
     }
 
-    /// The raw measured costs `(per-local-id slice, sample interval)`, if
+    /// The raw measured costs `(per-id slice, sample interval)`, if
     /// attribution is enabled. The slice may be shorter than the id space: a
     /// query never touched has no slot yet (zero cost).
     pub(crate) fn cost_attribution(&self) -> Option<(&[QueryCost], u64)> {
@@ -312,6 +314,17 @@ impl Detector {
         query: CompiledQuery,
         window: u64,
     ) -> Result<Registration, RegisterError> {
+        self.register_at(self.queries.slot_count(), query, window)
+    }
+
+    /// [`Detector::register`] under the engine's `id` for the query, which must
+    /// exceed every id registered here before.
+    pub(crate) fn register_at(
+        &mut self,
+        id: QueryId,
+        query: CompiledQuery,
+        window: u64,
+    ) -> Result<Registration, RegisterError> {
         // Visibility is judged against the graph *before* this registration widens the
         // retention window: widening never resurrects evicted history.
         let visible_from = match self.graph.last_ts() {
@@ -321,7 +334,7 @@ impl Detector {
                 CompiledQuery::Temporal(_) | CompiledQuery::NodeSet(_) => last.saturating_add(1),
             },
         };
-        let id = self.queries.register(query, window)?;
+        self.queries.register(id, query, window)?;
         // Only static (`Ntemp`) matches read the buffered window — temporal and keyword
         // runs carry their own state — so retention is twice the largest *static*
         // window: anchors need `window - 1` of look-back still buffered when their
@@ -361,7 +374,7 @@ impl Detector {
     }
 
     /// The registered-query table (queries, windows, seed indexes).
-    pub fn queries(&self) -> &QueryTable {
+    pub(crate) fn queries(&self) -> &QueryTable {
         &self.queries
     }
 

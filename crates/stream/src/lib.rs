@@ -13,8 +13,9 @@
 //! * [`ShardedDetector`] — the engine for **one** stream: registered queries are
 //!   partitioned over N `Detector` shards (balanced by first-edge label-pair posting
 //!   frequency, [`LabelPairStats`]), each batch goes to every shard in turn, and
-//!   per-shard detections merge back into global timestamp order;
-//! * [`QueryTable`] — the registered-query state (queries, windows, the label indexes
+//!   per-shard detections merge back into global timestamp order. The engine assigns
+//!   query ids, and each shard registers its queries under them;
+//! * [`registry`] — the registered-query state (queries, windows, the label indexes
 //!   that route an event to the queries it can seed or advance, and each query's queue
 //!   of in-flight runs) a `Detector` owns; it is the unit the sharded engine
 //!   partitions;
@@ -22,7 +23,8 @@
 //!   demux front-end routing an interleaved multi-tenant stream
 //!   ([`tgraph::TenantedEvent`]) to per-tenant `ShardedDetector`s grouped into hashed
 //!   tenant-groups. Every tenant owns its own incremental graph, retention window, and
-//!   `visible_from`, while all tenants share one compiled query set; composed with
+//!   `visible_from`, while all tenants share one compiled query set — a new tenant
+//!   copies the pool's query template; composed with
 //!   query-sharding the engine forms a 2-D grid, queries × tenant-groups;
 //! * [`Engine`] — what the two engines have in common, as a trait: the unit that is
 //!   logged, snapshotted and recovered (the `durable` crate is generic over it) and
@@ -65,8 +67,8 @@
 //! The multi-tenant layer adds the **tenant-parity law**: for every tenant T and every
 //! demux configuration (group count, shards per group, interleaving), the detections a
 //! [`TenantPool`] reports for T are identical to running T's events alone through a
-//! single [`Detector`] — per-tenant state is fully isolated, and the shared query set
-//! replays identically on every tenant. `tests/tenant_parity.rs` enforces it
+//! single [`Detector`] — per-tenant state is fully isolated, and every tenant starts as
+//! a copy of the same query template. `tests/tenant_parity.rs` enforces it
 //! property-style over random interleavings.
 //!
 //! ## Observability
@@ -99,6 +101,5 @@ pub use durability::DurabilitySink;
 pub use engine::Engine;
 pub use error::{BatchError, DeregisterError, RegisterError, TenantBatchError};
 pub use instrument::DetectorInstruments;
-pub use registry::{QueryTable, Registered};
 pub use shard::{LabelPairStats, ShardedDetector};
 pub use tenant::{PoisonPolicy, QuarantinedEvent, QuiescencePolicy, TenantDetection, TenantPool};

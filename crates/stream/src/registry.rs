@@ -6,10 +6,11 @@
 //! sharded engine ([`crate::shard::ShardedDetector`]) can hand each shard an independent
 //! table holding only that shard's queries — the table *is* the unit of partitioning.
 //!
-//! Queries can be removed again ([`QueryTable::remove`]): the slot is tombstoned rather
-//! than compacted, so query ids stay stable for the engine's lifetime and are never
-//! reused — a detection can always be attributed unambiguously, and a stale id fails
-//! loudly instead of aliasing a later registration.
+//! A table holds each query under the id its engine assigned, with gaps where other
+//! shards' queries are. Queries can be removed again ([`QueryTable::remove`]): the slot
+//! is tombstoned rather than compacted, so query ids stay stable for the engine's
+//! lifetime and are never reused — a detection can always be attributed unambiguously,
+//! and a stale id fails loudly instead of aliasing a later registration.
 //!
 //! ## The run table
 //!
@@ -80,7 +81,7 @@ pub(crate) struct InFlight {
 
 /// A registered query plus its match window and in-flight work.
 #[derive(Debug, Clone)]
-pub struct Registered {
+pub(crate) struct Registered {
     query: CompiledQuery,
     window: u64,
     /// A keyword query's recency tracker, shared by its windows (else empty).
@@ -93,13 +94,13 @@ pub struct Registered {
 impl Registered {
     /// The compiled query.
     #[inline]
-    pub fn query(&self) -> &CompiledQuery {
+    pub(crate) fn query(&self) -> &CompiledQuery {
         &self.query
     }
 
     /// The query's match window in timestamp units (always at least 1).
     #[inline]
-    pub fn window(&self) -> u64 {
+    pub(crate) fn window(&self) -> u64 {
         self.window
     }
 }
@@ -178,7 +179,8 @@ impl LabelIndex {
 /// or offers an event to, the queues of the queries that list names.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Slots {
-    /// One slot per ever-registered query, indexed by id; `None` marks a removed query.
+    /// One slot per id up to the largest registered, indexed by id; `None` marks a
+    /// removed query or an id the table never held.
     entries: Vec<Option<Registered>>,
     /// Spawn sequence number the next in-flight item gets.
     next_seq: u64,
@@ -274,7 +276,7 @@ impl Slots {
 /// query's in-flight work and recomputes the retention-driving static window, but
 /// leaves the slot tombstoned so ids never shift or get reused.
 #[derive(Debug, Clone, Default)]
-pub struct QueryTable {
+pub(crate) struct QueryTable {
     pub(crate) index: LabelIndex,
     pub(crate) slots: Slots,
     /// Number of live (non-tombstoned) slots.
@@ -287,25 +289,28 @@ pub struct QueryTable {
 
 impl QueryTable {
     /// An empty table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
-    /// Registers a query matched within `window` timestamp units, indexing it under its
-    /// seed and advance labels. Returns its id (dense over registrations, starting at
-    /// 0), or rejects a zero window / trivially-empty query.
-    pub fn register(
+    /// Registers a query matched within `window` timestamp units under `id`, indexing
+    /// it under its seed and advance labels, or rejects a zero window / trivially-empty
+    /// query. `id` is the caller's to assign and must be at least
+    /// [`QueryTable::slot_count`], so posting lists stay in id order and no id is
+    /// reused.
+    pub(crate) fn register(
         &mut self,
+        id: QueryId,
         query: CompiledQuery,
         window: u64,
-    ) -> Result<QueryId, RegisterError> {
+    ) -> Result<(), RegisterError> {
         if window == 0 {
             return Err(RegisterError::ZeroWindow);
         }
         let Some(seed_key) = query.seed_key() else {
             return Err(RegisterError::EmptyQuery);
         };
-        let id = self.slots.entries.len();
+        assert!(id >= self.slot_count(), "query ids only ever grow");
         let by_pair = &mut self.index.by_pair;
         match seed_key {
             SeedKey::TemporalPair(src, dst) => {
@@ -333,6 +338,7 @@ impl QueryTable {
             }
         }
         self.index.rebuild_named();
+        self.slots.entries.resize_with(id, || None);
         self.slots.entries.push(Some(Registered {
             window,
             tracker: query.keyword_tracker(),
@@ -340,14 +346,14 @@ impl QueryTable {
             in_flight: VecDeque::new(),
         }));
         self.live += 1;
-        Ok(id)
+        Ok(())
     }
 
     /// Removes a registered query: tombstones its slot (dropping its in-flight work
     /// with it), unlinks it from the indexes (so no future event routes to it), and
     /// recomputes the static-window maximum. Returns the removed registration; errs on
     /// an unknown or already-removed id.
-    pub fn remove(&mut self, id: QueryId) -> Result<Registered, DeregisterError> {
+    pub(crate) fn remove(&mut self, id: QueryId) -> Result<Registered, DeregisterError> {
         let registered = self
             .slots
             .entries
@@ -381,23 +387,18 @@ impl QueryTable {
     }
 
     /// Number of live registered queries (removed queries do not count).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.live
     }
 
-    /// Whether no query is live.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Total number of registrations ever made — the next id to be assigned.
-    /// `len() < slot_count()` exactly when queries have been removed.
-    pub fn slot_count(&self) -> usize {
+    /// One more than the largest id ever registered: the smallest id the next
+    /// registration may take.
+    pub(crate) fn slot_count(&self) -> usize {
         self.slots.entries.len()
     }
 
     /// Iterates over the live queries as `(id, registration)` in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (QueryId, &Registered)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (QueryId, &Registered)> {
         self.slots
             .entries
             .iter()
@@ -408,17 +409,16 @@ impl QueryTable {
     /// The largest window among live *static* queries (0 without any). Only static
     /// matches resolve against the buffered window, so this is what sizes the graph's
     /// retention — temporal and keyword windows live in their runs instead.
-    pub fn max_static_window(&self) -> u64 {
+    pub(crate) fn max_static_window(&self) -> u64 {
         self.max_static_window
     }
 
     /// The registered query with id `id`.
     ///
     /// # Panics
-    /// Panics if `id` was not returned by [`QueryTable::register`] on this table, or
-    /// the query was removed.
+    /// Panics if `id` was not registered on this table, or the query was removed.
     #[inline]
-    pub fn get(&self, id: QueryId) -> &Registered {
+    pub(crate) fn get(&self, id: QueryId) -> &Registered {
         self.slots.get(id)
     }
 }
@@ -432,6 +432,16 @@ mod tests {
 
     fn l(i: u32) -> Label {
         Label(i)
+    }
+
+    /// Registers under the next free id, the way `Detector::register` does.
+    fn add(
+        table: &mut QueryTable,
+        query: CompiledQuery,
+        window: u64,
+    ) -> Result<QueryId, RegisterError> {
+        let id = table.slot_count();
+        table.register(id, query, window).map(|()| id)
     }
 
     /// The temporal seed, static anchor and temporal advance postings of a label pair.
@@ -451,29 +461,29 @@ mod tests {
     #[test]
     fn registration_indexes_queries_under_their_seed_labels() {
         let mut table = QueryTable::new();
-        let t = table
-            .register(
-                CompiledQuery::Temporal(TemporalPattern::single_edge(l(0), l(1))),
-                5,
-            )
-            .unwrap();
-        let s = table
-            .register(
-                CompiledQuery::Static(StaticPattern {
-                    labels: vec![l(0), l(1)],
-                    edges: vec![(0, 1)],
-                }),
-                7,
-            )
-            .unwrap();
-        let n = table
-            .register(
-                CompiledQuery::NodeSet(NodeSetQuery {
-                    labels: vec![l(2), l(2), l(3)],
-                }),
-                9,
-            )
-            .unwrap();
+        let t = add(
+            &mut table,
+            CompiledQuery::Temporal(TemporalPattern::single_edge(l(0), l(1))),
+            5,
+        )
+        .unwrap();
+        let s = add(
+            &mut table,
+            CompiledQuery::Static(StaticPattern {
+                labels: vec![l(0), l(1)],
+                edges: vec![(0, 1)],
+            }),
+            7,
+        )
+        .unwrap();
+        let n = add(
+            &mut table,
+            CompiledQuery::NodeSet(NodeSetQuery {
+                labels: vec![l(2), l(2), l(3)],
+            }),
+            9,
+        )
+        .unwrap();
         assert_eq!((t, s, n), (0, 1, 2));
         assert_eq!(table.len(), 3);
         assert_eq!(
@@ -493,18 +503,24 @@ mod tests {
     fn zero_window_and_empty_queries_are_rejected() {
         let mut table = QueryTable::new();
         assert_eq!(
-            table.register(
+            add(
+                &mut table,
                 CompiledQuery::Temporal(TemporalPattern::single_edge(l(0), l(1))),
                 0,
             ),
             Err(RegisterError::ZeroWindow)
         );
         assert_eq!(
-            table.register(CompiledQuery::NodeSet(NodeSetQuery { labels: vec![] }), 5),
+            add(
+                &mut table,
+                CompiledQuery::NodeSet(NodeSetQuery { labels: vec![] }),
+                5
+            ),
             Err(RegisterError::EmptyQuery)
         );
         assert_eq!(
-            table.register(
+            add(
+                &mut table,
                 CompiledQuery::Static(StaticPattern {
                     labels: vec![],
                     edges: vec![],
@@ -514,39 +530,39 @@ mod tests {
             Err(RegisterError::EmptyQuery)
         );
         // Rejected registrations consume no id.
-        assert!(table.is_empty());
-        let id = table
-            .register(
-                CompiledQuery::Temporal(TemporalPattern::single_edge(l(0), l(1))),
-                3,
-            )
-            .unwrap();
+        assert_eq!((table.len(), table.slot_count()), (0, 0));
+        let id = add(
+            &mut table,
+            CompiledQuery::Temporal(TemporalPattern::single_edge(l(0), l(1))),
+            3,
+        )
+        .unwrap();
         assert_eq!(id, 0);
     }
 
     #[test]
     fn removal_tombstones_the_slot_and_purges_the_indexes() {
         let mut table = QueryTable::new();
-        let t1 = table
-            .register(
-                CompiledQuery::Temporal(TemporalPattern::single_edge(l(0), l(1))),
-                5,
-            )
-            .unwrap();
-        let t2 = table
-            .register(
-                CompiledQuery::Temporal(TemporalPattern::single_edge(l(0), l(1))),
-                5,
-            )
-            .unwrap();
-        let n = table
-            .register(
-                CompiledQuery::NodeSet(NodeSetQuery {
-                    labels: vec![l(4), l(5)],
-                }),
-                5,
-            )
-            .unwrap();
+        let t1 = add(
+            &mut table,
+            CompiledQuery::Temporal(TemporalPattern::single_edge(l(0), l(1))),
+            5,
+        )
+        .unwrap();
+        let t2 = add(
+            &mut table,
+            CompiledQuery::Temporal(TemporalPattern::single_edge(l(0), l(1))),
+            5,
+        )
+        .unwrap();
+        let n = add(
+            &mut table,
+            CompiledQuery::NodeSet(NodeSetQuery {
+                labels: vec![l(4), l(5)],
+            }),
+            5,
+        )
+        .unwrap();
         assert_eq!(pair(&table, 0, 1)[0], [t1, t2]);
         let removed = table.remove(t1).unwrap();
         assert_eq!(removed.window(), 5);
@@ -572,14 +588,33 @@ mod tests {
             table.remove(99),
             Err(DeregisterError::UnknownQuery { id: 99 })
         ));
-        let next = table
-            .register(
-                CompiledQuery::Temporal(TemporalPattern::single_edge(l(0), l(1))),
-                5,
-            )
-            .unwrap();
+        let next = add(
+            &mut table,
+            CompiledQuery::Temporal(TemporalPattern::single_edge(l(0), l(1))),
+            5,
+        )
+        .unwrap();
         assert_eq!(next, 3, "tombstoned ids are not handed out again");
         assert_eq!(table.iter().map(|(id, _)| id).collect::<Vec<_>>(), [1, 3]);
+    }
+
+    #[test]
+    fn queries_register_under_the_ids_their_engine_assigns() {
+        // A shard's table holds some of its engine's ids: the others are gaps that
+        // nothing routes to and that cannot be removed.
+        let mut table = QueryTable::new();
+        let single_edge = || CompiledQuery::Temporal(TemporalPattern::single_edge(l(0), l(1)));
+        table.register(2, single_edge(), 5).unwrap();
+        table.register(5, single_edge(), 5).unwrap();
+        assert_eq!((table.len(), table.slot_count()), (2, 6));
+        assert_eq!(table.iter().map(|(id, _)| id).collect::<Vec<_>>(), [2, 5]);
+        assert_eq!(pair(&table, 0, 1)[0], [2, 5]);
+        assert!(matches!(
+            table.remove(3),
+            Err(DeregisterError::UnknownQuery { id: 3 })
+        ));
+        table.remove(2).unwrap();
+        assert_eq!(pair(&table, 0, 1)[0], [5]);
     }
 
     #[test]
@@ -685,8 +720,8 @@ mod tests {
             })
         };
         let mut table = QueryTable::new();
-        let narrow = table.register(static_query(0, 1), 10).unwrap();
-        let wide = table.register(static_query(2, 3), 100).unwrap();
+        let narrow = add(&mut table, static_query(0, 1), 10).unwrap();
+        let wide = add(&mut table, static_query(2, 3), 100).unwrap();
         assert_eq!(table.max_static_window(), 100);
         table.remove(wide).unwrap();
         assert_eq!(

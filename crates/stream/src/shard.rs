@@ -7,14 +7,15 @@
 //! Scale-out is one process, with its own write-ahead log, per tenant set — share
 //! nothing, coordinate nothing. Within the process:
 //!
-//! * each shard owns a full [`Detector`] — its own [`crate::registry::QueryTable`],
-//!   partial-match runs, pending anchors, and its own [`tgraph::IncrementalGraph`]
-//!   whose retention is sized to *that shard's* largest static-query window (a shard
-//!   with no static queries stores no edges at all);
-//! * every event batch goes to every shard in turn;
-//! * per-shard detections are remapped to global query ids and merged back into global
-//!   timestamp order — ascending `(end_ts, start_ts, query)`, i.e. the order instances
-//!   complete in the stream.
+//! * each shard owns a full [`Detector`] — its own query table, partial-match runs,
+//!   pending anchors, and its own [`tgraph::IncrementalGraph`] whose retention is sized
+//!   to *that shard's* largest static-query window (a shard with no static queries
+//!   stores no edges at all);
+//! * the engine assigns every query its id and the owning shard registers it under
+//!   that id, so detections leave a shard already carrying the caller's ids;
+//! * every event batch goes to every shard in turn, and the per-shard detections merge
+//!   into global timestamp order — ascending `(end_ts, start_ts, query)`, i.e. the
+//!   order instances complete in the stream.
 //!
 //! ## Load-balanced assignment
 //!
@@ -44,7 +45,7 @@ use crate::error::{BatchError, DeregisterError, RegisterError};
 use crate::instrument::DetectorInstruments;
 use faults::FaultPlan;
 use obs::{MetricsRegistry, Profiler, QueryCost, QueryCostReport, ShardStat};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use tgraph::{GraphError, Label, StreamEvent, TemporalGraph, TenantId};
 
 /// Label-pair posting frequencies: the cost model behind query→shard assignment.
@@ -150,13 +151,13 @@ impl LabelPairStats {
     }
 }
 
-/// One shard's state: a full detector over this shard's queries, plus the mapping from
-/// its dense local query ids back to the global ids the caller sees.
-#[derive(Debug)]
+/// One shard's state: a full detector over this shard's queries, each registered under
+/// its global id.
+#[derive(Debug, Clone)]
 struct Shard {
     detector: Detector,
-    /// Shard-local `QueryId` → global `QueryId`.
-    global_ids: Vec<QueryId>,
+    /// Registrations ever placed on this shard (the assignment's tie-break).
+    placed: usize,
     /// Events this shard has processed (always on — plain integers, no atomics).
     events_processed: u64,
     /// Detections this shard has emitted.
@@ -164,37 +165,24 @@ struct Shard {
 }
 
 impl Shard {
-    /// Runs a batch through this shard's detector and remaps detections to global ids.
+    /// Runs a batch through this shard's detector, counting what it did.
     fn process(&mut self, events: &[StreamEvent]) -> Result<Vec<Detection>, BatchError> {
-        match self.detector.on_batch(events) {
-            Ok(mut out) => {
-                self.events_processed += events.len() as u64;
-                self.detections_emitted += out.len() as u64;
-                self.remap(&mut out);
-                Ok(out)
-            }
-            Err(mut err) => {
-                self.events_processed += err.index as u64;
-                self.detections_emitted += err.emitted.len() as u64;
-                self.remap(&mut err.emitted);
-                Err(err)
-            }
-        }
-    }
-
-    fn remap(&self, detections: &mut [Detection]) {
-        for detection in detections {
-            detection.query = self.global_ids[detection.query];
-        }
+        let result = self.detector.on_batch(events);
+        let (processed, emitted) = match &result {
+            Ok(out) => (events.len(), out.len()),
+            Err(err) => (err.index, err.emitted.len()),
+        };
+        self.events_processed += processed as u64;
+        self.detections_emitted += emitted as u64;
+        result
     }
 }
 
-/// Where one registered query lives: its shard, its shard-local id, and the estimated
-/// cost it contributes to that shard's load while registered.
+/// Where one registered query lives: its shard, and the estimated cost it contributes
+/// to that shard's load while registered.
 #[derive(Debug, Clone, Copy)]
 struct Placement {
     shard: usize,
-    local: QueryId,
     cost: u64,
     /// `false` once the query has been deregistered (ids are never reused).
     active: bool,
@@ -243,7 +231,7 @@ impl ShardedDetector {
             shards: (0..shards)
                 .map(|_| Shard {
                     detector: Detector::new(),
-                    global_ids: Vec::new(),
+                    placed: 0,
                     events_processed: 0,
                     detections_emitted: 0,
                 })
@@ -253,6 +241,20 @@ impl ShardedDetector {
             placements: Vec::new(),
             durability: None,
             profiler: None,
+            faults: None,
+        }
+    }
+
+    /// A copy without the log and the fault plan: queries, ids, placement, profiler,
+    /// cost attribution and shard state. A pool's tenants start as its template's.
+    pub(crate) fn replica(&self) -> Self {
+        Self {
+            shards: self.shards.clone(),
+            loads: self.loads.clone(),
+            stats: self.stats.clone(),
+            placements: self.placements.clone(),
+            durability: None,
+            profiler: self.profiler.clone(),
             faults: None,
         }
     }
@@ -286,7 +288,7 @@ impl ShardedDetector {
     ///
     /// # Panics
     /// Panics if `floors` does not have one entry per shard.
-    pub fn restore_shard_visible_floors(&mut self, floors: &[u64]) {
+    pub(crate) fn restore_shard_visible_floors(&mut self, floors: &[u64]) {
         assert_eq!(
             floors.len(),
             self.shards.len(),
@@ -339,28 +341,27 @@ impl ShardedDetector {
         }
     }
 
-    /// The merged per-query cost report, keyed by *global* query ids (each shard's
-    /// local rows are remapped through its id table). `None` unless
+    /// The merged per-query cost report, keyed by query id (shards count under the
+    /// ids the engine assigned). `None` unless
     /// [`ShardedDetector::enable_cost_attribution`] was called. Every registration —
     /// live or deregistered — gets a row; queries the stream never touched report
     /// all-zero cost.
     pub fn query_cost_report(&self) -> Option<QueryCostReport> {
         let mut sample_interval = None;
-        let mut merged: BTreeMap<usize, QueryCost> = BTreeMap::new();
+        let mut rows: Vec<(usize, QueryCost)> = (0..self.placements.len())
+            .map(|id| (id, QueryCost::default()))
+            .collect();
         for shard in &self.shards {
             let Some((costs, interval)) = shard.detector.cost_attribution() else {
                 continue;
             };
             sample_interval.get_or_insert(interval);
-            for (local, &global) in shard.global_ids.iter().enumerate() {
-                let cost = costs.get(local).copied().unwrap_or_default();
-                merged.entry(global).or_default().merge(&cost);
+            for ((_, row), cost) in rows.iter_mut().zip(costs) {
+                row.merge(cost);
             }
         }
         Some(QueryCostReport {
-            rows: (0..self.placements.len())
-                .map(|id| (id, merged.get(&id).copied().unwrap_or_default()))
-                .collect(),
+            rows,
             sample_interval: sample_interval?,
         })
     }
@@ -430,34 +431,25 @@ impl ShardedDetector {
         window: u64,
     ) -> Result<Registration, RegisterError> {
         let cost = self.stats.query_cost(&query);
-        let shard_idx = self
-            .loads
-            .iter()
-            .enumerate()
-            .min_by_key(|&(idx, &load)| (load, self.shards[idx].global_ids.len(), idx))
-            .map(|(idx, _)| idx)
+        let shard_idx = (0..self.shards.len())
+            .min_by_key(|&idx| (self.loads[idx], self.shards[idx].placed, idx))
             .expect("at least one shard");
-        let shard = &mut self.shards[shard_idx];
-        let local = shard.detector.register(query, window)?;
         let id = self.placements.len();
-        debug_assert_eq!(local.id, shard.global_ids.len());
-        shard.global_ids.push(id);
+        let shard = &mut self.shards[shard_idx];
+        let registration = shard.detector.register_at(id, query, window)?;
+        shard.placed += 1;
         self.placements.push(Placement {
             shard: shard_idx,
-            local: local.id,
             cost,
             active: true,
         });
         self.loads[shard_idx] += cost;
         if let Some(durability) = &mut self.durability {
-            let registered = self.shards[shard_idx].detector.queries().get(local.id);
-            let (query, window) = (registered.query().clone(), registered.window());
-            durability.record_register(id, &query, window, local.visible_from);
+            let registered = self.shards[shard_idx].detector.queries().get(id);
+            let (query, window) = (registered.query(), registered.window());
+            durability.record_register(id, query, window, registration.visible_from);
         }
-        Ok(Registration {
-            id,
-            visible_from: local.visible_from,
-        })
+        Ok(registration)
     }
 
     /// Deregisters a query mid-stream across the pool: same contract as
@@ -471,9 +463,7 @@ impl ShardedDetector {
             Some(p) if p.active => *p,
             _ => return Err(DeregisterError::UnknownQuery { id: query }),
         };
-        self.shards[placement.shard]
-            .detector
-            .deregister(placement.local)?;
+        self.shards[placement.shard].detector.deregister(query)?;
         self.placements[query].active = false;
         self.loads[placement.shard] -= placement.cost;
         if let Some(durability) = &mut self.durability {
@@ -559,9 +549,8 @@ impl ShardedDetector {
     pub fn flush(&mut self) -> Vec<Detection> {
         let mut merged = Vec::new();
         for shard in &mut self.shards {
-            let mut out = shard.detector.flush();
+            let out = shard.detector.flush();
             shard.detections_emitted += out.len() as u64;
-            shard.remap(&mut out);
             merged.extend(out);
         }
         Self::sort_global(&mut merged);
@@ -1018,7 +1007,7 @@ mod tests {
     }
 
     #[test]
-    fn cost_report_merges_shard_rows_to_global_ids() {
+    fn cost_report_merges_shard_rows_by_query_id() {
         let mut pool = ShardedDetector::new(2);
         let qa = pool
             .register(
@@ -1053,7 +1042,7 @@ mod tests {
         for &id in &[qa, qb] {
             let cost = report.get(id).unwrap();
             // Each query lives alone on its shard, so its row is exactly that
-            // shard's local row remapped — three seeds, three detections.
+            // shard's row for the id — three seeds, three detections.
             assert_eq!(cost.spawned, 3, "query {id}");
             assert_eq!(cost.detections, 3, "query {id}");
             assert!(cost.sampled_ns > 0, "interval 1 times every operation");

@@ -52,19 +52,20 @@
 //! [`Detector`](crate::Detector) with the same registrations. This is the correctness
 //! anchor of the whole layer, enforced property-style by `tests/tenant_parity.rs` at
 //! the workspace root. It holds by construction: per-tenant state is fully isolated
-//! (own graph, own runs, own retention), and the shared query set is replicated via a
-//! registration journal that replays identically on every tenant.
+//! (own graph, own runs, own retention), and every tenant starts as a copy of one query
+//! template and then receives the same registrations.
 //!
 //! ## Registration semantics
 //!
-//! [`TenantPool::register`] validates once against a canonical [`QueryTable`] (so ids
-//! and typed errors are tenant-independent), appends the operation to a journal, and
-//! fans it out to every live tenant. A tenant created later replays the journal before
-//! seeing its first event, so it runs the exact same query set under the exact same
-//! ids — [`QueryTable`] ids are dense over registrations and never reused, which makes
-//! the replay deterministic. A mid-stream registration's `visible_from` is the maximum
-//! over live tenants (the most pessimistic look-back floor; `0` when no tenant exists
-//! yet).
+//! The pool's **template** is a [`ShardedDetector`] that receives every registration
+//! and deregistration but never an event. [`TenantPool::register`] registers on it
+//! first — it validates the query (so typed errors are tenant-independent), assigns its
+//! id and places it on a shard — and then fans the operation out to every live tenant.
+//! A tenant created later starts as a copy of the template, so it runs the exact same
+//! query set under the exact same ids and placement, at a cost that follows the live
+//! queries, not the registration history. A mid-stream registration's `visible_from`
+//! is the maximum over live tenants (the most pessimistic look-back floor; `0` when no
+//! tenant exists yet).
 //!
 //! ## Self-healing (opt-in, off by default)
 //!
@@ -75,17 +76,17 @@
 //!   stays parity-exact.
 //! * **Tenant quiescence** ([`QuiescencePolicy`]): tenants silent past a horizon
 //!   (never less than twice the largest registered window, so no pending match can
-//!   still complete) are flushed and evicted, their visibility floors saved; a
-//!   returning tenant is recreated through the ordinary journal-replay path with its
-//!   floors restored. Each eviction is logged as a `Quiesce` record before it is
-//!   applied, because the flush drains pending detections early — replay must drain
-//!   them at the same point in the op sequence.
+//!   still complete) are flushed and evicted, their visibility floors saved and their
+//!   cost-attribution rows folded into the pool's; a returning tenant is recreated
+//!   from the template like any new tenant, with its floors restored. Each eviction is
+//!   logged as a `Quiesce` record before it is applied, because the flush drains
+//!   pending detections early — replay must drain them at the same point in the op
+//!   sequence.
 
 use crate::detector::{CompiledQuery, Detection, QueryId, Registration};
 use crate::durability::DurabilitySink;
 use crate::engine::Engine;
 use crate::error::{DeregisterError, RegisterError, TenantBatchError};
-use crate::registry::QueryTable;
 use crate::shard::{LabelPairStats, ShardedDetector};
 use faults::FaultPlan;
 use obs::{Counter, Gauge, MetricsRegistry, Profiler, QueryCost, QueryCostReport, TenantGroupStat};
@@ -178,14 +179,6 @@ struct PoolInstruments {
     quiesced_total: Counter,
 }
 
-/// One replayable registration-journal entry (see the module docs: tenants created
-/// lazily replay the journal so every tenant runs the identical query set).
-#[derive(Debug, Clone)]
-enum JournalOp {
-    Register(CompiledQuery, u64),
-    Deregister(QueryId),
-}
-
 /// Group-level metric handles (see [`TenantPool::instrument`] for the name table).
 #[derive(Debug, Clone)]
 struct GroupInstruments {
@@ -276,15 +269,12 @@ impl Group {
 /// [`ShardedDetector`]. Tenants themselves are created lazily, on first event.
 #[derive(Debug)]
 pub struct TenantPool {
-    shards_per_tenant: usize,
-    stats: LabelPairStats,
-    /// Canonical registered-query state: validates registrations, assigns the global
-    /// ids every tenant reports under, and answers query-set queries without touching
-    /// any tenant.
-    canonical: QueryTable,
-    /// Every registration/deregistration in order — replayed verbatim onto tenants
-    /// created after the fact.
-    journal: Vec<JournalOp>,
+    /// The query template (module docs, "Registration semantics"): it validates
+    /// registrations, assigns the ids every tenant reports under, places the queries,
+    /// carries the observability settings, and is what a new tenant copies.
+    template: ShardedDetector,
+    /// Cost-attribution rows of the tenants quiesced so far, indexed by query id.
+    evicted_costs: Vec<QueryCost>,
     groups: Vec<Group>,
     /// The batch being processed, counting-sorted by tenant (see the module docs,
     /// "Demux"); it only grows, to the largest batch seen.
@@ -294,13 +284,10 @@ pub struct TenantPool {
     /// Pool-level write-ahead recorder: operations and tenant batches are recorded
     /// once at the demux front-end; per-tenant detectors stay recorder-free.
     durability: Option<Box<dyn DurabilitySink>>,
-    /// Pool-level profiler for `tenant.batch` / `tenant.demux` spans; cloned into
-    /// every tenant detector (including tenants materialised later) so all spans
-    /// aggregate into the one map.
+    /// Pool-level profiler for `tenant.batch` / `tenant.demux` spans; cloned into the
+    /// template and every live tenant (later tenants copy it from the template) so all
+    /// spans aggregate into the one map.
     profiler: Option<Profiler>,
-    /// Cost-attribution sampling interval, remembered so tenants materialised after
-    /// [`TenantPool::enable_cost_attribution`] join the measurement mid-stream.
-    attribution_interval: Option<u64>,
     /// Armed fault plan; `tenant.batch` fires at the very top of [`TenantPool::on_batch`].
     faults: Option<FaultPlan>,
     /// Poison-event quarantine policy; `None` (default) disables quarantine.
@@ -324,7 +311,7 @@ pub struct TenantPool {
     /// quiescence horizon at twice the replay horizon.
     max_window_seen: u64,
     /// Visibility floors of quiesced tenants, restored (and removed) when the tenant
-    /// re-materialises via [`TenantPool::ensure_tenant`]'s journal replay.
+    /// re-materialises ([`TenantPool::ensure_tenant`]).
     quiesced_floors: BTreeMap<TenantId, Vec<u64>>,
     /// Lifetime quiesce count, mirroring `quarantine_total`.
     quiesce_total: u64,
@@ -350,16 +337,13 @@ impl TenantPool {
             "a tenant pool needs at least one group and one query shard per tenant"
         );
         Self {
-            shards_per_tenant,
-            stats,
-            canonical: QueryTable::new(),
-            journal: Vec::new(),
+            template: ShardedDetector::with_stats(shards_per_tenant, stats),
+            evicted_costs: Vec::new(),
             groups: (0..groups).map(|_| Group::default()).collect(),
             arena: Vec::new(),
             runs: Vec::new(),
             durability: None,
             profiler: None,
-            attribution_interval: None,
             faults: None,
             poison: None,
             failing: BTreeMap::new(),
@@ -381,6 +365,7 @@ impl TenantPool {
     /// detector-phase spans aggregate together. Inert: detections are identical with
     /// and without it.
     pub fn set_profiler(&mut self, profiler: Option<Profiler>) {
+        self.template.set_profiler(profiler.clone());
         for detector in self.detectors_mut() {
             detector.set_profiler(profiler.clone());
         }
@@ -391,35 +376,26 @@ impl TenantPool {
     /// future (see [`ShardedDetector::enable_cost_attribution`]). Read the summed
     /// result with [`TenantPool::query_cost_report`].
     pub fn enable_cost_attribution(&mut self, sample_interval: u64) {
-        self.attribution_interval = Some(sample_interval.max(1));
+        self.template.enable_cost_attribution(sample_interval);
         for detector in self.detectors_mut() {
             detector.enable_cost_attribution(sample_interval);
         }
     }
 
-    /// The per-query cost report summed across every tenant, keyed by the canonical
-    /// global query ids (every tenant runs the same query set, so rows add
-    /// meaningfully). `None` unless [`TenantPool::enable_cost_attribution`] was
-    /// called. Every registration gets a row, even with zero tenants materialised.
+    /// The per-query cost report summed across every tenant the pool has run —
+    /// live or quiesced — keyed by the template's query ids (every tenant runs the
+    /// same query set, so rows add meaningfully). `None` unless
+    /// [`TenantPool::enable_cost_attribution`] was called. Every registration gets a
+    /// row, even with zero tenants materialised.
     pub fn query_cost_report(&self) -> Option<QueryCostReport> {
-        let sample_interval = self.attribution_interval?;
-        let mut merged: BTreeMap<usize, QueryCost> = BTreeMap::new();
-        for group in &self.groups {
-            for tenant in &group.tenants {
-                let Some(report) = tenant.detector.query_cost_report() else {
-                    continue;
-                };
-                for (id, cost) in &report.rows {
-                    merged.entry(*id).or_default().merge(cost);
-                }
-            }
+        let mut report = self.template.query_cost_report()?;
+        let live = self.groups.iter().flat_map(|group| &group.tenants);
+        let live = live.filter_map(|tenant| tenant.detector.query_cost_report());
+        let evicted = self.evicted_costs.iter().copied().enumerate();
+        for (id, cost) in live.flat_map(|report| report.rows).chain(evicted) {
+            report.rows[id].1.merge(&cost);
         }
-        Some(QueryCostReport {
-            rows: (0..self.canonical.slot_count())
-                .map(|id| (id, merged.get(&id).copied().unwrap_or_default()))
-                .collect(),
-            sample_interval,
-        })
+        Some(report)
     }
 
     /// Attaches (or with `None` detaches) a pool-level durability recorder. Attach
@@ -466,7 +442,7 @@ impl TenantPool {
 
     /// Number of live registered queries (shared by every tenant).
     pub fn query_count(&self) -> usize {
-        self.canonical.len()
+        self.template.query_count()
     }
 
     /// Attaches group-level metrics. With group index `g`, the pool ticks:
@@ -524,9 +500,9 @@ impl TenantPool {
     /// Registers a query on every tenant (current and future), matched within `window`
     /// timestamp units.
     ///
-    /// Validation and id assignment happen once, on the canonical table; the operation
-    /// is journaled and fanned out, so every tenant — including tenants that do not
-    /// exist yet — runs the query under the same global id. The returned
+    /// Validation, id assignment and placement happen once, on the template; the
+    /// operation then fans out to the live tenants, and later tenants copy the
+    /// template, so every tenant runs the query under the same id. The returned
     /// `visible_from` is the maximum over live tenants' look-back floors (the
     /// pessimistic bound: at least one tenant can see no further back), or `0` when no
     /// tenant has materialised yet.
@@ -535,16 +511,14 @@ impl TenantPool {
         query: CompiledQuery,
         window: u64,
     ) -> Result<Registration, RegisterError> {
-        let id = self.canonical.register(query.clone(), window)?;
+        let id = self.template.register(query.clone(), window)?.id;
         self.max_window_seen = self.max_window_seen.max(window);
-        self.journal
-            .push(JournalOp::Register(query.clone(), window));
         let mut visible_from = 0;
         for detector in self.detectors_mut() {
             let registration = detector
                 .register(query.clone(), window)
-                .expect("canonical table accepted the query");
-            debug_assert_eq!(registration.id, id, "journal replay desynchronised ids");
+                .expect("the template accepted the query");
+            debug_assert_eq!(registration.id, id, "tenants are copies of the template");
             visible_from = visible_from.max(registration.visible_from);
         }
         if let Some(durability) = &mut self.durability {
@@ -559,15 +533,14 @@ impl TenantPool {
     /// never reused; a stale or repeated id fails with a typed error and changes
     /// nothing.
     pub fn deregister(&mut self, query: QueryId) -> Result<(), DeregisterError> {
-        self.canonical.remove(query)?;
-        self.journal.push(JournalOp::Deregister(query));
+        self.template.deregister(query)?;
         if let Some(durability) = &mut self.durability {
             durability.record_deregister(query);
         }
         for detector in self.detectors_mut() {
             detector
                 .deregister(query)
-                .expect("canonical table knew the query");
+                .expect("the template knew the query");
         }
         Ok(())
     }
@@ -578,9 +551,9 @@ impl TenantPool {
         tenants.map(|tenant| &mut tenant.detector)
     }
 
-    /// Materialises a tenant if this is its first appearance: a fresh
-    /// [`ShardedDetector`] (own graphs, own retention) brought up to date by replaying
-    /// the registration journal. Returns the tenant's group and its position in the
+    /// Materialises a tenant if this is its first appearance: a copy of the template
+    /// (own graphs, own retention; the live query set, its placement and the
+    /// observability settings). Returns the tenant's group and its position in the
     /// group's `tenants` (an insertion shifts the positions after it).
     fn ensure_tenant(&mut self, tenant: TenantId) -> (usize, usize) {
         let group_idx = group_of(tenant, self.groups.len());
@@ -589,27 +562,7 @@ impl TenantPool {
             Ok(slot) => return (group_idx, slot),
             Err(insert_at) => insert_at,
         };
-        let mut detector = ShardedDetector::with_stats(self.shards_per_tenant, self.stats.clone());
-        // New tenants join the pool's observability configuration mid-stream, so a
-        // late tenant's work is profiled and attributed like everyone else's.
-        detector.set_profiler(self.profiler.clone());
-        if let Some(interval) = self.attribution_interval {
-            detector.enable_cost_attribution(interval);
-        }
-        for op in &self.journal {
-            match op {
-                JournalOp::Register(query, window) => {
-                    detector
-                        .register(query.clone(), *window)
-                        .expect("journaled registration was validated");
-                }
-                JournalOp::Deregister(id) => {
-                    detector
-                        .deregister(*id)
-                        .expect("journaled deregistration was validated");
-                }
-            }
-        }
+        let mut detector = self.template.replica();
         // A tenant coming back from quiescence resumes with the floors it was evicted
         // with (restore ratchets, so replayed evictions can only tighten them).
         if let Some(floors) = self.quiesced_floors.remove(&tenant) {
@@ -690,7 +643,7 @@ impl TenantPool {
     ///
     /// Per-tenant event order is the batch's arrival order — the pool never reorders,
     /// so each tenant sees exactly the sub-stream its producer emitted. Unknown
-    /// tenants are created on the fly (journal replay, see the module docs).
+    /// tenants are created on the fly (copies of the template, see the module docs).
     ///
     /// On failure the returned [`TenantBatchError`] carries the merged detections of
     /// everything processed: tenants are independent, so healthy tenants complete
@@ -883,10 +836,10 @@ impl Engine for TenantPool {
         TenantPool::with_stats(groups, shards, stats)
     }
     fn shape(&self) -> (usize, usize) {
-        (self.groups.len(), self.shards_per_tenant)
+        (self.groups.len(), self.template.shard_count())
     }
     fn stats(&self) -> &LabelPairStats {
-        &self.stats
+        Engine::stats(&self.template)
     }
     fn register(
         &mut self,
@@ -907,9 +860,10 @@ impl Engine for TenantPool {
     fn flush(&mut self) -> Vec<TenantDetection> {
         TenantPool::flush(self)
     }
-    /// Flushes and evicts `tenant`, saving its visibility floors for the lazy
-    /// journal-replay recreation on its next event (see the module docs). Returns the
-    /// tenant's trailing detections; a tenant that is not materialised is a no-op.
+    /// Flushes and evicts `tenant`, saving its visibility floors for its recreation
+    /// from the template on its next event and folding its cost-attribution rows into
+    /// the pool's (see the module docs). Returns the tenant's trailing detections; a
+    /// tenant that is not materialised is a no-op.
     ///
     /// An eviction is logged as a `Quiesce` record before it applies, whoever starts
     /// it — the quiescence policy or a caller — because the flush drains pending
@@ -927,6 +881,14 @@ impl Engine for TenantPool {
         let mut detector = group.tenants.remove(idx).detector;
         let out = detector.flush();
         group.detections += out.len() as u64;
+        if let Some(report) = detector.query_cost_report() {
+            // The rows cover every id registered so far: the accumulator only grows.
+            self.evicted_costs
+                .resize(report.rows.len(), QueryCost::default());
+            for (id, cost) in &report.rows {
+                self.evicted_costs[*id].merge(cost);
+            }
+        }
         self.quiesced_floors
             .insert(tenant, detector.shard_visible_floors());
         self.failing.remove(&tenant);
@@ -950,9 +912,9 @@ impl Engine for TenantPool {
         floors.extend(self.quiesced_floors.iter().map(|(t, f)| (*t, f.clone())));
         floors
     }
-    /// Tenants that have not re-materialised during replay are created first (journal
-    /// replay), so a tenant that went quiet before the snapshot still reports its
-    /// original floors.
+    /// Tenants that have not re-materialised during replay are created first (copies
+    /// of the template), so a tenant that went quiet before the snapshot still reports
+    /// its original floors.
     fn restore_visible_floors(&mut self, floors: &[(TenantId, Vec<u64>)]) {
         for (tenant, shard_floors) in floors {
             let (group, slot) = self.ensure_tenant(*tenant);
@@ -1077,16 +1039,22 @@ mod tests {
     }
 
     #[test]
-    fn late_tenants_replay_the_registration_journal() {
+    fn late_tenants_copy_the_live_query_set() {
         let mut pool = TenantPool::new(2, 2);
         let qa = pool.register(edge_query(), 5).unwrap().id;
         let qb = pool.register(ab_then_c(), 5).unwrap().id;
-        // Tenant 0 materialises now; deregistering qa afterwards fans out to it.
+        // Tenant 0 materialises now; deregistering qa and registering qc afterwards
+        // fan out to it.
         let first = pool.on_batch(&[te(0, ev(1, 0, 1, 0, 1))]).unwrap();
         assert_eq!(first.len(), 1);
         pool.deregister(qa).unwrap();
-        // Tenant 7 materialises *after* the deregistration: journal replay must leave
-        // it with qb only, under the same global id.
+        let unmatched = TemporalPattern::single_edge(l(8), l(9));
+        let qc = pool
+            .register(CompiledQuery::Temporal(unmatched), 5)
+            .unwrap()
+            .id;
+        // Tenant 7 materialises *after* both: its copy of the template must hold qb
+        // and qc only, under the same global ids.
         let out = pool
             .on_batch(&[
                 te(7, ev(1, 0, 1, 0, 1)),
@@ -1104,7 +1072,19 @@ mod tests {
             }],
             "qa is gone on old and new tenants alike; qb matches under its global id"
         );
-        assert_eq!(pool.query_count(), 1);
+        // The early and the late tenant place every query, live or not, alike.
+        let placement = |tenant: u64| {
+            let group = &pool.groups[group_of(TenantId(tenant), 2)];
+            let found = group.tenants.iter().find(|t| t.id == TenantId(tenant));
+            let detector = &found.expect("the tenant is live").detector;
+            [qa, qb, qc].map(|q| detector.shard_of(q))
+        };
+        assert_eq!(placement(0), placement(7));
+        assert_eq!(
+            placement(0),
+            [qa, qb, qc].map(|q| pool.template.shard_of(q))
+        );
+        assert_eq!(pool.query_count(), 2);
         assert!(
             pool.deregister(qa).is_err() && pool.deregister(qb).is_ok(),
             "qa is no longer live; qb still was"
@@ -1263,6 +1243,28 @@ mod tests {
             ])
             .unwrap();
         assert_eq!(out.len(), 3);
+    }
+
+    #[test]
+    fn the_cost_report_keeps_the_work_of_quiesced_tenants() {
+        let mut pool = TenantPool::new(1, 1);
+        let q = pool.register(edge_query(), 5).unwrap().id;
+        pool.enable_cost_attribution(1);
+        let detections = |pool: &TenantPool| {
+            let report = pool.query_cost_report().expect("attribution is on");
+            report.get(q).unwrap().detections
+        };
+        pool.on_batch(&[te(0, ev(1, 0, 1, 0, 1)), te(0, ev(2, 0, 1, 0, 1))])
+            .unwrap();
+        assert_eq!(detections(&pool), 2);
+        Engine::quiesce(&mut pool, TenantId(0));
+        assert_eq!(
+            detections(&pool),
+            2,
+            "the evicted tenant's work still counts"
+        );
+        pool.on_batch(&[te(1, ev(3, 0, 1, 0, 1))]).unwrap();
+        assert_eq!(detections(&pool), 3, "the lifetime total");
     }
 
     #[test]
@@ -1432,7 +1434,7 @@ mod tests {
             pool.deregister(q),
             Err(DeregisterError::UnknownQuery { .. })
         ));
-        // Rejected registrations leave no journal residue on future tenants.
+        // Rejected registrations leave nothing on the template for future tenants.
         assert!(pool.register(edge_query(), 0).is_err());
         pool.on_batch(&[te(0, ev(1, 0, 1, 0, 1))]).unwrap();
         assert_eq!(pool.tenant_count(), 1);

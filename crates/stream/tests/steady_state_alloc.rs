@@ -4,8 +4,9 @@
 //! complete, an event between the largest node ids allocates what one between small
 //! ids does, and the tenant pool's front door adds nothing to it: no
 //! allocation per batch beyond its tenants' own, no memory kept per tenant that has
-//! left. Counted with a counting global allocator, which is why this test has a binary
-//! of its own.
+//! left, and a tenant arriving after any number of query swaps costs what one arriving
+//! before them does. Counted with a counting global allocator, which is why this test
+//! has a binary of its own.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -290,6 +291,35 @@ fn the_pools_front_door_allocates_nothing_of_its_own() {
             "allocations depend on the batch length: {counts:?}"
         );
     }
+}
+
+/// Allocations of a new tenant's first batch in a pool with one query and one live
+/// tenant, after `swaps` cycles of registering and deregistering a second query.
+fn first_batch_after_swaps(swaps: usize) -> u64 {
+    let mut pool = TenantPool::new(1, 1);
+    pool.register(unmatched(), 1_000).unwrap();
+    pool.on_batch(&run_of(0, 0, 16).collect::<Vec<_>>())
+        .unwrap();
+    for _ in 0..swaps {
+        let swapped = pool
+            .register(CompiledQuery::Temporal(chain()), 1_000)
+            .unwrap();
+        pool.deregister(swapped.id).unwrap();
+    }
+    let first: Vec<TenantedEvent> = run_of(1, 16, 16).collect();
+    allocations_during(|| drop(pool.on_batch(&first).unwrap()))
+}
+
+#[test]
+fn a_late_tenant_costs_the_live_queries_not_the_history() {
+    // A new tenant copies the live query set; replaying every registration and
+    // deregistration ever made would cost allocations per swap.
+    let (fresh, after_swaps) = (first_batch_after_swaps(0), first_batch_after_swaps(1_000));
+    assert_eq!(
+        fresh, after_swaps,
+        "a tenant's first batch allocates {after_swaps} times after 1,000 query swaps, \
+         {fresh} before any"
+    );
 }
 
 const TENANTS: u64 = 10_000;

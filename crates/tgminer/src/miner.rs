@@ -44,8 +44,6 @@ pub struct MinerConfig {
     /// Maximum number of embeddings kept per (pattern, graph); guards against embedding
     /// explosion in label-repetitive background graphs.
     pub cap_per_graph: usize,
-    /// Minimum positive frequency a child pattern must reach to be explored (0 disables).
-    pub min_pos_freq: f64,
     /// Enable the naive upper-bound pruning of Section 4.1.
     pub use_upper_bound: bool,
     /// Enable subgraph pruning (Lemma 4).
@@ -70,7 +68,6 @@ impl Default for MinerConfig {
             max_edges: 6,
             top_k: 5,
             cap_per_graph: 200,
-            min_pos_freq: 0.0,
             use_upper_bound: true,
             use_subgraph_pruning: true,
             use_supergraph_pruning: true,
@@ -352,12 +349,6 @@ impl Miner<'_> {
             );
             self.stats.extensions_evaluated += extensions.len() as u64;
             for extension in extensions {
-                if self.config.min_pos_freq > 0.0
-                    && extension.occurrences.freq_pos(self.positives.len())
-                        < self.config.min_pos_freq
-                {
-                    continue;
-                }
                 let child = extension.key.apply(pattern);
                 let (child_best, child_truncated) = self.dfs(&child, &extension.occurrences);
                 branch_best = branch_best.max(child_best);
@@ -382,9 +373,6 @@ impl Miner<'_> {
         let mut candidates = 0u64;
         for leaf in leaves {
             let pos_freq = frequency(leaf.pos_graphs, self.positives.len());
-            if self.config.min_pos_freq > 0.0 && pos_freq < self.config.min_pos_freq {
-                continue;
-            }
             if self.budget_spent() {
                 break;
             }

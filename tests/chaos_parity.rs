@@ -550,8 +550,8 @@ fn tolerant_recovery_accounts_exactly_for_the_injected_corruption() {
 
 /// Tenant quiescence round-trips through the log: the eviction is a logged
 /// `Quiesce` record, so a killed pool recovers with the tenant still evicted, and
-/// the tenant's return re-materialises it from the journal — detections staying
-/// equal to an unkilled pool running the same policy.
+/// the tenant's return re-materialises it from the pool's query template —
+/// detections staying equal to an unkilled pool running the same policy.
 #[test]
 fn quiesced_tenants_recover_and_return_through_the_log() {
     let policy = QuiescencePolicy { horizon: 10 };
@@ -559,7 +559,7 @@ fn quiesced_tenants_recover_and_return_through_the_log() {
         vec![tev(1, 1)],
         vec![tev(2, 50)],
         vec![tev(2, 51)], // the sweep at the head of this batch evicts tenant 1
-        vec![tev(1, 60)], // …and this one re-materialises it from the journal
+        vec![tev(1, 60)], // …and this one re-materialises it from the template
     ];
 
     // The reference: same policy, never killed.
