@@ -11,14 +11,22 @@
 //!   ascending edge index), so the matcher visits only an edge's candidates and still
 //!   lists embeddings in the order of a full edge scan;
 //! * [`StaticPattern`]s grow edge-by-edge from embeddings, like gSpan, and are
-//!   deduplicated through a canonical key (label-sorted nodes, permuting only within
-//!   equal-label groups) because without temporal order the growth path to a pattern is
-//!   no longer unique. A child's embeddings are its parent's, each extended by the
-//!   child's last edge, wherever the parent's list is complete; a list at the per-graph
-//!   cap may be truncated, and there the child is searched from scratch;
+//!   deduplicated through a canonical key (nodes sorted by label and degrees,
+//!   permuting only within equal groups) because without temporal order the growth
+//!   path to a pattern is no longer unique. A child's embeddings are its parent's, each
+//!   extended by the child's last edge, wherever the parent's list is complete; a list
+//!   at the per-graph cap may be truncated, and there the child is searched from
+//!   scratch;
 //! * [`mine_nontemporal`] runs the discriminative search with the same score functions,
 //!   top-k and admission rule ([`crate::topk`]) as the temporal miner: a pattern is
-//!   offered, then its branch is cut if the top-k does not admit its upper bound.
+//!   offered, then its branch is cut if the top-k does not admit its upper bound;
+//! * **Bound first.** A candidate's positive support — the walk's answer, plus a fresh
+//!   existence check where a parent list may be truncated — and its bound `F(x, 0)`
+//!   come right after its key and the visited check. A candidate whose bound the top-k
+//!   does not admit costs those and nothing more: no search of the negative graphs and
+//!   no embedding lists. It is still marked visited and still counts in
+//!   `patterns_processed`; only its offer, which a score at most its bound would lose,
+//!   is not made, so the top-k sees the same admitted offers in the same order.
 //!
 //! The per-graph embedding cap is 64, fixed. `mine_nontemporal` does not read
 //! `query::QueryOptions::cap_per_graph`, which configures TGMiner only, so where that
@@ -29,7 +37,6 @@ use crate::score::ScoreFunction;
 use crate::topk::{Scored, TopK};
 use crate::StableSet;
 use std::collections::{BTreeMap, BTreeSet};
-use std::time::{Duration, Instant};
 use tgraph::{Label, TemporalGraph};
 
 /// Embeddings kept per (pattern, graph) by `mine_nontemporal`.
@@ -200,71 +207,71 @@ impl StaticPattern {
         self.edges.len()
     }
 
-    /// Canonical key used for pattern deduplication during mining.
+    /// Canonical key used for pattern deduplication during mining: the node labels in
+    /// (label, out-degree, in-degree) order, then the edges renumbered by that order,
+    /// sorted.
     ///
-    /// Nodes are bucketed by label; all permutations within equal-label buckets are
-    /// tried (bounded — see `MAX_PERMUTATIONS`) and the lexicographically smallest
-    /// serialization is returned. If the bucket structure is too permutation-rich the
-    /// key falls back to a weaker (still deterministic) form, which can only cause
-    /// redundant search, never unsound deduplication of distinct patterns.
-    pub fn canonical_key(&self) -> Vec<u64> {
+    /// Nodes of equal (label, degrees) are interchangeable in that order; all
+    /// permutations within such buckets are tried (bounded — see `MAX_PERMUTATIONS`)
+    /// and the lexicographically smallest edge list is kept. If the bucket structure
+    /// is too permutation-rich the key falls back to a weaker (still deterministic)
+    /// form, which can only cause redundant search, never unsound deduplication of
+    /// distinct patterns.
+    fn canonical_key(&self) -> Vec<u64> {
         const MAX_PERMUTATIONS: usize = 5_040;
         let n = self.labels.len();
-        let class: Vec<(Label, (usize, usize))> = (0..n)
-            .map(|v| (self.labels[v], self.degree_signature(v)))
-            .collect();
+        let mut degrees = vec![(0usize, 0usize); n];
+        for &(s, d) in &self.edges {
+            degrees[s].0 += 1;
+            degrees[d].1 += 1;
+        }
+        let class = |v: usize| (self.labels[v], degrees[v]);
         let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&v| class[v]);
-        // Bucket boundaries: consecutive nodes with identical (label, degree signature).
+        order.sort_by_key(|&v| class(v));
+        // Runs of two or more nodes of one class: the only ones a permutation moves.
         let mut buckets: Vec<(usize, usize)> = Vec::new();
         let mut start = 0usize;
         for i in 1..=n {
-            if i == n || class[order[i]] != class[order[start]] {
-                buckets.push((start, i));
+            if i == n || class(order[i]) != class(order[start]) {
+                if i - start > 1 {
+                    buckets.push((start, i));
+                }
                 start = i;
             }
         }
-        let permutations: usize = buckets.iter().map(|&(s, e)| factorial(e - s)).product();
-        if permutations <= MAX_PERMUTATIONS {
-            let mut best: Option<Vec<u64>> = None;
-            permute_buckets(&mut order.clone(), &buckets, 0, &mut |perm| {
-                let key = self.serialize(perm);
-                if best.as_ref().is_none_or(|b| key < *b) {
-                    best = Some(key);
-                }
-            });
-            best.expect("at least one permutation")
-        } else {
-            self.serialize(&order)
-        }
-    }
-
-    fn degree_signature(&self, node: usize) -> (usize, usize) {
-        let out = self.edges.iter().filter(|e| e.0 == node).count();
-        let inn = self.edges.iter().filter(|e| e.1 == node).count();
-        (out, inn)
-    }
-
-    /// Serializes the pattern under the node ordering `order` (position = new id).
-    fn serialize(&self, order: &[usize]) -> Vec<u64> {
-        let mut position = vec![0usize; order.len()];
-        for (new_id, &old) in order.iter().enumerate() {
-            position[old] = new_id;
-        }
-        let mut out: Vec<u64> = Vec::with_capacity(order.len() + self.edges.len() * 2);
-        for &old in order {
-            out.push(self.labels[old].id() as u64);
-        }
-        let mut edges: Vec<(usize, usize)> = self
-            .edges
+        // Saturating: 21 interchangeable nodes already overflow the factorial.
+        let permutations = buckets
             .iter()
-            .map(|&(s, d)| (position[s], position[d]))
-            .collect();
-        edges.sort_unstable();
-        for (s, d) in edges {
-            out.push(((s as u64) << 32) | d as u64);
+            .flat_map(|&(s, e)| 2..=e - s)
+            .fold(1usize, usize::saturating_mul);
+        // Permutations keep each position's label: the prefix is the same for all.
+        let mut key: Vec<u64> = Vec::with_capacity(n + self.edges.len());
+        key.extend(order.iter().map(|&v| self.labels[v].id() as u64));
+        let mut position = vec![0usize; n];
+        let mut edges: Vec<u64> = Vec::with_capacity(self.edges.len());
+        let mut best: Vec<u64> = Vec::with_capacity(self.edges.len());
+        let mut visit = |order: &[usize]| {
+            for (new_id, &old) in order.iter().enumerate() {
+                position[old] = new_id;
+            }
+            edges.clear();
+            edges.extend(
+                self.edges
+                    .iter()
+                    .map(|&(s, d)| ((position[s] as u64) << 32) | position[d] as u64),
+            );
+            edges.sort_unstable();
+            if best.is_empty() || edges < best {
+                std::mem::swap(&mut edges, &mut best);
+            }
+        };
+        if permutations <= MAX_PERMUTATIONS {
+            permute_buckets(&mut order, &buckets, 0, &mut visit);
+        } else {
+            visit(&order);
         }
-        out
+        key.extend_from_slice(&best);
+        key
     }
 
     /// Whether the pattern has at least one embedding in `graph`.
@@ -396,13 +403,9 @@ impl StaticPattern {
     }
 }
 
-fn factorial(n: usize) -> usize {
-    (1..=n).product::<usize>().max(1)
-}
-
 /// Enumerates all permutations of `order` that only shuffle nodes within each bucket.
 fn permute_buckets(
-    order: &mut Vec<usize>,
+    order: &mut [usize],
     buckets: &[(usize, usize)],
     bucket_idx: usize,
     visit: &mut impl FnMut(&[usize]),
@@ -416,7 +419,7 @@ fn permute_buckets(
 }
 
 fn permute_range(
-    order: &mut Vec<usize>,
+    order: &mut [usize],
     end: usize,
     pos: usize,
     buckets: &[(usize, usize)],
@@ -442,17 +445,12 @@ pub type NonTemporalPattern = Scored<StaticPattern>;
 pub struct NonTemporalResult {
     /// Top patterns sorted by decreasing score.
     pub patterns: Vec<NonTemporalPattern>,
-    /// Number of patterns processed.
+    /// Number of patterns processed, the ones the bound cut included.
     pub patterns_processed: u64,
-    /// Wall-clock duration of the run.
-    pub elapsed: Duration,
-}
-
-impl NonTemporalResult {
-    /// The best mined pattern.
-    pub fn best(&self) -> Option<&NonTemporalPattern> {
-        self.patterns.first()
-    }
+    /// Number of (candidate, negative graph) searches: a candidate whose bound the
+    /// top-k admits is searched in every negative graph its parent occurs in (a seed
+    /// in every negative graph), one the bound cuts in none.
+    pub negative_searches: u64,
 }
 
 /// Per graph with a match: its id and the pattern's embeddings there, flat (stride =
@@ -536,7 +534,6 @@ pub fn mine_nontemporal(
     max_edges: usize,
     top_k: usize,
 ) -> NonTemporalResult {
-    let start = Instant::now();
     let pos_static: Vec<StaticGraph> = positives.iter().map(StaticGraph::from_temporal).collect();
     let neg_static: Vec<StaticGraph> = negatives.iter().map(StaticGraph::from_temporal).collect();
     let mut miner = StaticMiner::new(&pos_static, &neg_static, score, max_edges, top_k);
@@ -550,17 +547,25 @@ pub fn mine_nontemporal(
     }
     for (src_label, dst_label) in seeds {
         let pattern = StaticPattern::single_edge(src_label, dst_label);
+        if !miner.claim(pattern.canonical_key()) {
+            continue;
+        }
+        let pos = miner.seed_lists(&pattern, miner.positives);
+        let Some(pos_freq) = miner.admitted(pos.len()) else {
+            continue;
+        };
+        miner.negative_searches += miner.negatives.len() as u64;
         let occ = StaticOccurrences {
-            pos: miner.seed_lists(&pattern, miner.positives),
+            pos,
             neg: miner.seed_lists(&pattern, miner.negatives),
         };
-        miner.dfs(&pattern, pattern.canonical_key(), &occ);
+        miner.dfs(&pattern, pos_freq, &occ);
     }
 
     NonTemporalResult {
         patterns: miner.top.into_patterns(),
         patterns_processed: miner.patterns_processed,
-        elapsed: start.elapsed(),
+        negative_searches: miner.negative_searches,
     }
 }
 
@@ -573,6 +578,7 @@ struct StaticMiner<'a> {
     visited: StableSet<Vec<u64>>,
     top: TopK<StaticPattern>,
     patterns_processed: u64,
+    negative_searches: u64,
     scratch: Scratch,
 }
 
@@ -593,6 +599,7 @@ impl<'a> StaticMiner<'a> {
             visited: StableSet::default(),
             top: TopK::new(top_k),
             patterns_processed: 0,
+            negative_searches: 0,
             scratch: Scratch::default(),
         }
     }
@@ -673,36 +680,42 @@ impl<'a> StaticMiner<'a> {
             .count()
     }
 
-    /// Processes a pattern supported by `pos_graphs` positive and `neg_graphs`
-    /// negative graphs: scores it and offers it to the top-k. Returns its positive
-    /// frequency, or `None` if an isomorphic pattern (same `key`) was processed before.
-    fn visit(
-        &mut self,
-        pattern: &StaticPattern,
-        key: Vec<u64>,
-        pos_graphs: usize,
-        neg_graphs: usize,
-    ) -> Option<f64> {
-        if !self.visited.insert(key) {
-            return None;
-        }
-        self.patterns_processed += 1;
+    /// Marks a candidate's canonical `key` visited and counts the candidate as
+    /// processed; `false` if an isomorphic candidate was processed before.
+    fn claim(&mut self, key: Vec<u64>) -> bool {
+        let new = self.visited.insert(key);
+        self.patterns_processed += u64::from(new);
+        new
+    }
+
+    /// The positive frequency of a candidate found in `pos_graphs` positive graphs, if
+    /// the top-k admits its bound. If not, neither the candidate — its score is at most
+    /// its bound — nor any pattern grown from it can enter, so it is searched no further.
+    fn admitted(&self, pos_graphs: usize) -> Option<f64> {
         let pos_freq = pos_graphs as f64 / self.positives.len().max(1) as f64;
+        self.top
+            .admits(self.score.upper_bound(pos_freq))
+            .then_some(pos_freq)
+    }
+
+    /// Scores an admitted candidate found in `neg_graphs` negative graphs and offers
+    /// it to the top-k.
+    fn offer(&mut self, pattern: &StaticPattern, pos_freq: f64, neg_graphs: usize) {
         let neg_freq = neg_graphs as f64 / self.negatives.len().max(1) as f64;
         let score = self.score.score(pos_freq, neg_freq);
         self.top
             .offer(score, pos_freq, neg_freq, || pattern.clone());
-        Some(pos_freq)
     }
 
-    /// `key` is `pattern.canonical_key()`, computed by the caller to look it up first.
-    fn dfs(&mut self, pattern: &StaticPattern, key: Vec<u64>, occ: &StaticOccurrences) {
-        let Some(pos_freq) = self.visit(pattern, key, occ.pos.len(), occ.neg.len()) else {
-            return;
-        };
+    /// Offers a claimed and admitted `pattern` and grows it. Each child runs in the
+    /// order key, visited check, positive support, bound; only one the bound admits
+    /// is searched in the negatives.
+    fn dfs(&mut self, pattern: &StaticPattern, pos_freq: f64, occ: &StaticOccurrences) {
+        self.offer(pattern, pos_freq, occ.neg.len());
         if pattern.edge_count() >= self.max_edges {
             return;
         }
+        // The offer may have raised the threshold past the bound it was admitted at.
         if !self.top.admits(self.score.upper_bound(pos_freq)) {
             return;
         }
@@ -713,24 +726,26 @@ impl<'a> StaticMiner<'a> {
             // A child seen before costs its key and nothing else. A child can only
             // occur where its parent does, so only those graphs are searched. The walk
             // saw it in at least one positive graph, so it has positive support.
-            let key = child.canonical_key();
-            if self.visited.contains(&key) {
+            if !self.claim(child.canonical_key()) {
                 continue;
             }
             let seen = Some(seen.as_slice());
+            let pos_graphs = self.child_support(&child, positives, &occ.pos, parent_nodes, seen);
+            let Some(pos_freq) = self.admitted(pos_graphs) else {
+                continue;
+            };
+            self.negative_searches += occ.neg.len() as u64;
             if children_at_cap {
                 // Never grown again: existence per graph is all that is read of it.
-                let pos_graphs =
-                    self.child_support(&child, positives, &occ.pos, parent_nodes, seen);
                 let neg_graphs =
                     self.child_support(&child, negatives, &occ.neg, parent_nodes, None);
-                self.visit(&child, key, pos_graphs, neg_graphs);
+                self.offer(&child, pos_freq, neg_graphs);
             } else {
                 let child_occ = StaticOccurrences {
                     pos: self.child_lists(&child, positives, &occ.pos, parent_nodes, seen),
                     neg: self.child_lists(&child, negatives, &occ.neg, parent_nodes, None),
                 };
-                self.dfs(&child, key, &child_occ);
+                self.dfs(&child, pos_freq, &child_occ);
             }
         }
     }
@@ -739,7 +754,7 @@ impl<'a> StaticMiner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::score::LogRatio;
+    use crate::score::{GTest, LogRatio};
     use proptest::prelude::*;
     use std::collections::BTreeMap;
     use tgraph::GraphBuilder;
@@ -888,7 +903,7 @@ mod tests {
 
     /// 2–9 nodes over 2–3 labels and up to four edges per node, about one in five of
     /// them a self-loop.
-    fn random_graph(rng: &mut Rng) -> StaticGraph {
+    fn random_graph(rng: &mut Rng) -> TemporalGraph {
         let mut b = GraphBuilder::new();
         let alphabet = 2 + rng.below(2);
         let n = 2 + rng.below(8);
@@ -900,15 +915,67 @@ mod tests {
             let dst = if rng.below(5) == 0 { src } else { rng.below(n) };
             b.add_edge(src, dst, ts as u64).unwrap();
         }
-        StaticGraph::from_temporal(&b.build())
+        b.build()
+    }
+
+    /// `canonical_key` by brute force: the smallest serialization over every node
+    /// order sorted by (label, out-degree, in-degree), each built whole.
+    fn reference_key(pattern: &StaticPattern) -> Vec<u64> {
+        fn orders(
+            order: &mut Vec<usize>,
+            class: &dyn Fn(usize) -> (Label, usize, usize),
+            n: usize,
+            visit: &mut dyn FnMut(&[usize]),
+        ) {
+            if order.len() == n {
+                return visit(order);
+            }
+            for v in 0..n {
+                if !order.contains(&v) && order.last().is_none_or(|&u| class(u) <= class(v)) {
+                    order.push(v);
+                    orders(order, class, n, visit);
+                    order.pop();
+                }
+            }
+        }
+        let class = |v: usize| {
+            let out = pattern.edges.iter().filter(|e| e.0 == v).count();
+            let inn = pattern.edges.iter().filter(|e| e.1 == v).count();
+            (pattern.labels[v], out, inn)
+        };
+        let mut best: Option<Vec<u64>> = None;
+        orders(
+            &mut Vec::new(),
+            &class,
+            pattern.node_count(),
+            &mut |order| {
+                let position = |v: usize| order.iter().position(|&o| o == v).unwrap() as u64;
+                let mut edges: Vec<u64> = pattern
+                    .edges
+                    .iter()
+                    .map(|&(s, d)| (position(s) << 32) | position(d))
+                    .collect();
+                edges.sort_unstable();
+                let key: Vec<u64> = order
+                    .iter()
+                    .map(|&v| pattern.labels[v].id() as u64)
+                    .chain(edges)
+                    .collect();
+                if best.as_ref().is_none_or(|b| key < *b) {
+                    best = Some(key);
+                }
+            },
+        );
+        best.expect("a sorted order exists")
     }
 
     const CAPS: [usize; 5] = [1, 2, 3, CAP_PER_GRAPH, usize::MAX];
 
     /// Checks one pattern at one cap against the full scan and returns its children:
     /// (a) its lists are the full scan's; per child from the walk, (b) the derived
-    /// lists are the full scan's, and (c) so is the support count — the walk's answer
-    /// for positives, extension or search for negatives.
+    /// lists are the full scan's, (c) so is the support count — the walk's answer
+    /// for positives, extension or search for negatives — and its key is the
+    /// brute-force one.
     fn check_level(
         pattern: &StaticPattern,
         graphs: &[StaticGraph],
@@ -939,6 +1006,7 @@ mod tests {
         );
         let nodes = pattern.node_count();
         for (child, seen) in &walked {
+            assert_eq!(child.canonical_key(), reference_key(child), "{child:?}");
             let want: Lists = lists
                 .iter()
                 .map(|(g, _)| (*g, reference_embeddings(child, &graphs[*g], cap)))
@@ -963,7 +1031,9 @@ mod tests {
         #[test]
         fn indexed_and_derived_searches_keep_the_full_scans_order(seed in 0u64..u64::MAX, depth in 1usize..6) {
             let mut rng = Rng(seed);
-            let graphs: Vec<StaticGraph> = (0..3).map(|_| random_graph(&mut rng)).collect();
+            let graphs: Vec<StaticGraph> = (0..3)
+                .map(|_| StaticGraph::from_temporal(&random_graph(&mut rng)))
+                .collect();
             let graph = &graphs[rng.below(graphs.len())];
             let (s, d) = graph.edges()[rng.below(graph.edges().len())];
             let mut pattern = StaticPattern::single_edge(graph.label(s), graph.label(d));
@@ -978,6 +1048,108 @@ mod tests {
                 pattern = children.swap_remove(rng.below(children.len()));
             }
         }
+
+        /// Bound first changes only what is searched: a run returns the exhaustive
+        /// run's top-k, and searches the negatives no more often.
+        #[test]
+        fn bound_first_returns_the_exhaustive_top_k(seed in 0u64..u64::MAX, max_edges in 1usize..=4, top_k in 1usize..=6) {
+            bound_first_case(seed, max_edges, top_k);
+        }
+    }
+
+    /// `score` with the bound switched off: every candidate is admitted, so a run
+    /// under it is the exhaustive search.
+    struct Unbounded<'a>(&'a dyn ScoreFunction);
+
+    impl ScoreFunction for Unbounded<'_> {
+        fn score(&self, pos_freq: f64, neg_freq: f64) -> f64 {
+            self.0.score(pos_freq, neg_freq)
+        }
+
+        fn upper_bound(&self, _pos_freq: f64) -> f64 {
+            f64::INFINITY
+        }
+
+        fn name(&self) -> &'static str {
+            "unbounded"
+        }
+    }
+
+    /// 1–3 positive and 1–4 negative random graphs mined under `LogRatio` and
+    /// `GTest`, each score bounded and unbounded: the same patterns, scores and
+    /// frequencies in the same order. Returns each score's (bounded, unbounded)
+    /// `negative_searches`.
+    fn bound_first_case(seed: u64, max_edges: usize, top_k: usize) -> Vec<(u64, u64)> {
+        let mut rng = Rng(seed);
+        let positives: Vec<TemporalGraph> = (0..1 + rng.below(3))
+            .map(|_| random_graph(&mut rng))
+            .collect();
+        let negatives: Vec<TemporalGraph> = (0..1 + rng.below(4))
+            .map(|_| random_graph(&mut rng))
+            .collect();
+        let rendered = |result: &NonTemporalResult| -> Vec<(StaticPattern, [u64; 3])> {
+            result
+                .patterns
+                .iter()
+                .map(|p| {
+                    let bits = [p.score, p.pos_freq, p.neg_freq].map(f64::to_bits);
+                    (p.pattern.clone(), bits)
+                })
+                .collect()
+        };
+        let scores: [&dyn ScoreFunction; 2] = [&LogRatio::default(), &GTest::default()];
+        scores
+            .into_iter()
+            .map(|score| {
+                let bounded = mine_nontemporal(&positives, &negatives, score, max_edges, top_k);
+                let exhaustive =
+                    mine_nontemporal(&positives, &negatives, &Unbounded(score), max_edges, top_k);
+                let what = format!("{} seed {seed} size {max_edges} top {top_k}", score.name());
+                assert_eq!(rendered(&bounded), rendered(&exhaustive), "{what}");
+                assert!(
+                    bounded.negative_searches <= exhaustive.negative_searches,
+                    "{what}"
+                );
+                (bounded.negative_searches, exhaustive.negative_searches)
+            })
+            .collect()
+    }
+
+    /// The oracle's cases do cut. At size 1 nothing is grown, so only a seed cut before
+    /// its negative search saves one.
+    #[test]
+    fn the_bound_saves_negative_searches_in_some_cases() {
+        for max_edges in [1, 3] {
+            let saved = (0..32)
+                .flat_map(|seed| bound_first_case(seed, max_edges, 2))
+                .filter(|(bounded, exhaustive)| bounded < exhaustive)
+                .count();
+            assert!(
+                saved > 0,
+                "size {max_edges}: no case saved a negative search"
+            );
+        }
+    }
+
+    #[test]
+    fn a_hub_with_21_interchangeable_leaves_takes_the_weak_key() {
+        // 21! overflows a `usize`; the saturated count sends the key to the weak form.
+        let leaves = 21;
+        let hub_first = StaticPattern {
+            labels: [vec![l(0)], vec![l(1); leaves]].concat(),
+            edges: (1..=leaves).map(|leaf| (0, leaf)).collect(),
+        };
+        let hub_last = StaticPattern {
+            labels: [vec![l(1); leaves], vec![l(0)]].concat(),
+            edges: (0..leaves).rev().map(|leaf| (leaves, leaf)).collect(),
+        };
+        let want: Vec<u64> = [0]
+            .into_iter()
+            .chain(std::iter::repeat_n(1, leaves))
+            .chain(1..=leaves as u64)
+            .collect();
+        assert_eq!(hub_first.canonical_key(), want);
+        assert_eq!(hub_last.canonical_key(), want);
     }
 
     #[test]
@@ -1093,7 +1265,7 @@ mod tests {
         let positives = vec![chain(&[0, 1, 2, 5]), chain(&[0, 1, 2, 6])];
         let negatives = vec![chain(&[0, 3]), chain(&[4, 2])];
         let result = mine_nontemporal(&positives, &negatives, &LogRatio::default(), 3, 3);
-        let best = result.best().expect("patterns mined");
+        let best = result.patterns.first().expect("patterns mined");
         assert!((best.pos_freq - 1.0).abs() < 1e-12);
         assert_eq!(best.neg_freq, 0.0);
         assert!(best.pattern.edge_count() >= 1);

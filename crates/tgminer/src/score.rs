@@ -14,6 +14,11 @@ pub trait ScoreFunction: Send + Sync {
 
     /// The largest score any supergraph of a pattern with positive frequency `pos_freq`
     /// can achieve (`F(x, 0)`, Section 4.1).
+    ///
+    /// The bound covers the pattern itself: `score(x, y) <= upper_bound(x)` for every
+    /// `y`. `Ntemp` relies on it to test a candidate's bound before it counts the
+    /// candidate's negative support, and to skip the offer of a candidate the bound
+    /// cuts.
     fn upper_bound(&self, pos_freq: f64) -> f64 {
         self.score(pos_freq, 0.0)
     }
@@ -209,6 +214,33 @@ mod tests {
         let bound = f.upper_bound(0.6);
         for &(x, y) in &[(0.6, 0.0), (0.5, 0.05), (0.3, 0.3), (0.1, 0.8)] {
             assert!(f.score(x, y) <= bound + 1e-9);
+        }
+    }
+
+    #[test]
+    fn the_bound_covers_the_pattern_itself() {
+        // Every frequency pair a run can produce at a few class sizes.
+        for (np, nn) in [(1, 1), (3, 7), (9, 100), (24, 100), (100, 1000)] {
+            let scores: [&dyn ScoreFunction; 3] = [
+                &LogRatio::default(),
+                &GTest::default(),
+                &InfoGain::new(np, nn),
+            ];
+            for f in scores {
+                for i in 0..=np {
+                    let x = i as f64 / np as f64;
+                    let bound = f.upper_bound(x);
+                    for j in 0..=nn {
+                        let y = j as f64 / nn as f64;
+                        assert!(
+                            f.score(x, y) <= bound,
+                            "{} at {np}/{nn}: score({x}, {y}) = {} > bound {bound}",
+                            f.name(),
+                            f.score(x, y)
+                        );
+                    }
+                }
+            }
         }
     }
 

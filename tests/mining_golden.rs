@@ -212,28 +212,34 @@ fn assert_cap_level_stores_nothing(result: &MiningResult, size: usize, what: &st
     }
 }
 
-/// One Ntemp run as `formulate_queries` configures it: the rendered top-k and the
-/// run's `patterns_processed`.
+/// One Ntemp run as `formulate_queries` configures it: the rendered top-k, the
+/// run's `patterns_processed` and its `negative_searches`.
 fn ntemp_run(
     positives: &[TemporalGraph],
     negatives: &[TemporalGraph],
     size: usize,
     top_k: usize,
-) -> (usize, String, u64) {
+) -> (usize, String, u64, u64) {
     let ntemp = mine_nontemporal(positives, negatives, &LogRatio::default(), size, top_k);
     let mut rendered = String::new();
     for p in &ntemp.patterns {
         render_pattern(&mut rendered, &p.pattern, p.score, p.pos_freq, p.neg_freq);
     }
-    (ntemp.patterns.len(), rendered, ntemp.patterns_processed)
+    (
+        ntemp.patterns.len(),
+        rendered,
+        ntemp.patterns_processed,
+        ntemp.negative_searches,
+    )
 }
 
 /// The pinned lines of one Ntemp run.
 fn ntemp_pin(task: &Task, negatives: &[TemporalGraph], size: usize) -> Pins {
-    let (count, rendered, processed) = ntemp_run(&task.positives, negatives, size, TOP_K);
+    let (count, rendered, processed, negative_searches) =
+        ntemp_run(&task.positives, negatives, size, TOP_K);
     Pins {
         answers: answer(count, None, &rendered),
-        work: format!("processed={processed}"),
+        work: format!("processed={processed} negative_searches={negative_searches}"),
     }
 }
 
@@ -384,7 +390,7 @@ fn ntemp_at_benchmark_sizes() {
     let training = TrainingData::generate(&DatasetConfig::small());
     let mut mismatches = Vec::new();
     for (behavior, size, top_k, pinned) in NTEMP_AT_BENCHMARK_SIZES {
-        let (count, mut rendered, processed) = ntemp_run(
+        let (count, mut rendered, processed, _) = ntemp_run(
             training.positives(behavior),
             training.negatives(),
             size,
