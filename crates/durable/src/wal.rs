@@ -61,7 +61,7 @@ pub enum SyncPolicy {
     /// default — matches the pre-policy behavior.
     #[default]
     Never,
-    /// Sync once every `n` appended records (n = 1 behaves like `Always`).
+    /// Sync once every `n` appended records (n = 0 and n = 1 behave like `Always`).
     EveryNRecords(u64),
     /// Sync after every appended record.
     Always,
@@ -459,7 +459,7 @@ impl WalCore {
             SyncPolicy::Always => true,
             SyncPolicy::EveryNRecords(n) => {
                 self.records_since_sync += 1;
-                n > 0 && self.records_since_sync >= n
+                self.records_since_sync >= n.max(1)
             }
         };
         if !due {
@@ -925,26 +925,32 @@ mod tests {
 
     #[test]
     fn sync_policy_fsyncs_on_cadence() {
-        let dir = temp_dir("fsync");
-        let wal = Wal::create(
-            &dir,
-            WalConfig {
-                sync: SyncPolicy::EveryNRecords(2),
+        // 7 records (Init + 6 batches) under each policy; n = 0 syncs like n = 1.
+        for (sync, fsyncs) in [
+            (SyncPolicy::Never, 0),
+            (SyncPolicy::EveryNRecords(0), 7),
+            (SyncPolicy::EveryNRecords(1), 7),
+            (SyncPolicy::EveryNRecords(2), 3),
+            (SyncPolicy::Always, 7),
+        ] {
+            let dir = temp_dir("fsync");
+            let config = WalConfig {
+                sync,
                 ..WalConfig::default()
-            },
-        )
-        .unwrap();
-        let registry = MetricsRegistry::new();
-        wal.instrument(&registry);
-        let mut detector = ShardedDetector::new(1);
-        wal.attach(&mut detector).unwrap();
-        for ts in 1..=6 {
-            detector.on_batch(&[event(ts, 0, 1)]).unwrap();
+            };
+            let wal = Wal::create(&dir, config).unwrap();
+            let registry = MetricsRegistry::new();
+            wal.instrument(&registry);
+            let mut detector = ShardedDetector::new(1);
+            wal.attach(&mut detector).unwrap();
+            for ts in 1..=6 {
+                detector.on_batch(&[event(ts, 0, 1)]).unwrap();
+            }
+            let synced = registry.counter("durable.fsyncs_total").get();
+            assert_eq!(synced, fsyncs, "{sync:?}");
+            assert_eq!(wal.status(), WalStatus::Healthy);
+            fs::remove_dir_all(dir).unwrap();
         }
-        // 7 records (Init + 6 batches) at one fsync per 2 records.
-        assert_eq!(registry.counter("durable.fsyncs_total").get(), 3);
-        assert_eq!(wal.status(), WalStatus::Healthy);
-        fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]

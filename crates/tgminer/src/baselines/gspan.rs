@@ -33,6 +33,7 @@
 //! option is not 64 (32 on the benchmark's stream workloads) the two miners run with
 //! different caps.
 
+use crate::growth::ExtensionKey;
 use crate::score::ScoreFunction;
 use crate::topk::{Scored, TopK};
 use crate::StableSet;
@@ -471,16 +472,10 @@ fn children(
     graphs: &[StaticGraph],
     lists: &[(usize, Vec<usize>)],
 ) -> Vec<(StaticPattern, Vec<usize>)> {
-    #[derive(PartialEq, Eq, PartialOrd, Ord)]
-    enum Ext {
-        Forward(usize, Label),
-        Backward(Label, usize),
-        Inward(usize, usize),
-    }
-    let mut seen: BTreeMap<Ext, Vec<usize>> = BTreeMap::new();
+    let mut seen: BTreeMap<ExtensionKey, Vec<usize>> = BTreeMap::new();
     for (i, (graph_id, list)) in lists.iter().enumerate() {
         let graph = &graphs[*graph_id];
-        let mut saw = |ext: Ext| {
+        let mut saw = |ext: ExtensionKey| {
             let in_lists = seen.entry(ext).or_default();
             if in_lists.last() != Some(&i) {
                 in_lists.push(i);
@@ -491,15 +486,23 @@ fn children(
             for (p, &node) in emb.iter().enumerate() {
                 for &(_, dd) in graph.out_edges(node) {
                     match position(dd) {
-                        Some(d) if !pattern.edges.contains(&(p, d)) => saw(Ext::Inward(p, d)),
+                        Some(dst) if !pattern.edges.contains(&(p, dst)) => {
+                            saw(ExtensionKey::Inward { src: p, dst })
+                        }
                         Some(_) => {}
-                        None => saw(Ext::Forward(p, graph.label(dd))),
+                        None => saw(ExtensionKey::Forward {
+                            src: p,
+                            dst_label: graph.label(dd),
+                        }),
                     }
                 }
                 // An edge between two embedded nodes was met as its source's out-edge.
                 for &(ds, _) in graph.in_edges(node) {
                     if position(ds).is_none() {
-                        saw(Ext::Backward(graph.label(ds), p));
+                        saw(ExtensionKey::Backward {
+                            src_label: graph.label(ds),
+                            dst: p,
+                        });
                     }
                 }
             }
@@ -509,17 +512,17 @@ fn children(
         .map(|(ext, in_lists)| {
             let mut child = pattern.clone();
             match ext {
-                Ext::Forward(s, label) => {
-                    child.labels.push(label);
+                ExtensionKey::Forward { src, dst_label } => {
+                    child.labels.push(dst_label);
                     let new = child.labels.len() - 1;
-                    child.edges.push((s, new));
+                    child.edges.push((src, new));
                 }
-                Ext::Backward(label, d) => {
-                    child.labels.push(label);
+                ExtensionKey::Backward { src_label, dst } => {
+                    child.labels.push(src_label);
                     let new = child.labels.len() - 1;
-                    child.edges.push((new, d));
+                    child.edges.push((new, dst));
                 }
-                Ext::Inward(s, d) => child.edges.push((s, d)),
+                ExtensionKey::Inward { src, dst } => child.edges.push((src, dst)),
             }
             (child, in_lists)
         })

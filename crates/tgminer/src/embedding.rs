@@ -59,8 +59,10 @@ impl Occurrences {
 
     /// Computes the occurrences of `pattern` from scratch over both graph sets.
     ///
-    /// Used to seed one-edge patterns and by tests; during mining, extensions reuse the
-    /// parent's embeddings instead (see [`crate::growth`]).
+    /// The from-scratch reference that tests check mining against; the miner never
+    /// calls it. Its seeds come from one scan of each graph's edges
+    /// (`miner::seed_patterns`), and every larger pattern's occurrences from its
+    /// parent's embeddings (see [`crate::growth`]).
     pub fn compute(
         pattern: &TemporalPattern,
         positives: &[TemporalGraph],

@@ -7,19 +7,21 @@
 //! child embeddings by key yields, per Lemma 3 and Theorem 1, every child pattern
 //! exactly once, with its occurrence list already materialised.
 //!
+//! The scan is one routine with two readers. [`enumerate_extensions`] is for the
+//! interior levels, whose children are parents in turn: it buckets each hit's child
+//! embedding by key, at most the per-graph cap of them. [`count_extensions`] is for
+//! the miner's size cap, whose children are never grown again, so all the search reads
+//! of them is how many graphs support them: it keeps only the keys each graph induces
+//! and builds no child embedding.
+//!
 //! Candidate keys are taken from the *positive* graphs only (a pattern absent from the
 //! positives has zero positive frequency and can never be discriminative); the negative
 //! occurrences are then extended for exactly those keys.
-//!
-//! Children at the miner's size cap are never grown again, so all the search reads of
-//! them is how many graphs support them. [`count_extensions`] answers that from the
-//! same scan without building a single child embedding; [`enumerate_extensions`] is
-//! for the interior levels, whose children are parents in turn.
 
 use crate::embedding::{GraphOccurrences, Occurrences};
 use std::collections::BTreeMap;
 use tgraph::matching::Embedding;
-use tgraph::pattern::{GrowthKind, TemporalPattern};
+use tgraph::pattern::TemporalPattern;
 use tgraph::{Label, TemporalGraph};
 
 /// Identifies one consecutive-growth step of a specific pattern.
@@ -52,15 +54,6 @@ pub enum ExtensionKey {
 }
 
 impl ExtensionKey {
-    /// The growth option this key corresponds to.
-    pub fn kind(&self) -> GrowthKind {
-        match self {
-            ExtensionKey::Forward { .. } => GrowthKind::Forward,
-            ExtensionKey::Backward { .. } => GrowthKind::Backward,
-            ExtensionKey::Inward { .. } => GrowthKind::Inward,
-        }
-    }
-
     /// Applies this growth step to `parent`, producing the child pattern.
     pub fn apply(&self, parent: &TemporalPattern) -> TemporalPattern {
         match *self {
@@ -97,36 +90,18 @@ pub fn enumerate_extensions(
     negatives: &[TemporalGraph],
     cap_per_graph: usize,
 ) -> Vec<Extension> {
-    let mut pos_children: BTreeMap<ExtensionKey, Vec<GraphOccurrences>> = BTreeMap::new();
-    for graph_occ in &occ.pos {
-        extend_graph(
-            graph_occ,
-            &positives[graph_occ.graph_id],
-            cap_per_graph,
-            None,
-            &mut pos_children,
-        );
-    }
-    if pos_children.is_empty() {
+    let mut scan = Scan::default();
+    let pos = scan.children(&occ.pos, positives, cap_per_graph, None);
+    if pos.is_empty() {
         return Vec::new();
     }
-    let mut neg_children: BTreeMap<ExtensionKey, Vec<GraphOccurrences>> = BTreeMap::new();
-    for graph_occ in &occ.neg {
-        extend_graph(
-            graph_occ,
-            &negatives[graph_occ.graph_id],
-            cap_per_graph,
-            Some(&pos_children),
-            &mut neg_children,
-        );
-    }
-    pos_children
-        .into_iter()
-        .map(|(key, pos)| Extension {
-            key,
+    let mut neg = scan.children(&occ.neg, negatives, cap_per_graph, Some(&pos));
+    pos.into_iter()
+        .map(|(packed, pos)| Extension {
+            key: unpack_key(packed),
             occurrences: Occurrences {
                 pos,
-                neg: neg_children.remove(&key).unwrap_or_default(),
+                neg: neg.remove(&packed).unwrap_or_default(),
             },
         })
         .collect()
@@ -156,7 +131,7 @@ pub fn count_extensions(
     positives: &[TemporalGraph],
     negatives: &[TemporalGraph],
 ) -> Vec<ExtensionSupport> {
-    let mut scan = SupportScan::default();
+    let mut scan = Scan::default();
     let pos = scan.graphs_per_key(&occ.pos, positives);
     if pos.is_empty() {
         return Vec::new();
@@ -215,47 +190,28 @@ fn unpack_key(packed: u64) -> ExtensionKey {
     }
 }
 
-/// Marks a data node no pattern node maps to in [`SupportScan::position`].
+/// Marks a data node no pattern node maps to in [`Scan::position`].
 const UNMAPPED: u32 = u32::MAX;
 
-/// Scratch buffers of [`count_extensions`], reused across graphs.
+/// Child embeddings per packed key over one graph set, in graph order.
+type Children = BTreeMap<u64, Vec<GraphOccurrences>>;
+
+/// The residual-edge scan both readers share; its buffer is reused across graphs.
 #[derive(Default)]
-struct SupportScan {
+struct Scan {
     /// Data node -> pattern position under the embedding being scanned.
     position: Vec<u32>,
-    /// Packed keys induced inside the graph being scanned.
-    hits: Vec<u64>,
 }
 
-impl SupportScan {
-    /// For every key induced in at least one of `graph_occs`, the number of graphs
-    /// inducing it, in ascending packed-key order.
-    fn graphs_per_key(
+impl Scan {
+    /// Calls `hit(packed key, embedding, edge index)` for every residual edge that
+    /// touches an embedding of `graph_occ`, in embedding order and then edge order.
+    fn scan_graph(
         &mut self,
-        graph_occs: &[GraphOccurrences],
-        graphs: &[TemporalGraph],
-    ) -> Vec<(u64, usize)> {
-        // One entry per (graph, distinct key): a key's run length is its graph count.
-        let mut per_graph: Vec<u64> = Vec::new();
-        for graph_occ in graph_occs {
-            self.scan_graph(graph_occ, &graphs[graph_occ.graph_id]);
-            per_graph.extend_from_slice(&self.hits);
-        }
-        per_graph.sort_unstable();
-        let mut counts: Vec<(u64, usize)> = Vec::new();
-        for packed in per_graph {
-            match counts.last_mut() {
-                Some((last, count)) if *last == packed => *count += 1,
-                _ => counts.push((packed, 1)),
-            }
-        }
-        counts
-    }
-
-    /// Leaves in `self.hits` the distinct keys induced by the residual edges of the
-    /// graph's embeddings, sorted.
-    fn scan_graph(&mut self, graph_occ: &GraphOccurrences, graph: &TemporalGraph) {
-        self.hits.clear();
+        graph_occ: &GraphOccurrences,
+        graph: &TemporalGraph,
+        mut hit: impl FnMut(u64, &Embedding, usize),
+    ) {
         if self.position.len() < graph.node_count() {
             self.position.resize(graph.node_count(), UNMAPPED);
         }
@@ -266,7 +222,8 @@ impl SupportScan {
             for (p, &node) in embedding.node_map.iter().enumerate() {
                 position[node] = p as u32;
             }
-            for edge in &graph.edges()[embedding.last_edge_idx + 1..] {
+            let first = embedding.last_edge_idx + 1;
+            for (idx, edge) in (first..).zip(&graph.edges()[first..]) {
                 let (src, dst) = (position[edge.src] as usize, position[edge.dst] as usize);
                 let key = match (src != UNMAPPED as usize, dst != UNMAPPED as usize) {
                     (false, false) => continue,
@@ -280,80 +237,87 @@ impl SupportScan {
                         dst,
                     },
                 };
-                self.hits.push(pack_key(key));
+                hit(pack_key(key), embedding, idx);
             }
             for &node in &embedding.node_map {
                 position[node] = UNMAPPED;
             }
         }
-        self.hits.sort_unstable();
-        self.hits.dedup();
     }
-}
 
-/// Extends every embedding of one graph, bucketing child embeddings by extension key.
-/// When `allowed` is provided, only keys present in it are considered (negative side).
-fn extend_graph(
-    graph_occ: &GraphOccurrences,
-    graph: &TemporalGraph,
-    cap_per_graph: usize,
-    allowed: Option<&BTreeMap<ExtensionKey, Vec<GraphOccurrences>>>,
-    out: &mut BTreeMap<ExtensionKey, Vec<GraphOccurrences>>,
-) {
-    // Child embeddings for this graph, keyed by extension.
-    let mut local: BTreeMap<ExtensionKey, Vec<Embedding>> = BTreeMap::new();
-    for embedding in &graph_occ.embeddings {
-        for idx in (embedding.last_edge_idx + 1)..graph.edge_count() {
-            let edge = graph.edge(idx);
-            let src_p = embedding.node_map.iter().position(|&n| n == edge.src);
-            let dst_p = embedding.node_map.iter().position(|&n| n == edge.dst);
-            let (key, new_node) = match (src_p, dst_p) {
-                (Some(s), Some(d)) => (ExtensionKey::Inward { src: s, dst: d }, None),
-                (Some(s), None) => {
-                    if edge.src == edge.dst {
-                        continue; // self-loop on an unmapped node cannot split
-                    }
-                    (
-                        ExtensionKey::Forward {
-                            src: s,
-                            dst_label: graph.label(edge.dst),
-                        },
-                        Some(edge.dst),
-                    )
+    /// The child embeddings of `graph_occs`, at most `cap_per_graph` per (key, graph),
+    /// for the keys in `allowed` only when it is given.
+    ///
+    /// The cap is tested on each hit, before a node map is cloned: at the cap most
+    /// hits are dropped, and a reader that stored every hit and sorted them measured
+    /// slower (DESIGN, "What is materialised where").
+    fn children(
+        &mut self,
+        graph_occs: &[GraphOccurrences],
+        graphs: &[TemporalGraph],
+        cap_per_graph: usize,
+        allowed: Option<&Children>,
+    ) -> Children {
+        let mut out = Children::new();
+        for graph_occ in graph_occs {
+            let graph = &graphs[graph_occ.graph_id];
+            let mut local: BTreeMap<u64, Vec<Embedding>> = BTreeMap::new();
+            self.scan_graph(graph_occ, graph, |packed, embedding, idx| {
+                if allowed.is_some_and(|allowed| !allowed.contains_key(&packed)) {
+                    return;
                 }
-                (None, Some(d)) => (
-                    ExtensionKey::Backward {
-                        src_label: graph.label(edge.src),
-                        dst: d,
-                    },
-                    Some(edge.src),
-                ),
-                (None, None) => continue,
-            };
-            if let Some(allowed) = allowed {
-                if !allowed.contains_key(&key) {
-                    continue;
+                let bucket = local.entry(packed).or_default();
+                if bucket.len() >= cap_per_graph {
+                    return;
                 }
-            }
-            let bucket = local.entry(key).or_default();
-            if bucket.len() >= cap_per_graph {
-                continue;
-            }
-            let mut node_map = embedding.node_map.clone();
-            if let Some(node) = new_node {
-                node_map.push(node);
-            }
-            bucket.push(Embedding {
-                node_map,
-                last_edge_idx: idx,
+                let mut node_map = embedding.node_map.clone();
+                let edge = graph.edge(idx);
+                match packed >> KIND_SHIFT {
+                    0 => node_map.push(edge.dst),
+                    1 => node_map.push(edge.src),
+                    _ => {}
+                }
+                bucket.push(Embedding {
+                    node_map,
+                    last_edge_idx: idx,
+                });
             });
+            for (packed, embeddings) in local {
+                out.entry(packed).or_default().push(GraphOccurrences {
+                    graph_id: graph_occ.graph_id,
+                    embeddings,
+                });
+            }
         }
+        out
     }
-    for (key, embeddings) in local {
-        out.entry(key).or_default().push(GraphOccurrences {
-            graph_id: graph_occ.graph_id,
-            embeddings,
-        });
+
+    /// For every key induced in at least one of `graph_occs`, the number of graphs
+    /// inducing it, in ascending packed-key order.
+    fn graphs_per_key(
+        &mut self,
+        graph_occs: &[GraphOccurrences],
+        graphs: &[TemporalGraph],
+    ) -> Vec<(u64, usize)> {
+        // One entry per (graph, distinct key): a key's run length is its graph count.
+        let mut per_graph: Vec<u64> = Vec::new();
+        let mut hits: Vec<u64> = Vec::new();
+        for graph_occ in graph_occs {
+            let graph = &graphs[graph_occ.graph_id];
+            self.scan_graph(graph_occ, graph, |packed, _, _| hits.push(packed));
+            hits.sort_unstable();
+            hits.dedup();
+            per_graph.append(&mut hits);
+        }
+        per_graph.sort_unstable();
+        let mut counts: Vec<(u64, usize)> = Vec::new();
+        for packed in per_graph {
+            match counts.last_mut() {
+                Some((last, count)) if *last == packed => *count += 1,
+                _ => counts.push((packed, 1)),
+            }
+        }
+        counts
     }
 }
 
@@ -464,7 +428,7 @@ mod tests {
     }
 
     #[test]
-    fn extension_application_matches_kind() {
+    fn applying_a_key_grows_the_parent() {
         let p = TemporalPattern::single_edge(l(0), l(1));
         let fwd = ExtensionKey::Forward {
             src: 1,
@@ -475,9 +439,6 @@ mod tests {
             dst: 0,
         };
         let inw = ExtensionKey::Inward { src: 0, dst: 1 };
-        assert_eq!(fwd.kind(), GrowthKind::Forward);
-        assert_eq!(bwd.kind(), GrowthKind::Backward);
-        assert_eq!(inw.kind(), GrowthKind::Inward);
         assert_eq!(fwd.apply(&p).node_count(), 3);
         assert_eq!(bwd.apply(&p).node_count(), 3);
         assert_eq!(inw.apply(&p).node_count(), 2);

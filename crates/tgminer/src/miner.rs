@@ -79,11 +79,6 @@ impl Default for MinerConfig {
 }
 
 impl MinerConfig {
-    /// The full TGMiner configuration (all prunings, sequence test, signature test).
-    pub fn tgminer() -> Self {
-        Self::default()
-    }
-
     /// Convenience: same configuration with a different maximum pattern size.
     pub fn with_max_edges(mut self, max_edges: usize) -> Self {
         self.max_edges = max_edges;

@@ -3,13 +3,14 @@
 //! mined patterns.
 
 use proptest::prelude::*;
+use std::collections::HashSet;
 use tgminer::baselines::MinerVariant;
 use tgminer::embedding::Occurrences;
 use tgminer::growth::{count_extensions, enumerate_extensions};
 use tgminer::score::{GTest, InfoGain, LogRatio, ScoreFunction};
 use tgminer::{mine, MinerConfig, MiningResult};
 use tgraph::generator::{random_t_connected_graph, RandomGraphSpec};
-use tgraph::matching::contains_pattern;
+use tgraph::matching::{contains_pattern, find_embeddings, Embedding};
 use tgraph::pattern::TemporalPattern;
 use tgraph::TemporalGraph;
 
@@ -170,7 +171,10 @@ proptest! {
 
     /// Counting a parent's extensions agrees with materialising them: the same keys in
     /// the same order, each supported by as many graphs as hold child embeddings —
-    /// whatever the per-graph embedding cap, down a random growth path.
+    /// whatever the per-graph embedding cap, down a random growth path. Uncapped, both
+    /// also agree with a from-scratch search: in every graph the parent occurs in, each
+    /// child's list, as a set, is all of the child's embeddings there, and each count is
+    /// the number of those graphs that contain the child.
     #[test]
     fn counted_extensions_match_the_materialised_ones(seed in 0u64..300, path in 0usize..10_000) {
         let (positives, negatives) = random_task(seed, 4);
@@ -193,6 +197,28 @@ proptest! {
                     prop_assert_eq!(count.key, extension.key);
                     prop_assert_eq!(count.pos_graphs, extension.occurrences.pos.len());
                     prop_assert_eq!(count.neg_graphs, extension.occurrences.neg.len());
+                    if cap != usize::MAX {
+                        continue;
+                    }
+                    let child = extension.key.apply(&pattern);
+                    for (parents, children, graphs, support) in [
+                        (&occ.pos, &extension.occurrences.pos, &positives, count.pos_graphs),
+                        (&occ.neg, &extension.occurrences.neg, &negatives, count.neg_graphs),
+                    ] {
+                        let mut containing = 0;
+                        for parent in parents {
+                            let graph = &graphs[parent.graph_id];
+                            let grown: HashSet<&Embedding> = children
+                                .iter()
+                                .filter(|list| list.graph_id == parent.graph_id)
+                                .flat_map(|list| &list.embeddings)
+                                .collect();
+                            let searched = find_embeddings(&child, graph, usize::MAX);
+                            prop_assert_eq!(grown, searched.iter().collect::<HashSet<_>>(), "{}", child);
+                            containing += usize::from(contains_pattern(&child, graph));
+                        }
+                        prop_assert_eq!(support, containing, "{}", child);
+                    }
                 }
                 if materialised.is_empty() {
                     break;

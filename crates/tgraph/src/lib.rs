@@ -43,7 +43,7 @@ pub use graph::{GraphBuilder, TemporalEdge, TemporalGraph};
 pub use incremental::{EdgePostings, IncrementalGraph, StreamEvent, TenantId, TenantedEvent};
 pub use label::{Label, LabelInterner};
 pub use matching::{contains_pattern, find_embeddings, Embedding};
-pub use pattern::{GrowthKind, PatternEdge, TemporalPattern};
+pub use pattern::{PatternEdge, TemporalPattern};
 pub use residual::{residual_size, LabelPostings, ResidualSignature};
 pub use seqtest::is_temporal_subgraph;
 pub use tconnect::is_t_connected;

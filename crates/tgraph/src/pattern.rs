@@ -22,17 +22,6 @@ pub struct PatternEdge {
     pub dst: usize,
 }
 
-/// The three consecutive-growth options of Section 3.2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum GrowthKind {
-    /// New edge from an existing node to a brand-new node.
-    Forward,
-    /// New edge from a brand-new node to an existing node.
-    Backward,
-    /// New edge between two existing nodes (multi-edges allowed).
-    Inward,
-}
-
 /// A T-connected temporal graph pattern in canonical form.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TemporalPattern {
@@ -153,26 +142,6 @@ impl TemporalPattern {
         let mut grown = self.clone();
         grown.edges.push(PatternEdge { src, dst });
         Ok(grown)
-    }
-
-    /// Grows the pattern by one edge, dispatching on [`GrowthKind`].
-    ///
-    /// For `Forward`, `endpoint` is the existing source node and `label` the new
-    /// destination's label. For `Backward`, `endpoint` is the existing destination node
-    /// and `label` the new source's label. For `Inward`, `endpoint` is the source node
-    /// and `inward_dst` the destination node (`label` is ignored).
-    pub fn grow(
-        &self,
-        kind: GrowthKind,
-        endpoint: usize,
-        label: Label,
-        inward_dst: usize,
-    ) -> Result<Self, GraphError> {
-        match kind {
-            GrowthKind::Forward => self.grow_forward(endpoint, label),
-            GrowthKind::Backward => self.grow_backward(label, endpoint),
-            GrowthKind::Inward => self.grow_inward(endpoint, inward_dst),
-        }
     }
 
     /// Returns the pattern obtained by removing the last (largest-timestamp) edge,
