@@ -9,7 +9,7 @@
 use crate::eval::{evaluate_hits, AccuracyReport};
 use crate::search::{search_nodeset, search_static_indexed, search_temporal_indexed, Interval};
 use syscall::{Behavior, TestData, TrainingData};
-use tgminer::baselines::gspan::{mine_nontemporal, StaticPattern};
+use tgminer::baselines::gspan::{mine_nontemporal, NonTemporalPattern, StaticPattern};
 use tgminer::baselines::nodeset::{mine_nodeset, NodeSetQuery};
 use tgminer::ranking::InterestRanker;
 use tgminer::score::{InfoGain, LogRatio};
@@ -100,6 +100,26 @@ fn select(ranker: &InterestRanker, mining: &MiningResult, k: usize) -> Vec<Tempo
     selected.into_iter().map(|p| p.pattern).collect()
 }
 
+/// The top `k` Ntemp patterns: decreasing score, then decreasing interest over their
+/// labels, equal pairs in mined order. Compared with `total_cmp`, as
+/// [`InterestRanker::rank`] does, so a NaN score has a fixed place (a positive NaN
+/// first, a negative one last) instead of breaking the total order the sort requires.
+fn select_nontemporal(
+    ranker: &InterestRanker,
+    patterns: Vec<NonTemporalPattern>,
+    k: usize,
+) -> Vec<StaticPattern> {
+    let mut ranked: Vec<(f64, f64, StaticPattern)> = patterns
+        .into_iter()
+        .map(|p| {
+            let interest: f64 = p.pattern.labels.iter().map(|&l| ranker.interest(l)).sum();
+            (p.score, interest, p.pattern)
+        })
+        .collect();
+    ranked.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| b.1.total_cmp(&a.1)));
+    ranked.into_iter().take(k).map(|(_, _, p)| p).collect()
+}
+
 /// The TGMiner part of query formulation on its own — what an online deployment
 /// registers: mines `behavior`'s positives against the background and returns the top
 /// `options.top_queries` patterns in [`InterestRanker::rank`] order, with the full
@@ -138,24 +158,7 @@ pub fn formulate_queries(
         options.query_size,
         options.miner_top_k,
     );
-    let mut nontemporal: Vec<(f64, f64, StaticPattern)> = ntemp
-        .patterns
-        .into_iter()
-        .map(|p| {
-            let interest: f64 = p.pattern.labels.iter().map(|&l| ranker.interest(l)).sum();
-            (p.score, interest, p.pattern)
-        })
-        .collect();
-    nontemporal.sort_by(|a, b| {
-        b.0.partial_cmp(&a.0)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal))
-    });
-    let nontemporal = nontemporal
-        .into_iter()
-        .take(options.top_queries)
-        .map(|(_, _, p)| p)
-        .collect();
+    let nontemporal = select_nontemporal(&ranker, ntemp.patterns, options.top_queries);
 
     // NodeSet keyword query: top query_size discriminative labels. Labels are scored
     // with information gain, which is coverage-aware: a label present in every positive
@@ -384,6 +387,32 @@ mod tests {
             formulate_temporal(&background_only, Behavior::SshdLogin, &options)
                 .0
                 .is_empty()
+        );
+    }
+
+    #[test]
+    fn ntemp_selection_puts_nan_scores_first_and_negative_nan_last() {
+        let ranker = InterestRanker::from_training(std::iter::empty());
+        let pattern = |label| StaticPattern::single_edge(tgraph::Label(label), tgraph::Label(0));
+        let patterns = [
+            (1.0, 0),
+            (-f64::NAN, 1),
+            (f64::NAN, 2),
+            (2.0, 3),
+            (f64::NAN, 4),
+        ]
+        .map(|(score, label)| NonTemporalPattern {
+            pattern: pattern(label),
+            score,
+            pos_freq: 1.0,
+            neg_freq: 0.0,
+        });
+        // Equal interest everywhere: equal scores keep their mined order.
+        let selected = select_nontemporal(&ranker, patterns.to_vec(), 5);
+        assert_eq!(selected, [2, 4, 3, 0, 1].map(pattern));
+        assert_eq!(
+            select_nontemporal(&ranker, patterns.to_vec(), 2),
+            [2, 4].map(pattern)
         );
     }
 

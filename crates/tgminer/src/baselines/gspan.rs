@@ -6,38 +6,49 @@
 //! requires a non-temporal miner, which this module provides:
 //!
 //! * temporal graphs are collapsed into `StaticGraph`s (multi-edges merged, timestamps
-//!   dropped) — exactly the information loss the paper discusses in Section 7.1. Each
-//!   is adjacency-indexed (out-edge ranges, in-edge lists, a label-pair index, each in
-//!   ascending edge index), so the matcher visits only an edge's candidates and still
-//!   lists embeddings in the order of a full edge scan;
+//!   dropped) — exactly the information loss the paper discusses in Section 7.1. A
+//!   graph is collapsed on its first search, so a background graph no grown candidate
+//!   reaches is never collapsed. Each is adjacency-indexed (out-edge ranges, in-edge
+//!   lists, a label-pair index, each in ascending edge index), so the matcher visits
+//!   only an edge's candidates and still lists embeddings in the order of a full edge
+//!   scan. A seed's background lists are read off the temporal edges: a one-edge
+//!   pattern's embeddings are the graph's distinct `(src, dst)` pairs between its two
+//!   labels with `src != dst`, ascending, which is what the search lists on the
+//!   collapse;
 //! * [`StaticPattern`]s grow edge-by-edge from embeddings, like gSpan, and are
 //!   deduplicated through a canonical key (nodes sorted by label and degrees,
 //!   permuting only within equal groups) because without temporal order the growth
-//!   path to a pattern is no longer unique. A child's embeddings are its parent's, each
-//!   extended by the child's last edge, wherever the parent's list is complete; a list
-//!   at the per-graph cap may be truncated, and there the child is searched from
-//!   scratch;
+//!   path to a pattern is no longer unique. The walk finds a pattern's children in one
+//!   pass over its stored positive embeddings' edges (a node→position array, packed
+//!   growth steps sorted and deduplicated per list). A child's embeddings are its
+//!   parent's, each extended by the child's last edge, wherever the parent's list is
+//!   complete; a list at the per-graph cap may be truncated, and there the child is
+//!   searched from scratch;
 //! * [`mine_nontemporal`] runs the discriminative search with the same score functions,
 //!   top-k and admission rule ([`crate::topk`]) as the temporal miner: a pattern is
 //!   offered, then its branch is cut if the top-k does not admit its upper bound;
 //! * **Bound first.** A candidate's positive support — the walk's answer, plus a fresh
 //!   existence check where a parent list may be truncated — and its bound `F(x, 0)`
-//!   come right after its key and the visited check. A candidate whose bound the top-k
-//!   does not admit costs those and nothing more: no search of the negative graphs and
-//!   no embedding lists. It is still marked visited and still counts in
-//!   `patterns_processed`; only its offer, which a score at most its bound would lose,
-//!   is not made, so the top-k sees the same admitted offers in the same order.
+//!   come first. A candidate whose bound the top-k does not admit costs those and
+//!   nothing more: no canonical key, no `visited` entry, no search of the negative
+//!   graphs and no embedding lists, and it does not count in `patterns_processed`. Its
+//!   offer is not made, but a score at most its bound would lose it, so the top-k sees
+//!   the same admitted offers in the same order. The order is exact: positive support
+//!   does not depend on the parent (a child occurs only where its parent does, and
+//!   there the walk or the fresh check finds it), and F\* never falls, so a candidate
+//!   the bound cuts once is cut on every later path that reaches it again.
 //!
 //! The per-graph embedding cap is 64, fixed. `mine_nontemporal` does not read
 //! `query::QueryOptions::cap_per_graph`, which configures TGMiner only, so where that
 //! option is not 64 (32 on the benchmark's stream workloads) the two miners run with
 //! different caps.
 
-use crate::growth::ExtensionKey;
+use crate::growth::{pack_key, unpack_key, ExtensionKey, UNMAPPED};
 use crate::score::ScoreFunction;
 use crate::topk::{Scored, TopK};
 use crate::StableSet;
-use std::collections::{BTreeMap, BTreeSet};
+use std::cell::OnceCell;
+use std::collections::BTreeSet;
 use tgraph::{Label, TemporalGraph};
 
 /// Embeddings kept per (pattern, graph) by `mine_nontemporal`.
@@ -45,7 +56,7 @@ const CAP_PER_GRAPH: usize = 64;
 
 /// A directed, node-labeled graph without timestamps (collapsed multi-edges), indexed
 /// three ways. Every index lists its edges in ascending edge index, so a scan of any
-/// of them meets edges in the order a scan of [`StaticGraph::edges`] does.
+/// of them meets edges in the order a scan of all edges, sorted, does.
 #[derive(Debug)]
 struct StaticGraph {
     labels: Vec<Label>,
@@ -111,11 +122,6 @@ impl StaticGraph {
         self.labels[node]
     }
 
-    /// All collapsed edges, sorted.
-    fn edges(&self) -> &[(usize, usize)] {
-        &self.edges
-    }
-
     fn out_edges(&self, node: usize) -> &[(usize, usize)] {
         &self.edges[self.out_start[node]..self.out_start[node + 1]]
     }
@@ -126,8 +132,8 @@ impl StaticGraph {
 
     /// The edges a full scan could match to pattern edge `(ps, pd)` under `node_map`:
     /// the out-edges of a bound source, else the in-edges of a bound destination, else
-    /// the edges between the two labels. Each is a subsequence of [`Self::edges`] that
-    /// keeps every edge the scan's checks accept.
+    /// the edges between the two labels. Each is a subsequence of the sorted edges
+    /// that keeps every edge the scan's checks accept.
     fn candidates(
         &self,
         (ps, pd): (usize, usize),
@@ -148,13 +154,40 @@ impl StaticGraph {
     }
 }
 
+/// One graph set as the miner reads it: the temporal graphs, each collapsed into a
+/// [`StaticGraph`] on its first search.
+struct Graphs<'a> {
+    temporal: &'a [TemporalGraph],
+    collapsed: Vec<OnceCell<StaticGraph>>,
+}
+
+impl<'a> Graphs<'a> {
+    fn new(temporal: &'a [TemporalGraph]) -> Self {
+        Self {
+            temporal,
+            collapsed: temporal.iter().map(|_| OnceCell::new()).collect(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.temporal.len()
+    }
+
+    /// Graph `i`, collapsed.
+    fn get(&self, i: usize) -> &StaticGraph {
+        self.collapsed[i].get_or_init(|| StaticGraph::from_temporal(&self.temporal[i]))
+    }
+}
+
 /// The embedding search's reused buffers: the partial node map, which data nodes it
-/// uses (all `false` between searches), and existence checks' throwaway output.
+/// uses (all `false` between searches), existence checks' throwaway output, and a
+/// seed scan's edge pairs.
 #[derive(Debug, Default)]
 struct Scratch {
     node_map: Vec<usize>,
     used: Vec<bool>,
     found: Vec<usize>,
+    pairs: Vec<(usize, usize)>,
 }
 
 impl Scratch {
@@ -186,6 +219,18 @@ pub struct StaticPattern {
     pub edges: Vec<(usize, usize)>,
 }
 
+/// The canonical key's reused buffers; [`StaticPattern::write_key`] leaves the key in
+/// `key`.
+#[derive(Debug, Default)]
+struct KeyBuffers {
+    degrees: Vec<(usize, usize)>,
+    order: Vec<usize>,
+    buckets: Vec<(usize, usize)>,
+    position: Vec<usize>,
+    edges: Vec<u64>,
+    key: Vec<u64>,
+}
+
 impl StaticPattern {
     /// A one-edge pattern.
     ///
@@ -208,9 +253,25 @@ impl StaticPattern {
         self.edges.len()
     }
 
-    /// Canonical key used for pattern deduplication during mining: the node labels in
-    /// (label, out-degree, in-degree) order, then the edges renumbered by that order,
-    /// sorted.
+    /// Appends one growth step: a new node, if the step makes one, is the last.
+    fn grow(&mut self, step: ExtensionKey) {
+        let new = self.labels.len();
+        match step {
+            ExtensionKey::Forward { src, dst_label } => {
+                self.labels.push(dst_label);
+                self.edges.push((src, new));
+            }
+            ExtensionKey::Backward { src_label, dst } => {
+                self.labels.push(src_label);
+                self.edges.push((new, dst));
+            }
+            ExtensionKey::Inward { src, dst } => self.edges.push((src, dst)),
+        }
+    }
+
+    /// Writes the canonical key used for pattern deduplication during mining into
+    /// `buffers` and returns it: the node labels in (label, out-degree, in-degree)
+    /// order, then the edges renumbered by that order, sorted.
     ///
     /// Nodes of equal (label, degrees) are interchangeable in that order; all
     /// permutations within such buckets are tried (bounded — see `MAX_PERMUTATIONS`)
@@ -218,79 +279,66 @@ impl StaticPattern {
     /// is too permutation-rich the key falls back to a weaker (still deterministic)
     /// form, which can only cause redundant search, never unsound deduplication of
     /// distinct patterns.
-    fn canonical_key(&self) -> Vec<u64> {
+    fn write_key<'k>(&self, buffers: &'k mut KeyBuffers) -> &'k [u64] {
         const MAX_PERMUTATIONS: usize = 5_040;
+        let b = buffers;
         let n = self.labels.len();
-        let mut degrees = vec![(0usize, 0usize); n];
+        b.degrees.clear();
+        b.degrees.resize(n, (0, 0));
         for &(s, d) in &self.edges {
-            degrees[s].0 += 1;
-            degrees[d].1 += 1;
+            b.degrees[s].0 += 1;
+            b.degrees[d].1 += 1;
         }
-        let class = |v: usize| (self.labels[v], degrees[v]);
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&v| class(v));
+        let class = |v: usize| (self.labels[v], b.degrees[v]);
+        b.order.clear();
+        b.order.extend(0..n);
+        b.order.sort_by_key(|&v| class(v));
         // Runs of two or more nodes of one class: the only ones a permutation moves.
-        let mut buckets: Vec<(usize, usize)> = Vec::new();
+        b.buckets.clear();
         let mut start = 0usize;
         for i in 1..=n {
-            if i == n || class(order[i]) != class(order[start]) {
+            if i == n || class(b.order[i]) != class(b.order[start]) {
                 if i - start > 1 {
-                    buckets.push((start, i));
+                    b.buckets.push((start, i));
                 }
                 start = i;
             }
         }
         // Saturating: 21 interchangeable nodes already overflow the factorial.
-        let permutations = buckets
+        let permutations = b
+            .buckets
             .iter()
             .flat_map(|&(s, e)| 2..=e - s)
             .fold(1usize, usize::saturating_mul);
-        // Permutations keep each position's label: the prefix is the same for all.
-        let mut key: Vec<u64> = Vec::with_capacity(n + self.edges.len());
-        key.extend(order.iter().map(|&v| self.labels[v].id() as u64));
-        let mut position = vec![0usize; n];
-        let mut edges: Vec<u64> = Vec::with_capacity(self.edges.len());
-        let mut best: Vec<u64> = Vec::with_capacity(self.edges.len());
+        // Permutations keep each position's label: the prefix is the same for all, and
+        // the smallest edge list seen so far follows it.
+        b.key.clear();
+        b.key
+            .extend(b.order.iter().map(|&v| self.labels[v].id() as u64));
+        b.position.clear();
+        b.position.resize(n, 0);
         let mut visit = |order: &[usize]| {
             for (new_id, &old) in order.iter().enumerate() {
-                position[old] = new_id;
+                b.position[old] = new_id;
             }
-            edges.clear();
-            edges.extend(
+            b.edges.clear();
+            b.edges.extend(
                 self.edges
                     .iter()
-                    .map(|&(s, d)| ((position[s] as u64) << 32) | position[d] as u64),
+                    .map(|&(s, d)| ((b.position[s] as u64) << 32) | b.position[d] as u64),
             );
-            edges.sort_unstable();
-            if best.is_empty() || edges < best {
-                std::mem::swap(&mut edges, &mut best);
+            b.edges.sort_unstable();
+            if b.key.len() == n || b.edges[..] < b.key[n..] {
+                b.key.truncate(n);
+                b.key.extend_from_slice(&b.edges);
             }
         };
         if permutations <= MAX_PERMUTATIONS {
-            permute_buckets(&mut order, &buckets, 0, &mut visit);
+            permute_buckets(&mut b.order, &b.buckets, 0, &mut visit);
         } else {
-            visit(&order);
+            visit(&b.order);
         }
-        key.extend_from_slice(&best);
-        key
-    }
-
-    /// Whether the pattern has at least one embedding in `graph`.
-    fn matches_static(&self, graph: &StaticGraph, scratch: &mut Scratch) -> bool {
-        self.occurs(graph, None, scratch)
-    }
-
-    /// Up to `cap` embeddings (injective node maps) of the pattern in `graph`, flat
-    /// (stride = node count), in the order of a full scan of its edges.
-    fn find_embeddings(
-        &self,
-        graph: &StaticGraph,
-        cap: usize,
-        scratch: &mut Scratch,
-    ) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.search(graph, None, cap, scratch, &mut out);
-        out
+        &b.key
     }
 
     /// Whether [`Self::search`] from `from` finds an embedding.
@@ -446,7 +494,9 @@ pub type NonTemporalPattern = Scored<StaticPattern>;
 pub struct NonTemporalResult {
     /// Top patterns sorted by decreasing score.
     pub patterns: Vec<NonTemporalPattern>,
-    /// Number of patterns processed, the ones the bound cut included.
+    /// Number of patterns processed: candidates whose bound the top-k admitted, each
+    /// isomorphism class (canonical key) counted once. A candidate the bound cuts is
+    /// never keyed and not counted.
     pub patterns_processed: u64,
     /// Number of (candidate, negative graph) searches: a candidate whose bound the
     /// top-k admits is searched in every negative graph its parent occurs in (a seed
@@ -464,69 +514,74 @@ struct StaticOccurrences {
     neg: Lists,
 }
 
+/// The walk's reused buffers: data node → position in the embedding being walked
+/// ([`UNMAPPED`] between embeddings), and one list's packed growth steps.
+#[derive(Debug, Default)]
+struct WalkBuffers {
+    position: Vec<u32>,
+    hits: Vec<u64>,
+}
+
 /// The children of `pattern` — every way of adding one more edge adjacent to one of
-/// its embeddings in `lists` — in a fixed order, each with the indices into `lists` of
-/// the lists in which some embedding extends to it.
+/// its embeddings in `lists` — as (packed growth step, index into `lists`) pairs, one
+/// per list in which some embedding extends to the child, ascending: a child's pairs
+/// are one run, in `ExtensionKey` order ([`pack_key`] keeps it), its lists ascending.
+/// Returned unzipped.
 fn children(
     pattern: &StaticPattern,
-    graphs: &[StaticGraph],
+    graphs: &Graphs,
     lists: &[(usize, Vec<usize>)],
-) -> Vec<(StaticPattern, Vec<usize>)> {
-    let mut seen: BTreeMap<ExtensionKey, Vec<usize>> = BTreeMap::new();
+    walk: &mut WalkBuffers,
+) -> (Vec<u64>, Vec<usize>) {
+    let WalkBuffers { position, hits } = walk;
+    let mut found: Vec<(u64, usize)> = Vec::new();
     for (i, (graph_id, list)) in lists.iter().enumerate() {
-        let graph = &graphs[*graph_id];
-        let mut saw = |ext: ExtensionKey| {
-            let in_lists = seen.entry(ext).or_default();
-            if in_lists.last() != Some(&i) {
-                in_lists.push(i);
-            }
-        };
+        let graph = graphs.get(*graph_id);
+        if position.len() < graph.node_count() {
+            position.resize(graph.node_count(), UNMAPPED);
+        }
+        hits.clear();
         for emb in list.chunks_exact(pattern.node_count()) {
-            let position = |node: usize| emb.iter().position(|&n| n == node);
+            for (p, &node) in emb.iter().enumerate() {
+                position[node] = p as u32;
+            }
             for (p, &node) in emb.iter().enumerate() {
                 for &(_, dd) in graph.out_edges(node) {
-                    match position(dd) {
-                        Some(dst) if !pattern.edges.contains(&(p, dst)) => {
-                            saw(ExtensionKey::Inward { src: p, dst })
-                        }
-                        Some(_) => {}
-                        None => saw(ExtensionKey::Forward {
+                    let step = match position[dd] {
+                        UNMAPPED => ExtensionKey::Forward {
                             src: p,
                             dst_label: graph.label(dd),
-                        }),
-                    }
+                        },
+                        dst if !pattern.edges.contains(&(p, dst as usize)) => {
+                            ExtensionKey::Inward {
+                                src: p,
+                                dst: dst as usize,
+                            }
+                        }
+                        _ => continue,
+                    };
+                    hits.push(pack_key(step));
                 }
                 // An edge between two embedded nodes was met as its source's out-edge.
                 for &(ds, _) in graph.in_edges(node) {
-                    if position(ds).is_none() {
-                        saw(ExtensionKey::Backward {
+                    if position[ds] == UNMAPPED {
+                        hits.push(pack_key(ExtensionKey::Backward {
                             src_label: graph.label(ds),
                             dst: p,
-                        });
+                        }));
                     }
                 }
             }
-        }
-    }
-    seen.into_iter()
-        .map(|(ext, in_lists)| {
-            let mut child = pattern.clone();
-            match ext {
-                ExtensionKey::Forward { src, dst_label } => {
-                    child.labels.push(dst_label);
-                    let new = child.labels.len() - 1;
-                    child.edges.push((src, new));
-                }
-                ExtensionKey::Backward { src_label, dst } => {
-                    child.labels.push(src_label);
-                    let new = child.labels.len() - 1;
-                    child.edges.push((new, dst));
-                }
-                ExtensionKey::Inward { src, dst } => child.edges.push((src, dst)),
+            for &node in emb {
+                position[node] = UNMAPPED;
             }
-            (child, in_lists)
-        })
-        .collect()
+        }
+        hits.sort_unstable();
+        hits.dedup();
+        found.extend(hits.iter().map(|&packed| (packed, i)));
+    }
+    found.sort_unstable();
+    found.into_iter().unzip()
 }
 
 /// Mines discriminative non-temporal patterns (the `Ntemp` baseline).
@@ -537,30 +592,32 @@ pub fn mine_nontemporal(
     max_edges: usize,
     top_k: usize,
 ) -> NonTemporalResult {
-    let pos_static: Vec<StaticGraph> = positives.iter().map(StaticGraph::from_temporal).collect();
-    let neg_static: Vec<StaticGraph> = negatives.iter().map(StaticGraph::from_temporal).collect();
-    let mut miner = StaticMiner::new(&pos_static, &neg_static, score, max_edges, top_k);
+    let (positives, negatives) = (Graphs::new(positives), Graphs::new(negatives));
+    let mut miner = StaticMiner::new(&positives, &negatives, score, max_edges, top_k);
 
     // Seed with every labeled edge present in the positives.
-    let mut seeds: BTreeSet<(Label, Label)> = BTreeSet::new();
-    for graph in &pos_static {
-        for &(s, d) in graph.edges() {
-            seeds.insert((graph.label(s), graph.label(d)));
-        }
-    }
+    let seeds: BTreeSet<(Label, Label)> = positives
+        .temporal
+        .iter()
+        .flat_map(|graph| {
+            let labels = graph.labels();
+            graph.edges().iter().map(|e| (labels[e.src], labels[e.dst]))
+        })
+        .collect();
     for (src_label, dst_label) in seeds {
         let pattern = StaticPattern::single_edge(src_label, dst_label);
-        if !miner.claim(pattern.canonical_key()) {
-            continue;
-        }
-        let pos = miner.seed_lists(&pattern, miner.positives);
+        let pos = miner.seed_lists(&pattern, &positives);
         let Some(pos_freq) = miner.admitted(pos.len()) else {
             continue;
         };
-        miner.negative_searches += miner.negatives.len() as u64;
+        // Seeds are distinct label pairs, never isomorphic: the claim only counts it.
+        if !miner.claim(&pattern) {
+            continue;
+        }
+        miner.negative_searches += negatives.len() as u64;
         let occ = StaticOccurrences {
             pos,
-            neg: miner.seed_lists(&pattern, miner.negatives),
+            neg: miner.scanned_seed_lists(&pattern, &negatives),
         };
         miner.dfs(&pattern, pos_freq, &occ);
     }
@@ -573,8 +630,8 @@ pub fn mine_nontemporal(
 }
 
 struct StaticMiner<'a> {
-    positives: &'a [StaticGraph],
-    negatives: &'a [StaticGraph],
+    positives: &'a Graphs<'a>,
+    negatives: &'a Graphs<'a>,
     score: &'a dyn ScoreFunction,
     max_edges: usize,
     cap_per_graph: usize,
@@ -583,12 +640,14 @@ struct StaticMiner<'a> {
     patterns_processed: u64,
     negative_searches: u64,
     scratch: Scratch,
+    keys: KeyBuffers,
+    walk: WalkBuffers,
 }
 
 impl<'a> StaticMiner<'a> {
     fn new(
-        positives: &'a [StaticGraph],
-        negatives: &'a [StaticGraph],
+        positives: &'a Graphs<'a>,
+        negatives: &'a Graphs<'a>,
         score: &'a dyn ScoreFunction,
         max_edges: usize,
         top_k: usize,
@@ -604,17 +663,48 @@ impl<'a> StaticMiner<'a> {
             patterns_processed: 0,
             negative_searches: 0,
             scratch: Scratch::default(),
+            keys: KeyBuffers::default(),
+            walk: WalkBuffers::default(),
         }
     }
 
-    /// A seed pattern's lists, searched from scratch in every graph of `graphs`.
-    fn seed_lists(&mut self, pattern: &StaticPattern, graphs: &[StaticGraph]) -> Lists {
+    /// A seed pattern's lists, searched from scratch in every graph of `graphs`, each
+    /// collapsed. Every positive graph is walked sooner or later, and its label-pair
+    /// index finds a seed's run without a scan of its edges.
+    fn seed_lists(&mut self, seed: &StaticPattern, graphs: &Graphs) -> Lists {
+        let (cap, scratch) = (self.cap_per_graph, &mut self.scratch);
+        (0..graphs.len())
+            .filter_map(|i| {
+                let mut list = Vec::new();
+                seed.search(graphs.get(i), None, cap, scratch, &mut list);
+                (!list.is_empty()).then_some((i, list))
+            })
+            .collect()
+    }
+
+    /// [`Self::seed_lists`] read off the temporal edges, for the background graphs,
+    /// most of which no grown candidate reaches: in each graph, the distinct
+    /// `(src, dst)` pairs between the seed's two labels with `src != dst`, ascending,
+    /// at most the cap, which is what the search lists on the collapse.
+    fn scanned_seed_lists(&mut self, seed: &StaticPattern, graphs: &Graphs) -> Lists {
+        let (cap, pairs) = (self.cap_per_graph, &mut self.scratch.pairs);
+        let seed_labels = [seed.labels[0], seed.labels[1]];
         graphs
+            .temporal
             .iter()
             .enumerate()
             .filter_map(|(i, graph)| {
-                let list = pattern.find_embeddings(graph, self.cap_per_graph, &mut self.scratch);
-                (!list.is_empty()).then_some((i, list))
+                let labels = graph.labels();
+                pairs.clear();
+                let edges = graph.edges().iter().map(|e| (e.src, e.dst));
+                pairs.extend(
+                    edges.filter(|&(s, d)| s != d && [labels[s], labels[d]] == seed_labels),
+                );
+                pairs.sort_unstable();
+                pairs.dedup();
+                pairs.truncate(cap);
+                let list = pairs.iter().flat_map(|&(s, d)| [s, d]).collect();
+                (!pairs.is_empty()).then_some((i, list))
             })
             .collect()
     }
@@ -626,7 +716,7 @@ impl<'a> StaticMiner<'a> {
     fn child_lists(
         &mut self,
         child: &StaticPattern,
-        graphs: &[StaticGraph],
+        graphs: &Graphs,
         lists: &[(usize, Vec<usize>)],
         parent_nodes: usize,
         seen: Option<&[usize]>,
@@ -642,7 +732,7 @@ impl<'a> StaticMiner<'a> {
                 }
                 let mut embeddings = Vec::new();
                 child.search(
-                    &graphs[*graph_id],
+                    graphs.get(*graph_id),
                     from,
                     cap,
                     &mut self.scratch,
@@ -659,7 +749,7 @@ impl<'a> StaticMiner<'a> {
     fn child_support(
         &mut self,
         child: &StaticPattern,
-        graphs: &[StaticGraph],
+        graphs: &Graphs,
         lists: &[(usize, Vec<usize>)],
         parent_nodes: usize,
         seen: Option<&[usize]>,
@@ -670,25 +760,30 @@ impl<'a> StaticMiner<'a> {
             .iter()
             .enumerate()
             .filter(|(i, (graph_id, list))| {
-                let graph = &graphs[*graph_id];
                 let from = origin(list, parent_nodes, cap);
                 match seen {
                     Some(seen) => {
                         seen.binary_search(i).is_ok()
-                            || (from.is_none() && child.matches_static(graph, scratch))
+                            || (from.is_none()
+                                && child.occurs(graphs.get(*graph_id), None, scratch))
                     }
-                    None => child.occurs(graph, from, scratch),
+                    None => child.occurs(graphs.get(*graph_id), from, scratch),
                 }
             })
             .count()
     }
 
-    /// Marks a candidate's canonical `key` visited and counts the candidate as
-    /// processed; `false` if an isomorphic candidate was processed before.
-    fn claim(&mut self, key: Vec<u64>) -> bool {
-        let new = self.visited.insert(key);
-        self.patterns_processed += u64::from(new);
-        new
+    /// Marks an admitted candidate's canonical key visited and counts the candidate as
+    /// processed; `false` if an isomorphic candidate was processed before. The key is
+    /// written into reused buffers and copied only when it is new.
+    fn claim(&mut self, pattern: &StaticPattern) -> bool {
+        let key = pattern.write_key(&mut self.keys);
+        if self.visited.contains(key) {
+            return false;
+        }
+        self.visited.insert(key.to_vec());
+        self.patterns_processed += 1;
+        true
     }
 
     /// The positive frequency of a candidate found in `pos_graphs` positive graphs, if
@@ -711,8 +806,8 @@ impl<'a> StaticMiner<'a> {
     }
 
     /// Offers a claimed and admitted `pattern` and grows it. Each child runs in the
-    /// order key, visited check, positive support, bound; only one the bound admits
-    /// is searched in the negatives.
+    /// order positive support, bound, canonical key, visited check; only a new one the
+    /// bound admits is searched in the negatives.
     fn dfs(&mut self, pattern: &StaticPattern, pos_freq: f64, occ: &StaticOccurrences) {
         self.offer(pattern, pos_freq, occ.neg.len());
         if pattern.edge_count() >= self.max_edges {
@@ -723,20 +818,31 @@ impl<'a> StaticMiner<'a> {
             return;
         }
         let children_at_cap = pattern.edge_count() + 1 == self.max_edges;
-        let parent_nodes = pattern.node_count();
+        let (parent_nodes, parent_edges) = (pattern.node_count(), pattern.edge_count());
         let (positives, negatives) = (self.positives, self.negatives);
-        for (child, seen) in children(pattern, positives, &occ.pos) {
-            // A child seen before costs its key and nothing else. A child can only
-            // occur where its parent does, so only those graphs are searched. The walk
-            // saw it in at least one positive graph, so it has positive support.
-            if !self.claim(child.canonical_key()) {
-                continue;
-            }
-            let seen = Some(seen.as_slice());
+        let (steps, in_lists) = children(pattern, positives, &occ.pos, &mut self.walk);
+        // Every child is built in this one buffer: the parent plus one growth step.
+        let mut child = pattern.clone();
+        let mut start = 0;
+        for run in steps.chunk_by(|a, b| a == b) {
+            let seen = &in_lists[start..start + run.len()];
+            start += run.len();
+            child.labels.truncate(parent_nodes);
+            child.edges.truncate(parent_edges);
+            child.grow(unpack_key(run[0]));
+            // A child can only occur where its parent does, so only those graphs are
+            // searched. The walk saw it in at least one positive graph, so it has
+            // positive support.
+            let seen = Some(seen);
             let pos_graphs = self.child_support(&child, positives, &occ.pos, parent_nodes, seen);
             let Some(pos_freq) = self.admitted(pos_graphs) else {
                 continue;
             };
+            // Only an admitted child is keyed; one seen before costs its key and
+            // nothing more.
+            if !self.claim(&child) {
+                continue;
+            }
             self.negative_searches += occ.neg.len() as u64;
             if children_at_cap {
                 // Never grown again: existence per graph is all that is read of it.
@@ -764,6 +870,54 @@ mod tests {
 
     fn l(i: u32) -> Label {
         Label(i)
+    }
+
+    impl StaticGraph {
+        /// All collapsed edges, sorted.
+        fn edges(&self) -> &[(usize, usize)] {
+            &self.edges
+        }
+    }
+
+    impl StaticPattern {
+        /// The canonical key, written into buffers of its own.
+        fn canonical_key(&self) -> Vec<u64> {
+            self.write_key(&mut KeyBuffers::default()).to_vec()
+        }
+
+        /// Up to `cap` embeddings (injective node maps) of the pattern in `graph`,
+        /// searched from scratch, flat (stride = node count), in the order of a full
+        /// scan of its edges.
+        fn find_embeddings(
+            &self,
+            graph: &StaticGraph,
+            cap: usize,
+            scratch: &mut Scratch,
+        ) -> Vec<usize> {
+            let mut out = Vec::new();
+            self.search(graph, None, cap, scratch, &mut out);
+            out
+        }
+    }
+
+    /// [`children`] with each growth step applied: the child patterns in walk order,
+    /// each with the lists the walk saw it in.
+    fn walk(
+        pattern: &StaticPattern,
+        graphs: &Graphs,
+        lists: &[(usize, Vec<usize>)],
+    ) -> Vec<(StaticPattern, Vec<usize>)> {
+        let (steps, in_lists) = children(pattern, graphs, lists, &mut WalkBuffers::default());
+        let mut walked: Vec<(StaticPattern, Vec<usize>)> = Vec::new();
+        for (packed, i) in steps.into_iter().zip(in_lists) {
+            let mut child = pattern.clone();
+            child.grow(unpack_key(packed));
+            match walked.last_mut() {
+                Some((last, seen)) if *last == child => seen.push(i),
+                _ => walked.push((child, vec![i])),
+            }
+        }
+        walked
     }
 
     fn chain(labels: &[u32]) -> TemporalGraph {
@@ -855,12 +1009,12 @@ mod tests {
     /// keyed in the order of `children`'s extension enum.
     fn reference_children(
         pattern: &StaticPattern,
-        graphs: &[StaticGraph],
+        graphs: &Graphs,
         lists: &[(usize, Vec<usize>)],
     ) -> Vec<StaticPattern> {
         let mut keys: BTreeMap<(u8, u64, u64), StaticPattern> = BTreeMap::new();
         for (graph_id, list) in lists {
-            let graph = &graphs[*graph_id];
+            let graph = graphs.get(*graph_id);
             for emb in list.chunks_exact(pattern.node_count()) {
                 for &(ds, dd) in graph.edges() {
                     let sp = emb.iter().position(|&n| n == ds);
@@ -977,20 +1131,15 @@ mod tests {
     /// Checks one pattern at one cap against the full scan and returns its children:
     /// (a) its lists are the full scan's; per child from the walk, (b) the derived
     /// lists are the full scan's, (c) so is the support count — the walk's answer
-    /// for positives, extension or search for negatives — and its key is the
-    /// brute-force one.
-    fn check_level(
-        pattern: &StaticPattern,
-        graphs: &[StaticGraph],
-        cap: usize,
-    ) -> Vec<StaticPattern> {
+    /// for positives, extension or search for negatives — and its key, from fresh
+    /// buffers and from buffers reused across the level, is the brute-force one.
+    fn check_level(pattern: &StaticPattern, graphs: &Graphs, cap: usize) -> Vec<StaticPattern> {
         let score = LogRatio::default();
         let mut miner = StaticMiner::new(graphs, graphs, &score, usize::MAX, 1);
         miner.cap_per_graph = cap;
-        let lists: Lists = graphs
-            .iter()
-            .enumerate()
-            .filter_map(|(g, graph)| {
+        let lists: Lists = (0..graphs.len())
+            .filter_map(|g| {
+                let graph = graphs.get(g);
                 let list = pattern.find_embeddings(graph, cap, &mut miner.scratch);
                 assert_eq!(
                     list,
@@ -1000,7 +1149,7 @@ mod tests {
                 (!list.is_empty()).then_some((g, list))
             })
             .collect();
-        let walked = children(pattern, graphs, &lists);
+        let walked = walk(pattern, graphs, &lists);
         let patterns: Vec<StaticPattern> = walked.iter().map(|(child, _)| child.clone()).collect();
         assert_eq!(
             patterns,
@@ -1009,10 +1158,12 @@ mod tests {
         );
         let nodes = pattern.node_count();
         for (child, seen) in &walked {
-            assert_eq!(child.canonical_key(), reference_key(child), "{child:?}");
+            let key = reference_key(child);
+            assert_eq!(child.canonical_key(), key, "{child:?}");
+            assert_eq!(child.write_key(&mut miner.keys), key, "{child:?} reused");
             let want: Lists = lists
                 .iter()
-                .map(|(g, _)| (*g, reference_embeddings(child, &graphs[*g], cap)))
+                .map(|(g, _)| (*g, reference_embeddings(child, graphs.get(*g), cap)))
                 .filter(|(_, list)| !list.is_empty())
                 .collect();
             for seen in [Some(seen.as_slice()), None] {
@@ -1026,18 +1177,39 @@ mod tests {
         patterns
     }
 
+    /// Seed lists, searched on the collapse or read off the temporal edges, are the
+    /// full scan's: every label pair of the alphabet, equal labels and self-loops
+    /// included.
+    fn check_seed_lists(graphs: &Graphs, cap: usize) {
+        let score = LogRatio::default();
+        let mut miner = StaticMiner::new(graphs, graphs, &score, usize::MAX, 1);
+        miner.cap_per_graph = cap;
+        for (a, b) in (0..3).flat_map(|a| (0..3).map(move |b| (l(a), l(b)))) {
+            let seed = StaticPattern::single_edge(a, b);
+            let want: Lists = (0..graphs.len())
+                .map(|g| (g, reference_embeddings(&seed, graphs.get(g), cap)))
+                .filter(|(_, list)| !list.is_empty())
+                .collect();
+            assert_eq!(miner.seed_lists(&seed, graphs), want, "{seed:?} cap {cap}");
+            let scanned = miner.scanned_seed_lists(&seed, graphs);
+            assert_eq!(scanned, want, "{seed:?} cap {cap} scanned");
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The order contract on random graphs: patterns grown along the walk, each
-        /// level checked at every cap, truncating ones included.
+        /// The order contract on random graphs: seed lists, then patterns grown along
+        /// the walk, each level checked at every cap, truncating ones included.
         #[test]
         fn indexed_and_derived_searches_keep_the_full_scans_order(seed in 0u64..u64::MAX, depth in 1usize..6) {
             let mut rng = Rng(seed);
-            let graphs: Vec<StaticGraph> = (0..3)
-                .map(|_| StaticGraph::from_temporal(&random_graph(&mut rng)))
-                .collect();
-            let graph = &graphs[rng.below(graphs.len())];
+            let temporal: Vec<TemporalGraph> = (0..3).map(|_| random_graph(&mut rng)).collect();
+            let graphs = Graphs::new(&temporal);
+            for cap in CAPS {
+                check_seed_lists(&graphs, cap);
+            }
+            let graph = graphs.get(rng.below(graphs.len()));
             let (s, d) = graph.edges()[rng.below(graph.edges().len())];
             let mut pattern = StaticPattern::single_edge(graph.label(s), graph.label(d));
             for _ in 0..depth {
@@ -1080,9 +1252,13 @@ mod tests {
 
     /// 1–3 positive and 1–4 negative random graphs mined under `LogRatio` and
     /// `GTest`, each score bounded and unbounded: the same patterns, scores and
-    /// frequencies in the same order. Returns each score's (bounded, unbounded)
-    /// `negative_searches`.
-    fn bound_first_case(seed: u64, max_edges: usize, top_k: usize) -> Vec<(u64, u64)> {
+    /// frequencies in the same order, and the bounded run keys and searches no more.
+    /// Returns each score's (bounded, unbounded) results.
+    fn bound_first_case(
+        seed: u64,
+        max_edges: usize,
+        top_k: usize,
+    ) -> Vec<(NonTemporalResult, NonTemporalResult)> {
         let mut rng = Rng(seed);
         let positives: Vec<TemporalGraph> = (0..1 + rng.below(3))
             .map(|_| random_graph(&mut rng))
@@ -1113,9 +1289,24 @@ mod tests {
                     bounded.negative_searches <= exhaustive.negative_searches,
                     "{what}"
                 );
-                (bounded.negative_searches, exhaustive.negative_searches)
+                assert!(
+                    bounded.patterns_processed <= exhaustive.patterns_processed,
+                    "{what}"
+                );
+                (bounded, exhaustive)
             })
             .collect()
+    }
+
+    /// Whether one of the oracle's first 32 cases at `max_edges` (top-k 2) has a
+    /// (bounded, exhaustive) pair that `saved` holds for.
+    fn some_case(
+        max_edges: usize,
+        saved: impl Fn(&NonTemporalResult, &NonTemporalResult) -> bool,
+    ) -> bool {
+        (0..32)
+            .flat_map(|seed| bound_first_case(seed, max_edges, 2))
+            .any(|(bounded, exhaustive)| saved(&bounded, &exhaustive))
     }
 
     /// The oracle's cases do cut. At size 1 nothing is grown, so only a seed cut before
@@ -1123,13 +1314,21 @@ mod tests {
     #[test]
     fn the_bound_saves_negative_searches_in_some_cases() {
         for max_edges in [1, 3] {
-            let saved = (0..32)
-                .flat_map(|seed| bound_first_case(seed, max_edges, 2))
-                .filter(|(bounded, exhaustive)| bounded < exhaustive)
-                .count();
             assert!(
-                saved > 0,
+                some_case(max_edges, |b, e| b.negative_searches < e.negative_searches),
                 "size {max_edges}: no case saved a negative search"
+            );
+        }
+    }
+
+    /// ... and a candidate the bound cuts is never keyed, so some case keys fewer.
+    #[test]
+    fn the_bound_saves_keys_in_some_cases() {
+        for max_edges in [1, 3] {
+            assert!(
+                some_case(max_edges, |b, e| b.patterns_processed
+                    < e.patterns_processed),
+                "size {max_edges}: no case keyed fewer candidates"
             );
         }
     }
@@ -1167,12 +1366,13 @@ mod tests {
             b.add_edge(hub, leaf, ts as u64).unwrap();
         }
         b.add_edge(leaves[69], end, 70).unwrap();
-        let graphs = [StaticGraph::from_temporal(&b.build())];
+        let temporal = [b.build()];
+        let graphs = Graphs::new(&temporal);
         let score = LogRatio::default();
         let mut miner = StaticMiner::new(&graphs, &graphs, &score, usize::MAX, 1);
 
         let parent = StaticPattern::single_edge(l(0), l(1));
-        let list = parent.find_embeddings(&graphs[0], CAP_PER_GRAPH, &mut miner.scratch);
+        let list = parent.find_embeddings(graphs.get(0), CAP_PER_GRAPH, &mut miner.scratch);
         assert_eq!(
             list.len(),
             CAP_PER_GRAPH * 2,
@@ -1184,12 +1384,12 @@ mod tests {
             edges: vec![(0, 1), (1, 2)],
         };
         // No stored embedding extends: the walk does not see the child here...
-        assert!(children(&parent, &graphs, &lists)
+        assert!(walk(&parent, &graphs, &lists)
             .iter()
             .all(|(c, _)| *c != child));
         let mut extended = Vec::new();
         child.search(
-            &graphs[0],
+            graphs.get(0),
             Some((&lists[0].1, 2)),
             CAP_PER_GRAPH,
             &mut miner.scratch,
@@ -1259,8 +1459,8 @@ mod tests {
         b.add_edge(a, bb, 2).unwrap();
         let whole = StaticGraph::from_temporal(&b.build());
         let mut scratch = Scratch::default();
-        assert!(pattern.matches_static(&whole, &mut scratch));
-        assert!(!pattern.matches_static(&prefix, &mut scratch));
+        assert!(pattern.occurs(&whole, None, &mut scratch));
+        assert!(!pattern.occurs(&prefix, None, &mut scratch));
     }
 
     #[test]

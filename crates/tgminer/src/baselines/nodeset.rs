@@ -44,7 +44,9 @@ pub struct ScoredLabel {
 }
 
 /// Scores every label occurring in the positive set and returns them sorted by
-/// decreasing score.
+/// decreasing score, ties by label. Scores compare with `total_cmp`, so a NaN from a
+/// custom score function has a fixed place (a positive NaN first, a negative one last)
+/// instead of breaking the total order the sort requires.
 pub fn mine_nodeset_scored(
     positives: &[TemporalGraph],
     negatives: &[TemporalGraph],
@@ -69,8 +71,7 @@ pub fn mine_nodeset_scored(
         .collect();
     scored.sort_by(|a, b| {
         b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
+            .total_cmp(&a.score)
             .then_with(|| a.label.cmp(&b.label))
     });
     scored
@@ -153,6 +154,40 @@ mod tests {
         let negatives = vec![graph_with_labels(&[5, 6])];
         let scored = mine_nodeset_scored(&positives, &negatives, &LogRatio::default());
         assert!(scored.iter().all(|s| s.label == l(0) || s.label == l(1)));
+    }
+
+    /// NaN for a label in half the positives, a negative NaN for one in a quarter,
+    /// else the positive frequency.
+    struct NanAtHalf;
+
+    impl ScoreFunction for NanAtHalf {
+        fn score(&self, pos_freq: f64, _neg_freq: f64) -> f64 {
+            match pos_freq {
+                0.5 => f64::NAN,
+                0.25 => -f64::NAN,
+                _ => pos_freq,
+            }
+        }
+
+        fn name(&self) -> &'static str {
+            "nan-at-half"
+        }
+    }
+
+    #[test]
+    fn nan_scores_sort_first_and_negative_nan_last() {
+        // Label 0 in all four positives, 3 in three, 1 and 4 in two, 2 in one.
+        let positives = vec![
+            graph_with_labels(&[0, 1, 3, 4]),
+            graph_with_labels(&[0, 1, 3, 4]),
+            graph_with_labels(&[0, 2, 3]),
+            graph_with_labels(&[0]),
+        ];
+        let order: Vec<Label> = mine_nodeset_scored(&positives, &[], &NanAtHalf)
+            .iter()
+            .map(|s| s.label)
+            .collect();
+        assert_eq!(order, [1, 4, 0, 3, 2].map(l));
     }
 
     #[test]

@@ -162,7 +162,7 @@ const KIND_SHIFT: u32 = 62;
 const POSITION_BITS: u32 = 30;
 const MAX_POSITIONS: usize = 1 << POSITION_BITS;
 
-fn pack_key(key: ExtensionKey) -> u64 {
+pub(crate) fn pack_key(key: ExtensionKey) -> u64 {
     match key {
         ExtensionKey::Forward { src, dst_label } => (src as u64) << 32 | dst_label.id() as u64,
         ExtensionKey::Backward { src_label, dst } => {
@@ -172,7 +172,7 @@ fn pack_key(key: ExtensionKey) -> u64 {
     }
 }
 
-fn unpack_key(packed: u64) -> ExtensionKey {
+pub(crate) fn unpack_key(packed: u64) -> ExtensionKey {
     let body = packed & ((1 << KIND_SHIFT) - 1);
     match packed >> KIND_SHIFT {
         0 => ExtensionKey::Forward {
@@ -190,8 +190,9 @@ fn unpack_key(packed: u64) -> ExtensionKey {
     }
 }
 
-/// Marks a data node no pattern node maps to in [`Scan::position`].
-const UNMAPPED: u32 = u32::MAX;
+/// Marks a data node no pattern node maps to in [`Scan::position`] (and in the
+/// position array of Ntemp's walk, `baselines::gspan`).
+pub(crate) const UNMAPPED: u32 = u32::MAX;
 
 /// Child embeddings per packed key over one graph set, in graph order.
 type Children = BTreeMap<u64, Vec<GraphOccurrences>>;

@@ -362,26 +362,26 @@ fn regenerate_mining_answers() {
 /// Ntemp where the benchmark measures `mine_s`, on its `DatasetConfig::small()`
 /// training data: `mine-deep`'s nine classes at size 6 and `mine-wide`'s three at
 /// size 3 (top-k 24), and the stream workloads' pool at size 4 (top-k 8). Each
-/// constant is the FNV-1a digest of the run's rendered top-k followed by its
-/// `processed=` line, computed on the parent of the change that derives a child's
-/// occurrences from its parent's embeddings. Like the answers file: never update
-/// these for a work-only change.
+/// constant is the FNV-1a digest of the run's rendered top-k, computed on the parent
+/// of the change that keys only the candidates the bound admits. How much a run
+/// processes is work, pinned by `mining_work.txt` at the golden sizes. Like the
+/// answers file: never update these for a work-only change.
 const NTEMP_AT_BENCHMARK_SIZES: [(Behavior, usize, usize, u64); 15] = [
-    (Behavior::Bzip2Decompress, 6, 24, 0x4b5c_a972_825f_2626),
-    (Behavior::GzipDecompress, 6, 24, 0xa3ad_30bb_d366_d3b9),
-    (Behavior::WgetDownload, 6, 24, 0x8925_48e3_628d_05a0),
-    (Behavior::FtpDownload, 6, 24, 0x34bc_0df3_4c9d_a7eb),
-    (Behavior::ScpDownload, 6, 24, 0x010d_9529_d789_36ae),
-    (Behavior::GccCompile, 6, 24, 0xf1ef_51a4_7284_dc99),
-    (Behavior::GppCompile, 6, 24, 0x3a9f_34da_c903_c1c9),
-    (Behavior::FtpdLogin, 6, 24, 0x2487_b3a1_a839_c369),
-    (Behavior::SshLogin, 6, 24, 0x4662_05fb_ca79_fcde),
-    (Behavior::SshdLogin, 3, 24, 0xa853_7d8b_a286_9a22),
-    (Behavior::AptGetUpdate, 3, 24, 0x173c_0b8f_daa7_b844),
-    (Behavior::AptGetInstall, 3, 24, 0xb194_106f_5ba6_ca5f),
-    (Behavior::GzipDecompress, 4, 8, 0x1263_c5cc_0122_9c77),
-    (Behavior::Bzip2Decompress, 4, 8, 0xaf89_f886_dd64_bbb9),
-    (Behavior::ScpDownload, 4, 8, 0x8611_c4ac_dfea_da7f),
+    (Behavior::Bzip2Decompress, 6, 24, 0x04fc_3fbf_013d_3a14),
+    (Behavior::GzipDecompress, 6, 24, 0x8846_679c_d7ec_5009),
+    (Behavior::WgetDownload, 6, 24, 0x0ff2_7410_a20f_bd4b),
+    (Behavior::FtpDownload, 6, 24, 0xedc3_6f38_c567_7c94),
+    (Behavior::ScpDownload, 6, 24, 0xa162_9dbb_e571_8917),
+    (Behavior::GccCompile, 6, 24, 0x6cbe_b807_8367_6a7b),
+    (Behavior::GppCompile, 6, 24, 0x145e_7958_6d11_77f1),
+    (Behavior::FtpdLogin, 6, 24, 0xbfe1_57eb_5927_2580),
+    (Behavior::SshLogin, 6, 24, 0x6ff6_8456_81a6_135d),
+    (Behavior::SshdLogin, 3, 24, 0x163f_0cd4_ad2c_39fb),
+    (Behavior::AptGetUpdate, 3, 24, 0xc515_4b3c_d076_990f),
+    (Behavior::AptGetInstall, 3, 24, 0x79e3_19c0_2f68_8b02),
+    (Behavior::GzipDecompress, 4, 8, 0x9071_3c43_b290_df22),
+    (Behavior::Bzip2Decompress, 4, 8, 0xd23e_362f_72f1_50f8),
+    (Behavior::ScpDownload, 4, 8, 0xcf05_aaf4_e333_a44d),
 ];
 
 #[test]
@@ -390,13 +390,12 @@ fn ntemp_at_benchmark_sizes() {
     let training = TrainingData::generate(&DatasetConfig::small());
     let mut mismatches = Vec::new();
     for (behavior, size, top_k, pinned) in NTEMP_AT_BENCHMARK_SIZES {
-        let (count, mut rendered, processed, _) = ntemp_run(
+        let (count, rendered, processed, _) = ntemp_run(
             training.positives(behavior),
             training.negatives(),
             size,
             top_k,
         );
-        writeln!(rendered, "processed={processed}").unwrap();
         let digest = fnv1a(&rendered);
         if digest != pinned {
             mismatches.push(format!(
