@@ -6,9 +6,13 @@
 //! any set of k nodes carrying exactly those labels within a bounded time window (the
 //! longest observed lifetime of the target behavior — enforced by the search code in the
 //! `query` crate).
+//!
+//! The per-label graph counts of each side are plain vectors indexed by label id
+//! (`ranking::label_graph_counts`, the table the interest ranker reads), and labels
+//! are visited in id order.
 
+use crate::ranking::label_graph_counts;
 use crate::score::ScoreFunction;
-use std::collections::{BTreeMap, HashSet};
 use tgraph::{Label, TemporalGraph};
 
 /// A keyword behavior query: a multiset of discriminative node labels.
@@ -30,24 +34,19 @@ impl NodeSetQuery {
     }
 }
 
-/// A label with its discriminative statistics, as reported by [`mine_nodeset_scored`].
+/// A label with its discriminative score, as reported by [`mine_nodeset_scored`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScoredLabel {
-    /// The node label.
-    pub label: Label,
-    /// Discriminative score of the label.
-    pub score: f64,
-    /// Fraction of positive graphs containing the label.
-    pub pos_freq: f64,
-    /// Fraction of negative graphs containing the label.
-    pub neg_freq: f64,
+struct ScoredLabel {
+    label: Label,
+    /// The score of the label's fractions of positive and negative graphs.
+    score: f64,
 }
 
 /// Scores every label occurring in the positive set and returns them sorted by
 /// decreasing score, ties by label. Scores compare with `total_cmp`, so a NaN from a
 /// custom score function has a fixed place (a positive NaN first, a negative one last)
 /// instead of breaking the total order the sort requires.
-pub fn mine_nodeset_scored(
+fn mine_nodeset_scored(
     positives: &[TemporalGraph],
     negatives: &[TemporalGraph],
     score: &dyn ScoreFunction,
@@ -56,16 +55,14 @@ pub fn mine_nodeset_scored(
     let neg_counts = label_graph_counts(negatives);
     let np = positives.len().max(1) as f64;
     let nn = negatives.len().max(1) as f64;
-    let mut scored: Vec<ScoredLabel> = pos_counts
-        .iter()
-        .map(|(&label, &pc)| {
-            let pos_freq = pc as f64 / np;
-            let neg_freq = neg_counts.get(&label).copied().unwrap_or(0) as f64 / nn;
+    let mut scored: Vec<ScoredLabel> = (0u32..)
+        .zip(pos_counts)
+        .filter(|&(_, pc)| pc > 0)
+        .map(|(id, pc)| {
+            let nc = neg_counts.get(id as usize).copied().unwrap_or(0);
             ScoredLabel {
-                label,
-                score: score.score(pos_freq, neg_freq),
-                pos_freq,
-                neg_freq,
+                label: Label(id),
+                score: score.score(pc as f64 / np, nc as f64 / nn),
             }
         })
         .collect();
@@ -92,22 +89,13 @@ pub fn mine_nodeset(
     NodeSetQuery { labels }
 }
 
-/// For each label, in how many graphs of `graphs` it appears.
-fn label_graph_counts(graphs: &[TemporalGraph]) -> BTreeMap<Label, usize> {
-    let mut counts: BTreeMap<Label, usize> = BTreeMap::new();
-    for graph in graphs {
-        let distinct: HashSet<Label> = graph.labels().iter().copied().collect();
-        for label in distinct {
-            *counts.entry(label).or_insert(0) += 1;
-        }
-    }
-    counts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::score::LogRatio;
+    use crate::ranking::tests::{random_label_graphs, reference_counts};
+    use crate::score::{GTest, LogRatio};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
     use tgraph::GraphBuilder;
 
     fn l(i: u32) -> Label {
@@ -138,14 +126,60 @@ mod tests {
     fn scores_reflect_graph_level_frequencies() {
         let positives = vec![graph_with_labels(&[0, 1]), graph_with_labels(&[0, 2])];
         let negatives = vec![graph_with_labels(&[1, 2])];
-        let scored = mine_nodeset_scored(&positives, &negatives, &LogRatio::default());
-        let label0 = scored.iter().find(|s| s.label == l(0)).unwrap();
-        assert!((label0.pos_freq - 1.0).abs() < 1e-12);
-        assert_eq!(label0.neg_freq, 0.0);
-        let label1 = scored.iter().find(|s| s.label == l(1)).unwrap();
-        assert!((label1.pos_freq - 0.5).abs() < 1e-12);
-        assert!((label1.neg_freq - 1.0).abs() < 1e-12);
-        assert!(label0.score > label1.score);
+        let score = LogRatio::default();
+        let scored = mine_nodeset_scored(&positives, &negatives, &score);
+        let score_of = |label| scored.iter().find(|s| s.label == l(label)).unwrap().score;
+        assert_eq!(score_of(0), score.score(1.0, 0.0));
+        assert_eq!(score_of(1), score.score(0.5, 1.0));
+        assert!(score_of(0) > score_of(1));
+    }
+
+    /// `mine_nodeset_scored` over the map form of the counts: labels in map order, then
+    /// the same total sort.
+    fn reference_scored(
+        positives: &[TemporalGraph],
+        negatives: &[TemporalGraph],
+        score: &dyn ScoreFunction,
+    ) -> Vec<(Label, u64)> {
+        let pos_counts: BTreeMap<Label, usize> = reference_counts(positives).into_iter().collect();
+        let neg_counts = reference_counts(negatives);
+        let np = positives.len().max(1) as f64;
+        let nn = negatives.len().max(1) as f64;
+        let mut scored: Vec<(Label, f64)> = pos_counts
+            .iter()
+            .map(|(label, &pc)| {
+                let nc = neg_counts.get(label).copied().unwrap_or(0);
+                (*label, score.score(pc as f64 / np, nc as f64 / nn))
+            })
+            .collect();
+        scored.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        scored.into_iter().map(|(l, s)| (l, s.to_bits())).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The dense tables score and order every label as the map form does, bit for
+        /// bit: empty sets and graphs, repeated labels, label 50,000, and the NaN
+        /// scores of `NanAtHalf` included.
+        #[test]
+        fn scored_labels_equal_the_map_based_form(seed in 0u64..u64::MAX, f in 0usize..3) {
+            let positives = random_label_graphs(seed);
+            let negatives = random_label_graphs(!seed);
+            let score: &dyn ScoreFunction = match f {
+                0 => &LogRatio::default(),
+                1 => &GTest::default(),
+                _ => &NanAtHalf,
+            };
+            let dense: Vec<(Label, u64)> = mine_nodeset_scored(&positives, &negatives, score)
+                .iter()
+                .map(|s| (s.label, s.score.to_bits()))
+                .collect();
+            prop_assert_eq!(&dense, &reference_scored(&positives, &negatives, score));
+            let query = mine_nodeset(&positives, &negatives, score, 3);
+            let top: Vec<Label> = dense.iter().take(3).map(|&(l, _)| l).collect();
+            prop_assert_eq!(query.labels, top);
+        }
     }
 
     #[test]

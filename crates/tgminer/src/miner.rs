@@ -186,25 +186,44 @@ fn seed_patterns(
         .collect()
 }
 
+/// The one-edge occurrences of every key in `graphs`, at most `cap_per_graph` per
+/// graph, restricted to the keys of `allowed` when given. Each edge is keyed first and
+/// its node map is allocated only once the key is allowed and its bucket has room.
+/// For the background pass, two dense tables by label id hold the source and the
+/// destination labels of the allowed keys (a self-loop's label is both); an edge whose
+/// labels miss either is rejected before the map is asked.
 fn collect_seed_occurrences(
     graphs: &[TemporalGraph],
     cap_per_graph: usize,
     allowed: Option<&BTreeMap<SeedKey, Vec<GraphOccurrences>>>,
 ) -> BTreeMap<SeedKey, Vec<GraphOccurrences>> {
+    let (mut sources, mut targets) = (Vec::new(), Vec::new());
+    for key in allowed.into_iter().flat_map(BTreeMap::keys) {
+        let (src, dst) = match *key {
+            SeedKey::Edge(src, dst) => (src, dst),
+            SeedKey::SelfLoop(label) => (label, label),
+        };
+        for (table, label) in [(&mut sources, src), (&mut targets, dst)] {
+            let id = label.id() as usize;
+            if id >= table.len() {
+                table.resize(id + 1, false);
+            }
+            table[id] = true;
+        }
+    }
+    let listed = |table: &[bool], label: Label| table.get(label.id() as usize) == Some(&true);
     let mut out: BTreeMap<SeedKey, Vec<GraphOccurrences>> = BTreeMap::new();
     for (graph_id, graph) in graphs.iter().enumerate() {
         let mut local: BTreeMap<SeedKey, Vec<Embedding>> = BTreeMap::new();
         for (idx, edge) in graph.edges().iter().enumerate() {
-            let (key, node_map) = if edge.src == edge.dst {
-                (SeedKey::SelfLoop(graph.label(edge.src)), vec![edge.src])
+            let (src, dst) = (graph.label(edge.src), graph.label(edge.dst));
+            let (key, nodes) = if edge.src == edge.dst {
+                (SeedKey::SelfLoop(src), 1)
             } else {
-                (
-                    SeedKey::Edge(graph.label(edge.src), graph.label(edge.dst)),
-                    vec![edge.src, edge.dst],
-                )
+                (SeedKey::Edge(src, dst), 2)
             };
             if let Some(allowed) = allowed {
-                if !allowed.contains_key(&key) {
+                if !listed(&sources, src) || !listed(&targets, dst) || !allowed.contains_key(&key) {
                     continue;
                 }
             }
@@ -213,7 +232,7 @@ fn collect_seed_occurrences(
                 continue;
             }
             bucket.push(Embedding {
-                node_map,
+                node_map: [edge.src, edge.dst][..nodes].to_vec(),
                 last_edge_idx: idx,
             });
         }
@@ -425,6 +444,66 @@ mod tests {
         let positives = vec![positive_graph(5), positive_graph(6), positive_graph(7)];
         let negatives = vec![negative_graph(), negative_graph(), negative_graph()];
         (positives, negatives)
+    }
+
+    /// A graph of `nodes` nodes over labels `0..alphabet` and `edges` edges between
+    /// random endpoints, so self-loops and equal-label pairs with `src != dst` are
+    /// common; drawn from an LCG over `state`.
+    fn random_graph(state: &mut u64, nodes: u64, edges: u64, alphabet: u64) -> TemporalGraph {
+        let mut next = |bound: u64| {
+            *state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (*state >> 33) % bound
+        };
+        let mut b = GraphBuilder::new();
+        for _ in 0..nodes {
+            b.add_node(l(next(alphabet) as u32));
+        }
+        for ts in 1..=edges {
+            let (src, dst) = (next(nodes) as usize, next(nodes) as usize);
+            b.add_edge(src, dst, ts).unwrap();
+        }
+        b.build()
+    }
+
+    /// The background pass's label tables only skip work: each seed's negative
+    /// occurrences equal an unfiltered scan of the negatives restricted to the positive
+    /// keys, at every cap — with self-loops, equal-label pairs, and labels 4..8 that
+    /// only the negatives carry, above every positive label.
+    #[test]
+    fn the_background_label_filter_keeps_exactly_the_positive_keys() {
+        let (mut self_loops, mut equal_pairs, mut foreign_edges) = (0, 0, 0);
+        for seed in 0..64u64 {
+            let mut state = seed;
+            let positives: Vec<_> = (0..3).map(|_| random_graph(&mut state, 5, 8, 4)).collect();
+            let negatives: Vec<_> = (0..4).map(|_| random_graph(&mut state, 6, 12, 8)).collect();
+            for cap in [1, 3, 64] {
+                let pos_map = collect_seed_occurrences(&positives, cap, None);
+                let mut unfiltered = collect_seed_occurrences(&negatives, cap, None);
+                foreign_edges += unfiltered
+                    .keys()
+                    .filter(|key| match key {
+                        SeedKey::Edge(a, b) => a.id().max(b.id()) >= 4,
+                        SeedKey::SelfLoop(a) => a.id() >= 4,
+                    })
+                    .count();
+                unfiltered.retain(|key, _| pos_map.contains_key(key));
+                let seeds = seed_patterns(&positives, &negatives, cap);
+                assert_eq!(seeds.len(), pos_map.len());
+                for ((key, pos), (_, occ)) in pos_map.iter().zip(&seeds) {
+                    let neg = unfiltered.remove(key).unwrap_or_default();
+                    match key {
+                        SeedKey::SelfLoop(_) if !neg.is_empty() => self_loops += 1,
+                        SeedKey::Edge(a, b) if a == b && !neg.is_empty() => equal_pairs += 1,
+                        _ => {}
+                    }
+                    assert_eq!(&occ.pos, pos, "seed {seed}, cap {cap}, {key:?}");
+                    assert_eq!(occ.neg, neg, "seed {seed}, cap {cap}, {key:?}");
+                }
+            }
+        }
+        assert!(self_loops > 0 && equal_pairs > 0 && foreign_edges > 0);
     }
 
     #[test]

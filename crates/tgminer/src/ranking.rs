@@ -13,16 +13,46 @@
 //! one-edge ancestor also fires on the same edges in any other order), then the
 //! canonical pattern order. A total order is a function of the patterns alone: which
 //! of them a search reached first cannot change the selection.
+//!
+//! `freq` is a plain vector indexed by label id ([`label_graph_counts`], which the
+//! `NodeSet` baseline shares): one pass over the node labels, no per-graph set, sort
+//! or hash. It is computed on every call, from the graphs it is handed.
 
 use crate::miner::{MinedPattern, MiningResult};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use tgraph::pattern::TemporalPattern;
 use tgraph::{Label, TemporalGraph};
+
+/// For each label id, the number of `graphs` with at least one node of that label; ids
+/// above the largest label seen are absent, so the table is as long as the largest id
+/// (which `LabelInterner` keeps dense). One pass over the node labels, with a
+/// per-label stamp of the last graph that counted it.
+pub(crate) fn label_graph_counts<'a>(
+    graphs: impl IntoIterator<Item = &'a TemporalGraph>,
+) -> Vec<usize> {
+    let mut counts = Vec::new();
+    let mut last_graph = Vec::new();
+    for (stamp, graph) in (1usize..).zip(graphs) {
+        for label in graph.labels() {
+            let id = label.id() as usize;
+            if id >= counts.len() {
+                counts.resize(id + 1, 0);
+                last_graph.resize(id + 1, 0);
+            }
+            if last_graph[id] != stamp {
+                last_graph[id] = stamp;
+                counts[id] += 1;
+            }
+        }
+    }
+    counts
+}
 
 /// Interest-score ranker built from label popularity in the training data.
 #[derive(Debug, Clone, Default)]
 pub struct InterestRanker {
-    label_graph_freq: HashMap<Label, usize>,
+    /// `freq(l)` by label id.
+    label_graph_freq: Vec<usize>,
     blacklist: HashSet<Label>,
 }
 
@@ -30,14 +60,8 @@ impl InterestRanker {
     /// Builds the ranker from all training graphs (positives and negatives alike):
     /// `freq(l)` counts how many graphs contain at least one node labeled `l`.
     pub fn from_training<'a>(graphs: impl IntoIterator<Item = &'a TemporalGraph>) -> Self {
-        let mut label_graph_freq: HashMap<Label, usize> = HashMap::new();
-        for graph in graphs {
-            for label in graph.distinct_labels() {
-                *label_graph_freq.entry(label).or_insert(0) += 1;
-            }
-        }
         Self {
-            label_graph_freq,
+            label_graph_freq: label_graph_counts(graphs),
             blacklist: HashSet::new(),
         }
     }
@@ -54,7 +78,7 @@ impl InterestRanker {
         if self.blacklist.contains(&label) {
             return 0.0;
         }
-        match self.label_graph_freq.get(&label) {
+        match self.label_graph_freq.get(label.id() as usize) {
             Some(&freq) if freq > 0 => 1.0 / freq as f64,
             _ => 1.0,
         }
@@ -94,11 +118,12 @@ impl InterestRanker {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::score::LogRatio;
     use crate::{mine, MinerConfig};
     use proptest::prelude::*;
+    use std::collections::HashMap;
     use tgraph::generator::{random_t_connected_graph, RandomGraphSpec};
     use tgraph::GraphBuilder;
 
@@ -113,6 +138,85 @@ mod tests {
             b.add_edge(w[0], w[1], (i + 1) as u64).unwrap();
         }
         b.build()
+    }
+
+    /// A random graph set for the label-table oracles: up to six chains of up to eight
+    /// nodes over labels 0..5, so labels repeat within a graph. Sets and graphs may be
+    /// empty, and about one node in twelve carries label 50,000, far above the rest.
+    pub(crate) fn random_label_graphs(seed: u64) -> Vec<TemporalGraph> {
+        let mut state = seed;
+        let mut next = |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        (0..next(7))
+            .map(|_| {
+                let labels: Vec<u32> = (0..next(9))
+                    .map(|_| match next(12) {
+                        0 => 50_000,
+                        x => (x % 5) as u32,
+                    })
+                    .collect();
+                graph_with_labels(&labels)
+            })
+            .collect()
+    }
+
+    /// The map form of `label_graph_counts`: each graph's distinct labels as a set,
+    /// counted into a map.
+    pub(crate) fn reference_counts(graphs: &[TemporalGraph]) -> HashMap<Label, usize> {
+        let mut counts = HashMap::new();
+        for graph in graphs {
+            let distinct: HashSet<Label> = graph.labels().iter().copied().collect();
+            for label in distinct {
+                *counts.entry(label).or_insert(0) += 1;
+            }
+        }
+        counts
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The dense table equals the map form: it ends at the largest label seen, every
+        /// id reads the map's count (0 if absent), and `interest` — absent or zero count
+        /// gives 1 — reads the same from either.
+        #[test]
+        fn dense_label_counts_equal_a_set_per_graph(seed in 0u64..u64::MAX) {
+            let graphs = random_label_graphs(seed);
+            let dense = label_graph_counts(&graphs);
+            let reference = reference_counts(&graphs);
+            let end = reference.keys().map(|l| l.id() as usize + 1).max().unwrap_or(0);
+            prop_assert_eq!(dense.len(), end);
+            for (id, &count) in (0u32..).zip(&dense) {
+                prop_assert_eq!(count, reference.get(&l(id)).copied().unwrap_or(0));
+            }
+            let ranker = InterestRanker::from_training(&graphs);
+            for id in (0..7).chain([49_999, 50_000, 50_001, u32::MAX]) {
+                let expected = match reference.get(&l(id)) {
+                    Some(&freq) if freq > 0 => 1.0 / freq as f64,
+                    _ => 1.0,
+                };
+                prop_assert_eq!(ranker.interest(l(id)).to_bits(), expected.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn a_label_counts_once_per_graph_however_often_it_repeats() {
+        let graphs = [
+            graph_with_labels(&[3, 3, 3, 50_000]),
+            graph_with_labels(&[]),
+            graph_with_labels(&[50_000, 3, 50_000]),
+            graph_with_labels(&[1]),
+        ];
+        let counts = label_graph_counts(&graphs);
+        assert_eq!(counts.len(), 50_001);
+        assert_eq!((counts[1], counts[3], counts[50_000]), (1, 2, 2));
+        assert_eq!(counts.iter().sum::<usize>(), 5);
+        assert!(label_graph_counts(&graphs[1..2]).is_empty());
     }
 
     #[test]
