@@ -27,16 +27,18 @@
 //! * [`mine_nontemporal`] runs the discriminative search with the same score functions,
 //!   top-k and admission rule ([`crate::topk`]) as the temporal miner: a pattern is
 //!   offered, then its branch is cut if the top-k does not admit its upper bound;
-//! * **Bound first.** A candidate's positive support — the walk's answer, plus a fresh
-//!   existence check where a parent list may be truncated — and its bound `F(x, 0)`
-//!   come first. A candidate whose bound the top-k does not admit costs those and
-//!   nothing more: no canonical key, no `visited` entry, no search of the negative
-//!   graphs and no embedding lists, and it does not count in `patterns_processed`. Its
-//!   offer is not made, but a score at most its bound would lose it, so the top-k sees
-//!   the same admitted offers in the same order. The order is exact: positive support
-//!   does not depend on the parent (a child occurs only where its parent does, and
-//!   there the walk or the fresh check finds it), and F\* never falls, so a candidate
-//!   the bound cuts once is cut on every later path that reaches it again.
+//! * **Bound first.** A candidate's positive support — for a seed, a count of the
+//!   positive graphs with an edge between its labels whose ends differ; for a child,
+//!   the walk's answer, plus a fresh existence check where a parent list may be
+//!   truncated — and its bound `F(x, 0)` come first. A candidate whose bound the
+//!   top-k does not admit costs those and nothing more: no canonical key, no
+//!   `visited` entry, no search of the negative graphs and no embedding lists, and it
+//!   does not count in `patterns_processed`. Its offer is not made, but a score at
+//!   most its bound would lose it, so the top-k sees the same admitted offers in the
+//!   same order. The order is exact: positive support does not depend on the parent
+//!   (a child occurs only where its parent does, and there the walk or the fresh check
+//!   finds it), and F\* never falls, so a candidate the bound cuts once is cut on
+//!   every later path that reaches it again.
 //!
 //! The per-graph embedding cap is 64, fixed. `mine_nontemporal` does not read
 //! `query::QueryOptions::cap_per_graph`, which configures TGMiner only, so where that
@@ -48,7 +50,7 @@ use crate::score::ScoreFunction;
 use crate::topk::{Scored, TopK};
 use crate::StableSet;
 use std::cell::OnceCell;
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use tgraph::{Label, TemporalGraph};
 
 /// Embeddings kept per (pattern, graph) by `mine_nontemporal`.
@@ -584,6 +586,23 @@ fn children(
     found.into_iter().unzip()
 }
 
+/// Every label pair of an edge in `graphs`, ascending, with the number of graphs that
+/// hold its one-edge pattern (an edge between its labels whose ends differ: what
+/// [`StaticMiner::seed_lists`] lists) and the last of them, plus one.
+fn seed_support(graphs: &[TemporalGraph]) -> BTreeMap<(Label, Label), (usize, usize)> {
+    let mut support = BTreeMap::new();
+    for (stamp, graph) in (1..).zip(graphs) {
+        for edge in graph.edges() {
+            let pair = (graph.label(edge.src), graph.label(edge.dst));
+            let (count, last) = support.entry(pair).or_insert((0, 0));
+            if edge.src != edge.dst && *last != stamp {
+                (*count, *last) = (*count + 1, stamp);
+            }
+        }
+    }
+    support
+}
+
 /// Mines discriminative non-temporal patterns (the `Ntemp` baseline).
 pub fn mine_nontemporal(
     positives: &[TemporalGraph],
@@ -595,28 +614,19 @@ pub fn mine_nontemporal(
     let (positives, negatives) = (Graphs::new(positives), Graphs::new(negatives));
     let mut miner = StaticMiner::new(&positives, &negatives, score, max_edges, top_k);
 
-    // Seed with every labeled edge present in the positives.
-    let seeds: BTreeSet<(Label, Label)> = positives
-        .temporal
-        .iter()
-        .flat_map(|graph| {
-            let labels = graph.labels();
-            graph.edges().iter().map(|e| (labels[e.src], labels[e.dst]))
-        })
-        .collect();
-    for (src_label, dst_label) in seeds {
-        let pattern = StaticPattern::single_edge(src_label, dst_label);
-        let pos = miner.seed_lists(&pattern, &positives);
-        let Some(pos_freq) = miner.admitted(pos.len()) else {
+    // Seed with every labeled edge in the positives; search only those admitted.
+    for ((src_label, dst_label), (pos_graphs, _)) in seed_support(positives.temporal) {
+        let Some(pos_freq) = miner.admitted(pos_graphs) else {
             continue;
         };
+        let pattern = StaticPattern::single_edge(src_label, dst_label);
         // Seeds are distinct label pairs, never isomorphic: the claim only counts it.
         if !miner.claim(&pattern) {
             continue;
         }
         miner.negative_searches += negatives.len() as u64;
         let occ = StaticOccurrences {
-            pos,
+            pos: miner.seed_lists(&pattern, &positives),
             neg: miner.scanned_seed_lists(&pattern, &negatives),
         };
         miner.dfs(&pattern, pos_freq, &occ);
@@ -865,7 +875,6 @@ mod tests {
     use super::*;
     use crate::score::{GTest, LogRatio};
     use proptest::prelude::*;
-    use std::collections::BTreeMap;
     use tgraph::GraphBuilder;
 
     fn l(i: u32) -> Label {
@@ -1178,18 +1187,21 @@ mod tests {
     }
 
     /// Seed lists, searched on the collapse or read off the temporal edges, are the
-    /// full scan's: every label pair of the alphabet, equal labels and self-loops
-    /// included.
+    /// full scan's, and the seed's count is their number: every label pair of the
+    /// alphabet, equal labels and self-loops included.
     fn check_seed_lists(graphs: &Graphs, cap: usize) {
         let score = LogRatio::default();
         let mut miner = StaticMiner::new(graphs, graphs, &score, usize::MAX, 1);
         miner.cap_per_graph = cap;
+        let support = seed_support(graphs.temporal);
         for (a, b) in (0..3).flat_map(|a| (0..3).map(move |b| (l(a), l(b)))) {
             let seed = StaticPattern::single_edge(a, b);
             let want: Lists = (0..graphs.len())
                 .map(|g| (g, reference_embeddings(&seed, graphs.get(g), cap)))
                 .filter(|(_, list)| !list.is_empty())
                 .collect();
+            let counted = support.get(&(a, b)).map_or(0, |&(count, _)| count);
+            assert_eq!(counted, want.len(), "{seed:?} counted");
             assert_eq!(miner.seed_lists(&seed, graphs), want, "{seed:?} cap {cap}");
             let scanned = miner.scanned_seed_lists(&seed, graphs);
             assert_eq!(scanned, want, "{seed:?} cap {cap} scanned");

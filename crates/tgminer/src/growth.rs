@@ -3,24 +3,20 @@
 //! Given a pattern and its occurrences, every match's residual edges (the data edges
 //! after its last matched edge) are scanned once. Each residual edge that touches the
 //! match induces exactly one of the three growth options of Section 3.2 — forward,
-//! backward, or inward — identified by an [`ExtensionKey`]. Grouping the resulting
-//! child embeddings by key yields, per Lemma 3 and Theorem 1, every child pattern
-//! exactly once, with its occurrence list already materialised.
+//! backward, or inward — identified by an [`ExtensionKey`]. Grouping the hits by key
+//! yields, per Lemma 3 and Theorem 1, every child pattern exactly once, with its
+//! occurrences in hand.
 //!
-//! The scan is one routine with two readers. [`enumerate_extensions`] is for the
-//! interior levels, whose children are parents in turn: it buckets each hit's child
-//! embedding by key, at most the per-graph cap of them. [`count_extensions`] is for
-//! the miner's size cap, whose children are never grown again, so all the search reads
-//! of them is how many graphs support them: it keeps only the keys each graph induces
-//! and builds no child embedding.
+//! [`extension_hits`] keeps each hit as a compact [`Hit`] (parent embedding, edge), at
+//! most the per-graph cap per key and graph, so the miner reads a child's graph counts
+//! and tests its bound before it builds any node map ([`Hits::build`]). The size-cap
+//! level, whose children are never grown, reads the same scan at cap 1.
 //!
 //! Candidate keys are taken from the *positive* graphs only (a pattern absent from the
 //! positives has zero positive frequency and can never be discriminative); the negative
 //! occurrences are then extended for exactly those keys.
 
-use crate::embedding::{GraphOccurrences, Occurrences};
-use std::collections::BTreeMap;
-use tgraph::matching::Embedding;
+use crate::embedding::{GraphOccurrences, Hit, HitCollector, HitTable, Hits, Occurrences};
 use tgraph::pattern::TemporalPattern;
 use tgraph::{Label, TemporalGraph};
 
@@ -70,89 +66,28 @@ impl ExtensionKey {
     }
 }
 
-/// A candidate child pattern: the growth step plus its already-materialised occurrences.
-#[derive(Debug, Clone)]
-pub struct Extension {
-    /// The growth step relative to the parent pattern.
-    pub key: ExtensionKey,
-    /// Occurrences of the child pattern.
-    pub occurrences: Occurrences,
-}
-
-/// Enumerates all consecutive-growth extensions of `pattern` supported by at least one
-/// positive graph, together with their occurrences on both graph sets.
+/// Calls `visit(key, hits)` for every consecutive-growth extension of the pattern
+/// whose occurrences are `occ` that at least one positive graph supports, in key
+/// order. Its hits on each graph set are at most `cap_per_graph` per graph, each a
+/// parent embedding of `occ` and the residual edge that grows it ([`Hits::build`]
+/// turns them into the child's occurrences).
 ///
-/// `cap_per_graph` bounds how many child embeddings are kept per (extension, graph); it
-/// guards against embedding explosion in label-repetitive background graphs.
-pub fn enumerate_extensions(
+/// The cap guards against embedding explosion in label-repetitive background graphs.
+pub fn extension_hits(
     occ: &Occurrences,
     positives: &[TemporalGraph],
     negatives: &[TemporalGraph],
     cap_per_graph: usize,
-) -> Vec<Extension> {
-    let mut scan = Scan::default();
-    let pos = scan.children(&occ.pos, positives, cap_per_graph, None);
-    if pos.is_empty() {
-        return Vec::new();
+    mut visit: impl FnMut(ExtensionKey, Hits),
+) {
+    let pos = scan(&occ.pos, positives, cap_per_graph, None);
+    if pos.runs().next().is_none() {
+        return;
     }
-    let mut neg = scan.children(&occ.neg, negatives, cap_per_graph, Some(&pos));
-    pos.into_iter()
-        .map(|(packed, pos)| Extension {
-            key: unpack_key(packed),
-            occurrences: Occurrences {
-                pos,
-                neg: neg.remove(&packed).unwrap_or_default(),
-            },
-        })
-        .collect()
-}
-
-/// Support of one child pattern: the growth step and how many graphs of each set
-/// contain the child (what [`Extension::occurrences`] would hold as `pos.len()` and
-/// `neg.len()`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExtensionSupport {
-    /// The growth step relative to the parent pattern.
-    pub key: ExtensionKey,
-    /// Positive graphs containing the child (at least one).
-    pub pos_graphs: usize,
-    /// Negative graphs containing the child.
-    pub neg_graphs: usize,
-}
-
-/// Counts, without materialising them, the extensions [`enumerate_extensions`] would
-/// return for the same parent occurrences: the same keys in the same order, each with
-/// the number of positive and negative graphs that support the child.
-///
-/// A graph supports a child iff some stored parent embedding in it has a residual edge
-/// inducing the child's key, so the per-graph embedding cap plays no part here.
-pub fn count_extensions(
-    occ: &Occurrences,
-    positives: &[TemporalGraph],
-    negatives: &[TemporalGraph],
-) -> Vec<ExtensionSupport> {
-    let mut scan = Scan::default();
-    let pos = scan.graphs_per_key(&occ.pos, positives);
-    if pos.is_empty() {
-        return Vec::new();
+    let neg = scan(&occ.neg, negatives, cap_per_graph, Some(&pos));
+    for (packed, hits) in pos.paired(&neg) {
+        visit(unpack_key(packed), hits);
     }
-    let mut neg = scan
-        .graphs_per_key(&occ.neg, negatives)
-        .into_iter()
-        .peekable();
-    pos.into_iter()
-        .map(|(packed, pos_graphs)| {
-            while neg.next_if(|&(other, _)| other < packed).is_some() {}
-            let neg_graphs = neg
-                .next_if(|&(other, _)| other == packed)
-                .map_or(0, |(_, count)| count);
-            ExtensionSupport {
-                key: unpack_key(packed),
-                pos_graphs,
-                neg_graphs,
-            }
-        })
-        .collect()
 }
 
 // An `ExtensionKey` as one integer whose order is the key's derived `Ord`: the
@@ -190,136 +125,62 @@ pub(crate) fn unpack_key(packed: u64) -> ExtensionKey {
     }
 }
 
-/// Marks a data node no pattern node maps to in [`Scan::position`] (and in the
+/// Marks a data node no pattern node maps to in [`scan`]'s position array (and in the
 /// position array of Ntemp's walk, `baselines::gspan`).
 pub(crate) const UNMAPPED: u32 = u32::MAX;
 
-/// Child embeddings per packed key over one graph set, in graph order.
-type Children = BTreeMap<u64, Vec<GraphOccurrences>>;
-
-/// The residual-edge scan both readers share; its buffer is reused across graphs.
-#[derive(Default)]
-struct Scan {
-    /// Data node -> pattern position under the embedding being scanned.
-    position: Vec<u32>,
-}
-
-impl Scan {
-    /// Calls `hit(packed key, embedding, edge index)` for every residual edge that
-    /// touches an embedding of `graph_occ`, in embedding order and then edge order.
-    fn scan_graph(
-        &mut self,
-        graph_occ: &GraphOccurrences,
-        graph: &TemporalGraph,
-        mut hit: impl FnMut(u64, &Embedding, usize),
-    ) {
-        if self.position.len() < graph.node_count() {
-            self.position.resize(graph.node_count(), UNMAPPED);
+/// The residual-edge scan: the hits of `graph_occs` — every residual edge that touches
+/// one of their embeddings, in embedding order and then edge order, keyed by its
+/// growth step — at most `cap_per_graph` per (key, graph), for the keys in `allowed`
+/// only when it is given.
+fn scan(
+    graph_occs: &[GraphOccurrences],
+    graphs: &[TemporalGraph],
+    cap_per_graph: usize,
+    allowed: Option<&HitTable<u64>>,
+) -> HitTable<u64> {
+    // Data node -> pattern position under the embedding being scanned.
+    let mut position: Vec<u32> = Vec::new();
+    let mut kept = HitCollector::new(cap_per_graph);
+    for (at, graph_occ) in (0..).zip(graph_occs) {
+        let graph = &graphs[graph_occ.graph_id];
+        assert!(graph.edge_count().max(graph_occ.embeddings.len()) <= u32::MAX as usize);
+        if position.len() < graph.node_count() {
+            position.resize(graph.node_count(), UNMAPPED);
         }
-        let position = &mut self.position[..graph.node_count()];
         let labels = graph.labels();
-        for embedding in &graph_occ.embeddings {
+        for (parent, embedding) in (0..).zip(&graph_occ.embeddings) {
             assert!(embedding.node_map.len() <= MAX_POSITIONS);
             for (p, &node) in embedding.node_map.iter().enumerate() {
                 position[node] = p as u32;
             }
             let first = embedding.last_edge_idx + 1;
-            for (idx, edge) in (first..).zip(&graph.edges()[first..]) {
-                let (src, dst) = (position[edge.src] as usize, position[edge.dst] as usize);
+            for (edge, data) in (first as u32..).zip(&graph.edges()[first..]) {
+                let (src, dst) = (position[data.src] as usize, position[data.dst] as usize);
                 let key = match (src != UNMAPPED as usize, dst != UNMAPPED as usize) {
                     (false, false) => continue,
                     (true, true) => ExtensionKey::Inward { src, dst },
                     (true, false) => ExtensionKey::Forward {
                         src,
-                        dst_label: labels[edge.dst],
+                        dst_label: labels[data.dst],
                     },
                     (false, true) => ExtensionKey::Backward {
-                        src_label: labels[edge.src],
+                        src_label: labels[data.src],
                         dst,
                     },
                 };
-                hit(pack_key(key), embedding, idx);
+                let packed = pack_key(key);
+                if allowed.is_none_or(|allowed| allowed.contains(packed)) {
+                    kept.offer(packed, Hit { at, parent, edge });
+                }
             }
             for &node in &embedding.node_map {
                 position[node] = UNMAPPED;
             }
         }
+        kept.end_graph(at);
     }
-
-    /// The child embeddings of `graph_occs`, at most `cap_per_graph` per (key, graph),
-    /// for the keys in `allowed` only when it is given.
-    ///
-    /// The cap is tested on each hit, before a node map is cloned: at the cap most
-    /// hits are dropped, and a reader that stored every hit and sorted them measured
-    /// slower (DESIGN, "What is materialised where").
-    fn children(
-        &mut self,
-        graph_occs: &[GraphOccurrences],
-        graphs: &[TemporalGraph],
-        cap_per_graph: usize,
-        allowed: Option<&Children>,
-    ) -> Children {
-        let mut out = Children::new();
-        for graph_occ in graph_occs {
-            let graph = &graphs[graph_occ.graph_id];
-            let mut local: BTreeMap<u64, Vec<Embedding>> = BTreeMap::new();
-            self.scan_graph(graph_occ, graph, |packed, embedding, idx| {
-                if allowed.is_some_and(|allowed| !allowed.contains_key(&packed)) {
-                    return;
-                }
-                let bucket = local.entry(packed).or_default();
-                if bucket.len() >= cap_per_graph {
-                    return;
-                }
-                let mut node_map = embedding.node_map.clone();
-                let edge = graph.edge(idx);
-                match packed >> KIND_SHIFT {
-                    0 => node_map.push(edge.dst),
-                    1 => node_map.push(edge.src),
-                    _ => {}
-                }
-                bucket.push(Embedding {
-                    node_map,
-                    last_edge_idx: idx,
-                });
-            });
-            for (packed, embeddings) in local {
-                out.entry(packed).or_default().push(GraphOccurrences {
-                    graph_id: graph_occ.graph_id,
-                    embeddings,
-                });
-            }
-        }
-        out
-    }
-
-    /// For every key induced in at least one of `graph_occs`, the number of graphs
-    /// inducing it, in ascending packed-key order.
-    fn graphs_per_key(
-        &mut self,
-        graph_occs: &[GraphOccurrences],
-        graphs: &[TemporalGraph],
-    ) -> Vec<(u64, usize)> {
-        // One entry per (graph, distinct key): a key's run length is its graph count.
-        let mut per_graph: Vec<u64> = Vec::new();
-        let mut hits: Vec<u64> = Vec::new();
-        for graph_occ in graph_occs {
-            let graph = &graphs[graph_occ.graph_id];
-            self.scan_graph(graph_occ, graph, |packed, _, _| hits.push(packed));
-            hits.sort_unstable();
-            hits.dedup();
-            per_graph.append(&mut hits);
-        }
-        per_graph.sort_unstable();
-        let mut counts: Vec<(u64, usize)> = Vec::new();
-        for packed in per_graph {
-            match counts.last_mut() {
-                Some((last, count)) if *last == packed => *count += 1,
-                _ => counts.push((packed, 1)),
-            }
-        }
-        counts
-    }
+    kept.finish()
 }
 
 #[cfg(test)]
@@ -329,6 +190,20 @@ mod tests {
 
     fn l(i: u32) -> Label {
         Label(i)
+    }
+
+    /// `occ`'s extensions with their occurrences built.
+    fn extensions(
+        occ: &Occurrences,
+        positives: &[TemporalGraph],
+        negatives: &[TemporalGraph],
+        cap: usize,
+    ) -> Vec<(ExtensionKey, Occurrences)> {
+        let mut built = Vec::new();
+        extension_hits(occ, positives, negatives, cap, |key, hits| {
+            built.push((key, hits.build(Some(occ), positives, negatives)));
+        });
+        built
     }
 
     /// Positive graph: A0 -> B1 @1, B1 -> C2 @2, A0 -> B1 @3 (multi-edge), D3 -> A0 @4.
@@ -362,8 +237,8 @@ mod tests {
         let negatives = vec![negative()];
         let p = TemporalPattern::single_edge(l(0), l(1));
         let occ = Occurrences::compute(&p, &positives, &negatives, 100);
-        let extensions = enumerate_extensions(&occ, &positives, &negatives, 100);
-        let keys: Vec<ExtensionKey> = extensions.iter().map(|e| e.key).collect();
+        let extensions = extensions(&occ, &positives, &negatives, 100);
+        let keys: Vec<ExtensionKey> = extensions.iter().map(|e| e.0).collect();
         // From the first A->B match (edge 0): B->C forward, A->B inward (edge 2),
         // D->A backward (edge 3). The second A->B match (edge 2) adds D->A backward only.
         assert!(keys.contains(&ExtensionKey::Forward {
@@ -384,30 +259,28 @@ mod tests {
         let negatives = vec![negative()];
         let p = TemporalPattern::single_edge(l(0), l(1));
         let occ = Occurrences::compute(&p, &positives, &negatives, 100);
-        let extensions = enumerate_extensions(&occ, &positives, &negatives, 100);
+        let extensions = extensions(&occ, &positives, &negatives, 100);
         let forward = extensions
             .iter()
             .find(|e| {
-                e.key
-                    == ExtensionKey::Forward {
-                        src: 1,
-                        dst_label: l(2),
-                    }
+                e.0 == ExtensionKey::Forward {
+                    src: 1,
+                    dst_label: l(2),
+                }
             })
             .unwrap();
-        assert_eq!(forward.occurrences.pos.len(), 1);
-        assert_eq!(forward.occurrences.neg.len(), 1);
+        assert_eq!(forward.1.pos.len(), 1);
+        assert_eq!(forward.1.neg.len(), 1);
         let backward = extensions
             .iter()
             .find(|e| {
-                e.key
-                    == ExtensionKey::Backward {
-                        src_label: l(3),
-                        dst: 0,
-                    }
+                e.0 == ExtensionKey::Backward {
+                    src_label: l(3),
+                    dst: 0,
+                }
             })
             .unwrap();
-        assert!(backward.occurrences.neg.is_empty());
+        assert!(backward.1.neg.is_empty());
     }
 
     #[test]
@@ -415,15 +288,15 @@ mod tests {
         let positives = vec![positive()];
         let p = TemporalPattern::single_edge(l(0), l(1));
         let occ = Occurrences::compute(&p, &positives, &[], 100);
-        let extensions = enumerate_extensions(&occ, &positives, &[], 100);
+        let extensions = extensions(&occ, &positives, &[], 100);
         let inward = extensions
             .iter()
-            .find(|e| e.key == ExtensionKey::Inward { src: 0, dst: 1 })
+            .find(|e| e.0 == ExtensionKey::Inward { src: 0, dst: 1 })
             .unwrap();
-        let emb = &inward.occurrences.pos[0].embeddings[0];
+        let emb = &inward.1.pos[0].embeddings[0];
         assert_eq!(emb.node_map, vec![0, 1]);
         assert_eq!(emb.last_edge_idx, 2);
-        let child = inward.key.apply(&p);
+        let child = inward.0.apply(&p);
         assert_eq!(child.edge_count(), 2);
         assert_eq!(child.node_count(), 2);
     }
@@ -457,12 +330,12 @@ mod tests {
         let positives = vec![b.build()];
         let p = TemporalPattern::single_edge(l(0), l(1));
         let occ = Occurrences::compute(&p, &positives, &[], 100);
-        let extensions = enumerate_extensions(&occ, &positives, &[], 3);
+        let extensions = extensions(&occ, &positives, &[], 3);
         let inward = extensions
             .iter()
-            .find(|e| e.key == ExtensionKey::Inward { src: 0, dst: 1 })
+            .find(|e| e.0 == ExtensionKey::Inward { src: 0, dst: 1 })
             .unwrap();
-        assert_eq!(inward.occurrences.pos[0].embeddings.len(), 3);
+        assert_eq!(inward.1.pos[0].embeddings.len(), 3);
     }
 
     #[test]
@@ -471,22 +344,25 @@ mod tests {
         let negatives = vec![negative(), positive()];
         let p = TemporalPattern::single_edge(l(0), l(1));
         let occ = Occurrences::compute(&p, &positives, &negatives, 100);
-        let counted = count_extensions(&occ, &positives, &negatives);
-        let enumerated = enumerate_extensions(&occ, &positives, &negatives, 1);
+        // The size-cap level's counts: one hit per graph, at cap 1.
+        let mut counted = Vec::new();
+        extension_hits(&occ, &positives, &negatives, 1, |key, hits| {
+            counted.push((key, hits.pos.graphs(), hits.neg.graphs()));
+        });
+        let enumerated = extensions(&occ, &positives, &negatives, 100);
         assert_eq!(counted.len(), 3);
         assert_eq!(counted.len(), enumerated.len());
-        for (count, extension) in counted.iter().zip(&enumerated) {
-            assert_eq!(count.key, extension.key);
-            assert_eq!(count.pos_graphs, extension.occurrences.pos.len());
-            assert_eq!(count.neg_graphs, extension.occurrences.neg.len());
+        for (&(key, pos, neg), (other, occ)) in counted.iter().zip(&enumerated) {
+            assert_eq!(key, *other);
+            assert_eq!((pos, neg), (occ.pos.len(), occ.neg.len()));
         }
         // B -> C follows A -> B in every graph; D -> A only in the `positive()` shape.
-        assert_eq!((counted[0].pos_graphs, counted[0].neg_graphs), (2, 2));
-        assert_eq!((counted[1].pos_graphs, counted[1].neg_graphs), (1, 1));
+        assert_eq!((counted[0].1, counted[0].2), (2, 2));
+        assert_eq!((counted[1].1, counted[1].2), (1, 1));
         // Nothing to count without a positive occurrence.
         let absent = TemporalPattern::single_edge(l(7), l(8));
         let occ = Occurrences::compute(&absent, &positives, &negatives, 100);
-        assert!(count_extensions(&occ, &positives, &negatives).is_empty());
+        extension_hits(&occ, &positives, &negatives, 1, |key, _| panic!("{key:?}"));
     }
 
     #[test]
@@ -521,6 +397,6 @@ mod tests {
         let positives = vec![negative()];
         let p = TemporalPattern::single_edge(l(7), l(8));
         let occ = Occurrences::compute(&p, &positives, &[], 100);
-        assert!(enumerate_extensions(&occ, &positives, &[], 100).is_empty());
+        assert!(extensions(&occ, &positives, &[], 100).is_empty());
     }
 }

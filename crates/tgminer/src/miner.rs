@@ -13,22 +13,22 @@
 //! branch is then cut if the top-k would not admit the branch's bound — which, once k
 //! patterns are held, includes a bound that merely *ties* `F*`.
 //!
-//! Embeddings are stored for patterns that will be grown. Patterns at
-//! [`MinerConfig::max_edges`] never are, so their parent only counts the graphs that
-//! support them ([`crate::growth::count_extensions`]): they are candidates like any
-//! other, but store nothing and are never registered for pruning.
+//! Embeddings are stored for patterns that will be grown. A candidate arrives as
+//! compact hits ([`crate::embedding::Hits`]), which give its frequencies; its node maps
+//! are built only once the budget, offer, size cap and bound have let it through.
+//! Patterns at [`MinerConfig::max_edges`] are never grown, so their parent keeps one
+//! hit per graph of them: they are candidates like any other, but store nothing and
+//! are never registered for pruning.
 
-use crate::embedding::{frequency, GraphOccurrences, Occurrences};
-use crate::growth::{count_extensions, enumerate_extensions};
+use crate::embedding::{frequency, Hit, HitCollector, HitTable, Hits, Occurrences};
+use crate::growth::extension_hits;
 use crate::pruning::{
     PatternFacts, PruneReason, PruningRegistry, ResidualTestAlgo, SubgraphTestAlgo,
 };
 use crate::score::ScoreFunction;
 use crate::stats::MiningStats;
 use crate::topk::{Scored, TopK};
-use std::collections::BTreeMap;
 use std::time::Instant;
-use tgraph::matching::Embedding;
 use tgraph::pattern::TemporalPattern;
 use tgraph::residual::LabelPostings;
 use tgraph::{Label, TemporalGraph};
@@ -146,8 +146,10 @@ pub fn mine(
         top: TopK::new(config.top_k),
         stats: MiningStats::default(),
     };
-    for (pattern, occ) in seed_patterns(positives, negatives, config.cap_per_graph) {
-        miner.dfs(&pattern, &occ);
+    let pos = seed_hits(positives, config.cap_per_graph, None);
+    let neg = seed_hits(negatives, config.cap_per_graph, Some(&pos));
+    for (key, hits) in pos.paired(&neg) {
+        miner.dfs(1, &|| key.pattern(), None, hits);
     }
     let mut result = MiningResult {
         patterns: miner.top.into_patterns(),
@@ -158,48 +160,34 @@ pub fn mine(
 }
 
 /// Seed key for one-edge patterns: either a labeled directed edge or a labeled self-loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 enum SeedKey {
     Edge(Label, Label),
     SelfLoop(Label),
 }
 
-/// Enumerates all one-edge patterns present in the positive set together with their
-/// occurrences on both sets, in deterministic order.
-fn seed_patterns(
-    positives: &[TemporalGraph],
-    negatives: &[TemporalGraph],
-    cap_per_graph: usize,
-) -> Vec<(TemporalPattern, Occurrences)> {
-    let pos_map = collect_seed_occurrences(positives, cap_per_graph, None);
-    let mut neg_map = collect_seed_occurrences(negatives, cap_per_graph, Some(&pos_map));
-    pos_map
-        .into_iter()
-        .map(|(key, pos)| {
-            let pattern = match key {
-                SeedKey::Edge(src, dst) => TemporalPattern::single_edge(src, dst),
-                SeedKey::SelfLoop(label) => TemporalPattern::single_self_loop(label),
-            };
-            let neg = neg_map.remove(&key).unwrap_or_default();
-            (pattern, Occurrences { pos, neg })
-        })
-        .collect()
+impl SeedKey {
+    fn pattern(self) -> TemporalPattern {
+        match self {
+            SeedKey::Edge(src, dst) => TemporalPattern::single_edge(src, dst),
+            SeedKey::SelfLoop(label) => TemporalPattern::single_self_loop(label),
+        }
+    }
 }
 
-/// The one-edge occurrences of every key in `graphs`, at most `cap_per_graph` per
-/// graph, restricted to the keys of `allowed` when given. Each edge is keyed first and
-/// its node map is allocated only once the key is allowed and its bucket has room.
-/// For the background pass, two dense tables by label id hold the source and the
-/// destination labels of the allowed keys (a self-loop's label is both); an edge whose
-/// labels miss either is rejected before the map is asked.
-fn collect_seed_occurrences(
+/// The one-edge hits of every key in `graphs` (each an edge), at most `cap_per_graph`
+/// per graph, restricted to the keys of `allowed` when given. For the background pass,
+/// two dense tables by label id hold the source and the destination labels of the
+/// allowed keys (a self-loop's label is both); an edge whose labels miss either is
+/// rejected before the table is asked.
+fn seed_hits(
     graphs: &[TemporalGraph],
     cap_per_graph: usize,
-    allowed: Option<&BTreeMap<SeedKey, Vec<GraphOccurrences>>>,
-) -> BTreeMap<SeedKey, Vec<GraphOccurrences>> {
+    allowed: Option<&HitTable<SeedKey>>,
+) -> HitTable<SeedKey> {
     let (mut sources, mut targets) = (Vec::new(), Vec::new());
-    for key in allowed.into_iter().flat_map(BTreeMap::keys) {
-        let (src, dst) = match *key {
+    for (key, _) in allowed.into_iter().flat_map(HitTable::runs) {
+        let (src, dst) = match key {
             SeedKey::Edge(src, dst) => (src, dst),
             SeedKey::SelfLoop(label) => (label, label),
         };
@@ -212,38 +200,33 @@ fn collect_seed_occurrences(
         }
     }
     let listed = |table: &[bool], label: Label| table.get(label.id() as usize) == Some(&true);
-    let mut out: BTreeMap<SeedKey, Vec<GraphOccurrences>> = BTreeMap::new();
-    for (graph_id, graph) in graphs.iter().enumerate() {
-        let mut local: BTreeMap<SeedKey, Vec<Embedding>> = BTreeMap::new();
-        for (idx, edge) in graph.edges().iter().enumerate() {
-            let (src, dst) = (graph.label(edge.src), graph.label(edge.dst));
-            let (key, nodes) = if edge.src == edge.dst {
-                (SeedKey::SelfLoop(src), 1)
+    let mut kept = HitCollector::new(cap_per_graph);
+    for (at, graph) in (0..).zip(graphs) {
+        assert!(graph.edge_count() <= u32::MAX as usize);
+        for (edge, data) in (0..).zip(graph.edges()) {
+            let (src, dst) = (graph.label(data.src), graph.label(data.dst));
+            let key = if data.src == data.dst {
+                SeedKey::SelfLoop(src)
             } else {
-                (SeedKey::Edge(src, dst), 2)
+                SeedKey::Edge(src, dst)
             };
             if let Some(allowed) = allowed {
-                if !listed(&sources, src) || !listed(&targets, dst) || !allowed.contains_key(&key) {
+                if !listed(&sources, src) || !listed(&targets, dst) || !allowed.contains(key) {
                     continue;
                 }
             }
-            let bucket = local.entry(key).or_default();
-            if bucket.len() >= cap_per_graph {
-                continue;
-            }
-            bucket.push(Embedding {
-                node_map: [edge.src, edge.dst][..nodes].to_vec(),
-                last_edge_idx: idx,
-            });
+            kept.offer(
+                key,
+                Hit {
+                    at,
+                    parent: 0,
+                    edge,
+                },
+            );
         }
-        for (key, embeddings) in local {
-            out.entry(key).or_default().push(GraphOccurrences {
-                graph_id,
-                embeddings,
-            });
-        }
+        kept.end_graph(at);
     }
-    out
+    kept.finish()
 }
 
 struct Miner<'a> {
@@ -271,33 +254,33 @@ impl Miner<'_> {
         self.stats.budget_exhausted
     }
 
-    /// Depth-first exploration of `pattern`'s branch. Returns the best score seen in the
-    /// branch and whether the branch was truncated by the size cap.
-    fn dfs(&mut self, pattern: &TemporalPattern, occ: &Occurrences) -> (f64, bool) {
+    /// Depth-first exploration of the branch of the `level`-edge pattern `pattern`
+    /// makes, whose occurrences are `hits` on `parent`'s (none for a seed). Returns the
+    /// best score seen in the branch and whether the size cap truncated it. A candidate
+    /// cut before its bound passes never has its node maps or (unless the top-k takes
+    /// it) its pattern made.
+    fn dfs(
+        &mut self,
+        level: usize,
+        pattern: &dyn Fn() -> TemporalPattern,
+        parent: Option<&Occurrences>,
+        hits: Hits,
+    ) -> (f64, bool) {
         if self.budget_spent() {
             return (f64::NEG_INFINITY, true);
         }
-        let embeddings = occ.total_embeddings();
         self.stats.patterns_processed += 1;
-        self.stats.embeddings_materialized += embeddings;
-        let level = pattern.edge_count();
-        {
-            let row = self.stats.level_mut(level);
-            row.candidates += 1;
-            row.embeddings += embeddings;
-        }
+        self.stats.level_mut(level).candidates += 1;
 
-        let pos_freq = occ.freq_pos(self.positives.len());
-        let neg_freq = occ.freq_neg(self.negatives.len());
+        let pos_freq = frequency(hits.pos.graphs(), self.positives.len());
+        let neg_freq = frequency(hits.neg.graphs(), self.negatives.len());
         let score = self.score.score(pos_freq, neg_freq);
-        self.top
-            .offer(score, pos_freq, neg_freq, || pattern.clone());
+        self.top.offer(score, pos_freq, neg_freq, pattern);
         let mut branch_best = score;
 
-        // Size cap: the pattern itself is kept but its branch is not explored. Only
-        // seeds get here (`max_edges <= 1`); larger patterns at the cap are counted by
-        // their parent in `count_leaves`. Neither is registered: a truncated entry
-        // cannot prune a smaller pattern, and nothing larger is ever checked.
+        // Size cap: the pattern itself is kept but its branch is not explored, and it
+        // is never built or registered: a truncated entry cannot prune a smaller
+        // pattern, and nothing larger is ever checked.
         if level >= self.config.max_edges {
             return (branch_best, true);
         }
@@ -313,13 +296,19 @@ impl Miner<'_> {
             return (branch_best, false);
         }
 
+        let pattern = &pattern();
+        let occ = hits.build(parent, self.positives, self.negatives);
+        let embeddings = occ.total_embeddings();
+        self.stats.embeddings_materialized += embeddings;
+        self.stats.level_mut(level).embeddings += embeddings;
+
         // Subgraph / supergraph pruning (Section 4.2).
         let pruning_enabled =
             self.config.use_subgraph_pruning || self.config.use_supergraph_pruning;
         let facts = pruning_enabled.then(|| {
             PatternFacts::gather(
                 pattern,
-                occ,
+                &occ,
                 self.positives,
                 self.negatives,
                 self.config.residual_test,
@@ -328,7 +317,7 @@ impl Miner<'_> {
         if let Some(facts) = &facts {
             if let Some(reason) = self.registry.check(
                 facts,
-                occ,
+                &occ,
                 &self.postings_pos,
                 self.positives,
                 self.negatives,
@@ -350,64 +339,32 @@ impl Miner<'_> {
 
         self.stats.patterns_expanded += 1;
         let mut truncated = false;
-        if level + 1 == self.config.max_edges {
-            let (leaves_best, any_leaf) = self.count_leaves(pattern, occ);
-            branch_best = branch_best.max(leaves_best);
-            truncated = any_leaf;
+        // Children at the size cap are never grown: their counts, from one hit per
+        // graph, are all that is read of them.
+        let cap = if level + 1 == self.config.max_edges {
+            1
         } else {
-            let extensions = enumerate_extensions(
-                occ,
-                self.positives,
-                self.negatives,
-                self.config.cap_per_graph,
-            );
-            self.stats.extensions_evaluated += extensions.len() as u64;
-            for extension in extensions {
-                let child = extension.key.apply(pattern);
-                let (child_best, child_truncated) = self.dfs(&child, &extension.occurrences);
-                branch_best = branch_best.max(child_best);
-                truncated |= child_truncated;
-            }
-        }
+            self.config.cap_per_graph
+        };
+        let (positives, negatives) = (self.positives, self.negatives);
+        extension_hits(&occ, positives, negatives, cap, |key, hits| {
+            self.stats.extensions_evaluated += 1;
+            let child = || key.apply(pattern);
+            let (child_best, child_truncated) = self.dfs(level + 1, &child, Some(&occ), hits);
+            branch_best = branch_best.max(child_best);
+            truncated |= child_truncated;
+        });
         if let Some(facts) = facts {
             self.registry.register(facts, branch_best, truncated);
         }
         (branch_best, truncated)
-    }
-
-    /// Evaluates the children of `pattern` that sit at the size cap. They are never
-    /// grown, so only their support is counted: each is a candidate like any other
-    /// (budget, counters, score, top-k offer, in extension order), but no embedding is
-    /// stored and the child pattern is built only if it enters the top-k. Returns the
-    /// best child score and whether any child was cut by the cap or the budget.
-    fn count_leaves(&mut self, pattern: &TemporalPattern, occ: &Occurrences) -> (f64, bool) {
-        let leaves = count_extensions(occ, self.positives, self.negatives);
-        self.stats.extensions_evaluated += leaves.len() as u64;
-        let mut best = f64::NEG_INFINITY;
-        let mut candidates = 0u64;
-        for leaf in leaves {
-            let pos_freq = frequency(leaf.pos_graphs, self.positives.len());
-            if self.budget_spent() {
-                break;
-            }
-            self.stats.patterns_processed += 1;
-            candidates += 1;
-            let neg_freq = frequency(leaf.neg_graphs, self.negatives.len());
-            let score = self.score.score(pos_freq, neg_freq);
-            self.top
-                .offer(score, pos_freq, neg_freq, || leaf.key.apply(pattern));
-            best = best.max(score);
-        }
-        if candidates > 0 {
-            self.stats.level_mut(pattern.edge_count() + 1).candidates += candidates;
-        }
-        (best, candidates > 0 || self.stats.budget_exhausted)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::embedding::HitList;
     use crate::score::LogRatio;
     use tgraph::GraphBuilder;
 
@@ -467,6 +424,12 @@ mod tests {
         b.build()
     }
 
+    /// A seed table's keys, each with its graphs' hits.
+    fn listed(table: &HitTable<SeedKey>) -> Vec<(SeedKey, Vec<Vec<Hit>>)> {
+        let lists = |list: HitList| list.per_graph().map(|(_, hits)| hits.collect()).collect();
+        table.runs().map(|(key, list)| (key, lists(list))).collect()
+    }
+
     /// The background pass's label tables only skip work: each seed's negative
     /// occurrences equal an unfiltered scan of the negatives restricted to the positive
     /// keys, at every cap — with self-loops, equal-label pairs, and labels 4..8 that
@@ -479,27 +442,25 @@ mod tests {
             let positives: Vec<_> = (0..3).map(|_| random_graph(&mut state, 5, 8, 4)).collect();
             let negatives: Vec<_> = (0..4).map(|_| random_graph(&mut state, 6, 12, 8)).collect();
             for cap in [1, 3, 64] {
-                let pos_map = collect_seed_occurrences(&positives, cap, None);
-                let mut unfiltered = collect_seed_occurrences(&negatives, cap, None);
+                let pos = seed_hits(&positives, cap, None);
+                let unfiltered = seed_hits(&negatives, cap, None);
                 foreign_edges += unfiltered
-                    .keys()
-                    .filter(|key| match key {
+                    .runs()
+                    .filter(|(key, _)| match key {
                         SeedKey::Edge(a, b) => a.id().max(b.id()) >= 4,
                         SeedKey::SelfLoop(a) => a.id() >= 4,
                     })
                     .count();
-                unfiltered.retain(|key, _| pos_map.contains_key(key));
-                let seeds = seed_patterns(&positives, &negatives, cap);
-                assert_eq!(seeds.len(), pos_map.len());
-                for ((key, pos), (_, occ)) in pos_map.iter().zip(&seeds) {
-                    let neg = unfiltered.remove(key).unwrap_or_default();
+                let mut want = listed(&unfiltered);
+                want.retain(|&(key, _)| pos.contains(key));
+                let filtered = seed_hits(&negatives, cap, Some(&pos));
+                assert_eq!(listed(&filtered), want, "seed {seed}, cap {cap}");
+                for (key, _) in want {
                     match key {
-                        SeedKey::SelfLoop(_) if !neg.is_empty() => self_loops += 1,
-                        SeedKey::Edge(a, b) if a == b && !neg.is_empty() => equal_pairs += 1,
+                        SeedKey::SelfLoop(_) => self_loops += 1,
+                        SeedKey::Edge(a, b) if a == b => equal_pairs += 1,
                         _ => {}
                     }
-                    assert_eq!(&occ.pos, pos, "seed {seed}, cap {cap}, {key:?}");
-                    assert_eq!(occ.neg, neg, "seed {seed}, cap {cap}, {key:?}");
                 }
             }
         }

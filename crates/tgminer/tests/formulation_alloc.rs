@@ -3,7 +3,8 @@
 //! the label tables behind `InterestRanker::from_training` and `mine_nodeset`, and
 //! TGMiner's background seed scan, allocate the same over N and 2N graphs. A label set
 //! per graph, or a node map per background edge allocated before its seed key is
-//! checked, makes the count grow with N.
+//! checked, makes the count grow with N. TGMiner also pays next to nothing for a
+//! candidate its bound cuts: no node map, no pattern.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -100,6 +101,55 @@ fn background_graphs_without_a_positive_seed_key_cost_no_allocation() {
     let once = allocations(|| run(&small));
     let twice = allocations(|| run(&large));
     assert_eq!(once, twice, "64 background graphs: {once}, 128: {twice}");
+}
+
+#[test]
+fn bound_cut_siblings_build_no_node_maps() {
+    // Four positives share A -> B (labels 0 -> 1), then B fans out to labels of their
+    // own, 2N in all, each in one positive. In a run with `n` siblings, the fan edges
+    // to labels below `n` follow A -> B and grow it by a forward edge; the rest come
+    // before it. So both runs have the same seeds, and differ only in A -> B's
+    // children. A -> B is also in a negative, so it scores below a child held by a
+    // quarter of the positives: the first child takes the top-1, and every child then
+    // ties the threshold with its bound and is cut, as are the fan seeds.
+    const N: usize = 64;
+    let positives = |n: usize| -> Vec<TemporalGraph> {
+        let graph = |g: usize| {
+            let mut b = GraphBuilder::new();
+            let (a, hub) = (b.add_node(Label(0)), b.add_node(Label(1)));
+            let fan: Vec<(usize, usize)> = (g..2 * N)
+                .step_by(4)
+                .map(|i| (i, b.add_node(Label(10 + i as u32))))
+                .collect();
+            let (late, early): (Vec<_>, Vec<_>) = fan.into_iter().partition(|&(i, _)| i < n);
+            let fan_edge = |&(_, leaf): &(usize, usize)| (hub, leaf);
+            let edges = early.iter().map(fan_edge);
+            let edges = edges.chain([(a, hub)]).chain(late.iter().map(fan_edge));
+            for (t, (src, dst)) in edges.enumerate() {
+                b.add_edge(src, dst, t as u64 + 1).unwrap();
+            }
+            b.build()
+        };
+        (0..4).map(graph).collect()
+    };
+    let negatives = vec![chain(&[0, 1]), chain(&[2, 3])];
+    let config = MinerConfig::default().with_max_edges(3).with_top_k(1);
+    let run = |n: usize| {
+        let positives = positives(n);
+        allocations(|| {
+            let result = mine(&positives, &negatives, &LogRatio::default(), &config);
+            let children = result.stats.levels[1];
+            assert_eq!((children.candidates, children.pruned), (n as u64, n as u64));
+            assert_eq!(result.stats.patterns_expanded, 1, "only A -> B is grown");
+            result
+        })
+    };
+    let (once, twice) = (run(N), run(2 * N));
+    assert!(
+        twice < once + N as u64 / 4,
+        "{N} siblings: {once} allocations, {}: {twice}",
+        2 * N
+    );
 }
 
 #[test]

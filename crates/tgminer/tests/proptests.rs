@@ -3,10 +3,10 @@
 //! mined patterns.
 
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use tgminer::baselines::MinerVariant;
-use tgminer::embedding::Occurrences;
-use tgminer::growth::{count_extensions, enumerate_extensions};
+use tgminer::embedding::{GraphOccurrences, Occurrences};
+use tgminer::growth::{extension_hits, ExtensionKey};
 use tgminer::score::{GTest, InfoGain, LogRatio, ScoreFunction};
 use tgminer::{mine, MinerConfig, MiningResult};
 use tgraph::generator::{random_t_connected_graph, RandomGraphSpec};
@@ -92,6 +92,72 @@ impl OracleCase {
     }
 }
 
+/// The children of `occ` as the reader that kept node maps built them: for each parent
+/// embedding in order, each residual edge touching it grows the embedding under that
+/// edge's key, kept while its (key, graph) list is under `cap`; negative lists only
+/// for keys some positive graph induces.
+fn materialised(
+    occ: &Occurrences,
+    positives: &[TemporalGraph],
+    negatives: &[TemporalGraph],
+    cap: usize,
+) -> Vec<(ExtensionKey, Occurrences)> {
+    let side = |lists: &[GraphOccurrences], graphs: &[TemporalGraph]| {
+        let mut out: BTreeMap<ExtensionKey, Vec<GraphOccurrences>> = BTreeMap::new();
+        for list in lists {
+            let graph = &graphs[list.graph_id];
+            let mut local: BTreeMap<ExtensionKey, Vec<Embedding>> = BTreeMap::new();
+            for parent in &list.embeddings {
+                let at = |node| parent.node_map.iter().position(|&n| n == node);
+                for idx in parent.last_edge_idx + 1..graph.edge_count() {
+                    let edge = graph.edge(idx);
+                    let (key, new) = match (at(edge.src), at(edge.dst)) {
+                        (None, None) => continue,
+                        (Some(src), Some(dst)) => (ExtensionKey::Inward { src, dst }, None),
+                        (Some(src), None) => {
+                            let dst_label = graph.label(edge.dst);
+                            (ExtensionKey::Forward { src, dst_label }, Some(edge.dst))
+                        }
+                        (None, Some(dst)) => {
+                            let src_label = graph.label(edge.src);
+                            (ExtensionKey::Backward { src_label, dst }, Some(edge.src))
+                        }
+                    };
+                    let bucket = local.entry(key).or_default();
+                    if bucket.len() < cap {
+                        let mut node_map = parent.node_map.clone();
+                        node_map.extend(new);
+                        bucket.push(Embedding {
+                            node_map,
+                            last_edge_idx: idx,
+                        });
+                    }
+                }
+            }
+            for (key, embeddings) in local {
+                let graph_id = list.graph_id;
+                out.entry(key).or_default().push(GraphOccurrences {
+                    graph_id,
+                    embeddings,
+                });
+            }
+        }
+        out
+    };
+    let mut neg = side(&occ.neg, negatives);
+    let pos = side(&occ.pos, positives).into_iter();
+    pos.map(|(key, pos)| {
+        (
+            key,
+            Occurrences {
+                pos,
+                neg: neg.remove(&key).unwrap_or_default(),
+            },
+        )
+    })
+    .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -169,12 +235,12 @@ proptest! {
         }
     }
 
-    /// Counting a parent's extensions agrees with materialising them: the same keys in
-    /// the same order, each supported by as many graphs as hold child embeddings —
-    /// whatever the per-graph embedding cap, down a random growth path. Uncapped, both
-    /// also agree with a from-scratch search: in every graph the parent occurs in, each
-    /// child's list, as a set, is all of the child's embeddings there, and each count is
-    /// the number of those graphs that contain the child.
+    /// A parent's compact hits, once built, are the lists the materialising reader
+    /// kept, and their graph counts (all the size-cap level reads, at cap 1) are those
+    /// lists' lengths — at caps 1, 3 and none, down a random growth path. Uncapped,
+    /// they also agree with a from-scratch search: in every graph the parent occurs
+    /// in, each child's list, as a set, is all of the child's embeddings there, and
+    /// each count is the number of those graphs that contain the child.
     #[test]
     fn counted_extensions_match_the_materialised_ones(seed in 0u64..300, path in 0usize..10_000) {
         let (positives, negatives) = random_task(seed, 4);
@@ -190,20 +256,21 @@ proptest! {
             };
             let mut occ = Occurrences::compute(&pattern, &positives, &negatives, cap);
             for depth in 0..3 {
-                let mut materialised = enumerate_extensions(&occ, &positives, &negatives, cap);
-                let counted = count_extensions(&occ, &positives, &negatives);
-                prop_assert_eq!(counted.len(), materialised.len(), "cap {} depth {}", cap, depth);
-                for (count, extension) in counted.iter().zip(&materialised) {
-                    prop_assert_eq!(count.key, extension.key);
-                    prop_assert_eq!(count.pos_graphs, extension.occurrences.pos.len());
-                    prop_assert_eq!(count.neg_graphs, extension.occurrences.neg.len());
+                let (mut built, mut counted) = (Vec::new(), Vec::new());
+                extension_hits(&occ, &positives, &negatives, cap, |key, hits| {
+                    built.push((key, hits.build(Some(&occ), &positives, &negatives)));
+                    counted.push((hits.pos.graphs(), hits.neg.graphs()));
+                });
+                prop_assert_eq!(&built, &materialised(&occ, &positives, &negatives, cap), "cap {} depth {}", cap, depth);
+                for ((key, child_occ), &(pos_graphs, neg_graphs)) in built.iter().zip(&counted) {
+                    prop_assert_eq!((pos_graphs, neg_graphs), (child_occ.pos.len(), child_occ.neg.len()));
                     if cap != usize::MAX {
                         continue;
                     }
-                    let child = extension.key.apply(&pattern);
+                    let child = key.apply(&pattern);
                     for (parents, children, graphs, support) in [
-                        (&occ.pos, &extension.occurrences.pos, &positives, count.pos_graphs),
-                        (&occ.neg, &extension.occurrences.neg, &negatives, count.neg_graphs),
+                        (&occ.pos, &child_occ.pos, &positives, pos_graphs),
+                        (&occ.neg, &child_occ.neg, &negatives, neg_graphs),
                     ] {
                         let mut containing = 0;
                         for parent in parents {
@@ -220,13 +287,13 @@ proptest! {
                         prop_assert_eq!(support, containing, "{}", child);
                     }
                 }
-                if materialised.is_empty() {
+                if built.is_empty() {
                     break;
                 }
-                let pick = (path / (depth + 7)) % materialised.len();
-                let next = materialised.swap_remove(pick);
-                pattern = next.key.apply(&pattern);
-                occ = next.occurrences;
+                let pick = (path / (depth + 7)) % built.len();
+                let (key, next): (ExtensionKey, Occurrences) = built.swap_remove(pick);
+                pattern = key.apply(&pattern);
+                occ = next;
             }
         }
     }

@@ -12,7 +12,7 @@
 //! integer comparisons.
 
 use crate::graph::TemporalGraph;
-use crate::label::{Label, StableMap};
+use crate::label::Label;
 use crate::matching::Embedding;
 use std::collections::BTreeSet;
 
@@ -122,54 +122,35 @@ pub struct ResidualSignature {
     pub residual_count: u64,
 }
 
-/// Per-graph postings lists from node label to the (sorted) edge indices whose source or
-/// destination carries that label. Used to answer "does label `ℓ` appear in the residual
-/// suffix after index `i`" with a binary search instead of materialising residual node
-/// label sets (subgraph-pruning condition 3).
+/// For one graph, by node label id, one past the index of the last edge with an
+/// endpoint of that label (0: no such edge). Answers "does label `ℓ` appear in the
+/// residual suffix from index `i`" with one lookup instead of materialising residual
+/// node label sets (subgraph-pruning condition 3).
 #[derive(Debug, Clone, Default)]
 pub struct LabelPostings {
-    postings: StableMap<Label, Vec<usize>>,
+    ends: Vec<usize>,
 }
 
 impl LabelPostings {
-    /// Builds the postings lists for `graph`.
+    /// Builds the table for `graph`.
     pub fn build(graph: &TemporalGraph) -> Self {
-        let mut postings: StableMap<Label, Vec<usize>> = StableMap::default();
+        let labels = graph.labels();
+        let len = labels.iter().map(|l| l.id() as usize + 1).max();
+        let mut ends = vec![0; len.unwrap_or(0)];
         for (idx, edge) in graph.edges().iter().enumerate() {
-            postings.entry(graph.label(edge.src)).or_default().push(idx);
-            if edge.dst != edge.src || graph.label(edge.dst) != graph.label(edge.src) {
-                postings.entry(graph.label(edge.dst)).or_default().push(idx);
+            for node in [edge.src, edge.dst] {
+                ends[labels[node].id() as usize] = idx + 1;
             }
         }
-        for list in postings.values_mut() {
-            list.dedup();
-        }
-        Self { postings }
+        Self { ends }
     }
 
     /// Whether any edge with index `>= suffix_start` has an endpoint labeled `label`.
     pub fn label_in_suffix(&self, label: Label, suffix_start: usize) -> bool {
-        match self.postings.get(&label) {
-            None => false,
-            Some(list) => list.last().is_some_and(|&last| last >= suffix_start),
-        }
+        self.ends
+            .get(label.id() as usize)
+            .is_some_and(|&end| end > suffix_start)
     }
-
-    /// Number of distinct labels with at least one posting.
-    pub fn label_count(&self) -> usize {
-        self.postings.len()
-    }
-}
-
-/// Materialises the residual node label set `L_R(G, G')` for one residual graph.
-/// Only used by tests and the `LinearScan` baseline; the miner uses [`LabelPostings`].
-pub fn residual_label_set(graph: &TemporalGraph, suffix_start: usize) -> BTreeSet<Label> {
-    let mut labels = BTreeSet::new();
-    for edge in &graph.edges()[suffix_start..] {
-        labels.insert(graph.label(edge.src));
-        labels.insert(graph.label(edge.dst));
-    }
-    labels
 }
 
 #[cfg(test)]
@@ -181,6 +162,17 @@ mod tests {
 
     fn l(i: u32) -> Label {
         Label(i)
+    }
+
+    /// Materialises the residual node label set `L_R(G, G')` for one residual graph:
+    /// the oracle [`LabelPostings`] is checked against.
+    fn residual_label_set(graph: &TemporalGraph, suffix_start: usize) -> BTreeSet<Label> {
+        let mut labels = BTreeSet::new();
+        for edge in &graph.edges()[suffix_start..] {
+            labels.insert(graph.label(edge.src));
+            labels.insert(graph.label(edge.dst));
+        }
+        labels
     }
 
     /// Figure 6-style data graph: A->B @1, B->C @2, C->D @3, D->E @4.
@@ -254,7 +246,7 @@ mod tests {
         assert!(postings.label_in_suffix(l(1), 1));
         assert!(!postings.label_in_suffix(l(1), 2));
         assert!(!postings.label_in_suffix(l(9), 0));
-        assert_eq!(postings.label_count(), 5);
+        assert!((0..5).all(|i| postings.label_in_suffix(l(i), 0)));
     }
 
     #[test]

@@ -13,11 +13,10 @@
 //!   optimisation must reproduce it line for line, unmodified.
 //! * `tests/golden/mining_work.txt` — **what it cost**: every work and prune counter
 //!   and the per-level candidate/pruned rows. Stored-embedding counts are pinned for
-//!   the interior levels only; at the cap (from size 2 up) nothing is stored, which
-//!   the test asserts instead. It also holds a handful of `frontier_budget` runs
-//!   whole, answer included — where a tripped budget stops, and what it has found by
-//!   then, is a function of the work, including trips in the middle of the size-cap
-//!   level.
+//!   the interior levels only; at the cap nothing is stored, which the test asserts
+//!   instead. It also holds a handful of `frontier_budget` runs whole, answer
+//!   included — where a tripped budget stops, and what it has found by then, is a
+//!   function of the work, including trips in the middle of the size-cap level.
 //!
 //! Neither file reaches the sizes the benchmark measures at, so `Ntemp` is pinned there
 //! by constants in this file: `ntemp_at_benchmark_sizes` (`#[ignore]`d, release only:
@@ -198,17 +197,15 @@ fn tgminer_pin(result: &MiningResult, size: usize) -> Pins {
     }
 }
 
-/// What the size-cap level stores: nothing from size 2 up (the seeds of a size-1 run
-/// are materialised like any other seed).
+/// What the size-cap level stores: nothing, at any size (a size-1 run's seeds are
+/// offered from their hits and never built).
 fn assert_cap_level_stores_nothing(result: &MiningResult, size: usize, what: &str) {
     let stats = &result.stats;
     let by_level: u64 = stats.levels.iter().map(|l| l.embeddings).sum();
     assert_eq!(by_level, stats.embeddings_materialized, "{what}");
-    if size >= 2 {
-        for row in stats.levels.iter().filter(|l| l.level >= size) {
-            assert_eq!(row.embeddings, 0, "{what}: level {} stores", row.level);
-            assert_eq!(row.pruned, 0, "{what}: level {} prunes", row.level);
-        }
+    for row in stats.levels.iter().filter(|l| l.level >= size) {
+        assert_eq!(row.embeddings, 0, "{what}: level {} stores", row.level);
+        assert_eq!(row.pruned, 0, "{what}: level {} prunes", row.level);
     }
 }
 
