@@ -36,7 +36,7 @@ use tgraph::{Label, StreamEvent};
 /// input, bounded by the query count, never stream data — so SipHash's resistance to
 /// crafted collisions protects nothing here.
 #[derive(Debug, Default, Clone, Copy)]
-struct LabelHasher(u64);
+pub(crate) struct LabelHasher(u64);
 
 impl Hasher for LabelHasher {
     fn write(&mut self, bytes: &[u8]) {
@@ -52,7 +52,7 @@ impl Hasher for LabelHasher {
     }
 }
 
-type LabelMap<K, V> = HashMap<K, V, BuildHasherDefault<LabelHasher>>;
+pub(crate) type LabelMap<K, V> = HashMap<K, V, BuildHasherDefault<LabelHasher>>;
 
 /// The panic message of a slot lookup by an id that was never registered or is removed.
 const STALE_ID: &str = "query id points at a removed or unknown query";

@@ -43,6 +43,7 @@ use crate::durability::DurabilitySink;
 use crate::engine::Engine;
 use crate::error::{BatchError, DeregisterError, RegisterError};
 use crate::instrument::DetectorInstruments;
+use crate::registry::LabelMap;
 use faults::FaultPlan;
 use obs::{MetricsRegistry, Profiler, QueryCost, QueryCostReport, ShardStat};
 use std::collections::HashMap;
@@ -74,15 +75,24 @@ impl LabelPairStats {
         Self::from_graphs([graph])
     }
 
-    /// Frequencies over a set of graphs — a training set's, say — edge by edge.
+    /// Frequencies over a set of graphs — a training set's, say — edge by edge, counted
+    /// in dense tables (labels by id, pairs by packed ids) and moved into maps at the end.
     pub fn from_graphs<'a>(graphs: impl IntoIterator<Item = &'a TemporalGraph>) -> Self {
-        let mut stats = Self::default();
+        let (mut labels, mut pairs) = (Vec::new(), LabelMap::<u64, u64>::default());
         for graph in graphs {
             for edge in graph.edges() {
-                stats.record(graph.label(edge.src), graph.label(edge.dst));
+                let (src, dst) = (graph.label(edge.src), graph.label(edge.dst));
+                let key = u64::from(src.id()) << 32 | u64::from(dst.id());
+                *pairs.entry(key).or_default() += 1;
+                labels.resize(labels.len().max(src.max(dst).index() + 1), 0);
+                labels[src.index()] += 1;
+                labels[dst.index()] += u64::from(src != dst);
             }
         }
-        stats
+        let pair = |key: u64| (Label((key >> 32) as u32), Label(key as u32));
+        let pairs = pairs.into_iter().map(|(key, n)| (pair(key), n)).collect();
+        let per_label = (0..).map(Label).zip(labels).filter(|l| l.1 > 0).collect();
+        Self { pairs, per_label }
     }
 
     /// Records one observed edge with these endpoint labels.
@@ -724,6 +734,49 @@ mod tests {
         );
         assert_eq!(both.label_weight(l(2)), 2);
         assert!(LabelPairStats::from_graphs([]).pair_counts().is_empty());
+    }
+
+    #[test]
+    fn dense_counting_equals_recording_edge_by_edge() {
+        // Random graphs over labels 0..4 and 50,000, with self-loops (a node's edge to
+        // itself) and label-equal pairs between two nodes.
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let (mut self_loops, mut far_labels) = (0, 0);
+        for round in 0..200 {
+            let mut graphs = Vec::new();
+            for _ in 0..next(4) {
+                let mut b = tgraph::GraphBuilder::new();
+                let nodes = 1 + next(6);
+                for _ in 0..nodes {
+                    b.add_node(l(if next(5) == 0 { 50_000 } else { next(4) as u32 }));
+                }
+                for ts in 1..=next(24) {
+                    let (src, dst) = (next(nodes) as usize, next(nodes) as usize);
+                    self_loops += usize::from(src == dst);
+                    b.add_edge(src, dst, ts).unwrap();
+                }
+                let graph = b.build();
+                far_labels += graph.labels().iter().filter(|&&x| x == l(50_000)).count();
+                graphs.push(graph);
+            }
+            let mut edge_by_edge = LabelPairStats::new();
+            for graph in &graphs {
+                for edge in graph.edges() {
+                    edge_by_edge.record(graph.label(edge.src), graph.label(edge.dst));
+                }
+            }
+            let dense = LabelPairStats::from_graphs(&graphs);
+            assert_eq!(dense.pair_counts(), edge_by_edge.pair_counts(), "{round}");
+            assert_eq!(dense.pairs, edge_by_edge.pairs, "{round}");
+            assert_eq!(dense.per_label, edge_by_edge.per_label, "{round}");
+        }
+        assert!(self_loops > 0 && far_labels > 0);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!   `NodeSet` and `Ntemp` produce false positives, only temporal patterns survive
 //!   (scp/ssh-login/sshd-login/apt-get-update).
 
-use crate::entity::Entity;
+use crate::entity::{Entity, EntityKind};
 use crate::event::SyscallType;
 use crate::log::SyscallLog;
 use rand::rngs::StdRng;
@@ -396,7 +396,7 @@ impl Behavior {
 
     /// The main process driving the behavior, used as the subject of noise events so
     /// that instance graphs stay connected.
-    fn main_process(self) -> Entity {
+    pub(crate) fn main_process(self) -> Entity {
         let name = match self {
             Behavior::Bzip2Decompress => "bzip2",
             Behavior::GzipDecompress => "gzip",
@@ -414,6 +414,34 @@ impl Behavior {
         Entity::process(name)
     }
 
+    /// The heads of the behavior's own noise files, `/opt/{name}/data-{i}` and
+    /// `/tmp/{name}-{i}.tmp`, as static text: a noise file is an [`Entity::indexed`],
+    /// built without formatting.
+    pub(crate) fn noise_file_heads(self) -> (&'static str, &'static str) {
+        macro_rules! heads {
+            ($name:literal) => {
+                (
+                    concat!("/opt/", $name, "/data-"),
+                    concat!("/tmp/", $name, "-"),
+                )
+            };
+        }
+        match self {
+            Behavior::Bzip2Decompress => heads!("bzip2-decompress"),
+            Behavior::GzipDecompress => heads!("gzip-decompress"),
+            Behavior::WgetDownload => heads!("wget-download"),
+            Behavior::FtpDownload => heads!("ftp-download"),
+            Behavior::ScpDownload => heads!("scp-download"),
+            Behavior::GccCompile => heads!("gcc-compile"),
+            Behavior::GppCompile => heads!("g++-compile"),
+            Behavior::FtpdLogin => heads!("ftpd-login"),
+            Behavior::SshLogin => heads!("ssh-login"),
+            Behavior::SshdLogin => heads!("sshd-login"),
+            Behavior::AptGetUpdate => heads!("apt-get-update"),
+            Behavior::AptGetInstall => heads!("apt-get-install"),
+        }
+    }
+
     /// Generates one synthetic instance of this behavior as a syscall log.
     ///
     /// `scale` shrinks (or grows) the noise budget relative to the paper's trace sizes;
@@ -429,21 +457,21 @@ impl Behavior {
             ((profile.target_labels as f64 * scale).round() as usize).clamp(2, 400);
 
         let mut log = SyscallLog::new();
-        let main = self.main_process();
+        let (main, heads) = (self.main_process(), self.noise_file_heads());
         // Interleave: some noise, then signature events with noise in between, then noise.
         let gaps = signature.len() + 1;
         let mut remaining_noise = noise_budget;
         for (i, (subject, object, syscall)) in signature.into_iter().enumerate() {
             let gap_budget = remaining_noise / (gaps - i);
             for _ in 0..gap_budget {
-                let (ns, no, nc) = noise_event(rng, &main, self.name(), unique_label_pool);
+                let (ns, no, nc) = noise_event(rng, main, heads, unique_label_pool);
                 log.record_next(ns, no, nc);
             }
             remaining_noise -= gap_budget;
             log.record_next(subject, object, syscall);
         }
         for _ in 0..remaining_noise {
-            let (ns, no, nc) = noise_event(rng, &main, self.name(), unique_label_pool);
+            let (ns, no, nc) = noise_event(rng, main, heads, unique_label_pool);
             log.record_next(ns, no, nc);
         }
         log
@@ -464,12 +492,13 @@ impl Behavior {
         match profile.confusability {
             Confusability::Distinct => None,
             Confusability::SharedLabels => {
-                let scavenger = Entity::process(format!("cron-job-{}", rng.gen_range(0..5)));
+                let scavenger =
+                    Entity::indexed(EntityKind::Process, "cron-job-", rng.gen_range(0..5), "");
                 let mut events = Vec::new();
                 for (subject, object, _) in signature {
                     // Touch both entities, but never reproduce the original edge.
-                    events.push((scavenger.clone(), object, SyscallType::Open));
-                    events.push((scavenger.clone(), subject, SyscallType::Read));
+                    events.push((scavenger, object, SyscallType::Open));
+                    events.push((scavenger, subject, SyscallType::Read));
                 }
                 Some(events)
             }
@@ -500,40 +529,38 @@ pub const SHARED_NOISE_FILES: [&str; 12] = [
     "/dev/urandom",
 ];
 
-/// Draws one noise event for an instance of `behavior_name` driven by `main` process.
+/// Draws one noise event for an instance driven by `main`, whose own noise files have
+/// the heads `(data, tmp)` ([`Behavior::noise_file_heads`]).
 fn noise_event(
     rng: &mut StdRng,
-    main: &Entity,
-    behavior_name: &str,
+    main: Entity,
+    (data, tmp): (&'static str, &'static str),
     unique_label_pool: usize,
 ) -> (Entity, Entity, SyscallType) {
     let roll: f64 = rng.gen();
     if roll < 0.55 {
         // Shared library / proc reads: labels common to everything.
         let file = SHARED_NOISE_FILES[rng.gen_range(0..SHARED_NOISE_FILES.len())];
-        (main.clone(), Entity::file(file), SyscallType::Read)
+        (main, Entity::file(file), SyscallType::Read)
     } else if roll < 0.85 {
         // Behavior-specific auxiliary files: give each behavior its own label variety.
-        let idx = rng.gen_range(0..unique_label_pool);
-        let file = Entity::file(format!("/opt/{behavior_name}/data-{idx}"));
+        let idx = rng.gen_range(0..unique_label_pool) as u32;
+        let file = Entity::indexed(EntityKind::File, data, idx, "");
         let syscall = if rng.gen_bool(0.5) {
             SyscallType::Read
         } else {
             SyscallType::Write
         };
-        (main.clone(), file, syscall)
+        (main, file, syscall)
     } else if roll < 0.95 {
         // Scratch files in /tmp.
-        let idx = rng.gen_range(0..unique_label_pool.max(4));
-        (
-            main.clone(),
-            Entity::file(format!("/tmp/{behavior_name}-{idx}.tmp")),
-            SyscallType::Write,
-        )
+        let idx = rng.gen_range(0..unique_label_pool.max(4)) as u32;
+        let file = Entity::indexed(EntityKind::File, tmp, idx, ".tmp");
+        (main, file, SyscallType::Write)
     } else {
         // A helper process peeking at the main process (e.g. a monitoring agent).
-        let helper = Entity::process(format!("agent-{}", rng.gen_range(0..3)));
-        (helper, main.clone(), SyscallType::Read)
+        let helper = Entity::indexed(EntityKind::Process, "agent-", rng.gen_range(0..3), "");
+        (helper, main, SyscallType::Read)
     }
 }
 
@@ -548,6 +575,16 @@ mod tests {
         assert_eq!(all.len(), 12);
         let names: std::collections::HashSet<_> = all.iter().map(|b| b.name()).collect();
         assert_eq!(names.len(), 12);
+    }
+
+    #[test]
+    fn noise_file_heads_spell_the_behavior_name() {
+        for behavior in Behavior::all() {
+            let name = behavior.name();
+            let (data, tmp) = behavior.noise_file_heads();
+            assert_eq!(data, format!("/opt/{name}/data-"));
+            assert_eq!(tmp, format!("/tmp/{name}-"));
+        }
     }
 
     #[test]

@@ -9,12 +9,12 @@
 //! subsampling (Figures 12 and 15), and SYN-k replication (Figure 16 / Appendix N).
 
 use crate::behaviors::{Behavior, SHARED_NOISE_FILES};
-use crate::entity::Entity;
+use crate::entity::{Entity, EntityKind};
 use crate::event::SyscallType;
 use crate::log::{GraphWriter, SyscallLog, Timestamps};
 use crate::stream::{graph_of_events, LabeledTrace, TraceLabel};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use tgraph::{GraphError, Label, LabelInterner, TemporalGraph};
 
 /// Configuration of the synthetic training data generator.
@@ -306,18 +306,21 @@ pub(crate) fn generate_background_log(rng: &mut StdRng, config: &DatasetConfig) 
     draw_background(rng, config, |event| {
         let (subject, object, syscall) = event.render();
         log.record_next(subject, object, syscall);
+        true
     });
     log
 }
 
 /// Draws one background window and hands its events to `emit` in log order,
-/// unrendered. The draws — which decoys the window holds, then every noise event —
-/// are the same RNG calls in the same order whatever `emit` keeps, so a caller that
-/// renders only a prefix leaves the generator where a full render would.
+/// unrendered, for as long as `emit` returns `true`. The draws — which decoys the
+/// window holds, then every noise event — are the same RNG calls in the same order
+/// whatever `emit` keeps: once it has had enough, each remaining noise draw is
+/// stepped over as its [`NOISE_DRAW_WORDS`] bare RNG values, so a caller that takes
+/// only a prefix leaves the generator where a full render would.
 pub(crate) fn draw_background(
     rng: &mut StdRng,
     config: &DatasetConfig,
-    mut emit: impl FnMut(BackgroundEvent),
+    mut emit: impl FnMut(BackgroundEvent) -> bool,
 ) {
     let profile_edges = 749.0; // background average edges in Table 1
     let target_edges = ((profile_edges * config.scale).round() as usize).max(20);
@@ -337,18 +340,33 @@ pub(crate) fn draw_background(
     // Spread decoy fragments across the window, filling the gaps with generic noise.
     let segments = decoys.len() + 1;
     let mut remaining_noise = noise_budget;
+    let mut open = true;
     for (i, fragment) in decoys.into_iter().enumerate() {
         let gap = remaining_noise / (segments - i);
-        for _ in 0..gap {
-            emit(BackgroundEvent::Noise(NoiseDraw::draw(rng)));
-        }
+        draw_noise(rng, gap, &mut open, &mut emit);
         remaining_noise -= gap;
         for event in fragment {
-            emit(BackgroundEvent::Decoy(event));
+            open = open && emit(BackgroundEvent::Decoy(event));
         }
     }
-    for _ in 0..remaining_noise {
-        emit(BackgroundEvent::Noise(NoiseDraw::draw(rng)));
+    draw_noise(rng, remaining_noise, &mut open, &mut emit);
+}
+
+/// Draws `count` noise events into `emit` while it is `open`, then steps the RNG over
+/// the rest.
+fn draw_noise(
+    rng: &mut StdRng,
+    count: usize,
+    open: &mut bool,
+    emit: &mut impl FnMut(BackgroundEvent) -> bool,
+) {
+    let mut drawn = 0;
+    while *open && drawn < count {
+        *open = emit(BackgroundEvent::Noise(NoiseDraw::draw(rng)));
+        drawn += 1;
+    }
+    for _ in 0..(count - drawn) * NOISE_DRAW_WORDS {
+        rng.next_u64();
     }
 }
 
@@ -372,7 +390,8 @@ impl BackgroundEvent {
     }
 }
 
-const DAEMONS: [&str; 8] = [
+/// The background's processes.
+pub(crate) const DAEMONS: [&str; 8] = [
     "cron",
     "rsyslogd",
     "systemd",
@@ -383,8 +402,12 @@ const DAEMONS: [&str; 8] = [
     "collectd",
 ];
 
+/// The RNG values one [`NoiseDraw::draw`] takes, whichever event it draws: what a
+/// background window that is not rendered to its end steps over per event.
+const NOISE_DRAW_WORDS: usize = 3;
+
 /// One generic background noise event as drawn: indices into the noise vocabularies,
-/// no strings. Drawing one takes three RNG values, rendering it none.
+/// no strings. Drawing one takes [`NOISE_DRAW_WORDS`] RNG values, rendering it none.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum NoiseDraw {
     /// `DAEMONS[daemon]` reads `SHARED_NOISE_FILES[file]`.
@@ -419,6 +442,7 @@ impl NoiseDraw {
 
     fn render(self) -> (Entity, Entity, SyscallType) {
         let daemon = |i: usize| Entity::process(DAEMONS[i]);
+        let numbered = |head, idx| Entity::indexed(EntityKind::File, head, idx, "");
         match self {
             NoiseDraw::Shared { daemon: d, file } => (
                 daemon(d),
@@ -427,12 +451,12 @@ impl NoiseDraw {
             ),
             NoiseDraw::Spool { daemon: d, idx } => (
                 daemon(d),
-                Entity::file(format!("/var/spool/bg-{idx}")),
+                numbered("/var/spool/bg-", idx),
                 SyscallType::Write,
             ),
             NoiseDraw::Syslog { daemon: d, idx } => (
                 daemon(d),
-                Entity::file(format!("/var/log/syslog.{idx}")),
+                numbered("/var/log/syslog.", idx),
                 SyscallType::Write,
             ),
             NoiseDraw::Fork { daemon: d, child } => (daemon(d), daemon(child), SyscallType::Fork),
@@ -454,6 +478,31 @@ mod tests {
         );
         assert_eq!(a.negatives().len(), b.negatives().len());
         assert_eq!(a.negatives()[0], b.negatives()[0]);
+    }
+
+    #[test]
+    fn every_noise_draw_takes_noise_draw_words_values() {
+        // The premise of stepping over the undrawn tail of a background window.
+        let mut hit = [false; 4];
+        for seed in 0u64.. {
+            if hit.iter().all(|&h| h) {
+                break;
+            }
+            assert!(seed < 1_000, "branches drawn by seed {seed}: {hit:?}");
+            let mut rng = StdRng::seed_from_u64(seed);
+            let draw = NoiseDraw::draw(&mut rng);
+            hit[match draw {
+                NoiseDraw::Shared { .. } => 0,
+                NoiseDraw::Spool { .. } => 1,
+                NoiseDraw::Syslog { .. } => 2,
+                NoiseDraw::Fork { .. } => 3,
+            }] = true;
+            let mut counted = StdRng::seed_from_u64(seed);
+            for _ in 0..NOISE_DRAW_WORDS {
+                counted.next_u64();
+            }
+            assert_eq!(rng, counted, "seed {seed}: {draw:?}");
+        }
     }
 
     #[test]

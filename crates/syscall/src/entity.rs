@@ -33,56 +33,92 @@ impl EntityKind {
 }
 
 /// A system entity: a kind plus a human-readable name.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+///
+/// `Copy`, and free to build: the name is static text, rendered into a label string
+/// only when one is asked for. Two entities are equal when their kinds and name parts
+/// are; the generators never spell one text two ways (a unit test in `testdata` holds
+/// that), so that is equality of label strings.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Entity {
     /// What kind of entity this is.
     pub kind: EntityKind,
     /// Entity name (executable name, file path, socket address, ...).
-    pub name: String,
+    pub name: Name,
+}
+
+/// An entity name: `head`, then `index` in decimal if there is one, then `tail` —
+/// `/etc/passwd` is a bare head, `/var/spool/bg-17` the head `/var/spool/bg-` and the
+/// index 17.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Name {
+    /// The text before the index (all of it without one).
+    pub head: &'static str,
+    /// The number between `head` and `tail`, if any.
+    pub index: Option<u32>,
+    /// The text after the index.
+    pub tail: &'static str,
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.head)?;
+        if let Some(index) = self.index {
+            write!(f, "{index}")?;
+        }
+        f.write_str(self.tail)
+    }
 }
 
 impl Entity {
     /// Creates a process entity.
-    pub fn process(name: impl Into<String>) -> Self {
-        Self {
-            kind: EntityKind::Process,
-            name: name.into(),
-        }
+    pub fn process(name: &'static str) -> Self {
+        Self::named(EntityKind::Process, name)
     }
 
     /// Creates a file entity.
-    pub fn file(name: impl Into<String>) -> Self {
-        Self {
-            kind: EntityKind::File,
-            name: name.into(),
-        }
+    pub fn file(name: &'static str) -> Self {
+        Self::named(EntityKind::File, name)
     }
 
     /// Creates a socket entity.
-    pub fn socket(name: impl Into<String>) -> Self {
-        Self {
-            kind: EntityKind::Socket,
-            name: name.into(),
-        }
+    pub fn socket(name: &'static str) -> Self {
+        Self::named(EntityKind::Socket, name)
     }
 
     /// Creates a pipe entity.
-    pub fn pipe(name: impl Into<String>) -> Self {
+    pub fn pipe(name: &'static str) -> Self {
+        Self::named(EntityKind::Pipe, name)
+    }
+
+    fn named(kind: EntityKind, name: &'static str) -> Self {
+        let name = Name {
+            head: name,
+            index: None,
+            tail: "",
+        };
+        Self { kind, name }
+    }
+
+    /// Creates a `kind` entity named `{head}{index}{tail}`, one of a numbered family
+    /// (`Entity::indexed(EntityKind::File, "/tmp/job-", 3, ".tmp")` is
+    /// `file:/tmp/job-3.tmp`).
+    pub fn indexed(kind: EntityKind, head: &'static str, index: u32, tail: &'static str) -> Self {
+        let index = Some(index);
         Self {
-            kind: EntityKind::Pipe,
-            name: name.into(),
+            kind,
+            name: Name { head, index, tail },
         }
     }
 
     /// The node label string used in temporal graphs.
     pub fn label_string(&self) -> String {
-        format!("{}:{}", self.kind.prefix(), self.name)
+        self.to_string()
     }
 }
 
 impl fmt::Display for Entity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.label_string())
+        write!(f, "{}:{}", self.kind.prefix(), self.name)
     }
 }
 
@@ -102,6 +138,17 @@ mod tests {
             "socket:10.0.0.2:22"
         );
         assert_eq!(Entity::pipe("p1").label_string(), "pipe:p1");
+    }
+
+    #[test]
+    fn indexed_names_render_head_index_tail() {
+        let e = Entity::indexed(EntityKind::File, "/tmp/job-", 30, ".tmp");
+        assert_eq!(e.label_string(), "file:/tmp/job-30.tmp");
+        assert_eq!(
+            Entity::indexed(EntityKind::Process, "agent-", 0, "").label_string(),
+            "proc:agent-0"
+        );
+        assert_ne!(e, Entity::file("/tmp/job-30.tmp"), "equality is by parts");
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub mod testdata;
 
 pub use behaviors::{Behavior, BehaviorProfile, Confusability, SizeClass};
 pub use dataset::{BehaviorDataset, BehaviorStats, DatasetConfig, TrainingData};
-pub use entity::{Entity, EntityKind};
+pub use entity::{Entity, EntityKind, Name};
 pub use event::{SyscallEvent, SyscallType};
 pub use log::SyscallLog;
 pub use stream::{

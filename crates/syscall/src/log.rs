@@ -5,16 +5,11 @@
 //! creates one node per distinct entity and one edge per event, with edges ordered by
 //! their timestamps.
 
-use crate::entity::Entity;
+use crate::entity::{Entity, Name};
 use crate::event::{SyscallEvent, SyscallType};
-use std::collections::hash_map::{DefaultHasher, HashMap};
-use std::hash::BuildHasherDefault;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use tgraph::{GraphBuilder, Label, LabelInterner, TemporalGraph};
-
-/// A `HashMap` with fixed hash keys: the entity maps of the generators own a string
-/// per entry and free them in table order, so std's per-process random keys would
-/// make the heap the generated inputs leave behind differ from run to run.
-pub(crate) type StableMap<K, V> = HashMap<K, V, BuildHasherDefault<DefaultHasher>>;
 
 /// An ordered syscall log for one activity (or one background window).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -112,16 +107,20 @@ pub(crate) enum Timestamps {
 /// to a temporal graph over `interner`, each log over fresh nodes — one per distinct
 /// entity of that log, as each activity is its own process instances.
 ///
-/// An entity's label is resolved once per writer: its label string is built and
-/// interned when the entity first appears, and every later appearance, in this log or
-/// a later one, is one map lookup. Labels are therefore interned in first-appearance
-/// order, as interning every appearance would. Within a log, entity and label are
-/// one-to-one (a label is the entity's kind and name), so the log's nodes are kept by
-/// label id, in a table every log reuses.
+/// An entity's label is resolved once per writer, under its [`Identity`] — words, no
+/// text: its label string is built and interned on the first appearance, and every
+/// later one, in this log or a later one, is one lookup of a few words. The cache sits
+/// in front of the interner, which resolves by content, so one text reached through
+/// two identities costs one more miss and is still one label. Labels are therefore
+/// interned in first-appearance order, as interning every appearance would. Within a
+/// log, entity and label are one-to-one (a label is the entity's kind and name), so
+/// the log's nodes are kept by label id, in a table every log reuses.
 pub(crate) struct GraphWriter<'i> {
     builder: GraphBuilder,
     interner: &'i mut LabelInterner,
-    labels: StableMap<Entity, Label>,
+    /// Owns no heap memory per entry, so unlike the interner's map its drop order
+    /// cannot reshuffle the heap.
+    labels: HashMap<Identity, Label, BuildHasherDefault<WordHasher>>,
     /// By label id: `(log, node)` — the label's node, if `log` is the one appending.
     scope: Vec<(usize, usize)>,
     /// Logs appended so far; the current one's number while it is appended.
@@ -133,7 +132,7 @@ impl<'i> GraphWriter<'i> {
         Self {
             builder: GraphBuilder::new(),
             interner,
-            labels: StableMap::default(),
+            labels: HashMap::default(),
             scope: Vec::new(),
             logs: 0,
         }
@@ -144,8 +143,8 @@ impl<'i> GraphWriter<'i> {
         self.logs += 1;
         for event in &log.events {
             let (src, dst) = event.edge_endpoints();
-            let src = self.node(src);
-            let dst = self.node(dst);
+            let src = self.node(*src);
+            let dst = self.node(*dst);
             let ts = match at {
                 Timestamps::Logged => event.ts,
                 Timestamps::Next => self.last_ts() + 1,
@@ -157,15 +156,11 @@ impl<'i> GraphWriter<'i> {
     }
 
     /// The node of `entity` in the log being appended, added on its first appearance.
-    fn node(&mut self, entity: &Entity) -> usize {
-        let label = match self.labels.get(entity) {
-            Some(&label) => label,
-            None => {
-                let label = self.interner.intern(&entity.label_string());
-                self.labels.insert(entity.clone(), label);
-                label
-            }
-        };
+    fn node(&mut self, entity: Entity) -> usize {
+        let label = *self
+            .labels
+            .entry(Identity::of(entity))
+            .or_insert_with(|| self.interner.intern(&entity.label_string()));
         if self.scope.len() <= label.index() {
             self.scope.resize(label.index() + 1, (0, 0));
         }
@@ -185,6 +180,54 @@ impl<'i> GraphWriter<'i> {
     /// The graph appended so far; the writer starts an empty one.
     pub(crate) fn take_graph(&mut self) -> TemporalGraph {
         std::mem::take(&mut self.builder).build()
+    }
+}
+
+/// An entity as words: its kind and index, and where its static name parts start and
+/// end. Static text never moves or changes, so equal identities are equal names; equal
+/// names at two addresses are two identities of one label.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct Identity([u64; 5]);
+
+impl Identity {
+    fn of(Entity { kind, name }: Entity) -> Self {
+        let Name { head, index, tail } = name;
+        let index = index.map_or(0, |index| (1 << 32) | u64::from(index));
+        let (head, tail) = (
+            head.as_bytes().as_ptr_range(),
+            tail.as_bytes().as_ptr_range(),
+        );
+        Identity([
+            index | ((kind as u64) << 33),
+            head.start as u64,
+            head.end as u64,
+            tail.start as u64,
+            tail.end as u64,
+        ])
+    }
+}
+
+/// Multiply-xor hasher (the Fx scheme) for the writer's cache, which is probed twice
+/// per event: its keys are the generator's own static names, so SipHash's resistance
+/// to crafted collisions protects nothing, and costs most of a lookup.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 

@@ -13,7 +13,7 @@
 //! training data through the same label interner, so patterns mined on training data can
 //! be matched directly against the test graph.
 
-use crate::behaviors::Behavior;
+use crate::behaviors::{Behavior, Confusability};
 use crate::dataset::{draw_background, DatasetConfig};
 use crate::entity::Entity;
 use crate::event::SyscallType;
@@ -133,9 +133,8 @@ impl TestData {
         let mut instances = Vec::with_capacity(config.instances);
         let behaviors = Behavior::all();
         let confusable: Vec<Behavior> = behaviors
-            .iter()
-            .copied()
-            .filter(|b| b.decoy_fragment(&mut StdRng::seed_from_u64(0)).is_some())
+            .into_iter()
+            .filter(|b| b.profile().confusability != Confusability::Distinct)
             .collect();
         // Background noise between activities, rendered into one reused log.
         let mut noise = SyscallLog::new();
@@ -215,7 +214,8 @@ fn noise_window() -> DatasetConfig {
 ///
 /// The whole window is drawn whatever `keep` is — the decoy rolls and every noise
 /// event — so the RNG leaves here where rendering the window in full would leave it.
-/// Only what is kept is rendered (`tests/generator_alloc.rs` holds that).
+/// Only what is kept is decoded and rendered: the rest of the window is stepped over
+/// (`tests/generator_alloc.rs` holds the cost).
 fn background_segment(rng: &mut StdRng, keep: usize, noise: &mut SyscallLog) {
     noise.clear();
     draw_background(rng, &noise_window(), |event| {
@@ -223,6 +223,7 @@ fn background_segment(rng: &mut StdRng, keep: usize, noise: &mut SyscallLog) {
             let (subject, object, syscall) = event.render();
             noise.record_next(subject, object, syscall);
         }
+        noise.len() < keep
     });
     while noise.len() < keep {
         noise.record_next(
@@ -238,7 +239,7 @@ fn drop_one_signature_event(rng: &mut StdRng, behavior: Behavior, log: &mut Sysc
     let signature = behavior.signature();
     let (subject, object, syscall) = signature.choose(rng).expect("signatures are non-empty");
     log.remove_first(|event| {
-        &event.subject == subject && &event.object == object && event.syscall == *syscall
+        event.subject == *subject && event.object == *object && event.syscall == *syscall
     });
 }
 
@@ -291,6 +292,87 @@ mod tests {
         assert_eq!(data.interner.get("proc:sshd"), Some(sshd_label));
         // The test graph actually contains that label.
         assert!(data.graph.labels().contains(&sshd_label));
+    }
+
+    #[test]
+    fn the_confusable_behaviors_are_those_with_a_decoy() {
+        for behavior in Behavior::all() {
+            let decoy = behavior.decoy_fragment(&mut StdRng::seed_from_u64(0));
+            assert_eq!(
+                behavior.profile().confusability != Confusability::Distinct,
+                decoy.is_some(),
+                "{}",
+                behavior.name()
+            );
+        }
+    }
+
+    /// `drop_one_signature_event` compares entities by their parts, as `Entity`'s
+    /// equality does. That is comparing label strings only if no text has two
+    /// spellings: no literal name is a rendering of a template, and no two distinct
+    /// `(kind, name)` values render one label.
+    #[test]
+    fn name_identity_is_text_identity() {
+        use crate::behaviors::SHARED_NOISE_FILES;
+        use crate::dataset::{generate_background_log, DAEMONS};
+        use std::collections::{BTreeSet, HashMap};
+
+        // Every literal, listed; every template as the generators instantiate it.
+        let mut entities = vec![Entity::process("idle"), Entity::file("/proc/loadavg")];
+        entities.extend(DAEMONS.map(Entity::process));
+        entities.extend(SHARED_NOISE_FILES.map(Entity::file));
+        let mut rng = StdRng::seed_from_u64(41);
+        for behavior in Behavior::all() {
+            entities.push(behavior.main_process());
+            let decoys = (0..32).filter_map(|_| behavior.decoy_fragment(&mut rng));
+            for (subject, object, _) in behavior.signature().into_iter().chain(decoys.flatten()) {
+                entities.extend([subject, object]);
+            }
+            for _ in 0..4 {
+                let log = behavior.generate_instance(&mut rng, 1.0);
+                entities.extend(log.events().iter().flat_map(|e| [e.subject, e.object]));
+            }
+        }
+        let background = DatasetConfig {
+            decoy_rate: 0.5,
+            ..DatasetConfig::tiny()
+        };
+        for _ in 0..8 {
+            let log = generate_background_log(&mut rng, &background);
+            entities.extend(log.events().iter().flat_map(|e| [e.subject, e.object]));
+        }
+        let (templated, literals): (Vec<Entity>, Vec<Entity>) =
+            entities.into_iter().partition(|e| e.name.index.is_some());
+        let literals: BTreeSet<Entity> = literals.into_iter().collect();
+        let templates: BTreeSet<_> = templated
+            .iter()
+            .map(|e| (e.kind, e.name.head, e.name.tail))
+            .collect();
+        // `/opt/{behavior}/data-{i}` and `/tmp/{behavior}-{i}.tmp` for each behavior, then
+        // spool, syslog, agent and cron job.
+        assert_eq!(templates.len(), 2 * 12 + 4, "{templates:?}");
+
+        for literal in &literals {
+            for &(kind, head, tail) in &templates {
+                let index = literal.name.head.strip_prefix(head);
+                let index = index.and_then(|rest| rest.strip_suffix(tail));
+                let rendered =
+                    index.and_then(|i| i.parse::<u32>().ok().filter(|n| n.to_string() == i));
+                assert!(
+                    literal.kind != kind || rendered.is_none(),
+                    "{literal} renders {kind:?} {head}{{index}}{tail}"
+                );
+            }
+        }
+        let renderings = templates.iter().flat_map(|&(kind, head, tail)| {
+            (0..1_000).map(move |i| Entity::indexed(kind, head, i, tail))
+        });
+        let mut by_label = HashMap::new();
+        for entity in literals.iter().copied().chain(renderings) {
+            if let Some(other) = by_label.insert(entity.label_string(), entity) {
+                assert_eq!(other, entity, "two names render {entity}");
+            }
+        }
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! order keeps these constants. One that moves them is a new dataset, and every
 //! measured number before it is incomparable with every one after.
 //!
-//! The `#[ignore]`d case is the benchmark's own input (628 k+ events); CI runs it in
-//! release with `--include-ignored`.
+//! The `#[ignore]`d cases are the benchmark's own input (628 k+ events) and Table 2's
+//! `paper` inputs (9.7 M test events, pinned on the parent of the commit that made
+//! entity names `Copy` and stepped over the undrawn noise); CI runs them in release
+//! with `--include-ignored`.
 
 use syscall::{DatasetConfig, TestData, TestDataConfig, TrainingData};
 use tgraph::{LabelInterner, TemporalGraph};
@@ -158,4 +160,18 @@ fn the_benchmark_input_is_the_pinned_bytes() {
         ..TestDataConfig::small()
     };
     check_test(&training, config, 629_080, 0x40d6_3729_966a_8795);
+}
+
+#[test]
+#[ignore = "Table 2's `paper` inputs: 9.7 M test events, run in release"]
+fn paper_inputs_are_the_pinned_bytes() {
+    let training = TrainingData::generate(&DatasetConfig::paper());
+    let print = training_print(&training);
+    assert_eq!(print, 0xfd98_2514_30c0_35a6, "training print {print:#018x}");
+    check_test(
+        &training,
+        TestDataConfig::paper(),
+        9_676_411,
+        0x7ea9_0ea8_8d2e_375e,
+    );
 }
