@@ -10,8 +10,14 @@
 //! * Non-finite numbers (`NaN`, `±∞`) render as `null`. JSON has no spelling for
 //!   them, and `null` is what makes a reader *fail loudly* on a required numeric
 //!   field instead of taking a silently corrupt number.
+//!
+//! The parser recurses once per open array or object, so it refuses documents nested
+//! deeper than `MAX_DEPTH` with a [`JsonError`] rather than overflowing the stack.
 
 use std::fmt;
+
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -158,6 +164,7 @@ impl Json {
         let mut parser = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_whitespace();
         let value = parser.value()?;
@@ -212,6 +219,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -256,8 +265,19 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.error("unexpected character")),
             None => Err(self.error("unexpected end of input")),
@@ -506,6 +526,27 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
+        let err = Json::parse(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH, "the first bracket past the cap");
+        assert!(err.message.contains("nesting"), "{err}");
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        assert_eq!(Json::parse(&objects).unwrap_err().offset, 5 * MAX_DEPTH);
+    }
+
+    #[test]
+    fn a_document_nested_exactly_to_the_cap_parses() {
+        let arrays = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        let mut value = Json::parse(&arrays).unwrap();
+        for _ in 1..MAX_DEPTH {
+            value = value.at(0).expect("one level down").clone();
+        }
+        assert_eq!(value, Json::Arr(Vec::new()));
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(Json::parse(&objects).is_ok());
     }
 
     #[test]

@@ -293,16 +293,6 @@ impl QueryCost {
     pub fn cost_units(&self) -> u64 {
         self.spawned.saturating_add(self.advanced)
     }
-
-    /// Folds another cost record into this one (field-wise saturating sums).
-    pub fn merge(&mut self, other: &QueryCost) {
-        self.spawned = self.spawned.saturating_add(other.spawned);
-        self.advanced = self.advanced.saturating_add(other.advanced);
-        self.dropped = self.dropped.saturating_add(other.dropped);
-        self.detections = self.detections.saturating_add(other.detections);
-        self.sampled_ns = self.sampled_ns.saturating_add(other.sampled_ns);
-        self.sampled_ops = self.sampled_ops.saturating_add(other.sampled_ops);
-    }
 }
 
 /// Measured per-query costs, keyed by the engine's global query ids — the output
@@ -448,8 +438,8 @@ mod tests {
     }
 
     #[test]
-    fn query_cost_units_and_merge() {
-        let mut a = QueryCost {
+    fn query_cost_units() {
+        let a = QueryCost {
             spawned: 2,
             advanced: 10,
             dropped: 1,
@@ -459,11 +449,6 @@ mod tests {
         };
         assert_eq!(a.cost_units(), 12);
         assert_ne!(a, QueryCost::default());
-        let b = a;
-        a.merge(&b);
-        assert_eq!(a.spawned, 4);
-        assert_eq!(a.sampled_ns, 1000);
-        assert_eq!(a.cost_units(), 24);
     }
 
     #[test]

@@ -41,16 +41,16 @@
 //!
 //! ## Core, not engine
 //!
-//! A `Detector` matches and nothing else: it has no write-ahead recorder and no
-//! failpoint. Those belong to the [`crate::Engine`] that owns it — a one-shard
-//! [`crate::ShardedDetector`] is the single-stream engine — which logs each input once
-//! under global ids and forwards the per-shard hooks kept here (metric handles,
-//! profiler, cost attribution).
+//! A `Detector` matches and nothing else: it has no write-ahead recorder, no failpoint
+//! and no observability of its own. Those belong to the [`crate::Engine`] that owns it
+//! — a one-shard [`crate::ShardedDetector`] is the single-stream engine — which logs
+//! each input once under global ids and lends its [`Hooks`] (profiler, one cost table)
+//! and the shard's metric handles to the batch it hands down.
 
 use crate::error::{BatchError, DeregisterError, RegisterError};
 use crate::instrument::DetectorInstruments;
 use crate::registry::{Live, PairRoutes, QueryTable, Slots};
-use obs::{Profiler, QueryCost};
+use obs::{Profiler, QueryCost, QueryCostReport};
 use query::matcher::{
     complete_static_anchored, seed_matches, static_window_bounds, window_deadline, RunStep,
     TemporalRun, TemporalSpawn,
@@ -129,24 +129,34 @@ pub struct Registration {
     pub visible_from: u64,
 }
 
-/// Per-query attribution state (see [`crate::ShardedDetector::enable_cost_attribution`]).
-#[derive(Debug, Clone)]
-struct CostTracker {
+/// Per-query attribution state: one table per engine, indexed by the engine's global
+/// query ids, so every shard and every tenant counts into the same rows (see
+/// [`crate::ShardedDetector::enable_cost_attribution`]).
+#[derive(Debug, Default)]
+pub(crate) struct CostTracker {
     /// Costs indexed by [`QueryId`]. Ids are never reused, so a slot is
-    /// stable for the detector's lifetime; the vec grows on first touch, and a
+    /// stable for the engine's lifetime; the vec grows on first touch, and a
     /// registered-but-never-touched query simply has no slot yet (zero cost).
     per_query: Vec<QueryCost>,
     /// One event in this many gets clock-timed per-run measurements.
-    interval: u64,
-    /// Rolling event index driving the timing-sample decision.
-    tick: u64,
+    pub(crate) interval: u64,
 }
 
 impl CostTracker {
+    /// The report over ids `0..ids`: one row per registration, zero for a query never
+    /// touched.
+    pub(crate) fn report(&self, ids: usize) -> QueryCostReport {
+        let cost = |id| self.per_query.get(id).copied().unwrap_or_default();
+        QueryCostReport {
+            rows: (0..ids).map(|id| (id, cost(id))).collect(),
+            sample_interval: self.interval,
+        }
+    }
+
     /// Books one unit of work against `query` — on the counter `field` picks — plus,
     /// on a clock-timed event, the time since `clock`. A no-op when attribution is off.
     fn charge(
-        costs: &mut Option<CostTracker>,
+        costs: &mut Option<&mut CostTracker>,
         query: QueryId,
         field: fn(&mut QueryCost) -> &mut u64,
         clock: Option<Instant>,
@@ -164,6 +174,26 @@ impl CostTracker {
             slot.sampled_ops += 1;
         }
     }
+
+    /// Credits each detection to its query.
+    fn attribute(costs: &mut Option<&mut CostTracker>, detections: &[Detection]) {
+        for detection in detections {
+            Self::charge(costs, detection.query, |c| &mut c.detections, None);
+        }
+    }
+}
+
+/// The observability an engine owns — its profiler and its one cost table — and lends
+/// to the detectors it runs while a batch runs. The bare [`Detector`] entries lend
+/// none; attaching either never changes detections.
+#[derive(Debug, Default)]
+pub(crate) struct Hooks {
+    /// Scoped-span profiler: a detector opens `detector.batch` per batch and, on one
+    /// event in `LATENCY_SAMPLE` (64), the four per-phase spans (`resolve_static` /
+    /// `advance_temporal` / `advance_nodesets` / `spawn`).
+    pub(crate) profiler: Option<Profiler>,
+    /// Per-query cost attribution.
+    pub(crate) costs: Option<CostTracker>,
 }
 
 /// The single-threaded matching core. See the module docs for the execution model and
@@ -179,18 +209,6 @@ pub struct Detector {
     due: Vec<(u64, QueryId, StreamEvent)>,
     completed: Vec<(u64, Detection)>,
     touched: Vec<QueryId>,
-    /// Attached metric handles, if any. Attaching them never changes detections —
-    /// the uninstrumented hot path pays only `Option`-is-`None` branches.
-    instruments: Option<DetectorInstruments>,
-    /// Attached scoped-span profiler, if any (same inertness contract): spans are
-    /// observation-only and their timing is sampled.
-    profiler: Option<Profiler>,
-    /// Per-query cost attribution, if enabled (same inertness contract).
-    costs: Option<CostTracker>,
-    /// Rolling event index for latency sampling (instrumented batches only).
-    sample_tick: u64,
-    /// Rolling event index for phase-span sampling (profiler attached only).
-    profile_tick: u64,
 }
 
 impl Default for Detector {
@@ -200,10 +218,11 @@ impl Default for Detector {
 }
 
 impl Detector {
-    /// Sampling interval for per-event latency in instrumented batches: one event
-    /// in this many is timed. Must be a power of two (used as a mask). Sized by the
-    /// <5% contract: a sample costs ~70ns against ~100ns of work per event at 32
-    /// queries — one in 16 measures 3–8% of a pass, one in 64 measures 0–4%.
+    /// Sampling interval for per-event latency in instrumented batches and for phase
+    /// spans: one event in this many, by stream position, is timed. Must be a power of
+    /// two (used as a mask). Sized by the <5% contract: a sample costs ~70ns against
+    /// ~100ns of work per event at 32 queries — one in 16 measures 3–8% of a pass, one
+    /// in 64 measures 0–4%.
     const LATENCY_SAMPLE: u64 = 64;
 
     /// An empty detector with no registered queries.
@@ -217,54 +236,7 @@ impl Detector {
             due: Vec::new(),
             completed: Vec::new(),
             touched: Vec::new(),
-            instruments: None,
-            profiler: None,
-            costs: None,
-            sample_tick: 0,
-            profile_tick: 0,
         }
-    }
-
-    /// Attaches (or with `None` detaches) metric handles. Instrumentation is inert:
-    /// detections are identical with and without it.
-    pub(crate) fn set_instruments(&mut self, instruments: Option<DetectorInstruments>) {
-        self.instruments = instruments;
-    }
-
-    /// Attaches (or with `None` detaches) a scoped-span profiler. When attached,
-    /// batches open a `detector.batch` span and one event in
-    /// `LATENCY_SAMPLE` (64) additionally opens the four per-phase spans
-    /// (`resolve_static` / `advance_temporal` / `advance_nodesets` / `spawn`);
-    /// the profiler's own root sampling applies on top. Profiling is inert:
-    /// detections are identical with and without it.
-    pub(crate) fn set_profiler(&mut self, profiler: Option<Profiler>) {
-        self.profiler = profiler;
-    }
-
-    /// Enables per-query cost attribution (the per-shard half of
-    /// [`crate::ShardedDetector::enable_cost_attribution`], which documents what is
-    /// counted). Calling again only changes the sampling interval.
-    pub(crate) fn enable_cost_attribution(&mut self, sample_interval: u64) {
-        let interval = sample_interval.max(1);
-        match &mut self.costs {
-            Some(costs) => costs.interval = interval,
-            None => {
-                self.costs = Some(CostTracker {
-                    per_query: Vec::new(),
-                    interval,
-                    tick: 0,
-                })
-            }
-        }
-    }
-
-    /// The raw measured costs `(per-id slice, sample interval)`, if
-    /// attribution is enabled. The slice may be shorter than the id space: a
-    /// query never touched has no slot yet (zero cost).
-    pub(crate) fn cost_attribution(&self) -> Option<(&[QueryCost], u64)> {
-        self.costs
-            .as_ref()
-            .map(|costs| (costs.per_query.as_slice(), costs.interval))
     }
 
     /// Restores a visibility floor recorded from a previous process (crash recovery):
@@ -391,37 +363,33 @@ impl Detector {
             .map_err(|err| err.error)
     }
 
-    /// The actual five-step execution — shared by the instrumented and plain paths.
-    fn process_event(&mut self, event: StreamEvent) -> Result<Vec<Detection>, GraphError> {
+    /// The five-step execution of one event, with the engine's hooks.
+    fn process_event(
+        &mut self,
+        event: StreamEvent,
+        hooks: &mut Hooks,
+    ) -> Result<Vec<Detection>, GraphError> {
         // Reject a bad event *before* touching any state: resolving pending anchors
         // first and then failing would silently consume their detections.
         self.graph.validate(&event)?;
+        // The event's stream position is the rolling index both samplers key on.
+        let tick = self.graph.total_appended();
+        let mut costs = hooks.costs.as_mut();
         // Cost attribution: counters are exact on every event; clock-timed per-run
         // measurements happen on one event in `interval`.
-        let timed = match &mut self.costs {
-            Some(costs) => {
-                let tick = costs.tick;
-                costs.tick = costs.tick.wrapping_add(1);
-                tick % costs.interval == 0
-            }
-            None => false,
-        };
+        let timed = matches!(&costs, Some(c) if tick.is_multiple_of(c.interval));
         // Phase spans: one event in LATENCY_SAMPLE gets the per-phase span tree
         // (the profiler's own root sampling applies on top). Spans for every event
         // would cost a clock-read pair per phase — far over the overhead budget.
-        let profiler = match &self.profiler {
-            Some(profiler) => {
-                let tick = self.profile_tick;
-                self.profile_tick = self.profile_tick.wrapping_add(1);
-                (tick & (Self::LATENCY_SAMPLE - 1) == 0).then(|| profiler.clone())
-            }
-            None => None,
-        };
+        let profiler = hooks
+            .profiler
+            .as_ref()
+            .filter(|_| tick & (Self::LATENCY_SAMPLE - 1) == 0);
         let mut out = Vec::new();
         {
-            let _span = profiler.as_ref().map(|p| p.enter("resolve_static"));
+            let _span = profiler.map(|p| p.enter("resolve_static"));
             if event.ts > self.queries.slots.next_deadline() {
-                self.retire_due(Some(event.ts), &mut out, timed);
+                self.retire_due(Some(event.ts), &mut out, timed, &mut costs);
             }
         }
         self.graph
@@ -436,39 +404,27 @@ impl Detector {
             timed,
             slots: &mut self.queries.slots,
             graph: &self.graph,
-            costs: &mut self.costs,
+            costs: costs.as_deref_mut(),
             completed: &mut self.completed,
             dropped_branches: &mut self.dropped_branches,
             out: &mut out,
         };
         {
-            let _span = profiler.as_ref().map(|p| p.enter("advance_temporal"));
+            let _span = profiler.map(|p| p.enter("advance_temporal"));
             let offered = routes.map_or(&[][..], |routes| &routes.temporal_advance);
             step.advance(offered);
         }
         {
-            let _span = profiler.as_ref().map(|p| p.enter("advance_nodesets"));
+            let _span = profiler.map(|p| p.enter("advance_nodesets"));
             index.members(event.src_label, event.dst_label, &mut self.touched);
             step.advance(&self.touched);
         }
         {
-            let _span = profiler.as_ref().map(|p| p.enter("spawn"));
+            let _span = profiler.map(|p| p.enter("spawn"));
             step.spawn_for(routes, &self.touched);
         }
-        self.attribute_detections(&out);
+        CostTracker::attribute(&mut costs, &out);
         Ok(out)
-    }
-
-    /// Credits each detection to its query (cost attribution only).
-    fn attribute_detections(&mut self, detections: &[Detection]) {
-        for detection in detections {
-            CostTracker::charge(
-                &mut self.costs,
-                detection.query,
-                |c| &mut c.detections,
-                None,
-            );
-        }
     }
 
     /// Updates the occupancy and memory gauges: the buffered edge window, live runs
@@ -496,70 +452,52 @@ impl Detector {
     /// stays in the state produced by the valid prefix, so the caller may repair or
     /// skip the offending event and keep streaming.
     pub fn on_batch(&mut self, events: &[StreamEvent]) -> Result<Vec<Detection>, BatchError> {
-        // The batch span is the profiler's root (and its sampling point): when it is
-        // sampled out, the per-event phase spans inside are suppressed for free.
-        let _batch_span = self.profiler.as_ref().map(|p| p.enter("detector.batch"));
-        if self.instruments.is_none() {
-            // The plain path: `Option`-is-`None` branches only (one for the batch,
-            // plus the profiler/attribution nil-checks inside `process_event`), then
-            // exactly the pre-instrumentation loop.
-            let mut out = Vec::new();
-            for (index, &event) in events.iter().enumerate() {
-                match self.process_event(event) {
-                    Ok(detections) => out.extend(detections),
-                    Err(error) => {
-                        return Err(BatchError {
-                            emitted: out,
-                            index,
-                            error,
-                        })
-                    }
-                }
-            }
-            return Ok(out);
-        }
-        self.instrumented_batch(events)
+        self.on_batch_with(events, None, &mut Hooks::default())
     }
 
-    /// The instrumented batch loop. Per-event latency is *sampled* — one event in
-    /// [`Self::LATENCY_SAMPLE`] gets a clock-read pair and a histogram record; the
-    /// rest pay a counter increment and a mask test. A full per-event measurement
-    /// costs ~70ns against ~100ns of real work; sampling keeps the whole instrumented
-    /// path under the benchmark's 5% budget while the latency distribution stays
-    /// statistically faithful. Event/detection *counts* stay
-    /// exact (tallied per batch), and gauges update once per batch.
-    fn instrumented_batch(&mut self, events: &[StreamEvent]) -> Result<Vec<Detection>, BatchError> {
+    /// [`Detector::on_batch`] with what the owning engine lends: the shard's metric
+    /// handles and the engine's hooks. Without them the loop pays `Option`-is-`None`
+    /// branches only. With metric handles, per-event latency is *sampled* — one event
+    /// in [`Self::LATENCY_SAMPLE`] gets a clock-read pair and a histogram record; a full
+    /// per-event measurement costs ~70ns against ~100ns of real work. Event/detection
+    /// *counts* stay exact (tallied per batch), and gauges update once per batch.
+    pub(crate) fn on_batch_with(
+        &mut self,
+        events: &[StreamEvent],
+        instruments: Option<&DetectorInstruments>,
+        hooks: &mut Hooks,
+    ) -> Result<Vec<Detection>, BatchError> {
+        // The batch span is the profiler's root (and its sampling point): when it is
+        // sampled out, the per-event phase spans inside are suppressed for free.
+        let _batch_span = hooks.profiler.as_ref().map(|p| p.enter("detector.batch"));
+        let batch = instruments.map(|instruments| (instruments, Instant::now()));
         let mut out = Vec::new();
-        let batch_start = Instant::now();
         let mut failure: Option<(usize, GraphError)> = None;
-        let mut processed = 0u64;
         for (index, &event) in events.iter().enumerate() {
-            let sampled_start =
-                (self.sample_tick & (Self::LATENCY_SAMPLE - 1) == 0).then(Instant::now);
-            self.sample_tick = self.sample_tick.wrapping_add(1);
-            match self.process_event(event) {
+            let position = self.graph.total_appended();
+            let sampled = instruments
+                .filter(|_| position & (Self::LATENCY_SAMPLE - 1) == 0)
+                .map(|instruments| (instruments, Instant::now()));
+            match self.process_event(event, hooks) {
                 Ok(detections) => out.extend(detections),
                 Err(error) => {
                     failure = Some((index, error));
                     break;
                 }
             }
-            processed += 1;
-            if let Some(start) = sampled_start {
-                if let Some(instruments) = &self.instruments {
-                    instruments
-                        .event_latency_ns
-                        .record(start.elapsed().as_nanos() as u64);
-                }
+            if let Some((instruments, start)) = sampled {
+                let elapsed = start.elapsed().as_nanos() as u64;
+                instruments.event_latency_ns.record(elapsed);
             }
         }
-        if let Some(instruments) = &self.instruments {
-            instruments.events_total.add(processed);
+        if let Some((instruments, start)) = batch {
+            let processed = failure.as_ref().map_or(events.len(), |(index, _)| *index);
+            instruments.events_total.add(processed as u64);
             instruments.detections_total.add(out.len() as u64);
             instruments.batches_total.inc();
             instruments
                 .batch_latency_ns
-                .record(batch_start.elapsed().as_nanos() as u64);
+                .record(start.elapsed().as_nanos() as u64);
             if failure.is_some() {
                 instruments.batch_errors_total.inc();
             }
@@ -580,10 +518,16 @@ impl Detector {
     /// that never completed are discarded — exactly as an offline search reaching the
     /// end of the graph would abandon them.
     pub fn flush(&mut self) -> Vec<Detection> {
-        let _span = self.profiler.as_ref().map(|p| p.enter("detector.flush"));
+        self.flush_with(&mut Hooks::default())
+    }
+
+    /// [`Detector::flush`] with the owning engine's hooks.
+    pub(crate) fn flush_with(&mut self, hooks: &mut Hooks) -> Vec<Detection> {
+        let _span = hooks.profiler.as_ref().map(|p| p.enter("detector.flush"));
+        let mut costs = hooks.costs.as_mut();
         let mut out = Vec::new();
-        self.retire_due(None, &mut out, false);
-        self.attribute_detections(&out);
+        self.retire_due(None, &mut out, false, &mut costs);
+        CostTracker::attribute(&mut costs, &out);
         out
     }
 
@@ -618,7 +562,13 @@ impl Detector {
     /// Retires in-flight work. With `Some(now)`, what closed strictly before `now`:
     /// due static anchors are resolved (their buffered slice is complete), expired
     /// runs and keyword windows are dropped. With `None`, everything (stream end).
-    fn retire_due(&mut self, now: Option<u64>, out: &mut Vec<Detection>, timed: bool) {
+    fn retire_due(
+        &mut self,
+        now: Option<u64>,
+        out: &mut Vec<Detection>,
+        timed: bool,
+        costs: &mut Option<&mut CostTracker>,
+    ) {
         self.queries
             .slots
             .retire(now, |query, item| match item.state {
@@ -627,7 +577,7 @@ impl Detector {
                     if let Live::Run(run) = &unfinished {
                         self.dropped_branches += run.dropped_branches();
                     }
-                    CostTracker::charge(&mut self.costs, query, |c| &mut c.dropped, None);
+                    CostTracker::charge(costs, query, |c| &mut c.dropped, None);
                 }
             });
         self.due.sort_unstable_by_key(|&(seq, ..)| seq);
@@ -643,7 +593,7 @@ impl Detector {
                 complete_static_anchored(pattern, &live[lo..hi], anchor, registered.window())
                     .map(|interval| Detection::of(query, interval)),
             );
-            CostTracker::charge(&mut self.costs, query, |c| &mut c.advanced, clock);
+            CostTracker::charge(costs, query, |c| &mut c.advanced, clock);
         }
         self.due.clear();
     }
@@ -658,7 +608,7 @@ struct EventStep<'a> {
     slots: &'a mut Slots,
     /// The graph the event joined; its append count is the event's stream position.
     graph: &'a IncrementalGraph,
-    costs: &'a mut Option<CostTracker>,
+    costs: Option<&'a mut CostTracker>,
     completed: &'a mut Vec<(u64, Detection)>,
     dropped_branches: &'a mut u64,
     out: &'a mut Vec<Detection>,
@@ -680,7 +630,7 @@ impl EventStep<'_> {
                         self.completed.push((item.seq, detection));
                     }
                 }
-                CostTracker::charge(self.costs, query, |c| &mut c.advanced, clock);
+                CostTracker::charge(&mut self.costs, query, |c| &mut c.advanced, clock);
                 continue;
             }
             self.slots.offer(query, |compiled, item| {
@@ -691,7 +641,7 @@ impl EventStep<'_> {
                     unreachable!("an advance index names a query of another kind");
                 };
                 let step = run.advance(pattern, event);
-                CostTracker::charge(self.costs, query, |c| &mut c.advanced, clock);
+                CostTracker::charge(&mut self.costs, query, |c| &mut c.advanced, clock);
                 let RunStep::Complete(interval) = step else {
                     debug_assert_eq!(step, RunStep::Pending, "the expired are retired first");
                     return true;
@@ -726,7 +676,7 @@ impl EventStep<'_> {
                 TemporalSpawn::Complete(interval) => out.push(Detection::of(query, interval)),
                 TemporalSpawn::Active(run) => slots.spawn(query, run.deadline(), Live::Run(run)),
             }
-            CostTracker::charge(self.costs, query, |c| &mut c.spawned, clock);
+            CostTracker::charge(&mut self.costs, query, |c| &mut c.spawned, clock);
         }
 
         // Static queries: remember the anchor, resolve when the window closes.
@@ -735,7 +685,7 @@ impl EventStep<'_> {
         for &query in routes.map_or(&[][..], |routes| &routes.static_anchors) {
             let deadline = window_deadline(event.ts, slots.get(query).window());
             slots.spawn(query, deadline, Live::Anchor(event));
-            CostTracker::charge(self.costs, query, |c| &mut c.spawned, None);
+            CostTracker::charge(&mut self.costs, query, |c| &mut c.spawned, None);
         }
 
         // Keyword queries touched by either endpoint label (their trackers noted it).
@@ -749,7 +699,7 @@ impl EventStep<'_> {
                 let deadline = window_deadline(ts, registered.window());
                 slots.spawn(query, deadline, Live::Window { ts, pos });
             }
-            CostTracker::charge(self.costs, query, |c| &mut c.spawned, clock);
+            CostTracker::charge(&mut self.costs, query, |c| &mut c.spawned, clock);
         }
     }
 }
@@ -757,6 +707,7 @@ impl EventStep<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ShardedDetector;
     use query::{search_nodeset, search_static, search_temporal};
     use tgminer::baselines::gspan::StaticPattern;
     use tgminer::baselines::nodeset::NodeSetQuery;
@@ -782,17 +733,23 @@ mod tests {
         detector.register(query, window).expect("valid query").id
     }
 
-    /// Replays a graph's edges through the detector, returning all detections.
+    /// The graph's edges as stream events, in edge order.
+    fn events_of(graph: &TemporalGraph) -> Vec<StreamEvent> {
+        let event = |edge: &tgraph::TemporalEdge| StreamEvent {
+            ts: edge.ts,
+            src: edge.src,
+            dst: edge.dst,
+            src_label: graph.label(edge.src),
+            dst_label: graph.label(edge.dst),
+        };
+        graph.edges().iter().map(event).collect()
+    }
+
+    /// Replays a graph's edges through the detector one event at a time, returning all
+    /// detections.
     fn replay(detector: &mut Detector, graph: &TemporalGraph) -> Vec<Detection> {
         let mut out = Vec::new();
-        for edge in graph.edges() {
-            let event = StreamEvent {
-                ts: edge.ts,
-                src: edge.src,
-                dst: edge.dst,
-                src_label: graph.label(edge.src),
-                dst_label: graph.label(edge.dst),
-            };
+        for event in events_of(graph) {
             out.extend(detector.on_event(event).expect("valid replayed stream"));
         }
         out.extend(detector.flush());
@@ -1315,23 +1272,38 @@ mod tests {
         assert_eq!(out.len(), 1);
     }
 
+    /// A one-shard engine — what owns the hooks a bare detector lends nothing of —
+    /// over `queries`, each matched within 5 units.
+    fn engine_of(queries: &[CompiledQuery]) -> ShardedDetector {
+        let mut engine = ShardedDetector::new(1);
+        for query in queries {
+            engine.register(query.clone(), 5).expect("valid query");
+        }
+        engine
+    }
+
+    /// Replays a graph's edges through an engine in one batch, then flushes.
+    fn replay_engine(engine: &mut ShardedDetector, graph: &TemporalGraph) -> Vec<Detection> {
+        let mut out = engine
+            .on_batch(&events_of(graph))
+            .expect("valid replayed stream");
+        out.extend(engine.flush());
+        out
+    }
+
     #[test]
     fn cost_attribution_counts_exact_work_per_query() {
         let g = test_graph();
-        let mut detector = Detector::new();
-        let q_abc = must_register(&mut detector, CompiledQuery::Temporal(abc_pattern()), 5);
-        let q_loop = must_register(
-            &mut detector,
-            CompiledQuery::Temporal(TemporalPattern::single_self_loop(l(9))),
-            5,
-        );
-        detector.enable_cost_attribution(1); // time every event
-        let detections = replay(&mut detector, &g);
-        let (costs, sample_interval) = detector.cost_attribution().expect("attribution enabled");
-        assert_eq!(sample_interval, 1);
-        assert_eq!(costs.len(), 2, "both queries did work, so both have a slot");
+        let loop9 = CompiledQuery::Temporal(TemporalPattern::single_self_loop(l(9)));
+        let mut engine = engine_of(&[CompiledQuery::Temporal(abc_pattern()), loop9]);
+        let (q_abc, q_loop) = (0, 1);
+        engine.enable_cost_attribution(1); // time every event
+        let detections = replay_engine(&mut engine, &g);
+        let report = engine.query_cost_report().expect("attribution enabled");
+        assert_eq!(report.sample_interval, 1);
+        assert_eq!(report.rows.len(), 2, "one row per registration");
 
-        let abc = costs[q_abc];
+        let abc = *report.get(q_abc).unwrap();
         // Three A->B seed edges spawn runs. Only a B->C edge can move one, and a run is
         // offered only those: the ts-2 and ts-21 edges each advance (and complete) the
         // run seeded just before. The ts-5 noise loop is routed past the abc query, the
@@ -1349,7 +1321,7 @@ mod tests {
         assert!(abc.sampled_ns > 0, "interval 1 times every operation");
         assert_eq!(abc.sampled_ops, 5, "every spawn and every advance is timed");
 
-        let lp = costs[q_loop];
+        let lp = *report.get(q_loop).unwrap();
         assert_eq!(lp.spawned, 1, "one noise self-loop seeds it");
         assert_eq!(lp.detections, 1, "single-edge pattern completes at spawn");
         assert_eq!((lp.advanced, lp.dropped), (0, 0));
@@ -1359,17 +1331,14 @@ mod tests {
     #[test]
     fn a_keyword_query_advances_once_per_event_its_tracker_records() {
         let g = test_graph();
-        let mut detector = Detector::new();
-        let q = must_register(
-            &mut detector,
-            CompiledQuery::NodeSet(NodeSetQuery {
-                labels: vec![l(0), l(1), l(2)],
-            }),
-            5,
-        );
-        detector.enable_cost_attribution(1);
-        let detections = replay(&mut detector, &g);
-        let cost = detector.cost_attribution().expect("attribution enabled").0[q];
+        let members = NodeSetQuery {
+            labels: vec![l(0), l(1), l(2)],
+        };
+        let mut engine = engine_of(&[CompiledQuery::NodeSet(members)]);
+        engine.enable_cost_attribution(1);
+        let detections = replay_engine(&mut engine, &g);
+        let report = engine.query_cost_report().expect("attribution enabled");
+        let cost = *report.get(0).unwrap();
         // Six of the seven edges carry a member label (all but the ts-5 noise loop):
         // each is noted once and anchors a window, however many windows are open.
         assert_eq!((cost.spawned, cost.advanced), (6, 6));
@@ -1380,30 +1349,19 @@ mod tests {
     #[test]
     fn cost_attribution_and_profiling_are_inert() {
         let g = test_graph();
-        let mut plain = Detector::new();
-        must_register(&mut plain, CompiledQuery::Temporal(abc_pattern()), 5);
-        must_register(
-            &mut plain,
+        let queries = [
+            CompiledQuery::Temporal(abc_pattern()),
             CompiledQuery::NodeSet(NodeSetQuery {
                 labels: vec![l(0), l(1), l(2)],
             }),
-            5,
-        );
-        let baseline = replay(&mut plain, &g);
+        ];
+        let baseline = replay_engine(&mut engine_of(&queries), &g);
 
-        let mut observed = Detector::new();
-        must_register(&mut observed, CompiledQuery::Temporal(abc_pattern()), 5);
-        must_register(
-            &mut observed,
-            CompiledQuery::NodeSet(NodeSetQuery {
-                labels: vec![l(0), l(1), l(2)],
-            }),
-            5,
-        );
+        let mut observed = engine_of(&queries);
         observed.enable_cost_attribution(2);
         let profiler = Profiler::new();
         observed.set_profiler(Some(profiler.clone()));
-        let detections = replay(&mut observed, &g);
+        let detections = replay_engine(&mut observed, &g);
         assert_eq!(
             detections, baseline,
             "attribution + profiling change nothing"
@@ -1423,19 +1381,8 @@ mod tests {
 
         let mut batched = Detector::new();
         must_register(&mut batched, CompiledQuery::Temporal(abc_pattern()), 5);
-        let events: Vec<StreamEvent> = g
-            .edges()
-            .iter()
-            .map(|e| StreamEvent {
-                ts: e.ts,
-                src: e.src,
-                dst: e.dst,
-                src_label: g.label(e.src),
-                dst_label: g.label(e.dst),
-            })
-            .collect();
         let mut out = Vec::new();
-        for chunk in events.chunks(3) {
+        for chunk in events_of(&g).chunks(3) {
             out.extend(batched.on_batch(chunk).unwrap());
         }
         out.extend(batched.flush());

@@ -1,10 +1,11 @@
 //! The instrumentation bundle: the metric handles a detector ticks.
 //!
 //! A bundle is created from a [`MetricsRegistry`] with a name prefix and then
-//! attached through `ShardedDetector::instrument` (one bundle per shard's
-//! `Detector`) or `TenantPool::instrument`. Handles are `Arc`-backed atomics, so
-//! attaching a bundle costs the engine exactly one `Option` branch per touch point
-//! and never takes a lock on the hot path.
+//! attached through `ShardedDetector::instrument`, which keeps one bundle on each
+//! shard entry and lends it to that shard's `Detector` while a batch runs, or through
+//! `TenantPool::instrument`. Handles are `Arc`-backed atomics, so attaching a bundle
+//! costs the engine exactly one `Option` branch per touch point and never takes a
+//! lock on the hot path.
 //!
 //! Attaching instruments is **inert** by contract: detections are byte-identical
 //! with and without them (`tests/instrumentation_parity.rs` in this crate proves

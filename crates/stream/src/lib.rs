@@ -73,11 +73,13 @@
 //!
 //! ## Observability
 //!
-//! Both engines accept the `obs` crate's inert instrumentation and hand it down to
-//! what they own: metric bundles ([`instrument`]), a scoped-span profiler
-//! (`set_profiler`; spans aggregate into a collapsed-stack / flamegraph export), and
-//! sampled per-query cost attribution (`enable_cost_attribution` /
-//! `query_cost_report`). None of it may change detections —
+//! Both engines accept the `obs` crate's inert instrumentation and own it: metric
+//! bundles, one per shard ([`instrument`]), one scoped-span profiler (`set_profiler`;
+//! spans aggregate into a collapsed-stack / flamegraph export), and one table of
+//! sampled per-query cost attribution indexed by global query id
+//! (`enable_cost_attribution` / `query_cost_report`) that every shard and tenant
+//! counts into. They lend it to each [`Detector`] for the length of a batch; the
+//! `Detector` keeps none of it. None of it may change detections —
 //! `tests/instrumentation_parity.rs` holds the whole surface to byte-identical output.
 //! Lifecycle events have no channel of their own: return values, accessors and
 //! counters report them (DESIGN.md, "Lifecycle events").

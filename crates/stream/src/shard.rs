@@ -38,14 +38,16 @@
 //! `tests/stream_parity.rs`): N shards, 1 shard, and the offline search all identify
 //! the same intervals.
 
-use crate::detector::{CompiledQuery, Detection, Detector, QueryId, Registration, SeedKey};
+use crate::detector::{
+    CompiledQuery, CostTracker, Detection, Detector, Hooks, QueryId, Registration, SeedKey,
+};
 use crate::durability::DurabilitySink;
 use crate::engine::Engine;
 use crate::error::{BatchError, DeregisterError, RegisterError};
 use crate::instrument::DetectorInstruments;
 use crate::registry::LabelMap;
 use faults::FaultPlan;
-use obs::{MetricsRegistry, Profiler, QueryCost, QueryCostReport, ShardStat};
+use obs::{MetricsRegistry, Profiler, QueryCostReport, ShardStat};
 use std::collections::HashMap;
 use tgraph::{GraphError, Label, StreamEvent, TemporalGraph, TenantId};
 
@@ -162,10 +164,12 @@ impl LabelPairStats {
 }
 
 /// One shard's state: a full detector over this shard's queries, each registered under
-/// its global id.
+/// its global id, and the shard's metric handles.
 #[derive(Debug, Clone)]
 struct Shard {
     detector: Detector,
+    /// The `detector.shard<i>.` metric bundle, if attached.
+    instruments: Option<DetectorInstruments>,
     /// Registrations ever placed on this shard (the assignment's tie-break).
     placed: usize,
     /// Events this shard has processed (always on — plain integers, no atomics).
@@ -176,8 +180,14 @@ struct Shard {
 
 impl Shard {
     /// Runs a batch through this shard's detector, counting what it did.
-    fn process(&mut self, events: &[StreamEvent]) -> Result<Vec<Detection>, BatchError> {
-        let result = self.detector.on_batch(events);
+    fn process(
+        &mut self,
+        events: &[StreamEvent],
+        hooks: &mut Hooks,
+    ) -> Result<Vec<Detection>, BatchError> {
+        let result = self
+            .detector
+            .on_batch_with(events, self.instruments.as_ref(), hooks);
         let (processed, emitted) = match &result {
             Ok(out) => (events.len(), out.len()),
             Err(err) => (err.index, err.emitted.len()),
@@ -212,10 +222,10 @@ pub struct ShardedDetector {
     /// Write-ahead recorder: registrations carry *global* ids and batches are
     /// recorded once for the whole pool, above the shards.
     durability: Option<Box<dyn DurabilitySink>>,
-    /// Pool-level profiler handle for `pool.batch` / `pool.merge` spans. The same
-    /// handle is forwarded to every shard detector, so shard-phase spans aggregate
-    /// into the one span map.
-    profiler: Option<Profiler>,
+    /// The engine's profiler and its one cost table, indexed by global query id: lent
+    /// to every shard while a batch runs. A [`crate::TenantPool`]'s template holds
+    /// the pool's, which the pool lends to every tenant.
+    pub(crate) hooks: Hooks,
     /// Deterministic fault plan; the `shard.worker` failpoint is consulted at the
     /// top of every batch. Unarmed: one `Option` branch, no behavior change.
     faults: Option<FaultPlan>,
@@ -241,6 +251,7 @@ impl ShardedDetector {
             shards: (0..shards)
                 .map(|_| Shard {
                     detector: Detector::new(),
+                    instruments: None,
                     placed: 0,
                     events_processed: 0,
                     detections_emitted: 0,
@@ -250,13 +261,13 @@ impl ShardedDetector {
             stats,
             placements: Vec::new(),
             durability: None,
-            profiler: None,
+            hooks: Hooks::default(),
             faults: None,
         }
     }
 
-    /// A copy without the log and the fault plan: queries, ids, placement, profiler,
-    /// cost attribution and shard state. A pool's tenants start as its template's.
+    /// A copy without the log, the hooks and the fault plan: queries, ids, placement
+    /// and shard state. A pool's tenants start as its template's.
     pub(crate) fn replica(&self) -> Self {
         Self {
             shards: self.shards.clone(),
@@ -264,7 +275,7 @@ impl ShardedDetector {
             stats: self.stats.clone(),
             placements: self.placements.clone(),
             durability: None,
-            profiler: self.profiler.clone(),
+            hooks: Hooks::default(),
             faults: None,
         }
     }
@@ -293,87 +304,51 @@ impl ShardedDetector {
             .collect()
     }
 
-    /// Restores per-shard visibility floors recorded by
-    /// [`ShardedDetector::shard_visible_floors`] in a previous process.
-    ///
-    /// # Panics
-    /// Panics if `floors` does not have one entry per shard.
-    pub(crate) fn restore_shard_visible_floors(&mut self, floors: &[u64]) {
-        assert_eq!(
-            floors.len(),
-            self.shards.len(),
-            "one recorded floor per shard"
-        );
-        for (shard, &floor) in self.shards.iter_mut().zip(floors) {
-            shard.detector.restore_visible_floor(floor);
-        }
-    }
-
     /// Attaches per-shard metric instruments, one [`DetectorInstruments`] set per
     /// shard under the prefix `detector.shard<i>.`. Purely observational: detections
     /// are byte-identical with or without instruments attached.
     pub fn instrument(&mut self, registry: &MetricsRegistry) {
         for (idx, shard) in self.shards.iter_mut().enumerate() {
             let prefix = format!("detector.shard{idx}.");
-            shard
-                .detector
-                .set_instruments(Some(DetectorInstruments::register(registry, &prefix)));
+            shard.instruments = Some(DetectorInstruments::register(registry, &prefix));
         }
     }
 
-    /// Attaches (or with `None`, detaches) a shared scoped-span [`Profiler`].
+    /// Attaches (or with `None`, detaches) a scoped-span [`Profiler`].
     ///
-    /// One handle serves the whole pool: the pool times `pool.batch` / `pool.merge`
-    /// around the shard loop and the merge, and every shard detector gets a clone so
-    /// its per-phase spans (`detector.batch`, `resolve_static`, …) nest under
-    /// `pool.batch` in the same aggregated span map. Profiling is inert: detections
-    /// are identical with and without it (checked in `tests/instrumentation_parity.rs`).
+    /// One handle serves the whole engine: it times `pool.batch` / `pool.merge`
+    /// around the shard loop and the merge, and lends the handle to every shard
+    /// detector, so its per-phase spans (`detector.batch`, `resolve_static`, …) nest
+    /// under `pool.batch` in the same aggregated span map. Profiling is inert:
+    /// detections are identical with and without it (checked in
+    /// `tests/instrumentation_parity.rs`).
     pub fn set_profiler(&mut self, profiler: Option<Profiler>) {
-        for shard in &mut self.shards {
-            shard.detector.set_profiler(profiler.clone());
-        }
-        self.profiler = profiler;
+        self.hooks.profiler = profiler;
     }
 
-    /// Enables per-query cost attribution on every shard: exact work counters (runs
-    /// spawned, advances, drops, detections) on *every* event, plus clock-timed
-    /// per-run wall time on one event in `sample_interval` (`0`/`1` = every event).
+    /// Enables per-query cost attribution: one table for the engine, indexed by global
+    /// query id, that every shard counts into — exact work counters (runs spawned,
+    /// advances, drops, detections) on *every* event, plus clock-timed per-run wall
+    /// time on one event in `sample_interval` (`0`/`1` = every event) by stream position.
     /// `advanced` counts the temporal runs actually *offered* an event (those of the
     /// queries whose advance index names its labels), keyword tracker notes and anchor
     /// resolutions; a run routed past, or one that merely expires, is not an advance.
     /// Attribution is inert: it observes the five-step loop without changing which
     /// runs are visited. Costs accumulate for the engine's lifetime; calling again
-    /// only changes the sampling interval. Read the merged result with
+    /// only changes the sampling interval. Read the result with
     /// [`ShardedDetector::query_cost_report`].
     pub fn enable_cost_attribution(&mut self, sample_interval: u64) {
-        for shard in &mut self.shards {
-            shard.detector.enable_cost_attribution(sample_interval);
-        }
+        let costs = self.hooks.costs.get_or_insert_with(CostTracker::default);
+        costs.interval = sample_interval.max(1);
     }
 
-    /// The merged per-query cost report, keyed by query id (shards count under the
-    /// ids the engine assigned). `None` unless
+    /// The per-query cost report, keyed by query id. `None` unless
     /// [`ShardedDetector::enable_cost_attribution`] was called. Every registration —
     /// live or deregistered — gets a row; queries the stream never touched report
     /// all-zero cost.
     pub fn query_cost_report(&self) -> Option<QueryCostReport> {
-        let mut sample_interval = None;
-        let mut rows: Vec<(usize, QueryCost)> = (0..self.placements.len())
-            .map(|id| (id, QueryCost::default()))
-            .collect();
-        for shard in &self.shards {
-            let Some((costs, interval)) = shard.detector.cost_attribution() else {
-                continue;
-            };
-            sample_interval.get_or_insert(interval);
-            for ((_, row), cost) in rows.iter_mut().zip(costs) {
-                row.merge(cost);
-            }
-        }
-        Some(QueryCostReport {
-            rows,
-            sample_interval: sample_interval?,
-        })
+        let costs = self.hooks.costs.as_ref()?;
+        Some(costs.report(self.placements.len()))
     }
 
     /// Per-shard load/occupancy breakdown (always on, no instruments needed).
@@ -522,11 +497,22 @@ impl ShardedDetector {
         if let Some(durability) = &mut self.durability {
             durability.record_events(events);
         }
-        let _batch_span = self.profiler.as_ref().map(|p| p.enter("pool.batch"));
+        self.on_batch_with(events, None)
+    }
+
+    /// [`ShardedDetector::on_batch`] past the failpoint and the log, with the hooks
+    /// `lent` by the pool this engine is a tenant of (its own when `None`).
+    pub(crate) fn on_batch_with(
+        &mut self,
+        events: &[StreamEvent],
+        lent: Option<&mut Hooks>,
+    ) -> Result<Vec<Detection>, BatchError> {
+        let hooks = lent.unwrap_or(&mut self.hooks);
+        let _batch_span = hooks.profiler.as_ref().map(|p| p.enter("pool.batch"));
         let mut merged = Vec::new();
         let mut failure: Option<(usize, GraphError)> = None;
         for shard in &mut self.shards {
-            match shard.process(events) {
+            match shard.process(events, hooks) {
                 Ok(detections) => merged.extend(detections),
                 Err(err) => {
                     // Shards share validation state, so they all fail identically.
@@ -542,7 +528,7 @@ impl ShardedDetector {
                 }
             }
         }
-        let _merge_span = self.profiler.as_ref().map(|p| p.enter("pool.merge"));
+        let _merge_span = hooks.profiler.as_ref().map(|p| p.enter("pool.merge"));
         Self::sort_global(&mut merged);
         match failure {
             None => Ok(merged),
@@ -557,9 +543,16 @@ impl ShardedDetector {
     /// Declares the stream finished on every shard; returns the trailing detections in
     /// global timestamp order.
     pub fn flush(&mut self) -> Vec<Detection> {
+        self.flush_with(None)
+    }
+
+    /// [`ShardedDetector::flush`] with the hooks `lent` by the pool this engine is a
+    /// tenant of (its own when `None`).
+    pub(crate) fn flush_with(&mut self, lent: Option<&mut Hooks>) -> Vec<Detection> {
+        let hooks = lent.unwrap_or(&mut self.hooks);
         let mut merged = Vec::new();
         for shard in &mut self.shards {
-            let out = shard.detector.flush();
+            let out = shard.detector.flush_with(hooks);
             shard.detections_emitted += out.len() as u64;
             merged.extend(out);
         }
@@ -609,7 +602,11 @@ impl Engine for ShardedDetector {
     }
     fn restore_visible_floors(&mut self, floors: &[(TenantId, Vec<u64>)]) {
         for (_, shard_floors) in floors {
-            self.restore_shard_visible_floors(shard_floors);
+            let shards = self.shards.iter_mut();
+            assert_eq!(shards.len(), shard_floors.len(), "one floor per shard");
+            for (shard, &floor) in shards.zip(shard_floors) {
+                shard.detector.restore_visible_floor(floor);
+            }
         }
     }
     fn set_durability(&mut self, sink: Option<Box<dyn DurabilitySink>>) {
@@ -1060,7 +1057,7 @@ mod tests {
     }
 
     #[test]
-    fn cost_report_merges_shard_rows_by_query_id() {
+    fn shards_count_into_one_cost_table_by_query_id() {
         let mut pool = ShardedDetector::new(2);
         let qa = pool
             .register(
@@ -1094,8 +1091,8 @@ mod tests {
         );
         for &id in &[qa, qb] {
             let cost = report.get(id).unwrap();
-            // Each query lives alone on its shard, so its row is exactly that
-            // shard's row for the id — three seeds, three detections.
+            // Each query lives alone on its shard, which counts its work under the
+            // global id — three seeds, three detections.
             assert_eq!(cost.spawned, 3, "query {id}");
             assert_eq!(cost.detections, 3, "query {id}");
             assert!(cost.sampled_ns > 0, "interval 1 times every operation");

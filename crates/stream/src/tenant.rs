@@ -76,20 +76,20 @@
 //!   stays parity-exact.
 //! * **Tenant quiescence** ([`QuiescencePolicy`]): tenants silent past a horizon
 //!   (never less than twice the largest registered window, so no pending match can
-//!   still complete) are flushed and evicted, their visibility floors saved and their
-//!   cost-attribution rows folded into the pool's; a returning tenant is recreated
+//!   still complete) are flushed and evicted, their visibility floors saved; their
+//!   work stays counted in the pool's one cost table. A returning tenant is recreated
 //!   from the template like any new tenant, with its floors restored. Each eviction is
 //!   logged as a `Quiesce` record before it is applied, because the flush drains
 //!   pending detections early — replay must drain them at the same point in the op
 //!   sequence.
 
-use crate::detector::{CompiledQuery, Detection, QueryId, Registration};
+use crate::detector::{CompiledQuery, Detection, Hooks, QueryId, Registration};
 use crate::durability::DurabilitySink;
 use crate::engine::Engine;
 use crate::error::{DeregisterError, RegisterError, TenantBatchError};
 use crate::shard::{LabelPairStats, ShardedDetector};
 use faults::FaultPlan;
-use obs::{Counter, Gauge, MetricsRegistry, Profiler, QueryCost, QueryCostReport, TenantGroupStat};
+use obs::{Counter, Gauge, MetricsRegistry, Profiler, QueryCostReport, TenantGroupStat};
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Range;
 use tgraph::{GraphError, StreamEvent, TenantId, TenantedEvent};
@@ -222,21 +222,22 @@ struct Group {
 
 impl Group {
     /// Processes group `index`'s share of a staged batch: each of its tenants with a
-    /// run in `runs` gets its slice of `arena`, in first-appearance order. Detections
-    /// are appended to `detections` unsorted; `failure` keeps the lowest-batch-position
-    /// rejection seen so far.
+    /// run in `runs` gets its slice of `arena`, in first-appearance order, and the
+    /// pool's `hooks`. Detections are appended to `detections` unsorted; `failure`
+    /// keeps the lowest-batch-position rejection seen so far.
     fn process(
         &mut self,
         index: usize,
         runs: &[Run],
         arena: &[StreamEvent],
+        hooks: &mut Hooks,
         detections: &mut Vec<TenantDetection>,
         failure: &mut Option<(usize, TenantId, GraphError)>,
     ) {
         for first in runs.iter().filter(|r| r.first && r.group == index) {
             let tenant = &mut self.tenants[first.slot];
             let events = &arena[std::mem::take(&mut tenant.staged)];
-            let out = match tenant.detector.on_batch(events) {
+            let out = match tenant.detector.on_batch_with(events, Some(hooks)) {
                 Ok(out) => {
                     self.events += events.len() as u64;
                     out
@@ -271,10 +272,9 @@ impl Group {
 pub struct TenantPool {
     /// The query template (module docs, "Registration semantics"): it validates
     /// registrations, assigns the ids every tenant reports under, places the queries,
-    /// carries the observability settings, and is what a new tenant copies.
+    /// and is what a new tenant copies. Its hooks are the pool's — one profiler, one
+    /// cost table indexed by query id — lent to every tenant while a batch runs.
     template: ShardedDetector,
-    /// Cost-attribution rows of the tenants quiesced so far, indexed by query id.
-    evicted_costs: Vec<QueryCost>,
     groups: Vec<Group>,
     /// The batch being processed, counting-sorted by tenant (see the module docs,
     /// "Demux"); it only grows, to the largest batch seen.
@@ -284,10 +284,6 @@ pub struct TenantPool {
     /// Pool-level write-ahead recorder: operations and tenant batches are recorded
     /// once at the demux front-end; per-tenant detectors stay recorder-free.
     durability: Option<Box<dyn DurabilitySink>>,
-    /// Pool-level profiler for `tenant.batch` / `tenant.demux` spans; cloned into the
-    /// template and every live tenant (later tenants copy it from the template) so all
-    /// spans aggregate into the one map.
-    profiler: Option<Profiler>,
     /// Armed fault plan; `tenant.batch` fires at the very top of [`TenantPool::on_batch`].
     faults: Option<FaultPlan>,
     /// Poison-event quarantine policy; `None` (default) disables quarantine.
@@ -338,12 +334,10 @@ impl TenantPool {
         );
         Self {
             template: ShardedDetector::with_stats(shards_per_tenant, stats),
-            evicted_costs: Vec::new(),
             groups: (0..groups).map(|_| Group::default()).collect(),
             arena: Vec::new(),
             runs: Vec::new(),
             durability: None,
-            profiler: None,
             faults: None,
             poison: None,
             failing: BTreeMap::new(),
@@ -359,43 +353,29 @@ impl TenantPool {
         }
     }
 
-    /// Attaches (or with `None`, detaches) a shared scoped-span [`Profiler`] across
-    /// the whole grid: the pool times `tenant.demux` / `tenant.batch`, and every
-    /// tenant's [`ShardedDetector`] — current and future — gets a clone so pool- and
-    /// detector-phase spans aggregate together. Inert: detections are identical with
-    /// and without it.
+    /// Attaches (or with `None`, detaches) one scoped-span [`Profiler`] for the whole
+    /// grid: the pool times `tenant.demux` / `tenant.batch` and lends the handle to
+    /// every tenant's [`ShardedDetector`] while it runs, so pool- and detector-phase
+    /// spans aggregate together. Inert: detections are identical with and without it.
     pub fn set_profiler(&mut self, profiler: Option<Profiler>) {
-        self.template.set_profiler(profiler.clone());
-        for detector in self.detectors_mut() {
-            detector.set_profiler(profiler.clone());
-        }
-        self.profiler = profiler;
+        self.template.set_profiler(profiler);
     }
 
-    /// Enables sampled per-query cost attribution on every tenant, current and
-    /// future (see [`ShardedDetector::enable_cost_attribution`]). Read the summed
-    /// result with [`TenantPool::query_cost_report`].
+    /// Enables sampled per-query cost attribution: one table for the pool, indexed by
+    /// query id, that every tenant counts into (see
+    /// [`ShardedDetector::enable_cost_attribution`]). Read it with
+    /// [`TenantPool::query_cost_report`].
     pub fn enable_cost_attribution(&mut self, sample_interval: u64) {
         self.template.enable_cost_attribution(sample_interval);
-        for detector in self.detectors_mut() {
-            detector.enable_cost_attribution(sample_interval);
-        }
     }
 
-    /// The per-query cost report summed across every tenant the pool has run —
-    /// live or quiesced — keyed by the template's query ids (every tenant runs the
-    /// same query set, so rows add meaningfully). `None` unless
+    /// The per-query cost report over every tenant the pool has run — live or
+    /// quiesced — keyed by the template's query ids (every tenant runs the same query
+    /// set under the same ids, so they count into one row each). `None` unless
     /// [`TenantPool::enable_cost_attribution`] was called. Every registration gets a
     /// row, even with zero tenants materialised.
     pub fn query_cost_report(&self) -> Option<QueryCostReport> {
-        let mut report = self.template.query_cost_report()?;
-        let live = self.groups.iter().flat_map(|group| &group.tenants);
-        let live = live.filter_map(|tenant| tenant.detector.query_cost_report());
-        let evicted = self.evicted_costs.iter().copied().enumerate();
-        for (id, cost) in live.flat_map(|report| report.rows).chain(evicted) {
-            report.rows[id].1.merge(&cost);
-        }
-        Some(report)
+        self.template.query_cost_report()
     }
 
     /// Attaches (or with `None` detaches) a pool-level durability recorder. Attach
@@ -552,9 +532,9 @@ impl TenantPool {
     }
 
     /// Materialises a tenant if this is its first appearance: a copy of the template
-    /// (own graphs, own retention; the live query set, its placement and the
-    /// observability settings). Returns the tenant's group and its position in the
-    /// group's `tenants` (an insertion shifts the positions after it).
+    /// (own graphs, own retention; the live query set and its placement). Returns the
+    /// tenant's group and its position in the group's `tenants` (an insertion shifts
+    /// the positions after it).
     fn ensure_tenant(&mut self, tenant: TenantId) -> (usize, usize) {
         let group_idx = group_of(tenant, self.groups.len());
         let group = &mut self.groups[group_idx];
@@ -566,7 +546,7 @@ impl TenantPool {
         // A tenant coming back from quiescence resumes with the floors it was evicted
         // with (restore ratchets, so replayed evictions can only tighten them).
         if let Some(floors) = self.quiesced_floors.remove(&tenant) {
-            detector.restore_shard_visible_floors(&floors);
+            detector.restore_visible_floors(&[(tenant, floors)]);
         }
         let entry = Tenant {
             id: tenant,
@@ -669,7 +649,8 @@ impl TenantPool {
                 });
             }
         }
-        let _batch_span = self.profiler.as_ref().map(|p| p.enter("tenant.batch"));
+        let profiler = &self.template.hooks.profiler;
+        let _batch_span = profiler.as_ref().map(|p| p.enter("tenant.batch"));
 
         // Quiesce silent tenants before this batch extends the clock. Evictions are
         // logged before they apply, so replay drains the same pending detections at
@@ -689,13 +670,22 @@ impl TenantPool {
         if let Some(durability) = &mut self.durability {
             durability.record_tenant_events(batch);
         }
-        let demux_span = self.profiler.as_ref().map(|p| p.enter("tenant.demux"));
+        let profiler = &self.template.hooks.profiler;
+        let demux_span = profiler.as_ref().map(|p| p.enter("tenant.demux"));
         self.stage(batch);
         drop(demux_span);
 
         let mut failure: Option<(usize, TenantId, GraphError)> = None;
+        let hooks = &mut self.template.hooks;
         for (index, group) in self.groups.iter_mut().enumerate() {
-            group.process(index, &self.runs, &self.arena, &mut merged, &mut failure);
+            group.process(
+                index,
+                &self.runs,
+                &self.arena,
+                hooks,
+                &mut merged,
+                &mut failure,
+            );
         }
         Self::sort_global(&mut merged);
         self.tick_instruments();
@@ -792,7 +782,7 @@ impl TenantPool {
         let mut merged = Vec::new();
         for group in &mut self.groups {
             for tenant in &mut group.tenants {
-                let out = tenant.detector.flush();
+                let out = tenant.detector.flush_with(Some(&mut self.template.hooks));
                 group.detections += out.len() as u64;
                 merged.extend(out.into_iter().map(|d| TenantDetection::of(tenant.id, d)));
             }
@@ -861,9 +851,8 @@ impl Engine for TenantPool {
         TenantPool::flush(self)
     }
     /// Flushes and evicts `tenant`, saving its visibility floors for its recreation
-    /// from the template on its next event and folding its cost-attribution rows into
-    /// the pool's (see the module docs). Returns the tenant's trailing detections; a
-    /// tenant that is not materialised is a no-op.
+    /// from the template on its next event (see the module docs). Returns the tenant's
+    /// trailing detections; a tenant that is not materialised is a no-op.
     ///
     /// An eviction is logged as a `Quiesce` record before it applies, whoever starts
     /// it — the quiescence policy or a caller — because the flush drains pending
@@ -879,16 +868,8 @@ impl Engine for TenantPool {
             durability.record_quiesce(tenant);
         }
         let mut detector = group.tenants.remove(idx).detector;
-        let out = detector.flush();
+        let out = detector.flush_with(Some(&mut self.template.hooks));
         group.detections += out.len() as u64;
-        if let Some(report) = detector.query_cost_report() {
-            // The rows cover every id registered so far: the accumulator only grows.
-            self.evicted_costs
-                .resize(report.rows.len(), QueryCost::default());
-            for (id, cost) in &report.rows {
-                self.evicted_costs[*id].merge(cost);
-            }
-        }
         self.quiesced_floors
             .insert(tenant, detector.shard_visible_floors());
         self.failing.remove(&tenant);
@@ -916,10 +897,10 @@ impl Engine for TenantPool {
     /// of the template), so a tenant that went quiet before the snapshot still reports
     /// its original floors.
     fn restore_visible_floors(&mut self, floors: &[(TenantId, Vec<u64>)]) {
-        for (tenant, shard_floors) in floors {
-            let (group, slot) = self.ensure_tenant(*tenant);
+        for entry in floors {
+            let (group, slot) = self.ensure_tenant(entry.0);
             let detector = &mut self.groups[group].tenants[slot].detector;
-            detector.restore_shard_visible_floors(shard_floors);
+            detector.restore_visible_floors(std::slice::from_ref(entry));
         }
     }
     fn set_durability(&mut self, sink: Option<Box<dyn DurabilitySink>>) {

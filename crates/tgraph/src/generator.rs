@@ -75,27 +75,11 @@ pub fn random_t_connected_graph(seed: u64, spec: RandomGraphSpec) -> TemporalGra
 pub fn random_pattern(seed: u64, max_edges: usize, label_alphabet: u32) -> TemporalPattern {
     let mut rng = StdRng::seed_from_u64(seed);
     let alphabet = label_alphabet.max(1);
-    let edges = max_edges.max(1);
-    let mut pattern = TemporalPattern::single_edge(
+    let pattern = TemporalPattern::single_edge(
         Label(rng.gen_range(0..alphabet)),
         Label(rng.gen_range(0..alphabet)),
     );
-    while pattern.edge_count() < edges {
-        let choice = rng.gen_range(0..3);
-        let n = pattern.node_count();
-        pattern = match choice {
-            0 => pattern
-                .grow_forward(rng.gen_range(0..n), Label(rng.gen_range(0..alphabet)))
-                .expect("valid forward growth"),
-            1 => pattern
-                .grow_backward(Label(rng.gen_range(0..alphabet)), rng.gen_range(0..n))
-                .expect("valid backward growth"),
-            _ => pattern
-                .grow_inward(rng.gen_range(0..n), rng.gen_range(0..n))
-                .expect("valid inward growth"),
-        };
-    }
-    pattern
+    grow(pattern, max_edges.max(1), &mut rng, alphabet)
 }
 
 /// Generates a random pattern together with a host pattern that is guaranteed to contain
@@ -109,23 +93,34 @@ pub fn random_pattern_pair(
 ) -> (TemporalPattern, TemporalPattern) {
     let base = random_pattern(seed, base_edges, label_alphabet);
     let mut rng = StdRng::seed_from_u64(seed.wrapping_add(0x9E37_79B9_7F4A_7C15));
-    let alphabet = label_alphabet.max(1);
-    let mut host = base.clone();
-    for _ in 0..extra_edges {
-        let n = host.node_count();
-        host = match rng.gen_range(0..3) {
-            0 => host
+    let edges = base.edge_count() + extra_edges;
+    let host = grow(base.clone(), edges, &mut rng, label_alphabet.max(1));
+    (base, host)
+}
+
+/// Grows `pattern` by random consecutive steps, one edge each, until it has `edges`
+/// edges. Each step draws its kind, then its node and label operands.
+fn grow(
+    mut pattern: TemporalPattern,
+    edges: usize,
+    rng: &mut StdRng,
+    alphabet: u32,
+) -> TemporalPattern {
+    while pattern.edge_count() < edges {
+        let n = pattern.node_count();
+        pattern = match rng.gen_range(0..3) {
+            0 => pattern
                 .grow_forward(rng.gen_range(0..n), Label(rng.gen_range(0..alphabet)))
                 .expect("valid forward growth"),
-            1 => host
+            1 => pattern
                 .grow_backward(Label(rng.gen_range(0..alphabet)), rng.gen_range(0..n))
                 .expect("valid backward growth"),
-            _ => host
+            _ => pattern
                 .grow_inward(rng.gen_range(0..n), rng.gen_range(0..n))
                 .expect("valid inward growth"),
         };
     }
-    (base, host)
+    pattern
 }
 
 #[cfg(test)]

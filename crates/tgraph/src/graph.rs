@@ -226,13 +226,6 @@ impl GraphBuilder {
         Ok(())
     }
 
-    /// Adds an edge with the next available timestamp (previous + 1, or 1 if empty).
-    pub fn add_edge_auto(&mut self, src: usize, dst: usize) -> Result<u64, GraphError> {
-        let ts = self.edges.last().map(|e| e.ts + 1).unwrap_or(1);
-        self.add_edge(src, dst, ts)?;
-        Ok(ts)
-    }
-
     /// Number of nodes added so far.
     pub fn node_count(&self) -> usize {
         self.labels.len()
@@ -372,16 +365,6 @@ mod tests {
         assert_eq!(g.out_degree(a), 2);
         assert_eq!(g.in_degree(c), 2);
         assert_eq!(g.out_degree(c), 1);
-    }
-
-    #[test]
-    fn add_edge_auto_increments_timestamps() {
-        let mut b = GraphBuilder::new();
-        let a = b.add_node(Label(0));
-        let c = b.add_node(Label(1));
-        assert_eq!(b.add_edge_auto(a, c).unwrap(), 1);
-        assert_eq!(b.add_edge_auto(c, a).unwrap(), 2);
-        assert_eq!(b.last_ts(), Some(2));
     }
 
     #[test]

@@ -22,26 +22,6 @@ pub fn is_subsequence<T: PartialEq>(needle: &[T], haystack: &[T]) -> bool {
     current.is_none()
 }
 
-/// Returns the (leftmost, greedy) positions in `haystack` matching `needle`, or `None`
-/// if `needle` is not a subsequence.
-pub fn subsequence_positions<T: PartialEq>(needle: &[T], haystack: &[T]) -> Option<Vec<usize>> {
-    let mut positions = Vec::with_capacity(needle.len());
-    let mut start = 0usize;
-    for item in needle {
-        let mut found = None;
-        for (offset, candidate) in haystack[start..].iter().enumerate() {
-            if candidate == item {
-                found = Some(start + offset);
-                break;
-            }
-        }
-        let pos = found?;
-        positions.push(pos);
-        start = pos + 1;
-    }
-    Some(positions)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -64,15 +44,5 @@ mod tests {
         assert!(!is_subsequence(&[3, 1], &[1, 2, 3]));
         assert!(!is_subsequence(&[1, 1], &[1, 2, 3]));
         assert!(!is_subsequence(&[1, 2, 3, 4], &[1, 2, 3]));
-    }
-
-    #[test]
-    fn positions_are_leftmost() {
-        assert_eq!(
-            subsequence_positions(&[1, 3], &[1, 3, 1, 3]),
-            Some(vec![0, 1])
-        );
-        assert_eq!(subsequence_positions(&[2, 2], &[2, 1, 2]), Some(vec![0, 2]));
-        assert_eq!(subsequence_positions(&[2, 2], &[2, 1]), None);
     }
 }

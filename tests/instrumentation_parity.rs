@@ -18,7 +18,7 @@
 //! reports non-zero measured cost), and the profiler's collapsed-stack export
 //! (non-empty, covering the detector spans).
 
-use behavior_query::obs::{MetricsRegistry, ProfileSnapshot, Profiler, QueryCostReport};
+use behavior_query::obs::{MetricsRegistry, ProfileSnapshot, Profiler, QueryCost, QueryCostReport};
 use behavior_query::query::QueryOptions;
 use behavior_query::stream::{deploy_all, Detection, LabelPairStats, ShardedDetector};
 use behavior_query::syscall::{Behavior, LabeledTrace, TraceLabel, TrainingData};
@@ -292,6 +292,32 @@ fn instrumented_detections_are_byte_identical_at_1_2_and_4_shards() {
         assert!(
             run.placements.iter().all(|&shard| shard < shards),
             "every deployed query lives on a real shard"
+        );
+    }
+}
+
+/// Cost rows are counted once, in the engine's one table: the exact counters of every
+/// deployed query are the same whichever shard it lands on, at 1, 2 and 4 shards.
+#[test]
+fn exact_cost_rows_do_not_depend_on_the_shard_count() {
+    let training = training_set();
+    let stream = held_out_stream();
+    let exact = |shards: usize| -> Vec<[u64; 4]> {
+        let costs = replay(&training, &stream, shards, true).costs;
+        let rows = costs.expect("attribution was enabled").rows;
+        let row = |(_, c): &(usize, QueryCost)| [c.spawned, c.advanced, c.dropped, c.detections];
+        rows.iter().map(row).collect()
+    };
+    let one = exact(1);
+    assert!(
+        one.iter().all(|row| row[0] > 0) && one.iter().any(|row| row[3] > 0),
+        "every query seeds and some detect: {one:?}"
+    );
+    for shards in [2, 4] {
+        assert_eq!(
+            exact(shards),
+            one,
+            "exact counters moved at {shards} shards"
         );
     }
 }

@@ -19,10 +19,11 @@
 
 mod common;
 
+use behavior_query::obs::{QueryCost, QueryCostReport};
 use behavior_query::query::Interval;
 use behavior_query::stream::{
-    CompiledQuery, Detection, Detector, PoisonPolicy, QuarantinedEvent, TenantBatchError,
-    TenantDetection, TenantPool,
+    CompiledQuery, Detection, Detector, Engine, PoisonPolicy, QuarantinedEvent, ShardedDetector,
+    TenantBatchError, TenantDetection, TenantPool,
 };
 use behavior_query::syscall::{
     events_of_graph, Behavior, DatasetConfig, TenantedStreamSource, TestData, TestDataConfig,
@@ -481,4 +482,66 @@ fn testdata_multi_tenant_streaming_actually_detects_instances() {
     let fx = fixture();
     let hits: usize = fx.isolated.iter().map(Vec::len).sum();
     assert!(hits > 0, "mined queries detected nothing in the stream");
+}
+
+/// Cost rows are counted once, in the pool's one table: its exact counters per query
+/// equal the sum of every tenant's isolated one-shard run. Tenant 0 streams throughout,
+/// tenant 1 is quiesced halfway and never returns, and tenant 2 arrives at the halfway
+/// point; the pool runs 2 groups × 2 shards.
+#[test]
+fn pool_cost_rows_are_the_sum_of_isolated_tenant_runs() {
+    let fx = fixture();
+    let events = events_of_graph(&fx.test.graph);
+    let (head, tail) = events.split_at(events.len() / 2);
+    let exact = |report: Option<QueryCostReport>| -> Vec<[u64; 4]> {
+        let rows = report.expect("attribution is on").rows;
+        let row = |(_, c): &(usize, QueryCost)| [c.spawned, c.advanced, c.dropped, c.detections];
+        rows.iter().map(row).collect()
+    };
+    let isolated = |events: &[StreamEvent]| {
+        let mut engine = ShardedDetector::new(1);
+        engine.enable_cost_attribution(1);
+        for (query, window) in &fx.queries {
+            engine.register(query.clone(), *window).expect("valid");
+        }
+        for chunk in events.chunks(64) {
+            engine.on_batch(chunk).expect("tenant stream is valid");
+        }
+        engine.flush();
+        exact(engine.query_cost_report())
+    };
+    let mut expected = vec![[0u64; 4]; fx.queries.len()];
+    for run in [isolated(&events), isolated(head), isolated(&events)] {
+        for (sum, row) in expected.iter_mut().zip(run) {
+            for (total, count) in sum.iter_mut().zip(row) {
+                *total += count;
+            }
+        }
+    }
+    assert!(expected.iter().any(|row| row[3] > 0), "{expected:?}");
+
+    let mut pool = TenantPool::new(2, 2);
+    pool.enable_cost_attribution(1);
+    for (query, window) in &fx.queries {
+        pool.register(query.clone(), *window).expect("valid");
+    }
+    let stream = |streams: &[(u64, &[StreamEvent])]| {
+        let streams: Vec<(TenantId, Vec<StreamEvent>)> = streams
+            .iter()
+            .map(|&(tenant, events)| (TenantId(tenant), events.to_vec()))
+            .collect();
+        interleave(&streams, &picks_from_seed(7, 32))
+    };
+    let first = stream(&[(0, head), (1, head)]);
+    let second = stream(&[(0, tail), (2, &events)]);
+    for chunk in first.chunks(64) {
+        pool.on_batch(chunk).expect("tenant streams are valid");
+    }
+    Engine::quiesce(&mut pool, TenantId(1));
+    for chunk in second.chunks(64) {
+        pool.on_batch(chunk).expect("tenant streams are valid");
+    }
+    pool.flush();
+    assert_eq!(pool.tenant_count(), 2, "tenant 1 stayed away");
+    assert_eq!(exact(pool.query_cost_report()), expected);
 }
